@@ -14,10 +14,7 @@ import (
 	"os"
 
 	"speccat/internal/analysis"
-	"speccat/internal/analysis/commcheck"
-	"speccat/internal/analysis/durcheck"
-	"speccat/internal/analysis/fsmcheck"
-	"speccat/internal/analysis/lockcheck"
+	"speccat/internal/analysis/layers"
 	"speccat/internal/core/provesched"
 	"speccat/internal/core/speclang"
 	"speccat/internal/core/speclint"
@@ -49,12 +46,10 @@ func main() {
 	os.Exit(code)
 }
 
-// lintGoLayers runs the Go design-rule analyzers, the fsmcheck protocol
-// extraction, the durcheck durability-ordering analysis, the commcheck
-// commutativity lock-mode analysis and the lockcheck 2PL / lock-order
-// analysis over the enclosing module, so -lint covers the spec layer plus
-// five Go analysis layers, and returns the finding count. Outside a Go
-// module it is a no-op.
+// lintGoLayers runs every Go analysis layer of the shared layer table —
+// the same rows speccatlint runs — over the enclosing module, so -lint
+// covers the spec layer plus all six Go layers, and returns the finding
+// count. Outside a Go module it is a no-op.
 func lintGoLayers(stderr *os.File) int {
 	loader, err := analysis.NewLoader(".")
 	if err != nil || loader.ModulePath == "" {
@@ -65,19 +60,15 @@ func lintGoLayers(stderr *os.File) int {
 		fmt.Fprintf(stderr, "speccat: go lint: %v\n", err)
 		return 1
 	}
-	diags := analysis.Run(pkgs, analysis.Analyzers())
-	_, fsmDiags := fsmcheck.Run(pkgs)
-	diags = append(diags, fsmDiags...)
-	_, durDiags := durcheck.Run(pkgs)
-	diags = append(diags, durDiags...)
-	_, commDiags := commcheck.Run(pkgs)
-	diags = append(diags, commDiags...)
-	_, lockDiags := lockcheck.Run(pkgs)
-	diags = append(diags, lockDiags...)
-	for _, d := range diags {
-		fmt.Fprintln(stderr, d)
+	count := 0
+	for _, l := range layers.Go() {
+		_, diags := l.Run(pkgs)
+		for _, d := range diags {
+			fmt.Fprintln(stderr, d)
+		}
+		count += len(diags)
 	}
-	return len(diags)
+	return count
 }
 
 func processFile(path string, lenient, skipProofs, lint bool, jobs int, printName string, quiet bool) error {

@@ -6,22 +6,22 @@
 //     over the same packages: exhaustiveness, determinism, dead
 //     states/kinds, codec totality, and cross-validation of the extracted
 //     tpc machines against internal/mc's transition relation.
-//   - dur: durability-ordering dataflow (internal/analysis/durcheck,
-//     opt-in via -dur): write-ahead discipline over the protocol handlers —
+//   - dur: durability-ordering dataflow (internal/analysis/durcheck):
+//     write-ahead discipline over the protocol handlers —
 //     //dur:requires sends dominated by the matching durable write,
 //     //dur:volatile writes dominated by some durable write.
 //   - port: runtime-boundary + state-confinement analysis
-//     (internal/analysis/portcheck, opt-in via -port): //rt:engine
+//     (internal/analysis/portcheck): //rt:engine
 //     packages speak only the rt interfaces, handler state stays confined
 //     to its event loop, and //dur:requires sends follow the in-memory
 //     transition they advertise.
-//   - comm: commutativity-derived lock modes (internal/analysis/commcheck,
-//     opt-in via -comm): the //comm:matrix compatibility table must match
+//   - comm: commutativity-derived lock modes (internal/analysis/commcheck):
+//     the //comm:matrix compatibility table must match
 //     the prover-discharged Safe theorems of its spec byte for byte, and
 //     every //comm:op site must acquire exactly its class's derived mode
 //     (comm-matrix, comm-overlock, comm-underlock, comm-extract).
 //   - lock: two-phase-locking / cross-shard lock-order dataflow
-//     (internal/analysis/lockcheck, opt-in via -lock): every handler-reachable
+//     (internal/analysis/lockcheck): every handler-reachable
 //     locking.Manager call site must grow before it shrinks, release on every
 //     return path, keep acquisitions out of SyncThen continuations and after
 //     the wal decision record, and acquire across shards in canonical
@@ -33,17 +33,16 @@
 //
 // Targets may be mixed freely; anything ending in .sw is linted as a
 // specification file, everything else is treated as a Go package pattern
-// ("./..." expands recursively, skipping testdata).
+// ("./..." expands recursively, skipping testdata and nested modules).
 //
 // Usage:
 //
-//	speccatlint [-list] [-werror] [-dur] [-port] [-comm] [-lock] [-only layer] [-json] [-fsm dir] [-fsm-check dir] [target ...]
+//	speccatlint [-list] [-werror] [-only layer] [-json] [-fsm dir] [-fsm-check dir] [target ...]
 //
-// By default the base, fsm and spec layers run; -dur, -port, -comm and
-// -lock opt the heavier layers in. -only base|fsm|dur|port|comm|lock|spec
-// runs exactly one layer (ignoring the opt-in flags), so CI and bisection
-// scripts can attribute findings to a layer without re-running the other
-// six. With
+// Every layer runs by default (the Go layers are the rows of
+// internal/analysis/layers). -only base|fsm|dur|port|comm|lock|spec
+// runs exactly one layer, so CI and bisection scripts can attribute
+// findings to a layer without re-running the other six. With
 // -fsm the extracted machines are rendered as markdown + DOT into dir
 // (the generated docs/fsm/ artifacts); with -fsm-check the rendering is
 // instead compared against dir and staleness is a failure (both belong
@@ -69,16 +68,20 @@ import (
 	"strings"
 
 	"speccat/internal/analysis"
-	"speccat/internal/analysis/commcheck"
-	"speccat/internal/analysis/durcheck"
 	"speccat/internal/analysis/fsmcheck"
-	"speccat/internal/analysis/lockcheck"
-	"speccat/internal/analysis/portcheck"
+	"speccat/internal/analysis/layers"
 	"speccat/internal/core/speclint"
 )
 
-// layerNames are the selectable analysis layers, in run order.
-var layerNames = []string{"base", "fsm", "dur", "port", "comm", "lock", "spec"} //lint:allow noglobalstate immutable lookup table
+// layerNames are the selectable analysis layers, in run order: the rows of
+// the Go layer table, then the spec linter.
+func layerNames() []string {
+	var names []string
+	for _, l := range layers.Go() {
+		names = append(names, l.Name)
+	}
+	return append(names, "spec")
+}
 
 // finding is the unified JSON shape of one diagnostic from any layer.
 type finding struct {
@@ -100,10 +103,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the Go analyzers and exit")
 	werror := fs.Bool("werror", false, "treat spec-lint warnings as errors")
-	dur := fs.Bool("dur", false, "run the durability-ordering dataflow layer (durcheck)")
-	port := fs.Bool("port", false, "run the runtime-boundary / state-confinement layer (portcheck)")
-	comm := fs.Bool("comm", false, "run the commutativity lock-mode layer (commcheck)")
-	lock := fs.Bool("lock", false, "run the two-phase-locking / lock-order layer (lockcheck)")
 	only := fs.String("only", "", "run exactly one layer: base, fsm, dur, port, comm, lock or spec")
 	jsonOut := fs.Bool("json", false, "emit findings of all layers as a JSON array")
 	fsmDir := fs.String("fsm", "", "write the extracted machine docs (markdown + DOT) into this directory")
@@ -111,46 +110,29 @@ func run(args []string, stdout, stderr *os.File) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	goLayers := layers.Go()
+	// enabled reports whether a layer should run: all do, unless -only
+	// selects exactly one.
+	enabled := func(layer string) bool { return *only == "" || *only == layer }
 	if *only != "" {
 		known := false
-		for _, name := range layerNames {
-			if *only == name {
-				known = true
-			}
+		for _, name := range layerNames() {
+			known = known || *only == name
 		}
 		if !known {
-			fmt.Fprintf(stderr, "speccatlint: unknown layer %q for -only (want %s)\n", *only, strings.Join(layerNames, ", "))
+			fmt.Fprintf(stderr, "speccatlint: unknown layer %q for -only (want %s)\n", *only, strings.Join(layerNames(), ", "))
 			return 2
 		}
-	}
-	// enabled reports whether a layer should run under the current flags:
-	// -only selects exactly one layer; otherwise base/fsm/spec always run
-	// and dur/port are opt-in.
-	enabled := func(layer string) bool {
-		if *only != "" {
-			return *only == layer
-		}
-		switch layer {
-		case "dur":
-			return *dur
-		case "port":
-			return *port
-		case "comm":
-			return *comm
-		case "lock":
-			return *lock
-		}
-		return true
 	}
 	if *list {
 		for _, a := range analysis.Analyzers() {
 			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
 		}
-		fmt.Fprintf(stdout, "%-14s %s\n", "fsm-*", "protocol state-machine extraction, totality and model cross-validation (fsmcheck)")
-		fmt.Fprintf(stdout, "%-14s %s\n", "dur-*", "write-ahead / durability-ordering dataflow analysis (durcheck, -dur)")
-		fmt.Fprintf(stdout, "%-14s %s\n", "rt-*", "runtime-boundary / state-confinement analysis (portcheck, -port)")
-		fmt.Fprintf(stdout, "%-14s %s\n", "comm-*", "commutativity-derived lock modes vs the discharged spec matrix (commcheck, -comm)")
-		fmt.Fprintf(stdout, "%-14s %s\n", "lock-*", "two-phase-locking / cross-shard lock-order dataflow analysis (lockcheck, -lock)")
+		for _, l := range goLayers {
+			if l.Rules != "" {
+				fmt.Fprintf(stdout, "%-14s %s\n", l.Rules, l.Doc)
+			}
+		}
 		return 0
 	}
 	var findings []finding
@@ -191,8 +173,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 	}
 
-	wantGo := enabled("base") || enabled("fsm") || enabled("dur") || enabled("port") || enabled("comm") || enabled("lock")
-	if len(goPatterns) > 0 && wantGo {
+	if len(goPatterns) > 0 && *only != "spec" {
 		loader, err := analysis.NewLoader(".")
 		if err != nil {
 			fmt.Fprintf(stderr, "speccatlint: %v\n", err)
@@ -209,41 +190,17 @@ func run(args []string, stdout, stderr *os.File) int {
 			diag  analysis.Diagnostic
 		}
 		var diags []layered
-		if enabled("base") {
-			for _, d := range analysis.Run(pkgs, analysis.Analyzers()) {
-				diags = append(diags, layered{"base", d})
-			}
-		}
 		var docs map[string]string
-		if enabled("fsm") {
-			rep, fsmDiags := fsmcheck.Run(pkgs)
-			for _, d := range fsmDiags {
-				diags = append(diags, layered{"fsm", d})
+		for _, l := range goLayers {
+			if !enabled(l.Name) {
+				continue
 			}
-			docs = fsmcheck.Docs(rep, loader.ModuleRoot)
-		}
-		if enabled("dur") {
-			_, durDiags := durcheck.Run(pkgs)
-			for _, d := range durDiags {
-				diags = append(diags, layered{"dur", d})
+			rep, layerDiags := l.Run(pkgs)
+			for _, d := range layerDiags {
+				diags = append(diags, layered{l.Name, d})
 			}
-		}
-		if enabled("port") {
-			_, portDiags := portcheck.Run(pkgs)
-			for _, d := range portDiags {
-				diags = append(diags, layered{"port", d})
-			}
-		}
-		if enabled("comm") {
-			_, commDiags := commcheck.Run(pkgs)
-			for _, d := range commDiags {
-				diags = append(diags, layered{"comm", d})
-			}
-		}
-		if enabled("lock") {
-			_, lockDiags := lockcheck.Run(pkgs)
-			for _, d := range lockDiags {
-				diags = append(diags, layered{"lock", d})
+			if machines, ok := rep.(*fsmcheck.Report); ok {
+				docs = fsmcheck.Docs(machines, loader.ModuleRoot)
 			}
 		}
 		for _, ld := range diags {

@@ -60,7 +60,7 @@ func TestListShowsAllLayers(t *testing.T) {
 // TestExitCodeCleanPerLayer: every layer — selected alone via -only —
 // exits 0 on a clean target, so scripts can attribute findings uniformly.
 func TestExitCodeCleanPerLayer(t *testing.T) {
-	for _, layer := range layerNames {
+	for _, layer := range layerNames() {
 		code, out, serr := capture(t, "-only", layer, "./internal/locking")
 		if code != 0 {
 			t.Errorf("-only %s on a clean target exited %d\nstdout: %s\nstderr: %s", layer, code, out, serr)

@@ -14,14 +14,17 @@
 // placed either at the end of the offending line or on the line
 // immediately above it. A suppression without a reason is itself a
 // finding.
+//
+// The package is also the core the five check layers in its
+// subdirectories instantiate (DESIGN.md "Analysis core"): the //ns:verb
+// directive grammar with suppression and reporting (directive.go), the
+// function index with root discovery and call-graph closures (funcs.go,
+// kinds.go), and the generic forward dataflow (flow.go).
 package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"sort"
-	"strings"
 )
 
 // Diagnostic is one finding, positioned in the analyzed source.
@@ -50,16 +53,12 @@ type Analyzer struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	diags    *[]Diagnostic
+	scope    *Scope
 }
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:     p.Pkg.Fset.Position(pos),
-		Rule:    p.Analyzer.Name,
-		Message: fmt.Sprintf(format, args...),
-	})
+	p.scope.Reportf(p.Pkg, pos, p.Analyzer.Name, format, args...)
 }
 
 // Analyzers returns the full rule set in a fixed order.
@@ -83,101 +82,21 @@ func ByName(name string) (*Analyzer, bool) {
 	return nil, false
 }
 
+// allowVerbs is the design-rule layer's verb table: the rule-scoped
+// //lint:allow suppression, whose malformed uses are lint-allow findings.
+var allowVerbs = map[string]Verb{ //lint:allow noglobalstate immutable lookup table
+	"allow": {Kind: Suppresses, Rule: RuleArg, Min: 2, Max: -1,
+		Usage: "malformed suppression: want //lint:%[1]s <rule> <reason>"},
+}
+
 // Run applies the analyzers to the packages and returns surviving
 // diagnostics (suppressions applied), sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	var diags []Diagnostic
+	scope := NewScope(pkgs, "lint", "lint-allow", allowVerbs)
 	for _, pkg := range pkgs {
-		var pkgDiags []Diagnostic
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Pkg: pkg, diags: &pkgDiags}
-			a.Run(pass)
-		}
-		diags = append(diags, applySuppressions(pkg, pkgDiags)...)
-	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Rule < b.Rule
-	})
-	return diags
-}
-
-// allowDirective is one parsed //lint:allow comment.
-type allowDirective struct {
-	pos    token.Position
-	rule   string
-	reason string
-}
-
-// allowDirectives extracts the //lint:allow comments of one file.
-func allowDirectives(fset *token.FileSet, f *ast.File) []allowDirective {
-	var out []allowDirective
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			text = strings.TrimSpace(text)
-			if !strings.HasPrefix(text, "lint:allow") {
-				continue
-			}
-			rest := strings.TrimSpace(strings.TrimPrefix(text, "lint:allow"))
-			rule, reason, _ := strings.Cut(rest, " ")
-			out = append(out, allowDirective{
-				pos:    fset.Position(c.Pos()),
-				rule:   rule,
-				reason: strings.TrimSpace(reason),
-			})
+			a.Run(&Pass{Analyzer: a, Pkg: pkg, scope: scope})
 		}
 	}
-	return out
-}
-
-// applySuppressions drops diagnostics covered by a //lint:allow directive
-// for the same rule on the same or preceding line, and reports malformed
-// directives (missing rule or reason).
-func applySuppressions(pkg *Package, diags []Diagnostic) []Diagnostic {
-	// file -> rule -> set of lines at which the rule is allowed.
-	allowed := map[string]map[string]map[int]bool{}
-	var out []Diagnostic
-	for _, f := range pkg.Files {
-		for _, d := range allowDirectives(pkg.Fset, f) {
-			if d.rule == "" || d.reason == "" {
-				out = append(out, Diagnostic{
-					Pos:     d.pos,
-					Rule:    "lint-allow",
-					Message: "malformed suppression: want //lint:allow <rule> <reason>",
-				})
-				continue
-			}
-			byRule := allowed[d.pos.Filename]
-			if byRule == nil {
-				byRule = map[string]map[int]bool{}
-				allowed[d.pos.Filename] = byRule
-			}
-			lines := byRule[d.rule]
-			if lines == nil {
-				lines = map[int]bool{}
-				byRule[d.rule] = lines
-			}
-			// The directive covers its own line (end-of-line comment) and
-			// the next line (comment placed above the offending line).
-			lines[d.pos.Line] = true
-			lines[d.pos.Line+1] = true
-		}
-	}
-	for _, d := range diags {
-		if lines := allowed[d.Pos.Filename][d.Rule]; lines[d.Pos.Line] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
+	return scope.Diagnostics()
 }

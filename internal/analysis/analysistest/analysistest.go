@@ -1,6 +1,7 @@
-// Package analysistest is the shared fixture harness for the repository's
-// static-analysis layers (the design-rule analyzers of internal/analysis
-// and the protocol extraction of internal/analysis/fsmcheck). A fixture is
+// Package analysistest is the shared fixture harness for every row of the
+// layer table (internal/analysis/layers): the design-rule analyzers of
+// internal/analysis and the fsmcheck, durcheck, portcheck, commcheck and
+// lockcheck layers. A fixture is
 // a directory holding one Go package whose sources carry expectation
 // comments:
 //

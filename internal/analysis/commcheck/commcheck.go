@@ -42,13 +42,7 @@
 // seeded comm-underlock ablation (kvstore.Store.PutUnderlocked).
 package commcheck
 
-import (
-	"fmt"
-	"go/token"
-	"sort"
-
-	"speccat/internal/analysis"
-)
+import "speccat/internal/analysis"
 
 // Rule names reported by this layer.
 const (
@@ -82,6 +76,16 @@ type Report struct {
 	AcquireSites int
 }
 
+// verbs is the //comm:* verb table.
+var verbs = map[string]analysis.Verb{ //lint:allow noglobalstate immutable lookup table
+	"op":     {Min: 1, Max: 1, Usage: "//comm:%[1]s wants exactly one class argument", Where: unattached},
+	"mode":   {Min: 1, Max: 1, Usage: "//comm:%[1]s wants exactly one class argument", Where: unattached},
+	"matrix": {Min: 1, Max: 1, Usage: "//comm:%[1]s wants exactly one spec-file argument", Where: unattached},
+	"ignore": {Kind: analysis.Suppresses, Min: 1, Max: -1, Usage: "//comm:%[1]s needs a reason"},
+}
+
+const unattached = "unattached //comm:%[1]s directive (op goes in a function doc, mode trails a Mode constant, matrix goes in the matrix var's doc)"
+
 // Run analyzes the loaded packages and returns the coverage report and
 // the surviving diagnostics (with //comm:ignore suppressions applied),
 // sorted by position. Deriving the reference matrix elaborates the spec
@@ -90,38 +94,5 @@ type Report struct {
 func Run(pkgs []*analysis.Package) (*Report, []analysis.Diagnostic) {
 	x := newExtractor(pkgs)
 	rep := x.extract()
-	diags := x.suppress(x.diags)
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Message < b.Message
-	})
-	return rep, diags
-}
-
-// suppress drops diagnostics covered by a reasoned //comm:ignore on the
-// same or the preceding line; reasonless ignores are themselves findings
-// (already reported during extraction).
-func (x *extractor) suppress(diags []analysis.Diagnostic) []analysis.Diagnostic {
-	var out []analysis.Diagnostic
-	for _, d := range diags {
-		if lines := x.ignored[d.Pos.Filename]; lines[d.Pos.Line] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
-}
-
-// reportf records one finding.
-func (x *extractor) reportf(pos token.Position, rule, format string, args ...any) {
-	x.diags = append(x.diags, analysis.Diagnostic{Pos: pos, Rule: rule, Message: fmt.Sprintf(format, args...)})
+	return rep, x.Diagnostics()
 }

@@ -13,42 +13,6 @@ import (
 	"speccat/internal/analysis"
 )
 
-// directive is one parsed //comm:<verb> annotation.
-type directive struct {
-	verb string
-	args []string
-	// rest is the raw argument text (reason-bearing verbs keep spaces).
-	rest string
-	pos  token.Position
-}
-
-// parseLine extracts the comm: directives of one comment line. Like the
-// other layers, the comment must BEGIN with a directive; segments split
-// on "//" so one trailing comment can carry directives of several layers.
-func parseLine(text string, pos token.Position) []directive {
-	body := strings.TrimSpace(strings.TrimPrefix(text, "//"))
-	if !strings.HasPrefix(body, "comm:") {
-		return nil
-	}
-	var out []directive
-	for _, seg := range strings.Split(body, "//") {
-		seg = strings.TrimSpace(seg)
-		rest, ok := strings.CutPrefix(seg, "comm:")
-		if !ok {
-			continue
-		}
-		verb, args, _ := strings.Cut(rest, " ")
-		args = strings.TrimSpace(args)
-		out = append(out, directive{
-			verb: verb,
-			args: strings.Fields(args),
-			rest: args,
-			pos:  pos,
-		})
-	}
-	return out
-}
-
 // opDecl is one //comm:op-annotated function.
 type opDecl struct {
 	pkg   *analysis.Package
@@ -67,9 +31,8 @@ type matrixDecl struct {
 }
 
 type extractor struct {
-	pkgs    []*analysis.Package
-	diags   []analysis.Diagnostic
-	ignored map[string]map[int]bool
+	*analysis.Scope
+	pkgs []*analysis.Package
 
 	// classVal maps each //comm:mode-bound class to its mode constant's
 	// value; classConst to the constant's name; modeClass inverts classVal.
@@ -83,8 +46,8 @@ type extractor struct {
 
 func newExtractor(pkgs []*analysis.Package) *extractor {
 	return &extractor{
+		Scope:      analysis.NewScope(pkgs, "comm", RuleExtract, verbs),
 		pkgs:       pkgs,
-		ignored:    map[string]map[int]bool{},
 		classVal:   map[string]int64{},
 		classConst: map[string]string{},
 		modeClass:  map[int64]string{},
@@ -97,6 +60,7 @@ func (x *extractor) extract() *Report {
 			x.extractFile(pkg, f)
 		}
 	}
+	x.ReportUnbound()
 	rep := &Report{
 		Classes: map[string]string{},
 		Ops:     map[string]string{},
@@ -108,7 +72,7 @@ func (x *extractor) extract() *Report {
 	classes := x.classes()
 	for _, op := range x.ops {
 		if _, ok := x.classVal[op.class]; !ok {
-			x.reportf(op.pos, RuleExtract,
+			x.ReportAt(op.pos, RuleExtract,
 				"//comm:op names unknown class %q (no //comm:mode binds it; known: %s)",
 				op.class, strings.Join(classes, ", "))
 			continue
@@ -135,194 +99,90 @@ func (x *extractor) extract() *Report {
 	return rep
 }
 
-// extractFile collects the directives of one file: attachment points
-// first (function docs, constant trailing comments, var docs), then a
-// sweep over all comment groups that registers ignores and reports
-// unattached or malformed directives.
+// extractFile attaches the directives of one file to their declarations:
+// op in a function doc, mode trailing a constant, matrix on a var. A
+// directive anywhere else stays unbound and is reported as unattached.
 func (x *extractor) extractFile(pkg *analysis.Package, f *ast.File) {
-	claimed := map[*ast.CommentGroup]bool{}
-	claim := func(cg *ast.CommentGroup) []directive {
-		if cg == nil || claimed[cg] {
-			return nil
-		}
-		claimed[cg] = true
-		var out []directive
-		for _, c := range cg.List {
-			out = append(out, parseLine(c.Text, pkg.Fset.Position(c.Pos()))...)
-		}
-		return out
-	}
-
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
-			for _, dir := range claim(d.Doc) {
-				x.attachFunc(pkg, d, dir)
+			for _, dir := range x.Directives(d.Doc) {
+				if dir.Verb == "op" {
+					x.Bind(dir)
+					x.ops = append(x.ops, opDecl{
+						pkg: pkg, fn: d, class: dir.Args[0], name: analysis.FuncDisplayName(d),
+						pos: pkg.Fset.Position(d.Pos()),
+					})
+				}
 			}
 		case *ast.GenDecl:
-			for _, dir := range claim(d.Doc) {
-				x.attachGen(pkg, d, dir)
-			}
-			for _, spec := range d.Specs {
+			for i, spec := range d.Specs {
 				vs, ok := spec.(*ast.ValueSpec)
 				if !ok {
 					continue
 				}
-				for _, dir := range claim(vs.Doc) {
+				groups := []*ast.CommentGroup{vs.Doc, vs.Comment}
+				if i == 0 && len(d.Specs) == 1 {
+					groups = append(groups, d.Doc) // the unparenthesized var form
+				}
+				for _, dir := range x.Directives(groups...) {
 					x.attachSpec(pkg, d, vs, dir)
 				}
-				for _, dir := range claim(vs.Comment) {
-					x.attachSpec(pkg, d, vs, dir)
-				}
 			}
 		}
 	}
-
-	for _, cg := range f.Comments {
-		if claimed[cg] {
-			continue
-		}
-		for _, c := range cg.List {
-			for _, dir := range parseLine(c.Text, pkg.Fset.Position(c.Pos())) {
-				switch dir.verb {
-				case "ignore":
-					x.registerIgnore(dir)
-				case "op", "mode", "matrix":
-					x.reportf(dir.pos, RuleExtract,
-						"unattached //comm:%s directive (op goes in a function doc, mode trails a Mode constant, matrix goes in the matrix var's doc)", dir.verb)
-				default:
-					x.reportf(dir.pos, RuleExtract, "unknown directive //comm:%s", dir.verb)
-				}
-			}
-		}
-	}
-}
-
-// attachFunc handles directives in a function's doc comment.
-func (x *extractor) attachFunc(pkg *analysis.Package, fn *ast.FuncDecl, dir directive) {
-	switch dir.verb {
-	case "op":
-		if len(dir.args) != 1 {
-			x.reportf(dir.pos, RuleExtract, "//comm:op wants exactly one class argument")
-			return
-		}
-		name := fn.Name.Name
-		if fn.Recv != nil && len(fn.Recv.List) == 1 {
-			t := fn.Recv.List[0].Type
-			if star, ok := t.(*ast.StarExpr); ok {
-				t = star.X
-			}
-			if id, ok := t.(*ast.Ident); ok {
-				name = id.Name + "." + name
-			}
-		}
-		x.ops = append(x.ops, opDecl{
-			pkg: pkg, fn: fn, class: dir.args[0], name: name,
-			pos: pkg.Fset.Position(fn.Pos()),
-		})
-	case "ignore":
-		x.registerIgnore(dir)
-	default:
-		x.reportf(dir.pos, RuleExtract, "//comm:%s does not belong in a function doc (want //comm:op)", dir.verb)
-	}
-}
-
-// attachGen handles directives in a GenDecl's doc comment (the var form
-// of the matrix declaration).
-func (x *extractor) attachGen(pkg *analysis.Package, d *ast.GenDecl, dir directive) {
-	if d.Tok == token.VAR && len(d.Specs) == 1 {
-		if vs, ok := d.Specs[0].(*ast.ValueSpec); ok {
-			x.attachSpec(pkg, d, vs, dir)
-			return
-		}
-	}
-	if dir.verb == "ignore" {
-		x.registerIgnore(dir)
-		return
-	}
-	x.reportf(dir.pos, RuleExtract, "//comm:%s directive on an unsupported declaration", dir.verb)
 }
 
 // attachSpec handles directives attached to one const/var spec.
-func (x *extractor) attachSpec(pkg *analysis.Package, d *ast.GenDecl, vs *ast.ValueSpec, dir directive) {
-	switch dir.verb {
-	case "mode":
-		if d.Tok != token.CONST {
-			x.reportf(dir.pos, RuleExtract, "//comm:mode must trail a Mode constant declaration")
-			return
-		}
-		if len(dir.args) != 1 {
-			x.reportf(dir.pos, RuleExtract, "//comm:mode wants exactly one class argument")
-			return
-		}
+func (x *extractor) attachSpec(pkg *analysis.Package, d *ast.GenDecl, vs *ast.ValueSpec, dir analysis.Directive) {
+	switch {
+	case dir.Verb == "mode" && d.Tok == token.CONST:
+		x.Bind(dir)
 		if len(vs.Names) != 1 {
-			x.reportf(dir.pos, RuleExtract, "//comm:mode must trail a single-constant declaration")
+			x.ReportAt(dir.Pos, RuleExtract, "//comm:mode must trail a single-constant declaration")
 			return
 		}
 		obj, ok := pkg.Info.Defs[vs.Names[0]].(*types.Const)
 		if !ok {
-			x.reportf(dir.pos, RuleExtract, "//comm:mode on %s: not a constant", vs.Names[0].Name)
+			x.ReportAt(dir.Pos, RuleExtract, "//comm:mode on %s: not a constant", vs.Names[0].Name)
 			return
 		}
 		val, ok := constant.Int64Val(obj.Val())
 		if !ok {
-			x.reportf(dir.pos, RuleExtract, "//comm:mode on %s: not an integer mode", vs.Names[0].Name)
+			x.ReportAt(dir.Pos, RuleExtract, "//comm:mode on %s: not an integer mode", vs.Names[0].Name)
 			return
 		}
-		class := dir.args[0]
+		class := dir.Args[0]
 		if prev, dup := x.classVal[class]; dup && prev != val {
-			x.reportf(dir.pos, RuleExtract,
+			x.ReportAt(dir.Pos, RuleExtract,
 				"class %s bound to conflicting modes (%s=%d vs %s=%d)",
 				class, x.classConst[class], prev, vs.Names[0].Name, val)
 			return
 		}
 		if prevClass, dup := x.modeClass[val]; dup && prevClass != class {
-			x.reportf(dir.pos, RuleExtract,
+			x.ReportAt(dir.Pos, RuleExtract,
 				"mode %s already bound to class %s", vs.Names[0].Name, prevClass)
 			return
 		}
 		x.classVal[class] = val
 		x.classConst[class] = vs.Names[0].Name
 		x.modeClass[val] = class
-	case "matrix":
-		if len(dir.args) != 1 {
-			x.reportf(dir.pos, RuleExtract, "//comm:matrix wants exactly one spec-file argument")
-			return
-		}
+	case dir.Verb == "matrix" && d.Tok == token.VAR:
+		x.Bind(dir)
 		if len(vs.Values) != 1 {
-			x.reportf(dir.pos, RuleExtract, "//comm:matrix must annotate a single matrix literal")
+			x.ReportAt(dir.Pos, RuleExtract, "//comm:matrix must annotate a single matrix literal")
 			return
 		}
 		lit, ok := vs.Values[0].(*ast.CompositeLit)
 		if !ok {
-			x.reportf(dir.pos, RuleExtract, "//comm:matrix value must be a map composite literal")
+			x.ReportAt(dir.Pos, RuleExtract, "//comm:matrix value must be a map composite literal")
 			return
 		}
 		x.matrices = append(x.matrices, matrixDecl{
-			pkg: pkg, file: dir.args[0], lit: lit,
+			pkg: pkg, file: dir.Args[0], lit: lit,
 			pos: pkg.Fset.Position(vs.Pos()),
 		})
-	case "ignore":
-		x.registerIgnore(dir)
-	default:
-		x.reportf(dir.pos, RuleExtract, "//comm:%s does not belong on a declaration (want mode or matrix)", dir.verb)
 	}
-}
-
-// registerIgnore records a reasoned suppression covering its own and the
-// next line; a reasonless ignore is itself a finding.
-func (x *extractor) registerIgnore(dir directive) {
-	if dir.rest == "" {
-		x.reportf(dir.pos, RuleExtract, "//comm:ignore needs a reason")
-		return
-	}
-	lines := x.ignored[dir.pos.Filename]
-	if lines == nil {
-		lines = map[int]bool{}
-		x.ignored[dir.pos.Filename] = lines
-	}
-	lines[dir.pos.Line] = true
-	lines[dir.pos.Line+1] = true
 }
 
 // classes returns the annotated class names, sorted.
@@ -340,12 +200,12 @@ func (x *extractor) classes() []string {
 func (x *extractor) checkMatrix(md matrixDecl, classes []string, rep *Report) *DerivedMatrix {
 	src, err := os.ReadFile(filepath.Join(md.pkg.Dir, filepath.FromSlash(md.file)))
 	if err != nil {
-		x.reportf(md.pos, RuleExtract, "//comm:matrix spec unreadable: %v", err)
+		x.ReportAt(md.pos, RuleExtract, "//comm:matrix spec unreadable: %v", err)
 		return nil
 	}
 	derived, err := Derive(string(src), classes)
 	if err != nil {
-		x.reportf(md.pos, RuleExtract, "//comm:matrix spec %s: %v", md.file, err)
+		x.ReportAt(md.pos, RuleExtract, "//comm:matrix spec %s: %v", md.file, err)
 		return nil
 	}
 	gm, ok := x.goMatrix(md)
@@ -359,11 +219,11 @@ func (x *extractor) checkMatrix(md matrixDecl, classes []string, rep *Report) *D
 			e := derived.Compatible[a][b]
 			switch {
 			case g && !e:
-				x.reportf(md.pos, RuleMatrix,
+				x.ReportAt(md.pos, RuleMatrix,
 					"matrix marks (%s, %s) compatible but %s has no discharged Safe theorem for the pair",
 					a, b, md.file)
 			case !g && e:
-				x.reportf(md.pos, RuleMatrix,
+				x.ReportAt(md.pos, RuleMatrix,
 					"matrix marks (%s, %s) conflicting but %s discharges Safe%s%s",
 					a, b, md.file, a, b)
 			}
@@ -378,21 +238,21 @@ func (x *extractor) goMatrix(md matrixDecl) (map[int64]map[int64]bool, bool) {
 	for _, elt := range md.lit.Elts {
 		kv, ok := elt.(*ast.KeyValueExpr)
 		if !ok {
-			x.reportf(md.pos, RuleExtract, "matrix literal entry is not key: value")
+			x.ReportAt(md.pos, RuleExtract, "matrix literal entry is not key: value")
 			return nil, false
 		}
 		key, ok := x.constInt(md.pkg, kv.Key)
 		if !ok {
-			x.reportf(md.pkg.Fset.Position(kv.Key.Pos()), RuleExtract, "matrix key is not a constant mode")
+			x.ReportAt(md.pkg.Fset.Position(kv.Key.Pos()), RuleExtract, "matrix key is not a constant mode")
 			return nil, false
 		}
 		if _, bound := x.modeClass[key]; !bound {
-			x.reportf(md.pkg.Fset.Position(kv.Key.Pos()), RuleExtract, "matrix key has no //comm:mode binding")
+			x.ReportAt(md.pkg.Fset.Position(kv.Key.Pos()), RuleExtract, "matrix key has no //comm:mode binding")
 			return nil, false
 		}
 		row, ok := kv.Value.(*ast.CompositeLit)
 		if !ok {
-			x.reportf(md.pkg.Fset.Position(kv.Value.Pos()), RuleExtract, "matrix row is not a map literal")
+			x.ReportAt(md.pkg.Fset.Position(kv.Value.Pos()), RuleExtract, "matrix row is not a map literal")
 			return nil, false
 		}
 		if out[key] == nil {
@@ -401,21 +261,21 @@ func (x *extractor) goMatrix(md matrixDecl) (map[int64]map[int64]bool, bool) {
 		for _, relt := range row.Elts {
 			rkv, ok := relt.(*ast.KeyValueExpr)
 			if !ok {
-				x.reportf(md.pkg.Fset.Position(relt.Pos()), RuleExtract, "matrix row entry is not key: value")
+				x.ReportAt(md.pkg.Fset.Position(relt.Pos()), RuleExtract, "matrix row entry is not key: value")
 				return nil, false
 			}
 			rkey, ok := x.constInt(md.pkg, rkv.Key)
 			if !ok {
-				x.reportf(md.pkg.Fset.Position(rkv.Key.Pos()), RuleExtract, "matrix row key is not a constant mode")
+				x.ReportAt(md.pkg.Fset.Position(rkv.Key.Pos()), RuleExtract, "matrix row key is not a constant mode")
 				return nil, false
 			}
 			if _, bound := x.modeClass[rkey]; !bound {
-				x.reportf(md.pkg.Fset.Position(rkv.Key.Pos()), RuleExtract, "matrix row key has no //comm:mode binding")
+				x.ReportAt(md.pkg.Fset.Position(rkv.Key.Pos()), RuleExtract, "matrix row key has no //comm:mode binding")
 				return nil, false
 			}
 			tv, defined := md.pkg.Info.Types[rkv.Value]
 			if !defined || tv.Value == nil || tv.Value.Kind() != constant.Bool {
-				x.reportf(md.pkg.Fset.Position(rkv.Value.Pos()), RuleExtract, "matrix entry is not a boolean constant")
+				x.ReportAt(md.pkg.Fset.Position(rkv.Value.Pos()), RuleExtract, "matrix entry is not a boolean constant")
 				return nil, false
 			}
 			out[key][rkey] = constant.BoolVal(tv.Value)
@@ -449,7 +309,7 @@ func (x *extractor) checkOp(op opDecl, derived *DerivedMatrix, classes []string,
 		pos := op.pkg.Fset.Position(call.Pos())
 		mode, isConst := x.constInt(op.pkg, call.Args[2])
 		if !isConst {
-			x.reportf(pos, RuleExtract,
+			x.ReportAt(pos, RuleExtract,
 				"non-constant lock mode in %s-class op %s; commcheck cannot verify it", op.class, op.name)
 			return true
 		}
@@ -458,18 +318,18 @@ func (x *extractor) checkOp(op opDecl, derived *DerivedMatrix, classes []string,
 		}
 		modeClass, bound := x.modeClass[mode]
 		if !bound {
-			x.reportf(pos, RuleExtract,
+			x.ReportAt(pos, RuleExtract,
 				"%s acquires a mode with no //comm:mode binding", op.name)
 			return true
 		}
 		if derived == nil {
-			x.reportf(pos, RuleExtract,
+			x.ReportAt(pos, RuleExtract,
 				"%s acquires %s for class %s but no //comm:matrix spec is available to judge it",
 				op.name, x.classConst[modeClass], op.class)
 			return true
 		}
 		if derived.protects(modeClass, op.class, classes) {
-			x.reportf(pos, RuleOverlock,
+			x.ReportAt(pos, RuleOverlock,
 				"%s-class op %s acquires %s; the discharged matrix licenses %s (overlocking forfeits the proved commutativity)",
 				op.class, op.name, x.classConst[modeClass], x.classConst[op.class])
 			return true
@@ -481,7 +341,7 @@ func (x *extractor) checkOp(op opDecl, derived *DerivedMatrix, classes []string,
 				break
 			}
 		}
-		x.reportf(pos, RuleUnderlock,
+		x.ReportAt(pos, RuleUnderlock,
 			"%s-class op %s acquires %s, which admits concurrent %s-class holders that do not commute with %s",
 			op.class, op.name, x.classConst[modeClass], witness, op.class)
 		return true

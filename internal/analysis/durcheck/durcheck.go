@@ -9,8 +9,8 @@
 // all paths.
 //
 // Analysis roots are the //fsm:handler-annotated dispatch functions plus
-// //dur:handler opt-ins; from each root the same-module static call graph
-// is followed. A call counts as a durable write of some class when it
+// //dur:handler opt-ins; from each root the same-module call graph is
+// followed, bridging interface calls to every implementation in the load. A call counts as a durable write of some class when it
 // reaches a stable.Store mutation (Put/Delete/Append/TruncateLog), a
 // wal.Log mutator (Begin/LoggedUpdate/Commit/Abort) or wal.Resolve — either
 // directly, via one level of call summaries, or via an asserted
@@ -50,13 +50,7 @@
 // crossval.go and experiment E15.
 package durcheck
 
-import (
-	"go/token"
-	"sort"
-	"strings"
-
-	"speccat/internal/analysis"
-)
+import "speccat/internal/analysis"
 
 // Rule names reported by this layer.
 const (
@@ -85,42 +79,14 @@ type Report struct {
 	Volatiles []string
 }
 
-// directive is one parsed //dur:<verb> annotation.
-type directive struct {
-	verb string
-	args []string
-	// rest is the raw argument text (reason-bearing verbs keep spaces).
-	rest string
-	pos  token.Position
-}
-
-// parseDirectives extracts the dur: directives of one comment. Like
-// fsmcheck, the comment must BEGIN with a directive, but the leading
-// directive may belong to either layer: kind constants carry
-// "//fsm:msg ... //dur:requires ..." in one trailing comment, each layer
-// reading its own segments and skipping the other's.
-func parseDirectives(text string, pos token.Position) []directive {
-	body := strings.TrimSpace(strings.TrimPrefix(text, "//"))
-	if !strings.HasPrefix(body, "dur:") && !strings.HasPrefix(body, "fsm:") {
-		return nil
-	}
-	var out []directive
-	for _, seg := range strings.Split(body, "//") {
-		seg = strings.TrimSpace(seg)
-		rest, ok := strings.CutPrefix(seg, "dur:")
-		if !ok {
-			continue
-		}
-		verb, args, _ := strings.Cut(rest, " ")
-		args = strings.TrimSpace(args)
-		out = append(out, directive{
-			verb: verb,
-			args: strings.Fields(args),
-			rest: args,
-			pos:  pos,
-		})
-	}
-	return out
+// verbs is the //dur:* verb table.
+var verbs = map[string]analysis.Verb{ //lint:allow noglobalstate immutable lookup table
+	"requires": {Min: 1, Max: 1, Usage: "malformed //dur:%[1]s: want exactly one argument, got %[2]d"},
+	"applies":  {Min: 1, Max: 1, Usage: "malformed //dur:%[1]s: want exactly one argument, got %[2]d"},
+	"writes":   {Min: 1, Max: -1, Usage: "malformed //dur:%[1]s: want at least one class"},
+	"handler":  {Usage: "malformed //dur:%[1]s: want no arguments"},
+	"volatile": {Usage: "malformed //dur:%[1]s: want no arguments"},
+	"ignore":   {Kind: analysis.Suppresses, Min: 1, Max: -1, Usage: "//dur:%[1]s requires a reason"},
 }
 
 // Run analyzes the loaded packages and returns the coverage report and the
@@ -130,33 +96,5 @@ func parseDirectives(text string, pos token.Position) []directive {
 func Run(pkgs []*analysis.Package) (*Report, []analysis.Diagnostic) {
 	x := newExtractor(pkgs)
 	rep := x.extract()
-	diags := x.suppress(x.diags)
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Message < b.Message
-	})
-	return rep, diags
-}
-
-// suppress drops diagnostics covered by a reasoned //dur:ignore on the
-// same or the preceding line; reasonless ignores are themselves findings
-// (already reported during extraction).
-func (x *extractor) suppress(diags []analysis.Diagnostic) []analysis.Diagnostic {
-	var out []analysis.Diagnostic
-	for _, d := range diags {
-		if lines := x.ignored[d.Pos.Filename]; lines[d.Pos.Line] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
+	return rep, x.Diagnostics()
 }

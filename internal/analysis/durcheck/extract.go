@@ -1,9 +1,7 @@
 package durcheck
 
 import (
-	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"sort"
@@ -14,45 +12,25 @@ import (
 
 // extractor accumulates the durability facts of one load.
 type extractor struct {
-	pkgs  []*analysis.Package
-	diags []analysis.Diagnostic
+	*analysis.Scope
+	pkgs []*analysis.Package
 
-	// ignored maps filename -> set of suppressed lines (//dur:ignore).
-	ignored map[string]map[int]bool
-	// bindable records every well-formed non-ignore directive by comment
-	// position; bound marks the ones a later pass attached to a
-	// declaration. The difference is reported as dur-extract.
-	bindable map[string]directive
-	bound    map[string]bool
-
-	// requires maps a wire-kind constant to the durable-write class its
-	// sends demand; kindName / kindVal carry its name and wire value.
-	requires map[types.Object]string
-	kindName map[types.Object]string
-	kindVal  map[types.Object]string
-	// pkgRequires marks packages declaring at least one //dur:requires;
-	// only there is an unresolvable send kind worth a finding.
-	pkgRequires map[*types.Package]bool
-
+	// kinds is the //dur:requires wire-kind table; only in a package
+	// declaring a requirement is an unresolvable send kind worth a finding.
+	kinds *analysis.KindTable
 	// volatiles are //dur:volatile-annotated fields and vars.
 	volatiles map[types.Object]string
-
-	// funcs indexes every function declaration of the load.
-	funcs map[types.Object]*funcInfo
+	// funcs indexes every function declaration of the load; the roots are
+	// the //fsm:handler and //dur:handler functions.
+	funcs *analysis.FuncIndex[facts]
 
 	rep *Report
 }
 
-// funcInfo is the per-function fact sheet the flow analysis consumes.
-type funcInfo struct {
-	pkg  *analysis.Package
-	decl *ast.FuncDecl
-	obj  types.Object
-	// name is the display name, receiver-qualified for methods.
-	name string
+type funcInfo = analysis.Func[facts]
 
-	// isRoot marks analysis roots (//fsm:handler or //dur:handler).
-	isRoot bool
+// facts is the per-function classification the flow analysis consumes.
+type facts struct {
 	// writes holds the //dur:writes classes; annotated distinguishes an
 	// empty list from "no annotation".
 	writes    []string
@@ -68,28 +46,18 @@ type funcInfo struct {
 	// or directDurable (the "one level of call summaries" rule).
 	reachesDurable bool
 	// sendWrapKindIdx is the flattened parameter index this function
-	// forwards as a message kind to Network.Send/Broadcast; -1 otherwise.
+	// forwards as a message kind to a send primitive; -1 otherwise.
 	sendWrapKindIdx int
 	// mutatesVolatile: the body index-assigns or deletes through a
 	// //dur:volatile object or this function's //dur:applies parameter.
 	mutatesVolatile bool
-	// paramIdx maps the function's named parameters to their flattened
-	// argument positions.
-	paramIdx map[types.Object]int
 }
 
 func newExtractor(pkgs []*analysis.Package) *extractor {
 	return &extractor{
-		pkgs:        pkgs,
-		ignored:     map[string]map[int]bool{},
-		bindable:    map[string]directive{},
-		bound:       map[string]bool{},
-		requires:    map[types.Object]string{},
-		kindName:    map[types.Object]string{},
-		kindVal:     map[types.Object]string{},
-		pkgRequires: map[*types.Package]bool{},
-		volatiles:   map[types.Object]string{},
-		funcs:       map[types.Object]*funcInfo{},
+		Scope:     analysis.NewScope(pkgs, "dur", RuleExtract, verbs),
+		pkgs:      pkgs,
+		volatiles: map[types.Object]string{},
 		rep: &Report{
 			Requires:  map[string]string{},
 			KindValue: map[string]string{},
@@ -98,191 +66,78 @@ func newExtractor(pkgs []*analysis.Package) *extractor {
 	}
 }
 
-func (x *extractor) reportf(pkg *analysis.Package, pos token.Pos, rule, format string, args ...any) {
-	x.diags = append(x.diags, analysis.Diagnostic{
-		Pos:     pkg.Fset.Position(pos),
-		Rule:    rule,
-		Message: fmt.Sprintf(format, args...),
-	})
-}
-
-func posKey(p token.Position) string {
-	return fmt.Sprintf("%s:%d:%d", p.Filename, p.Line, p.Column)
-}
-
-// extract runs the full pipeline: directive scan, binding, per-function
-// fact computation, reachability, and the flow analysis of every function
-// in scope.
+// extract runs the full pipeline: binding, per-function fact computation,
+// reachability, and the flow analysis of every function in scope.
 func (x *extractor) extract() *Report {
-	for _, pkg := range x.pkgs {
-		for _, f := range pkg.Files {
-			x.scanComments(pkg, f)
+	x.kinds = analysis.RequiredKinds(x.pkgs, func(d analysis.Directive, problem string) {
+		x.Bind(d)
+		if problem != "" {
+			x.ReportAt(d.Pos, RuleExtract, "%s", problem)
 		}
+	})
+	for obj, class := range x.kinds.Class {
+		x.rep.Requires[obj.Name()] = class
+		x.rep.KindValue[obj.Name()] = x.kinds.Value[obj]
 	}
 	for _, pkg := range x.pkgs {
 		for _, f := range pkg.Files {
-			x.scanConsts(pkg, f)
 			x.scanVolatiles(pkg, f)
 		}
 	}
-	for _, pkg := range x.pkgs {
-		for _, f := range pkg.Files {
-			x.scanFuncs(pkg, f)
-		}
+	x.funcs = analysis.IndexFuncs[facts](x.pkgs, "fsm:handler", "dur:handler")
+	for _, fi := range x.funcs.Sorted() {
+		x.bindFuncDirectives(fi)
 	}
 	x.computeFacts()
 	x.validateWrites()
-	analyzed := x.analysisSet()
+	// The flow analysis walks everything reachable from an analysis root,
+	// plus every function that mutates volatile state (the write-ahead
+	// rule holds even in packages with no handlers, e.g. internal/wal).
+	analyzed := x.funcs.Reachable(func(fi *funcInfo) bool {
+		return fi.Facts.mutatesVolatile || fi.Facts.appliesParam != nil
+	})
 	for _, fi := range analyzed {
-		newFlow(x, fi).run()
+		x.flow(fi)
 	}
 	x.rep.Analyzed = len(analyzed)
-	x.reportUnbound()
-	sort.Strings(x.rep.Roots)
+	x.ReportUnbound()
+	x.rep.Roots = x.funcs.RootNames()
 	sort.Strings(x.rep.Volatiles)
 	return x.rep
-}
-
-// scanComments validates every //dur: directive and registers suppressions.
-func (x *extractor) scanComments(pkg *analysis.Package, f *ast.File) {
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			pos := pkg.Fset.Position(c.Pos())
-			for _, d := range parseDirectives(c.Text, pos) {
-				x.scanDirective(pkg, c, d)
-			}
-		}
-	}
-}
-
-func (x *extractor) scanDirective(pkg *analysis.Package, c *ast.Comment, d directive) {
-	switch d.verb {
-	case "requires", "applies":
-		if len(d.args) != 1 {
-			x.reportf(pkg, c.Pos(), RuleExtract, "malformed //dur:%s: want exactly one argument, got %d", d.verb, len(d.args))
-			return
-		}
-	case "writes":
-		if len(d.args) == 0 {
-			x.reportf(pkg, c.Pos(), RuleExtract, "malformed //dur:writes: want at least one class")
-			return
-		}
-	case "handler", "volatile":
-		if len(d.args) != 0 {
-			x.reportf(pkg, c.Pos(), RuleExtract, "malformed //dur:%s: want no arguments", d.verb)
-			return
-		}
-	case "ignore":
-		if d.rest == "" {
-			x.reportf(pkg, c.Pos(), RuleExtract, "//dur:ignore requires a reason")
-			return
-		}
-		lines := x.ignored[d.pos.Filename]
-		if lines == nil {
-			lines = map[int]bool{}
-			x.ignored[d.pos.Filename] = lines
-		}
-		lines[d.pos.Line] = true
-		lines[d.pos.Line+1] = true
-		return
-	default:
-		x.reportf(pkg, c.Pos(), RuleExtract, "unknown directive //dur:%s", d.verb)
-		return
-	}
-	x.bindable[posKey(d.pos)] = d
-}
-
-// scanConsts binds //dur:requires directives trailing wire-kind constants.
-func (x *extractor) scanConsts(pkg *analysis.Package, f *ast.File) {
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.CONST {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok || vs.Comment == nil {
-				continue
-			}
-			for _, c := range vs.Comment.List {
-				pos := pkg.Fset.Position(c.Pos())
-				for _, d := range parseDirectives(c.Text, pos) {
-					x.bindConstDirective(pkg, vs, c, d)
-				}
-			}
-		}
-	}
-}
-
-func (x *extractor) bindConstDirective(pkg *analysis.Package, spec *ast.ValueSpec, c *ast.Comment, d directive) {
-	if _, ok := x.bindable[posKey(d.pos)]; !ok {
-		return // malformed; already reported
-	}
-	if d.verb != "requires" {
-		x.reportf(pkg, c.Pos(), RuleExtract, "directive //dur:%s cannot bind to a constant", d.verb)
-		x.bound[posKey(d.pos)] = true
-		return
-	}
-	if len(spec.Names) != 1 {
-		x.reportf(pkg, c.Pos(), RuleExtract, "//dur:requires must annotate a single constant")
-		x.bound[posKey(d.pos)] = true
-		return
-	}
-	obj := pkg.Info.Defs[spec.Names[0]]
-	cnst, ok := obj.(*types.Const)
-	if !ok || cnst.Val().Kind() != constant.String {
-		x.reportf(pkg, c.Pos(), RuleExtract, "//dur:requires must annotate a string constant")
-		x.bound[posKey(d.pos)] = true
-		return
-	}
-	x.bound[posKey(d.pos)] = true
-	x.requires[obj] = d.args[0]
-	x.kindName[obj] = spec.Names[0].Name
-	x.kindVal[obj] = constant.StringVal(cnst.Val())
-	x.pkgRequires[pkg.Types] = true
-	x.rep.Requires[spec.Names[0].Name] = d.args[0]
-	x.rep.KindValue[spec.Names[0].Name] = constant.StringVal(cnst.Val())
 }
 
 // scanVolatiles binds //dur:volatile directives trailing struct fields and
 // package-level var declarations.
 func (x *extractor) scanVolatiles(pkg *analysis.Package, f *ast.File) {
+	bind := func(cg *ast.CommentGroup, names []*ast.Ident, prefix string) {
+		for _, d := range x.Directives(cg) {
+			if d.Verb != "volatile" {
+				continue
+			}
+			x.Bind(d)
+			for _, name := range names {
+				if obj := pkg.Info.Defs[name]; obj != nil {
+					x.volatiles[obj] = prefix + name.Name
+					x.rep.Volatiles = append(x.rep.Volatiles, prefix+name.Name)
+				}
+			}
+		}
+	}
 	for _, decl := range f.Decls {
 		gd, ok := decl.(*ast.GenDecl)
 		if !ok {
 			continue
 		}
-		switch gd.Tok {
-		case token.VAR:
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || vs.Comment == nil {
-					continue
+		for _, spec := range gd.Specs {
+			switch v := spec.(type) {
+			case *ast.ValueSpec:
+				if gd.Tok == token.VAR {
+					bind(v.Comment, v.Names, "")
 				}
-				for _, c := range vs.Comment.List {
-					for _, name := range vs.Names {
-						x.bindVolatile(pkg, c, pkg.Info.Defs[name], name.Name)
-					}
-				}
-			}
-		case token.TYPE:
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				for _, field := range st.Fields.List {
-					if field.Comment == nil {
-						continue
-					}
-					for _, c := range field.Comment.List {
-						for _, name := range field.Names {
-							x.bindVolatile(pkg, c, pkg.Info.Defs[name], ts.Name.Name+"."+name.Name)
-						}
+			case *ast.TypeSpec:
+				if st, ok := v.Type.(*ast.StructType); ok {
+					for _, field := range st.Fields.List {
+						bind(field.Comment, field.Names, v.Name.Name+".")
 					}
 				}
 			}
@@ -290,178 +145,66 @@ func (x *extractor) scanVolatiles(pkg *analysis.Package, f *ast.File) {
 	}
 }
 
-func (x *extractor) bindVolatile(pkg *analysis.Package, c *ast.Comment, obj types.Object, name string) {
-	pos := pkg.Fset.Position(c.Pos())
-	for _, d := range parseDirectives(c.Text, pos) {
-		if _, ok := x.bindable[posKey(d.pos)]; !ok {
-			return
-		}
-		if d.verb != "volatile" {
-			x.reportf(pkg, c.Pos(), RuleExtract, "directive //dur:%s cannot bind to a field or variable", d.verb)
-			x.bound[posKey(d.pos)] = true
-			return
-		}
-		x.bound[posKey(d.pos)] = true
-		if obj == nil {
-			return
-		}
-		x.volatiles[obj] = name
-		x.rep.Volatiles = append(x.rep.Volatiles, name)
-	}
-}
-
-// scanFuncs indexes every function declaration and binds the doc-comment
-// directives //dur:handler, //dur:writes and //dur:applies; //fsm:handler
-// docs also mark analysis roots.
-func (x *extractor) scanFuncs(pkg *analysis.Package, f *ast.File) {
-	for _, decl := range f.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Body == nil {
-			continue
-		}
-		obj := pkg.Info.Defs[fn.Name]
-		if obj == nil {
-			continue
-		}
-		fi := &funcInfo{
-			pkg:             pkg,
-			decl:            fn,
-			obj:             obj,
-			name:            funcDisplayName(fn),
-			sendWrapKindIdx: -1,
-			paramIdx:        map[types.Object]int{},
-		}
-		idx := 0
-		if fn.Type.Params != nil {
-			for _, field := range fn.Type.Params.List {
-				for _, name := range field.Names {
-					if po := pkg.Info.Defs[name]; po != nil {
-						fi.paramIdx[po] = idx
-					}
-					idx++
+// bindFuncDirectives binds the doc-comment directives //dur:handler,
+// //dur:writes and //dur:applies of one function.
+func (x *extractor) bindFuncDirectives(fi *funcInfo) {
+	for _, d := range x.Directives(fi.Decl.Doc) {
+		switch d.Verb {
+		case "handler":
+			x.Bind(d)
+		case "writes":
+			x.Bind(d)
+			fi.Facts.annotated = true
+			fi.Facts.writes = append(fi.Facts.writes, d.Args...)
+			x.rep.Writes[fi.Name] = append(x.rep.Writes[fi.Name], d.Args...)
+		case "applies":
+			x.Bind(d)
+			for po := range fi.Params {
+				if po.Name() == d.Args[0] {
+					fi.Facts.appliesParam = po
+					fi.Facts.appliesName = d.Args[0]
 				}
 			}
-		}
-		x.funcs[obj] = fi
-		if fn.Doc == nil {
-			continue
-		}
-		for _, c := range fn.Doc.List {
-			body := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if strings.HasPrefix(body, "fsm:handler") {
-				fi.isRoot = true
-			}
-			pos := pkg.Fset.Position(c.Pos())
-			for _, d := range parseDirectives(c.Text, pos) {
-				x.bindFuncDirective(pkg, fi, c, d)
+			if fi.Facts.appliesParam == nil {
+				x.ReportAt(d.Pos, RuleExtract, "//dur:applies names unknown parameter %q of %s", d.Args[0], fi.Name)
 			}
 		}
-		if fi.isRoot {
-			x.rep.Roots = append(x.rep.Roots, fi.name)
-		}
 	}
-}
-
-func (x *extractor) bindFuncDirective(pkg *analysis.Package, fi *funcInfo, c *ast.Comment, d directive) {
-	if _, ok := x.bindable[posKey(d.pos)]; !ok {
-		return
-	}
-	switch d.verb {
-	case "handler":
-		x.bound[posKey(d.pos)] = true
-		fi.isRoot = true
-	case "writes":
-		x.bound[posKey(d.pos)] = true
-		fi.annotated = true
-		fi.writes = append(fi.writes, d.args...)
-		x.rep.Writes[fi.name] = append(x.rep.Writes[fi.name], d.args...)
-	case "applies":
-		x.bound[posKey(d.pos)] = true
-		for po := range fi.paramIdx {
-			if po.Name() == d.args[0] {
-				fi.appliesParam = po
-				fi.appliesName = d.args[0]
-			}
-		}
-		if fi.appliesParam == nil {
-			x.reportf(pkg, c.Pos(), RuleExtract, "//dur:applies names unknown parameter %q of %s", d.args[0], fi.name)
-		}
-	default:
-		x.reportf(pkg, c.Pos(), RuleExtract, "directive //dur:%s cannot bind to a function", d.verb)
-		x.bound[posKey(d.pos)] = true
-	}
-}
-
-func funcDisplayName(fn *ast.FuncDecl) string {
-	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return fn.Name.Name
-	}
-	t := fn.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name + "." + fn.Name.Name
-	}
-	return fn.Name.Name
 }
 
 // computeFacts fills the per-function classification fields that depend on
 // the whole load: direct durable writes, send wrappers, volatile mutation.
 func (x *extractor) computeFacts() {
-	for _, fi := range x.funcs {
+	for _, fi := range x.funcs.Sorted() {
 		x.computeFuncFacts(fi)
 	}
 	// Second pass: one level of call summaries.
-	for _, fi := range x.funcs {
-		fi.reachesDurable = fi.directDurable
-		if fi.reachesDurable {
-			continue
-		}
-		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+	for _, fi := range x.funcs.Sorted() {
+		fi.Facts.reachesDurable = fi.Facts.directDurable
+		fi.EachCall(func(call *ast.CallExpr) {
+			if callee := x.funcs.Static(fi.Pkg, call); callee != nil && (callee.Facts.annotated || callee.Facts.directDurable) {
+				fi.Facts.reachesDurable = true
 			}
-			if callee := x.funcs[calleeObjOf(fi.pkg, call.Fun)]; callee != nil {
-				if callee.annotated || callee.directDurable {
-					fi.reachesDurable = true
-				}
-			}
-			return true
 		})
 	}
 }
 
 func (x *extractor) computeFuncFacts(fi *funcInfo) {
-	pkg := fi.pkg
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
+	fi.Facts.sendWrapKindIdx = fi.SendWrapperParam()
+	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.CallExpr:
-			obj := calleeObjOf(pkg, v.Fun)
+			obj := analysis.ObjOf(fi.Pkg, v.Fun)
 			if isStableMutator(obj) || isWalMutator(obj) {
-				fi.directDurable = true
+				fi.Facts.directDurable = true
 			}
-			if idx, isSend := sendKindIndex(obj); isSend && idx < len(v.Args) {
-				if id, ok := unparen(v.Args[idx]).(*ast.Ident); ok {
-					if po := pkg.Info.Uses[id]; po != nil {
-						if pidx, isParam := fi.paramIdx[po]; isParam {
-							fi.sendWrapKindIdx = pidx
-						}
-					}
-				}
-			}
-			if isDeleteBuiltin(pkg, v.Fun) && len(v.Args) > 0 {
-				if x.volatileTarget(pkg, fi, v.Args[0]) != "" {
-					fi.mutatesVolatile = true
-				}
+			if isDeleteBuiltin(fi.Pkg, v.Fun) && len(v.Args) > 0 && x.volatileTarget(fi, v.Args[0]) != "" {
+				fi.Facts.mutatesVolatile = true
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range v.Lhs {
-				if ie, ok := lhs.(*ast.IndexExpr); ok {
-					if x.volatileTarget(pkg, fi, ie.X) != "" {
-						fi.mutatesVolatile = true
-					}
+				if ie, ok := lhs.(*ast.IndexExpr); ok && x.volatileTarget(fi, ie.X) != "" {
+					fi.Facts.mutatesVolatile = true
 				}
 			}
 		}
@@ -471,16 +214,10 @@ func (x *extractor) computeFuncFacts(fi *funcInfo) {
 
 // volatileTarget names the //dur:volatile object (or //dur:applies
 // parameter) an expression resolves to, or "" when it is none.
-func (x *extractor) volatileTarget(pkg *analysis.Package, fi *funcInfo, e ast.Expr) string {
-	var obj types.Object
-	switch v := unparen(e).(type) {
-	case *ast.Ident:
-		obj = pkg.Info.Uses[v]
-		if obj == nil {
-			obj = pkg.Info.Defs[v]
-		}
-	case *ast.SelectorExpr:
-		obj = pkg.Info.Uses[v.Sel]
+func (x *extractor) volatileTarget(fi *funcInfo, e ast.Expr) string {
+	obj := analysis.ObjOf(fi.Pkg, e)
+	if id, ok := analysis.Unparen(e).(*ast.Ident); ok && obj == nil {
+		obj = fi.Pkg.Info.Defs[id]
 	}
 	if obj == nil {
 		return ""
@@ -488,8 +225,8 @@ func (x *extractor) volatileTarget(pkg *analysis.Package, fi *funcInfo, e ast.Ex
 	if name, ok := x.volatiles[obj]; ok {
 		return name
 	}
-	if fi.appliesParam != nil && obj == fi.appliesParam {
-		return "parameter " + fi.appliesName
+	if obj == fi.Facts.appliesParam {
+		return "parameter " + fi.Facts.appliesName
 	}
 	return ""
 }
@@ -499,167 +236,26 @@ func (x *extractor) volatileTarget(pkg *analysis.Package, fi *funcInfo, e ast.Ex
 // (directly or via one level of callees) is a lie the analysis would
 // silently trust.
 func (x *extractor) validateWrites() {
-	for _, fi := range sortedFuncs(x.funcs) {
-		if fi.annotated && !fi.reachesDurable {
-			x.reportf(fi.pkg, fi.decl.Name.Pos(), RuleSummary,
+	for _, fi := range x.funcs.Sorted() {
+		if fi.Facts.annotated && !fi.Facts.reachesDurable {
+			x.Reportf(fi.Pkg, fi.Decl.Name.Pos(), RuleSummary,
 				"function %s declares //dur:writes %s but never reaches stable storage",
-				fi.name, strings.Join(fi.writes, " "))
+				fi.Name, strings.Join(fi.Facts.writes, " "))
 		}
-	}
-}
-
-// analysisSet is the functions the flow analysis walks: everything
-// reachable from an analysis root through static calls, plus every
-// function that mutates volatile state (the write-ahead rule holds even in
-// packages with no handlers, e.g. internal/wal).
-func (x *extractor) analysisSet() []*funcInfo {
-	visited := map[*funcInfo]bool{}
-	var queue []*funcInfo
-	for _, fi := range sortedFuncs(x.funcs) {
-		if fi.isRoot {
-			visited[fi] = true
-			queue = append(queue, fi)
-		}
-	}
-	for len(queue) > 0 {
-		fi := queue[0]
-		queue = queue[1:]
-		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if callee := x.funcs[calleeObjOf(fi.pkg, call.Fun)]; callee != nil && !visited[callee] {
-				visited[callee] = true
-				queue = append(queue, callee)
-			}
-			return true
-		})
-	}
-	for _, fi := range sortedFuncs(x.funcs) {
-		if !visited[fi] && (fi.mutatesVolatile || fi.appliesParam != nil) {
-			visited[fi] = true
-		}
-	}
-	out := make([]*funcInfo, 0, len(visited))
-	for _, fi := range sortedFuncs(x.funcs) {
-		if visited[fi] {
-			out = append(out, fi)
-		}
-	}
-	return out
-}
-
-// sortedFuncs orders functions by position for deterministic output.
-func sortedFuncs(m map[types.Object]*funcInfo) []*funcInfo {
-	out := make([]*funcInfo, 0, len(m))
-	for _, fi := range m {
-		out = append(out, fi)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a := out[i].pkg.Fset.Position(out[i].decl.Pos())
-		b := out[j].pkg.Fset.Position(out[j].decl.Pos())
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
-	return out
-}
-
-// reportUnbound flags directives that never attached to a declaration.
-func (x *extractor) reportUnbound() {
-	var keys []string
-	for key := range x.bindable {
-		if !x.bound[key] {
-			keys = append(keys, key)
-		}
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		d := x.bindable[key]
-		x.diags = append(x.diags, analysis.Diagnostic{
-			Pos:     d.pos,
-			Rule:    RuleExtract,
-			Message: fmt.Sprintf("//dur:%s is not attached to a declaration", d.verb),
-		})
 	}
 }
 
 // --- object classification helpers -----------------------------------------
 
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
-// calleeObjOf resolves a call's function expression to its object.
-func calleeObjOf(pkg *analysis.Package, fun ast.Expr) types.Object {
-	switch v := unparen(fun).(type) {
-	case *ast.Ident:
-		return pkg.Info.Uses[v]
-	case *ast.SelectorExpr:
-		return pkg.Info.Uses[v.Sel]
-	}
-	return nil
-}
-
-// constObjOf resolves an expression to the constant object it names.
-func constObjOf(pkg *analysis.Package, e ast.Expr) types.Object {
-	switch v := unparen(e).(type) {
-	case *ast.Ident:
-		return pkg.Info.Uses[v]
-	case *ast.SelectorExpr:
-		return pkg.Info.Uses[v.Sel]
-	}
-	return nil
-}
-
-// isMethodOn reports whether obj is one of the named methods on the named
-// type of a package whose import path ends in pkgSuffix.
-func isMethodOn(obj types.Object, pkgSuffix, typeName string, names ...string) bool {
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	tn := named.Obj()
-	if tn.Name() != typeName || tn.Pkg() == nil || !strings.HasSuffix(tn.Pkg().Path(), pkgSuffix) {
-		return false
-	}
-	for _, name := range names {
-		if fn.Name() == name {
-			return true
-		}
-	}
-	return false
-}
-
 // isStableMutator recognizes the stable.Store mutation API.
 func isStableMutator(obj types.Object) bool {
-	return isMethodOn(obj, "internal/stable", "Store", "Put", "Delete", "Append", "TruncateLog")
+	return analysis.IsMethodOn(obj, "internal/stable", "Store", "Put", "Delete", "Append", "TruncateLog")
 }
 
 // isWalMutator recognizes wal.Log mutators and the package-level
 // wal.Resolve — durable writes of class "log".
 func isWalMutator(obj types.Object) bool {
-	if isMethodOn(obj, "internal/wal", "Log", "Begin", "LoggedUpdate", "LoggedApply", "Commit", "Abort") {
+	if analysis.IsMethodOn(obj, "internal/wal", "Log", "Begin", "LoggedUpdate", "LoggedApply", "Commit", "Abort") {
 		return true
 	}
 	fn, ok := obj.(*types.Func)
@@ -670,27 +266,9 @@ func isWalMutator(obj types.Object) bool {
 	return ok && sig.Recv() == nil && strings.HasSuffix(fn.Pkg().Path(), "internal/wal")
 }
 
-// sendKindIndex reports whether obj is an externally visible send
-// primitive and, if so, which argument carries the message kind. Both
-// faces of the runtime boundary count: the simulator's concrete
-// simnet.Network (harness code) and the rt.Transport interface the
-// ported engines call through — without the latter the repo-wide dur
-// run would go vacuous after the rt port.
-func sendKindIndex(obj types.Object) (int, bool) {
-	if isMethodOn(obj, "internal/simnet", "Network", "Send") ||
-		isMethodOn(obj, "internal/rt", "Transport", "Send") {
-		return 2, true
-	}
-	if isMethodOn(obj, "internal/simnet", "Network", "Broadcast") ||
-		isMethodOn(obj, "internal/rt", "Transport", "Broadcast") {
-		return 1, true
-	}
-	return 0, false
-}
-
 // isDeleteBuiltin reports whether fun names the delete builtin.
 func isDeleteBuiltin(pkg *analysis.Package, fun ast.Expr) bool {
-	id, ok := unparen(fun).(*ast.Ident)
+	id, ok := analysis.Unparen(fun).(*ast.Ident)
 	if !ok || id.Name != "delete" {
 		return false
 	}

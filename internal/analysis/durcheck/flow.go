@@ -1,12 +1,9 @@
 package durcheck
 
 import (
-	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -14,360 +11,79 @@ import (
 )
 
 // flowState is the must-available durable-write information at one program
-// point: avail[class] holds when a durable write of class dominates the
-// point on every path. The pseudo-class "" means "some durable write"
-// (what the volatile rule needs); "fn:<name>" marks an unannotated
-// durable-write callee (what dur-summary reports at requiring sends).
+// point: avail has a class when a durable write of it dominates the point
+// on every path. The pseudo-class "" means "some durable write" (what the
+// volatile rule needs); "fn:<name>" marks an unannotated durable-write
+// callee (what dur-summary reports at requiring sends).
 type flowState struct {
-	avail map[string]bool
-	// killedAt remembers, per class, the branch that lost it at a join —
-	// the position findings blame when the write exists on another path.
-	killedAt   map[string]token.Pos
-	terminated bool
+	analysis.Term
+	avail analysis.Must[bool]
 }
 
-func newFlowState() *flowState {
-	return &flowState{avail: map[string]bool{}, killedAt: map[string]token.Pos{}}
+func (s *flowState) Clone() *flowState {
+	c := *s
+	c.avail = s.avail.Clone()
+	return &c
 }
 
-func (s *flowState) clone() *flowState {
-	c := &flowState{
-		avail:      make(map[string]bool, len(s.avail)),
-		killedAt:   make(map[string]token.Pos, len(s.killedAt)),
-		terminated: s.terminated,
-	}
-	for k, v := range s.avail {
-		c.avail[k] = v
-	}
-	for k, v := range s.killedAt {
-		c.killedAt[k] = v
-	}
-	return c
+func (s *flowState) Join(live []*flowState, at []token.Pos) {
+	s.avail = analysis.JoinMust(analysis.Project(live, func(b *flowState) analysis.Must[bool] { return b.avail }), at, nil)
 }
 
 func (s *flowState) gen(classes ...string) {
 	for _, cls := range classes {
-		s.avail[cls] = true
-		delete(s.killedAt, cls)
+		s.avail.Gen(cls, true)
 	}
 }
 
-// join folds branch out-states back into s: the intersection of the
-// non-terminated branches, recording which branch killed each class that
-// only some paths provide. No live branch means all paths returned.
-func (s *flowState) join(branches []*flowState, poss []token.Pos) {
-	var live []*flowState
-	var livePos []token.Pos
-	for i, b := range branches {
-		if !b.terminated {
-			live = append(live, b)
-			livePos = append(livePos, poss[i])
-		}
-	}
-	if len(live) == 0 {
-		s.terminated = true
-		return
-	}
-	inter := map[string]bool{}
-	for cls := range live[0].avail {
-		all := true
-		for _, b := range live[1:] {
-			if !b.avail[cls] {
-				all = false
-				break
-			}
-		}
-		if all {
-			inter[cls] = true
-		}
-	}
-	killed := map[string]token.Pos{}
-	for _, b := range live {
-		for cls, p := range b.killedAt {
-			if _, ok := killed[cls]; !ok {
-				killed[cls] = p
-			}
-		}
-	}
-	for _, b := range live {
-		for cls := range b.avail {
-			if inter[cls] {
-				continue
-			}
-			if _, ok := killed[cls]; ok {
-				continue
-			}
-			for j, ob := range live {
-				if !ob.avail[cls] {
-					killed[cls] = livePos[j]
-					break
-				}
-			}
-		}
-	}
-	for cls := range inter {
-		delete(killed, cls)
-	}
-	s.avail = inter
-	s.killedAt = killed
-}
-
-// flow walks one function with must-available durable-write states,
-// checking requiring sends and volatile writes as it goes. Each function
-// is analyzed once from an empty in-state: durable writes performed by a
-// caller before the call do not excuse ordering inside the callee (the
-// callee may also be entered from a path without them).
+// flow holds durcheck's transfer functions over one function: requiring
+// sends and volatile writes are checked against the must-available
+// durable writes as the shared walker reaches them.
 type flow struct {
-	x   *extractor
-	pkg *analysis.Package
-	fi  *funcInfo
+	x  *extractor
+	fi *funcInfo
 	// varKinds maps a local variable to every string constant assigned to
 	// it anywhere in the function; a send through the variable must satisfy
 	// the requirements of all of them.
 	varKinds map[types.Object][]types.Object
 }
 
-func newFlow(x *extractor, fi *funcInfo) *flow {
-	return &flow{x: x, pkg: fi.pkg, fi: fi, varKinds: map[types.Object][]types.Object{}}
-}
-
-func (a *flow) run() {
-	a.collectVarKinds()
-	s := newFlowState()
-	a.block(a.fi.decl.Body.List, s)
-}
-
-// collectVarKinds is a pre-pass: every assignment of a string constant to
-// a local variable is recorded, so a send of a variable kind is checked
-// against every constant the variable may hold (flow-insensitively —
-// conservative for requiring kinds).
-func (a *flow) collectVarKinds() {
-	record := func(lhs ast.Expr, rhs ast.Expr) {
-		id, ok := unparen(lhs).(*ast.Ident)
-		if !ok {
-			return
-		}
-		lobj := a.pkg.Info.Defs[id]
-		if lobj == nil {
-			lobj = a.pkg.Info.Uses[id]
-		}
-		if lobj == nil {
-			return
-		}
-		cobj, ok := constObjOf(a.pkg, rhs).(*types.Const)
-		if !ok || cobj.Val().Kind() != constant.String {
-			return
-		}
-		a.varKinds[lobj] = append(a.varKinds[lobj], cobj)
-	}
-	ast.Inspect(a.fi.decl.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.AssignStmt:
-			if len(v.Lhs) == len(v.Rhs) {
-				for i := range v.Lhs {
-					record(v.Lhs[i], v.Rhs[i])
-				}
-			}
-		case *ast.ValueSpec:
-			if len(v.Names) == len(v.Values) {
-				for i := range v.Names {
-					record(v.Names[i], v.Values[i])
-				}
-			}
-		}
-		return true
-	})
-}
-
-func (a *flow) block(list []ast.Stmt, s *flowState) {
-	for _, st := range list {
-		a.stmt(st, s)
-	}
-}
-
-func (a *flow) stmt(st ast.Stmt, s *flowState) {
-	switch v := st.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		a.block(v.List, s)
-	case *ast.ExprStmt:
-		a.expr(v.X, s)
-	case *ast.AssignStmt:
-		for _, rhs := range v.Rhs {
-			a.expr(rhs, s)
-		}
-		for _, lhs := range v.Lhs {
-			if ie, ok := lhs.(*ast.IndexExpr); ok {
-				a.expr(ie.Index, s)
-				a.checkMutation(ie.X, ie.Pos(), s)
-			}
-		}
-	case *ast.IncDecStmt:
-		if ie, ok := v.X.(*ast.IndexExpr); ok {
-			a.expr(ie.Index, s)
-			a.checkMutation(ie.X, ie.Pos(), s)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := v.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, val := range vs.Values {
-						a.expr(val, s)
-					}
-				}
-			}
-		}
-	case *ast.IfStmt:
-		a.stmt(v.Init, s)
-		a.expr(v.Cond, s)
-		then := s.clone()
-		a.stmt(v.Body, then)
-		els := s.clone()
-		elsPos := v.Pos()
-		if v.Else != nil {
-			elsPos = v.Else.Pos()
-			a.stmt(v.Else, els)
-		}
-		s.join([]*flowState{then, els}, []token.Pos{v.Body.Pos(), elsPos})
-	case *ast.SwitchStmt:
-		a.stmt(v.Init, s)
-		a.expr(v.Tag, s)
-		a.caseBranches(v.Body, v.Pos(), s)
-	case *ast.TypeSwitchStmt:
-		a.stmt(v.Init, s)
-		a.stmt(v.Assign, s)
-		a.caseBranches(v.Body, v.Pos(), s)
-	case *ast.SelectStmt:
-		var branches []*flowState
-		var poss []token.Pos
-		for _, cl := range v.Body.List {
-			cc, ok := cl.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			b := s.clone()
-			a.stmt(cc.Comm, b)
-			a.block(cc.Body, b)
-			branches = append(branches, b)
-			poss = append(poss, cc.Pos())
-		}
-		if len(branches) > 0 {
-			s.join(branches, poss)
-		}
-	case *ast.ForStmt:
-		a.stmt(v.Init, s)
-		a.expr(v.Cond, s)
-		body := s.clone()
-		a.block(v.Body.List, body)
-		a.stmt(v.Post, body)
-		// The loop may run zero times: the out-state is the in-state;
-		// statements inside were checked against the evolving body state.
-	case *ast.RangeStmt:
-		a.expr(v.X, s)
-		body := s.clone()
-		a.block(v.Body.List, body)
-	case *ast.ReturnStmt:
-		for _, r := range v.Results {
-			a.expr(r, s)
-		}
-		s.terminated = true
-	case *ast.BranchStmt:
-		// break/continue/goto/fallthrough: conservatively treat the path as
-		// leaving the current region — its writes never reach the join.
-		s.terminated = true
-	case *ast.DeferStmt:
-		// Runs at return; its sends must stand on their own.
-		a.expr(v.Call, s.clone())
-	case *ast.GoStmt:
-		a.expr(v.Call, s.clone())
-	case *ast.SendStmt:
-		a.expr(v.Chan, s)
-		a.expr(v.Value, s)
-	case *ast.LabeledStmt:
-		a.stmt(v.Stmt, s)
-	}
-}
-
-// caseBranches joins the clauses of a switch or type switch; a missing
-// default adds an implicit pass-through branch.
-func (a *flow) caseBranches(body *ast.BlockStmt, pos token.Pos, s *flowState) {
-	var branches []*flowState
-	var poss []token.Pos
-	hasDefault := false
-	for _, cl := range body.List {
-		cc, ok := cl.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		b := s.clone()
-		for _, e := range cc.List {
-			a.expr(e, b)
-		}
-		a.block(cc.Body, b)
-		branches = append(branches, b)
-		poss = append(poss, cc.Pos())
-	}
-	if !hasDefault {
-		branches = append(branches, s.clone())
-		poss = append(poss, pos)
-	}
-	if len(branches) > 0 {
-		s.join(branches, poss)
-	}
-}
-
-// expr walks an expression, handling calls (gens and checks) and function
-// literals (analyzed against a snapshot: a deferred closure cannot count
-// on writes that happen after its registration).
-func (a *flow) expr(e ast.Expr, s *flowState) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.FuncLit:
-			a.block(v.Body.List, s.clone())
-			return false
-		case *ast.CallExpr:
-			a.handleCall(v, s)
-		}
-		return true
-	})
+func (x *extractor) flow(fi *funcInfo) {
+	a := &flow{x: x, fi: fi, varKinds: fi.VarKinds()}
+	w := &analysis.Flow[*flowState]{Call: a.handleCall, Store: a.checkMutation}
+	w.Block(fi.Decl.Body.List, &flowState{avail: analysis.NewMust[bool]()})
 }
 
 // handleCall classifies one call: volatile delete, externally visible
 // send (direct or via a wrapper), durable write (annotated summary,
 // one-level summary, or direct stable/wal mutation).
 func (a *flow) handleCall(c *ast.CallExpr, s *flowState) {
-	if isDeleteBuiltin(a.pkg, c.Fun) {
+	if isDeleteBuiltin(a.fi.Pkg, c.Fun) {
 		if len(c.Args) > 0 {
 			a.checkMutation(c.Args[0], c.Pos(), s)
 		}
 		return
 	}
-	obj := calleeObjOf(a.pkg, c.Fun)
+	obj := analysis.ObjOf(a.fi.Pkg, c.Fun)
 	if obj == nil {
 		return
 	}
-	if idx, isSend := sendKindIndex(obj); isSend {
+	if idx, isSend := analysis.SendKindArg(obj); isSend {
 		if idx < len(c.Args) {
 			a.checkSend(c, c.Args[idx], s)
 		}
 		return
 	}
-	if fi2 := a.x.funcs[obj]; fi2 != nil {
-		if fi2.sendWrapKindIdx >= 0 && fi2.sendWrapKindIdx < len(c.Args) {
-			a.checkSend(c, c.Args[fi2.sendWrapKindIdx], s)
+	if fi2 := a.x.funcs.ByObj[obj]; fi2 != nil {
+		if idx := fi2.Facts.sendWrapKindIdx; idx >= 0 && idx < len(c.Args) {
+			a.checkSend(c, c.Args[idx], s)
 		}
 		switch {
-		case fi2.annotated:
-			s.gen(fi2.writes...)
+		case fi2.Facts.annotated:
+			s.gen(fi2.Facts.writes...)
 			s.gen("")
-		case fi2.reachesDurable:
-			s.gen("fn:"+fi2.name, "")
+		case fi2.Facts.reachesDurable:
+			s.gen("fn:"+fi2.Name, "")
 		}
 		return
 	}
@@ -382,80 +98,51 @@ func (a *flow) handleCall(c *ast.CallExpr, s *flowState) {
 
 // checkMutation enforces the write-ahead rule on volatile writes.
 func (a *flow) checkMutation(target ast.Expr, pos token.Pos, s *flowState) {
-	name := a.x.volatileTarget(a.pkg, a.fi, target)
-	if name == "" || s.avail[""] {
+	name := a.x.volatileTarget(a.fi, target)
+	if name == "" || s.avail.Has[""] {
 		return
 	}
-	if killPos, ok := s.killedAt[""]; ok {
-		a.x.reportf(a.pkg, pos, RuleVolatile,
+	if killPos, ok := s.avail.KilledAt[""]; ok {
+		a.x.Reportf(a.fi.Pkg, pos, RuleVolatile,
 			"write to volatile %s is not dominated by a durable write; the branch at %s skips it",
-			name, a.shortPos(killPos))
+			name, a.fi.ShortPos(killPos))
 		return
 	}
-	a.x.reportf(a.pkg, pos, RuleVolatile,
+	a.x.Reportf(a.fi.Pkg, pos, RuleVolatile,
 		"write to volatile %s is not dominated by a durable write", name)
 }
 
 // checkSend enforces //dur:requires at an externally visible send.
 func (a *flow) checkSend(c *ast.CallExpr, kindExpr ast.Expr, s *flowState) {
-	ke := unparen(kindExpr)
-	var objs []types.Object
-	switch v := ke.(type) {
-	case *ast.Ident:
-		obj := a.pkg.Info.Uses[v]
-		if obj == nil {
-			break
-		}
-		if _, isParam := a.fi.paramIdx[obj]; isParam {
-			// This function is itself a send wrapper; its call sites carry
-			// the actual kind and are checked there.
-			return
-		}
-		if _, ok := obj.(*types.Const); ok {
-			objs = []types.Object{obj}
-		} else {
-			objs = a.varKinds[obj]
-		}
-	case *ast.SelectorExpr:
-		if obj, ok := a.pkg.Info.Uses[v.Sel].(*types.Const); ok {
-			objs = []types.Object{obj}
-		}
-	case *ast.BasicLit:
-		// A literal kind cannot carry a //dur:requires annotation; treat it
-		// as requirement-free rather than unresolvable.
-		return
-	}
-	if len(objs) == 0 {
-		if a.x.pkgRequires[a.pkg.Types] {
-			a.x.reportf(a.pkg, c.Pos(), RuleExtract,
-				"cannot statically resolve the message kind of this send")
-		}
-		return
+	objs, resolved := a.fi.KindConsts(a.varKinds, kindExpr)
+	if !resolved && a.x.kinds.Declaring[a.fi.Pkg.Types] {
+		a.x.Reportf(a.fi.Pkg, c.Pos(), RuleExtract,
+			"cannot statically resolve the message kind of this send")
 	}
 	seen := map[string]bool{}
 	for _, obj := range objs {
-		class, ok := a.x.requires[obj]
+		class, ok := a.x.kinds.Class[obj]
 		if !ok || seen[class] {
 			continue
 		}
 		seen[class] = true
-		if s.avail[class] {
+		if s.avail.Has[class] {
 			continue
 		}
-		kind := a.x.kindName[obj]
+		kind := obj.Name()
 		if unnamed := unclassifiedWrites(s); len(unnamed) > 0 {
-			a.x.reportf(a.pkg, c.Pos(), RuleSummary,
+			a.x.Reportf(a.fi.Pkg, c.Pos(), RuleSummary,
 				"send of %s is dominated only by unannotated durable write %s; annotate it with //dur:writes",
 				kind, unnamed[0])
 			continue
 		}
-		if killPos, ok := s.killedAt[class]; ok {
-			a.x.reportf(a.pkg, c.Pos(), RuleSend,
+		if killPos, ok := s.avail.KilledAt[class]; ok {
+			a.x.Reportf(a.fi.Pkg, c.Pos(), RuleSend,
 				"send of %s is not dominated by a durable %q write; the branch at %s skips it",
-				kind, class, a.shortPos(killPos))
+				kind, class, a.fi.ShortPos(killPos))
 			continue
 		}
-		a.x.reportf(a.pkg, c.Pos(), RuleSend,
+		a.x.Reportf(a.fi.Pkg, c.Pos(), RuleSend,
 			"send of %s requires a durable %q write that no path provides", kind, class)
 	}
 }
@@ -464,16 +151,11 @@ func (a *flow) checkSend(c *ast.CallExpr, kindExpr ast.Expr, s *flowState) {
 // missing //dur:writes annotation keeps from satisfying a class, sorted.
 func unclassifiedWrites(s *flowState) []string {
 	var out []string
-	for cls := range s.avail {
+	for cls := range s.avail.Has {
 		if rest, ok := strings.CutPrefix(cls, "fn:"); ok {
 			out = append(out, rest)
 		}
 	}
 	sort.Strings(out)
 	return out
-}
-
-func (a *flow) shortPos(p token.Pos) string {
-	pos := a.pkg.Fset.Position(p)
-	return fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)
 }

@@ -1,11 +1,5 @@
 package fsmcheck
 
-import (
-	"fmt"
-
-	"speccat/internal/analysis"
-)
-
 // check runs the cross-declaration checks that need the fully extracted
 // report: duplicate wire values, dead states and dead kinds.
 func (x *extractor) check(rep *Report) {
@@ -24,11 +18,7 @@ func (x *extractor) checkDuplicateWires(m *Machine) {
 	byValue := map[string]*KindDecl{}
 	for _, kd := range m.Kinds {
 		if prev, ok := byValue[kd.Value]; ok {
-			x.diags = append(x.diags, analysis.Diagnostic{
-				Pos:     kd.Pos,
-				Rule:    RuleDeterminism,
-				Message: fmt.Sprintf("kind %s shares wire value %q with %s; dispatch on the kind is ambiguous", kd.Name, kd.Value, prev.Name),
-			})
+			x.ReportAt(kd.Pos, RuleDeterminism, "kind %s shares wire value %q with %s; dispatch on the kind is ambiguous", kd.Name, kd.Value, prev.Name)
 			continue
 		}
 		byValue[kd.Value] = kd
@@ -41,11 +31,7 @@ func (x *extractor) checkDuplicateWires(m *Machine) {
 // as an extraction gap instead.
 func (x *extractor) checkDeadStates(m *Machine) {
 	if len(m.States) > 0 && len(m.Edges) == 0 {
-		x.diags = append(x.diags, analysis.Diagnostic{
-			Pos:     m.States[0].Pos,
-			Rule:    RuleExtract,
-			Message: fmt.Sprintf("machine %s declares states but no transitions were extracted; annotate its transition method with //fsm:emit", m.Name),
-		})
+		x.ReportAt(m.States[0].Pos, RuleExtract, "machine %s declares states but no transitions were extracted; annotate its transition method with //fsm:emit", m.Name)
 		return
 	}
 	used := map[string]bool{}
@@ -55,11 +41,7 @@ func (x *extractor) checkDeadStates(m *Machine) {
 	}
 	for _, sd := range m.States {
 		if !used[sd.Alias] {
-			x.diags = append(x.diags, analysis.Diagnostic{
-				Pos:     sd.Pos,
-				Rule:    RuleDead,
-				Message: fmt.Sprintf("state %s (%s) of machine %s appears in no extracted transition", sd.Name, sd.Alias, m.Name),
-			})
+			x.ReportAt(sd.Pos, RuleDead, "state %s (%s) of machine %s appears in no extracted transition", sd.Name, sd.Alias, m.Name)
 		}
 	}
 }
@@ -69,11 +51,7 @@ func (x *extractor) checkDeadStates(m *Machine) {
 func (x *extractor) checkDeadKinds(m *Machine) {
 	for _, kd := range m.Kinds {
 		if !kd.Produced {
-			x.diags = append(x.diags, analysis.Diagnostic{
-				Pos:     kd.Pos,
-				Rule:    RuleDead,
-				Message: fmt.Sprintf("kind %s of machine %s is consumed but never produced (no call site sends it)", kd.Name, m.Name),
-			})
+			x.ReportAt(kd.Pos, RuleDead, "kind %s of machine %s is consumed but never produced (no call site sends it)", kd.Name, m.Name)
 		}
 	}
 }

@@ -18,9 +18,9 @@ import (
 
 // bindEncode registers a constant->string encoder. It must be a method;
 // the constant set checked for totality is the receiver type's.
-func (x *extractor) bindEncode(pkg *analysis.Package, fn *ast.FuncDecl, c *ast.Comment, d directive) {
+func (x *extractor) bindEncode(pkg *analysis.Package, fn *ast.FuncDecl, d analysis.Directive) {
 	if fn.Recv == nil || len(fn.Recv.List) != 1 {
-		x.reportf(pkg, c.Pos(), RuleExtract, "//fsm:encode must annotate a method on the encoded type")
+		x.ReportAt(d.Pos, RuleExtract, "//fsm:encode must annotate a method on the encoded type")
 		return
 	}
 	typ := pkg.Info.TypeOf(fn.Recv.List[0].Type)
@@ -28,13 +28,13 @@ func (x *extractor) bindEncode(pkg *analysis.Package, fn *ast.FuncDecl, c *ast.C
 		return
 	}
 	half := &codecHalf{
-		machine: d.args[0], typ: typ, pkg: pkg,
+		machine: d.Args[0], typ: typ, pkg: pkg,
 		pos: pkg.Fset.Position(fn.Name.Pos()), name: fn.Name.Name,
 		mapping: map[string]string{},
 	}
 	sw := firstSwitch(fn)
 	if sw == nil {
-		x.reportf(pkg, c.Pos(), RuleExtract, "//fsm:encode function %s has no switch to extract", fn.Name.Name)
+		x.ReportAt(d.Pos, RuleExtract, "//fsm:encode function %s has no switch to extract", fn.Name.Name)
 		return
 	}
 	for _, s := range sw.Body.List {
@@ -47,7 +47,7 @@ func (x *extractor) bindEncode(pkg *analysis.Package, fn *ast.FuncDecl, c *ast.C
 			continue
 		}
 		for _, e := range cc.List {
-			obj := constObjOf(pkg, e)
+			obj := analysis.ObjOf(pkg, e)
 			if cnst, isConst := obj.(*types.Const); isConst {
 				if _, dup := half.mapping[cnst.Name()]; !dup {
 					half.mapping[cnst.Name()] = lit
@@ -61,9 +61,9 @@ func (x *extractor) bindEncode(pkg *analysis.Package, fn *ast.FuncDecl, c *ast.C
 
 // bindDecode registers a string->constant decoder. Its result type pairs
 // it with the encoder.
-func (x *extractor) bindDecode(pkg *analysis.Package, fn *ast.FuncDecl, c *ast.Comment, d directive) {
+func (x *extractor) bindDecode(pkg *analysis.Package, fn *ast.FuncDecl, d analysis.Directive) {
 	if fn.Type.Results == nil || len(fn.Type.Results.List) == 0 {
-		x.reportf(pkg, c.Pos(), RuleExtract, "//fsm:decode must annotate a function returning the decoded type")
+		x.ReportAt(d.Pos, RuleExtract, "//fsm:decode must annotate a function returning the decoded type")
 		return
 	}
 	typ := pkg.Info.TypeOf(fn.Type.Results.List[0].Type)
@@ -71,13 +71,13 @@ func (x *extractor) bindDecode(pkg *analysis.Package, fn *ast.FuncDecl, c *ast.C
 		return
 	}
 	half := &codecHalf{
-		machine: d.args[0], typ: typ, pkg: pkg,
+		machine: d.Args[0], typ: typ, pkg: pkg,
 		pos: pkg.Fset.Position(fn.Name.Pos()), name: fn.Name.Name,
 		mapping: map[string]string{},
 	}
 	sw := firstSwitch(fn)
 	if sw == nil {
-		x.reportf(pkg, c.Pos(), RuleExtract, "//fsm:decode function %s has no switch to extract", fn.Name.Name)
+		x.ReportAt(d.Pos, RuleExtract, "//fsm:decode function %s has no switch to extract", fn.Name.Name)
 		return
 	}
 	for _, s := range sw.Body.List {
@@ -142,7 +142,7 @@ func returnedConst(pkg *analysis.Package, body []ast.Stmt, typ types.Type) (stri
 		if !ok || len(r.Results) == 0 {
 			continue
 		}
-		obj := constObjOf(pkg, r.Results[0])
+		obj := analysis.ObjOf(pkg, r.Results[0])
 		if cnst, ok := obj.(*types.Const); ok && types.Identical(cnst.Type(), typ) {
 			return cnst.Name(), true
 		}
@@ -191,11 +191,7 @@ func (x *extractor) pairCodecs() {
 		}
 		m.Codecs = append(m.Codecs, codec)
 		if dec == nil {
-			x.diags = append(x.diags, analysis.Diagnostic{
-				Pos:     enc.pos,
-				Rule:    RuleCodec,
-				Message: "encoder " + enc.name + " has no matching //fsm:decode for type " + codec.TypeName,
-			})
+			x.ReportAt(enc.pos, RuleCodec, "encoder %s has no matching //fsm:decode for type %s", enc.name, codec.TypeName)
 			continue
 		}
 		codec.DecodePos = dec.pos
@@ -204,11 +200,7 @@ func (x *extractor) pairCodecs() {
 	}
 	for i, d := range x.decodes {
 		if !usedDecode[i] {
-			x.diags = append(x.diags, analysis.Diagnostic{
-				Pos:     d.pos,
-				Rule:    RuleCodec,
-				Message: "decoder " + d.name + " has no matching //fsm:encode for type " + d.typ.String(),
-			})
+			x.ReportAt(d.pos, RuleCodec, "decoder %s has no matching //fsm:encode for type %s", d.name, d.typ)
 		}
 	}
 }
@@ -217,42 +209,24 @@ func (x *extractor) pairCodecs() {
 func (x *extractor) checkCodec(codec *Codec, enc, dec *codecHalf) {
 	for _, name := range codec.Consts {
 		if _, ok := enc.mapping[name]; !ok {
-			x.diags = append(x.diags, analysis.Diagnostic{
-				Pos:     enc.pos,
-				Rule:    RuleCodec,
-				Message: "constant " + name + " of " + codec.TypeName + " has no case in encoder " + enc.name,
-			})
+			x.ReportAt(enc.pos, RuleCodec, "constant %s of %s has no case in encoder %s", name, codec.TypeName, enc.name)
 		}
 	}
 	for _, name := range enc.order {
 		lit := enc.mapping[name]
 		back, ok := dec.mapping[lit]
 		if !ok {
-			x.diags = append(x.diags, analysis.Diagnostic{
-				Pos:     dec.pos,
-				Rule:    RuleCodec,
-				Message: "encoding " + strconvQuote(lit) + " (for " + name + ") has no case in decoder " + dec.name,
-			})
+			x.ReportAt(dec.pos, RuleCodec, "encoding \"%s\" (for %s) has no case in decoder %s", lit, name, dec.name)
 			continue
 		}
 		if back != name {
-			x.diags = append(x.diags, analysis.Diagnostic{
-				Pos:     dec.pos,
-				Rule:    RuleCodec,
-				Message: "encoding " + strconvQuote(lit) + " of " + name + " decodes to " + back + "; the pair does not round-trip",
-			})
+			x.ReportAt(dec.pos, RuleCodec, "encoding \"%s\" of %s decodes to %s; the pair does not round-trip", lit, name, back)
 		}
 	}
 	if !dec.hasDefault || !dec.defaultErr {
-		x.diags = append(x.diags, analysis.Diagnostic{
-			Pos:     dec.pos,
-			Rule:    RuleCodec,
-			Message: "decoder " + dec.name + " maps unknown input to a constant instead of returning an error",
-		})
+		x.ReportAt(dec.pos, RuleCodec, "decoder %s maps unknown input to a constant instead of returning an error", dec.name)
 	}
 }
-
-func strconvQuote(s string) string { return `"` + s + `"` }
 
 // constsOfType lists the constants of typ declared in the package, in
 // source order.

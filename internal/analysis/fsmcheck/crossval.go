@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"sort"
 
-	"speccat/internal/analysis"
 	"speccat/internal/mc"
 )
 
@@ -63,11 +62,7 @@ func modelRelation(machine string) ([]Edge, bool, error) {
 func (x *extractor) crossValidate(m *Machine) {
 	rel, ok, err := modelRelation(m.Name)
 	if err != nil {
-		x.diags = append(x.diags, analysis.Diagnostic{
-			Pos:     firstPos(m),
-			Rule:    RuleModel,
-			Message: err.Error(),
-		})
+		x.ReportAt(firstPos(m), RuleModel, "%s", err)
 		return
 	}
 	if !ok {
@@ -90,11 +85,7 @@ func (x *extractor) crossValidate(m *Machine) {
 			ex.used = true
 			continue
 		}
-		x.diags = append(x.diags, analysis.Diagnostic{
-			Pos:     e.Pos,
-			Rule:    RuleModel,
-			Message: fmt.Sprintf("extracted edge %s is not in the abstract model's relation; a legitimate divergence needs a //fsm:model-extra justification", e),
-		})
+		x.ReportAt(e.Pos, RuleModel, "extracted edge %s is not in the abstract model's relation; a legitimate divergence needs a //fsm:model-extra justification", e)
 	}
 	for _, ex := range m.Extras {
 		if ex.used {
@@ -105,11 +96,7 @@ func (x *extractor) crossValidate(m *Machine) {
 		if relSet[key] {
 			reason = "the model's relation now contains that edge"
 		}
-		x.diags = append(x.diags, analysis.Diagnostic{
-			Pos:     ex.Pos,
-			Rule:    RuleModel,
-			Message: fmt.Sprintf("stale //fsm:model-extra for %s: %s->%s: %s; remove the justification", ex.Role, ex.From, ex.To, reason),
-		})
+		x.ReportAt(ex.Pos, RuleModel, "stale //fsm:model-extra for %s: %s->%s: %s; remove the justification", ex.Role, ex.From, ex.To, reason)
 	}
 }
 

@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"go/token"
 	"sort"
-	"strings"
 
 	"speccat/internal/analysis"
 )
@@ -174,42 +173,21 @@ type Codec struct {
 	Decodes map[string]string
 }
 
-// directive is one parsed //fsm:<verb> annotation.
-type directive struct {
-	verb string
-	args []string
-	// rest is the raw argument text (reason-bearing verbs keep spaces).
-	rest string
-	pos  token.Position
+// verbs is the //fsm:* verb table.
+var verbs = map[string]analysis.Verb{ //lint:allow noglobalstate immutable lookup table
+	"state":       {Min: 2, Max: 2, Usage: "//fsm:%[1]s wants <machine> <alias>", Where: floating},
+	"msg":         {Min: 2, Max: 2, Usage: "//fsm:%[1]s wants <machine> <role>", Where: floating},
+	"handler":     {Min: 2, Max: 2, Usage: "//fsm:%[1]s wants <machine> <role>", Where: floating},
+	"emit":        {Min: 2, Max: 2, Usage: "//fsm:%[1]s wants <machine> <role>", Where: floating},
+	"encode":      {Min: 1, Max: 1, Usage: "//fsm:%[1]s wants <machine>", Where: floating},
+	"decode":      {Min: 1, Max: 1, Usage: "//fsm:%[1]s wants <machine>", Where: floating},
+	"from":        {Kind: analysis.Placed, Min: 1, Max: 1, Usage: "//fsm:%[1]s wants a comma-separated alias list"},
+	"to":          {Kind: analysis.Placed, Min: 1, Max: 1, Usage: "//fsm:%[1]s wants a comma-separated alias list"},
+	"model-extra": {Kind: analysis.Placed, Min: 4, Max: -1, Usage: "//fsm:%[1]s wants <machine> <role> <from>-><to> <reason>"},
+	"ignore":      {Kind: analysis.Suppresses, Min: 1, Max: -1, Usage: "//fsm:%[1]s needs a reason"},
 }
 
-// parseDirectives extracts the fsm: directives of one comment. The comment
-// must BEGIN with a directive — prose that merely mentions "//fsm:..." is
-// not one. A single directive comment may carry several directives
-// separated by "//", e.g. "//fsm:from q,w //fsm:to a,c".
-func parseDirectives(text string, pos token.Position) []directive {
-	body := strings.TrimSpace(strings.TrimPrefix(text, "//"))
-	if !strings.HasPrefix(body, "fsm:") {
-		return nil
-	}
-	var out []directive
-	for _, seg := range strings.Split(body, "//") {
-		seg = strings.TrimSpace(seg)
-		rest, ok := strings.CutPrefix(seg, "fsm:")
-		if !ok {
-			continue
-		}
-		verb, args, _ := strings.Cut(rest, " ")
-		args = strings.TrimSpace(args)
-		out = append(out, directive{
-			verb: verb,
-			args: strings.Fields(args),
-			rest: args,
-			pos:  pos,
-		})
-	}
-	return out
-}
+const floating = "//fsm:%[1]s is not attached to a declaration (use a const line comment or a function doc comment)"
 
 // Run extracts the machines from the loaded packages and checks them,
 // returning the report and the surviving diagnostics (with //fsm:ignore
@@ -221,33 +199,5 @@ func Run(pkgs []*analysis.Package) (*Report, []analysis.Diagnostic) {
 	for _, name := range rep.MachineNames() {
 		x.crossValidate(rep.Machines[name])
 	}
-	diags := x.suppress(x.diags)
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Message < b.Message
-	})
-	return rep, diags
-}
-
-// suppress drops diagnostics covered by a reasoned //fsm:ignore on the
-// same or the preceding line; reasonless ignores are themselves findings
-// (already reported during extraction).
-func (x *extractor) suppress(diags []analysis.Diagnostic) []analysis.Diagnostic {
-	var out []analysis.Diagnostic
-	for _, d := range diags {
-		if lines := x.ignored[d.Pos.Filename]; lines[d.Pos.Line] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
+	return rep, x.Diagnostics()
 }

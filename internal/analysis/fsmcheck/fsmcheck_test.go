@@ -122,7 +122,8 @@ func TestCrossValidateRejectsNonModelEdge(t *testing.T) {
 		t.Fatal("model relation was not attached")
 	}
 	var bogus, stale int
-	for _, d := range x.diags {
+	diags := x.Diagnostics()
+	for _, d := range diags {
 		if d.Rule != RuleModel {
 			t.Errorf("unexpected rule %s: %s", d.Rule, d)
 		}
@@ -136,9 +137,9 @@ func TestCrossValidateRejectsNonModelEdge(t *testing.T) {
 		}
 	}
 	if bogus != 1 {
-		t.Errorf("expected exactly one non-model-edge finding, got %d (%v)", bogus, x.diags)
+		t.Errorf("expected exactly one non-model-edge finding, got %d (%v)", bogus, diags)
 	}
 	if stale != 1 {
-		t.Errorf("expected exactly one stale-justification finding, got %d (%v)", stale, x.diags)
+		t.Errorf("expected exactly one stale-justification finding, got %d (%v)", stale, diags)
 	}
 }

@@ -93,7 +93,9 @@ func modulePath(gomod string) string {
 // pattern is either a directory (absolute, or relative to the loader's
 // module root), or a directory followed by "/..." meaning the whole
 // subtree; subtree expansion skips testdata, hidden and version-control
-// directories, while an explicit directory pattern is always honored.
+// directories and — exactly as the go tool's ./... does — any nested
+// module (a directory below the walk root with its own go.mod), while an
+// explicit directory pattern is always honored.
 func (l *Loader) Load(patterns []string) ([]*Package, error) {
 	var dirs []string
 	seen := map[string]bool{}
@@ -133,7 +135,7 @@ func (l *Loader) Load(patterns []string) ([]*Package, error) {
 				return nil
 			}
 			name := d.Name()
-			if path != dir && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if path != dir && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || isModuleRoot(path)) {
 				return filepath.SkipDir
 			}
 			if hasGoFiles(path) {
@@ -154,6 +156,12 @@ func (l *Loader) Load(patterns []string) ([]*Package, error) {
 		out = append(out, pkg)
 	}
 	return out, nil
+}
+
+// isModuleRoot reports whether dir holds a go.mod.
+func isModuleRoot(dir string) bool {
+	_, err := os.Stat(filepath.Join(dir, "go.mod"))
+	return err == nil
 }
 
 // hasGoFiles reports whether dir directly contains a non-test .go file.

@@ -1,12 +1,9 @@
 package lockcheck
 
 import (
-	"fmt"
 	"go/ast"
 	"go/constant"
-	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"speccat/internal/analysis"
@@ -14,38 +11,18 @@ import (
 
 // extractor accumulates the lock-discipline facts of one load.
 type extractor struct {
-	pkgs  []*analysis.Package
-	diags []analysis.Diagnostic
-
-	// ignored maps filename -> suppressed lines (//lock:ignore, all rules);
-	// orderIgnored the //lock:ordered lines (lock-order only).
-	ignored      map[string]map[int]bool
-	orderIgnored map[string]map[int]bool
-	// bindable records every well-formed binding directive by comment
-	// position; bound marks the ones a later pass attached to a
-	// declaration. The difference is reported as lock-extract.
-	bindable map[string]directive
-	bound    map[string]bool
-
-	// funcs indexes every function declaration of the load.
-	funcs map[types.Object]*funcInfo
-	// callees caches interface-bridged call resolution per callee object.
-	callees map[types.Object][]*funcInfo
-
-	rep *Report
+	*analysis.Scope
+	// funcs indexes every function declaration of the load; the roots are
+	// the sibling layers' //fsm:handler, //dur:handler and //comm:op
+	// functions plus this layer's own //lock:handler.
+	funcs *analysis.FuncIndex[facts]
+	rep   *Report
 }
 
-// funcInfo is the per-function fact sheet the flow analysis consumes.
-type funcInfo struct {
-	pkg  *analysis.Package
-	decl *ast.FuncDecl
-	obj  types.Object
-	// name is the display name, receiver-qualified for methods.
-	name string
+type funcInfo = analysis.Func[facts]
 
-	// isRoot marks analysis roots (//fsm:handler, //dur:handler, //comm:op
-	// or //lock:handler docs).
-	isRoot bool
+// facts is the per-function classification the flow analysis consumes.
+type facts struct {
 	// directAcquire / directRelease: the body itself calls
 	// locking.Manager.Acquire / Release / ReleaseAll; directReleaseAll
 	// narrows to ReleaseAll (the lock-leak eligibility pair).
@@ -67,187 +44,35 @@ type funcInfo struct {
 	// syncWrapIdx is the flattened parameter index this function forwards
 	// as the continuation to stable.Store.SyncThen; -1 otherwise.
 	syncWrapIdx int
-	// paramIdx maps the function's named parameters to their flattened
-	// argument positions.
-	paramIdx map[types.Object]int
 }
 
 func newExtractor(pkgs []*analysis.Package) *extractor {
 	return &extractor{
-		pkgs:         pkgs,
-		ignored:      map[string]map[int]bool{},
-		orderIgnored: map[string]map[int]bool{},
-		bindable:     map[string]directive{},
-		bound:        map[string]bool{},
-		funcs:        map[types.Object]*funcInfo{},
-		callees:      map[types.Object][]*funcInfo{},
-		rep:          &Report{},
+		Scope: analysis.NewScope(pkgs, "lock", RuleExtract, verbs),
+		funcs: analysis.IndexFuncs[facts](pkgs, "fsm:handler", "dur:handler", "comm:op", "lock:handler"),
+		rep:   &Report{},
 	}
 }
 
-func (x *extractor) reportf(pkg *analysis.Package, pos token.Pos, rule, format string, args ...any) {
-	x.diags = append(x.diags, analysis.Diagnostic{
-		Pos:     pkg.Fset.Position(pos),
-		Rule:    rule,
-		Message: fmt.Sprintf(format, args...),
-	})
-}
-
-func posKey(p token.Position) string {
-	return fmt.Sprintf("%s:%d:%d", p.Filename, p.Line, p.Column)
-}
-
-// extract runs the full pipeline: directive scan, binding, per-function
-// fact computation, the two reachability closures, and the flow analysis
-// of every function in scope.
+// extract runs the full pipeline: binding, per-function fact computation,
+// the two reachability closures, and the flow analysis of every function
+// reachable from a root through static and interface-bridged calls.
 func (x *extractor) extract() *Report {
-	for _, pkg := range x.pkgs {
-		for _, f := range pkg.Files {
-			x.scanComments(pkg, f)
-		}
-	}
-	for _, pkg := range x.pkgs {
-		for _, f := range pkg.Files {
-			x.scanFuncs(pkg, f)
+	for _, fi := range x.funcs.Sorted() {
+		for _, d := range x.Directives(fi.Decl.Doc) {
+			x.Bind(d) // //lock:handler is the only bound verb
 		}
 	}
 	x.computeFacts()
-	analyzed := x.analysisSet()
+	analyzed := x.funcs.Reachable(nil)
 	x.countCoverage(analyzed)
 	for _, fi := range analyzed {
-		newFlow(x, fi).run()
+		x.flow(fi)
 	}
 	x.rep.Analyzed = len(analyzed)
-	x.reportUnbound()
-	sort.Strings(x.rep.Roots)
+	x.ReportUnbound()
+	x.rep.Roots = x.funcs.RootNames()
 	return x.rep
-}
-
-// scanComments validates every //lock: directive and registers
-// suppressions.
-func (x *extractor) scanComments(pkg *analysis.Package, f *ast.File) {
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			pos := pkg.Fset.Position(c.Pos())
-			for _, d := range parseDirectives(c.Text, pos) {
-				x.scanDirective(pkg, c, d)
-			}
-		}
-	}
-}
-
-func (x *extractor) scanDirective(pkg *analysis.Package, c *ast.Comment, d directive) {
-	switch d.verb {
-	case "handler":
-		if len(d.args) != 0 {
-			x.reportf(pkg, c.Pos(), RuleExtract, "malformed //lock:handler: want no arguments, got %d", len(d.args))
-			return
-		}
-	case "ignore", "ordered":
-		if d.rest == "" {
-			x.reportf(pkg, c.Pos(), RuleExtract, "//lock:%s requires a reason", d.verb)
-			return
-		}
-		lines := x.ignored
-		if d.verb == "ordered" {
-			lines = x.orderIgnored
-		}
-		m := lines[d.pos.Filename]
-		if m == nil {
-			m = map[int]bool{}
-			lines[d.pos.Filename] = m
-		}
-		m[d.pos.Line] = true
-		m[d.pos.Line+1] = true
-		return
-	default:
-		x.reportf(pkg, c.Pos(), RuleExtract, "unknown directive //lock:%s", d.verb)
-		return
-	}
-	x.bindable[posKey(d.pos)] = d
-}
-
-// scanFuncs indexes every function declaration, marking roots: the sibling
-// layers' //fsm:handler, //dur:handler and //comm:op doc directives plus
-// this layer's own //lock:handler.
-func (x *extractor) scanFuncs(pkg *analysis.Package, f *ast.File) {
-	for _, decl := range f.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Body == nil {
-			continue
-		}
-		obj := pkg.Info.Defs[fn.Name]
-		if obj == nil {
-			continue
-		}
-		fi := &funcInfo{
-			pkg:             pkg,
-			decl:            fn,
-			obj:             obj,
-			name:            funcDisplayName(fn),
-			syncWrapIdx:     -1,
-			deferredRelease: map[string]bool{},
-			walTxns:         map[string]bool{},
-			paramIdx:        map[types.Object]int{},
-		}
-		idx := 0
-		if fn.Type.Params != nil {
-			for _, field := range fn.Type.Params.List {
-				for _, name := range field.Names {
-					if po := pkg.Info.Defs[name]; po != nil {
-						fi.paramIdx[po] = idx
-					}
-					idx++
-				}
-			}
-		}
-		x.funcs[obj] = fi
-		if fn.Doc == nil {
-			continue
-		}
-		for _, c := range fn.Doc.List {
-			body := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if strings.HasPrefix(body, "fsm:handler") || strings.HasPrefix(body, "dur:handler") ||
-				strings.HasPrefix(body, "comm:op") {
-				fi.isRoot = true
-			}
-			pos := pkg.Fset.Position(c.Pos())
-			for _, d := range parseDirectives(c.Text, pos) {
-				x.bindFuncDirective(pkg, fi, c, d)
-			}
-		}
-		if fi.isRoot {
-			x.rep.Roots = append(x.rep.Roots, fi.name)
-		}
-	}
-}
-
-func (x *extractor) bindFuncDirective(pkg *analysis.Package, fi *funcInfo, c *ast.Comment, d directive) {
-	if _, ok := x.bindable[posKey(d.pos)]; !ok {
-		return // malformed; already reported
-	}
-	switch d.verb {
-	case "handler":
-		x.bound[posKey(d.pos)] = true
-		fi.isRoot = true
-	default:
-		x.reportf(pkg, c.Pos(), RuleExtract, "directive //lock:%s cannot bind to a function", d.verb)
-		x.bound[posKey(d.pos)] = true
-	}
-}
-
-func funcDisplayName(fn *ast.FuncDecl) string {
-	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return fn.Name.Name
-	}
-	t := fn.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name + "." + fn.Name.Name
-	}
-	return fn.Name.Name
 }
 
 // computeFacts fills the per-function classification fields: direct lock
@@ -255,112 +80,66 @@ func funcDisplayName(fn *ast.FuncDecl) string {
 // then runs the two reachability closures (reachesAcquire, routedAcquire)
 // to a fixpoint over static and interface-bridged calls.
 func (x *extractor) computeFacts() {
-	for _, fi := range x.funcs {
+	for _, fi := range x.funcs.Sorted() {
 		x.computeFuncFacts(fi)
 	}
 	// One propagation pass for wrappers of syncThen wrappers.
-	for _, fi := range x.funcs {
-		if fi.syncWrapIdx >= 0 {
+	for _, fi := range x.funcs.Sorted() {
+		if fi.Facts.syncWrapIdx >= 0 {
 			continue
 		}
-		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+		fi.EachCall(func(call *ast.CallExpr) {
+			callee := x.funcs.Static(fi.Pkg, call)
+			if callee == nil || callee.Facts.syncWrapIdx < 0 || callee.Facts.syncWrapIdx >= len(call.Args) {
+				return
 			}
-			callee := x.funcs[calleeObjOf(fi.pkg, call.Fun)]
-			if callee == nil || callee.syncWrapIdx < 0 || callee.syncWrapIdx >= len(call.Args) {
-				return true
+			if pidx, isParam := fi.ParamIndex(call.Args[callee.Facts.syncWrapIdx]); isParam {
+				fi.Facts.syncWrapIdx = pidx
 			}
-			if id, ok := unparen(call.Args[callee.syncWrapIdx]).(*ast.Ident); ok {
-				if po := fi.pkg.Info.Uses[id]; po != nil {
-					if pidx, isParam := fi.paramIdx[po]; isParam {
-						fi.syncWrapIdx = pidx
-					}
-				}
-			}
-			return true
 		})
 	}
-	// reachesAcquire closure.
-	for _, fi := range x.funcs {
-		fi.reachesAcquire = fi.directAcquire
-	}
-	x.closure(func(fi *funcInfo) bool { return fi.reachesAcquire },
-		func(fi *funcInfo) { fi.reachesAcquire = true })
+	x.funcs.Close(func(fi *funcInfo) bool { return fi.Facts.reachesAcquire },
+		func(fi *funcInfo) { fi.Facts.reachesAcquire = true })
 	// routedAcquire closure: seed with bodies containing a base routed
 	// call, then propagate through callers.
-	for _, fi := range x.funcs {
-		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok && x.isRoutedCall(fi.pkg, call) {
-				fi.routedAcquire = true
+	for _, fi := range x.funcs.Sorted() {
+		fi.EachCall(func(call *ast.CallExpr) {
+			if x.isRoutedCall(fi.Pkg, call) {
+				fi.Facts.routedAcquire = true
 			}
-			return true
 		})
 	}
-	x.closure(func(fi *funcInfo) bool { return fi.routedAcquire },
-		func(fi *funcInfo) { fi.routedAcquire = true })
-}
-
-// closure propagates a boolean function property backwards over the call
-// graph (static and interface-bridged calls) until no function changes.
-func (x *extractor) closure(has func(*funcInfo) bool, set func(*funcInfo)) {
-	for changed := true; changed; {
-		changed = false
-		for _, fi := range x.funcs {
-			if has(fi) {
-				continue
-			}
-			ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				for _, callee := range x.resolveCallees(fi.pkg, call) {
-					if has(callee) {
-						set(fi)
-						changed = true
-						return false
-					}
-				}
-				return true
-			})
-		}
-	}
+	x.funcs.Close(func(fi *funcInfo) bool { return fi.Facts.routedAcquire },
+		func(fi *funcInfo) { fi.Facts.routedAcquire = true })
 }
 
 func (x *extractor) computeFuncFacts(fi *funcInfo) {
-	pkg := fi.pkg
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
+	f := &fi.Facts
+	f.syncWrapIdx = -1
+	f.deferredRelease = map[string]bool{}
+	f.walTxns = map[string]bool{}
+	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.DeferStmt:
-			obj := calleeObjOf(pkg, v.Call.Fun)
-			if isManagerMethod(obj, "ReleaseAll") && len(v.Call.Args) > 0 {
-				fi.deferredRelease[types.ExprString(unparen(v.Call.Args[0]))] = true
+			if isManagerMethod(analysis.ObjOf(fi.Pkg, v.Call.Fun), "ReleaseAll") && len(v.Call.Args) > 0 {
+				f.deferredRelease[exprText(v.Call.Args[0])] = true
 			}
 		case *ast.CallExpr:
-			obj := calleeObjOf(pkg, v.Fun)
+			obj := analysis.ObjOf(fi.Pkg, v.Fun)
 			switch {
 			case isManagerMethod(obj, "Acquire"):
-				fi.directAcquire = true
+				f.directAcquire = true
+				f.reachesAcquire = true
 			case isManagerMethod(obj, "ReleaseAll"):
-				fi.directRelease = true
-				fi.directReleaseAll = true
+				f.directRelease = true
+				f.directReleaseAll = true
 			case isManagerMethod(obj, "Release"):
-				fi.directRelease = true
-			case isWalDecision(obj):
-				if len(v.Args) > 0 {
-					fi.walTxns[types.ExprString(unparen(v.Args[0]))] = true
-				}
-			case isSyncThen(obj):
-				if len(v.Args) > 0 {
-					if id, ok := unparen(v.Args[0]).(*ast.Ident); ok {
-						if po := pkg.Info.Uses[id]; po != nil {
-							if pidx, isParam := fi.paramIdx[po]; isParam {
-								fi.syncWrapIdx = pidx
-							}
-						}
-					}
+				f.directRelease = true
+			case isWalDecision(obj) && len(v.Args) > 0:
+				f.walTxns[exprText(v.Args[0])] = true
+			case isSyncThen(obj) && len(v.Args) > 0:
+				if pidx, isParam := fi.ParamIndex(v.Args[0]); isParam {
+					f.syncWrapIdx = pidx
 				}
 			}
 		}
@@ -368,44 +147,9 @@ func (x *extractor) computeFuncFacts(fi *funcInfo) {
 	})
 }
 
-// resolveCallees resolves a call to the function declarations it may reach
-// in this load: the static callee when it is declared here, or — for a
-// call through an interface method — every declared method of a concrete
-// type implementing that interface. The result is cached per callee
-// object (interface resolution is call-site independent).
-func (x *extractor) resolveCallees(pkg *analysis.Package, call *ast.CallExpr) []*funcInfo {
-	obj := calleeObjOf(pkg, call.Fun)
-	if obj == nil {
-		return nil
-	}
-	if fi := x.funcs[obj]; fi != nil {
-		return []*funcInfo{fi}
-	}
-	if out, ok := x.callees[obj]; ok {
-		return out
-	}
-	iface := interfaceRecv(obj)
-	if iface == nil {
-		x.callees[obj] = nil
-		return nil
-	}
-	fn := obj.(*types.Func)
-	var out []*funcInfo
-	for _, fi := range sortedFuncs(x.funcs) {
-		if fi.decl.Name.Name != fn.Name() {
-			continue
-		}
-		named := recvNamed(fi)
-		if named == nil {
-			continue
-		}
-		if types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface) {
-			out = append(out, fi)
-		}
-	}
-	x.callees[obj] = out
-	return out
-}
+// exprText renders a transaction or key argument; syntactic identity is
+// what one function's call sites share.
+func exprText(e ast.Expr) string { return types.ExprString(analysis.Unparen(e)) }
 
 // isRoutedCall reports whether a call can acquire locks through
 // shard-routed managers: a direct Acquire whose manager expression indexes
@@ -413,11 +157,7 @@ func (x *extractor) resolveCallees(pkg *analysis.Package, call *ast.CallExpr) []
 // that reaches an acquire, or an interface-method call with such an
 // implementation in the load.
 func (x *extractor) isRoutedCall(pkg *analysis.Package, call *ast.CallExpr) bool {
-	obj := calleeObjOf(pkg, call.Fun)
-	if obj == nil {
-		return false
-	}
-	if isManagerMethod(obj, "Acquire") {
+	if isManagerMethod(analysis.ObjOf(pkg, call.Fun), "Acquire") {
 		ie := managerIndexExpr(call)
 		if ie == nil {
 			return false
@@ -425,240 +165,70 @@ func (x *extractor) isRoutedCall(pkg *analysis.Package, call *ast.CallExpr) bool
 		_, isConst := constIndex(pkg, ie)
 		return !isConst
 	}
-	for _, fi := range x.resolveCallees(pkg, call) {
-		named := recvNamed(fi)
-		if named != nil && fi.reachesAcquire && multiManager(named) {
+	for _, fi := range x.funcs.Callees(pkg, call) {
+		named := fi.RecvNamed()
+		if named != nil && fi.Facts.reachesAcquire && multiManager(named) {
 			return true
 		}
 	}
 	return false
 }
 
-// analysisSet is the functions the flow analysis walks: everything
-// reachable from an analysis root through static and interface-bridged
-// calls.
-func (x *extractor) analysisSet() []*funcInfo {
-	visited := map[*funcInfo]bool{}
-	var queue []*funcInfo
-	for _, fi := range sortedFuncs(x.funcs) {
-		if fi.isRoot {
-			visited[fi] = true
-			queue = append(queue, fi)
-		}
-	}
-	for len(queue) > 0 {
-		fi := queue[0]
-		queue = queue[1:]
-		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			for _, callee := range x.resolveCallees(fi.pkg, call) {
-				if !visited[callee] {
-					visited[callee] = true
-					queue = append(queue, callee)
-				}
-			}
-			return true
-		})
-	}
-	out := make([]*funcInfo, 0, len(visited))
-	for _, fi := range sortedFuncs(x.funcs) {
-		if visited[fi] {
-			out = append(out, fi)
-		}
-	}
-	return out
-}
-
 // countCoverage fills the non-vacuity counters over the analyzed set.
 func (x *extractor) countCoverage(analyzed []*funcInfo) {
 	for _, fi := range analyzed {
-		pkg := fi.pkg
-		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			obj := calleeObjOf(pkg, call.Fun)
+		fi.EachCall(func(call *ast.CallExpr) {
+			obj := analysis.ObjOf(fi.Pkg, call.Fun)
 			switch {
 			case isManagerMethod(obj, "Acquire"):
 				x.rep.AcquireSites++
 			case isManagerMethod(obj, "Release", "ReleaseAll"):
 				x.rep.ReleaseSites++
 			}
-			if x.isRoutedCall(pkg, call) {
+			if x.isRoutedCall(fi.Pkg, call) {
 				x.rep.RoutedCalls++
 			}
-			if conts := x.syncThenConts(pkg, fi, call); len(conts) > 0 {
-				x.rep.SyncThenSites += len(conts)
+			if x.syncThenCont(fi.Pkg, call) != nil {
+				x.rep.SyncThenSites++
 			}
-			return true
 		})
 	}
 }
 
-// syncThenConts returns the continuation function literals a call hands to
+// syncThenCont returns the continuation function literal a call hands to
 // stable.Store.SyncThen, directly or through a wrapper. Calls that forward
-// this function's own continuation parameter contribute nothing — their
-// call sites carry the literal.
-func (x *extractor) syncThenConts(pkg *analysis.Package, fi *funcInfo, call *ast.CallExpr) []*ast.FuncLit {
+// the enclosing function's own continuation parameter contribute nothing —
+// their call sites carry the literal.
+func (x *extractor) syncThenCont(pkg *analysis.Package, call *ast.CallExpr) *ast.FuncLit {
 	idx := -1
-	obj := calleeObjOf(pkg, call.Fun)
-	if isSyncThen(obj) {
+	if isSyncThen(analysis.ObjOf(pkg, call.Fun)) {
 		idx = 0
-	} else if callee := x.funcs[obj]; callee != nil && callee.syncWrapIdx >= 0 {
-		idx = callee.syncWrapIdx
+	} else if callee := x.funcs.Static(pkg, call); callee != nil {
+		idx = callee.Facts.syncWrapIdx
 	}
 	if idx < 0 || idx >= len(call.Args) {
 		return nil
 	}
-	if lit, ok := unparen(call.Args[idx]).(*ast.FuncLit); ok {
-		return []*ast.FuncLit{lit}
-	}
-	return nil
-}
-
-// sortedFuncs orders functions by position for deterministic output.
-func sortedFuncs(m map[types.Object]*funcInfo) []*funcInfo {
-	out := make([]*funcInfo, 0, len(m))
-	for _, fi := range m {
-		out = append(out, fi)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a := out[i].pkg.Fset.Position(out[i].decl.Pos())
-		b := out[j].pkg.Fset.Position(out[j].decl.Pos())
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
-	return out
-}
-
-// reportUnbound flags directives that never attached to a declaration.
-func (x *extractor) reportUnbound() {
-	var keys []string
-	for key := range x.bindable {
-		if !x.bound[key] {
-			keys = append(keys, key)
-		}
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		d := x.bindable[key]
-		x.diags = append(x.diags, analysis.Diagnostic{
-			Pos:     d.pos,
-			Rule:    RuleExtract,
-			Message: fmt.Sprintf("//lock:%s is not attached to a declaration", d.verb),
-		})
-	}
+	lit, _ := analysis.Unparen(call.Args[idx]).(*ast.FuncLit)
+	return lit
 }
 
 // --- object and type classification helpers --------------------------------
 
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
-// calleeObjOf resolves a call's function expression to its object.
-func calleeObjOf(pkg *analysis.Package, fun ast.Expr) types.Object {
-	switch v := unparen(fun).(type) {
-	case *ast.Ident:
-		return pkg.Info.Uses[v]
-	case *ast.SelectorExpr:
-		return pkg.Info.Uses[v.Sel]
-	}
-	return nil
-}
-
-// isMethodOn reports whether obj is one of the named methods on the named
-// type of a package whose import path ends in pkgSuffix. Interface methods
-// match too: an interface method's receiver type is the named interface.
-func isMethodOn(obj types.Object, pkgSuffix, typeName string, names ...string) bool {
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	tn := named.Obj()
-	if tn.Name() != typeName || tn.Pkg() == nil || !strings.HasSuffix(tn.Pkg().Path(), pkgSuffix) {
-		return false
-	}
-	for _, name := range names {
-		if fn.Name() == name {
-			return true
-		}
-	}
-	return false
-}
-
 // isManagerMethod recognizes the locking.Manager lock-event API.
 func isManagerMethod(obj types.Object, names ...string) bool {
-	return isMethodOn(obj, "internal/locking", "Manager", names...)
+	return analysis.IsMethodOn(obj, "internal/locking", "Manager", names...)
 }
 
 // isWalDecision recognizes the wal.Log decision records — the durable
 // point strictness must reach before ReleaseAll.
 func isWalDecision(obj types.Object) bool {
-	return isMethodOn(obj, "internal/wal", "Log", "Commit", "Abort")
+	return analysis.IsMethodOn(obj, "internal/wal", "Log", "Commit", "Abort")
 }
 
 // isSyncThen recognizes the stable.Store durability-wait primitive.
 func isSyncThen(obj types.Object) bool {
-	return isMethodOn(obj, "internal/stable", "Store", "SyncThen")
-}
-
-// interfaceRecv returns the interface type obj is a method of, nil for
-// concrete methods and non-methods.
-func interfaceRecv(obj types.Object) *types.Interface {
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return nil
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	iface, _ := sig.Recv().Type().Underlying().(*types.Interface)
-	return iface
-}
-
-// recvNamed returns the named receiver type of a method's funcInfo
-// (pointer receivers dereferenced), nil for plain functions.
-func recvNamed(fi *funcInfo) *types.Named {
-	fn, ok := fi.obj.(*types.Func)
-	if !ok {
-		return nil
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
+	return analysis.IsMethodOn(obj, "internal/stable", "Store", "SyncThen")
 }
 
 // ownsManager reports whether t (a named struct, possibly behind a
@@ -669,11 +239,7 @@ func ownsManager(t types.Type) bool {
 		return false
 	}
 	for i := 0; i < st.NumFields(); i++ {
-		ft := st.Field(i).Type()
-		if p, ok := ft.(*types.Pointer); ok {
-			ft = p.Elem()
-		}
-		if named, ok := ft.(*types.Named); ok {
+		if named := analysis.NamedOf(st.Field(i).Type()); named != nil {
 			tn := named.Obj()
 			if tn.Name() == "Manager" && tn.Pkg() != nil && strings.HasSuffix(tn.Pkg().Path(), "internal/locking") {
 				return true
@@ -703,9 +269,6 @@ func multiManager(t types.Type) bool {
 		default:
 			continue
 		}
-		if p, ok := elem.(*types.Pointer); ok {
-			elem = p.Elem()
-		}
 		if ownsManager(elem) {
 			return true
 		}
@@ -725,13 +288,13 @@ func underlyingStruct(t types.Type) *types.Struct {
 // receiver expression and returns the first index expression in it
 // (s.shards[i].locks → s.shards[i]), nil when the chain has none.
 func managerIndexExpr(call *ast.CallExpr) *ast.IndexExpr {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := analysis.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return nil
 	}
 	e := sel.X
 	for {
-		switch v := unparen(e).(type) {
+		switch v := analysis.Unparen(e).(type) {
 		case *ast.SelectorExpr:
 			e = v.X
 		case *ast.IndexExpr:

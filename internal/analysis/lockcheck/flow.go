@@ -1,11 +1,9 @@
 package lockcheck
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -17,20 +15,20 @@ import (
 // calls, e.g. "txn" — syntactic identity is what one function's call
 // sites share).
 type lockState struct {
+	analysis.Term
 	// acquired maps "txn\x00key" to the acquire position — MAY analysis
 	// (union at joins): a lock held on any path into a return is a leak.
-	acquired map[string]token.Pos
+	acquired analysis.May[token.Pos]
 	// released maps a transaction to its release position — MUST analysis
 	// (intersection): growing is only convicted after a release that
 	// happened on every path.
-	released map[string]token.Pos
+	released analysis.Must[token.Pos]
 	// durable marks transactions whose wal decision record was written —
 	// MUST analysis, consumed by the release-before-durable rule.
-	durable map[string]bool
+	durable analysis.Must[bool]
 	// lastShard tracks the last constant shard index a transaction
 	// acquired through — kept at joins only when all live branches agree.
-	lastShard  map[string]shardAt
-	terminated bool
+	lastShard analysis.Must[shardAt]
 }
 
 type shardAt struct {
@@ -38,309 +36,79 @@ type shardAt struct {
 	pos token.Pos
 }
 
-func newLockState() *lockState {
+func (s *lockState) Clone() *lockState {
 	return &lockState{
-		acquired:  map[string]token.Pos{},
-		released:  map[string]token.Pos{},
-		durable:   map[string]bool{},
-		lastShard: map[string]shardAt{},
+		Term:      s.Term,
+		acquired:  s.acquired.Clone(),
+		released:  s.released.Clone(),
+		durable:   s.durable.Clone(),
+		lastShard: s.lastShard.Clone(),
 	}
 }
 
-func (s *lockState) clone() *lockState {
-	c := &lockState{
-		acquired:   make(map[string]token.Pos, len(s.acquired)),
-		released:   make(map[string]token.Pos, len(s.released)),
-		durable:    make(map[string]bool, len(s.durable)),
-		lastShard:  make(map[string]shardAt, len(s.lastShard)),
-		terminated: s.terminated,
-	}
-	for k, v := range s.acquired {
-		c.acquired[k] = v
-	}
-	for k, v := range s.released {
-		c.released[k] = v
-	}
-	for k, v := range s.durable {
-		c.durable[k] = v
-	}
-	for k, v := range s.lastShard {
-		c.lastShard[k] = v
-	}
-	return c
+func (s *lockState) Join(live []*lockState, at []token.Pos) {
+	s.acquired = analysis.JoinMay(analysis.Project(live, func(b *lockState) analysis.May[token.Pos] { return b.acquired }))
+	s.released = analysis.JoinMust(analysis.Project(live, func(b *lockState) analysis.Must[token.Pos] { return b.released }), at, nil)
+	s.durable = analysis.JoinMust(analysis.Project(live, func(b *lockState) analysis.Must[bool] { return b.durable }), at, nil)
+	s.lastShard = analysis.JoinMust(analysis.Project(live, func(b *lockState) analysis.Must[shardAt] { return b.lastShard }), at,
+		func(a, b shardAt) bool { return a.idx == b.idx })
 }
 
-// join folds branch out-states back into s: may-union for acquired,
-// must-intersection for released/durable/lastShard over the branches that
-// did not terminate. No live branch means all paths returned.
-func (s *lockState) join(branches []*lockState) {
-	var live []*lockState
-	for _, b := range branches {
-		if !b.terminated {
-			live = append(live, b)
-		}
-	}
-	if len(live) == 0 {
-		s.terminated = true
-		return
-	}
-	acquired := map[string]token.Pos{}
-	for _, b := range live {
-		for k, p := range b.acquired {
-			if _, ok := acquired[k]; !ok {
-				acquired[k] = p
-			}
-		}
-	}
-	released := map[string]token.Pos{}
-	for k, p := range live[0].released {
-		all := true
-		for _, b := range live[1:] {
-			if _, ok := b.released[k]; !ok {
-				all = false
-				break
-			}
-		}
-		if all {
-			released[k] = p
-		}
-	}
-	durable := map[string]bool{}
-	for k := range live[0].durable {
-		all := true
-		for _, b := range live[1:] {
-			if !b.durable[k] {
-				all = false
-				break
-			}
-		}
-		if all {
-			durable[k] = true
-		}
-	}
-	lastShard := map[string]shardAt{}
-	for k, v := range live[0].lastShard {
-		all := true
-		for _, b := range live[1:] {
-			if o, ok := b.lastShard[k]; !ok || o.idx != v.idx {
-				all = false
-				break
-			}
-		}
-		if all {
-			lastShard[k] = v
-		}
-	}
-	s.acquired = acquired
-	s.released = released
-	s.durable = durable
-	s.lastShard = lastShard
-}
-
-// flow walks one function. Each function is analyzed once from an empty
-// in-state: a caller's releases do not excuse acquisitions inside the
-// callee (the callee may be entered on a path without them).
+// flow holds lockcheck's transfer functions over one function: lock
+// events, decision records and durability waits update the state, and the
+// 2PL, leak, order and hold rules are checked as the shared walker
+// reaches them.
 type flow struct {
-	x   *extractor
-	pkg *analysis.Package
-	fi  *funcInfo
-	// litDepth > 0 while walking a function literal's body: leak checks
-	// apply only to the enclosing function's own returns (a closure
-	// returning while the outer function still holds locks is not an exit
-	// of the transaction).
-	litDepth int
+	x  *extractor
+	fi *funcInfo
 }
 
-func newFlow(x *extractor, fi *funcInfo) *flow {
-	return &flow{x: x, pkg: fi.pkg, fi: fi}
-}
-
-func (a *flow) run() {
-	s := newLockState()
-	a.block(a.fi.decl.Body.List, s)
-	if !s.terminated {
-		a.checkLeak(s, a.fi.decl.Body.Rbrace)
+func (x *extractor) flow(fi *funcInfo) {
+	a := &flow{x: x, fi: fi}
+	w := &analysis.Flow[*lockState]{Call: a.handleCall, Return: a.checkLeak, Loop: a.checkLoopOrder}
+	s := &lockState{
+		acquired:  analysis.May[token.Pos]{},
+		released:  analysis.NewMust[token.Pos](),
+		durable:   analysis.NewMust[bool](),
+		lastShard: analysis.NewMust[shardAt](),
 	}
-}
-
-func (a *flow) block(list []ast.Stmt, s *lockState) {
-	for _, st := range list {
-		a.stmt(st, s)
+	w.Block(fi.Decl.Body.List, s)
+	if !s.Terminated() {
+		a.checkLeak(fi.Decl.Body.Rbrace, s)
 	}
-}
-
-func (a *flow) stmt(st ast.Stmt, s *lockState) {
-	switch v := st.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		a.block(v.List, s)
-	case *ast.ExprStmt:
-		a.expr(v.X, s)
-	case *ast.AssignStmt:
-		for _, rhs := range v.Rhs {
-			a.expr(rhs, s)
-		}
-	case *ast.IncDecStmt:
-		a.expr(v.X, s)
-	case *ast.DeclStmt:
-		if gd, ok := v.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, val := range vs.Values {
-						a.expr(val, s)
-					}
-				}
-			}
-		}
-	case *ast.IfStmt:
-		a.stmt(v.Init, s)
-		a.expr(v.Cond, s)
-		then := s.clone()
-		a.stmt(v.Body, then)
-		els := s.clone()
-		if v.Else != nil {
-			a.stmt(v.Else, els)
-		}
-		s.join([]*lockState{then, els})
-	case *ast.SwitchStmt:
-		a.stmt(v.Init, s)
-		a.expr(v.Tag, s)
-		a.caseBranches(v.Body, s)
-	case *ast.TypeSwitchStmt:
-		a.stmt(v.Init, s)
-		a.stmt(v.Assign, s)
-		a.caseBranches(v.Body, s)
-	case *ast.SelectStmt:
-		var branches []*lockState
-		for _, cl := range v.Body.List {
-			cc, ok := cl.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			b := s.clone()
-			a.stmt(cc.Comm, b)
-			a.block(cc.Body, b)
-			branches = append(branches, b)
-		}
-		if len(branches) > 0 {
-			s.join(branches)
-		}
-	case *ast.ForStmt:
-		a.stmt(v.Init, s)
-		a.expr(v.Cond, s)
-		a.checkLoopOrder(v, v.Body, nil, nil, false)
-		body := s.clone()
-		a.block(v.Body.List, body)
-		a.stmt(v.Post, body)
-		// The loop may run zero times: the out-state is the in-state.
-	case *ast.RangeStmt:
-		a.expr(v.X, s)
-		keyObj, sliceRange := a.rangeKey(v)
-		a.checkLoopOrder(v, v.Body, keyObj, v.X, sliceRange)
-		body := s.clone()
-		a.block(v.Body.List, body)
-	case *ast.ReturnStmt:
-		for _, r := range v.Results {
-			a.expr(r, s)
-		}
-		a.checkLeak(s, v.Pos())
-		s.terminated = true
-	case *ast.BranchStmt:
-		s.terminated = true
-	case *ast.DeferStmt:
-		// Runs at return; deferred releases are credited via the
-		// deferredRelease fact, not the flow state.
-		a.expr(v.Call, s.clone())
-	case *ast.GoStmt:
-		a.expr(v.Call, s.clone())
-	case *ast.SendStmt:
-		a.expr(v.Chan, s)
-		a.expr(v.Value, s)
-	case *ast.LabeledStmt:
-		a.stmt(v.Stmt, s)
-	}
-}
-
-// caseBranches joins the clauses of a switch or type switch; a missing
-// default adds an implicit pass-through branch.
-func (a *flow) caseBranches(body *ast.BlockStmt, s *lockState) {
-	var branches []*lockState
-	hasDefault := false
-	for _, cl := range body.List {
-		cc, ok := cl.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		b := s.clone()
-		for _, e := range cc.List {
-			a.expr(e, b)
-		}
-		a.block(cc.Body, b)
-		branches = append(branches, b)
-	}
-	if !hasDefault {
-		branches = append(branches, s.clone())
-	}
-	if len(branches) > 0 {
-		s.join(branches)
-	}
-}
-
-// expr walks an expression, handling calls and function literals (a
-// literal's body is analyzed against a snapshot: it may run later, and
-// its lock events must not flow into the registration point).
-func (a *flow) expr(e ast.Expr, s *lockState) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.FuncLit:
-			a.litDepth++
-			a.block(v.Body.List, s.clone())
-			a.litDepth--
-			return false
-		case *ast.CallExpr:
-			a.handleCall(v, s)
-		}
-		return true
-	})
 }
 
 // handleCall classifies one call: a lock event (acquire / release), a
 // durable decision record, or a durability wait carrying a continuation.
 func (a *flow) handleCall(c *ast.CallExpr, s *lockState) {
-	obj := calleeObjOf(a.pkg, c.Fun)
+	pkg := a.fi.Pkg
+	obj := analysis.ObjOf(pkg, c.Fun)
 	if obj == nil {
 		return
 	}
 	switch {
 	case isManagerMethod(obj, "Acquire") && len(c.Args) >= 2:
-		txn := types.ExprString(unparen(c.Args[0]))
-		key := types.ExprString(unparen(c.Args[1]))
-		if relPos, ok := s.released[txn]; ok {
-			a.x.reportf(a.pkg, c.Pos(), RuleTwoPhase,
+		txn, key := exprText(c.Args[0]), exprText(c.Args[1])
+		if relPos, ok := s.released.Has[txn]; ok {
+			a.x.Reportf(pkg, c.Pos(), RuleTwoPhase,
 				"acquires %s for %s after its locks were released at %s; two-phase locking forbids growing after shrinking",
-				key, txn, a.shortPos(relPos))
+				key, txn, a.fi.ShortPos(relPos))
 		}
 		s.acquired[txn+"\x00"+key] = c.Pos()
 		if ie := managerIndexExpr(c); ie != nil {
-			if idx, ok := constIndex(a.pkg, ie); ok {
-				if last, held := s.lastShard[txn]; held && idx < last.idx {
-					a.x.reportf(a.pkg, c.Pos(), RuleOrder,
+			if idx, ok := constIndex(pkg, ie); ok {
+				if last, held := s.lastShard.Has[txn]; held && idx < last.idx {
+					a.x.Reportf(pkg, c.Pos(), RuleOrder,
 						"acquires shard %d for %s after shard %d (%s); cross-shard acquisitions must follow ascending shard-index order, or a detector-blind waits-for cycle can close across managers",
-						idx, txn, last.idx, a.shortPos(last.pos))
+						idx, txn, last.idx, a.fi.ShortPos(last.pos))
 				}
-				s.lastShard[txn] = shardAt{idx: idx, pos: c.Pos()}
+				s.lastShard.Gen(txn, shardAt{idx: idx, pos: c.Pos()})
 			}
 		}
 	case isManagerMethod(obj, "ReleaseAll") && len(c.Args) >= 1:
-		txn := types.ExprString(unparen(c.Args[0]))
-		if a.fi.walTxns[txn] && !s.durable[txn] {
-			a.x.reportf(a.pkg, c.Pos(), RuleHold,
+		txn := exprText(c.Args[0])
+		if a.fi.Facts.walTxns[txn] && !s.durable.Has[txn] {
+			a.x.Reportf(pkg, c.Pos(), RuleHold,
 				"releases %s's locks before its durable decision record; the wal commit/abort must land first (strictness protects recovery)",
 				txn)
 		}
@@ -350,17 +118,16 @@ func (a *flow) handleCall(c *ast.CallExpr, s *lockState) {
 				delete(s.acquired, k)
 			}
 		}
-		delete(s.lastShard, txn)
-		s.released[txn] = c.Pos()
+		delete(s.lastShard.Has, txn)
+		s.released.Gen(txn, c.Pos())
 	case isManagerMethod(obj, "Release") && len(c.Args) >= 2:
-		txn := types.ExprString(unparen(c.Args[0]))
-		key := types.ExprString(unparen(c.Args[1]))
+		txn, key := exprText(c.Args[0]), exprText(c.Args[1])
 		delete(s.acquired, txn+"\x00"+key)
-		s.released[txn] = c.Pos()
+		s.released.Gen(txn, c.Pos())
 	case isWalDecision(obj) && len(c.Args) >= 1:
-		s.durable[types.ExprString(unparen(c.Args[0]))] = true
+		s.durable.Gen(exprText(c.Args[0]), true)
 	default:
-		for _, lit := range a.x.syncThenConts(a.pkg, a.fi, c) {
+		if lit := a.x.syncThenCont(pkg, c); lit != nil {
 			a.checkContinuation(lit)
 		}
 	}
@@ -381,18 +148,18 @@ func (a *flow) checkContinuation(lit *ast.FuncLit) {
 		if !ok {
 			return true
 		}
-		obj := calleeObjOf(a.pkg, call.Fun)
+		obj := analysis.ObjOf(a.fi.Pkg, call.Fun)
 		if isManagerMethod(obj, "Acquire") {
-			a.x.reportf(a.pkg, call.Pos(), RuleHold,
+			a.x.Reportf(a.fi.Pkg, call.Pos(), RuleHold,
 				"acquires a lock inside a stable.SyncThen continuation; the growing phase must complete before the durability wait")
 			reported = true
 			return false
 		}
-		for _, callee := range a.x.resolveCallees(a.pkg, call) {
-			if callee.reachesAcquire {
-				a.x.reportf(a.pkg, call.Pos(), RuleHold,
+		for _, callee := range a.x.funcs.Callees(a.fi.Pkg, call) {
+			if callee.Facts.reachesAcquire {
+				a.x.Reportf(a.fi.Pkg, call.Pos(), RuleHold,
 					"calls %s, which acquires locks, inside a stable.SyncThen continuation; the growing phase must complete before the durability wait",
-					callee.name)
+					callee.Name)
 				reported = true
 				return false
 			}
@@ -405,18 +172,18 @@ func (a *flow) checkContinuation(lit *ast.FuncLit) {
 // ranged expression is a slice or array (index order ascending — a map
 // range would visit shards in randomized order).
 func (a *flow) rangeKey(v *ast.RangeStmt) (types.Object, bool) {
-	id, ok := unparen(v.Key).(*ast.Ident)
+	id, ok := analysis.Unparen(v.Key).(*ast.Ident)
 	if !ok {
 		return nil, false
 	}
-	obj := a.pkg.Info.Defs[id]
+	obj := a.fi.Pkg.Info.Defs[id]
 	if obj == nil {
-		obj = a.pkg.Info.Uses[id]
+		obj = a.fi.Pkg.Info.Uses[id]
 	}
 	if obj == nil {
 		return nil, false
 	}
-	tv, ok := a.pkg.Info.Types[v.X]
+	tv, ok := a.fi.Pkg.Info.Types[v.X]
 	if !ok {
 		return obj, false
 	}
@@ -439,7 +206,18 @@ func (a *flow) rangeKey(v *ast.RangeStmt) (types.Object, bool) {
 // exempt shape is ranging over the manager collection itself by ascending
 // slice index (s.shards[i] with i the range key over s.shards). Nested
 // loops are skipped — they are checked as their own loops.
-func (a *flow) checkLoopOrder(loop ast.Stmt, body *ast.BlockStmt, keyObj types.Object, rangeX ast.Expr, sliceRange bool) {
+func (a *flow) checkLoopOrder(loop ast.Stmt, _ *lockState) {
+	var body *ast.BlockStmt
+	var keyObj types.Object
+	var rangeX ast.Expr
+	sliceRange := false
+	switch v := loop.(type) {
+	case *ast.ForStmt:
+		body = v.Body
+	case *ast.RangeStmt:
+		body, rangeX = v.Body, v.X
+		keyObj, sliceRange = a.rangeKey(v)
+	}
 	reported := false
 	for _, st := range body.List {
 		ast.Inspect(st, func(n ast.Node) bool {
@@ -461,7 +239,7 @@ func (a *flow) checkLoopOrder(loop ast.Stmt, body *ast.BlockStmt, keyObj types.O
 			if sliceRange && keyObj != nil && a.indexedByKey(call, keyObj, rangeX) {
 				return true
 			}
-			a.x.reportf(a.pkg, loop.Pos(), RuleOrder,
+			a.x.Reportf(a.fi.Pkg, loop.Pos(), RuleOrder,
 				"loop body acquires locks through %s with iteration-dependent shard routing; acquisitions must follow ascending shard-index order (sort the iteration by shard first, or annotate //lock:ordered with the reason no cross-manager cycle can form)",
 				name)
 			reported = true
@@ -476,15 +254,15 @@ func (a *flow) checkLoopOrder(loop ast.Stmt, body *ast.BlockStmt, keyObj types.O
 // routedCallee reports whether a call can acquire through shard-routed
 // managers (directly or transitively) and names the offender.
 func (a *flow) routedCallee(call *ast.CallExpr) (bool, string) {
-	if a.x.isRoutedCall(a.pkg, call) {
-		if obj := calleeObjOf(a.pkg, call.Fun); obj != nil {
+	if a.x.isRoutedCall(a.fi.Pkg, call) {
+		if obj := analysis.ObjOf(a.fi.Pkg, call.Fun); obj != nil {
 			return true, obj.Name()
 		}
 		return true, "a shard-routed call"
 	}
-	for _, callee := range a.x.resolveCallees(a.pkg, call) {
-		if callee.routedAcquire {
-			return true, callee.name
+	for _, callee := range a.x.funcs.Callees(a.fi.Pkg, call) {
+		if callee.Facts.routedAcquire {
+			return true, callee.Name
 		}
 	}
 	return false, ""
@@ -498,26 +276,28 @@ func (a *flow) indexedByKey(call *ast.CallExpr, keyObj types.Object, rangeX ast.
 	if ie == nil {
 		return false
 	}
-	id, ok := unparen(ie.Index).(*ast.Ident)
-	if !ok || a.pkg.Info.Uses[id] != keyObj {
+	id, ok := analysis.Unparen(ie.Index).(*ast.Ident)
+	if !ok || a.fi.Pkg.Info.Uses[id] != keyObj {
 		return false
 	}
-	return types.ExprString(unparen(ie.X)) == types.ExprString(unparen(rangeX))
+	return types.ExprString(analysis.Unparen(ie.X)) == types.ExprString(analysis.Unparen(rangeX))
 }
 
-// checkLeak convicts a return path on which an acquired lock survives.
+// checkLeak convicts a return path of the function itself (a closure
+// returning while the outer function still holds locks is not an exit of
+// the transaction) on which an acquired lock survives.
 // Only lock-managing functions — both a direct Acquire and a direct
 // ReleaseAll in the body — are eligible: a store operation that acquires
 // and leaves release to Commit/Abort is the normal strict-2PL split, not
 // a leak.
-func (a *flow) checkLeak(s *lockState, pos token.Pos) {
-	if a.litDepth > 0 || !a.fi.directAcquire || !a.fi.directReleaseAll {
+func (a *flow) checkLeak(pos token.Pos, s *lockState) {
+	if !a.fi.Facts.directAcquire || !a.fi.Facts.directReleaseAll {
 		return
 	}
 	keys := make([]string, 0, len(s.acquired))
 	for k := range s.acquired {
 		txn, _, _ := strings.Cut(k, "\x00")
-		if a.fi.deferredRelease[txn] {
+		if a.fi.Facts.deferredRelease[txn] {
 			continue
 		}
 		keys = append(keys, k)
@@ -527,12 +307,7 @@ func (a *flow) checkLeak(s *lockState, pos token.Pos) {
 	}
 	sort.Strings(keys)
 	txn, key, _ := strings.Cut(keys[0], "\x00")
-	a.x.reportf(a.pkg, pos, RuleLeak,
+	a.x.Reportf(a.fi.Pkg, pos, RuleLeak,
 		"returns while %s may still hold %s (acquired at %s) with no ReleaseAll on this path; strict 2PL releases every lock at transaction end",
-		txn, key, a.shortPos(s.acquired[keys[0]]))
-}
-
-func (a *flow) shortPos(p token.Pos) string {
-	pos := a.pkg.Fset.Position(p)
-	return fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)
+		txn, key, a.fi.ShortPos(s.acquired[keys[0]]))
 }

@@ -57,13 +57,7 @@
 // identical staging — see crossval.go and experiment E20.
 package lockcheck
 
-import (
-	"go/token"
-	"sort"
-	"strings"
-
-	"speccat/internal/analysis"
-)
+import "speccat/internal/analysis"
 
 // Rule names reported by this layer.
 const (
@@ -95,43 +89,12 @@ type Report struct {
 	SyncThenSites int
 }
 
-// directive is one parsed //lock:<verb> annotation.
-type directive struct {
-	verb string
-	args []string
-	// rest is the raw argument text (reason-bearing verbs keep spaces).
-	rest string
-	pos  token.Position
-}
-
-// parseDirectives extracts the lock: directives of one comment. Like the
-// sibling layers, the comment must BEGIN with a directive, but the leading
-// directive may belong to a sibling layer: function docs carry
-// "//comm:op write" or "//fsm:handler ..." that double as lockcheck roots,
-// each layer reading its own segments and skipping the others'.
-func parseDirectives(text string, pos token.Position) []directive {
-	body := strings.TrimSpace(strings.TrimPrefix(text, "//"))
-	if !strings.HasPrefix(body, "lock:") && !strings.HasPrefix(body, "fsm:") &&
-		!strings.HasPrefix(body, "dur:") && !strings.HasPrefix(body, "comm:") {
-		return nil
-	}
-	var out []directive
-	for _, seg := range strings.Split(body, "//") {
-		seg = strings.TrimSpace(seg)
-		rest, ok := strings.CutPrefix(seg, "lock:")
-		if !ok {
-			continue
-		}
-		verb, args, _ := strings.Cut(rest, " ")
-		args = strings.TrimSpace(args)
-		out = append(out, directive{
-			verb: verb,
-			args: strings.Fields(args),
-			rest: args,
-			pos:  pos,
-		})
-	}
-	return out
+// verbs is the //lock:* verb table: //lock:ignore covers every lock rule,
+// //lock:ordered the lock-order rule only.
+var verbs = map[string]analysis.Verb{ //lint:allow noglobalstate immutable lookup table
+	"handler": {Usage: "malformed //lock:%[1]s: want no arguments, got %[2]d"},
+	"ignore":  {Kind: analysis.Suppresses, Min: 1, Max: -1, Usage: "//lock:%[1]s requires a reason"},
+	"ordered": {Kind: analysis.Suppresses, Rule: RuleOrder, Min: 1, Max: -1, Usage: "//lock:%[1]s requires a reason"},
 }
 
 // Run analyzes the loaded packages and returns the coverage report and the
@@ -141,39 +104,5 @@ func parseDirectives(text string, pos token.Position) []directive {
 func Run(pkgs []*analysis.Package) (*Report, []analysis.Diagnostic) {
 	x := newExtractor(pkgs)
 	rep := x.extract()
-	diags := x.suppress(x.diags)
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Message < b.Message
-	})
-	return rep, diags
-}
-
-// suppress drops diagnostics covered by a reasoned //lock:ignore (any
-// rule) or //lock:ordered (lock-order only) on the same or the preceding
-// line; reasonless suppressions are themselves findings (already reported
-// during extraction).
-func (x *extractor) suppress(diags []analysis.Diagnostic) []analysis.Diagnostic {
-	var out []analysis.Diagnostic
-	for _, d := range diags {
-		if lines := x.ignored[d.Pos.Filename]; lines[d.Pos.Line] {
-			continue
-		}
-		if d.Rule == RuleOrder {
-			if lines := x.orderIgnored[d.Pos.Filename]; lines[d.Pos.Line] {
-				continue
-			}
-		}
-		out = append(out, d)
-	}
-	return out
+	return rep, x.Diagnostics()
 }

@@ -1,9 +1,7 @@
 package portcheck
 
 import (
-	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"strings"
@@ -20,7 +18,7 @@ func (x *extractor) checkBoundary(pkg *analysis.Package) {
 		for _, imp := range f.Imports {
 			path := strings.Trim(imp.Path.Value, `"`)
 			if simulatorPaths[path] {
-				x.reportf(pkg, imp.Pos(), RuleBoundary,
+				x.Reportf(pkg, imp.Pos(), RuleBoundary,
 					"engine package imports the simulator package %s; engines speak rt.Transport / rt.Timer only", path)
 			}
 		}
@@ -32,7 +30,7 @@ func (x *extractor) checkBoundary(pkg *analysis.Package) {
 			case *ast.CaseClause:
 				for _, e := range v.List {
 					if x.simulatorType(pkg, e) {
-						x.reportf(pkg, e.Pos(), RuleBoundary,
+						x.Reportf(pkg, e.Pos(), RuleBoundary,
 							"type switch reaches around the rt boundary to the concrete simulator type %s; assert an rt interface (e.g. rt.Quiescer) instead", typeDisplay(pkg, e))
 					}
 				}
@@ -41,7 +39,7 @@ func (x *extractor) checkBoundary(pkg *analysis.Package) {
 				return true
 			}
 			if target != nil && x.simulatorType(pkg, target) {
-				x.reportf(pkg, target.Pos(), RuleBoundary,
+				x.Reportf(pkg, target.Pos(), RuleBoundary,
 					"type assertion reaches around the rt boundary to the concrete simulator type %s; assert an rt interface (e.g. rt.Quiescer) instead", typeDisplay(pkg, target))
 			}
 			return true
@@ -55,7 +53,7 @@ func (x *extractor) checkBoundary(pkg *analysis.Package) {
 // and are not simulator types.
 func (x *extractor) simulatorType(pkg *analysis.Package, expr ast.Expr) bool {
 	t := pkg.Info.TypeOf(expr)
-	named := receiverNamed(t)
+	named := typeNameOf(t)
 	if named == nil || named.Pkg() == nil {
 		return false
 	}
@@ -68,7 +66,7 @@ func (x *extractor) simulatorType(pkg *analysis.Package, expr ast.Expr) bool {
 }
 
 func typeDisplay(pkg *analysis.Package, expr ast.Expr) string {
-	if named := receiverNamed(pkg.Info.TypeOf(expr)); named != nil {
+	if named := typeNameOf(pkg.Info.TypeOf(expr)); named != nil {
 		return named.Pkg().Name() + "." + named.Name()
 	}
 	return "?"
@@ -81,12 +79,12 @@ func typeDisplay(pkg *analysis.Package, expr ast.Expr) string {
 // variables, and interior pointers returned from confined methods —
 // unless every touched field carries a //rt:guard annotation.
 func (x *extractor) checkConfine(fi *funcInfo) {
-	pkg := fi.pkg
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
+	pkg := fi.Pkg
+	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.GoStmt:
 			if ref := x.confinedRefIn(fi, v.Call); ref != "" {
-				x.reportf(pkg, v.Pos(), RuleConfine,
+				x.Reportf(pkg, v.Pos(), RuleConfine,
 					"handler state (%s) escapes to a spawned goroutine; confined state may only be touched on the node's event loop (annotate the field //rt:guard if externally synchronized)", ref)
 			}
 		case *ast.AssignStmt:
@@ -94,7 +92,7 @@ func (x *extractor) checkConfine(fi *funcInfo) {
 				if i >= len(v.Rhs) {
 					break
 				}
-				id, ok := unparen(lhs).(*ast.Ident)
+				id, ok := analysis.Unparen(lhs).(*ast.Ident)
 				if !ok {
 					continue
 				}
@@ -105,15 +103,15 @@ func (x *extractor) checkConfine(fi *funcInfo) {
 				if obj == nil || obj.Parent() != pkg.Types.Scope() {
 					continue
 				}
-				if lit, ok := unparen(v.Rhs[i]).(*ast.FuncLit); ok {
+				if lit, ok := analysis.Unparen(v.Rhs[i]).(*ast.FuncLit); ok {
 					if ref := x.confinedRefIn(fi, lit); ref != "" {
-						x.reportf(pkg, v.Pos(), RuleConfine,
+						x.Reportf(pkg, v.Pos(), RuleConfine,
 							"closure capturing handler state (%s) is stored in package-level %s; confined state must not outlive its event-loop turn", ref, obj.Name())
 					}
 				}
 			}
 		case *ast.ReturnStmt:
-			if fi.recv == nil || !x.confined[fi.recv] {
+			if !x.confined[recvTypeName(fi)] {
 				return true
 			}
 			for _, res := range v.Results {
@@ -128,18 +126,18 @@ func (x *extractor) checkConfine(fi *funcInfo) {
 // pointer to its receiver's state: &recv.f, or a bare reference-typed
 // field recv.f (map, slice, pointer, chan).
 func (x *extractor) checkReturnedInterior(fi *funcInfo, res ast.Expr) {
-	pkg := fi.pkg
-	e := unparen(res)
+	pkg := fi.Pkg
+	e := analysis.Unparen(res)
 	addr := false
 	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-		e = unparen(u.X)
+		e = analysis.Unparen(u.X)
 		addr = true
 	}
 	sel, ok := e.(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
-	base, ok := unparen(sel.X).(*ast.Ident)
+	base, ok := analysis.Unparen(sel.X).(*ast.Ident)
 	if !ok || !x.isReceiverIdent(fi, base) {
 		return
 	}
@@ -160,17 +158,17 @@ func (x *extractor) checkReturnedInterior(fi *funcInfo, res ast.Expr) {
 			return
 		}
 	}
-	x.reportf(pkg, res.Pos(), RuleConfine,
+	x.Reportf(pkg, res.Pos(), RuleConfine,
 		"confined method returns an interior pointer to handler state (%s.%s); return a copy, or annotate the field //rt:guard", base.Name, sel.Sel.Name)
 }
 
 // isReceiverIdent reports whether id is the function's receiver variable.
 func (x *extractor) isReceiverIdent(fi *funcInfo, id *ast.Ident) bool {
-	if fi.decl.Recv == nil || len(fi.decl.Recv.List) == 0 || len(fi.decl.Recv.List[0].Names) == 0 {
+	if fi.Decl.Recv == nil || len(fi.Decl.Recv.List) == 0 || len(fi.Decl.Recv.List[0].Names) == 0 {
 		return false
 	}
-	robj := fi.pkg.Info.Defs[fi.decl.Recv.List[0].Names[0]]
-	obj := fi.pkg.Info.Uses[id]
+	robj := fi.Pkg.Info.Defs[fi.Decl.Recv.List[0].Names[0]]
+	obj := fi.Pkg.Info.Uses[id]
 	return robj != nil && obj == robj
 }
 
@@ -180,7 +178,7 @@ func (x *extractor) isReceiverIdent(fi *funcInfo, id *ast.Ident) bool {
 // satellite per-transaction records). Selectors onto //rt:guard-annotated
 // fields are exempt, including everything reached through them.
 func (x *extractor) confinedRefIn(fi *funcInfo, root ast.Node) string {
-	pkg := fi.pkg
+	pkg := fi.Pkg
 	found := ""
 	var walk func(n ast.Node) bool
 	walk = func(n ast.Node) bool {
@@ -211,7 +209,7 @@ func (x *extractor) confinedRefIn(fi *funcInfo, root ast.Node) string {
 			return true
 		}
 		if p, ok := v.Type().(*types.Pointer); ok {
-			if named := receiverNamed(p.Elem()); named != nil && named.Pkg() == pkg.Types {
+			if named := typeNameOf(p.Elem()); named != nil && named.Pkg() == pkg.Types {
 				found = id.Name
 				return false
 			}
@@ -239,7 +237,7 @@ func (x *extractor) checkSendOrder(fi *funcInfo) {
 		return
 	}
 	reported := map[token.Pos]bool{}
-	x.walkBlocks(fi.decl.Body, func(list []ast.Stmt) {
+	x.walkBlocks(fi.Decl.Body, func(list []ast.Stmt) {
 		for i, si := range list {
 			if isCaseClause(si) {
 				// A switch body's statement list is its case clauses; the
@@ -254,8 +252,8 @@ func (x *extractor) checkSendOrder(fi *funcInfo) {
 				for _, sj := range list[i+1:] {
 					if containsAny(sj, transitions) {
 						reported[pos] = true
-						x.reportf(fi.pkg, pos, RuleSendOrder,
-							"send of %s races ahead of the in-memory state transition it advertises (transition at %s); transition, persist, then send", kind, x.shortPos(fi.pkg, firstWithin(sj, transitions)))
+						x.Reportf(fi.Pkg, pos, RuleSendOrder,
+							"send of %s races ahead of the in-memory state transition it advertises (transition at %s); transition, persist, then send", kind, fi.ShortPos(firstWithin(sj, transitions)))
 						break
 					}
 					if _, isRet := sj.(*ast.ReturnStmt); isRet {
@@ -270,10 +268,10 @@ func (x *extractor) checkSendOrder(fi *funcInfo) {
 // requiringSends maps the positions of this function's requiring send
 // call sites to the kind-constant names they send.
 func (x *extractor) requiringSends(fi *funcInfo) map[token.Pos]string {
-	pkg := fi.pkg
-	varKinds := x.collectVarKinds(fi)
+	pkg := fi.Pkg
+	varKinds := fi.VarKinds()
 	out := map[token.Pos]string{}
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
+	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		// A send inside a closure (an After callback, typically) does not
 		// execute at the statement that creates the closure; it is ordered
 		// by when the runtime fires it, not where it is written.
@@ -284,99 +282,24 @@ func (x *extractor) requiringSends(fi *funcInfo) map[token.Pos]string {
 		if !ok {
 			return true
 		}
-		obj := calleeObj(pkg, call.Fun)
+		obj := analysis.ObjOf(pkg, call.Fun)
 		if obj == nil {
 			return true
 		}
 		idx := -1
-		if i, isSend := transportSendKindIdx(obj); isSend {
+		if i, isSend := analysis.SendKindArg(obj); isSend {
 			idx = i
-		} else if ci, isWrap := x.funcs[obj]; isWrap && ci.sendWrapKindIdx >= 0 {
-			idx = ci.sendWrapKindIdx
+		} else if ci := x.funcs.ByObj[obj]; ci != nil {
+			idx = ci.Facts.sendWrapKindIdx
 		}
 		if idx < 0 || idx >= len(call.Args) {
 			return true
 		}
-		for _, kobj := range x.kindObjs(fi, varKinds, call.Args[idx]) {
-			if _, requiring := x.requires[kobj]; requiring {
-				out[call.Pos()] = x.kindName[kobj]
+		kobjs, _ := fi.KindConsts(varKinds, call.Args[idx])
+		for _, kobj := range kobjs {
+			if _, requiring := x.kinds.Class[kobj]; requiring {
+				out[call.Pos()] = kobj.Name()
 				break
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// kindObjs resolves a send's kind expression to the constant(s) it may
-// hold: a constant directly, or every constant assigned to a local
-// variable (flow-insensitively). Parameters resolve to nothing — the
-// wrapper's call sites carry the actual kind.
-func (x *extractor) kindObjs(fi *funcInfo, varKinds map[types.Object][]types.Object, e ast.Expr) []types.Object {
-	pkg := fi.pkg
-	switch v := unparen(e).(type) {
-	case *ast.Ident:
-		obj := pkg.Info.Uses[v]
-		if obj == nil {
-			return nil
-		}
-		if _, isParam := fi.paramIdx[obj]; isParam {
-			return nil
-		}
-		if _, isConst := obj.(*types.Const); isConst {
-			return []types.Object{obj}
-		}
-		return varKinds[obj]
-	case *ast.SelectorExpr:
-		if obj, ok := pkg.Info.Uses[v.Sel].(*types.Const); ok {
-			return []types.Object{obj}
-		}
-	}
-	return nil
-}
-
-// collectVarKinds records every string constant assigned to a local
-// variable in this function, so sends of variable kinds are checked
-// against everything the variable may hold.
-func (x *extractor) collectVarKinds(fi *funcInfo) map[types.Object][]types.Object {
-	pkg := fi.pkg
-	out := map[types.Object][]types.Object{}
-	record := func(lhs, rhs ast.Expr) {
-		id, ok := unparen(lhs).(*ast.Ident)
-		if !ok {
-			return
-		}
-		lobj := pkg.Info.Defs[id]
-		if lobj == nil {
-			lobj = pkg.Info.Uses[id]
-		}
-		if lobj == nil {
-			return
-		}
-		var cobj types.Object
-		switch v := unparen(rhs).(type) {
-		case *ast.Ident:
-			cobj = pkg.Info.Uses[v]
-		case *ast.SelectorExpr:
-			cobj = pkg.Info.Uses[v.Sel]
-		}
-		if c, ok := cobj.(*types.Const); ok && c.Val().Kind() == constant.String {
-			out[lobj] = append(out[lobj], c)
-		}
-	}
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.AssignStmt:
-			if len(v.Lhs) == len(v.Rhs) {
-				for i := range v.Lhs {
-					record(v.Lhs[i], v.Rhs[i])
-				}
-			}
-		case *ast.ValueSpec:
-			if len(v.Names) == len(v.Values) {
-				for i := range v.Names {
-					record(v.Names[i], v.Values[i])
-				}
 			}
 		}
 		return true
@@ -389,9 +312,9 @@ func (x *extractor) collectVarKinds(fi *funcInfo) map[types.Object][]types.Objec
 // to same-load functions that directly assign state (one level of call
 // summaries, enough for the decide()/commit() helpers of the engines).
 func (x *extractor) transitionPositions(fi *funcInfo) map[token.Pos]bool {
-	pkg := fi.pkg
+	pkg := fi.Pkg
 	out := map[token.Pos]bool{}
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
+	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.FuncLit:
 			// A transition inside a closure happens when the closure runs
@@ -405,8 +328,8 @@ func (x *extractor) transitionPositions(fi *funcInfo) map[token.Pos]bool {
 				}
 			}
 		case *ast.CallExpr:
-			if obj := calleeObj(pkg, v.Fun); obj != nil {
-				if ci, ok := x.funcs[obj]; ok && ci.assignsState {
+			if obj := analysis.ObjOf(pkg, v.Fun); obj != nil {
+				if ci := x.funcs.ByObj[obj]; ci != nil && ci.Facts.assignsState {
 					out[v.Pos()] = true
 				}
 			}
@@ -504,17 +427,4 @@ func escapes(stmt ast.Stmt, pos token.Pos) bool {
 	}
 	ast.Inspect(stmt, visit)
 	return !terminated
-}
-
-// shortPos renders a position as file:line relative to the package dir.
-func (x *extractor) shortPos(pkg *analysis.Package, pos token.Pos) string {
-	if pos == token.NoPos {
-		return "?"
-	}
-	p := pkg.Fset.Position(pos)
-	name := p.Filename
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	return fmt.Sprintf("%s:%d", name, p.Line)
 }

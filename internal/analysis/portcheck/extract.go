@@ -1,12 +1,9 @@
 package portcheck
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 
 	"speccat/internal/analysis"
 )
@@ -20,160 +17,104 @@ var simulatorPaths = map[string]bool{ //lint:allow noglobalstate immutable looku
 
 // extractor accumulates the cross-package facts of one Run.
 type extractor struct {
-	pkgs  []*analysis.Package
-	rep   *Report
-	diags []analysis.Diagnostic
+	*analysis.Scope
+	pkgs []*analysis.Package
+	rep  *Report
 
-	// allowed: file -> rule -> lines covered by a reasoned //lint:allow.
-	allowed map[string]map[string]map[int]bool
-	// engines are the //rt:engine packages.
-	engines map[*analysis.Package]bool
-	// funcs indexes every function declaration of the load.
-	funcs map[types.Object]*funcInfo
+	// engines are the //rt:engine packages, in load order.
+	engines []*analysis.Package
+	// funcs indexes the function declarations of the engine packages; the
+	// roots are the //fsm:handler and //dur:handler functions.
+	funcs *analysis.FuncIndex[facts]
 	// confined are the role types (receivers of handler roots).
 	confined map[*types.TypeName]bool
 	// guards maps //rt:guard-annotated field objects to their kind.
 	guards map[types.Object]string
-	// requires maps //dur:requires-annotated kind constants to classes.
-	requires map[types.Object]string
-	// kindName maps those constants to their declared names.
-	kindName map[types.Object]string
+	// kinds is the //dur:requires table of the engine packages: the kinds
+	// whose sends advertise a durable protocol step.
+	kinds *analysis.KindTable
 	// stateTypes are the named types whose constants carry //fsm:state:
 	// assigning a field of such a type is an in-memory state transition.
 	stateTypes map[*types.TypeName]bool
 }
 
-// funcInfo is the per-function view.
-type funcInfo struct {
-	pkg  *analysis.Package
-	decl *ast.FuncDecl
-	obj  types.Object
-	name string
-	// recv is the receiver's type name, nil for plain functions.
-	recv *types.TypeName
-	// isRoot marks handler analysis roots (//fsm:handler, //dur:handler).
-	isRoot bool
-	// paramIdx maps parameter objects to their flat index.
-	paramIdx map[types.Object]int
+type funcInfo = analysis.Func[facts]
+
+// facts is the per-function classification.
+type facts struct {
 	// sendWrapKindIdx is the parameter index this function forwards as a
 	// send kind, or -1.
 	sendWrapKindIdx int
 	// assignsState reports a direct assignment to a state-typed field.
 	assignsState bool
-	// calls are the same-load callees, for reachability and summaries.
-	calls []types.Object
-	// reachable marks membership in the handler call graph.
-	reachable bool
 }
 
 func newExtractor(pkgs []*analysis.Package) *extractor {
 	return &extractor{
+		Scope:      analysis.NewScope(pkgs, "rt", RuleExtract, verbs),
 		pkgs:       pkgs,
 		rep:        &Report{Guards: map[string]string{}},
-		allowed:    map[string]map[string]map[int]bool{},
-		engines:    map[*analysis.Package]bool{},
-		funcs:      map[types.Object]*funcInfo{},
 		confined:   map[*types.TypeName]bool{},
 		guards:     map[types.Object]string{},
-		requires:   map[types.Object]string{},
-		kindName:   map[types.Object]string{},
 		stateTypes: map[*types.TypeName]bool{},
 	}
-}
-
-func (x *extractor) reportf(pkg *analysis.Package, pos token.Pos, rule, format string, args ...any) {
-	x.diags = append(x.diags, analysis.Diagnostic{
-		Pos:     pkg.Fset.Position(pos),
-		Rule:    rule,
-		Message: fmt.Sprintf(format, args...),
-	})
 }
 
 // extract runs every pass and assembles the report.
 func (x *extractor) extract() *Report {
 	for _, pkg := range x.pkgs {
-		for _, f := range pkg.Files {
-			x.scanAllows(pkg, f)
-		}
-		x.scanDirectives(pkg)
+		x.bindDirectives(pkg)
 	}
-	for _, pkg := range x.pkgs {
-		if !x.engines[pkg] {
-			continue
+	x.kinds = analysis.RequiredKinds(x.engines, nil)
+	analysis.EachConstSpec(x.engines, func(pkg *analysis.Package, spec *ast.ValueSpec) {
+		for _, d := range analysis.CommentDirectives(pkg, spec.Comment) {
+			if named, ok := pkg.Info.TypeOf(spec.Names[0]).(*types.Named); ok && d.NS == "fsm" && d.Verb == "state" {
+				x.stateTypes[named.Obj()] = true
+			}
 		}
-		for _, f := range pkg.Files {
-			x.scanConsts(pkg, f)
-			x.scanFuncs(pkg, f)
-		}
-	}
-	for _, fi := range x.funcs {
+	})
+	x.funcs = analysis.IndexFuncs[facts](x.engines, "fsm:handler", "dur:handler")
+	for _, fi := range x.funcs.Sorted() {
 		x.computeFuncFacts(fi)
-	}
-	x.markConfined()
-	x.markReachable()
-	for _, pkg := range x.pkgs {
-		if x.engines[pkg] {
-			x.checkBoundary(pkg)
+		if tn := recvTypeName(fi); fi.Root && tn != nil && !x.confined[tn] {
+			x.confined[tn] = true
+			x.rep.Confined = append(x.rep.Confined, fi.Pkg.Types.Name()+"."+tn.Name())
 		}
 	}
-	for _, fi := range x.funcs {
-		if !fi.reachable {
-			continue
-		}
+	for _, pkg := range x.engines {
+		x.checkBoundary(pkg)
+	}
+	// Only functions reachable from the handler roots are subject to
+	// confinement and send-order checks (constructor and harness wiring
+	// runs before the event loops exist).
+	reachable := x.funcs.Reachable(nil)
+	for _, fi := range reachable {
 		x.checkConfine(fi)
 		x.checkSendOrder(fi)
 	}
+	x.ReportUnbound()
+	x.rep.Analyzed = len(reachable)
+	x.rep.Roots = x.funcs.RootNames()
 	sort.Strings(x.rep.Engines)
 	sort.Strings(x.rep.Confined)
-	sort.Strings(x.rep.Roots)
 	return x.rep
 }
 
-// scanAllows collects the reasoned //lint:allow directives of one file.
-// Malformed directives never suppress; reporting them is the base
-// design-rule layer's job.
-func (x *extractor) scanAllows(pkg *analysis.Package, f *ast.File) {
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			rest, ok := strings.CutPrefix(text, "lint:allow")
-			if !ok {
-				continue
-			}
-			rule, reason, _ := strings.Cut(strings.TrimSpace(rest), " ")
-			if rule == "" || strings.TrimSpace(reason) == "" {
-				continue
-			}
-			pos := pkg.Fset.Position(c.Pos())
-			byRule := x.allowed[pos.Filename]
-			if byRule == nil {
-				byRule = map[string]map[int]bool{}
-				x.allowed[pos.Filename] = byRule
-			}
-			lines := byRule[rule]
-			if lines == nil {
-				lines = map[int]bool{}
-				byRule[rule] = lines
-			}
-			lines[pos.Line] = true
-			lines[pos.Line+1] = true
-		}
-	}
-}
-
-// scanDirectives parses every //rt:* directive of one package, binds the
-// well-placed ones (//rt:engine in the package doc, //rt:guard trailing a
-// struct field) and reports the rest as rt-extract findings.
-func (x *extractor) scanDirectives(pkg *analysis.Package) {
+// bindDirectives binds the well-placed //rt:* directives of one package:
+// //rt:engine in a package doc comment, //rt:guard on a struct field. The
+// rest stay unbound and are reported as rt-extract findings.
+func (x *extractor) bindDirectives(pkg *analysis.Package) {
 	for _, f := range pkg.Files {
-		// Positions at which each directive verb may legally appear.
-		docPos := map[token.Pos]bool{}
-		if f.Doc != nil {
-			for _, c := range f.Doc.List {
-				docPos[c.Pos()] = true
+		for _, d := range x.Directives(f.Doc) {
+			if d.Verb != "engine" {
+				continue
+			}
+			x.Bind(d)
+			if len(x.engines) == 0 || x.engines[len(x.engines)-1] != pkg {
+				x.engines = append(x.engines, pkg)
+				x.rep.Engines = append(x.rep.Engines, pkg.ImportPath)
 			}
 		}
-		fieldAt := map[token.Pos]types.Object{}
 		ast.Inspect(f, func(n ast.Node) bool {
 			st, ok := n.(*ast.StructType)
 			if !ok || st.Fields == nil {
@@ -183,64 +124,26 @@ func (x *extractor) scanDirectives(pkg *analysis.Package) {
 				if len(field.Names) == 0 {
 					continue
 				}
-				obj := pkg.Info.Defs[field.Names[0]]
-				for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-					if cg == nil {
-						continue
-					}
-					for _, c := range cg.List {
-						fieldAt[c.Pos()] = obj
+				for _, d := range x.Directives(field.Doc, field.Comment) {
+					if d.Verb == "guard" {
+						x.Bind(d)
+						x.bindGuard(pkg, pkg.Info.Defs[field.Names[0]], d)
 					}
 				}
 			}
 			return true
 		})
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				pos := pkg.Fset.Position(c.Pos())
-				for _, d := range parseDirectives(c.Text, pos) {
-					x.bindDirective(pkg, f, c, d, docPos, fieldAt)
-				}
-			}
-		}
 	}
 }
 
-func (x *extractor) bindDirective(pkg *analysis.Package, f *ast.File, c *ast.Comment, d directive, docPos map[token.Pos]bool, fieldAt map[token.Pos]types.Object) {
-	switch d.verb {
-	case "engine":
-		if !docPos[c.Pos()] {
-			x.reportf(pkg, c.Pos(), RuleExtract, "//rt:engine must appear in the package doc comment")
-			return
-		}
-		if len(d.args) != 0 {
-			x.reportf(pkg, c.Pos(), RuleExtract, "malformed //rt:engine: takes no arguments, got %q", d.rest)
-			return
-		}
-		if !x.engines[pkg] {
-			x.engines[pkg] = true
-			x.rep.Engines = append(x.rep.Engines, pkg.ImportPath)
-		}
-	case "guard":
-		obj, attached := fieldAt[c.Pos()]
-		if !attached {
-			x.reportf(pkg, c.Pos(), RuleExtract, "//rt:guard must trail a struct field declaration")
-			return
-		}
-		if len(d.args) < 2 {
-			x.reportf(pkg, c.Pos(), RuleExtract, "malformed //rt:guard: want //rt:guard <mutex|channel|loop> <reason>")
-			return
-		}
-		if !guardKinds[d.args[0]] {
-			x.reportf(pkg, c.Pos(), RuleExtract, "unknown //rt:guard kind %q: want mutex, channel or loop", d.args[0])
-			return
-		}
-		if obj != nil {
-			x.guards[obj] = d.args[0]
-			x.rep.Guards[guardDisplayName(pkg, obj)] = d.args[0]
-		}
-	default:
-		x.reportf(pkg, c.Pos(), RuleExtract, "unknown directive //rt:%s", d.verb)
+func (x *extractor) bindGuard(pkg *analysis.Package, obj types.Object, d analysis.Directive) {
+	if !guardKinds[d.Args[0]] {
+		x.ReportAt(d.Pos, RuleExtract, "unknown //rt:guard kind %q: want mutex, channel or loop", d.Args[0])
+		return
+	}
+	if obj != nil {
+		x.guards[obj] = d.Args[0]
+		x.rep.Guards[guardDisplayName(pkg, obj)] = d.Args[0]
 	}
 }
 
@@ -268,159 +171,31 @@ func guardDisplayName(pkg *analysis.Package, obj types.Object) string {
 	return obj.Name()
 }
 
-// scanConsts binds //dur:requires and //fsm:state trailing annotations to
-// their constants: the former mark the kinds whose sends advertise a
-// durable protocol step, the latter identify the state-machine types.
-func (x *extractor) scanConsts(pkg *analysis.Package, f *ast.File) {
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.CONST {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok || vs.Comment == nil || len(vs.Names) == 0 {
-				continue
-			}
-			text := vs.Comment.List[0].Text
-			obj := pkg.Info.Defs[vs.Names[0]]
-			if obj == nil {
-				continue
-			}
-			if class, ok := trailingDirectiveArg(text, "dur:requires"); ok && class != "" {
-				x.requires[obj] = class
-				x.kindName[obj] = obj.Name()
-			}
-			if _, ok := trailingDirectiveArg(text, "fsm:state"); ok {
-				if named, ok := obj.Type().(*types.Named); ok {
-					x.stateTypes[named.Obj()] = true
-				}
-			}
-		}
+// typeNameOf unwraps a (possibly pointer) type to its type name.
+func typeNameOf(t types.Type) *types.TypeName {
+	if named := analysis.NamedOf(t); named != nil {
+		return named.Obj()
 	}
+	return nil
 }
 
-// trailingDirectiveArg finds a "//<verb> <args>" segment in a trailing
-// comment shared between layers and returns its first argument.
-func trailingDirectiveArg(text, verb string) (string, bool) {
-	body := strings.TrimSpace(strings.TrimPrefix(text, "//"))
-	for _, seg := range strings.Split(body, "//") {
-		rest, ok := strings.CutPrefix(strings.TrimSpace(seg), verb)
-		if !ok || (rest != "" && rest[0] != ' ') {
-			continue
-		}
-		args := strings.Fields(rest)
-		if len(args) == 0 {
-			return "", true
-		}
-		return args[0], true
-	}
-	return "", false
-}
-
-// scanFuncs indexes the function declarations of one engine file and
-// marks the handler analysis roots.
-func (x *extractor) scanFuncs(pkg *analysis.Package, f *ast.File) {
-	for _, decl := range f.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Body == nil {
-			continue
-		}
-		obj := pkg.Info.Defs[fn.Name]
-		if obj == nil {
-			continue
-		}
-		fi := &funcInfo{
-			pkg:             pkg,
-			decl:            fn,
-			obj:             obj,
-			name:            funcDisplayName(fn),
-			sendWrapKindIdx: -1,
-			paramIdx:        map[types.Object]int{},
-		}
-		if fn.Recv != nil && len(fn.Recv.List) > 0 {
-			fi.recv = receiverNamed(pkg.Info.TypeOf(fn.Recv.List[0].Type))
-		}
-		idx := 0
-		if fn.Type.Params != nil {
-			for _, field := range fn.Type.Params.List {
-				for _, name := range field.Names {
-					if po := pkg.Info.Defs[name]; po != nil {
-						fi.paramIdx[po] = idx
-					}
-					idx++
-				}
-			}
-		}
-		if fn.Doc != nil {
-			for _, c := range fn.Doc.List {
-				body := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				if strings.HasPrefix(body, "fsm:handler") || strings.HasPrefix(body, "dur:handler") {
-					fi.isRoot = true
-				}
-			}
-		}
-		x.funcs[obj] = fi
-		if fi.isRoot {
-			x.rep.Roots = append(x.rep.Roots, fi.name)
-		}
-	}
-}
-
-func funcDisplayName(fn *ast.FuncDecl) string {
-	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return fn.Name.Name
-	}
-	t := fn.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name + "." + fn.Name.Name
-	}
-	return fn.Name.Name
-}
-
-// receiverNamed unwraps a (possibly pointer) type to its type name.
-func receiverNamed(t types.Type) *types.TypeName {
-	if t == nil {
-		return nil
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
+// recvTypeName is the receiver's type name, nil for plain functions.
+func recvTypeName(fi *funcInfo) *types.TypeName {
+	if named := fi.RecvNamed(); named != nil {
 		return named.Obj()
 	}
 	return nil
 }
 
 // computeFuncFacts fills the per-function classification: send-wrapper
-// kind forwarding, direct state-transition assignments, and the static
-// callee list.
+// kind forwarding and direct state-transition assignments.
 func (x *extractor) computeFuncFacts(fi *funcInfo) {
-	pkg := fi.pkg
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.CallExpr:
-			obj := calleeObj(pkg, v.Fun)
-			if obj == nil {
-				return true
-			}
-			if idx, isSend := transportSendKindIdx(obj); isSend && idx < len(v.Args) {
-				if id, ok := unparen(v.Args[idx]).(*ast.Ident); ok {
-					if po := pkg.Info.Uses[id]; po != nil {
-						if pidx, isParam := fi.paramIdx[po]; isParam {
-							fi.sendWrapKindIdx = pidx
-						}
-					}
-				}
-			}
-			fi.calls = append(fi.calls, obj)
-		case *ast.AssignStmt:
+	fi.Facts.sendWrapKindIdx = fi.SendWrapperParam()
+	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
+		if v, ok := n.(*ast.AssignStmt); ok {
 			for _, lhs := range v.Lhs {
-				if x.isStateField(pkg, lhs) {
-					fi.assignsState = true
+				if x.isStateField(fi.Pkg, lhs) {
+					fi.Facts.assignsState = true
 				}
 			}
 		}
@@ -431,115 +206,14 @@ func (x *extractor) computeFuncFacts(fi *funcInfo) {
 // isStateField reports whether expr is a selector onto a field of a
 // state-machine type (one whose constants carry //fsm:state).
 func (x *extractor) isStateField(pkg *analysis.Package, expr ast.Expr) bool {
-	sel, ok := unparen(expr).(*ast.SelectorExpr)
+	sel, ok := analysis.Unparen(expr).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
-	obj := pkg.Info.Uses[sel.Sel]
-	if obj == nil {
-		return false
-	}
-	if _, isVar := obj.(*types.Var); !isVar {
+	obj, isVar := pkg.Info.Uses[sel.Sel].(*types.Var)
+	if !isVar {
 		return false
 	}
 	named, ok := obj.Type().(*types.Named)
 	return ok && x.stateTypes[named.Obj()]
-}
-
-// calleeObj resolves a call expression's static callee.
-func calleeObj(pkg *analysis.Package, fun ast.Expr) types.Object {
-	switch v := unparen(fun).(type) {
-	case *ast.Ident:
-		return pkg.Info.Uses[v]
-	case *ast.SelectorExpr:
-		return pkg.Info.Uses[v.Sel]
-	}
-	return nil
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
-// transportSendKindIdx reports whether obj is a runtime-boundary send
-// primitive and, if so, which argument carries the message kind. The
-// simulator's concrete methods are included so suppressed harness files
-// inside engine packages are still checked for send ordering.
-func transportSendKindIdx(obj types.Object) (int, bool) {
-	if isMethodOn(obj, "internal/rt", "Transport", "Send") ||
-		isMethodOn(obj, "internal/simnet", "Network", "Send") {
-		return 2, true
-	}
-	if isMethodOn(obj, "internal/rt", "Transport", "Broadcast") ||
-		isMethodOn(obj, "internal/simnet", "Network", "Broadcast") {
-		return 1, true
-	}
-	return 0, false
-}
-
-// isMethodOn reports whether obj is the named method on pkgSuffix.typeName.
-func isMethodOn(obj types.Object, pkgSuffix, typeName string, names ...string) bool {
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	named := receiverNamed(sig.Recv().Type())
-	if named == nil || named.Name() != typeName || named.Pkg() == nil || !strings.HasSuffix(named.Pkg().Path(), pkgSuffix) {
-		return false
-	}
-	if len(names) == 0 {
-		return true
-	}
-	for _, n := range names {
-		if fn.Name() == n {
-			return true
-		}
-	}
-	return false
-}
-
-// markConfined records the receiver types of the handler roots.
-func (x *extractor) markConfined() {
-	for _, fi := range x.funcs {
-		if fi.isRoot && fi.recv != nil {
-			if !x.confined[fi.recv] {
-				x.confined[fi.recv] = true
-				x.rep.Confined = append(x.rep.Confined, fi.pkg.Types.Name()+"."+fi.recv.Name())
-			}
-		}
-	}
-}
-
-// markReachable walks the static call graph from the handler roots; only
-// reachable functions are subject to confinement and send-order checks
-// (constructor and harness wiring runs before the event loops exist).
-func (x *extractor) markReachable() {
-	var queue []*funcInfo
-	for _, fi := range x.funcs {
-		if fi.isRoot {
-			fi.reachable = true
-			queue = append(queue, fi)
-		}
-	}
-	for len(queue) > 0 {
-		fi := queue[0]
-		queue = queue[1:]
-		x.rep.Analyzed++
-		for _, callee := range fi.calls {
-			if ci, ok := x.funcs[callee]; ok && !ci.reachable {
-				ci.reachable = true
-				queue = append(queue, ci)
-			}
-		}
-	}
 }

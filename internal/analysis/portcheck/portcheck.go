@@ -15,8 +15,9 @@
 //
 // Scope: packages whose package doc carries //rt:engine. Within them the
 // confined role types are the receiver types of //fsm:handler and
-// //dur:handler methods, and the analysis walks the static call graph
-// rooted at those handlers.
+// //dur:handler methods, and the analysis walks the engine packages' call
+// graph rooted at those handlers (interface calls bridged to their
+// engine-package implementations).
 //
 // Annotation grammar:
 //
@@ -53,8 +54,8 @@
 //
 // Findings are suppressed with the repository-wide convention
 // //lint:allow <rule> <reason> on the offending or preceding line;
-// reasonless allows are reported by the base design-rule layer, not
-// re-reported here.
+// malformed allows are reported by the base design-rule layer, not
+// re-reported here — they simply never suppress.
 //
 // The dynamic halves of this layer live elsewhere: experiment E16 runs
 // the ported tpc stack on the live adapter and replays the recorded
@@ -63,13 +64,7 @@
 // race detector reports it at runtime.
 package portcheck
 
-import (
-	"go/token"
-	"sort"
-	"strings"
-
-	"speccat/internal/analysis"
-)
+import "speccat/internal/analysis"
 
 // Rule names reported by this layer.
 const (
@@ -98,40 +93,18 @@ type Report struct {
 	Guards map[string]string
 }
 
-// directive is one parsed //rt:<verb> annotation.
-type directive struct {
-	verb string
-	args []string
-	rest string
-	pos  token.Position
-}
-
-// parseDirectives extracts the rt: directives of one comment. The comment
-// must begin with a directive, but the leading directive may belong to
-// another layer (//fsm:..., //dur:...) with //rt: segments appended; each
-// layer reads its own segments and skips the others'.
-func parseDirectives(text string, pos token.Position) []directive {
-	body := strings.TrimSpace(strings.TrimPrefix(text, "//"))
-	if !strings.HasPrefix(body, "rt:") && !strings.HasPrefix(body, "fsm:") && !strings.HasPrefix(body, "dur:") {
-		return nil
-	}
-	var out []directive
-	for _, seg := range strings.Split(body, "//") {
-		seg = strings.TrimSpace(seg)
-		rest, ok := strings.CutPrefix(seg, "rt:")
-		if !ok {
-			continue
-		}
-		verb, args, _ := strings.Cut(rest, " ")
-		args = strings.TrimSpace(args)
-		out = append(out, directive{
-			verb: verb,
-			args: strings.Fields(args),
-			rest: args,
-			pos:  pos,
-		})
-	}
-	return out
+// verbs is the //rt:* verb table, plus the borrowed //lint:allow.
+var verbs = map[string]analysis.Verb{ //lint:allow noglobalstate immutable lookup table
+	"engine": {
+		Usage: "malformed //rt:%[1]s: takes no arguments, got %[2]d",
+		Where: "//rt:%[1]s must appear in the package doc comment",
+	},
+	"guard": {
+		Min: 2, Max: -1,
+		Usage: "malformed //rt:%[1]s: want //rt:%[1]s <mutex|channel|loop> <reason>",
+		Where: "//rt:%[1]s must trail a struct field declaration",
+	},
+	"lint:allow": {Kind: analysis.Suppresses, Rule: analysis.RuleArg, Min: 2, Max: -1},
 }
 
 // Run analyzes the loaded packages and returns the coverage report and
@@ -140,34 +113,5 @@ func parseDirectives(text string, pos token.Position) []directive {
 func Run(pkgs []*analysis.Package) (*Report, []analysis.Diagnostic) {
 	x := newExtractor(pkgs)
 	rep := x.extract()
-	diags := x.suppress(x.diags)
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Message < b.Message
-	})
-	return rep, diags
-}
-
-// suppress drops diagnostics covered by a reasoned //lint:allow for the
-// same rule on the same or preceding line. Malformed allows (missing rule
-// or reason) are the base design-rule layer's finding, not re-reported
-// here; they simply never suppress.
-func (x *extractor) suppress(diags []analysis.Diagnostic) []analysis.Diagnostic {
-	var out []analysis.Diagnostic
-	for _, d := range diags {
-		if lines := x.allowed[d.Pos.Filename][d.Rule]; lines[d.Pos.Line] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
+	return rep, x.Diagnostics()
 }
