@@ -1,18 +1,21 @@
-// Command tpcverify runs the full reproduction suite — experiments E1..E11
-// plus the E14 parallel proof pipeline and the E15 durability
-// cross-validation and the E16 real-goroutine conformance replay from
-// DESIGN.md — and prints each regenerated
-// artifact: Table 3.1, the Fig. 3.4/3.5 composition chains, the three
-// global-property proofs, the model-checked non-blocking theorem, the
-// end-to-end 3PC/2PC comparison, the modular-vs-monolithic verification
-// ablation, the assumption-violation matrix, the worker-pool proof
-// schedule (-only e14, -workers n), and the static-durability
-// cross-validation verdicts (-only e15), the live-vs-replay conformance
-// table (-only e16), the TCP wire conformance table (-only e17), and the
-// commutativity-derived lock-mode conformance report (-only e18), and the
-// sharded group-commit conformance and fsync-bill report (-only e19), and
-// the lock-discipline static analysis with its explorer-witnessed
-// cross-shard deadlock (-only e20).
+// Command tpcverify runs the reproduction suite of DESIGN.md and prints
+// each regenerated artifact. -only selects experiments by name:
+//
+//	e1        Table 3.1: the building blocks of 3PC
+//	e2, e3    Figs. 3.4/3.5: the two sequential-division colimit chains
+//	e2b       Figs. 4.3–4.8: module-level composition
+//	e4,e5,e6  proofs p1..p3: serializability, consistent state, roll-back recovery
+//	e7        Fig. 3.2: the model-checked non-blocking theorem
+//	e8        Fig. 3.1: end-to-end 3PC vs 2PC under a coordinator crash (-seed, -txns)
+//	e9        modular vs monolithic verification ablation
+//	e10       assumption-violation matrix
+//	e11       proof axioms checked on execution traces (-seed)
+//	e14       corpus proofs on a worker pool (-workers)
+//	e15       static durcheck plus staged crash-at-dissemination schedules
+//	e16, e17  live-goroutine and TCP runs replayed deterministically
+//	e18       commutativity-derived lock modes: conflict rates, underlock ablation
+//	e19       sharded group-committed commit path: conformance and fsync bill
+//	e20       static lockcheck plus the explorer-witnessed cross-shard deadlock
 package main
 
 import (
@@ -210,38 +213,15 @@ func run(sel func(string) bool, seed int64, txns, workers int) error {
 
 	if sel("e16") {
 		fmt.Println("== E16: real-goroutine conformance — live run recorded and replayed deterministically ==")
-		rows, err := experiments.E16LiveConformance()
-		if err != nil {
+		if err := printConformance(experiments.E16LiveConformance()); err != nil {
 			return err
 		}
-		for _, r := range rows {
-			verdict := "CONFORMS"
-			if !r.Agree() {
-				verdict = fmt.Sprintf("DIVERGES (replay=%v durable=%v)", r.ReplayAgree, r.DurableAgree)
-			}
-			fmt.Printf("  %-4s %d txns, %3d deliveries traced: commit=%v abort=%v — %s\n",
-				r.Protocol, r.Txns, r.Messages,
-				r.Decisions["t-commit"], r.Decisions["t-abort"], verdict)
-		}
-		fmt.Println()
 	}
-
 	if sel("e17") {
 		fmt.Println("== E17: TCP conformance — real-socket run recorded and replayed deterministically ==")
-		rows, err := experiments.E17TCPConformance()
-		if err != nil {
+		if err := printConformance(experiments.E17TCPConformance()); err != nil {
 			return err
 		}
-		for _, r := range rows {
-			verdict := "CONFORMS"
-			if !r.Agree() {
-				verdict = fmt.Sprintf("DIVERGES (replay=%v durable=%v)", r.ReplayAgree, r.DurableAgree)
-			}
-			fmt.Printf("  %-4s %d txns, %3d deliveries traced, %3d frames on the wire: commit=%v abort=%v — %s\n",
-				r.Protocol, r.Txns, r.Messages, r.FramesSent,
-				r.Decisions["t-commit"], r.Decisions["t-abort"], verdict)
-		}
-		fmt.Println()
 	}
 
 	if sel("e18") {
@@ -251,20 +231,13 @@ func run(sel func(string) bool, seed int64, txns, workers int) error {
 			return err
 		}
 		for _, r := range []experiments.E18Row{res.Exclusive, res.Commutative} {
-			verdict := "oracles clean"
-			if len(r.Violated) > 0 {
-				verdict = "VIOLATED " + strings.Join(r.Violated, ",")
-			}
 			fmt.Printf("  %-16s seeds=%d txns/seed=%d: %4d committed, %4d aborted; conflict rate %.3f; %.2f commits/ktick; %s\n",
-				r.Label, r.Seeds, r.Txns, r.Committed, r.Aborted, r.ConflictRate, r.Throughput, verdict)
+				r.Label, r.Seeds, r.Txns, r.Committed, r.Aborted, r.ConflictRate, r.Throughput, verdict(r.Violated, "oracles clean"))
 		}
 		fmt.Printf("  conflict-rate reduction: %.1f%% → %.1f%% on the same zipfian shape\n",
 			100*res.Exclusive.ConflictRate, 100*res.Commutative.ConflictRate)
-		if res.FaultedClean {
-			fmt.Printf("  crash+recover sweep (%d seeds): every oracle clean — committed increments survive via the WAL's logical fold\n", res.FaultedSeeds)
-		} else {
-			fmt.Printf("  crash+recover sweep (%d seeds): VIOLATED %s\n", res.FaultedSeeds, strings.Join(res.FaultedViolated, ","))
-		}
+		fmt.Printf("  crash+recover sweep (%d seeds): %s\n", res.FaultedSeeds,
+			verdict(res.FaultedViolated, "every oracle clean — committed increments survive via the WAL's logical fold"))
 		if res.Ablation.Caught {
 			control := "control (correct locking) clean"
 			if !res.Ablation.ControlClean {
@@ -285,18 +258,11 @@ func run(sel func(string) bool, seed int64, txns, workers int) error {
 			return err
 		}
 		for _, r := range []experiments.E19Row{res.Unsharded, res.Sharded, res.Grouped} {
-			verdict := "oracles clean"
-			if len(r.Violated) > 0 {
-				verdict = "VIOLATED " + strings.Join(r.Violated, ",")
-			}
 			fmt.Printf("  %-14s shards=%d group=%-5v seeds=%d txns/seed=%d: %4d committed, %3d aborted; %.2f commits/ktick; %4d syncs (%.2f/commit); %s\n",
-				r.Label, r.Shards, r.GroupCommit, r.Seeds, r.Txns, r.Committed, r.Aborted, r.Throughput, r.Syncs, r.SyncsPerCommit, verdict)
+				r.Label, r.Shards, r.GroupCommit, r.Seeds, r.Txns, r.Committed, r.Aborted, r.Throughput, r.Syncs, r.SyncsPerCommit, verdict(r.Violated, "oracles clean"))
 		}
-		if res.CrashClean {
-			fmt.Printf("  crash-at-batch-boundary sweep (%d seeds): every oracle clean — the synced prefix re-derives lost commit records on restart\n", res.CrashSeeds)
-		} else {
-			fmt.Printf("  crash-at-batch-boundary sweep (%d seeds): VIOLATED %s\n", res.CrashSeeds, strings.Join(res.CrashViolated, ","))
-		}
+		fmt.Printf("  crash-at-batch-boundary sweep (%d seeds): %s\n", res.CrashSeeds,
+			verdict(res.CrashViolated, "every oracle clean — the synced prefix re-derives lost commit records on restart"))
 		fmt.Println()
 	}
 
@@ -309,12 +275,8 @@ func run(sel func(string) bool, seed int64, txns, workers int) error {
 		fmt.Printf("  static lockcheck over ./internal/...: %d findings; %d roots, %d functions analyzed, %d acquire / %d release sites, %d routed calls, %d SyncThen continuations\n",
 			res.Findings, res.Roots, res.Analyzed, res.AcquireSites, res.ReleaseSites, res.RoutedCalls, res.SyncThenSites)
 		for _, arm := range []experiments.E20Arm{res.Ablated, res.Canonical, res.Single} {
-			verdict := "oracles clean"
-			if len(arm.Violated) > 0 {
-				verdict = "VIOLATED " + strings.Join(arm.Violated, ",")
-			}
 			fmt.Printf("  %-18s seeds=%d: %3d committed, %3d aborted, %3d undecided, %d stalls; %s\n",
-				arm.Label, arm.Seeds, arm.Committed, arm.Aborted, arm.Undecided, arm.Stalls, verdict)
+				arm.Label, arm.Seeds, arm.Committed, arm.Aborted, arm.Undecided, arm.Stalls, verdict(arm.Violated, "oracles clean"))
 		}
 		if res.Witness {
 			fmt.Printf("  lock-order witness: seed=%d stalls the sharded engine (fault-free progress violation); canonical-order control clean\n", res.WitnessSeed)
@@ -351,6 +313,37 @@ func corpusEnv(workers int) (*speclang.Env, error) {
 	}
 	env, _, err := thesis.CorpusParallel(workers)
 	return env, err
+}
+
+// verdict renders a sweep's violated-oracle set, or clean when it is empty.
+func verdict(violated []string, clean string) string {
+	if len(violated) == 0 {
+		return clean
+	}
+	return "VIOLATED " + strings.Join(violated, ",")
+}
+
+// printConformance prints one E16/E17 table: a row per protocol, with the
+// wire's frame count where there is a wire.
+func printConformance(rows []experiments.ConformanceRow, err error) error {
+	if err != nil {
+		return err
+	}
+	for _, r := range rows {
+		frames := ""
+		if r.FramesSent > 0 {
+			frames = fmt.Sprintf(", %3d frames on the wire", r.FramesSent)
+		}
+		verdict := "CONFORMS"
+		if !r.Agree() {
+			verdict = fmt.Sprintf("DIVERGES (replay=%v durable=%v)", r.ReplayAgree, r.DurableAgree)
+		}
+		fmt.Printf("  %-4s %d txns, %3d deliveries traced%s: commit=%v abort=%v — %s\n",
+			r.Protocol, r.Txns, r.Messages, frames,
+			r.Decisions["t-commit"], r.Decisions["t-abort"], verdict)
+	}
+	fmt.Println()
+	return nil
 }
 
 func printChain(steps []thesis.ChainStep, err error) error {

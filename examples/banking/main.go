@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"os"
 
-	"speccat/internal/kvstore"
 	"speccat/internal/tpc"
 	"speccat/internal/txn"
 	"speccat/internal/workload"
@@ -77,15 +76,6 @@ func run() error {
 			if err := cluster.Net.Recover(victim); err != nil {
 				return err
 			}
-			st, err := cluster.Net.Store(victim)
-			if err != nil {
-				return err
-			}
-			store, err := kvstore.Open(st) // reopen = recover
-			if err != nil {
-				return err
-			}
-			cluster.Sites[victim].Store = store
 		}
 
 		ops, undo := ledger.Fill(wt, 10)

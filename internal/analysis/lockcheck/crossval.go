@@ -53,12 +53,11 @@ func OpposedSchedule(seed int64) explore.Schedule {
 }
 
 // CrossValidate turns a static lock-order finding into a dynamic
-// counterexample. Per seed it runs the opposed-workload schedule twice:
-// the ablated arm (iteration-order acquisition across two shard-local
-// managers — the shape the finding convicts) must stall into a fault-free
-// progress violation, and the repaired arm (identical schedule with
-// CanonicalLockOrder) must finish clean. The first seed whose two arms
-// split that way is returned as the witness.
+// counterexample: the first seed whose opposed-workload schedule stalls
+// the ablated engine (iteration-order acquisition across two shard-local
+// managers — the shape the finding convicts) into a fault-free progress
+// violation, with the repaired arm (the identical schedule under
+// CanonicalLockOrder) run as its control.
 //
 // It returns nil when no seed yields one — the expected outcome when the
 // engine under test already acquires in canonical order (the negative
@@ -67,46 +66,16 @@ func CrossValidate(finding analysis.Diagnostic, seeds []int64) (*CrossValidation
 	if finding.Rule != RuleOrder {
 		return nil, fmt.Errorf("lockcheck: cross-validation witnesses %s findings, got %s", RuleOrder, finding.Rule)
 	}
-	for _, seed := range seeds {
-		cv, err := crossValidateSeed(seed)
-		if err != nil {
-			return nil, err
-		}
-		if cv != nil {
-			cv.Rule = finding.Rule
-			return cv, nil
-		}
-	}
-	return nil, nil
-}
-
-func crossValidateSeed(seed int64) (*CrossValidation, error) {
-	ablated := OpposedSchedule(seed)
-	res, err := explore.Run(ablated)
+	w, err := explore.Witness(seeds, OpposedSchedule, explore.OracleProgress,
+		func(s *explore.Schedule) { s.CanonicalLockOrder = true })
 	if err != nil {
-		return nil, fmt.Errorf("lockcheck: cross-validation ablated arm: %w", err)
+		return nil, fmt.Errorf("lockcheck: cross-validation: %w", err)
 	}
-	violated := res.ViolatedOracles()
-	stalled := false
-	for _, oracle := range violated {
-		if oracle == "progress" {
-			stalled = true
-		}
-	}
-	if !stalled {
+	if w == nil {
 		return nil, nil
 	}
-
-	repaired := ablated
-	repaired.CanonicalLockOrder = true
-	ctrl, err := explore.Run(repaired)
-	if err != nil {
-		return nil, fmt.Errorf("lockcheck: cross-validation repaired arm: %w", err)
-	}
 	return &CrossValidation{
-		Seed:           seed,
-		Schedule:       ablated,
-		Violated:       violated,
-		CanonicalClean: len(ctrl.ViolatedOracles()) == 0,
+		Rule: finding.Rule, Seed: w.Seed, Schedule: w.Schedule,
+		Violated: w.Violated, CanonicalClean: w.ControlClean,
 	}, nil
 }

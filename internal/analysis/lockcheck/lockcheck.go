@@ -14,7 +14,7 @@
 // Analysis roots are the //fsm:handler and //dur:handler dispatch
 // functions, the //comm:op-annotated store operations, and //lock:handler
 // opt-ins; from each root the same-module call graph is followed, bridging
-// kvstore.DB-style interface calls to every implementation in the load.
+// interface calls to every implementation in the load.
 // Lock events are locking.Manager.Acquire / Release / ReleaseAll calls;
 // durable decision points are wal.Log.Commit / Abort; durability waits are
 // stable.Store.SyncThen and same-module wrappers that forward a

@@ -15,6 +15,7 @@ import (
 	"speccat/internal/core/provesched"
 	"speccat/internal/core/speclang"
 	"speccat/internal/experiments"
+	"speccat/internal/explore"
 	"speccat/internal/thesis"
 	"speccat/internal/tpc"
 )
@@ -217,29 +218,18 @@ func benchAblationMonolithic(b *testing.B) {
 func zipfMixBench(writeFraction float64) func(*testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
-		var committed, aborted int
-		var ticks float64
-		for i := 0; i < b.N; i++ {
-			row, err := experiments.E18Sweep("bench", []int64{int64(i) + 1}, writeFraction)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(row.Violated) != 0 {
-				b.Fatalf("oracle violations: %v", row.Violated)
-			}
-			if row.Committed == 0 {
-				b.Fatal("nothing committed")
-			}
-			committed += row.Committed
-			aborted += row.Aborted
-			ticks += row.Ticks
+		row, err := experiments.E18Sweep("bench", explore.SeedRange(1, b.N), writeFraction)
+		if err != nil {
+			b.Fatal(err)
 		}
-		if n := committed + aborted; n > 0 {
-			b.ReportMetric(float64(aborted)/float64(n), "conflict-rate")
+		if len(row.Violated) != 0 {
+			b.Fatalf("oracle violations: %v", row.Violated)
 		}
-		if ticks > 0 {
-			b.ReportMetric(float64(committed)/ticks*1000, "commits/ktick")
+		if row.Committed == 0 {
+			b.Fatal("nothing committed")
 		}
+		b.ReportMetric(row.ConflictRate, "conflict-rate")
+		b.ReportMetric(row.Throughput, "commits/ktick")
 	}
 }
 
@@ -253,28 +243,19 @@ func zipfMixBench(writeFraction float64) func(*testing.B) {
 func commitPathBench(shards int, group bool) func(*testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
-		var committed, syncs int
-		var ticks float64
-		for i := 0; i < b.N; i++ {
-			row, err := experiments.E19Sweep("bench", []int64{int64(i) + 1}, shards, group)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(row.Violated) != 0 {
-				b.Fatalf("oracle violations: %v", row.Violated)
-			}
-			if row.Committed == 0 {
-				b.Fatal("nothing committed")
-			}
-			committed += row.Committed
-			syncs += row.Syncs
-			ticks += row.Ticks
+		row, err := experiments.E19Sweep("bench", explore.SeedRange(1, b.N), shards, group)
+		if err != nil {
+			b.Fatal(err)
 		}
-		if ticks > 0 {
-			b.ReportMetric(float64(committed)/ticks*1000, "commits/ktick")
+		if len(row.Violated) != 0 {
+			b.Fatalf("oracle violations: %v", row.Violated)
 		}
-		if group && committed > 0 {
-			b.ReportMetric(float64(syncs)/float64(committed), "syncs/commit")
+		if row.Committed == 0 {
+			b.Fatal("nothing committed")
+		}
+		b.ReportMetric(row.Throughput, "commits/ktick")
+		if group {
+			b.ReportMetric(row.SyncsPerCommit, "syncs/commit")
 		}
 	}
 }

@@ -241,37 +241,19 @@ func (s *Scheduler) Run(env *speclang.Env, obs []Obligation) []Result {
 	return results
 }
 
-// proveOne discharges a single obligation, mirroring the premise
-// construction of the sequential elaborator's prove statement exactly.
+// proveOne discharges a single obligation on exactly the premises and
+// goal the sequential elaborator's prove statement would use.
 func (s *Scheduler) proveOne(env *speclang.Env, cache *prover.ClauseCache, ob Obligation) Result {
-	sp, err := env.Spec(ob.In)
+	premises, goal, err := env.ProveOperands(ob.In, ob.Theorem, ob.Using)
 	if err != nil {
 		return Result{Obligation: ob, Err: fmt.Errorf("%w: %w", ErrObligation, err)}
-	}
-	th, ok := sp.FindTheorem(ob.Theorem)
-	if !ok {
-		return Result{Obligation: ob, Err: fmt.Errorf("%w: theorem %s not in %s", ErrObligation, ob.Theorem, ob.In)}
-	}
-	var premises []prover.NamedFormula
-	if len(ob.Using) > 0 {
-		for _, name := range ob.Using {
-			ax, ok := sp.FindAxiom(name)
-			if !ok {
-				return Result{Obligation: ob, Err: fmt.Errorf("%w: axiom %s not in %s", ErrObligation, name, ob.In)}
-			}
-			premises = append(premises, prover.NamedFormula{Name: ax.Name, Formula: ax.Formula})
-		}
-	} else {
-		for _, ax := range sp.Axioms {
-			premises = append(premises, prover.NamedFormula{Name: ax.Name, Formula: ax.Formula})
-		}
 	}
 	lim := s.Limits
 	if lim == (prover.Limits{}) {
 		lim = prover.DefaultLimits()
 	}
 	pr := &prover.Prover{Limits: lim, Cache: cache}
-	res, err := pr.Prove(premises, prover.NamedFormula{Name: th.Name, Formula: th.Formula})
+	res, err := pr.Prove(premises, goal)
 	if err != nil {
 		return Result{Obligation: ob, Err: fmt.Errorf("prove %s in %s: %w", ob.Theorem, ob.In, err)}
 	}

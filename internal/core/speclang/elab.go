@@ -331,23 +331,44 @@ func (el *elaborator) evalDiagram(e *DiagramExpr) (*cat.Diagram, error) {
 }
 
 func (el *elaborator) evalProve(e *ProveExpr) (*Value, error) {
-	s, err := el.env.Spec(e.In)
+	premises, goal, err := el.env.ProveOperands(e.In, e.Theorem, e.Using)
 	if err != nil {
 		return nil, err
-	}
-	th, ok := s.FindTheorem(e.Theorem)
-	if !ok {
-		return nil, fmt.Errorf("%w: theorem %s in %s", ErrUnbound, e.Theorem, e.In)
 	}
 	if el.opts.SkipProofs {
 		return &Value{Kind: KindText, Text: fmt.Sprintf("prove %s in %s (skipped)", e.Theorem, e.In)}, nil
 	}
-	var premises []prover.NamedFormula
-	if len(e.Using) > 0 {
-		for _, axName := range e.Using {
+	pr := el.opts.Prover
+	if pr == nil {
+		pr = prover.New()
+	}
+	res, err := pr.Prove(premises, goal)
+	if err != nil {
+		return nil, fmt.Errorf("prove %s in %s: %w", e.Theorem, e.In, err)
+	}
+	return &Value{Kind: KindProof, Proof: res}, nil
+}
+
+// ProveOperands resolves a prove statement against the environment: the
+// goal is theorem of the spec bound to in, the premises are the axioms
+// using names, in that order, or every axiom of the spec when using is
+// empty. It is the one definition of what a prove statement hands the
+// prover; the sequential elaborator and the parallel proof scheduler both
+// call it, which is what keeps their proofs bit-identical.
+func (e *Env) ProveOperands(in, theorem string, using []string) (premises []prover.NamedFormula, goal prover.NamedFormula, err error) {
+	s, err := e.Spec(in)
+	if err != nil {
+		return nil, goal, err
+	}
+	th, ok := s.FindTheorem(theorem)
+	if !ok {
+		return nil, goal, fmt.Errorf("%w: theorem %s in %s", ErrUnbound, theorem, in)
+	}
+	if len(using) > 0 {
+		for _, axName := range using {
 			ax, ok := s.FindAxiom(axName)
 			if !ok {
-				return nil, fmt.Errorf("%w: axiom %s in %s", ErrUnbound, axName, e.In)
+				return nil, goal, fmt.Errorf("%w: axiom %s in %s", ErrUnbound, axName, in)
 			}
 			premises = append(premises, prover.NamedFormula{Name: ax.Name, Formula: ax.Formula})
 		}
@@ -356,15 +377,7 @@ func (el *elaborator) evalProve(e *ProveExpr) (*Value, error) {
 			premises = append(premises, prover.NamedFormula{Name: ax.Name, Formula: ax.Formula})
 		}
 	}
-	pr := el.opts.Prover
-	if pr == nil {
-		pr = prover.New()
-	}
-	res, err := pr.Prove(premises, prover.NamedFormula{Name: th.Name, Formula: th.Formula})
-	if err != nil {
-		return nil, fmt.Errorf("prove %s in %s: %w", e.Theorem, e.In, err)
-	}
-	return &Value{Kind: KindProof, Proof: res}, nil
+	return premises, prover.NamedFormula{Name: th.Name, Formula: th.Formula}, nil
 }
 
 // --- formula elaboration ---

@@ -1,8 +1,8 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
-	"reflect"
 	"time"
 
 	"speccat/internal/rt"
@@ -16,30 +16,35 @@ import (
 // node, wall-clock timers); the adapter records the global delivery
 // trace; the trace is then replayed through a single-threaded replay
 // transport driving the very same engine code, and the decisions and
-// durable stores of the two runs must agree. Together with portcheck
-// (static) and the race detector (dynamic, when the test suite runs
-// with -race) this is the evidence ROADMAP item 1 asks for: the port
-// off the simulator is checked, not trusted.
+// byte-level durable stores of the two runs must agree. Together with
+// portcheck (static) and the race detector (dynamic, when the test suite
+// runs with -race) this is the evidence ROADMAP item 1 asks for: the
+// port off the simulator is checked, not trusted.
 
-// E16Row is one protocol's live-vs-replay comparison.
-type E16Row struct {
+// ConformanceRow is one protocol's comparison of a run on real event
+// loops (E16: the live adapter; E17: TCP loopback) against the
+// deterministic replay of its own delivery trace.
+type ConformanceRow struct {
 	Protocol string
 	// Txns is the number of transactions driven (one commit, one abort).
 	Txns int
-	// Messages is the length of the recorded live delivery trace.
+	// Messages is the length of the recorded delivery trace.
 	Messages int
-	// Decisions maps txn -> live coordinator decision.
+	// FramesSent sums every node's outbound frame counter (zero on the
+	// live transport, which has no wire).
+	FramesSent uint64
+	// Decisions maps txn -> the real run's coordinator decision.
 	Decisions map[string]tpc.Decision
-	// ReplayAgree is true when every site's decision in the replay run
-	// matches the live run.
+	// ReplayAgree is true when every node's decision in the replay run
+	// matches the real run.
 	ReplayAgree bool
-	// DurableAgree is true when the persisted coordinator decision
-	// records of the two runs match.
+	// DurableAgree is true when every node's stable store after the real
+	// run is byte-identical to the replay run's.
 	DurableAgree bool
 }
 
 // Agree reports full conformance for the row.
-func (r E16Row) Agree() bool { return r.ReplayAgree && r.DurableAgree }
+func (r ConformanceRow) Agree() bool { return r.ReplayAgree && r.DurableAgree }
 
 // e16Tick is the wall duration of one tick in live runs: fast enough
 // for quick tests, slow enough that phase timeouts (inflated below)
@@ -50,138 +55,192 @@ const e16Tick = 200 * time.Microsecond
 // replays the recorded trace deterministically, for 3PC and the 2PC
 // baseline. One transaction commits (all yes-votes), one aborts (one
 // no-voter).
-func E16LiveConformance() ([]E16Row, error) {
-	var rows []E16Row
+func E16LiveConformance() ([]ConformanceRow, error) {
+	return conformanceRows("e16", func(ids []rt.NodeID) (*runningCluster, error) {
+		lnet := live.New(live.Options{Tick: e16Tick, Delta: 10})
+		return &runningCluster{net: func(rt.NodeID) rt.Transport { return lnet }, close: lnet.Close, trace: lnet.Trace}, nil
+	})
+}
+
+// runningCluster is what a conformance run needs of the cluster under
+// test: real event loops already started, nothing deployed on them yet.
+type runningCluster struct {
+	// net returns the transport hosting a node.
+	net func(id rt.NodeID) rt.Transport
+	// close joins every event loop (idempotent); engine state, stores and
+	// the trace are safely readable once it returns.
+	close func()
+	// trace is the global delivery order of the run.
+	trace func() []live.TraceEntry
+	// frames sums the outbound frame counters, read before close; nil
+	// when no wire is involved.
+	frames func() uint64
+}
+
+// conformanceRows runs one live-then-replay comparison per protocol.
+func conformanceRows(name string, start func(ids []rt.NodeID) (*runningCluster, error)) ([]ConformanceRow, error) {
+	var rows []ConformanceRow
 	for _, p := range []tpc.Protocol{tpc.ThreePhase, tpc.TwoPhase} {
-		row, err := e16Run(p)
+		row, err := runAndReplay(p, start)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %s: %w", name, p, err)
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// e16Run executes one protocol's live run + replay.
-func e16Run(p tpc.Protocol) (E16Row, error) {
-	const cohorts = 3
+// runAndReplay drives one commit and one abort through the engines on the
+// cluster start returns, then replays the recorded trace through a
+// single-threaded replay transport driving the very same engine code and
+// compares decisions and durable stores.
+func runAndReplay(p tpc.Protocol, start func(ids []rt.NodeID) (*runningCluster, error)) (ConformanceRow, error) {
 	// A huge phase timeout (in ticks) keeps timers from firing during a
-	// healthy live run, so the trace contains every cause of every
+	// healthy real run, so the trace contains every cause of every
 	// transition and the timer-free replay cannot diverge.
 	cfg := tpc.Config{Protocol: p, PhaseTimeout: 50_000}
 	noVoter := func(txn string) bool { return txn != "t-abort" }
+	coordID := rt.NodeID(1)
+	cohortIDs := []rt.NodeID{2, 3, 4}
+	ids := append([]rt.NodeID{coordID}, cohortIDs...)
 
-	lnet := live.New(live.Options{Tick: e16Tick, Delta: 10})
-	defer lnet.Close()
-	d, err := tpc.Deploy(lnet, cohorts, cfg)
+	cl, err := start(ids)
 	if err != nil {
-		return E16Row{}, fmt.Errorf("e16: live deploy: %w", err)
+		return ConformanceRow{}, err
+	}
+	defer cl.close()
+	coord, err := tpc.DeployCoordinator(cl.net(coordID), coordID, cohortIDs, cfg)
+	if err != nil {
+		return ConformanceRow{}, fmt.Errorf("deploy: %w", err)
 	}
 	// Wire votes and decision observers before any message flows. The
-	// decided channel hands each site's outcome to this goroutine; all
-	// volatile reads below happen after Close(), which joins every loop.
+	// decided channel hands each node's outcome to this goroutine.
 	type decided struct {
 		node rt.NodeID
 		txn  string
 		d    tpc.Decision
 	}
-	decCh := make(chan decided, 4*(cohorts+1))
-	d.Coordinator.OnDecide = func(txn string, dec tpc.Decision) {
-		decCh <- decided{d.CoordID, txn, dec}
-	}
-	for id, h := range d.Cohorts {
-		id, h := id, h
-		h.Vote = noVoter
-		h.OnDecide = func(txn string, dec tpc.Decision) {
-			decCh <- decided{id, txn, dec}
+	decCh := make(chan decided, 2*len(ids)) // every node decides both transactions
+	coord.OnDecide = func(txn string, dec tpc.Decision) { decCh <- decided{coordID, txn, dec} }
+	for _, id := range cohortIDs {
+		h, err := tpc.DeployCohort(cl.net(id), id, coordID, cohortIDs, cfg)
+		if err != nil {
+			return ConformanceRow{}, fmt.Errorf("deploy: %w", err)
 		}
+		h.Vote = noVoter
+		h.OnDecide = func(txn string, dec tpc.Decision) { decCh <- decided{id, txn, dec} }
 	}
 
 	txns := []string{"t-commit", "t-abort"}
-	liveDec := map[rt.NodeID]map[string]tpc.Decision{}
+	realDec := map[rt.NodeID]map[string]tpc.Decision{}
+	for _, id := range ids {
+		realDec[id] = map[string]tpc.Decision{}
+	}
 	for _, txn := range txns {
-		txn := txn
 		// Begin must run on the coordinator's own event loop — calling it
 		// from this goroutine would mutate confined coordinator state off
 		// the loop, the exact bug class rt-confine exists to flag.
 		errCh := make(chan error, 1)
-		lnet.After(d.CoordID, 0, func() { errCh <- d.Coordinator.Begin(txn) })
+		cl.net(coordID).After(coordID, 0, func() { errCh <- coord.Begin(txn) })
 		select {
 		case err := <-errCh:
 			if err != nil {
-				return E16Row{}, fmt.Errorf("e16: live begin %s: %w", txn, err)
+				return ConformanceRow{}, fmt.Errorf("begin %s: %w", txn, err)
 			}
-		case <-time.After(5 * time.Second): //lint:allow nowallclock live-run watchdog: bounds a wall-clock run that has genuinely hung
-			return E16Row{}, fmt.Errorf("e16: live begin %s: timed out", txn)
+		case <-time.After(10 * time.Second): //lint:allow nowallclock real-run watchdog: bounds a wall-clock run that has genuinely hung
+			return ConformanceRow{}, fmt.Errorf("begin %s: timed out", txn)
 		}
-		// Every site decides every transaction in a healthy run.
-		for i := 0; i < cohorts+1; i++ {
+		// Every node decides every transaction in a healthy run.
+		for i := range ids {
 			select {
 			case dec := <-decCh:
-				m := liveDec[dec.node]
-				if m == nil {
-					m = map[string]tpc.Decision{}
-					liveDec[dec.node] = m
-				}
-				m[dec.txn] = dec.d
-			case <-time.After(5 * time.Second): //lint:allow nowallclock live-run watchdog: bounds a wall-clock run that has genuinely hung
-				return E16Row{}, fmt.Errorf("e16: live run %s: decision %d/%d timed out", txn, i+1, cohorts+1)
+				realDec[dec.node][dec.txn] = dec.d
+			case <-time.After(10 * time.Second): //lint:allow nowallclock real-run watchdog: bounds a wall-clock run that has genuinely hung
+				return ConformanceRow{}, fmt.Errorf("run %s: decision %d/%d timed out", txn, i+1, len(ids))
 			}
 		}
 	}
-	// Join every event loop: all engine state is quiesced and safely
-	// readable from here on.
-	lnet.Close()
-	trace := lnet.Trace()
+	row := ConformanceRow{
+		Protocol:     p.String(),
+		Txns:         len(txns),
+		Decisions:    realDec[coordID],
+		ReplayAgree:  true,
+		DurableAgree: true,
+	}
+	if cl.frames != nil {
+		row.FramesSent = cl.frames()
+	}
+	cl.close()
+	trace := cl.trace()
+	row.Messages = len(trace)
 
 	// Replay: same engines, single-threaded, fed the recorded deliveries
 	// in global order (which preserves each node's delivery order). Sends
 	// are dropped — the trace already contains their deliveries — and
-	// timers are inert, which is sound because none fired live.
+	// timers are inert, which is sound because none fired in the real run.
 	rnet := newReplayNet(10)
-	rd, err := tpc.Deploy(rnet, cohorts, cfg)
+	rd, err := tpc.Deploy(rnet, len(cohortIDs), cfg)
 	if err != nil {
-		return E16Row{}, fmt.Errorf("e16: replay deploy: %w", err)
+		return ConformanceRow{}, fmt.Errorf("replay deploy: %w", err)
 	}
 	for _, h := range rd.Cohorts {
 		h.Vote = noVoter
 	}
 	for _, txn := range txns {
 		if err := rd.Coordinator.Begin(txn); err != nil {
-			return E16Row{}, fmt.Errorf("e16: replay begin %s: %w", txn, err)
+			return ConformanceRow{}, fmt.Errorf("replay begin %s: %w", txn, err)
 		}
 	}
 	for _, e := range trace {
 		if err := rnet.Deliver(e.Msg); err != nil {
-			return E16Row{}, fmt.Errorf("e16: replay deliver: %w", err)
+			return ConformanceRow{}, fmt.Errorf("replay deliver: %w", err)
 		}
 	}
 
-	row := E16Row{
-		Protocol:    p.String(),
-		Txns:        len(txns),
-		Messages:    len(trace),
-		Decisions:   map[string]tpc.Decision{},
-		ReplayAgree: true,
-	}
 	for _, txn := range txns {
-		row.Decisions[txn] = liveDec[d.CoordID][txn]
-		if rd.Coordinator.Decision(txn) != liveDec[d.CoordID][txn] {
+		if rd.Coordinator.Decision(txn) != realDec[coordID][txn] {
 			row.ReplayAgree = false
 		}
-		for id := range d.Cohorts {
-			if rd.Cohorts[id].Decision(txn) != liveDec[id][txn] {
+		for _, id := range cohortIDs {
+			if rd.Cohorts[id].Decision(txn) != realDec[id][txn] {
 				row.ReplayAgree = false
 			}
 		}
 	}
-	row.DurableAgree = reflect.DeepEqual(d.Coordinator.RecoverAll(), rd.Coordinator.RecoverAll())
-	for id, h := range d.Cohorts {
-		if !reflect.DeepEqual(h.RecoverAll(), rd.Cohorts[id].RecoverAll()) {
+	for _, id := range ids {
+		realStore, err := cl.net(id).Store(id)
+		if err != nil {
+			return ConformanceRow{}, fmt.Errorf("store %d: %w", id, err)
+		}
+		replayStore, err := rnet.Store(id)
+		if err != nil {
+			return ConformanceRow{}, fmt.Errorf("replay store %d: %w", id, err)
+		}
+		if !storesEqual(realStore, replayStore) {
 			row.DurableAgree = false
 		}
 	}
 	return row, nil
+}
+
+// storesEqual compares two stable stores byte for byte.
+func storesEqual(a, b *stable.Store) bool {
+	akv, alog := a.Snapshot()
+	bkv, blog := b.Snapshot()
+	if len(akv) != len(bkv) || len(alog) != len(blog) {
+		return false
+	}
+	for k, v := range akv {
+		if !bytes.Equal(v, bkv[k]) {
+			return false
+		}
+	}
+	for i := range alog {
+		if !bytes.Equal(alog[i], blog[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // replayNet is the deterministic replay face of rt.Transport: handlers

@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"time"
 
 	"speccat/internal/rt"
 	"speccat/internal/rt/tcp"
-	"speccat/internal/stable"
 	"speccat/internal/tpc"
 )
 
@@ -25,41 +23,20 @@ import (
 // information, reorders one connection's frames, or delivers a payload
 // type the handlers don't expect shows up as divergence here.
 
-// E17Row is one protocol's wire-vs-replay comparison.
-type E17Row struct {
-	Protocol string
-	// Txns is the number of transactions driven (one commit, one abort).
-	Txns int
-	// Messages is the length of the recorded cross-wire delivery trace.
-	Messages int
-	// FramesSent sums every node's outbound frame counter.
-	FramesSent uint64
-	// Decisions maps txn -> live coordinator decision.
-	Decisions map[string]tpc.Decision
-	// ReplayAgree is true when every node's decision in the replay run
-	// matches the wire run.
-	ReplayAgree bool
-	// DurableAgree is true when every node's stable store after the wire
-	// run is byte-identical to the replay run's.
-	DurableAgree bool
-}
-
-// Agree reports full conformance for the row.
-func (r E17Row) Agree() bool { return r.ReplayAgree && r.DurableAgree }
-
 // E17TCPConformance runs the commit stack over real TCP loopback and
 // replays the recorded trace deterministically, for 3PC and the 2PC
-// baseline.
-func E17TCPConformance() ([]E17Row, error) {
-	var rows []E17Row
-	for _, p := range []tpc.Protocol{tpc.ThreePhase, tpc.TwoPhase} {
-		row, err := e17Run(p)
+// baseline — E16's run-and-replay body on a cluster of tcp transports.
+func E17TCPConformance() ([]ConformanceRow, error) {
+	return conformanceRows("e17", func(ids []rt.NodeID) (*runningCluster, error) {
+		cl, err := newE17Cluster(ids, e16Tick)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+		return &runningCluster{
+			net:   func(id rt.NodeID) rt.Transport { return cl.nets[id] },
+			close: cl.Close, trace: cl.tracer.Entries, frames: cl.framesSent,
+		}, nil
+	})
 }
 
 // reserveLoopback grabs n distinct loopback addresses by binding and
@@ -89,7 +66,6 @@ func reserveLoopback(n int) ([]string, error) {
 type e17Cluster struct {
 	nets   map[rt.NodeID]*tcp.Net
 	tracer *tcp.Tracer
-	ids    []rt.NodeID
 }
 
 // newE17Cluster builds and starts transports for ids over loopback.
@@ -106,7 +82,7 @@ func newE17Cluster(ids []rt.NodeID, tick time.Duration) (*e17Cluster, error) {
 	if err := tpc.RegisterWire(codec); err != nil {
 		return nil, fmt.Errorf("e17: register wire: %w", err)
 	}
-	c := &e17Cluster{nets: map[rt.NodeID]*tcp.Net{}, tracer: &tcp.Tracer{}, ids: ids}
+	c := &e17Cluster{nets: map[rt.NodeID]*tcp.Net{}, tracer: &tcp.Tracer{}}
 	for _, id := range ids {
 		n, err := tcp.New(tcp.Options{
 			Local: id, Cluster: cluster, Codec: codec,
@@ -132,168 +108,13 @@ func (c *e17Cluster) Close() {
 	}
 }
 
-// storesEqual compares two stable stores byte for byte.
-func storesEqual(a, b *stable.Store) bool {
-	akv, alog := a.Snapshot()
-	bkv, blog := b.Snapshot()
-	if len(akv) != len(bkv) || len(alog) != len(blog) {
-		return false
-	}
-	for k, v := range akv {
-		if !bytes.Equal(v, bkv[k]) {
-			return false
+// framesSent sums every node's outbound frame counter.
+func (c *e17Cluster) framesSent() uint64 {
+	var sent uint64
+	for _, n := range c.nets {
+		for peer := range c.nets {
+			sent += n.Stats(peer).Sent
 		}
 	}
-	for i := range alog {
-		if !bytes.Equal(alog[i], blog[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// e17Run executes one protocol's wire run + replay.
-func e17Run(p tpc.Protocol) (E17Row, error) {
-	const cohorts = 3
-	// As in E16: a huge phase timeout keeps timers out of a healthy run,
-	// so the trace contains every cause of every transition and the
-	// timer-free replay cannot diverge.
-	cfg := tpc.Config{Protocol: p, PhaseTimeout: 50_000}
-	noVoter := func(txn string) bool { return txn != "t-abort" }
-
-	coordID := rt.NodeID(1)
-	cohortIDs := []rt.NodeID{2, 3, 4}
-	cl, err := newE17Cluster(append([]rt.NodeID{coordID}, cohortIDs...), e16Tick)
-	if err != nil {
-		return E17Row{}, err
-	}
-	defer cl.Close()
-
-	coord, err := tpc.DeployCoordinator(cl.nets[coordID], coordID, cohortIDs, cfg)
-	if err != nil {
-		return E17Row{}, fmt.Errorf("e17: deploy coordinator: %w", err)
-	}
-	cohortEngines := map[rt.NodeID]*tpc.Cohort{}
-	for _, id := range cohortIDs {
-		h, err := tpc.DeployCohort(cl.nets[id], id, coordID, cohortIDs, cfg)
-		if err != nil {
-			return E17Row{}, fmt.Errorf("e17: deploy cohort %d: %w", id, err)
-		}
-		cohortEngines[id] = h
-	}
-
-	type decided struct {
-		node rt.NodeID
-		txn  string
-		d    tpc.Decision
-	}
-	decCh := make(chan decided, 4*(cohorts+1))
-	coord.OnDecide = func(txn string, dec tpc.Decision) {
-		decCh <- decided{coordID, txn, dec}
-	}
-	for id, h := range cohortEngines {
-		id, h := id, h
-		h.Vote = noVoter
-		h.OnDecide = func(txn string, dec tpc.Decision) {
-			decCh <- decided{id, txn, dec}
-		}
-	}
-
-	txns := []string{"t-commit", "t-abort"}
-	liveDec := map[rt.NodeID]map[string]tpc.Decision{}
-	for _, txn := range txns {
-		txn := txn
-		// Begin runs on the coordinator's event loop (rt-confine).
-		errCh := make(chan error, 1)
-		cl.nets[coordID].After(coordID, 0, func() { errCh <- coord.Begin(txn) })
-		select {
-		case err := <-errCh:
-			if err != nil {
-				return E17Row{}, fmt.Errorf("e17: begin %s: %w", txn, err)
-			}
-		case <-time.After(10 * time.Second): //lint:allow nowallclock wire-run watchdog: bounds a wall-clock run that has genuinely hung
-			return E17Row{}, fmt.Errorf("e17: begin %s: timed out", txn)
-		}
-		for i := 0; i < cohorts+1; i++ {
-			select {
-			case dec := <-decCh:
-				m := liveDec[dec.node]
-				if m == nil {
-					m = map[string]tpc.Decision{}
-					liveDec[dec.node] = m
-				}
-				m[dec.txn] = dec.d
-			case <-time.After(10 * time.Second): //lint:allow nowallclock wire-run watchdog: bounds a wall-clock run that has genuinely hung
-				return E17Row{}, fmt.Errorf("e17: wire run %s: decision %d/%d timed out", txn, i+1, cohorts+1)
-			}
-		}
-	}
-	// Join every event loop and close every connection: engine state and
-	// stores are quiesced and safely readable from here on.
-	var framesSent uint64
-	for _, n := range cl.nets {
-		for _, peer := range cl.ids {
-			framesSent += n.Stats(peer).Sent
-		}
-	}
-	cl.Close()
-	trace := cl.tracer.Entries()
-
-	// Replay: the same engine code on the deterministic replay transport,
-	// fed the recorded cross-wire deliveries in global order.
-	rnet := newReplayNet(10)
-	rd, err := tpc.Deploy(rnet, cohorts, cfg)
-	if err != nil {
-		return E17Row{}, fmt.Errorf("e17: replay deploy: %w", err)
-	}
-	for _, h := range rd.Cohorts {
-		h.Vote = noVoter
-	}
-	for _, txn := range txns {
-		if err := rd.Coordinator.Begin(txn); err != nil {
-			return E17Row{}, fmt.Errorf("e17: replay begin %s: %w", txn, err)
-		}
-	}
-	for _, e := range trace {
-		if err := rnet.Deliver(e.Msg); err != nil {
-			return E17Row{}, fmt.Errorf("e17: replay deliver: %w", err)
-		}
-	}
-
-	row := E17Row{
-		Protocol:    p.String(),
-		Txns:        len(txns),
-		Messages:    len(trace),
-		FramesSent:  framesSent,
-		Decisions:   map[string]tpc.Decision{},
-		ReplayAgree: true,
-	}
-	for _, txn := range txns {
-		row.Decisions[txn] = liveDec[coordID][txn]
-		if rd.Coordinator.Decision(txn) != liveDec[coordID][txn] {
-			row.ReplayAgree = false
-		}
-		for id := range cohortEngines {
-			if rd.Cohorts[id].Decision(txn) != liveDec[id][txn] {
-				row.ReplayAgree = false
-			}
-		}
-	}
-	// Byte-level durable-state agreement: each node's stable store after
-	// the wire run must be identical to the replay's.
-	row.DurableAgree = true
-	for _, id := range cl.ids {
-		liveStore, err := cl.nets[id].Store(id)
-		if err != nil {
-			return E17Row{}, fmt.Errorf("e17: wire store %d: %w", id, err)
-		}
-		replayStore, err := rnet.Store(id)
-		if err != nil {
-			return E17Row{}, fmt.Errorf("e17: replay store %d: %w", id, err)
-		}
-		if !storesEqual(liveStore, replayStore) {
-			row.DurableAgree = false
-		}
-	}
-	return row, nil
+	return sent
 }

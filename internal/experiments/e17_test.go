@@ -192,7 +192,7 @@ func TestTCPStackSmoke(t *testing.T) {
 	sites := map[rt.NodeID]*txn.Site{}
 	for _, id := range siteIDs {
 		nets[id].AddNode(id, nil)
-		s, err := txn.NewSiteOn(nets[id], id, masterID, siteIDs, cfg)
+		s, err := txn.NewShardedSiteOn(nets[id], id, masterID, siteIDs, cfg, 1)
 		if err != nil {
 			t.Fatalf("site %d: %v", id, err)
 		}

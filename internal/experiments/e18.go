@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"speccat/internal/explore"
 )
@@ -25,41 +24,25 @@ import (
 type E18Row struct {
 	// Label names the regime ("exclusive-writes" or "inc-transfers").
 	Label string
-	// Seeds is the number of schedules swept; Txns the workload
-	// transactions per schedule (the setup transaction is excluded from
-	// all counts).
-	Seeds int
-	Txns  int
-	// Committed/Aborted/Undecided sum workload outcomes across the sweep.
-	Committed int
-	Aborted   int
-	Undecided int
+	// Txns is the workload transactions per schedule.
+	Txns int
+	explore.Tally
 	// ConflictRate is Aborted/(Committed+Aborted): under the no-wait lock
 	// policy every abort of these single-shot transactions is a lock
 	// conflict.
 	ConflictRate float64
-	// Ticks is the total simulated time consumed by the sweep.
-	Ticks float64
 	// Throughput is committed transactions per 1000 simulated ticks.
 	Throughput float64
-	// Violated lists the distinct oracle names that failed anywhere in the
-	// sweep (empty for a correct regime).
-	Violated []string
 }
 
 // E18Ablation is the negative arm: the first underlocked seed the
-// serializability oracle catches, plus its correctly-locked control.
+// serializability oracle catches (its Detail is that violation's
+// evidence), plus its correctly-locked control.
 type E18Ablation struct {
-	// Seed is the schedule seed of the caught run.
-	Seed int64
 	// Caught reports whether any swept seed produced a serializability
 	// violation under the underlock mutation.
 	Caught bool
-	// Detail is the first serializability violation's evidence.
-	Detail string
-	// ControlClean reports that the identical schedule without the
-	// mutation violated nothing.
-	ControlClean bool
+	explore.Conviction
 }
 
 // E18Result is the full experiment outcome.
@@ -85,43 +68,31 @@ const (
 	e18Theta    = 0.9
 )
 
+// e18Schedule is the fault-free commutative mix every sweep starts from.
+func e18Schedule(seed int64) explore.Schedule {
+	return explore.Schedule{
+		Protocol: explore.Proto3PC, Seed: seed,
+		Accounts: e18Accounts, Txns: e18Txns,
+		Workload:  explore.WorkloadCommutative,
+		ZipfTheta: e18Theta,
+	}
+}
+
 // E18Sweep runs one locking regime over the seeds and aggregates
 // outcomes; the specbench suite reuses it to track the regime metrics.
 func E18Sweep(label string, seeds []int64, writeFraction float64) (E18Row, error) {
-	row := E18Row{Label: label, Seeds: len(seeds), Txns: e18Txns}
-	violated := map[string]bool{}
-	var ticks float64
-	for _, seed := range seeds {
-		res, err := explore.Run(explore.Schedule{
-			Protocol: explore.Proto3PC, Seed: seed,
-			Accounts: e18Accounts, Txns: e18Txns,
-			Workload:  explore.WorkloadCommutative,
-			ZipfTheta: e18Theta, WriteFraction: writeFraction,
-		})
-		if err != nil {
-			return E18Row{}, fmt.Errorf("e18: %s seed %d: %w", label, seed, err)
-		}
-		// The setup transaction always commits; exclude it from the
-		// workload tallies.
-		row.Committed += res.Stats.Committed - 1
-		row.Aborted += res.Stats.Aborted
-		row.Undecided += res.Stats.Undecided
-		ticks += float64(res.Stats.End)
-		for _, o := range res.ViolatedOracles() {
-			violated[o] = true
-		}
+	t, err := explore.Sweep(seeds, func(_ int, seed int64) explore.Schedule {
+		spec := e18Schedule(seed)
+		spec.WriteFraction = writeFraction
+		return spec
+	})
+	if err != nil {
+		return E18Row{}, fmt.Errorf("e18: %s: %w", label, err)
 	}
-	if n := row.Committed + row.Aborted; n > 0 {
-		row.ConflictRate = float64(row.Aborted) / float64(n)
+	row := E18Row{Label: label, Txns: e18Txns, Tally: t, Throughput: t.CommitsPerKTick()}
+	if n := t.Committed + t.Aborted; n > 0 {
+		row.ConflictRate = float64(t.Aborted) / float64(n)
 	}
-	row.Ticks = ticks
-	if ticks > 0 {
-		row.Throughput = float64(row.Committed) / ticks * 1000
-	}
-	for o := range violated {
-		row.Violated = append(row.Violated, o)
-	}
-	sort.Strings(row.Violated)
 	return row, nil
 }
 
@@ -139,70 +110,41 @@ func E18Commutativity(seeds []int64) (*E18Result, error) {
 	// Movement 2: the commutative mix survives a crash-and-recover inside
 	// the design fault envelope with every oracle clean — committed
 	// increments come back through the WAL's logical fold.
-	out.FaultedSeeds = len(seeds)
-	out.FaultedClean = true
-	faultedViolated := map[string]bool{}
-	for _, seed := range seeds {
-		res, err := explore.Run(explore.Schedule{
-			Protocol: explore.Proto3PC, Seed: seed,
-			Accounts: e18Accounts, Txns: e18Txns,
-			Workload:  explore.WorkloadCommutative,
-			ZipfTheta: e18Theta, ReadFraction: 0.25,
-			Horizon: 8000,
-			Faults: []explore.Fault{
-				{Kind: explore.FaultCrashAtTime, Site: 2, At: 620},
-				{Kind: explore.FaultRecoverAtTime, Site: 2, At: 1900},
-			},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("e18: faulted seed %d: %w", seed, err)
+	faulted, err := explore.Sweep(seeds, func(_ int, seed int64) explore.Schedule {
+		spec := e18Schedule(seed)
+		spec.ReadFraction = 0.25
+		spec.Horizon = 8000
+		spec.Faults = []explore.Fault{
+			{Kind: explore.FaultCrashAtTime, Site: 2, At: 620},
+			{Kind: explore.FaultRecoverAtTime, Site: 2, At: 1900},
 		}
-		if len(res.Violations) > 0 {
-			out.FaultedClean = false
-			for _, o := range res.ViolatedOracles() {
-				faultedViolated[o] = true
-			}
-		}
+		return spec
+	})
+	if err != nil {
+		return nil, fmt.Errorf("e18: faulted: %w", err)
 	}
-	for o := range faultedViolated {
-		out.FaultedViolated = append(out.FaultedViolated, o)
-	}
-	sort.Strings(out.FaultedViolated)
+	out.FaultedSeeds = faulted.Seeds
+	out.FaultedViolated = faulted.Violated
+	out.FaultedClean = len(faulted.Violated) == 0
 
 	// Movement 3: the underlock ablation. Mixed blind writes and
 	// increments on hot keys, with absolute writes taking only the
 	// increment lock — the serializability oracle must convict, and the
 	// identical schedule under correct locking must acquit.
-	for seed := int64(0); seed < 30; seed++ {
-		spec := explore.Schedule{
+	w, err := explore.Witness(explore.SeedRange(0, 30), func(seed int64) explore.Schedule {
+		return explore.Schedule{
 			Protocol: explore.Proto3PC, Seed: seed,
 			Accounts: 4, Txns: 24,
 			Workload:  explore.WorkloadCommutative,
 			ZipfTheta: 1.2, WriteFraction: 0.4,
 			Underlock: true,
 		}
-		res, err := explore.Run(spec)
-		if err != nil {
-			return nil, fmt.Errorf("e18: ablation seed %d: %w", seed, err)
-		}
-		var detail string
-		for _, v := range res.Violations {
-			if v.Oracle == explore.OracleSerializability {
-				detail = v.Detail
-				break
-			}
-		}
-		if detail == "" {
-			continue
-		}
-		out.Ablation = E18Ablation{Seed: seed, Caught: true, Detail: detail}
-		spec.Underlock = false
-		ctrl, err := explore.Run(spec)
-		if err != nil {
-			return nil, fmt.Errorf("e18: ablation control seed %d: %w", seed, err)
-		}
-		out.Ablation.ControlClean = len(ctrl.Violations) == 0
-		break
+	}, explore.OracleSerializability, func(s *explore.Schedule) { s.Underlock = false })
+	if err != nil {
+		return nil, fmt.Errorf("e18: ablation: %w", err)
+	}
+	if w != nil {
+		out.Ablation = E18Ablation{Caught: true, Conviction: *w}
 	}
 	return out, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"speccat/internal/explore"
 	"speccat/internal/simnet"
@@ -29,31 +28,18 @@ type E19Row struct {
 	// Label names the configuration ("unsharded", "sharded", or
 	// "sharded+group").
 	Label string
-	// Shards is the per-site hash-shard count (1 = the monolithic store);
+	// Shards is the per-site hash-shard count (1 = the undivided store);
 	// GroupCommit reports whether journal syncs were batched.
 	Shards      int
 	GroupCommit bool
-	// Seeds is the number of schedules swept; Txns the workload
-	// transactions per schedule (the setup transaction is excluded from
-	// all counts).
-	Seeds int
-	Txns  int
-	// Committed/Aborted/Undecided sum workload outcomes across the sweep.
-	Committed int
-	Aborted   int
-	Undecided int
-	// Ticks is the total simulated time consumed by the sweep, and
-	// Throughput committed transactions per 1000 simulated ticks.
-	Ticks      float64
+	// Txns is the workload transactions per schedule.
+	Txns int
+	explore.Tally
+	// Throughput is committed transactions per 1000 simulated ticks.
 	Throughput float64
-	// Syncs is the total batched journal syncs across the sweep (zero
-	// unless GroupCommit), and SyncsPerCommit the fsync bill per committed
-	// transaction — the metric group commit exists to shrink.
-	Syncs          int
+	// SyncsPerCommit is the fsync bill per committed transaction — the
+	// metric group commit exists to shrink.
 	SyncsPerCommit float64
-	// Violated lists the distinct oracle names that failed anywhere in the
-	// sweep (empty for a correct configuration).
-	Violated []string
 }
 
 // E19Result is the full experiment outcome.
@@ -97,39 +83,19 @@ func e19Schedule(seed int64) explore.Schedule {
 // aggregates outcomes; the specbench suite reuses it to track the
 // configuration metrics.
 func E19Sweep(label string, seeds []int64, shards int, group bool) (E19Row, error) {
-	row := E19Row{Label: label, Shards: shards, GroupCommit: group, Seeds: len(seeds), Txns: e19Txns}
-	violated := map[string]bool{}
-	for _, seed := range seeds {
+	t, err := explore.Sweep(seeds, func(_ int, seed int64) explore.Schedule {
 		spec := e19Schedule(seed)
-		if shards > 1 {
-			spec.Shards = shards
-		}
+		spec.Shards = shards
 		spec.GroupCommit = group
-		res, err := explore.Run(spec)
-		if err != nil {
-			return E19Row{}, fmt.Errorf("e19: %s seed %d: %w", label, seed, err)
-		}
-		// The setup transaction always commits; exclude it from the
-		// workload tallies.
-		row.Committed += res.Stats.Committed - 1
-		row.Aborted += res.Stats.Aborted
-		row.Undecided += res.Stats.Undecided
-		row.Syncs += res.Stats.Syncs
-		row.Ticks += float64(res.Stats.End)
-		for _, o := range res.ViolatedOracles() {
-			violated[o] = true
-		}
+		return spec
+	})
+	if err != nil {
+		return E19Row{}, fmt.Errorf("e19: %s: %w", label, err)
 	}
-	if row.Ticks > 0 {
-		row.Throughput = float64(row.Committed) / row.Ticks * 1000
+	row := E19Row{Label: label, Shards: shards, GroupCommit: group, Txns: e19Txns, Tally: t, Throughput: t.CommitsPerKTick()}
+	if t.Committed > 0 {
+		row.SyncsPerCommit = float64(t.Syncs) / float64(t.Committed)
 	}
-	if row.Committed > 0 {
-		row.SyncsPerCommit = float64(row.Syncs) / float64(row.Committed)
-	}
-	for o := range violated {
-		row.Violated = append(row.Violated, o)
-	}
-	sort.Strings(row.Violated)
 	return row, nil
 }
 
@@ -151,10 +117,7 @@ func E19ShardedCommit(seeds []int64) (*E19Result, error) {
 	// the window where the un-synced tail of the journal is lost — then
 	// recover it, and demand every oracle clean. The victim and boundary
 	// rotate with the seed so the sweep lands on different protocol moments.
-	out.CrashSeeds = len(seeds)
-	out.CrashClean = true
-	crashViolated := map[string]bool{}
-	for i, seed := range seeds {
+	crash, err := explore.Sweep(seeds, func(i int, seed int64) explore.Schedule {
 		spec := e19Schedule(seed)
 		spec.Shards = e19Shards
 		spec.GroupCommit = true
@@ -164,20 +127,13 @@ func E19ShardedCommit(seeds []int64) (*E19Result, error) {
 			{Kind: explore.FaultCrashAtSync, Site: victim, Nth: 1 + i%6},
 			{Kind: explore.FaultRecoverAtTime, Site: victim, At: 4000},
 		}
-		res, err := explore.Run(spec)
-		if err != nil {
-			return nil, fmt.Errorf("e19: crash seed %d: %w", seed, err)
-		}
-		if len(res.Violations) > 0 {
-			out.CrashClean = false
-			for _, o := range res.ViolatedOracles() {
-				crashViolated[o] = true
-			}
-		}
+		return spec
+	})
+	if err != nil {
+		return nil, fmt.Errorf("e19: crash: %w", err)
 	}
-	for o := range crashViolated {
-		out.CrashViolated = append(out.CrashViolated, o)
-	}
-	sort.Strings(out.CrashViolated)
+	out.CrashSeeds = crash.Seeds
+	out.CrashViolated = crash.Violated
+	out.CrashClean = len(crash.Violated) == 0
 	return out, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"speccat/internal/analysis"
 	"speccat/internal/analysis/lockcheck"
@@ -26,23 +25,13 @@ import (
 // (clean: its one detector sees the cycle and aborts a victim).
 
 // E20Arm aggregates one engine configuration over the opposed-workload
-// seed sweep.
+// seed sweep; its Stalls are the seeds that violated the fault-free
+// progress oracle.
 type E20Arm struct {
 	// Label names the configuration ("sharded", "sharded+canonical", or
 	// "single-manager").
 	Label string
-	// Seeds is the number of schedules swept; Stalls how many of them
-	// violated the fault-free progress oracle.
-	Seeds  int
-	Stalls int
-	// Committed/Aborted/Undecided sum workload outcomes across the sweep
-	// (the setup transaction is excluded).
-	Committed int
-	Aborted   int
-	Undecided int
-	// Violated lists the distinct oracle names that failed anywhere in
-	// the sweep.
-	Violated []string
+	explore.Tally
 }
 
 // E20Result pairs the static lockcheck summary over this module with the
@@ -58,7 +47,7 @@ type E20Result struct {
 	// Ablated is the per-shard-manager engine acquiring in submission
 	// order — the configuration the lock-order rule convicts; Canonical
 	// the identical schedule with ascending-shard presorting; Single the
-	// unsharded store whose one detector covers the whole waits-for graph.
+	// one-shard store whose one detector covers the whole waits-for graph.
 	Ablated   E20Arm
 	Canonical E20Arm
 	Single    E20Arm
@@ -71,39 +60,20 @@ type E20Result struct {
 
 // e20Arm sweeps one engine configuration over the opposed schedule.
 func e20Arm(label string, seeds []int64, mutate func(*explore.Schedule)) (E20Arm, error) {
-	arm := E20Arm{Label: label, Seeds: len(seeds)}
-	violated := map[string]bool{}
-	for _, seed := range seeds {
+	t, err := explore.Sweep(seeds, func(_ int, seed int64) explore.Schedule {
 		spec := lockcheck.OpposedSchedule(seed)
 		mutate(&spec)
-		res, err := explore.Run(spec)
-		if err != nil {
-			return E20Arm{}, fmt.Errorf("e20: %s seed %d: %w", label, seed, err)
-		}
-		arm.Committed += res.Stats.Committed - 1 // setup transaction
-		arm.Aborted += res.Stats.Aborted
-		arm.Undecided += res.Stats.Undecided
-		for _, o := range res.ViolatedOracles() {
-			violated[o] = true
-			if o == "progress" {
-				arm.Stalls++
-			}
-		}
+		return spec
+	})
+	if err != nil {
+		return E20Arm{}, fmt.Errorf("e20: %s: %w", label, err)
 	}
-	for o := range violated {
-		arm.Violated = append(arm.Violated, o)
-	}
-	sort.Strings(arm.Violated)
-	return arm, nil
+	return E20Arm{Label: label, Tally: t}, nil
 }
 
 // E20LockDiscipline runs both movements over the given seeds.
 func E20LockDiscipline(seeds []int64) (*E20Result, error) {
-	loader, err := analysis.NewLoader(".")
-	if err != nil {
-		return nil, err
-	}
-	pkgs, err := loader.Load([]string{"./internal/..."})
+	pkgs, err := loadInternal()
 	if err != nil {
 		return nil, err
 	}

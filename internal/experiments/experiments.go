@@ -418,6 +418,16 @@ func groupWithOptions(seed int64, n int, cfg tpc.Config, opts simnet.Options) (*
 	return tpc.NewGroupOn(net, n, cfg)
 }
 
+// loadInternal type-checks ./internal/... of the module in the working
+// directory — the tree the static halves of E15 and E20 analyze.
+func loadInternal() ([]*analysis.Package, error) {
+	loader, err := analysis.NewLoader(".")
+	if err != nil {
+		return nil, err
+	}
+	return loader.Load([]string{"./internal/..."})
+}
+
 // E15Row is one dynamic cross-validation verdict: the staged
 // crash-at-dissemination schedule run against one protocol engine.
 type E15Row struct {
@@ -455,11 +465,7 @@ type E15Result struct {
 // survive) and the unsafe-termination variant (expected to yield an
 // atomicity/durability witness).
 func E15Durability(seeds []int64) (*E15Result, error) {
-	loader, err := analysis.NewLoader(".")
-	if err != nil {
-		return nil, err
-	}
-	pkgs, err := loader.Load([]string{"./internal/..."})
+	pkgs, err := loadInternal()
 	if err != nil {
 		return nil, err
 	}

@@ -226,11 +226,9 @@ func run(spec Schedule, logSends bool) (*RunResult, []SendInfo, error) {
 		logSends:  logSends,
 	}
 	r.net = simnet.New(r.sched, simnet.DefaultOptions())
-	if spec.Shards > 1 {
-		r.cluster, err = txn.NewShardedClusterOn(r.net, spec.Sites, cfg, spec.Shards)
-	} else {
-		r.cluster, err = txn.NewClusterOn(r.net, spec.Sites, cfg)
-	}
+	// An unset shard count means one shard. It is defaulted here, not in
+	// Normalize, so the schedule echoed into the trace keeps its bytes.
+	r.cluster, err = txn.NewShardedClusterOn(r.net, spec.Sites, cfg, max(spec.Shards, 1))
 	if err != nil {
 		return nil, nil, fmt.Errorf("explore: build cluster: %w", err)
 	}

@@ -154,7 +154,8 @@ type Schedule struct {
 	GroupCommit bool `json:"groupCommit,omitempty"`
 	// Shards hash-partitions every site's database into that many shards
 	// (per-shard lock managers and WAL sessions over the site's one
-	// stable store); 0 or 1 means the single-partition store.
+	// stable store). Zero means one shard; it is left as zero in recorded
+	// traces (Run defaults it, Normalize does not) so they keep their bytes.
 	Shards int `json:"shards,omitempty"`
 	// LockWait makes sites wait (poll-retry) on contended locks instead of
 	// failing the work phase, and disables the master's work-abort timer —

@@ -27,28 +27,8 @@ var (
 	ErrNoTxn = errors.New("kvstore: unknown transaction")
 )
 
-// DB is the transactional surface the txn layer drives: one key-value
-// database with strict 2PL branches. Both the single-partition Store and
-// the hash-partitioned Shards implement it, so a site picks its layout at
-// deploy time without the execution layer noticing.
-type DB interface {
-	Begin(txn string) error
-	Get(txn, key string) (string, error)
-	Put(txn, key, value string) error
-	Increment(txn, key, delta string) error
-	Append(txn, key, elem string) error
-	SetInsert(txn, key, elem string) error
-	PutUnderlocked(txn, key, value string) error
-	Commit(txn string) error
-	Abort(txn string) error
-	Prepared(txn string) bool
-	Read(key string) string
-	Snapshot() recovery.State
-	OpenTxns() int
-}
-
-// Store is one site's transactional KV store (or, with owns set, one
-// shard of it).
+// Store is one shard of a site's transactional KV store: the unit Shards
+// partitions a site into, owning every key when owns is nil.
 type Store struct {
 	// data is the volatile database the WAL guards: every post-open
 	// mutation must flow through the write-ahead log (//dur:volatile).

@@ -29,9 +29,10 @@ func ShardOf(key string, n int) int {
 	return int(h.Sum32() % uint32(n))
 }
 
-// Shards is a hash-partitioned DB over one stable store. It implements
-// the same DB surface as Store, so the txn execution layer is oblivious
-// to the partitioning.
+// Shards is a site's database: n hash partitions over one stable store,
+// each a Store. It is the one type the txn execution layer drives — a
+// one-shard Shards is the undivided layout, differing from a bare Store
+// only in writing a transaction's begin record on first touch.
 type Shards struct {
 	shards []*Store
 	st     *stable.Store

@@ -24,10 +24,6 @@ type Deployment struct {
 // ErrWire is wrapped when a group's message handlers cannot be installed.
 var ErrWire = errors.New("tpc: wire handler")
 
-// Deploy registers one coordinator node and n cohort nodes on net and
-// wires all message handlers. Node IDs are 1 (coordinator) and 2..n+1
-// (cohorts), the layout every harness and fault schedule in this
-// repository assumes.
 // DeployCoordinator registers and wires only the coordinator engine —
 // the per-process deployment a distributed runtime needs, where each
 // transport hosts exactly one node (internal/rt/tcp) and the cohorts
@@ -52,25 +48,24 @@ func DeployCohort(net rt.Transport, id, coordID rt.NodeID, cohortIDs []rt.NodeID
 	return h, nil
 }
 
+// Deploy registers one coordinator node and n cohort nodes on net and
+// wires all message handlers. Node IDs are 1 (coordinator) and 2..n+1
+// (cohorts), the layout every harness and fault schedule in this
+// repository assumes.
 func Deploy(net rt.Transport, n int, cfg Config) (*Deployment, error) {
 	coordID := rt.NodeID(1)
-	net.AddNode(coordID, nil)
 	var cohortIDs []rt.NodeID
 	for i := 2; i <= n+1; i++ {
-		id := rt.NodeID(i)
-		cohortIDs = append(cohortIDs, id)
-		net.AddNode(id, nil)
+		cohortIDs = append(cohortIDs, rt.NodeID(i))
 	}
 	d := &Deployment{Net: net, CoordID: coordID, CohortIDs: cohortIDs, Cohorts: map[rt.NodeID]*Cohort{}}
-	d.Coordinator = NewCoordinator(net, coordID, cohortIDs, cfg)
-	if err := net.SetHandler(coordID, func(m rt.Message) { d.Coordinator.HandleMessage(m) }); err != nil {
-		return nil, fmt.Errorf("%w: coordinator %d: %w", ErrWire, coordID, err)
+	var err error
+	if d.Coordinator, err = DeployCoordinator(net, coordID, cohortIDs, cfg); err != nil {
+		return nil, err
 	}
 	for _, id := range cohortIDs {
-		h := NewCohort(net, id, coordID, cohortIDs, cfg)
-		d.Cohorts[id] = h
-		if err := net.SetHandler(id, func(m rt.Message) { h.HandleMessage(m) }); err != nil {
-			return nil, fmt.Errorf("%w: cohort %d: %w", ErrWire, id, err)
+		if d.Cohorts[id], err = DeployCohort(net, id, coordID, cohortIDs, cfg); err != nil {
+			return nil, err
 		}
 	}
 	return d, nil

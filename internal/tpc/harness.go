@@ -11,15 +11,12 @@ import (
 	"speccat/internal/simnet" //lint:allow rt-boundary sim-harness constructor: the engines speak rt.Transport, this file owns the simulator wiring
 )
 
-// Group is a wired commit-protocol deployment on the deterministic
-// simulator: one coordinator site and a set of cohort sites on a shared
-// simulated network.
+// Group is a Deployment on the deterministic simulator: one coordinator
+// site and a set of cohort sites on a shared simulated network.
 type Group struct {
-	Net         *simnet.Network
-	Coordinator *Coordinator
-	Cohorts     map[simnet.NodeID]*Cohort
-	CoordID     simnet.NodeID
-	CohortIDs   []simnet.NodeID
+	*Deployment
+	// Net is the deployment's transport as the concrete simulator network.
+	Net *simnet.Network
 }
 
 // NewGroup builds a network with one coordinator and n cohorts and wires
@@ -36,10 +33,7 @@ func NewGroupOn(net *simnet.Network, n int, cfg Config) (*Group, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Group{
-		Net: net, Coordinator: d.Coordinator, Cohorts: d.Cohorts,
-		CoordID: d.CoordID, CohortIDs: d.CohortIDs,
-	}, nil
+	return &Group{Deployment: d, Net: net}, nil
 }
 
 // Run starts txn and drives the simulation to quiescence.

@@ -20,36 +20,24 @@ type Cluster struct {
 	Sites    map[simnet.NodeID]*Site
 	MasterID simnet.NodeID
 	SiteIDs  []simnet.NodeID
-	cfg      tpc.Config
 }
 
-// NewCluster builds a master and n data sites over a fresh network.
+// NewCluster builds a master and n data sites (one shard each) over a
+// fresh seeded network — the simulator convenience most tests use.
 func NewCluster(seed int64, n int, cfg tpc.Config) (*Cluster, error) {
 	sched := sim.NewScheduler(seed)
-	return NewClusterOn(simnet.New(sched, simnet.DefaultOptions()), n, cfg)
+	return NewShardedClusterOn(simnet.New(sched, simnet.DefaultOptions()), n, cfg, 1)
 }
 
-// NewClusterOn wires a cluster onto an existing (empty) network, letting
-// callers customize network options and install failure-injection hooks.
-// Crash recovery is wired: when simnet recovers a site, the site reopens
-// its store from stable storage and replays the commit protocol's failure
-// transitions; a recovered master replays the coordinator's.
-func NewClusterOn(net *simnet.Network, n int, cfg tpc.Config) (*Cluster, error) {
-	return newClusterOn(net, n, cfg, 0)
-}
-
-// NewShardedClusterOn is NewClusterOn with every site's database
-// hash-partitioned into nshards independent shards over the site's one
-// stable store (see kvstore.OpenShards). nshards < 2 degrades to the
-// single-partition store.
+// NewShardedClusterOn wires a cluster onto an existing (empty) network,
+// letting callers customize network options and install failure-injection
+// hooks. Every site's database is hash-partitioned into nshards
+// independent shards over the site's one stable store (see
+// NewShardedSiteOn). Crash recovery is wired: when simnet recovers a
+// site, the site reopens its store from stable storage and replays the
+// commit protocol's failure transitions; a recovered master replays the
+// coordinator's.
 func NewShardedClusterOn(net *simnet.Network, n int, cfg tpc.Config, nshards int) (*Cluster, error) {
-	if nshards < 2 {
-		nshards = 0
-	}
-	return newClusterOn(net, n, cfg, nshards)
-}
-
-func newClusterOn(net *simnet.Network, n int, cfg tpc.Config, nshards int) (*Cluster, error) {
 	masterID := simnet.NodeID(1)
 	net.AddNode(masterID, nil)
 	var siteIDs []simnet.NodeID
@@ -58,7 +46,7 @@ func newClusterOn(net *simnet.Network, n int, cfg tpc.Config, nshards int) (*Clu
 		siteIDs = append(siteIDs, id)
 		net.AddNode(id, nil)
 	}
-	c := &Cluster{Net: net, MasterID: masterID, SiteIDs: siteIDs, Sites: map[simnet.NodeID]*Site{}, cfg: cfg}
+	c := &Cluster{Net: net, MasterID: masterID, SiteIDs: siteIDs, Sites: map[simnet.NodeID]*Site{}}
 
 	master, err := NewMasterOn(net, masterID, siteIDs, cfg)
 	if err != nil {
@@ -67,7 +55,7 @@ func newClusterOn(net *simnet.Network, n int, cfg tpc.Config, nshards int) (*Clu
 	c.Master = master
 
 	for _, id := range siteIDs {
-		site, err := newSiteOn(net, id, masterID, siteIDs, cfg, nshards)
+		site, err := NewShardedSiteOn(net, id, masterID, siteIDs, cfg, nshards)
 		if err != nil {
 			return nil, err
 		}

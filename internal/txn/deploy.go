@@ -4,9 +4,9 @@ package txn
 // The simulator harness (cluster.go) wires a whole cluster in one
 // process; a real deployment (cmd/tpcserve) runs one process per node,
 // so it needs to construct exactly its own role — NewMasterOn for the
-// coordinator process, NewSiteOn for each cohort process. Both install
-// the engine's handler and recovery callback on the transport, so after
-// the call the node is live.
+// coordinator process, NewShardedSiteOn for each cohort process. Both
+// install the engine's handler and recovery callback on the transport, so
+// after the call the node is live.
 
 import (
 	"fmt"
@@ -37,41 +37,24 @@ func NewMasterOn(net rt.Transport, masterID rt.NodeID, siteIDs []rt.NodeID, cfg 
 	return m, nil
 }
 
-// NewSiteOn builds one data-site engine (cohort plus local kvstore) on
-// net. The site node must already be registered on the transport; its
-// stable store backs the kvstore's WAL, so a site built over a
-// file-journaled store recovers its committed state across real process
-// restarts.
-func NewSiteOn(net rt.Transport, id, masterID rt.NodeID, siteIDs []rt.NodeID, cfg tpc.Config) (*Site, error) {
-	return newSiteOn(net, id, masterID, siteIDs, cfg, 0)
-}
-
-// NewShardedSiteOn is NewSiteOn with the site's database hash-partitioned
-// into nshards independent shards (own lock manager and WAL session each)
-// over the site's one stable store. Crash recovery reopens the same
-// layout. nshards < 2 degrades to the single-partition store.
+// NewShardedSiteOn builds one data-site engine (cohort plus local
+// kvstore) on net. The site node must already be registered on the
+// transport; its stable store backs the kvstore's WAL, so a site built
+// over a file-journaled store recovers its committed state across real
+// process restarts. The database is hash-partitioned into nshards
+// independent shards (own lock manager and WAL session each) over that
+// one stable store — nshards == 1 is one real shard, anything less is
+// kvstore.OpenShards' error — and crash recovery reopens the same layout.
 func NewShardedSiteOn(net rt.Transport, id, masterID rt.NodeID, siteIDs []rt.NodeID, cfg tpc.Config, nshards int) (*Site, error) {
-	if nshards < 2 {
-		nshards = 0
-	}
-	return newSiteOn(net, id, masterID, siteIDs, cfg, nshards)
-}
-
-func newSiteOn(net rt.Transport, id, masterID rt.NodeID, siteIDs []rt.NodeID, cfg tpc.Config, nshards int) (*Site, error) {
 	st, err := net.Store(id)
 	if err != nil {
 		return nil, fmt.Errorf("txn: wire site %d: %w", id, err)
 	}
-	var store kvstore.DB
-	if nshards > 0 {
-		store, err = kvstore.OpenShards(st, nshards)
-	} else {
-		store, err = kvstore.Open(st)
-	}
+	store, err := kvstore.OpenShards(st, nshards)
 	if err != nil {
 		return nil, fmt.Errorf("txn: wire site %d: %w", id, err)
 	}
-	site := &Site{net: net, id: id, Store: store, masterID: masterID, failed: map[string]bool{}, shards: nshards}
+	site := &Site{net: net, id: id, Store: store, masterID: masterID, failed: map[string]bool{}}
 	site.cohort = tpc.NewCohort(net, id, masterID, siteIDs, cfg)
 	site.cohort.Vote = func(txn string) bool { return !site.failed[txn] }
 	site.cohort.OnDecide = site.applyDecision
@@ -93,8 +76,12 @@ func SiteFor(siteIDs []rt.NodeID, key string) rt.NodeID {
 	for _, ch := range key {
 		h = h*31 + int(ch)
 	}
-	if h < 0 {
-		h = -h
+	// The remainder is folded to non-negative, not the hash: -h overflows
+	// for the minimum int (a 13-byte key reaches it), while |h % n| equals
+	// |h| % n for every h, so no key moves.
+	i := h % len(siteIDs)
+	if i < 0 {
+		i = -i
 	}
-	return siteIDs[h%len(siteIDs)]
+	return siteIDs[i]
 }

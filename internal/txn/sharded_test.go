@@ -106,9 +106,9 @@ func TestShardedCrashRecoveryReplaysAllShards(t *testing.T) {
 			t.Errorf("key %s = %q after crash recovery", k, got)
 		}
 	}
-	// The reopened store must still be the sharded layout.
-	if sh, ok := c.Sites[s2].Store.(*kvstore.Shards); !ok || sh.NumShards() != 4 {
-		t.Fatalf("recovered store lost its sharded layout: %T", c.Sites[s2].Store)
+	// The reopened store must keep its shard count.
+	if n := c.Sites[s2].Store.NumShards(); n != 4 {
+		t.Fatalf("recovered store has %d shards, want 4", n)
 	}
 }
 

@@ -143,15 +143,13 @@ func (m *Master) Unhandled() int { return m.unhandled }
 type Site struct {
 	net rt.Transport
 	id  rt.NodeID
-	// Store is the site's transactional database: a single-partition
-	// kvstore.Store, or a hash-sharded kvstore.Shards when the site was
-	// built with NewShardedSiteOn.
-	Store    kvstore.DB
+	// Store is the site's transactional database, hash-partitioned into
+	// the shard count the site was built with (one shard is the
+	// undivided layout). Recover replaces it with a reopened store of the
+	// same shard count.
+	Store    *kvstore.Shards
 	cohort   *tpc.Cohort
 	masterID rt.NodeID
-	// shards > 0 records the partition count so crash recovery reopens
-	// the store with the identical layout.
-	shards int
 	// failed marks local branches that could not complete their work: the
 	// site votes no for them. Sites with no branch for a transaction vote
 	// yes trivially (they have nothing to make durable).
@@ -388,8 +386,8 @@ func (s *Site) startWork(w workMsg) {
 		return
 	}
 	ops := w.Ops
-	if s.CanonicalLockOrder && s.shards > 0 {
-		ops = canonicalOrder(ops, s.shards)
+	if s.CanonicalLockOrder {
+		ops = canonicalOrder(ops, s.Store.NumShards())
 	}
 	s.runOps(w.Txn, ops, 0, map[string]string{})
 }
@@ -502,7 +500,7 @@ func (s *Site) applyDecision(txn string, d tpc.Decision) {
 // storage cannot have been decided commit anywhere (the vote is written
 // ahead of its send), so they resolve to abort; then the store reopens,
 // replaying the WAL over the resolved log. simnet invokes this via the
-// RecoverFunc wired by NewClusterOn.
+// RecoverFunc wired by NewShardedSiteOn.
 func (s *Site) Recover() error {
 	st, err := s.net.Store(s.id)
 	if err != nil {
@@ -532,12 +530,7 @@ func (s *Site) Recover() error {
 			s.OnApply(txn, d)
 		}
 	}
-	var store kvstore.DB
-	if s.shards > 0 {
-		store, err = kvstore.OpenShards(st, s.shards)
-	} else {
-		store, err = kvstore.Open(st)
-	}
+	store, err := kvstore.OpenShards(st, s.Store.NumShards())
 	if err != nil {
 		return fmt.Errorf("txn: recover site %d: %w", s.id, err)
 	}

@@ -78,6 +78,22 @@ func TestSiteForPackageLevel(t *testing.T) {
 			}
 		}
 	}
+	// Keys whose folded hash goes negative keep the site they have always
+	// had (values recorded before the overflow fix), and the one key shape
+	// whose hash is the minimum int — it used to index out of range and
+	// crash the coordinator — now maps to a site too.
+	for key, want := range map[string]rt.NodeID{
+		"account-0000000017": 2,
+		"account-0000000018": 4,
+		"account-0000000019": 3,
+	} {
+		if got := SiteFor(sites, key); got != want {
+			t.Errorf("SiteFor(%q) = %d, want %d: a mapped key moved", key, got, want)
+		}
+	}
+	if got := SiteFor(sites, "9.=/;,97;12.("); got < 2 || got > 4 {
+		t.Errorf("SiteFor(min-int key) = %d, want a site in %v", got, sites)
+	}
 	// The hash spreads: three distinct single-letter keys do not all land
 	// on one site.
 	seen := map[rt.NodeID]bool{}
