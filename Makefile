@@ -31,22 +31,29 @@ lint:
 	$(GO) run ./cmd/speccatlint -fsm-check docs/fsm ./internal/...
 
 # Tracked design-quality outcomes (ROADMAP items 2 and 3): non-test line
-# counts of the checkers, of the protocol stack they check, and of the
-# experiment/explorer harness. The CI lint job runs this and fails when
-# internal/analysis or the harness outgrows its budget — the sizes the
-# shared analysis core (PR 12) and the shared sweep/witness/replay harness
-# (PR 13) landed at; raise one only with a reason.
+# counts of the checkers, of the protocol stack they check, of the
+# experiment/explorer harness, and of the serving runtime under tpcserve.
+# The CI lint job runs this and fails when any of the four outgrows its
+# budget — the sizes the shared analysis core (PR 12), the shared
+# sweep/witness/replay harness (PR 13) and the one-commit-path merge
+# (PR 14: shared tpc endpoint, one delivery recorder, no tpcserve mode
+# flags) landed at; raise one only with a reason.
 ANALYSIS_LOC_BUDGET = 6522
+STACK_LOC_BUDGET = 4354
 HARNESS_LOC_BUDGET = 3054
+SERVING_LOC_BUDGET = 2065
 loc_count = find $(1) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
 loc:
 	@a=$$($(call loc_count,internal/analysis)); \
 	s=$$($(call loc_count,$(addprefix internal/,tpc txn kvstore locking wal stable recovery))); \
 	h=$$($(call loc_count,internal/experiments internal/explore)); \
+	r=$$($(call loc_count,internal/rt cmd/tpcserve)); \
 	echo "internal/analysis: $$a non-test lines (budget $(ANALYSIS_LOC_BUDGET))"; \
-	echo "protocol stack (tpc txn kvstore locking wal stable recovery): $$s non-test lines"; \
+	echo "protocol stack (tpc txn kvstore locking wal stable recovery): $$s non-test lines (budget $(STACK_LOC_BUDGET))"; \
 	echo "harness (experiments explore): $$h non-test lines (budget $(HARNESS_LOC_BUDGET))"; \
-	test $$a -le $(ANALYSIS_LOC_BUDGET) && test $$h -le $(HARNESS_LOC_BUDGET)
+	echo "serving runtime (rt cmd/tpcserve): $$r non-test lines (budget $(SERVING_LOC_BUDGET))"; \
+	test $$a -le $(ANALYSIS_LOC_BUDGET) && test $$s -le $(STACK_LOC_BUDGET) && \
+	test $$h -le $(HARNESS_LOC_BUDGET) && test $$r -le $(SERVING_LOC_BUDGET)
 
 # Regenerate docs/fsm from the //fsm:* annotations in the sources. The
 # output is deterministic; commit it, and CI fails when it drifts.

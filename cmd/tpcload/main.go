@@ -3,7 +3,8 @@
 // transfer transactions over disjoint per-worker account sets, in either
 // closed-loop (each worker fires its next transaction the moment the
 // previous one finishes) or open-loop mode (-rate R sends on a fixed
-// schedule regardless of completions, exposing queueing delay).
+// schedule regardless of completions and times each transaction from the
+// instant it was due, exposing queueing delay).
 //
 // Usage:
 //
@@ -107,23 +108,22 @@ func (c *client) round(line string) (string, error) {
 
 // transfer runs one read-then-write transfer of 10 from one account to
 // another as two distributed transactions (a read pair, then a write
-// pair), mirroring the conformance suite's workload. It returns the
-// end-to-end latency of the commit-bearing round trips.
-func (c *client) transfer(name, from, to string) (time.Duration, bool, error) {
-	start := time.Now() //lint:allow nowallclock load generator measures real serving-path latency
+// pair), mirroring the conformance suite's workload. It reports whether
+// both committed.
+func (c *client) transfer(name, from, to string) (bool, error) {
 	read := name + "-r"
 	for _, cmd := range []string{"BEGIN " + read, "READ " + read + " " + from, "READ " + read + " " + to} {
 		if _, err := c.round(cmd); err != nil {
-			return 0, false, err
+			return false, err
 		}
 	}
 	done, err := c.round("COMMIT " + read)
 	if err != nil {
-		return 0, false, err
+		return false, err
 	}
 	reads, committed := parseDone(done)
 	if !committed {
-		return time.Since(start), false, nil //lint:allow nowallclock load generator measures real serving-path latency
+		return false, nil
 	}
 	fromBal, toBal := balanceOf(reads, from), balanceOf(reads, to)
 	write := name + "-w"
@@ -133,38 +133,37 @@ func (c *client) transfer(name, from, to string) (time.Duration, bool, error) {
 		"WRITE " + write + " " + to + " " + strconv.Itoa(toBal+10),
 	} {
 		if _, err := c.round(cmd); err != nil {
-			return 0, false, err
+			return false, err
 		}
 	}
 	done, err = c.round("COMMIT " + write)
 	if err != nil {
-		return 0, false, err
+		return false, err
 	}
 	_, committed = parseDone(done)
-	return time.Since(start), committed, nil //lint:allow nowallclock load generator measures real serving-path latency
+	return committed, nil
 }
 
 // incTransfer moves 10 from one account to another as one transaction of
 // paired commutative increments — no read phase, and both deltas commit
 // or abort atomically, so the conservation audit holds exactly as it
 // does for the WRITE form.
-func (c *client) incTransfer(name, from, to string) (time.Duration, bool, error) {
-	start := time.Now() //lint:allow nowallclock load generator measures real serving-path latency
+func (c *client) incTransfer(name, from, to string) (bool, error) {
 	for _, cmd := range []string{
 		"BEGIN " + name,
 		"INC " + name + " " + from + " -10",
 		"INC " + name + " " + to + " 10",
 	} {
 		if _, err := c.round(cmd); err != nil {
-			return 0, false, err
+			return false, err
 		}
 	}
 	done, err := c.round("COMMIT " + name)
 	if err != nil {
-		return 0, false, err
+		return false, err
 	}
 	_, committed := parseDone(done)
-	return time.Since(start), committed, nil //lint:allow nowallclock load generator measures real serving-path latency
+	return committed, nil
 }
 
 // parseDone splits "DONE <txn> <COMMIT|ABORT> [site/key=value ...]".
@@ -199,6 +198,48 @@ type workerStats struct {
 	committed int
 	aborted   int
 	err       error
+}
+
+// pace is the open-loop schedule: it feeds n tickets, ticket i due at
+// start + i·interval on the absolute clock and carrying that due time —
+// not one ticker interval after ticket i−1 was drained. A ticker drops
+// ticks whenever the drain lags, silently re-pacing the run to the
+// cluster's completion rate (coordinated omission: the slow moments are
+// exactly the ones removed from the schedule); absolute deadlines instead
+// let a lagging run burst to catch back up to the intended schedule.
+func pace(tickets chan<- time.Time, start time.Time, interval time.Duration, n int) {
+	for i := 0; i < n; i++ {
+		due := start.Add(time.Duration(i) * interval)
+		if d := time.Until(due); d > 0 { //lint:allow nowallclock open-loop generator paces real sends on the wall clock
+			time.Sleep(d)
+		}
+		tickets <- due
+	}
+	close(tickets)
+}
+
+// timeOps runs do(0..n-1), recording each call's latency in hist. Open
+// loop (tickets non-nil), a call waits for its ticket and is timed from
+// the ticket's due time, so the time it sat in the channel behind slower
+// predecessors lands in the quantiles instead of vanishing; closed loop,
+// it is timed from the moment it starts. It stops early, without error,
+// when the schedule runs out.
+func timeOps(tickets <-chan time.Time, n int, hist *benchsuite.Hist, do func(i int) error) error {
+	for i := 0; i < n; i++ {
+		begin := time.Now() //lint:allow nowallclock load generator measures real serving-path latency
+		if tickets != nil {
+			due, ok := <-tickets
+			if !ok {
+				return nil
+			}
+			begin = due
+		}
+		if err := do(i); err != nil {
+			return err
+		}
+		hist.Record(time.Since(begin)) //lint:allow nowallclock load generator measures real serving-path latency
+	}
+	return nil
 }
 
 func run(addr string, txns, conc int, rate float64, accounts int, zipf, mix float64, seed int64, prefix, out string) error {
@@ -239,31 +280,11 @@ func run(addr string, txns, conc int, rate float64, accounts int, zipf, mix floa
 		}
 	}
 
-	// Open-loop tickets: a pacer feeds a channel the workers drain, so the
-	// send schedule is fixed while completions lag behind it. Ticket i is
-	// due at start + i·interval on the absolute clock — not one ticker
-	// interval after ticket i−1 was drained. A ticker drops ticks whenever
-	// the drain lags, silently re-pacing the run to the cluster's
-	// completion rate (coordinated omission: the slow moments are exactly
-	// the ones removed from the schedule); absolute deadlines instead let
-	// a lagging run burst to catch back up to the intended schedule, and
-	// the achieved-vs-requested rate in the summary reports any shortfall
-	// instead of hiding it.
-	var tickets chan struct{}
+	var tickets chan time.Time
 	if rate > 0 {
-		tickets = make(chan struct{}, txns)
-		interval := time.Duration(float64(time.Second) / rate)
-		go func() {
-			paceStart := time.Now() //lint:allow nowallclock open-loop generator paces real sends on the wall clock
-			for i := 0; i < txns; i++ {
-				due := paceStart.Add(time.Duration(i) * interval)
-				if d := time.Until(due); d > 0 { //lint:allow nowallclock open-loop generator paces real sends on the wall clock
-					time.Sleep(d)
-				}
-				tickets <- struct{}{}
-			}
-			close(tickets)
-		}()
+		// Sized to the whole schedule, so the pacer never waits on a slow drain.
+		tickets = make(chan time.Time, txns)
+		go pace(tickets, time.Now(), time.Duration(float64(time.Second)/rate), txns) //lint:allow nowallclock open-loop generator paces real sends on the wall clock
 	}
 
 	stats := make([]workerStats, conc)
@@ -292,12 +313,7 @@ func run(addr string, txns, conc int, rate float64, accounts int, zipf, mix floa
 			if zipf > 0 {
 				chooser = workload.NewZipf(rng, accounts, zipf)
 			}
-			for i := 0; i < share; i++ {
-				if tickets != nil {
-					if _, ok := <-tickets; !ok {
-						return
-					}
-				}
+			st.err = timeOps(tickets, share, &st.hist, func(i int) error {
 				fromIdx, toIdx := i%accounts, (i+1)%accounts
 				if chooser != nil {
 					fromIdx = chooser.Next()
@@ -307,24 +323,22 @@ func run(addr string, txns, conc int, rate float64, accounts int, zipf, mix floa
 				from := acctName(w, fromIdx)
 				to := acctName(w, toIdx)
 				name := fmt.Sprintf("%sw%d.t%d", prefix, w, i)
-				var lat time.Duration
 				var committed bool
 				if mix > 0 && rng.Float64() < mix {
-					lat, committed, err = c.incTransfer(name, from, to)
+					committed, err = c.incTransfer(name, from, to)
 				} else {
-					lat, committed, err = c.transfer(name, from, to)
+					committed, err = c.transfer(name, from, to)
 				}
 				if err != nil {
-					st.err = err
-					return
+					return err
 				}
-				st.hist.Record(lat)
 				if committed {
 					st.committed++
 				} else {
 					st.aborted++
 				}
-			}
+				return nil
+			})
 		}()
 	}
 	wg.Wait()

@@ -9,21 +9,19 @@
 //
 //	tpcserve -node 1 -cluster "1=127.0.0.1:7101,2=127.0.0.1:7102,3=127.0.0.1:7103,4=127.0.0.1:7104" \
 //	         -client 127.0.0.1:7201 [-protocol 3pc|2pc] [-data DIR] [-tick 1ms] [-delta 10] \
-//	         [-shards N] [-group] [-scoped]
+//	         [-shards N]
 //
 // Every process of one deployment passes the identical -cluster map.
 // With -data, the node's stable store is journaled to
-// DIR/node<N>.journal (fsync per mutation) and protocol state survives a
-// kill -9 and restart.
+// DIR/node<N>.journal and protocol state survives a kill -9 and restart.
 //
-// The sharded, group-committed serving path: -shards N hash-partitions a
-// cohort's database into N shards (per-shard lock managers and WAL
-// sessions over the one journal), -group batches journal fsyncs at the
-// commit protocol's divergence-mandated sync points (concurrent commits
-// share one fsync instead of paying one each), and -scoped spans each
-// transaction's prepare fan-out over only the sites it touched. All three
-// default off, which preserves the fsync-per-mutation behavior of prior
-// releases; -scoped must be set on every node of a deployment or none.
+// There is one commit path. The journal is group-committed: records are
+// fsynced in batches at the commit protocol's divergence-mandated sync
+// points, concurrent commits sharing one fsync, and the sends that wait on
+// a batch re-enter the node's event loop when it lands. Every
+// transaction's prepare fan-out spans only the sites it touched. -shards N
+// hash-partitions a cohort's database into N shards (per-shard lock
+// managers and WAL sessions over the one journal).
 //
 // Client port line protocol (text, one command per line):
 //
@@ -77,14 +75,12 @@ func main() {
 	tick := flag.Duration("tick", time.Millisecond, "wall duration of one protocol tick")
 	delta := flag.Int("delta", 10, "message delay bound in ticks")
 	shards := flag.Int("shards", 1, "hash-shard this site's database into N partitions (cohorts only)")
-	group := flag.Bool("group", false, "group-commit the journal: batch fsyncs at protocol sync points")
-	scoped := flag.Bool("scoped", false, "span each prepare fan-out over only the sites the transaction touched")
 	flag.Parse()
 
 	if err := run(runOptions{
 		node: *node, clusterSpec: *clusterSpec, clientAddr: *clientAddr,
 		protocol: *protocol, dataDir: *dataDir, tick: *tick, delta: *delta,
-		shards: *shards, group: *group, scoped: *scoped,
+		shards: *shards,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "tpcserve: %v\n", err)
 		os.Exit(1)
@@ -130,15 +126,14 @@ type server struct {
 
 // runOptions carries the parsed command line into run.
 type runOptions struct {
-	node          int
-	clusterSpec   string
-	clientAddr    string
-	protocol      string
-	dataDir       string
-	tick          time.Duration
-	delta         int
-	shards        int
-	group, scoped bool
+	node        int
+	clusterSpec string
+	clientAddr  string
+	protocol    string
+	dataDir     string
+	tick        time.Duration
+	delta       int
+	shards      int
 }
 
 func run(o runOptions) error {
@@ -159,7 +154,7 @@ func run(o runOptions) error {
 		return fmt.Errorf("-node %d not present in -cluster", node)
 	}
 
-	cfg := tpc.Config{ScopedParticipants: o.scoped}
+	cfg := tpc.Config{ScopedParticipants: true}
 	switch protocol {
 	case "3pc":
 		cfg.Protocol = tpc.ThreePhase
@@ -195,8 +190,6 @@ func run(o runOptions) error {
 			return err
 		}
 		defer store.Close()
-	}
-	if o.group && store != nil {
 		store.SetGroupCommit(true)
 	}
 
@@ -220,7 +213,7 @@ func run(o runOptions) error {
 	if err := tnet.Start(); err != nil {
 		return err
 	}
-	if o.group && store != nil {
+	if store != nil {
 		// Pipelined group commit: the protocol engines' sync points hand
 		// their durable-dependent sends to the store, whose syncer batches
 		// one fsync across every in-flight transaction and re-enqueues the
@@ -250,8 +243,8 @@ func run(o runOptions) error {
 	if srv.master != nil {
 		role = "coordinator"
 	}
-	fmt.Printf("tpcserve: node %d (%s) protocol=%s wire=%s client=%s shards=%d group=%v scoped=%v\n",
-		node, role, protocol, cluster[local], cl.Addr(), o.shards, o.group, o.scoped)
+	fmt.Printf("tpcserve: node %d (%s) protocol=%s wire=%s client=%s shards=%d\n",
+		node, role, protocol, cluster[local], cl.Addr(), o.shards)
 
 	go acceptClients(cl, srv)
 

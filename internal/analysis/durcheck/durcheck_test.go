@@ -59,7 +59,7 @@ func TestRepoIsDurClean(t *testing.T) {
 	if rep.KindValue["KindCommit"] != "tpc.commit" {
 		t.Errorf("KindValue[KindCommit] = %q, want tpc.commit", rep.KindValue["KindCommit"])
 	}
-	for _, fn := range []string{"Cohort.decide", "Cohort.persist", "Coordinator.persistDecision", "Log.append", "Node.saveTentative"} {
+	for _, fn := range []string{"Cohort.decide", "endpoint.persist", "endpoint.persistDecision", "Log.append", "Node.saveTentative"} {
 		if len(rep.Writes[fn]) == 0 {
 			t.Errorf("no //dur:writes summary extracted for %s", fn)
 		}

@@ -145,8 +145,7 @@ type tpcCluster struct {
 
 // bootCluster starts a 1-coordinator/3-cohort deployment with
 // file-journaled stores under dataPrefix, plus any extra per-node flags
-// (the serving-path knobs -shards/-group/-scoped), and waits until every
-// client port accepts connections.
+// (-shards), and waits until every client port accepts connections.
 func bootCluster(t *testing.T, serveBin, dataPrefix string, extra ...string) *tpcCluster {
 	t.Helper()
 	addrs := reservePorts(t, 2*nodes) // wire ports then client ports
@@ -167,7 +166,7 @@ func bootCluster(t *testing.T, serveBin, dataPrefix string, extra ...string) *tp
 			"-data", fmt.Sprintf("%s%d", dataPrefix, i+1),
 			// The default delay bound (10 ticks = 10ms) models a quiet
 			// host. Loaded CI boxes stall event loops for >40ms, and the
-			// throughput test's 32-connection closed loop queues commits
+			// sharded audit's 32-connection closed loop queues commits
 			// behind the journal for >200ms; either would fire the cohorts'
 			// failure-handling timeouts mid-commit and break the synchrony
 			// assumption 3PC termination rests on. No fault is ever
@@ -232,6 +231,21 @@ func auditDump(t *testing.T, c *tpcCluster, conc int) {
 	}
 }
 
+// runLoad runs tpcload to completion. tpcload itself audits conservation
+// and exits nonzero on a violation; the explicit marker line is the belt
+// to that suspenders.
+func runLoad(t *testing.T, loadBin string, args ...string) {
+	t.Helper()
+	out, err := exec.Command(loadBin, args...).CombinedOutput()
+	t.Logf("tpcload %s:\n%s", strings.Join(args, " "), out)
+	if err != nil {
+		t.Fatalf("tpcload failed: %v", err)
+	}
+	if !strings.Contains(string(out), "violations=0") {
+		t.Fatal("tpcload did not report zero atomicity violations")
+	}
+}
+
 // TestServeSmoke is satellite 4: real binaries, real sockets, 500
 // transactions, zero atomicity violations, schema-valid report.
 func TestServeSmoke(t *testing.T) {
@@ -246,23 +260,13 @@ func TestServeSmoke(t *testing.T) {
 	// Drive the load generator as a real subprocess against the
 	// coordinator's client port.
 	report := filepath.Join(dir, "bench.json")
-	load := exec.Command(loadBin,
+	runLoad(t, loadBin,
 		"-addr", client[0],
 		"-txns", strconv.Itoa(txns),
 		"-conc", strconv.Itoa(workers),
 		"-accounts", strconv.Itoa(accounts),
 		"-out", report,
 	)
-	out, err := load.CombinedOutput()
-	t.Logf("tpcload output:\n%s", out)
-	if err != nil {
-		t.Fatalf("tpcload failed: %v", err)
-	}
-	// tpcload itself audits conservation and exits nonzero on a violation;
-	// the explicit marker line is the belt to that suspenders.
-	if !strings.Contains(string(out), "violations=0") {
-		t.Fatal("tpcload did not report zero atomicity violations")
-	}
 
 	// Second pass against the same cluster: zipfian-skewed accounts with a
 	// commutative INC mix. This pushes the INC verb — and with it IncMode
@@ -270,7 +274,7 @@ func TestServeSmoke(t *testing.T) {
 	// journals; paired ±10 increments conserve the sum exactly like the
 	// WRITE transfers, so the same audits apply. The re-funding writes at
 	// the start of the run reset every balance to 100 first.
-	mixed := exec.Command(loadBin,
+	runLoad(t, loadBin,
 		"-addr", client[0],
 		"-txns", "200",
 		"-conc", strconv.Itoa(workers),
@@ -280,14 +284,6 @@ func TestServeSmoke(t *testing.T) {
 		"-seed", "7",
 		"-prefix", "mix.",
 	)
-	out, err = mixed.CombinedOutput()
-	t.Logf("tpcload -zipf -mix output:\n%s", out)
-	if err != nil {
-		t.Fatalf("tpcload -zipf -mix failed: %v", err)
-	}
-	if !strings.Contains(string(out), "violations=0") {
-		t.Fatal("commutative-mix tpcload did not report zero atomicity violations")
-	}
 
 	// The emitted report must satisfy the benchsuite schema and carry the
 	// serving-path quantiles.
@@ -316,74 +312,28 @@ func TestServeSmoke(t *testing.T) {
 	auditDump(t, cl, workers)
 }
 
-// loadTPS drives one full tpcload run (500 transfers over conc
-// connections) against a cluster and returns the committed+aborted
-// transaction throughput from the emitted report, after requiring the
-// generator's own conservation audit to pass.
-func loadTPS(t *testing.T, loadBin, addr, report string, conc int) float64 {
-	t.Helper()
-	load := exec.Command(loadBin,
-		"-addr", addr,
-		"-txns", strconv.Itoa(txns),
-		"-conc", strconv.Itoa(conc),
-		"-accounts", strconv.Itoa(accounts),
-		"-out", report,
-	)
-	out, err := load.CombinedOutput()
-	t.Logf("tpcload output:\n%s", out)
-	if err != nil {
-		t.Fatalf("tpcload failed: %v", err)
-	}
-	if !strings.Contains(string(out), "violations=0") {
-		t.Fatal("tpcload did not report zero atomicity violations")
-	}
-	r, err := benchsuite.ReadReport(report)
-	if err != nil {
-		t.Fatalf("report does not validate: %v", err)
-	}
-	for _, bm := range r.Benchmarks {
-		if bm.Name == "tpcload/txn" && bm.NsPerOp > 0 {
-			return 1e9 / bm.NsPerOp
-		}
-	}
-	t.Fatal("report is missing tpcload/txn")
-	return 0
-}
-
-// TestServeShardedThroughput is the tentpole's end-to-end claim: the
-// sharded, group-committed, scoped serving path (-shards 4 -group
-// -scoped) must beat the monolithic per-record-fsync baseline by at
-// least 3x committed throughput on the identical 500-transfer load, at
-// equal durability — the load generator's conservation audit and a final
-// DUMP re-audit of the committed stores must both stay exact on the fast
-// path. Both arms run back-to-back on the same host and filesystem at
-// the same offered concurrency, so the ratio is insulated from
-// machine-to-machine fsync-cost variance (the absolute numbers land in
-// EXPERIMENTS.md E19). 32 connections give the pipelined group commit a
-// real batch window; the baseline cannot use them (its fsyncs serialize
-// behind each node's event loop), which is exactly the design claim.
-func TestServeShardedThroughput(t *testing.T) {
+// TestServeShardedAudit runs the serving path at the shape the benchmark
+// drives it — four shards per cohort, 32 connections, so the pipelined
+// group commit batches many committers per fsync and transfers cross
+// shards and sites under real contention — and audits it twice: the load
+// generator's own conservation check over read transactions, then a DUMP
+// of every cohort's committed store. It asserts nothing about speed; the
+// per-record-fsync arm the binary used to have, and the wall-clock
+// multiplier measured against it, went together (EXPERIMENTS.md E19).
+func TestServeShardedAudit(t *testing.T) {
 	if testing.Short() {
-		t.Skip("subprocess throughput measurement is not a -short test")
+		t.Skip("subprocess audit is not a -short test")
 	}
 	const conc = 32
 	dir := t.TempDir()
 	serveBin, loadBin := buildBinaries(t, dir)
+	cl := bootCluster(t, serveBin, filepath.Join(dir, "data"), "-shards", "4")
 
-	base := bootCluster(t, serveBin, filepath.Join(dir, "base"))
-	baseTPS := loadTPS(t, loadBin, base.client[0], filepath.Join(dir, "base.json"), conc)
-	auditDump(t, base, conc)
-	base.stop()
-
-	fast := bootCluster(t, serveBin, filepath.Join(dir, "fast"),
-		"-shards", "4", "-group", "-scoped")
-	fastTPS := loadTPS(t, loadBin, fast.client[0], filepath.Join(dir, "fast.json"), conc)
-	auditDump(t, fast, conc)
-
-	t.Logf("baseline %.1f txns/sec, sharded+group+scoped %.1f txns/sec (%.2fx)",
-		baseTPS, fastTPS, fastTPS/baseTPS)
-	if fastTPS < 3*baseTPS {
-		t.Errorf("sharded path %.1f txns/sec is under 3x the %.1f baseline (%.2fx)",
-			fastTPS, baseTPS, fastTPS/baseTPS)
-	}
+	runLoad(t, loadBin,
+		"-addr", cl.client[0],
+		"-txns", strconv.Itoa(txns),
+		"-conc", strconv.Itoa(conc),
+		"-accounts", strconv.Itoa(accounts),
+	)
+	auditDump(t, cl, conc)
 }

@@ -13,7 +13,7 @@ import (
 
 // E16 — real-goroutine conformance replay. The tpc engines, ported to
 // the rt runtime boundary, run on the live adapter (one goroutine per
-// node, wall-clock timers); the adapter records the global delivery
+// node, wall-clock timers); a live.Tracer records the global delivery
 // trace; the trace is then replayed through a single-threaded replay
 // transport driving the very same engine code, and the decisions and
 // byte-level durable stores of the two runs must agree. Together with
@@ -57,8 +57,9 @@ const e16Tick = 200 * time.Microsecond
 // no-voter).
 func E16LiveConformance() ([]ConformanceRow, error) {
 	return conformanceRows("e16", func(ids []rt.NodeID) (*runningCluster, error) {
-		lnet := live.New(live.Options{Tick: e16Tick, Delta: 10})
-		return &runningCluster{net: func(rt.NodeID) rt.Transport { return lnet }, close: lnet.Close, trace: lnet.Trace}, nil
+		tr := &live.Tracer{}
+		lnet := live.New(live.Options{Tick: e16Tick, Delta: 10, Tracer: tr})
+		return &runningCluster{net: func(rt.NodeID) rt.Transport { return lnet }, close: lnet.Close, trace: tr.Entries}, nil
 	})
 }
 
@@ -258,10 +259,8 @@ func newReplayNet(delta rt.Time) *replayNet {
 	return &replayNet{delta: delta, handlers: map[rt.NodeID]rt.Handler{}, stores: map[rt.NodeID]*stable.Store{}}
 }
 
-func (r *replayNet) Send(from, to rt.NodeID, kind string, payload any) error { return nil }
-func (r *replayNet) Broadcast(from rt.NodeID, kind string, payload any) error {
-	return nil
-}
+func (r *replayNet) Send(from, to rt.NodeID, kind string, payload any) error  { return nil }
+func (r *replayNet) Broadcast(from rt.NodeID, kind string, payload any) error { return nil }
 
 func (r *replayNet) Deliver(msg rt.Message) error {
 	h, ok := r.handlers[msg.To]

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"speccat/internal/rt"
+	"speccat/internal/rt/live"
 	"speccat/internal/rt/tcp"
 	"speccat/internal/tpc"
 )
@@ -65,7 +66,7 @@ func reserveLoopback(n int) ([]string, error) {
 // sharing a codec and a tracer.
 type e17Cluster struct {
 	nets   map[rt.NodeID]*tcp.Net
-	tracer *tcp.Tracer
+	tracer *live.Tracer
 }
 
 // newE17Cluster builds and starts transports for ids over loopback.
@@ -82,7 +83,7 @@ func newE17Cluster(ids []rt.NodeID, tick time.Duration) (*e17Cluster, error) {
 	if err := tpc.RegisterWire(codec); err != nil {
 		return nil, fmt.Errorf("e17: register wire: %w", err)
 	}
-	c := &e17Cluster{nets: map[rt.NodeID]*tcp.Net{}, tracer: &tcp.Tracer{}}
+	c := &e17Cluster{nets: map[rt.NodeID]*tcp.Net{}, tracer: &live.Tracer{}}
 	for _, id := range ids {
 		n, err := tcp.New(tcp.Options{
 			Local: id, Cluster: cluster, Codec: codec,

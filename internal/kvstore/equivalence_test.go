@@ -179,3 +179,71 @@ func finish(t *testing.T, both func(string, func(database) (string, error)) erro
 		}
 	}
 }
+
+// TestFourShardsReopenMatchesOpen pins OpenShards' single recovery pass:
+// the shared log is replayed once and the recovered state dealt out by
+// ShardOf, so after a crash with branches in flight (settled as aborted
+// on the log) every reopened shard holds only keys it owns and their
+// union is exactly what Open recovers from the same stable store.
+func TestFourShardsReopenMatchesOpen(t *testing.T) {
+	const n = 4
+	st := stable.NewStore()
+	db, err := OpenShards(st, n)
+	mustOK(t, err)
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 60; i++ {
+		txn := fmt.Sprintf("t%02d", i)
+		mustOK(t, db.Begin(txn))
+		inFlight := i >= 57 // the last three crash mid-transaction, on keys of their own
+		for j := 0; j < 3; j++ {
+			k := rng.Intn(24)
+			if inFlight {
+				k = 100 + 3*i + j
+			}
+			if rng.Intn(2) == 0 {
+				mustOK(t, db.Put(txn, fmt.Sprint("k", k), fmt.Sprint(i)))
+			} else {
+				mustOK(t, db.Increment(txn, fmt.Sprint("c", k), fmt.Sprint(j+1)))
+			}
+		}
+		switch {
+		case inFlight:
+		case i%5 == 4:
+			mustOK(t, db.Abort(txn))
+		default:
+			mustOK(t, db.Commit(txn))
+		}
+	}
+	active, err := wal.Active(st)
+	mustOK(t, err)
+	if len(active) != 3 {
+		t.Fatalf("log has %d active transactions, want 3", len(active))
+	}
+	for _, txn := range active {
+		mustOK(t, wal.Resolve(st, txn, false))
+	}
+
+	re, err := OpenShards(st, n)
+	mustOK(t, err)
+	whole, err := Open(st)
+	mustOK(t, err)
+	union, populated := recovery.State{}, 0
+	for i := 0; i < n; i++ {
+		snap := re.Shard(i).Snapshot()
+		if len(snap) > 0 {
+			populated++
+		}
+		for k, v := range snap {
+			if ShardOf(k, n) != i {
+				t.Errorf("shard %d recovered %q, which shard %d owns", i, k, ShardOf(k, n))
+			}
+			union[k] = v
+		}
+	}
+	if populated < 2 {
+		t.Fatalf("only %d of %d shards recovered any key", populated, n)
+	}
+	if !reflect.DeepEqual(union, whole.Snapshot()) {
+		t.Fatalf("union of shard snapshots differs from Open's:\n shards %v\n open   %v", union, whole.Snapshot())
+	}
+}

@@ -38,33 +38,25 @@ type Store struct {
 	st    *stable.Store
 	open  map[string]bool
 	// owns restricts the store to its partition of a shared stable store:
-	// recovery keeps only owned keys and undo skips other shards' updates
-	// in the shared log. nil means the store owns every key.
+	// it was opened with only its owned keys and undo skips other shards'
+	// updates in the shared log. nil means the store owns every key.
 	owns func(key string) bool
 }
 
 // Open creates (or reopens after crash) a store on stable storage,
-// recovering committed state from the log and checkpoints.
+// recovering committed state from the log and checkpoints. It owns every
+// key: the whole-keyspace reference a one-shard Shards is tested against.
 func Open(st *stable.Store) (*Store, error) {
-	return OpenShard(st, nil)
-}
-
-// OpenShard is Open restricted to the partition owns reports true for —
-// the per-shard constructor used by Shards, where every shard recovers
-// from the same site-wide stable store but must adopt only its own keys.
-func OpenShard(st *stable.Store, owns func(key string) bool) (*Store, error) {
 	state, _, err := recovery.Recover(st)
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: open: %w", err)
 	}
-	data := map[string]string(state)
-	if owns != nil {
-		for k := range data {
-			if !owns(k) {
-				delete(data, k)
-			}
-		}
-	}
+	return newStore(st, state, nil), nil
+}
+
+// newStore wraps already-recovered data in a store with a fresh lock
+// manager and WAL session.
+func newStore(st *stable.Store, data map[string]string, owns func(key string) bool) *Store {
 	return &Store{
 		data:  data,
 		locks: locking.NewManager(),
@@ -72,7 +64,7 @@ func OpenShard(st *stable.Store, owns func(key string) bool) (*Store, error) {
 		st:    st,
 		open:  map[string]bool{},
 		owns:  owns,
-	}, nil
+	}
 }
 
 // Begin starts a local transaction branch.

@@ -43,21 +43,28 @@ type Shards struct {
 }
 
 // OpenShards creates (or reopens after crash) an n-way sharded store on
-// one stable store. Each shard recovers independently from the shared log
-// and keeps only the keys it owns.
+// one stable store. The site's shared log is recovered once and the
+// recovered state dealt out by ShardOf, so each shard holds exactly the
+// keys it owns.
 func OpenShards(st *stable.Store, n int) (*Shards, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("kvstore: open shards: n=%d", n)
 	}
+	state, _, err := recovery.Recover(st)
+	if err != nil {
+		return nil, fmt.Errorf("kvstore: open shards: %w", err)
+	}
+	parts := make([]map[string]string, n)
+	for i := range parts {
+		parts[i] = map[string]string{}
+	}
+	for k, v := range state {
+		parts[ShardOf(k, n)][k] = v
+	}
 	shards := make([]*Store, n)
 	for i := range shards {
 		i := i
-		owns := func(key string) bool { return ShardOf(key, n) == i }
-		s, err := OpenShard(st, owns)
-		if err != nil {
-			return nil, fmt.Errorf("kvstore: open shard %d/%d: %w", i, n, err)
-		}
-		shards[i] = s
+		shards[i] = newStore(st, parts[i], func(key string) bool { return ShardOf(key, n) == i })
 	}
 	return &Shards{shards: shards, st: st, touched: map[string][]int{}}, nil
 }

@@ -5,8 +5,9 @@
 // engines ported to rt.Transport actually run correctly once real
 // concurrency replaces the single-threaded simulator. The conformance
 // suite (EXPERIMENTS.md E16) runs the tpc stack on this adapter under
-// the race detector, records the delivery trace, and replays it through
-// the deterministic simulator asserting decision agreement.
+// the race detector, records the delivery trace (Options.Tracer), and
+// replays it through the deterministic simulator asserting decision
+// agreement.
 //
 // The adapter honors the rt.Transport concurrency contract:
 //
@@ -51,6 +52,9 @@ type Options struct {
 	// δ) from which engines derive phase timeouts. The adapter does not
 	// enforce it; mailbox hops are far faster than any plausible value.
 	Delta rt.Time
+	// Tracer, when non-nil, records every delivery. Without one the
+	// transport retains no message it has delivered.
+	Tracer *Tracer
 }
 
 // DefaultOptions match the simulator's default δ with a 1ms tick.
@@ -63,6 +67,32 @@ type TraceEntry struct {
 	Msg rt.Message
 	// DeliveredAt is the adapter's tick time at delivery.
 	DeliveredAt rt.Time
+}
+
+// Tracer is the opt-in delivery recorder of the live and tcp transports.
+// Each entry is appended on the delivering node's event loop just before
+// its handler runs, so per-node order in the trace equals per-node
+// execution order exactly; sharing one Tracer across the nodes of a
+// cluster — one live.Net, or the in-process tcp transports of a test
+// (tcp.Options.Tracer) — yields the cross-node interleaving that the
+// E16/E17 conformance replays feed back through the deterministic runtime.
+type Tracer struct {
+	mu      sync.Mutex
+	entries []TraceEntry
+}
+
+func (tr *Tracer) record(msg rt.Message, at rt.Time) {
+	tr.mu.Lock()
+	tr.entries = append(tr.entries, TraceEntry{Msg: msg, DeliveredAt: at})
+	tr.mu.Unlock()
+}
+
+// Entries returns a copy of the trace so far. Read it after the cluster
+// has settled; entries appended concurrently are racy to interpret.
+func (tr *Tracer) Entries() []TraceEntry {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return append([]TraceEntry(nil), tr.entries...)
 }
 
 // node is one site: its mailbox, event loop, and wiring.
@@ -127,7 +157,6 @@ type Net struct {
 	mu     sync.Mutex
 	nodes  map[rt.NodeID]*node
 	order  []rt.NodeID
-	trace  []TraceEntry
 	closed bool
 	wg     sync.WaitGroup
 
@@ -260,8 +289,8 @@ func (t *Net) Broadcast(from rt.NodeID, kind string, payload any) error {
 }
 
 // Deliver enqueues msg onto the destination node's event loop. The
-// handler runs there, never on the caller's stack; the delivery is
-// recorded in the global trace just before the handler runs.
+// handler runs there, never on the caller's stack; a wired Tracer records
+// the delivery just before the handler runs.
 func (t *Net) Deliver(msg rt.Message) error {
 	t.mu.Lock()
 	if t.closed {
@@ -275,9 +304,11 @@ func (t *Net) Deliver(msg rt.Message) error {
 	}
 	n.enqueue(func() {
 		t.mu.Lock()
-		t.trace = append(t.trace, TraceEntry{Msg: msg, DeliveredAt: t.Now()})
 		h := n.handler
 		t.mu.Unlock()
+		if t.opts.Tracer != nil {
+			t.opts.Tracer.record(msg, t.Now())
+		}
 		if h != nil {
 			h(msg)
 		}
@@ -358,15 +389,6 @@ func (t *Net) After(id rt.NodeID, d rt.Time, fn func()) rt.Timer {
 	})
 	t.timers[w] = struct{}{}
 	return w
-}
-
-// Trace returns a copy of the global delivery trace so far. Call after
-// the run has settled: entries appended concurrently with Trace are
-// racy to interpret, not to read.
-func (t *Net) Trace() []TraceEntry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]TraceEntry(nil), t.trace...)
 }
 
 // Close cancels outstanding timers, joins their in-flight hand-off

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -30,7 +31,8 @@ func (e *echoNode) handle(m rt.Message) {
 }
 
 func TestLiveSendAndReply(t *testing.T) {
-	net := New(Options{Tick: 100 * time.Microsecond, Delta: 5})
+	tr := &Tracer{}
+	net := New(Options{Tick: 100 * time.Microsecond, Delta: 5, Tracer: tr})
 	defer net.Close()
 
 	var wg sync.WaitGroup
@@ -49,7 +51,7 @@ func TestLiveSendAndReply(t *testing.T) {
 	if b.seen != 1 || a.seen != 1 {
 		t.Fatalf("seen a=%d b=%d, want 1/1", a.seen, b.seen)
 	}
-	trace := net.Trace()
+	trace := tr.Entries()
 	if len(trace) != 2 {
 		t.Fatalf("trace length %d, want 2", len(trace))
 	}
@@ -163,5 +165,52 @@ func TestLiveBroadcastReachesAll(t *testing.T) {
 	net.Close()
 	if err := net.Send(1, 2, "x", nil); err == nil {
 		t.Fatal("send after close: want error")
+	}
+}
+
+// TestTracerOrderIsExecutionOrder pins what the conformance replays rest
+// on: with one recorder over two nodes fed by concurrent senders, the
+// trace restricted to a node is exactly the sequence its handler ran.
+func TestTracerOrderIsExecutionOrder(t *testing.T) {
+	tr := &Tracer{}
+	net := New(Options{Tick: 100 * time.Microsecond, Delta: 5, Tracer: tr})
+	defer net.Close()
+
+	const senders, perSender = 4, 50
+	var wg sync.WaitGroup
+	wg.Add(2 * senders * perSender)
+	ran := map[rt.NodeID]*[]int{1: {}, 2: {}} // each slice is touched only on its node's loop
+	for id, log := range ran {
+		log := log
+		net.AddNode(id, func(m rt.Message) {
+			*log = append(*log, m.Payload.(int))
+			wg.Done()
+		})
+	}
+	for s := 0; s < senders; s++ {
+		go func(s int) {
+			for i := 0; i < perSender; i++ {
+				for to := rt.NodeID(1); to <= 2; to++ {
+					if err := net.Send(to, to, "n", s*perSender+i); err != nil {
+						t.Errorf("send: %v", err)
+					}
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	net.Close()
+
+	traced := map[rt.NodeID][]int{}
+	for _, e := range tr.Entries() {
+		traced[e.Msg.To] = append(traced[e.Msg.To], e.Msg.Payload.(int))
+	}
+	for id, log := range ran {
+		if len(*log) != senders*perSender {
+			t.Fatalf("node %d ran %d deliveries, want %d", id, len(*log), senders*perSender)
+		}
+		if !reflect.DeepEqual(traced[id], *log) {
+			t.Errorf("node %d: trace order differs from handler execution order", id)
+		}
 	}
 }

@@ -53,11 +53,12 @@ type Options struct {
 	Rand rt.Rand
 	// Seed seeds the default jitter source when Rand is nil.
 	Seed uint64
-	// Tracer, when non-nil, records every local delivery in a recorder
-	// that may be shared across in-process transports — the global
-	// delivery order E17's conformance replay feeds back through the
-	// deterministic runtime.
-	Tracer *Tracer
+	// Tracer, when non-nil, records every local delivery; it is handed
+	// to the composed live adapter, whose Deliver is the one record site.
+	// Sharing one across in-process transports yields the global delivery
+	// order E17's conformance replay feeds back through the deterministic
+	// runtime.
+	Tracer *live.Tracer
 	// SendQueue bounds each peer's outbound frame queue (default 1024).
 	// When the queue is full — a dead peer mid-backoff — the oldest
 	// frames are dropped and counted, matching the crash model: sends to
@@ -82,31 +83,6 @@ type PeerStats struct {
 	// DecodeErrors counts inbound frames from this peer that carried an
 	// unknown kind or an undecodable payload.
 	DecodeErrors uint64
-}
-
-// Tracer records deliveries in global order. Sharing one Tracer across
-// the in-process transports of a test cluster yields the cross-node
-// delivery interleaving — each entry appended on the delivering node's
-// event loop at execution time, so per-node order in the trace equals
-// per-node execution order exactly.
-type Tracer struct {
-	mu      sync.Mutex
-	entries []live.TraceEntry
-}
-
-// Record appends one delivery.
-func (tr *Tracer) Record(msg rt.Message, at rt.Time) {
-	tr.mu.Lock()
-	tr.entries = append(tr.entries, live.TraceEntry{Msg: msg, DeliveredAt: at})
-	tr.mu.Unlock()
-}
-
-// Entries returns a copy of the trace so far. Read it after the cluster
-// has settled; entries appended concurrently are racy to interpret.
-func (tr *Tracer) Entries() []live.TraceEntry {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return append([]live.TraceEntry(nil), tr.entries...)
 }
 
 // peer is one remote node's outbound half: a bounded frame queue drained
@@ -192,7 +168,7 @@ func New(opts Options) (*Net, error) {
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 	return &Net{
 		opts:    opts,
-		inner:   live.New(live.Options{Tick: opts.Tick, Delta: opts.Delta}),
+		inner:   live.New(live.Options{Tick: opts.Tick, Delta: opts.Delta, Tracer: opts.Tracer}),
 		store:   st,
 		order:   order,
 		peers:   map[rt.NodeID]*peer{},
@@ -200,21 +176,6 @@ func New(opts Options) (*Net, error) {
 		recv:    map[rt.NodeID]*recvStats{},
 		rand:    r,
 	}, nil
-}
-
-// wrapHandler routes a delivery through the shared tracer (when wired)
-// before the engine handler, on the local node's event loop.
-func (t *Net) wrapHandler(h rt.Handler) rt.Handler {
-	if t.opts.Tracer == nil {
-		return h
-	}
-	tr := t.opts.Tracer
-	return func(m rt.Message) {
-		tr.Record(m, t.inner.Now())
-		if h != nil {
-			h(m)
-		}
-	}
 }
 
 // AddNode registers the local node and starts its event loop, returning
@@ -227,7 +188,7 @@ func (t *Net) AddNode(id rt.NodeID, h rt.Handler) *stable.Store {
 	if id != t.opts.Local {
 		return nil
 	}
-	t.inner.AddNode(id, t.wrapHandler(h))
+	t.inner.AddNode(id, h)
 	return t.store
 }
 
@@ -236,7 +197,7 @@ func (t *Net) SetHandler(id rt.NodeID, h rt.Handler) error {
 	if id != t.opts.Local {
 		return fmt.Errorf("%w: %d (local is %d)", ErrNotLocal, id, t.opts.Local)
 	}
-	return t.inner.SetHandler(id, t.wrapHandler(h))
+	return t.inner.SetHandler(id, h)
 }
 
 // SetRecover registers the local node's crash-recovery callback.
@@ -649,9 +610,6 @@ func (t *Net) CloseInbound() {
 func (t *Net) RestoreInbound() error {
 	return t.Start()
 }
-
-// Trace returns the local delivery trace (the composed live adapter's).
-func (t *Net) Trace() []live.TraceEntry { return t.inner.Trace() }
 
 // Close shuts the transport down: listener and connections closed, peer
 // workers joined, then the local event loop closed (which joins timers

@@ -2,12 +2,15 @@ package tcp
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"speccat/internal/rt"
+	"speccat/internal/rt/live"
 )
 
 // reserveAddrs grabs n distinct loopback addresses by binding and
@@ -337,5 +340,68 @@ func TestHandlerSerialization(t *testing.T) {
 		n := seen
 		mu.Unlock()
 		t.Fatalf("only %d/200 deliveries", n)
+	}
+}
+
+// TestSharedTracerOrder wires one live.Tracer into two transports, as the
+// E17 cluster does, and proves the recorder sees every delivery — wire
+// hops and self-sends alike — with each node's entries in the order its
+// handler executed them.
+func TestSharedTracerOrder(t *testing.T) {
+	codec := newTestCodec(t)
+	addrs := reserveAddrs(t, 2)
+	cluster := map[rt.NodeID]string{1: addrs[0], 2: addrs[1]}
+	tr := &live.Tracer{}
+	nets := map[rt.NodeID]*Net{}
+	for id := range cluster {
+		n, err := New(Options{Local: id, Cluster: cluster, Codec: codec, Tracer: tr})
+		if err != nil {
+			t.Fatalf("New %d: %v", id, err)
+		}
+		if err := n.Start(); err != nil {
+			t.Fatalf("Start %d: %v", id, err)
+		}
+		t.Cleanup(n.Close)
+		nets[id] = n
+	}
+
+	const perSender = 50
+	var wg sync.WaitGroup
+	wg.Add(4 * perSender) // each node hears itself and its peer
+	ran := map[rt.NodeID]*[]testPayload{1: {}, 2: {}} // each slice is touched only on its node's loop
+	for id, n := range nets {
+		log := ran[id]
+		n.AddNode(id, func(m rt.Message) {
+			*log = append(*log, m.Payload.(testPayload))
+			wg.Done()
+		})
+	}
+	for from, n := range nets {
+		go func(from rt.NodeID, n *Net) {
+			for i := 0; i < perSender; i++ {
+				for to := range cluster {
+					if err := n.Send(from, to, "test.kind", testPayload{Txn: fmt.Sprint(from), N: i}); err != nil {
+						t.Errorf("send %d->%d: %v", from, to, err)
+					}
+				}
+			}
+		}(from, n)
+	}
+	wg.Wait()
+	for _, n := range nets {
+		n.Close()
+	}
+
+	traced := map[rt.NodeID][]testPayload{}
+	for _, e := range tr.Entries() {
+		traced[e.Msg.To] = append(traced[e.Msg.To], e.Msg.Payload.(testPayload))
+	}
+	for id, log := range ran {
+		if len(*log) != 2*perSender {
+			t.Fatalf("node %d ran %d deliveries, want %d", id, len(*log), 2*perSender)
+		}
+		if !reflect.DeepEqual(traced[id], *log) {
+			t.Errorf("node %d: trace order differs from handler execution order", id)
+		}
 	}
 }

@@ -28,45 +28,23 @@ type cohortTxn struct {
 // Cohort is the paper's participant process. Vote decides phase-1 votes;
 // by default every transaction is voteable (yes).
 type Cohort struct {
-	net   rt.Transport
-	id    rt.NodeID
+	endpoint
 	coord rt.NodeID
 	peers []rt.NodeID // all cohorts, including self
-	cfg   Config
 	txns  map[string]*cohortTxn
 	// Vote returns the phase-1 vote for a transaction (nil: always yes).
 	Vote func(txn string) bool
-	// OnDecide fires with the final local outcome.
-	OnDecide func(txn string, d Decision)
 	// OnBlocked fires when a 2PC cohort becomes blocked (uncertain, dead
 	// coordinator). Used by experiment E8.
 	OnBlocked func(txn string)
-	// Trace, when non-nil, observes every FSM transition (Fig. 3.2).
-	Trace TraceFunc
-	// OnMalformed, when non-nil, observes protocol messages whose payload
-	// failed to decode. They are counted either way; see Malformed.
-	OnMalformed func(m rt.Message)
-	// OnSendError, when non-nil, observes every protocol send that the
-	// network refused (dead peer, crashed self). Failed sends are counted
-	// either way; see SendErrors.
-	OnSendError func(to rt.NodeID, kind string, err error)
-	decisions   map[string]Decision
-	malformed   int
-	sendErrors  int
 }
 
 // NewCohort creates a cohort on site id for the given coordinator; peers
 // lists all cohort sites (for the termination protocol).
 func NewCohort(net rt.Transport, id, coord rt.NodeID, peers []rt.NodeID, cfg Config) *Cohort {
-	if cfg.Protocol == 0 {
-		cfg.Protocol = ThreePhase
-	}
-	if cfg.PhaseTimeout == 0 {
-		cfg.PhaseTimeout = 4 * net.Delta()
-	}
 	return &Cohort{
-		net: net, id: id, coord: coord, peers: append([]rt.NodeID{}, peers...),
-		cfg: cfg, txns: map[string]*cohortTxn{}, decisions: map[string]Decision{},
+		endpoint: newEndpoint(net, id, cfg),
+		coord:    coord, peers: append([]rt.NodeID{}, peers...), txns: map[string]*cohortTxn{},
 	}
 }
 
@@ -142,62 +120,6 @@ func (h *Cohort) HandleMessage(m rt.Message) bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// badPayload accounts for a cohort-consumed kind whose payload failed to
-// decode, then declines the message.
-func (h *Cohort) badPayload(m rt.Message) bool {
-	h.malformed++
-	if h.OnMalformed != nil {
-		h.OnMalformed(m)
-	}
-	return false
-}
-
-// Malformed reports how many protocol messages this cohort rejected
-// because their payload did not decode.
-func (h *Cohort) Malformed() int { return h.malformed }
-
-// SendErrors reports how many protocol sends the network refused.
-func (h *Cohort) SendErrors() int { return h.sendErrors }
-
-// sync forces the site's pending stable writes to disk in one batch — a
-// no-op outside group-commit mode, where every persist is already durable
-// on return. See the call sites for the divergence argument placing each.
-func (h *Cohort) sync() {
-	st, err := h.net.Store(h.id)
-	if err != nil {
-		return
-	}
-	_ = st.Sync()
-}
-
-// syncThen runs fn once the site's pending stable writes are durable: on
-// the caller's stack under the simulator (and outside group-commit mode,
-// where persists are already durable), or re-enqueued on this node's
-// event loop by the store's pipelined group commit on the live serving
-// path — the loop keeps absorbing concurrent transactions while the
-// batched fsync settles, instead of stalling behind it.
-func (h *Cohort) syncThen(fn func()) {
-	st, err := h.net.Store(h.id)
-	if err != nil {
-		fn()
-		return
-	}
-	st.SyncThen(fn)
-}
-
-// send transmits one protocol message, routing refusals through the
-// send-error accounting (SendErrors, OnSendError) instead of dropping
-// them silently: the protocol cannot act on a failed send (timeouts and
-// the termination protocol own that recovery), but observers can.
-func (h *Cohort) send(to rt.NodeID, kind string, payload any) {
-	if err := h.net.Send(h.id, to, kind, payload); err != nil {
-		h.sendErrors++
-		if h.OnSendError != nil {
-			h.OnSendError(to, kind, err)
-		}
 	}
 }
 
@@ -348,7 +270,7 @@ func (h *Cohort) peersFor(t *cohortTxn) []rt.NodeID {
 // backup returns the lowest operational participant, the deterministic
 // election the thesis's voting protocol provides.
 func (h *Cohort) backup(t *cohortTxn) rt.NodeID {
-	ids := append([]rt.NodeID{}, h.peersFor(t)...)
+	ids := h.peersFor(t)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		if h.net.Up(id) {
@@ -447,10 +369,7 @@ func (h *Cohort) decide(txn string, d Decision, cause Cause) {
 	h.emit(txn, from, t.state, cause) //fsm:from q,w,p //fsm:to a,c
 	h.persist(txn, t.state)
 	h.persistDecision(txn, d)
-	h.decisions[txn] = d
-	if h.OnDecide != nil {
-		h.OnDecide(txn, d)
-	}
+	h.finish(txn, d)
 	// Divergence rule for the batched fsync: recovery re-derives commit
 	// from a durable p and abort from w/q, so only an outcome that
 	// CONTRADICTS what recovery would conclude must be forced down —
@@ -474,9 +393,6 @@ func (h *Cohort) emit(txn string, from, to State, cause Cause) {
 	}
 }
 
-// Decision reports this cohort's outcome for txn.
-func (h *Cohort) Decision(txn string) Decision { return h.decisions[txn] }
-
 // StateOf reports this cohort's FSM state for txn.
 func (h *Cohort) StateOf(txn string) State { return h.txn(txn).state }
 
@@ -487,74 +403,27 @@ func (h *Cohort) Blocked(txn string) (bool, rt.Time) {
 	return t.blocked && t.state == StateWait, t.blockedSince
 }
 
-// persist forces the protocol state for txn to stable storage.
-//
-//dur:writes state
-func (h *Cohort) persist(txn string, s State) {
-	st, err := h.net.Store(h.id)
-	if err != nil {
-		return
-	}
-	st.Put(stateKey(txn), []byte(s.String()))
-}
-
-// persistDecision forces the final outcome for txn to stable storage.
-//
-//dur:writes decision
-func (h *Cohort) persistDecision(txn string, d Decision) {
-	st, err := h.net.Store(h.id)
-	if err != nil {
-		return
-	}
-	st.Put(decisionKey(txn), []byte(d.String()))
-}
-
 // RecoverAll applies the cohort failure transitions on restart from
 // stable storage alone (independent recovery): q2/w2 abort, p2 commits,
 // decided states are kept. It returns the decisions taken.
 //
 //dur:handler
 func (h *Cohort) RecoverAll() map[string]Decision {
-	st, err := h.net.Store(h.id)
-	if err != nil {
-		return nil
-	}
 	out := map[string]Decision{}
-	for _, key := range st.Keys() {
-		txn, ok := txnOfStateKey(key)
-		if !ok {
-			continue
+	for _, rec := range h.persistedStates() {
+		d := DecisionAbort
+		if rec.state.Committable() {
+			d = DecisionCommit
 		}
-		raw, _ := st.Get(key)
-		t := h.txn(txn)
-		switch string(raw) {
-		case "q", "w":
-			// Failure transition from w2: abort upon recovery.
-			h.decide(txn, DecisionAbort, CauseFailure)
-			out[txn] = DecisionAbort
-		case "p":
-			// Independent recovery from p2: commit (consistent with the
-			// p2 timeout transition).
-			h.decide(txn, DecisionCommit, CauseFailure)
-			out[txn] = DecisionCommit
-		case "a":
-			t.state = StateAborted
-			h.decisions[txn] = DecisionAbort
-			out[txn] = DecisionAbort
-		case "c":
-			t.state = StateCommitted
-			h.decisions[txn] = DecisionCommit
-			out[txn] = DecisionCommit
+		if rec.state == StateAborted || rec.state == StateCommitted {
+			h.txn(rec.txn).state = rec.state
+			h.decisions[rec.txn] = d
+		} else {
+			// Failure transitions: abort from q2/w2, commit from p2
+			// (consistent with the p2 timeout transition).
+			h.decide(rec.txn, d, CauseFailure)
 		}
+		out[rec.txn] = d
 	}
 	return out
-}
-
-// txnOfStateKey extracts the transaction from "tpc/<txn>/state".
-func txnOfStateKey(key string) (string, bool) {
-	const prefix, suffix = "tpc/", "/state"
-	if len(key) <= len(prefix)+len(suffix) || key[:len(prefix)] != prefix || key[len(key)-len(suffix):] != suffix {
-		return "", false
-	}
-	return key[len(prefix) : len(key)-len(suffix)], true
 }

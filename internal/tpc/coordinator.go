@@ -12,49 +12,37 @@ type coordTxn struct {
 	votes map[rt.NodeID]bool // yes-votes received
 	acks  map[rt.NodeID]bool
 	timer rt.Timer
-	// participants is the scoped site set this transaction's fan-out
-	// spans (BeginWith); nil means every cohort the coordinator manages.
-	participants []rt.NodeID
+	// parts is the site set this transaction's fan-out spans: its scoped
+	// participants (BeginWith), or every cohort the coordinator manages.
+	parts []rt.NodeID
 }
 
 // Coordinator drives commit processing for transactions whose master runs
 // on this site (the paper's Fig. 3.1 master process).
 type Coordinator struct {
-	net     rt.Transport
-	id      rt.NodeID
+	endpoint
 	cohorts []rt.NodeID
-	cfg     Config
 	txns    map[string]*coordTxn
-	// OnDecide fires once per transaction with the final outcome.
-	OnDecide func(txn string, d Decision)
-	// Trace, when non-nil, observes every FSM transition (Fig. 3.2).
-	Trace TraceFunc
-	// OnMalformed, when non-nil, observes protocol messages whose payload
-	// failed to decode (a peer speaking the right kind with the wrong
-	// body). They are counted either way; see Malformed.
-	OnMalformed func(m rt.Message)
-	// OnSendError, when non-nil, observes every protocol send the network
-	// refused (dead cohort, crashed self). Failed sends are counted either
-	// way; see SendErrors.
-	OnSendError func(to rt.NodeID, kind string, err error)
-	// decisions records outcomes for inspection.
-	decisions  map[string]Decision
-	malformed  int
-	sendErrors int
 }
 
 // NewCoordinator creates a coordinator on site id managing the given
 // cohort sites.
 func NewCoordinator(net rt.Transport, id rt.NodeID, cohorts []rt.NodeID, cfg Config) *Coordinator {
-	if cfg.Protocol == 0 {
-		cfg.Protocol = ThreePhase
-	}
-	if cfg.PhaseTimeout == 0 {
-		cfg.PhaseTimeout = 4 * net.Delta()
-	}
 	return &Coordinator{
-		net: net, id: id, cohorts: append([]rt.NodeID{}, cohorts...), cfg: cfg,
-		txns: map[string]*coordTxn{}, decisions: map[string]Decision{},
+		endpoint: newEndpoint(net, id, cfg),
+		cohorts:  append([]rt.NodeID{}, cohorts...), txns: map[string]*coordTxn{},
+	}
+}
+
+// newTxn returns a fresh transaction record spanning participants (nil:
+// every cohort), resolved once into the coordinator's own copy.
+func (c *Coordinator) newTxn(participants []rt.NodeID) *coordTxn {
+	if participants == nil {
+		participants = c.cohorts
+	}
+	return &coordTxn{
+		votes: map[rt.NodeID]bool{}, acks: map[rt.NodeID]bool{},
+		parts: append([]rt.NodeID{}, participants...),
 	}
 }
 
@@ -79,20 +67,23 @@ func (c *Coordinator) BeginWith(txn string, participants []rt.NodeID) error {
 	if _, dup := c.txns[txn]; dup {
 		return fmt.Errorf("tpc: transaction %s already begun", txn)
 	}
-	ct := &coordTxn{state: StateWait, votes: map[rt.NodeID]bool{}, acks: map[rt.NodeID]bool{}}
-	if participants != nil {
-		ct.participants = append([]rt.NodeID{}, participants...)
-	}
+	ct := c.newTxn(participants)
+	ct.state = StateWait
 	c.txns[txn] = ct
 	c.emit(txn, StateInitial, StateWait, CauseMessage)
 	c.persist(txn, StateWait)
-	parts := c.parts(ct)
-	if participants != nil && len(parts) == 0 {
+	if participants != nil && len(ct.parts) == 0 {
 		c.commit(txn, ct, CauseMessage)
 		return nil
 	}
-	for _, ch := range parts {
-		if err := c.net.Send(c.id, ch, KindCommitReq, txnMsg{Txn: txn, Participants: ct.participants}); err != nil {
+	// Only a scoped request names its participants, which keeps the wire
+	// encoding of unscoped runs what it was before scoping existed.
+	req := txnMsg{Txn: txn}
+	if participants != nil {
+		req.Participants = ct.parts
+	}
+	for _, ch := range ct.parts {
+		if err := c.net.Send(c.id, ch, KindCommitReq, req); err != nil {
 			return fmt.Errorf("tpc: begin %s: %w", txn, err)
 		}
 	}
@@ -103,42 +94,6 @@ func (c *Coordinator) BeginWith(txn string, participants []rt.NodeID) error {
 		}
 	})
 	return nil
-}
-
-// parts returns the transaction's fan-out set: its scoped participants,
-// or every cohort when unscoped (a fresh copy, per rt confinement).
-func (c *Coordinator) parts(ct *coordTxn) []rt.NodeID {
-	if ct.participants != nil {
-		return append([]rt.NodeID{}, ct.participants...)
-	}
-	return append([]rt.NodeID{}, c.cohorts...)
-}
-
-// sync forces the site's pending stable writes to disk in one batch. A
-// no-op outside group-commit mode, where every persist is already
-// durable on return; under group commit it is placed exactly where an
-// unsynced record would diverge from what independent recovery re-derives
-// (see the comments at each call site).
-func (c *Coordinator) sync() {
-	st, err := c.net.Store(c.id)
-	if err != nil {
-		return
-	}
-	_ = st.Sync()
-}
-
-// syncThen runs fn once the site's pending stable writes are durable —
-// inline under the simulator and outside group-commit mode, re-enqueued
-// on this node's event loop by the store's pipelined group commit on the
-// live serving path, so the loop keeps absorbing concurrent transactions
-// while the batched fsync settles.
-func (c *Coordinator) syncThen(fn func()) {
-	st, err := c.net.Store(c.id)
-	if err != nil {
-		fn()
-		return
-	}
-	st.SyncThen(fn)
 }
 
 // HandleMessage consumes coordinator-side protocol traffic.
@@ -172,37 +127,6 @@ func (c *Coordinator) HandleMessage(m rt.Message) bool {
 	}
 }
 
-// badPayload accounts for a message of a coordinator-consumed kind whose
-// payload failed to decode, then declines it so a later handler (or the
-// site's terminal drop accounting) sees it.
-func (c *Coordinator) badPayload(m rt.Message) bool {
-	c.malformed++
-	if c.OnMalformed != nil {
-		c.OnMalformed(m)
-	}
-	return false
-}
-
-// Malformed reports how many protocol messages this coordinator rejected
-// because their payload did not decode.
-func (c *Coordinator) Malformed() int { return c.malformed }
-
-// SendErrors reports how many protocol sends the network refused.
-func (c *Coordinator) SendErrors() int { return c.sendErrors }
-
-// send transmits one protocol message, routing refusals through the
-// send-error accounting (SendErrors, OnSendError) instead of dropping
-// them silently. Begin keeps its direct error-returning sends: a commit
-// request that cannot even leave the coordinator fails the whole Begin.
-func (c *Coordinator) send(to rt.NodeID, kind string, payload any) {
-	if err := c.net.Send(c.id, to, kind, payload); err != nil {
-		c.sendErrors++
-		if c.OnSendError != nil {
-			c.OnSendError(to, kind, err)
-		}
-	}
-}
-
 func (c *Coordinator) onVote(txn string, from rt.NodeID, yes bool) {
 	ct, ok := c.txns[txn]
 	if !ok || ct.state != StateWait {
@@ -213,7 +137,7 @@ func (c *Coordinator) onVote(txn string, from rt.NodeID, yes bool) {
 		return
 	}
 	ct.votes[from] = true
-	if len(ct.votes) < len(c.parts(ct)) {
+	if len(ct.votes) < len(ct.parts) {
 		return
 	}
 	// All agreed.
@@ -235,7 +159,7 @@ func (c *Coordinator) onVote(txn string, from rt.NodeID, yes bool) {
 	// batched fsync here covers the whole fan-out (and, pipelined, every
 	// concurrent transaction's sync point in the same window).
 	c.syncThen(func() {
-		for _, ch := range c.parts(ct) {
+		for _, ch := range ct.parts {
 			c.send(ch, KindPrepare, txnMsg{Txn: txn})
 		}
 		ct.timer = c.net.After(c.id, c.cfg.PhaseTimeout, func() {
@@ -254,7 +178,7 @@ func (c *Coordinator) onAck(txn string, from rt.NodeID) {
 		return
 	}
 	ct.acks[from] = true
-	if len(ct.acks) < len(c.parts(ct)) {
+	if len(ct.acks) < len(ct.parts) {
 		return
 	}
 	if ct.timer != nil {
@@ -278,7 +202,7 @@ func (c *Coordinator) commit(txn string, ct *coordTxn, cause Cause) {
 	if from != StatePrepared {
 		c.sync()
 	}
-	for _, ch := range c.parts(ct) {
+	for _, ch := range ct.parts {
 		c.send(ch, KindCommit, txnMsg{Txn: txn})
 	}
 	c.finish(txn, DecisionCommit)
@@ -301,20 +225,10 @@ func (c *Coordinator) abort(txn string, ct *coordTxn, cause Cause) {
 	if from == StatePrepared {
 		c.sync()
 	}
-	for _, ch := range c.parts(ct) {
+	for _, ch := range ct.parts {
 		c.send(ch, KindAbort, txnMsg{Txn: txn})
 	}
 	c.finish(txn, DecisionAbort)
-}
-
-func (c *Coordinator) finish(txn string, d Decision) {
-	if _, done := c.decisions[txn]; done {
-		return
-	}
-	c.decisions[txn] = d
-	if c.OnDecide != nil {
-		c.OnDecide(txn, d)
-	}
 }
 
 // emit reports a transition to the trace hook. Call sites are the edges
@@ -327,9 +241,6 @@ func (c *Coordinator) emit(txn string, from, to State, cause Cause) {
 	}
 }
 
-// Decision reports the coordinator's outcome for txn.
-func (c *Coordinator) Decision(txn string) Decision { return c.decisions[txn] }
-
 // StateOf reports the coordinator's FSM state for txn.
 func (c *Coordinator) StateOf(txn string) State {
 	ct, ok := c.txns[txn]
@@ -339,29 +250,6 @@ func (c *Coordinator) StateOf(txn string) State {
 	return ct.state
 }
 
-// persist writes the FSM state to stable storage (write-ahead of the
-// corresponding sends, per assumption 4).
-//
-//dur:writes state
-func (c *Coordinator) persist(txn string, s State) {
-	st, err := c.net.Store(c.id)
-	if err != nil {
-		return
-	}
-	st.Put(stateKey(txn), []byte(s.String()))
-}
-
-// persistDecision forces the final outcome for txn to stable storage.
-//
-//dur:writes decision
-func (c *Coordinator) persistDecision(txn string, d Decision) {
-	st, err := c.net.Store(c.id)
-	if err != nil {
-		return
-	}
-	st.Put(decisionKey(txn), []byte(d.String()))
-}
-
 // RecoverAll applies the coordinator failure transitions of Fig. 3.2 on
 // restart, using only stable storage (independent recovery, assumption 8):
 // a transaction logged in w1 aborts; one logged in p1 commits; decided
@@ -369,47 +257,25 @@ func (c *Coordinator) persistDecision(txn string, d Decision) {
 //
 //dur:handler
 func (c *Coordinator) RecoverAll() map[string]Decision {
-	st, err := c.net.Store(c.id)
-	if err != nil {
-		return nil
-	}
 	out := map[string]Decision{}
-	for _, key := range st.Keys() {
-		var txn string
-		if _, err := fmt.Sscanf(key, "tpc/%s", &txn); err != nil {
-			continue
-		}
-		const suffix = "/state"
-		if len(txn) <= len(suffix) || txn[len(txn)-len(suffix):] != suffix {
-			continue
-		}
-		txn = txn[:len(txn)-len(suffix)]
-		raw, _ := st.Get(stateKey(txn))
-		ct, ok := c.txns[txn]
+	for _, rec := range c.persistedStates() {
+		ct, ok := c.txns[rec.txn]
 		if !ok {
-			ct = &coordTxn{votes: map[rt.NodeID]bool{}, acks: map[rt.NodeID]bool{}}
-			c.txns[txn] = ct
+			ct = c.newTxn(nil)
+			c.txns[rec.txn] = ct
 		}
-		switch string(raw) {
-		case "w":
-			// Failure transition from w1: abort upon recovery.
-			ct.state = StateWait
-			c.abort(txn, ct, CauseFailure)
-			out[txn] = DecisionAbort
-		case "p":
-			// Failure transition from p1: commit upon recovery.
-			ct.state = StatePrepared
-			c.commit(txn, ct, CauseFailure)
-			out[txn] = DecisionCommit
-		case "a":
-			// Re-announce so cohorts blocked on the decision learn it.
-			ct.state = StateAborted
-			c.abort(txn, ct, CauseFailure)
-			out[txn] = DecisionAbort
-		case "c":
-			ct.state = StateCommitted
-			c.commit(txn, ct, CauseFailure)
-			out[txn] = DecisionCommit
+		ct.state = rec.state
+		switch rec.state {
+		case StateWait, StateAborted:
+			// Failure transition from w1: abort upon recovery. From a1:
+			// re-announce so cohorts blocked on the decision learn it.
+			c.abort(rec.txn, ct, CauseFailure)
+			out[rec.txn] = DecisionAbort
+		case StatePrepared, StateCommitted:
+			// Failure transition from p1: commit upon recovery. From c1:
+			// re-announce.
+			c.commit(rec.txn, ct, CauseFailure)
+			out[rec.txn] = DecisionCommit
 		}
 	}
 	return out
