@@ -1,11 +1,6 @@
 GO ?= go
-# Benchmark knobs: BENCHTIME per testing -benchtime (1x = one iteration,
-# CI smoke; 5x or 2s for real measurements), BENCHOUT the report path
-# (empty = BENCH_<date>.json in the working directory).
-BENCHTIME ?= 1x
-BENCHOUT ?=
 
-.PHONY: build test race lint loc fsm fsm-check explore verify bench-build bench bench-go bench-compare serve load fuzz-wire
+.PHONY: build test race lint loc fsm fsm-check explore verify bench-build bench-test serve load fuzz-wire
 
 build:
 	$(GO) build ./...
@@ -32,28 +27,33 @@ lint:
 
 # Tracked design-quality outcomes (ROADMAP items 2 and 3): non-test line
 # counts of the checkers, of the protocol stack they check, of the
-# experiment/explorer harness, and of the serving runtime under tpcserve.
-# The CI lint job runs this and fails when any of the four outgrows its
-# budget — the sizes the shared analysis core (PR 12), the shared
-# sweep/witness/replay harness (PR 13) and the one-commit-path merge
-# (PR 14: shared tpc endpoint, one delivery recorder, no tpcserve mode
-# flags) landed at; raise one only with a reason.
+# experiment/explorer harness, of the serving runtime under tpcserve, and
+# of the other command-line tools. The CI lint job runs this and fails
+# when any of the five outgrows its budget — the sizes the shared analysis
+# core (PR 12), the shared sweep/witness/replay harness (PR 13), the
+# one-commit-path merge (PR 14: shared tpc endpoint, one delivery
+# recorder, no tpcserve mode flags) and the retirement of the second
+# benchmark harness (PR 18) landed at; raise one only with a reason.
 ANALYSIS_LOC_BUDGET = 6522
 STACK_LOC_BUDGET = 4354
-HARNESS_LOC_BUDGET = 3054
+HARNESS_LOC_BUDGET = 3052
 SERVING_LOC_BUDGET = 2065
+TOOLS_LOC_BUDGET = 1681
 loc_count = find $(1) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
 loc:
 	@a=$$($(call loc_count,internal/analysis)); \
 	s=$$($(call loc_count,$(addprefix internal/,tpc txn kvstore locking wal stable recovery))); \
 	h=$$($(call loc_count,internal/experiments internal/explore)); \
 	r=$$($(call loc_count,internal/rt cmd/tpcserve)); \
+	c=$$($(call loc_count,$(filter-out cmd/tpcserve,$(wildcard cmd/*)))); \
 	echo "internal/analysis: $$a non-test lines (budget $(ANALYSIS_LOC_BUDGET))"; \
 	echo "protocol stack (tpc txn kvstore locking wal stable recovery): $$s non-test lines (budget $(STACK_LOC_BUDGET))"; \
 	echo "harness (experiments explore): $$h non-test lines (budget $(HARNESS_LOC_BUDGET))"; \
 	echo "serving runtime (rt cmd/tpcserve): $$r non-test lines (budget $(SERVING_LOC_BUDGET))"; \
+	echo "tools (cmd minus tpcserve): $$c non-test lines (budget $(TOOLS_LOC_BUDGET))"; \
 	test $$a -le $(ANALYSIS_LOC_BUDGET) && test $$s -le $(STACK_LOC_BUDGET) && \
-	test $$h -le $(HARNESS_LOC_BUDGET) && test $$r -le $(SERVING_LOC_BUDGET)
+	test $$h -le $(HARNESS_LOC_BUDGET) && test $$r -le $(SERVING_LOC_BUDGET) && \
+	test $$c -le $(TOOLS_LOC_BUDGET)
 
 # Regenerate docs/fsm from the //fsm:* annotations in the sources. The
 # output is deterministic; commit it, and CI fails when it drifts.
@@ -83,33 +83,13 @@ explore:
 bench-build:
 	cd bench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
+# The benchmark's own tests: every workload for a short window plus one
+# traced run against real tpcserve processes — checks that bench/ still runs.
+bench-test:
+	cd bench && $(GO) test ./...
+
 # The full tier-1 gate: everything CI runs.
-verify: build bench-build lint test race explore
-
-# Benchmark regression harness: runs the E0..E10 + E14 suite via
-# cmd/specbench and writes the machine-readable BENCH_<date>.json report
-# (schema: internal/benchsuite.Report). bench-go runs the same bodies
-# through `go test -bench` for interactive use.
-bench:
-	$(GO) run ./cmd/specbench -benchtime $(BENCHTIME) -out "$(BENCHOUT)"
-
-bench-go:
-	$(GO) test -bench . -benchtime $(BENCHTIME) -run ^$$ ./...
-
-# Regression gate: rerun the suite and fail on any benchmark (or E14
-# proof-pipeline arm) slower than the checked-in BASELINE report by more
-# than TOLERANCE. The default 20% is meant for quiet machines and
-# time-based BENCHTIMEs (100ms gives microbenchmarks thousands of
-# iterations); CI calls this with a much looser tolerance as a
-# gross-regression smoke gate, since shared runners jitter the
-# single-iteration heavyweight arms by 1.5x or more.
-BASELINE ?= BENCH_2026-08-09.json
-TOLERANCE ?= 0.20
-# The compare run writes its own report (never the default BENCH_<date>
-# name, which could clobber a same-day baseline).
-COMPAREOUT ?= BENCH_compare.json
-bench-compare:
-	$(GO) run ./cmd/specbench -benchtime $(BENCHTIME) -out "$(COMPAREOUT)" -compare "$(BASELINE)" -tolerance $(TOLERANCE)
+verify: build bench-build bench-test lint test race explore
 
 # Serving-path knobs for the convenience targets below. A real deployment
 # runs one `make serve NODE=n` per machine with the same CLUSTER map;
@@ -130,9 +110,11 @@ serve:
 load:
 	$(GO) run ./cmd/tpcload -addr $(LOADADDR) -txns $(TXNS)
 
-# Wire-layer fuzzers with a bounded budget (CI serve-smoke runs this; the
-# checked-in seed corpus under internal/rt/tcp/testdata/fuzz replays on
-# every plain `go test`).
+# Decoder fuzzers (wire frames and the stable-storage journal) with a
+# bounded budget (CI serve-smoke runs this; the checked-in seed corpora
+# under internal/rt/tcp/testdata/fuzz and internal/stable/testdata/fuzz
+# replay on every plain `go test`).
 fuzz-wire:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s ./internal/rt/tcp
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/rt/tcp
+	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/stable

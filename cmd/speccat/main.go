@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"os"
 
-	"speccat/internal/analysis"
-	"speccat/internal/analysis/layers"
 	"speccat/internal/core/provesched"
 	"speccat/internal/core/speclang"
 	"speccat/internal/core/speclint"
@@ -34,9 +32,6 @@ func main() {
 		os.Exit(2)
 	}
 	code := 0
-	if *lint && lintGoLayers(os.Stderr) > 0 {
-		code = 1
-	}
 	for _, path := range flag.Args() {
 		if err := processFile(path, *lenient, *skipProofs, *lint, *jobs, *printName, *quiet); err != nil {
 			fmt.Fprintf(os.Stderr, "speccat: %s: %v\n", path, err)
@@ -44,31 +39,6 @@ func main() {
 		}
 	}
 	os.Exit(code)
-}
-
-// lintGoLayers runs every Go analysis layer of the shared layer table —
-// the same rows speccatlint runs — over the enclosing module, so -lint
-// covers the spec layer plus all six Go layers, and returns the finding
-// count. Outside a Go module it is a no-op.
-func lintGoLayers(stderr *os.File) int {
-	loader, err := analysis.NewLoader(".")
-	if err != nil || loader.ModulePath == "" {
-		return 0
-	}
-	pkgs, err := loader.Load([]string{"./..."})
-	if err != nil {
-		fmt.Fprintf(stderr, "speccat: go lint: %v\n", err)
-		return 1
-	}
-	count := 0
-	for _, l := range layers.Go() {
-		_, diags := l.Run(pkgs)
-		for _, d := range diags {
-			fmt.Fprintln(stderr, d)
-		}
-		count += len(diags)
-	}
-	return count
 }
 
 func processFile(path string, lenient, skipProofs, lint bool, jobs int, printName string, quiet bool) error {

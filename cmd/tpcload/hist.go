@@ -1,17 +1,17 @@
-package benchsuite
+package main
 
 import (
 	"math/bits"
 	"time"
 )
 
-// Hist is a log-linear latency histogram: 64 power-of-two major buckets,
+// hist is a log-linear latency histogram: 64 power-of-two major buckets,
 // each split into 32 linear minor buckets, covering 1ns to ~9.2s-per-op
 // scales with bounded (<~3.2%) relative quantile error and constant
 // memory. The load generator records per-operation latencies into it and
 // reads p50/p99/p999 out; it is deliberately not mergeable-with-decay or
 // windowed — tpcload reports whole-run quantiles.
-type Hist struct {
+type hist struct {
 	counts [64 * 32]uint64
 	total  uint64
 	min    int64
@@ -43,7 +43,7 @@ func histValue(idx int) int64 {
 }
 
 // Record adds one latency sample.
-func (h *Hist) Record(d time.Duration) {
+func (h *hist) Record(d time.Duration) {
 	ns := d.Nanoseconds()
 	h.counts[histBucket(ns)]++
 	h.total++
@@ -56,12 +56,12 @@ func (h *Hist) Record(d time.Duration) {
 }
 
 // Count returns the number of recorded samples.
-func (h *Hist) Count() uint64 { return h.total }
+func (h *hist) Count() uint64 { return h.total }
 
 // Merge folds another histogram's samples into this one (exact: the
 // bucket layout is shared, so counts add; extremes take the wider span).
 // Per-worker histograms merge into the run-wide one this way.
-func (h *Hist) Merge(o *Hist) {
+func (h *hist) Merge(o *hist) {
 	if o.total == 0 {
 		return
 	}
@@ -78,13 +78,13 @@ func (h *Hist) Merge(o *Hist) {
 }
 
 // Min and Max return the exact extremes of the recorded samples.
-func (h *Hist) Min() time.Duration { return time.Duration(h.min) }
-func (h *Hist) Max() time.Duration { return time.Duration(h.max) }
+func (h *hist) Min() time.Duration { return time.Duration(h.min) }
+func (h *hist) Max() time.Duration { return time.Duration(h.max) }
 
 // Quantile returns the latency at quantile q in [0, 1] (0.5 = p50). The
 // answer is the lower bound of the bucket holding the q-th sample,
 // clamped to the exact observed extremes; an empty histogram returns 0.
-func (h *Hist) Quantile(q float64) time.Duration {
+func (h *hist) Quantile(q float64) time.Duration {
 	if h.total == 0 {
 		return 0
 	}

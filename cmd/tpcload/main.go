@@ -9,7 +9,7 @@
 // Usage:
 //
 //	tpcload -addr 127.0.0.1:7201 -txns 500 [-conc 4] [-rate 0] [-accounts 8] \
-//	        [-zipf 0] [-mix 0] [-seed 1] [-prefix p.] [-out BENCH.json]
+//	        [-zipf 0] [-mix 0] [-seed 1] [-prefix p.]
 //
 // Each worker owns -accounts private accounts funded with 100 each; every
 // transaction moves 10 between two of them, so per-worker totals — and
@@ -26,10 +26,7 @@
 // makes the zipfian/mix draws reproducible.
 //
 // Latencies go into a log-linear histogram; the summary prints p50, p99,
-// p999 and txns/sec, and -out writes the same numbers as a
-// benchsuite-schema BENCH JSON (names tpcload/p50 etc., ns_per_op
-// carrying the nanosecond quantile) so the regression tooling can diff
-// serving-path runs like any other benchmark.
+// p999 and txns/sec.
 package main
 
 import (
@@ -39,13 +36,11 @@ import (
 	"math/rand"
 	"net"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"speccat/internal/benchsuite"
 	"speccat/internal/workload"
 )
 
@@ -59,10 +54,9 @@ func main() {
 	mix := flag.Float64("mix", 0, "fraction of transactions run as paired-increment transfers (INC) instead of read-then-write (WRITE)")
 	seed := flag.Int64("seed", 1, "seed for the zipfian and mix draws")
 	prefix := flag.String("prefix", "", "transaction-name prefix (lets several runs share one cluster: the master rejects reused names)")
-	out := flag.String("out", "", "write a benchsuite-schema JSON report here")
 	flag.Parse()
 
-	if err := run(*addr, *txns, *conc, *rate, *accounts, *zipf, *mix, *seed, *prefix, *out); err != nil {
+	if err := run(*addr, *txns, *conc, *rate, *accounts, *zipf, *mix, *seed, *prefix); err != nil {
 		fmt.Fprintf(os.Stderr, "tpcload: %v\n", err)
 		os.Exit(1)
 	}
@@ -192,9 +186,24 @@ func balanceOf(reads map[string]string, key string) int {
 	return 0
 }
 
+// auditSum adds up the balances one audit transaction read. A value that
+// is not an integer is an error naming the transaction and the value: a
+// garbled READ must not pass as a balance of zero.
+func auditSum(name string, reads map[string]string) (int, error) {
+	sum := 0
+	for k, v := range reads {
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			return 0, fmt.Errorf("audit transaction %s: %s=%q is not a balance", name, k, v)
+		}
+		sum += n
+	}
+	return sum, nil
+}
+
 // workerStats is one worker's tally, merged after the run.
 type workerStats struct {
-	hist      benchsuite.Hist
+	lat       hist
 	committed int
 	aborted   int
 	err       error
@@ -218,13 +227,13 @@ func pace(tickets chan<- time.Time, start time.Time, interval time.Duration, n i
 	close(tickets)
 }
 
-// timeOps runs do(0..n-1), recording each call's latency in hist. Open
+// timeOps runs do(0..n-1), recording each call's latency in lat. Open
 // loop (tickets non-nil), a call waits for its ticket and is timed from
 // the ticket's due time, so the time it sat in the channel behind slower
 // predecessors lands in the quantiles instead of vanishing; closed loop,
 // it is timed from the moment it starts. It stops early, without error,
 // when the schedule runs out.
-func timeOps(tickets <-chan time.Time, n int, hist *benchsuite.Hist, do func(i int) error) error {
+func timeOps(tickets <-chan time.Time, n int, lat *hist, do func(i int) error) error {
 	for i := 0; i < n; i++ {
 		begin := time.Now() //lint:allow nowallclock load generator measures real serving-path latency
 		if tickets != nil {
@@ -237,12 +246,12 @@ func timeOps(tickets <-chan time.Time, n int, hist *benchsuite.Hist, do func(i i
 		if err := do(i); err != nil {
 			return err
 		}
-		hist.Record(time.Since(begin)) //lint:allow nowallclock load generator measures real serving-path latency
+		lat.Record(time.Since(begin)) //lint:allow nowallclock load generator measures real serving-path latency
 	}
 	return nil
 }
 
-func run(addr string, txns, conc int, rate float64, accounts int, zipf, mix float64, seed int64, prefix, out string) error {
+func run(addr string, txns, conc int, rate float64, accounts int, zipf, mix float64, seed int64, prefix string) error {
 	if addr == "" {
 		return fmt.Errorf("-addr is required")
 	}
@@ -261,6 +270,7 @@ func run(addr string, txns, conc int, rate float64, accounts int, zipf, mix floa
 	if err != nil {
 		return err
 	}
+	defer setup.conn.Close()
 	for w := 0; w < conc; w++ {
 		name := fmt.Sprintf("%sfund-w%d", prefix, w)
 		if _, err := setup.round("BEGIN " + name); err != nil {
@@ -313,7 +323,7 @@ func run(addr string, txns, conc int, rate float64, accounts int, zipf, mix floa
 			if zipf > 0 {
 				chooser = workload.NewZipf(rng, accounts, zipf)
 			}
-			st.err = timeOps(tickets, share, &st.hist, func(i int) error {
+			st.err = timeOps(tickets, share, &st.lat, func(i int) error {
 				fromIdx, toIdx := i%accounts, (i+1)%accounts
 				if chooser != nil {
 					fromIdx = chooser.Next()
@@ -344,7 +354,7 @@ func run(addr string, txns, conc int, rate float64, accounts int, zipf, mix floa
 	wg.Wait()
 	wall := time.Since(start) //lint:allow nowallclock load generator measures real serving-path throughput
 
-	var hist benchsuite.Hist
+	var lat hist
 	committed, aborted := 0, 0
 	for w := range stats {
 		if stats[w].err != nil {
@@ -352,7 +362,7 @@ func run(addr string, txns, conc int, rate float64, accounts int, zipf, mix floa
 		}
 		committed += stats[w].committed
 		aborted += stats[w].aborted
-		hist.Merge(&stats[w].hist)
+		lat.Merge(&stats[w].lat)
 	}
 
 	// Atomicity audit: re-read every account and check conservation.
@@ -375,10 +385,11 @@ func run(addr string, txns, conc int, rate float64, accounts int, zipf, mix floa
 		if !ok {
 			return fmt.Errorf("audit transaction %s aborted", name)
 		}
-		for _, v := range reads {
-			n, _ := strconv.Atoi(v)
-			total += n
+		sum, err := auditSum(name, reads)
+		if err != nil {
+			return err
 		}
+		total += sum
 	}
 	want := conc * accounts * initial
 	violations := 0
@@ -397,32 +408,10 @@ func run(addr string, txns, conc int, rate float64, accounts int, zipf, mix floa
 			rate, tps, 100*tps/rate)
 	}
 	fmt.Printf("  latency     p50=%v p99=%v p999=%v min=%v max=%v\n",
-		hist.Quantile(0.5), hist.Quantile(0.99), hist.Quantile(0.999), hist.Min(), hist.Max())
+		lat.Quantile(0.5), lat.Quantile(0.99), lat.Quantile(0.999), lat.Min(), lat.Max())
 	fmt.Printf("  atomicity   total=%d want=%d violations=%d\n", total, want, violations)
 	if violations != 0 {
 		return fmt.Errorf("atomicity violated: account total %d, want %d", total, want)
-	}
-
-	if out != "" {
-		report := &benchsuite.Report{
-			SchemaVersion: benchsuite.SchemaVersion,
-			Date:          time.Now().UTC().Format("2006-01-02"), //lint:allow nowallclock report date stamp
-			GoVersion:     runtime.Version(),
-			GOOS:          runtime.GOOS,
-			GOARCH:        runtime.GOARCH,
-			NumCPU:        runtime.NumCPU(),
-			BenchTime:     fmt.Sprintf("%d txns", txns),
-			Benchmarks: []benchsuite.BenchResult{
-				{Name: "tpcload/p50", Iterations: int(hist.Count()), NsPerOp: float64(hist.Quantile(0.5))},
-				{Name: "tpcload/p99", Iterations: int(hist.Count()), NsPerOp: float64(hist.Quantile(0.99))},
-				{Name: "tpcload/p999", Iterations: int(hist.Count()), NsPerOp: float64(hist.Quantile(0.999))},
-				{Name: "tpcload/txn", Iterations: committed + aborted, NsPerOp: float64(wall.Nanoseconds()) / float64(committed+aborted)},
-			},
-		}
-		if err := report.WriteFile(out); err != nil {
-			return err
-		}
-		fmt.Printf("  report      %s\n", out)
 	}
 	return nil
 }

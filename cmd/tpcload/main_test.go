@@ -1,10 +1,9 @@
 package main
 
 import (
+	"strings"
 	"testing"
 	"time"
-
-	"speccat/internal/benchsuite"
 )
 
 // TestPaceSchedule pins the open-loop schedule: ticket i carries
@@ -40,7 +39,7 @@ func TestOpenLoopChargesQueueing(t *testing.T) {
 
 	tickets := make(chan time.Time, n)
 	go pace(tickets, time.Now(), interval, n)
-	var open, closed benchsuite.Hist
+	var open, closed hist
 	if err := timeOps(tickets, n, &open, slow); err != nil {
 		t.Fatal(err)
 	}
@@ -56,5 +55,33 @@ func TestOpenLoopChargesQueueing(t *testing.T) {
 	}
 	if p50 := closed.Quantile(0.5); p50 < service || p50 > 10*service {
 		t.Errorf("closed-loop p50 %v, want about the %v service time", p50, service)
+	}
+}
+
+// TestAuditSum: integer balances add (negative ones included); anything
+// else is an error naming the audit transaction and the offending value.
+func TestAuditSum(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		reads   map[string]string
+		want    int
+		wantErr string
+	}{
+		{"numeric", map[string]string{"2/w0.a0": "90", "3/w0.a1": "110"}, 200, ""},
+		{"negative", map[string]string{"2/w0.a0": "-30", "3/w0.a1": "230"}, 200, ""},
+		{"no reads", map[string]string{}, 0, ""},
+		{"empty value", map[string]string{"2/w0.a0": ""}, 0, `audit-w0: 2/w0.a0=""`},
+		{"non-numeric", map[string]string{"2/w0.a0": "1e2"}, 0, `audit-w0: 2/w0.a0="1e2"`},
+	} {
+		got, err := auditSum("audit-w0", tc.reads)
+		if tc.wantErr == "" {
+			if err != nil || got != tc.want {
+				t.Errorf("%s: auditSum = %d, %v; want %d", tc.name, got, err, tc.want)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: auditSum error = %v, want one containing %s", tc.name, err, tc.wantErr)
+		}
 	}
 }

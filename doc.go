@@ -4,7 +4,7 @@
 // (internal/core) with a Specware-like language and a resolution prover,
 // the full 3PC protocol stack it reasons about (internal/tpc and the
 // building-block packages), and the reproduction experiments E1..E10
-// (internal/experiments, cmd/tpcverify, bench_test.go).
+// (internal/experiments, cmd/tpcverify).
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for paper-claim vs. measured outcomes.

@@ -1,6 +1,6 @@
-// Package layers is the one table of Go analysis layers: both CLIs
-// (speccatlint and speccat -lint) and the tier-1 lint test iterate it, so
-// a layer is listed, selectable and run everywhere once it has a row here.
+// Package layers is the one table of Go analysis layers: speccatlint and
+// the tier-1 lint test iterate it, so a layer is listed, selectable and
+// run everywhere once it has a row here.
 package layers
 
 import (

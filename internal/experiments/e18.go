@@ -78,9 +78,8 @@ func e18Schedule(seed int64) explore.Schedule {
 	}
 }
 
-// E18Sweep runs one locking regime over the seeds and aggregates
-// outcomes; the specbench suite reuses it to track the regime metrics.
-func E18Sweep(label string, seeds []int64, writeFraction float64) (E18Row, error) {
+// e18Sweep runs one locking regime over the seeds and aggregates outcomes.
+func e18Sweep(label string, seeds []int64, writeFraction float64) (E18Row, error) {
 	t, err := explore.Sweep(seeds, func(_ int, seed int64) explore.Schedule {
 		spec := e18Schedule(seed)
 		spec.WriteFraction = writeFraction
@@ -100,10 +99,10 @@ func E18Sweep(label string, seeds []int64, writeFraction float64) (E18Row, error
 func E18Commutativity(seeds []int64) (*E18Result, error) {
 	out := &E18Result{}
 	var err error
-	if out.Exclusive, err = E18Sweep("exclusive-writes", seeds, 1.0); err != nil {
+	if out.Exclusive, err = e18Sweep("exclusive-writes", seeds, 1.0); err != nil {
 		return nil, err
 	}
-	if out.Commutative, err = E18Sweep("inc-transfers", seeds, 0); err != nil {
+	if out.Commutative, err = e18Sweep("inc-transfers", seeds, 0); err != nil {
 		return nil, err
 	}
 

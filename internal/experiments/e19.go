@@ -79,10 +79,9 @@ func e19Schedule(seed int64) explore.Schedule {
 	}
 }
 
-// E19Sweep runs one commit-path configuration over the seeds and
-// aggregates outcomes; the specbench suite reuses it to track the
-// configuration metrics.
-func E19Sweep(label string, seeds []int64, shards int, group bool) (E19Row, error) {
+// e19Sweep runs one commit-path configuration over the seeds and
+// aggregates outcomes.
+func e19Sweep(label string, seeds []int64, shards int, group bool) (E19Row, error) {
 	t, err := explore.Sweep(seeds, func(_ int, seed int64) explore.Schedule {
 		spec := e19Schedule(seed)
 		spec.Shards = shards
@@ -103,13 +102,13 @@ func E19Sweep(label string, seeds []int64, shards int, group bool) (E19Row, erro
 func E19ShardedCommit(seeds []int64) (*E19Result, error) {
 	out := &E19Result{}
 	var err error
-	if out.Unsharded, err = E19Sweep("unsharded", seeds, 1, false); err != nil {
+	if out.Unsharded, err = e19Sweep("unsharded", seeds, 1, false); err != nil {
 		return nil, err
 	}
-	if out.Sharded, err = E19Sweep("sharded", seeds, e19Shards, false); err != nil {
+	if out.Sharded, err = e19Sweep("sharded", seeds, e19Shards, false); err != nil {
 		return nil, err
 	}
-	if out.Grouped, err = E19Sweep("sharded+group", seeds, e19Shards, true); err != nil {
+	if out.Grouped, err = e19Sweep("sharded+group", seeds, e19Shards, true); err != nil {
 		return nil, err
 	}
 
