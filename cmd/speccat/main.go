@@ -75,27 +75,16 @@ func processFile(path string, lenient, skipProofs, lint bool, jobs int, printNam
 	return nil
 }
 
-// elaborate runs the pipeline. With jobs == 1 the elaborator discharges
-// prove statements inline; otherwise proofs are skipped during elaboration
-// and discharged afterwards on a worker pool (bit-identical results, see
-// internal/core/provesched).
+// elaborate runs the pipeline: elaboration alone under -skip-proofs,
+// which leaves every prove statement as its placeholder, else elaboration
+// plus discharge on jobs workers (internal/core/provesched).
 func elaborate(src string, lenient, skipProofs bool, jobs int) (*speclang.Env, error) {
-	if skipProofs || jobs == 1 {
-		return speclang.Run(src, speclang.Options{Lenient: lenient, SkipProofs: skipProofs})
+	opts := speclang.Options{Lenient: lenient}
+	if skipProofs {
+		return speclang.Run(src, opts)
 	}
-	env, err := speclang.Run(src, speclang.Options{Lenient: lenient, SkipProofs: true})
-	if err != nil {
-		return nil, err
-	}
-	obs, err := provesched.Extract(src)
-	if err != nil {
-		return nil, err
-	}
-	results := (&provesched.Scheduler{Workers: jobs}).Run(env, obs)
-	if err := provesched.Bind(env, results); err != nil {
-		return nil, err
-	}
-	return env, nil
+	env, _, err := (&provesched.Scheduler{Workers: jobs}).Verify(src, opts)
+	return env, err
 }
 
 func describe(v *speclang.Value) string {

@@ -22,9 +22,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"speccat/internal/conformance"
+	"speccat/internal/core/provesched"
 	"speccat/internal/core/speclang"
 	"speccat/internal/experiments"
 	"speccat/internal/thesis"
@@ -46,23 +48,34 @@ func main() {
 	}
 	sel := func(name string) bool { return len(want) == 0 || want[name] }
 
-	if err := run(sel, *seed, *txns, *workers); err != nil {
+	if _, err := run(sel, *seed, *txns, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "tpcverify:", err)
 		os.Exit(1)
 	}
 }
 
-func run(sel func(string) bool, seed int64, txns, workers int) error {
-	env, err := corpusEnv(workers)
+// run prints the selected experiments and returns the corpus discharge
+// they printed from. The corpus is elaborated only when an experiment
+// reads it, and discharged — once — only when one prints proofs; E9's
+// monolithic proofs are the only other prover work.
+func run(sel func(string) bool, seed int64, txns, workers int) (proofs []provesched.Result, err error) {
+	anyOf := func(names ...string) bool { return slices.ContainsFunc(names, sel) }
+	var env *speclang.Env
+	switch {
+	case anyOf("e4", "e5", "e6", "e9", "e14"):
+		env, proofs, err = thesis.CorpusParallel(workers)
+	case anyOf("e1", "e2", "e3", "e2b"):
+		env, err = thesis.CorpusWithoutProofs()
+	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	if sel("e1") {
 		fmt.Println("== E1: Table 3.1 — building blocks of 3PC ==")
 		rows, err := experiments.E1Table31(env)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Printf("%-4s %-38s %-15s %-22s %4s %4s\n", "id", "building block", "spec", "package", "reqs", "axms")
 		for _, r := range rows {
@@ -74,21 +87,21 @@ func run(sel func(string) bool, seed int64, txns, workers int) error {
 	if sel("e2") {
 		fmt.Println("== E2: Fig. 3.4 — sequential division 1 (recovery tower) ==")
 		if err := printChain(experiments.E2SeqDivision1(env)); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if sel("e3") {
 		fmt.Println("== E3: Fig. 3.5 — sequential division 2 (election tower) ==")
 		if err := printChain(experiments.E3SeqDivision2(env)); err != nil {
-			return err
+			return nil, err
 		}
 	}
 
-	if sel("e2b") || sel("e2") {
+	if anyOf("e2b", "e2") {
 		fmt.Println("== E2b: Figs. 4.3–4.8 — module-level composition (PAR/EXP/IMP/BOD) ==")
 		steps, final, err := thesis.ComposeSerializabilityTower(env)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, s := range steps {
 			fmt.Printf("  %-8s = %s ∘ %s  (body: %d sorts, %d ops; square commutes: %v)\n",
@@ -97,15 +110,12 @@ func run(sel func(string) bool, seed int64, txns, workers int) error {
 		fmt.Printf("  final module: %s\n\n", final)
 	}
 
-	if sel("e4") || sel("e5") || sel("e6") {
+	if anyOf("e4", "e5", "e6") {
 		fmt.Println("== E4/E5/E6: global property proofs (thesis p1, p2, p3) ==")
-		rows, err := experiments.E456Proofs(env)
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
+		for _, r := range experiments.E456Proofs(proofs) {
 			fmt.Printf("  %-15s in %-4s: %2d proof steps, %4d clauses generated, %8v  using %v\n",
-				r.Property, r.Composite, r.Steps, r.Generated, r.Elapsed.Round(10_000), r.Using)
+				r.Obligation.Theorem, r.Obligation.In, r.Proof.Stats.ProofLength, r.Proof.Stats.Generated,
+				r.Proof.Stats.Elapsed.Round(10_000), r.Obligation.Using)
 		}
 		fmt.Println()
 	}
@@ -114,7 +124,7 @@ func run(sel func(string) bool, seed int64, txns, workers int) error {
 		fmt.Println("== E7: Fig. 3.2 — model-checked non-blocking theorem (2 cohorts, 1 crash) ==")
 		rows, err := experiments.E7ModelCheck(2)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, r := range rows {
 			verdict := "atomic"
@@ -136,7 +146,7 @@ func run(sel func(string) bool, seed int64, txns, workers int) error {
 		for _, p := range []tpc.Protocol{tpc.ThreePhase, tpc.TwoPhase} {
 			r, err := experiments.E8Distributed(seed, txns, p)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			fmt.Printf("  %-4s: %d txns → %d committed, %d aborted, %d undecided; mean decision latency %.1f ticks; %.1f msgs/txn; %d branches holding locks during the crash window\n",
 				r.Protocol, r.Transactions, r.Committed, r.Aborted, r.Undecided, r.MeanLatency, r.MessagesPerTxn, r.BlockedAtProbe)
@@ -146,9 +156,9 @@ func run(sel func(string) bool, seed int64, txns, workers int) error {
 
 	if sel("e9") {
 		fmt.Println("== E9: ablation — modular vs monolithic verification ==")
-		rows, err := experiments.E9Ablation(env)
+		rows, err := experiments.E9Ablation(env, proofs)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Printf("  %-15s %18s %18s %14s\n", "property", "inputs mod/mono", "clauses mod/mono", "time mod/mono")
 		for _, r := range rows {
@@ -164,7 +174,7 @@ func run(sel func(string) bool, seed int64, txns, workers int) error {
 		fmt.Println("== E10: assumption-violation matrix ==")
 		rows, err := experiments.E10FailureInjection()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, r := range rows {
 			verdict := "invariant holds"
@@ -178,13 +188,9 @@ func run(sel func(string) bool, seed int64, txns, workers int) error {
 
 	if sel("e14") {
 		fmt.Println("== E14: parallel proof pipeline — corpus obligations on a worker pool ==")
-		rows, err := experiments.E14ParallelProofs(workers)
-		if err != nil {
-			return err
-		}
 		fmt.Printf("  %-4s %-15s %-4s %5s %8s %6s %9s %10s\n",
 			"stmt", "theorem", "in", "depth", "premises", "steps", "generated", "elapsed")
-		for _, r := range rows {
+		for _, r := range experiments.E14ParallelProofs(proofs) {
 			fmt.Printf("  %-4s %-15s %-4s %5d %8d %6d %9d %10v\n",
 				r.Obligation, r.Theorem, r.Composite, r.Depth, r.Premises,
 				r.Steps, r.Generated, r.Elapsed.Round(10_000))
@@ -196,7 +202,7 @@ func run(sel func(string) bool, seed int64, txns, workers int) error {
 		fmt.Println("== E15: durability cross-validation — static durcheck + staged crash schedules ==")
 		res, err := experiments.E15Durability([]int64{1, 2, 3})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Printf("  static: %d findings over the module (%d roots, %d functions, %d requiring kinds, %d write summaries, %d volatiles)\n",
 			res.Findings, res.Roots, res.Analyzed, res.Requires, res.Writes, res.Volatiles)
@@ -214,13 +220,13 @@ func run(sel func(string) bool, seed int64, txns, workers int) error {
 	if sel("e16") {
 		fmt.Println("== E16: real-goroutine conformance — live run recorded and replayed deterministically ==")
 		if err := printConformance(experiments.E16LiveConformance()); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if sel("e17") {
 		fmt.Println("== E17: TCP conformance — real-socket run recorded and replayed deterministically ==")
 		if err := printConformance(experiments.E17TCPConformance()); err != nil {
-			return err
+			return nil, err
 		}
 	}
 
@@ -228,7 +234,7 @@ func run(sel func(string) bool, seed int64, txns, workers int) error {
 		fmt.Println("== E18: commutativity conformance — derived lock modes, conflict rates, underlock ablation ==")
 		res, err := experiments.E18Commutativity([]int64{1, 2, 3, 4, 5})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, r := range []experiments.E18Row{res.Exclusive, res.Commutative} {
 			fmt.Printf("  %-16s seeds=%d txns/seed=%d: %4d committed, %4d aborted; conflict rate %.3f; %.2f commits/ktick; %s\n",
@@ -255,7 +261,7 @@ func run(sel func(string) bool, seed int64, txns, workers int) error {
 		fmt.Println("== E19: sharded, group-committed commit path — conformance and fsync bill ==")
 		res, err := experiments.E19ShardedCommit([]int64{1, 2, 3})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, r := range []experiments.E19Row{res.Unsharded, res.Sharded, res.Grouped} {
 			fmt.Printf("  %-14s shards=%d group=%-5v seeds=%d txns/seed=%d: %4d committed, %3d aborted; %.2f commits/ktick; %4d syncs (%.2f/commit); %s\n",
@@ -270,7 +276,7 @@ func run(sel func(string) bool, seed int64, txns, workers int) error {
 		fmt.Println("== E20: lock discipline — static 2PL/lock-order analysis with explorer-witnessed deadlock ==")
 		res, err := experiments.E20LockDiscipline([]int64{1, 2, 3})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Printf("  static lockcheck over ./internal/...: %d findings; %d roots, %d functions analyzed, %d acquire / %d release sites, %d routed calls, %d SyncThen continuations\n",
 			res.Findings, res.Roots, res.Analyzed, res.AcquireSites, res.ReleaseSites, res.RoutedCalls, res.SyncThenSites)
@@ -290,7 +296,7 @@ func run(sel func(string) bool, seed int64, txns, workers int) error {
 		fmt.Println("== E11: axiom conformance — proof axioms observed on execution traces ==")
 		rows, err := conformance.CheckAll(seed)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, r := range rows {
 			verdict := "conforms"
@@ -301,18 +307,7 @@ func run(sel func(string) bool, seed int64, txns, workers int) error {
 		}
 		fmt.Println()
 	}
-	return nil
-}
-
-// corpusEnv elaborates the corpus: with one worker through the sequential
-// elaborator, otherwise through the parallel proof scheduler — the two
-// paths produce bit-identical environments (see internal/core/provesched).
-func corpusEnv(workers int) (*speclang.Env, error) {
-	if workers == 1 {
-		return thesis.Corpus()
-	}
-	env, _, err := thesis.CorpusParallel(workers)
-	return env, err
+	return proofs, nil
 }
 
 // verdict renders a sweep's violated-oracle set, or clean when it is empty.

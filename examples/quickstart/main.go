@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 
+	"speccat/internal/core/provesched"
 	"speccat/internal/core/speclang"
 )
 
@@ -43,7 +44,7 @@ p = prove EndToEnd in STACK using Reliable Acks
 `
 
 func main() {
-	env, err := speclang.Run(source, speclang.Options{})
+	env, _, err := (&provesched.Scheduler{}).Verify(source, speclang.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "quickstart:", err)
 		os.Exit(1)

@@ -23,7 +23,7 @@ func main() {
 
 func run() error {
 	fmt.Println("== elaborating corpus (building blocks + composition chains) ==")
-	env, err := thesis.Corpus()
+	env, err := thesis.CorpusWithoutProofs()
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"speccat/internal/core/provesched"
 	"speccat/internal/core/speclang"
 )
 
@@ -21,42 +22,31 @@ type DerivedMatrix struct {
 	Classes []string
 }
 
-// Derive parses and elaborates a commutativity spec and returns the
-// compatibility relation it supports. classes are the commutativity
-// classes the caller knows about (from //comm:mode annotations); the
-// derived relation marks (a, b) compatible exactly when the spec contains
-// a prove statement for theorem Safe<a><b> (or Safe<b><a>) — and
-// elaboration runs those proofs, so a theorem the prover cannot discharge
-// fails the derivation rather than silently weakening the matrix.
+// Derive elaborates a commutativity spec, discharges its prove statements
+// and returns the compatibility relation it supports. classes are the
+// commutativity classes the caller knows about (from //comm:mode
+// annotations); the derived relation marks (a, b) compatible exactly when
+// the spec contains a prove statement for theorem Safe<a><b> (or
+// Safe<b><a>) — and a theorem the prover cannot discharge fails the
+// derivation rather than silently weakening the matrix.
 func Derive(src string, classes []string) (*DerivedMatrix, error) {
-	file, err := speclang.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("commcheck: parse spec: %w", err)
-	}
-	// Elaboration discharges every prove statement with the default
-	// resolution prover; any failed obligation surfaces here.
-	env, err := speclang.Eval(file, speclang.Options{})
+	env, results, err := (&provesched.Scheduler{}).Verify(src, speclang.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("commcheck: discharge spec obligations: %w", err)
 	}
-	d := &DerivedMatrix{Compatible: map[string]map[string]bool{}}
+	d := &DerivedMatrix{Compatible: map[string]map[string]bool{}, Proofs: len(results)}
 	declared := map[string]bool{}
 	proved := map[string]bool{}
-	for _, stmt := range file.Stmts {
-		switch e := stmt.Expr.(type) {
-		case *speclang.SpecExpr:
-			for _, op := range e.Ops {
-				if len(op.Args) == 0 {
+	for _, r := range results {
+		proved[r.Obligation.Theorem] = true
+	}
+	for _, name := range env.Names() {
+		if s, err := env.Spec(name); err == nil {
+			for _, op := range s.Sig.Ops {
+				if op.Arity() == 0 {
 					declared[op.Name] = true
 				}
 			}
-		case *speclang.ProveExpr:
-			v, ok := env.Lookup(stmt.Name)
-			if !ok || v.Kind != speclang.KindProof {
-				return nil, fmt.Errorf("commcheck: obligation %s did not produce a proof", stmt.Name)
-			}
-			proved[e.Theorem] = true
-			d.Proofs++
 		}
 	}
 	for c := range declared {

@@ -125,10 +125,13 @@ func unify(a, b *Term, s Subst) bool {
 	switch {
 	case a.Kind == KindVar && b.Kind == KindVar && a.Name == b.Name:
 		return true
+	case b.Kind == KindVar && (a.Kind != KindVar || b.Sort == "" && a.Sort != ""):
+		// Between two variables the unsorted one is bound, so the sorted
+		// one's constraint survives; binding x:S to z would let z later
+		// take a T the reverse order refuses.
+		return bindVar(b, a, s)
 	case a.Kind == KindVar:
 		return bindVar(a, b, s)
-	case b.Kind == KindVar:
-		return bindVar(b, a, s)
 	case a.Kind == KindConst && b.Kind == KindConst:
 		return a.Name == b.Name && sortsCompatible(a.Sort, b.Sort)
 	case a.Kind == KindApp && b.Kind == KindApp:

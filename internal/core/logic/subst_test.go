@@ -104,6 +104,21 @@ func TestUnifySoundProperty(t *testing.T) {
 	}
 }
 
+// TestUnifySortSurvivesUnsortedVar is the case the symmetry property used
+// to trip over about one run in twenty: x:S meets the unsorted z before z
+// meets b:T. Bound as x -> z the sort S was forgotten and z took b; the
+// reverse argument order bound z -> x and refused. Both orders refuse now.
+func TestUnifySortSurvivesUnsortedVar(t *testing.T) {
+	l := App("f", "S", Var("x", "S"), Const("b", "T"))
+	r := App("f", "S", Var("z", ""), Var("z", ""))
+	if _, ok := Unify(l, r, nil); ok {
+		t.Errorf("Unify(%s, %s) let z stand for both an S and a T", l, r)
+	}
+	if _, ok := Unify(r, l, nil); ok {
+		t.Errorf("Unify(%s, %s) let z stand for both an S and a T", r, l)
+	}
+}
+
 // Property: unification is symmetric in success.
 func TestUnifySymmetricProperty(t *testing.T) {
 	prop := func(ga, gb termGen) bool {

@@ -1,15 +1,17 @@
-package speclang_test
+package provesched_test
 
 import (
 	"fmt"
 
+	"speccat/internal/core/provesched"
 	"speccat/internal/core/speclang"
 )
 
-// ExampleRun shows the complete workflow: define two specifications,
-// compose them with a colimit, and prove a theorem of the composite.
-func ExampleRun() {
-	env, err := speclang.Run(`
+// ExampleScheduler_Verify shows the complete workflow: define two
+// specifications, compose them with a colimit, and prove a theorem of the
+// composite.
+func ExampleScheduler_Verify() {
+	env, _, err := (&provesched.Scheduler{}).Verify(`
 A = spec
 sort S
 op P : S -> Boolean

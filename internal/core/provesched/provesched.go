@@ -1,5 +1,8 @@
 // Package provesched extracts the proof obligations of a speclang file
-// and discharges them on a worker pool.
+// and discharges them on a worker pool. It is the only path from a prove
+// statement to a proof: the elaborator validates the statement and binds
+// a placeholder, and Scheduler.Verify elaborates, discharges and binds
+// the proofs over the placeholders.
 //
 // A prove statement only reads the spec it names, so once elaboration has
 // built every spec the obligations are mutually independent and can run
@@ -10,10 +13,10 @@
 // obligations over the deepest composites carry the largest premise sets
 // and are dispatched first, shrinking the tail of the schedule.
 //
-// Results are deterministic and bit-identical to the sequential
-// elaborator path at any worker count: each Prove call is a pure function
-// of its premise set, and the shared clause cache memoizes a pure
-// function of each named formula (see prover.ClauseCache).
+// Results are deterministic and bit-identical at any worker count: each
+// Prove call is a pure function of its premise set, and the shared clause
+// cache memoizes a pure function of each named formula (see
+// prover.ClauseCache).
 package provesched
 
 import (
@@ -34,7 +37,8 @@ var ErrObligation = errors.New("provesched: bad obligation")
 // Obligation is one prove statement, annotated with its position in the
 // spec-dependency DAG.
 type Obligation struct {
-	// Name is the statement's binding name (p1..p5 in the corpus).
+	// Name is the name the statement is bound under (p1..p5 in the
+	// corpus; speclang.File.BindName for a bare prove expression).
 	Name string
 	// Index is the statement's position in the source file; results are
 	// emitted in Index order.
@@ -108,7 +112,7 @@ func FromFile(f *speclang.File) []Obligation {
 			continue
 		}
 		ob := Obligation{
-			Name:    stmt.Name,
+			Name:    f.BindName(i),
 			Index:   i,
 			Line:    stmt.Line,
 			In:      pe.In,
@@ -187,18 +191,38 @@ type Scheduler struct {
 	// Workers is the pool size; values <= 0 mean GOMAXPROCS.
 	Workers int
 	// Limits bounds each proof search. The zero value means
-	// prover.DefaultLimits — the same limits the sequential elaborator
-	// uses, so verdicts match it exactly.
+	// prover.DefaultLimits.
 	Limits prover.Limits
 	// Cache memoizes clausification across obligations; nil means a
 	// fresh cache private to each Run call.
 	Cache *prover.ClauseCache
 }
 
+// Verify is the one way from source text to a proved environment: it
+// parses src once, elaborates it, discharges every prove statement on the
+// pool and binds each proof over the placeholder elaboration left, so
+// Names() keeps source order. The results are in source order too. It
+// fails on the first elaboration error, else on the first obligation, in
+// source order, that was not proved.
+func (s *Scheduler) Verify(src string, opts speclang.Options) (*speclang.Env, []Result, error) {
+	f, err := speclang.Parse(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	env, err := speclang.Eval(f, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	results := s.Run(env, FromFile(f))
+	if err := bind(env, results); err != nil {
+		return nil, nil, err
+	}
+	return env, results, nil
+}
+
 // Run discharges the obligations against env. Results are indexed like
 // obs (source order) regardless of worker count or completion
-// interleaving, and each proof is bit-identical to what the sequential
-// elaborator derives for the same statement.
+// interleaving, and each proof is bit-identical at every worker count.
 func (s *Scheduler) Run(env *speclang.Env, obs []Obligation) []Result {
 	workers := s.Workers
 	if workers <= 0 {
@@ -241,8 +265,8 @@ func (s *Scheduler) Run(env *speclang.Env, obs []Obligation) []Result {
 	return results
 }
 
-// proveOne discharges a single obligation on exactly the premises and
-// goal the sequential elaborator's prove statement would use.
+// proveOne discharges a single obligation on the premises and goal
+// Env.ProveOperands resolves for it.
 func (s *Scheduler) proveOne(env *speclang.Env, cache *prover.ClauseCache, ob Obligation) Result {
 	premises, goal, err := env.ProveOperands(ob.In, ob.Theorem, ob.Using)
 	if err != nil {
@@ -260,14 +284,13 @@ func (s *Scheduler) proveOne(env *speclang.Env, cache *prover.ClauseCache, ob Ob
 	return Result{Obligation: ob, Proof: res}
 }
 
-// Bind attaches successful results to env under their statement names
-// (replacing the "skipped" markers a SkipProofs elaboration left), making
-// the environment interchangeable with a sequential proofs-included run.
-// It returns the first failed result's error, in source order, if any.
-func Bind(env *speclang.Env, results []Result) error {
+// bind attaches the results to env under their statement names, replacing
+// the placeholders elaboration left. It binds nothing and returns the
+// first failed result's error, in source order, if any failed.
+func bind(env *speclang.Env, results []Result) error {
 	for _, r := range results {
 		if r.Err != nil {
-			return fmt.Errorf("%s (line %d): %w", r.Obligation.Name, r.Obligation.Line, r.Err)
+			return fmt.Errorf("line %d (%s): %w", r.Obligation.Line, r.Obligation.Name, r.Err)
 		}
 	}
 	for _, r := range results {

@@ -42,7 +42,7 @@ pc = prove RA in C using PA PQ QR
 
 func testEnv(t *testing.T) (*speclang.Env, []Obligation) {
 	t.Helper()
-	env, err := speclang.Run(testSrc, speclang.Options{SkipProofs: true})
+	env, err := speclang.Run(testSrc, speclang.Options{})
 	if err != nil {
 		t.Fatalf("elaboration failed: %v", err)
 	}
@@ -135,25 +135,27 @@ func TestSchedulerDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestSchedulerMatchesSequentialElaborator requires scheduler proofs to
-// be bit-identical to the ones the elaborator derives inline.
+// TestSchedulerMatchesSequentialElaborator keeps the reference the inline
+// elaborator used to be: a fresh prover with no clause cache, run on the
+// statement's operands one statement at a time. Scheduler proofs — pooled,
+// cached — must be bit-identical to it.
 func TestSchedulerMatchesSequentialElaborator(t *testing.T) {
-	seqEnv, err := speclang.Run(testSrc, speclang.Options{})
-	if err != nil {
-		t.Fatalf("sequential elaboration failed: %v", err)
-	}
 	env, obs := testEnv(t)
 	results := (&Scheduler{Workers: 4}).Run(env, obs)
 	for _, r := range results {
 		if r.Err != nil {
 			t.Fatalf("%s failed: %v", r.Obligation.Name, r.Err)
 		}
-		v, ok := seqEnv.Lookup(r.Obligation.Name)
-		if !ok || v.Kind != speclang.KindProof {
-			t.Fatalf("sequential env has no proof for %s", r.Obligation.Name)
+		premises, goal, err := env.ProveOperands(r.Obligation.In, r.Obligation.Theorem, r.Obligation.Using)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if want := render(Result{Proof: v.Proof}); render(r) != want {
-			t.Errorf("%s: scheduled proof differs from elaborator proof", r.Obligation.Name)
+		ref, err := prover.New().Prove(premises, goal)
+		if err != nil {
+			t.Fatalf("reference proof of %s failed: %v", r.Obligation.Name, err)
+		}
+		if want := render(Result{Proof: ref}); render(r) != want {
+			t.Errorf("%s: scheduled proof differs from the uncached sequential proof", r.Obligation.Name)
 		}
 	}
 }
@@ -177,8 +179,8 @@ func TestSchedulerReportsBadObligations(t *testing.T) {
 	if results[3].Err != nil {
 		t.Errorf("valid obligation failed alongside bad ones: %v", results[3].Err)
 	}
-	if err := Bind(env, results); err == nil {
-		t.Error("Bind should surface the first failed result")
+	if err := bind(env, results); err == nil {
+		t.Error("bind should surface the first failed result")
 	}
 }
 
@@ -186,11 +188,11 @@ func TestBindAttachesProofs(t *testing.T) {
 	env, obs := testEnv(t)
 	before := strings.Join(env.Names(), " ")
 	results := (&Scheduler{Workers: 2}).Run(env, obs)
-	if err := Bind(env, results); err != nil {
-		t.Fatalf("Bind failed: %v", err)
+	if err := bind(env, results); err != nil {
+		t.Fatalf("bind failed: %v", err)
 	}
 	if after := strings.Join(env.Names(), " "); after != before {
-		t.Errorf("Bind changed name order:\nbefore: %s\nafter:  %s", before, after)
+		t.Errorf("bind changed name order:\nbefore: %s\nafter:  %s", before, after)
 	}
 	for _, ob := range obs {
 		v, ok := env.Lookup(ob.Name)
@@ -214,5 +216,54 @@ func TestSchedulerSharedCache(t *testing.T) {
 	hits, misses := cache.Stats()
 	if misses == 0 || hits == 0 {
 		t.Errorf("shared cache unused: hits=%d misses=%d", hits, misses)
+	}
+}
+
+const provable = `A = spec
+op P : Boolean
+op Q : Boolean
+axiom p is P
+axiom pq is P => Q
+theorem goal is Q
+endspec
+`
+
+func TestProveStatement(t *testing.T) {
+	env, _, err := (&Scheduler{Workers: 1}).Verify(provable+`r = prove goal in A using p pq`, speclang.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok := env.Lookup("r")
+	if !ok || v.Kind != speclang.KindProof {
+		t.Fatalf("proof value missing: %+v", v)
+	}
+	if v.Proof.Stats.ProofLength == 0 {
+		t.Fatal("empty proof")
+	}
+}
+
+func TestProveFailsForNonTheorem(t *testing.T) {
+	_, _, err := (&Scheduler{Workers: 1}).Verify(provable+`r = prove goal in A using p`, speclang.Options{})
+	if err == nil {
+		t.Fatal("unprovable goal accepted")
+	}
+	if !errors.Is(err, prover.ErrExhausted) || !strings.Contains(err.Error(), "line 8 (r)") {
+		t.Errorf("error should name the statement and wrap the verdict: %v", err)
+	}
+}
+
+// TestVerifyBindsBareProveInPlace covers the prove statement with no
+// name: its proof must replace the placeholder elaboration bound, not be
+// appended under a second name.
+func TestVerifyBindsBareProveInPlace(t *testing.T) {
+	env, results, err := (&Scheduler{Workers: 2}).Verify(provable+"prove goal in A using p pq\nB = spec\nendspec", speclang.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(env.Names(), " "); got != "A _anon1 B" {
+		t.Fatalf("names = %q, want the proof bound where the statement stood", got)
+	}
+	if v, _ := env.Lookup(results[0].Obligation.Name); v.Kind != speclang.KindProof {
+		t.Errorf("bare prove statement left unproved: %+v", v)
 	}
 }

@@ -1,5 +1,7 @@
 package speclang
 
+import "fmt"
+
 // The AST mirrors the statement forms that appear in the thesis listings:
 //
 //	BBB = spec ... endspec
@@ -13,6 +15,17 @@ package speclang
 // File is a parsed source file.
 type File struct {
 	Stmts []Stmt
+}
+
+// BindName is the name the environment binds statement i under: its own,
+// or _anon<i> for a bare expression. Eval and provesched.FromFile both
+// read it, so a discharged proof replaces exactly the value its prove
+// statement bound.
+func (f *File) BindName(i int) string {
+	if name := f.Stmts[i].Name; name != "" {
+		return name
+	}
+	return fmt.Sprintf("_anon%d", i)
 }
 
 // Stmt is one `name = expr` binding (name may be empty for bare exprs).

@@ -98,7 +98,7 @@ p5 = print r`, Options{})
 		"p2": "morphism",
 		"p3": "diagram with 1 nodes",
 		"p4": "spec C",
-		"p5": "proved in",
+		"p5": "prove g in A (skipped)", // elaboration never proves: print sees the placeholder
 	} {
 		v, ok := env.Lookup(name)
 		if !ok || v.Kind != KindText {

@@ -75,15 +75,10 @@ func (e *Env) Spec(name string) (*spec.Spec, error) {
 }
 
 // Bind binds name to v. When name is already bound, its original
-// definition position is preserved — proof schedulers use this to attach
-// proof results discharged outside the elaborator in place of the skipped
-// prove statements, keeping Names() order identical to a sequential run.
-func (e *Env) Bind(name string, v *Value) { e.bind(name, v) }
-
-func (e *Env) bind(name string, v *Value) {
-	if name == "" {
-		name = fmt.Sprintf("_anon%d", len(e.order))
-	}
+// definition position is preserved — provesched uses this to put each
+// discharged proof where elaboration left the prove statement's
+// placeholder, so Names() keeps source order.
+func (e *Env) Bind(name string, v *Value) {
 	if _, exists := e.values[name]; !exists {
 		e.order = append(e.order, name)
 	}
@@ -96,13 +91,11 @@ type Options struct {
 	// (treated as free variables), allowing the thesis's printed sources —
 	// which contain minor inconsistencies — to elaborate.
 	Lenient bool
-	// SkipProofs records prove statements without running the prover.
-	SkipProofs bool
-	// Prover overrides the default prover used for prove statements.
-	Prover *prover.Prover
 }
 
-// Run parses and elaborates source text.
+// Run parses and elaborates source text. Elaboration never runs the
+// prover: a prove statement is checked against the environment and bound
+// as a placeholder, and provesched discharges it.
 func Run(src string, opts Options) (*Env, error) {
 	f, err := Parse(src)
 	if err != nil {
@@ -115,21 +108,14 @@ func Run(src string, opts Options) (*Env, error) {
 func Eval(f *File, opts Options) (*Env, error) {
 	env := &Env{values: map[string]*Value{}}
 	el := &elaborator{env: env, opts: opts}
-	for _, stmt := range f.Stmts {
+	for i, stmt := range f.Stmts {
 		v, err := el.evalStmt(stmt)
 		if err != nil {
-			return nil, fmt.Errorf("line %d (%s): %w", stmt.Line, stmtName(stmt), err)
+			return nil, fmt.Errorf("line %d (%s): %w", stmt.Line, f.BindName(i), err)
 		}
-		env.bind(stmt.Name, v)
+		env.Bind(f.BindName(i), v)
 	}
 	return env, nil
-}
-
-func stmtName(s Stmt) string {
-	if s.Name != "" {
-		return s.Name
-	}
-	return "<anonymous>"
 }
 
 type elaborator struct {
@@ -205,8 +191,6 @@ func renderValue(v *Value) string {
 		return v.Morphism.String()
 	case KindDiagram:
 		return fmt.Sprintf("diagram with %d nodes, %d arcs", len(v.Diagram.Nodes()), len(v.Diagram.Arcs()))
-	case KindProof:
-		return fmt.Sprintf("proved in %d steps", v.Proof.Stats.ProofLength)
 	default:
 		return v.Text
 	}
@@ -330,31 +314,21 @@ func (el *elaborator) evalDiagram(e *DiagramExpr) (*cat.Diagram, error) {
 	return d, nil
 }
 
+// evalProve checks that the statement's spec, theorem and axioms resolve
+// and binds the placeholder provesched later replaces with the proof.
 func (el *elaborator) evalProve(e *ProveExpr) (*Value, error) {
-	premises, goal, err := el.env.ProveOperands(e.In, e.Theorem, e.Using)
-	if err != nil {
+	if _, _, err := el.env.ProveOperands(e.In, e.Theorem, e.Using); err != nil {
 		return nil, err
 	}
-	if el.opts.SkipProofs {
-		return &Value{Kind: KindText, Text: fmt.Sprintf("prove %s in %s (skipped)", e.Theorem, e.In)}, nil
-	}
-	pr := el.opts.Prover
-	if pr == nil {
-		pr = prover.New()
-	}
-	res, err := pr.Prove(premises, goal)
-	if err != nil {
-		return nil, fmt.Errorf("prove %s in %s: %w", e.Theorem, e.In, err)
-	}
-	return &Value{Kind: KindProof, Proof: res}, nil
+	return &Value{Kind: KindText, Text: fmt.Sprintf("prove %s in %s (skipped)", e.Theorem, e.In)}, nil
 }
 
 // ProveOperands resolves a prove statement against the environment: the
 // goal is theorem of the spec bound to in, the premises are the axioms
 // using names, in that order, or every axiom of the spec when using is
 // empty. It is the one definition of what a prove statement hands the
-// prover; the sequential elaborator and the parallel proof scheduler both
-// call it, which is what keeps their proofs bit-identical.
+// prover: the elaborator calls it to validate the statement and
+// provesched calls it to discharge the obligation.
 func (e *Env) ProveOperands(in, theorem string, using []string) (premises []prover.NamedFormula, goal prover.NamedFormula, err error) {
 	s, err := e.Spec(in)
 	if err != nil {

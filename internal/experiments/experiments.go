@@ -12,6 +12,7 @@ import (
 
 	"speccat/internal/analysis"
 	"speccat/internal/analysis/durcheck"
+	"speccat/internal/core/provesched"
 	"speccat/internal/core/speclang"
 	"speccat/internal/explore"
 	"speccat/internal/mc"
@@ -59,33 +60,20 @@ func E3SeqDivision2(env *speclang.Env) ([]thesis.ChainStep, error) {
 	return thesis.SequentialDivision2(env)
 }
 
-// ProofRow summarizes one global-property proof.
-type ProofRow struct {
-	Property  string
-	Composite string
-	Using     []string
-	Steps     int
-	Generated int
-	InputCl   int
-	Elapsed   time.Duration
-}
-
-// E456Proofs proves the three thesis global properties (p1, p2, p3) plus
-// the division-2 functionality, compositionally.
-func E456Proofs(env *speclang.Env) ([]ProofRow, error) {
-	var out []ProofRow
+// E456Proofs picks the compositional proofs of the three thesis global
+// properties (p1, p2, p3) plus the division-2 functionality, in thesis
+// order, out of one corpus discharge (thesis.CorpusParallel's results,
+// which are in source order and carry p5 too).
+func E456Proofs(results []provesched.Result) []provesched.Result {
+	var out []provesched.Result
 	for _, prop := range thesis.GlobalProperties() {
-		res, err := thesis.ProveProperty(env, prop)
-		if err != nil {
-			return nil, err
+		for _, r := range results {
+			if r.Obligation.Theorem == prop {
+				out = append(out, r)
+			}
 		}
-		out = append(out, ProofRow{
-			Property: res.Property, Composite: res.Composite, Using: res.UsingAxioms,
-			Steps: res.Proof.Stats.ProofLength, Generated: res.Proof.Stats.Generated,
-			InputCl: res.Proof.Stats.InputClauses, Elapsed: res.Proof.Stats.Elapsed,
-		})
 	}
-	return out, nil
+	return out
 }
 
 // E7Row is one model-checking configuration's outcome.
@@ -251,20 +239,18 @@ type E9Row struct {
 }
 
 // E9Ablation measures the thesis's headline claim: compositional
-// verification does less prover work than flat verification.
-func E9Ablation(env *speclang.Env) ([]E9Row, error) {
+// verification does less prover work than flat verification. The modular
+// side is read out of the corpus discharge; only the monolithic proofs
+// run here.
+func E9Ablation(env *speclang.Env, results []provesched.Result) ([]E9Row, error) {
 	var out []E9Row
-	for _, prop := range thesis.GlobalProperties() {
-		mod, err := thesis.ProveProperty(env, prop)
-		if err != nil {
-			return nil, err
-		}
-		mono, err := thesis.ProveMonolithic(env, prop)
+	for _, mod := range E456Proofs(results) {
+		mono, err := thesis.ProveMonolithic(env, mod.Obligation.Theorem)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, E9Row{
-			Property:            prop,
+			Property:            mod.Obligation.Theorem,
 			ModularInputs:       mod.Proof.Stats.InputClauses,
 			MonolithicInputs:    mono.Proof.Stats.InputClauses,
 			ModularGenerated:    mod.Proof.Stats.Generated,
@@ -386,15 +372,11 @@ type E14Row struct {
 	Elapsed time.Duration
 }
 
-// E14ParallelProofs discharges the corpus's five proof obligations on a
-// worker pool (workers <= 0 means GOMAXPROCS) and reports one row per
-// obligation in corpus source order. The verdicts and proof shapes are
-// bit-identical to the sequential elaborator's; only Elapsed varies.
-func E14ParallelProofs(workers int) ([]E14Row, error) {
-	_, results, err := thesis.CorpusParallel(workers)
-	if err != nil {
-		return nil, err
-	}
+// E14ParallelProofs reports the corpus's five proof obligations as the
+// worker pool discharged them (thesis.CorpusParallel's results), one row
+// per obligation in corpus source order. The verdicts and proof shapes
+// are bit-identical at every worker count; only Elapsed varies.
+func E14ParallelProofs(results []provesched.Result) []E14Row {
 	out := make([]E14Row, 0, len(results))
 	for _, r := range results {
 		out = append(out, E14Row{
@@ -408,7 +390,7 @@ func E14ParallelProofs(workers int) ([]E14Row, error) {
 			Elapsed:    r.Proof.Stats.Elapsed,
 		})
 	}
-	return out, nil
+	return out
 }
 
 // groupWithOptions is tpc.NewGroup with custom network options.

@@ -5,26 +5,34 @@ import (
 	"sync"
 	"testing"
 
+	"speccat/internal/core/provesched"
 	"speccat/internal/core/speclang"
 	"speccat/internal/thesis"
 	"speccat/internal/tpc"
 )
 
-// cachedEnv is elaborated once per test binary; sync.Once keeps the lazy
-// initialization safe under t.Parallel and -race.
+// The corpus is elaborated and discharged once per test binary; sync.Once
+// keeps the lazy initialization safe under t.Parallel and -race.
 var (
-	cachedOnce sync.Once
-	cachedEnv  *speclang.Env
-	cachedErr  error
+	cachedOnce    sync.Once
+	cachedEnv     *speclang.Env
+	cachedResults []provesched.Result
+	cachedErr     error
 )
 
-func env(t *testing.T) *speclang.Env {
+func corpus(t *testing.T) (*speclang.Env, []provesched.Result) {
 	t.Helper()
-	cachedOnce.Do(func() { cachedEnv, cachedErr = thesis.CorpusWithoutProofs() })
+	cachedOnce.Do(func() { cachedEnv, cachedResults, cachedErr = thesis.CorpusParallel(1) })
 	if cachedErr != nil {
 		t.Fatal(cachedErr)
 	}
-	return cachedEnv
+	return cachedEnv, cachedResults
+}
+
+func env(t *testing.T) *speclang.Env {
+	t.Helper()
+	e, _ := corpus(t)
+	return e
 }
 
 func TestE1ShapesMatchTable31(t *testing.T) {
@@ -57,15 +65,13 @@ func TestE2E3Chains(t *testing.T) {
 }
 
 func TestE456AllProofsDischarge(t *testing.T) {
-	rows, err := E456Proofs(env(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, results := corpus(t)
+	rows := E456Proofs(results)
 	if len(rows) != 4 {
 		t.Fatalf("proofs = %d", len(rows))
 	}
 	for _, r := range rows {
-		if r.Steps == 0 || r.Generated == 0 {
+		if r.Proof.Stats.ProofLength == 0 || r.Proof.Stats.Generated == 0 {
 			t.Errorf("degenerate proof: %+v", r)
 		}
 	}
@@ -121,7 +127,7 @@ func TestE8ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestE9MonolithicNeverCheaper(t *testing.T) {
-	rows, err := E9Ablation(env(t))
+	rows, err := E9Ablation(corpus(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,14 +142,13 @@ func TestE9MonolithicNeverCheaper(t *testing.T) {
 }
 
 func TestE14ParallelProofsDeterministic(t *testing.T) {
-	one, err := E14ParallelProofs(1)
+	_, results := corpus(t)
+	one := E14ParallelProofs(results)
+	_, results, err := thesis.CorpusParallel(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := E14ParallelProofs(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	four := E14ParallelProofs(results)
 	if len(one) != 5 || len(four) != 5 {
 		t.Fatalf("rows = %d / %d, want 5", len(one), len(four))
 	}

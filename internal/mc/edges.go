@@ -34,43 +34,40 @@ func (e Edge) String() string {
 	return fmt.Sprintf("%s: %c->%c", e.Role, e.From, e.To)
 }
 
+// edgeRecorder is the commit model as a System whose Next also projects
+// each step onto the sites whose FSM state it changes.
+type edgeRecorder struct {
+	*model
+	set map[Edge]bool
+}
+
+func (r edgeRecorder) Next(cur string) []string {
+	succs := r.model.Next(cur)
+	s := decode(cur, r.n)
+	for _, enc := range succs {
+		t := decode(enc, r.n)
+		if t.coord != s.coord {
+			r.set[Edge{Role: EdgeRoleCoordinator, From: s.coord, To: t.coord}] = true
+		}
+		for i := 0; i < r.n; i++ {
+			if t.cohort[i] != s.cohort[i] {
+				r.set[Edge{Role: EdgeRoleCohort, From: s.cohort[i], To: t.cohort[i]}] = true
+			}
+		}
+	}
+	return succs
+}
+
 // Edges enumerates the site-local transitions reachable in the model with
 // the given variant, cohort count, crash budget and options, by exploring
-// the global state space and projecting every step onto the sites whose
-// FSM state it changes. The result is sorted and duplicate-free; it is the
-// stable edge-enumeration API fsmcheck's cross-validation consumes.
+// the global state space (Explore, under its default state bound) and
+// projecting every step. The result is sorted and duplicate-free; it is
+// the stable edge-enumeration API fsmcheck's cross-validation consumes.
 func Edges(v Variant, n, f int, opts ModelOptions) ([]Edge, error) {
-	m := &model{variant: v, n: n, f: f, opts: opts}
-	const maxStates = 1 << 22
 	set := map[Edge]bool{}
-	seen := map[string]bool{}
-	init := m.initial().encode()
-	seen[init] = true
-	queue := []string{init}
-	states := 0
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		states++
-		if states > maxStates {
-			return nil, fmt.Errorf("mc: edge enumeration exceeds %d states", maxStates)
-		}
-		s := decode(cur, n)
-		for _, nxEnc := range m.Next(cur) {
-			t := decode(nxEnc, n)
-			if t.coord != s.coord {
-				set[Edge{Role: EdgeRoleCoordinator, From: s.coord, To: t.coord}] = true
-			}
-			for i := 0; i < n; i++ {
-				if t.cohort[i] != s.cohort[i] {
-					set[Edge{Role: EdgeRoleCohort, From: s.cohort[i], To: t.cohort[i]}] = true
-				}
-			}
-			if !seen[nxEnc] {
-				seen[nxEnc] = true
-				queue = append(queue, nxEnc)
-			}
-		}
+	rec := edgeRecorder{model: &model{variant: v, n: n, f: f, opts: opts}, set: set}
+	if _, err := Explore(rec, nil, Options{}); err != nil {
+		return nil, err
 	}
 	out := make([]Edge, 0, len(set))
 	for e := range set {

@@ -6,14 +6,13 @@
 // implements these interfaces for verification runs; a real-goroutine
 // adapter (internal/rt/live) implements them over channels and the wall
 // clock for serving-path runs. The engines themselves import only this
-// package, so the identical handler code runs on both runtimes — the
-// property ROADMAP item 1 calls "the port can be mechanically checked
-// rather than trusted". The mechanical check is the portcheck static
-// analysis (internal/analysis/portcheck): rt-boundary forbids engine
-// packages from reaching around these interfaces back to the simulator's
-// concrete types, and rt-confine proves each handler's mutable state
-// stays on its event loop once real goroutines replace the
-// single-threaded scheduler.
+// package, so the identical handler code runs on both runtimes and the
+// port is mechanically checked rather than trusted. The check is the
+// portcheck static analysis (internal/analysis/portcheck): rt-boundary
+// forbids engine packages from reaching around these interfaces back to
+// the simulator's concrete types, and rt-confine proves each handler's
+// mutable state stays on its event loop once real goroutines replace
+// the single-threaded scheduler.
 //
 // The concurrency contract every Transport implementation must honor,
 // and which rt-confine assumes:

@@ -32,10 +32,10 @@ func corpusProofRenderings(t *testing.T, e *speclang.Env) map[string]string {
 	return out
 }
 
-// TestCorpusParallelMatchesSequential runs the corpus through the parallel
+// TestCorpusParallelMatchesSequential runs the corpus through the
 // scheduler at 1, 4, and 8 workers and requires verdicts, rendered proofs,
-// and environment name order to be bit-identical to the sequential
-// elaborator at every pool size.
+// and environment name order to be bit-identical to Corpus() at every
+// pool size.
 func TestCorpusParallelMatchesSequential(t *testing.T) {
 	seq := env(t)
 	seqNames := strings.Join(seq.Names(), " ")
@@ -66,42 +66,55 @@ func TestCorpusParallelMatchesSequential(t *testing.T) {
 		for p, want := range seqProofs {
 			got := corpusProofRenderings(t, par)[p]
 			if got != want {
-				t.Errorf("workers=%d: %s proof differs from sequential elaborator", workers, p)
+				t.Errorf("workers=%d: %s proof differs from Corpus()", workers, p)
 			}
 		}
 	}
 }
 
-// TestCorpusParallelExperimentArtifacts runs the E4/E5/E6 property proofs
-// against a parallel-scheduled environment and requires the rendered
-// artifacts to match the sequential environment's exactly (timing fields
-// excluded — they are clock readings, not verdicts).
+// TestCorpusParallelExperimentArtifacts ties the E4/E5/E6 artifacts to the
+// corpus: for every global property, the proof ProveProperty returns must
+// be the proof Corpus() bound to the prove statement of that theorem,
+// rendered step for step and stat for stat (timing excluded — a clock
+// reading, not a verdict). ProveProperty holds no axiom list of its own, so
+// this is what keeps it discharging the corpus statement.
 func TestCorpusParallelExperimentArtifacts(t *testing.T) {
 	seq := env(t)
+	obs, err := Obligations()
+	if err != nil {
+		t.Fatal(err)
+	}
 	par, _, err := CorpusParallel(4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stmts := map[string]bool{}
 	for _, prop := range GlobalProperties() {
-		sres, err := ProveProperty(seq, prop)
+		res, err := ProveProperty(par, prop)
 		if err != nil {
-			t.Fatalf("sequential %s: %v", prop, err)
+			t.Fatalf("%s: %v", prop, err)
 		}
-		pres, err := ProveProperty(par, prop)
-		if err != nil {
-			t.Fatalf("parallel %s: %v", prop, err)
+		for _, ob := range obs {
+			if ob.Theorem != prop {
+				continue
+			}
+			stmts[ob.Name] = true
+			bound, _ := seq.Lookup(ob.Name)
+			if res.Composite != ob.In || strings.Join(res.UsingAxioms, " ") != strings.Join(ob.Using, " ") {
+				t.Errorf("%s: proved in %s using %v, corpus states %s using %v", prop, res.Composite, res.UsingAxioms, ob.In, ob.Using)
+			}
+			if renderResult(res.Proof) != renderResult(bound.Proof) {
+				t.Errorf("%s: ProveProperty's proof differs from the %s proof Corpus() bound", prop, ob.Name)
+			}
+			got, want := res.Proof.Stats, bound.Proof.Stats
+			got.Elapsed, want.Elapsed = 0, 0
+			if got != want {
+				t.Errorf("%s: proof stats differ: %+v vs %+v", prop, got, want)
+			}
 		}
-		if sres.Composite != pres.Composite {
-			t.Errorf("%s: composite %s vs %s", prop, sres.Composite, pres.Composite)
-		}
-		if renderResult(sres.Proof) != renderResult(pres.Proof) {
-			t.Errorf("%s: proof artifact differs between sequential and parallel env", prop)
-		}
-		ss, ps := sres.Proof.Stats, pres.Proof.Stats
-		if ss.InputClauses != ps.InputClauses || ss.Generated != ps.Generated ||
-			ss.Retained != ps.Retained || ss.ProofLength != ps.ProofLength {
-			t.Errorf("%s: proof stats differ: %+v vs %+v", prop, ss, ps)
-		}
+	}
+	if len(stmts) != 4 || !stmts["p1"] || !stmts["p2"] || !stmts["p3"] || !stmts["p4"] {
+		t.Errorf("global properties matched statements %v, want p1..p4", stmts)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 	_ "embed"
 	"errors"
 	"fmt"
-	"time"
+	"slices"
 
 	"speccat/internal/core/prover"
 	"speccat/internal/core/provesched"
@@ -30,19 +30,18 @@ var corpusSrc string
 var ErrCorpus = errors.New("thesis: corpus error")
 
 // Corpus elaborates the embedded clean corpus in strict mode, running all
-// composition steps and the four prove statements (p1..p4).
+// composition steps, and discharges the five prove statements (p1..p5) on
+// one worker.
 func Corpus() (*speclang.Env, error) {
-	env, err := speclang.Run(corpusSrc, speclang.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorpus, err)
-	}
-	return env, nil
+	env, _, err := CorpusParallel(1)
+	return env, err
 }
 
-// CorpusWithoutProofs elaborates the corpus but skips the prover, for
-// callers that only need the specification pipeline (compositions/chains).
+// CorpusWithoutProofs elaborates the corpus and leaves its prove
+// statements undischarged, for callers that only need the specification
+// pipeline (compositions/chains).
 func CorpusWithoutProofs() (*speclang.Env, error) {
-	env, err := speclang.Run(corpusSrc, speclang.Options{SkipProofs: true})
+	env, err := speclang.Run(corpusSrc, speclang.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorpus, err)
 	}
@@ -59,24 +58,14 @@ func Obligations() ([]provesched.Obligation, error) {
 	return obs, nil
 }
 
-// CorpusParallel elaborates the corpus with proofs skipped, then
-// discharges the prove statements on a pool of the given number of
-// workers (<= 0 means GOMAXPROCS) and binds each proof back into the
-// environment under its statement name. The returned environment is
-// interchangeable with Corpus()'s — same names, same order, bit-identical
-// proofs at any worker count — and the results are in corpus source
-// order.
+// CorpusParallel elaborates the corpus, discharges the prove statements
+// on a pool of the given number of workers (<= 0 means GOMAXPROCS) and
+// binds each proof into the environment under its statement name. The
+// environment and the results, which are in corpus source order, carry
+// bit-identical proofs at any worker count.
 func CorpusParallel(workers int) (*speclang.Env, []provesched.Result, error) {
-	env, err := CorpusWithoutProofs()
+	env, results, err := (&provesched.Scheduler{Workers: workers}).Verify(corpusSrc, speclang.Options{})
 	if err != nil {
-		return nil, nil, err
-	}
-	obs, err := Obligations()
-	if err != nil {
-		return nil, nil, err
-	}
-	results := (&provesched.Scheduler{Workers: workers}).Run(env, obs)
-	if err := provesched.Bind(env, results); err != nil {
 		return nil, nil, fmt.Errorf("%w: %w", ErrCorpus, err)
 	}
 	return env, results, nil
@@ -88,92 +77,54 @@ type PropertyResult struct {
 	Property string
 	// Composite is the PRn spec that satisfies the property.
 	Composite string
-	// UsingAxioms are the sub-protocol properties the proof used.
+	// UsingAxioms are the sub-protocol properties the proof used; nil for
+	// the monolithic proof.
 	UsingAxioms []string
 	// Proof is the resolution refutation.
 	Proof *prover.Result
 }
 
-// property descriptors, mirroring the thesis's p1/p2/p3 prove statements
-// (plus p4 for the sequential-division-2 functionality).
-var properties = []struct { //lint:allow noglobalstate immutable transcription of the thesis prove statements
-	theorem   string
-	composite string
-	using     []string
-}{
-	{"Serialize", "PR2", []string{"Agreebroad", "Agreeconsensus", "Storevalues", "Readlock"}},
-	{"CSM", "PR6", []string{"Agreebroad", "Agreeconsensus", "Globprocstateinfo", "Constateinfo"}},
-	{"RBR", "PR4", []string{"Agreebroad", "Agreeconsensus", "Storevalues", "Writelock", "Checkpoint", "Recover", "RestoreAx"}},
-	{"BackupElection", "PR9", []string{"Timeout", "DeclareFailed", "CoordFailure", "Elect", "Installed"}},
-}
-
 // GlobalProperties names the three thesis global properties plus the
-// sequential-division-2 functionality, in thesis order.
+// sequential-division-2 functionality, in thesis order. The corpus's
+// prove statements p1..p4 state them; p5 (ViewAgreement) is the reuse
+// demonstration, not a property of 3PC.
 func GlobalProperties() []string {
-	out := make([]string, len(properties))
-	for i, p := range properties {
-		out[i] = p.theorem
-	}
-	return out
+	return []string{"Serialize", "CSM", "RBR", "BackupElection"}
 }
 
-// ProveProperty builds the composite protocol for the named global property
-// from the corpus and proves its theorem from the sub-protocol axioms
-// listed in the thesis (the modular proof).
+// ProveProperty discharges the corpus prove statement for the named
+// global property against env: the modular proof, from the sub-protocol
+// axioms the statement lists.
 func ProveProperty(env *speclang.Env, theorem string) (*PropertyResult, error) {
-	for _, p := range properties {
-		if p.theorem != theorem {
-			continue
-		}
-		return proveIn(env, p.composite, p.theorem, p.using)
-	}
-	return nil, fmt.Errorf("%w: unknown property %s", ErrCorpus, theorem)
+	return discharge(env, theorem, false)
 }
 
 // ProveMonolithic proves the named property from the full axiom set of its
 // composite spec — the "flat" verification a non-modular approach would
-// run. Used by the E9 ablation.
+// run. It is the same obligation with its using list cleared. Used by the
+// E9 ablation.
 func ProveMonolithic(env *speclang.Env, theorem string) (*PropertyResult, error) {
-	for _, p := range properties {
-		if p.theorem != theorem {
-			continue
-		}
-		return proveIn(env, p.composite, p.theorem, nil)
-	}
-	return nil, fmt.Errorf("%w: unknown property %s", ErrCorpus, theorem)
+	return discharge(env, theorem, true)
 }
 
-func proveIn(env *speclang.Env, composite, theorem string, using []string) (*PropertyResult, error) {
-	s, err := env.Spec(composite)
+func discharge(env *speclang.Env, theorem string, monolithic bool) (*PropertyResult, error) {
+	obs, err := Obligations()
 	if err != nil {
 		return nil, err
 	}
-	th, ok := s.FindTheorem(theorem)
-	if !ok {
-		return nil, fmt.Errorf("%w: theorem %s not in %s", ErrCorpus, theorem, composite)
+	i := slices.IndexFunc(obs, func(ob provesched.Obligation) bool { return ob.Theorem == theorem })
+	if i < 0 || !slices.Contains(GlobalProperties(), theorem) {
+		return nil, fmt.Errorf("%w: unknown property %s", ErrCorpus, theorem)
 	}
-	var premises []prover.NamedFormula
-	if len(using) == 0 {
-		for _, ax := range s.Axioms {
-			premises = append(premises, prover.NamedFormula{Name: ax.Name, Formula: ax.Formula})
-		}
-		using = nil
-	} else {
-		for _, name := range using {
-			ax, ok := s.FindAxiom(name)
-			if !ok {
-				return nil, fmt.Errorf("%w: axiom %s not in %s", ErrCorpus, name, composite)
-			}
-			premises = append(premises, prover.NamedFormula{Name: ax.Name, Formula: ax.Formula})
-		}
+	ob := obs[i]
+	if monolithic {
+		ob.Using = nil
 	}
-	pr := prover.New()
-	pr.Limits.Timeout = 60 * time.Second
-	res, err := pr.Prove(premises, prover.NamedFormula{Name: th.Name, Formula: th.Formula})
-	if err != nil {
-		return nil, fmt.Errorf("prove %s in %s: %w", theorem, composite, err)
+	r := (&provesched.Scheduler{Workers: 1}).Run(env, []provesched.Obligation{ob})[0]
+	if r.Err != nil {
+		return nil, r.Err
 	}
-	return &PropertyResult{Property: theorem, Composite: composite, UsingAxioms: using, Proof: res}, nil
+	return &PropertyResult{Property: ob.Theorem, Composite: ob.In, UsingAxioms: ob.Using, Proof: r.Proof}, nil
 }
 
 // ChainStep describes one composition step in a sequential division.

@@ -148,7 +148,7 @@ type persistedState struct {
 // persistedStates scans the site's stable store for every state record
 // persist wrote, in key order — the input of both roles' independent
 // recovery. A record ParseState rejects is skipped, not reported:
-// rt.RecoverFunc has no error path (ROADMAP item 4).
+// rt.RecoverFunc has no error path (ROADMAP item 3(d)).
 func (e *endpoint) persistedStates() []persistedState {
 	st, err := e.net.Store(e.id)
 	if err != nil {

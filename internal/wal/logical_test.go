@@ -109,7 +109,7 @@ func TestUndoIntoInvertsLogicalRecords(t *testing.T) {
 	mustOK(t, l.LoggedApply("t1", db, "s", OpSetInsert, "a")) // pre-existing element
 	mustOK(t, l.LoggedApply("t1", db, "s", OpSetInsert, "b"))
 	mustOK(t, l.Abort("t1"))
-	mustOK(t, l.UndoInto("t1", db))
+	mustOK(t, l.UndoOwnedInto("t1", db, nil))
 	if db["x"] != "100" {
 		t.Fatalf("db[x] = %q after undo, want 100 (t2's delta preserved)", db["x"])
 	}
@@ -135,7 +135,7 @@ func TestAppendUndoRemovesOneOccurrence(t *testing.T) {
 	mustOK(t, l.LoggedApply("t1", db, "lst", OpAppend, "a"))
 	mustOK(t, l.LoggedApply("t2", db, "lst", OpAppend, "a"))
 	mustOK(t, l.Abort("t1"))
-	mustOK(t, l.UndoInto("t1", db))
+	mustOK(t, l.UndoOwnedInto("t1", db, nil))
 	if db["lst"] != "a" {
 		t.Fatalf("db[lst] = %q after undo, want one surviving copy", db["lst"])
 	}

@@ -155,7 +155,7 @@ func (l *Log) Commit(txn string) error {
 	return l.append(Record{Kind: RecCommit, Txn: txn})
 }
 
-// Abort writes the abort record; recovery (or the caller via UndoInto)
+// Abort writes the abort record; recovery (or the caller via UndoOwnedInto)
 // removes the transaction's effects.
 func (l *Log) Abort(txn string) error {
 	if !l.active[txn] {
@@ -165,19 +165,13 @@ func (l *Log) Abort(txn string) error {
 	return l.append(Record{Kind: RecAbort, Txn: txn})
 }
 
-// UndoInto rolls a just-aborted transaction's updates back out of db
+// UndoOwnedInto rolls a just-aborted transaction's updates back out of db
 // (reverse order), without writing further log records. Physical updates
 // restore their before-image; logical updates apply the inverse
 // operation, so commuting updates of concurrent transactions that
 // applied after the aborted ones are preserved rather than clobbered.
-func (l *Log) UndoInto(txn string, db map[string]string) error {
-	return l.UndoOwnedInto(txn, db, nil)
-}
-
-// UndoOwnedInto is UndoInto restricted to the keys owns reports true for.
 // Sharded stores share one stable log per site, so each shard's abort
-// must undo only its own partition's updates — a nil owns undoes
-// everything (the unsharded case).
+// undoes only the keys owns reports true for; a nil owns undoes them all.
 func (l *Log) UndoOwnedInto(txn string, db map[string]string, owns func(key string) bool) error {
 	recs, err := Records(l.store)
 	if err != nil {
@@ -217,15 +211,13 @@ func Resolve(store *stable.Store, txn string, commit bool) error {
 	if commit {
 		kind = RecCommit
 	}
-	data, err := json.Marshal(Record{Kind: kind, Txn: txn})
-	if err != nil {
-		return fmt.Errorf("%w: %w", ErrEncode, err)
-	}
-	store.Append(data)
-	return nil
+	return (&Log{store: store}).append(Record{Kind: kind, Txn: txn})
 }
 
-// Records decodes the full log from a stable store.
+// Records decodes the full log from a stable store. A record recovery
+// could not interpret — an unknown kind, which Recover would skip, or an
+// unknown logical operation, which Apply would fold as a no-op and so
+// drop a committed write — is corrupt, not ignorable.
 func Records(store *stable.Store) ([]Record, error) {
 	raw := store.ReadLog(0)
 	out := make([]Record, 0, len(raw))
@@ -233,6 +225,12 @@ func Records(store *stable.Store) ([]Record, error) {
 		var r Record
 		if err := json.Unmarshal(b, &r); err != nil {
 			return nil, fmt.Errorf("%w: record %d: %w", ErrCorrupt, i, err)
+		}
+		if r.Kind < RecBegin || r.Kind > RecEnd {
+			return nil, fmt.Errorf("%w: record %d: unknown %v", ErrCorrupt, i, r.Kind)
+		}
+		if r.Op != "" && r.Op != OpInc && r.Op != OpAppend && r.Op != OpSetInsert {
+			return nil, fmt.Errorf("%w: record %d: unknown operation %q", ErrCorrupt, i, r.Op)
 		}
 		out = append(out, r)
 	}

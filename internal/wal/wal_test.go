@@ -54,7 +54,7 @@ func TestAbortUndo(t *testing.T) {
 	mustOK(t, l.Begin("t1"))
 	mustOK(t, l.LoggedUpdate("t1", db, "x", "new"))
 	mustOK(t, l.Abort("t1"))
-	mustOK(t, l.UndoInto("t1", db))
+	mustOK(t, l.UndoOwnedInto("t1", db, nil))
 	if db["x"] != "old" {
 		t.Fatalf("undo failed: %v", db)
 	}
@@ -158,11 +158,25 @@ func TestStateErrors(t *testing.T) {
 	}
 }
 
+// TestCorruptLog: a record that does not decode, or decodes to something
+// recovery cannot interpret, is ErrCorrupt. The last case is the one that
+// used to lose data: a committed update with an unknown operation folded
+// as a no-op, so the write silently vanished.
 func TestCorruptLog(t *testing.T) {
-	st := stable.NewStore()
-	st.Append([]byte("{not json"))
-	if _, _, err := Recover(st); !errors.Is(err, ErrCorrupt) {
-		t.Fatal(err)
+	for _, bad := range []string{
+		"{not json",
+		"null",
+		`{"k":0,"t":"t1"}`,
+		`{"k":99,"t":"t1"}`,
+		`{"k":2,"t":"t1","x":"a","p":"mul","a":"2"}`,
+	} {
+		st := stable.NewStore()
+		st.Append([]byte(`{"k":1,"t":"t1"}`))
+		st.Append([]byte(bad))
+		st.Append([]byte(`{"k":3,"t":"t1"}`))
+		if _, _, err := Recover(st); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Recover over %s = %v, want ErrCorrupt", bad, err)
+		}
 	}
 }
 

@@ -120,7 +120,7 @@ func TestWriteAheadProperty(t *testing.T) {
 					if err := log.Abort(name); err != nil {
 						t.Fatal(err)
 					}
-					if err := log.UndoInto(name, db); err != nil {
+					if err := log.UndoOwnedInto(name, db, nil); err != nil {
 						t.Fatal(err)
 					}
 					delete(active, name)
