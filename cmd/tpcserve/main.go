@@ -13,7 +13,10 @@
 //
 // Every process of one deployment passes the identical -cluster map.
 // With -data, the node's stable store is journaled to
-// DIR/node<N>.journal and protocol state survives a kill -9 and restart.
+// DIR/node<N>.journal. Starting a node is recovering it: before it handles
+// a frame the engine applies Fig. 3.2's failure transitions to the journal,
+// settles in-doubt WAL branches and (node 1) re-announces every decided
+// outcome; an unrecoverable journal is a non-zero exit.
 //
 // There is one commit path. The journal is group-committed: records are
 // fsynced in batches at the commit protocol's divergence-mandated sync
@@ -117,11 +120,14 @@ func parseCluster(spec string) (map[rt.NodeID]string, error) {
 // server is one running node: the transport plus exactly one engine role.
 type server struct {
 	local   rt.NodeID
-	coordID rt.NodeID
 	siteIDs []rt.NodeID
 	net     *tcp.Net
 	master  *txn.Master // non-nil on the coordinator
 	site    *txn.Site   // non-nil on cohorts
+	// boot ("#<starts of this journal>") suffixes every client-chosen name:
+	// the engines remember what they decided across restarts, and a client
+	// reusing a name after one (bench/ does) means a new transaction.
+	boot string
 }
 
 // runOptions carries the parsed command line into run.
@@ -137,31 +143,29 @@ type runOptions struct {
 }
 
 func run(o runOptions) error {
-	node, clusterSpec, clientAddr, protocol, dataDir, tick, delta :=
-		o.node, o.clusterSpec, o.clientAddr, o.protocol, o.dataDir, o.tick, o.delta
-	if node < 1 {
+	if o.node < 1 {
 		return fmt.Errorf("-node is required (>= 1)")
 	}
-	if clientAddr == "" {
+	if o.clientAddr == "" {
 		return fmt.Errorf("-client is required")
 	}
-	cluster, err := parseCluster(clusterSpec)
+	cluster, err := parseCluster(o.clusterSpec)
 	if err != nil {
 		return err
 	}
-	local := rt.NodeID(node)
+	local := rt.NodeID(o.node)
 	if _, ok := cluster[local]; !ok {
-		return fmt.Errorf("-node %d not present in -cluster", node)
+		return fmt.Errorf("-node %d not present in -cluster", o.node)
 	}
 
 	cfg := tpc.Config{ScopedParticipants: true}
-	switch protocol {
+	switch o.protocol {
 	case "3pc":
 		cfg.Protocol = tpc.ThreePhase
 	case "2pc":
 		cfg.Protocol = tpc.TwoPhase
 	default:
-		return fmt.Errorf("-protocol %q (want 3pc or 2pc)", protocol)
+		return fmt.Errorf("-protocol %q (want 3pc or 2pc)", o.protocol)
 	}
 	if o.shards < 1 {
 		return fmt.Errorf("-shards %d (want >= 1)", o.shards)
@@ -181,11 +185,11 @@ func run(o runOptions) error {
 	sort.Slice(siteIDs, func(i, j int) bool { return siteIDs[i] < siteIDs[j] })
 
 	var store *stable.Store
-	if dataDir != "" {
-		if err := os.MkdirAll(dataDir, 0o755); err != nil {
+	if o.dataDir != "" {
+		if err := os.MkdirAll(o.dataDir, 0o755); err != nil {
 			return fmt.Errorf("create -data dir: %w", err)
 		}
-		store, err = stable.OpenFile(filepath.Join(dataDir, fmt.Sprintf("node%d.journal", node)))
+		store, err = stable.OpenFile(filepath.Join(o.dataDir, fmt.Sprintf("node%d.journal", o.node)))
 		if err != nil {
 			return err
 		}
@@ -203,7 +207,7 @@ func run(o runOptions) error {
 
 	tnet, err := tcp.New(tcp.Options{
 		Local: local, Cluster: cluster, Codec: codec,
-		Tick: tick, Delta: rt.Time(delta), Store: store,
+		Tick: o.tick, Delta: rt.Time(o.delta), Store: store,
 		Backoff: tcp.DefaultBackoff(),
 	})
 	if err != nil {
@@ -223,9 +227,17 @@ func run(o runOptions) error {
 		store.SetSyncDispatch(func(fn func()) { tnet.After(local, 0, fn) })
 	}
 
-	srv := &server{local: local, coordID: coordID, siteIDs: siteIDs, net: tnet}
-	tnet.AddNode(local, nil)
+	srv := &server{local: local, siteIDs: siteIDs, net: tnet}
+	st := tnet.AddNode(local, nil)
+	boots, _ := st.Get("tpcserve/boots") // one byte per start
+	st.Put("tpcserve/boots", append(boots, '.'))
+	srv.boot = "#" + strconv.Itoa(len(boots)+1)
+	if err := st.Sync(); err != nil {
+		return err
+	}
+	role := "cohort"
 	if local == coordID {
+		role = "coordinator"
 		srv.master, err = txn.NewMasterOn(tnet, coordID, siteIDs, cfg)
 	} else {
 		srv.site, err = txn.NewShardedSiteOn(tnet, local, coordID, siteIDs, cfg, o.shards)
@@ -234,17 +246,13 @@ func run(o runOptions) error {
 		return err
 	}
 
-	cl, err := net.Listen("tcp", clientAddr)
+	cl, err := net.Listen("tcp", o.clientAddr)
 	if err != nil {
-		return fmt.Errorf("client port %s: %w", clientAddr, err)
+		return fmt.Errorf("client port %s: %w", o.clientAddr, err)
 	}
 	defer cl.Close()
-	role := "cohort"
-	if srv.master != nil {
-		role = "coordinator"
-	}
 	fmt.Printf("tpcserve: node %d (%s) protocol=%s wire=%s client=%s shards=%d\n",
-		node, role, protocol, cluster[local], cl.Addr(), o.shards)
+		o.node, role, o.protocol, cluster[local], cl.Addr(), o.shards)
 
 	go acceptClients(cl, srv)
 
@@ -355,13 +363,10 @@ func (srv *server) buffer(pending map[string][]txn.Op, name string, op txn.Op) [
 // commit submits the buffered transaction on the master's event loop and
 // waits for the distributed outcome.
 func (srv *server) commit(name string, ops []txn.Op) []string {
-	if srv.master == nil {
-		return []string{"ERR not the coordinator"}
-	}
 	resCh := make(chan *txn.Result, 1)
 	errCh := make(chan error, 1)
 	srv.net.After(srv.local, 0, func() {
-		errCh <- srv.master.Submit(name, ops, func(r *txn.Result) { resCh <- r })
+		errCh <- srv.master.Submit(name+srv.boot, ops, func(r *txn.Result) { resCh <- r })
 	})
 	select {
 	case err := <-errCh:

@@ -5,9 +5,10 @@
 // load generator plus a zipfian commutative-increment mix (-zipf/-mix,
 // the INC verb), checks the quantiles tpcload prints, and audits
 // the cohorts' final committed state for atomicity violations via the
-// DUMP protocol. Everything the unit and conformance layers prove
-// in-process must also hold across fork/exec and real sockets — this is
-// where that claim is checked.
+// DUMP protocol; restart_test.go kills -9 and restarts every node of
+// such a cluster on its journal. Everything the unit and conformance
+// layers prove in-process must also hold across fork/exec and real
+// sockets — this is where that claim is checked.
 package e2e
 
 import (
@@ -136,10 +137,37 @@ const (
 	initial  = 100
 )
 
-// tpcCluster is one running tpcserve deployment and its client ports.
+// tpcCluster is one running tpcserve deployment, its client ports, and
+// what it takes to start node i again: the binary, its arguments and the
+// journal they name.
 type tpcCluster struct {
-	client []string
-	procs  []*exec.Cmd
+	client   []string
+	procs    []*exec.Cmd
+	serveBin string
+	args     [][]string
+	journal  []string
+}
+
+// start launches node i (0-based) with the arguments it was booted with.
+func (c *tpcCluster) start(t *testing.T, i int) {
+	t.Helper()
+	cmd := exec.Command(c.serveBin, c.args[i]...)
+	cmd.Stdout = os.Stderr
+	cmd.Stderr = os.Stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatalf("start node %d: %v", i+1, err)
+	}
+	c.procs[i] = cmd
+}
+
+// killRestart is kill -9 and a new process on the same journal: the node
+// comes back by constructing its engine over whatever the old one left.
+func (c *tpcCluster) killRestart(t *testing.T, i int) {
+	t.Helper()
+	_ = c.procs[i].Process.Kill()
+	_ = c.procs[i].Wait()
+	c.start(t, i)
+	waitReady(t, c.client[i], 15*time.Second)
 }
 
 // bootCluster starts a 1-coordinator/3-cohort deployment with
@@ -155,35 +183,31 @@ func bootCluster(t *testing.T, serveBin, dataPrefix string, extra ...string) *tp
 	}
 	cluster := strings.Join(clusterParts, ",")
 
-	procs := make([]*exec.Cmd, nodes)
+	c := &tpcCluster{client: client, procs: make([]*exec.Cmd, nodes), serveBin: serveBin}
+	t.Cleanup(c.stop)
 	for i := 0; i < nodes; i++ {
+		data := fmt.Sprintf("%s%d", dataPrefix, i+1)
+		c.journal = append(c.journal, filepath.Join(data, fmt.Sprintf("node%d.journal", i+1)))
 		args := []string{
 			"-node", strconv.Itoa(i + 1),
 			"-cluster", cluster,
 			"-client", client[i],
 			"-protocol", "3pc",
-			"-data", fmt.Sprintf("%s%d", dataPrefix, i+1),
+			"-data", data,
 			// The default delay bound (10 ticks = 10ms) models a quiet
 			// host. Loaded CI boxes stall event loops for >40ms, and the
 			// sharded audit's 32-connection closed loop queues commits
 			// behind the journal for >200ms; either would fire the cohorts'
 			// failure-handling timeouts mid-commit and break the synchrony
-			// assumption 3PC termination rests on. No fault is ever
-			// injected here, so widen the bound instead.
+			// assumption 3PC termination rests on. The only faults ever
+			// injected here are TestServeKillRestart's kills, which restart
+			// the node well inside a phase timeout, so widen the bound.
 			"-tick", "1ms",
 			"-delta", "400",
 		}
-		args = append(args, extra...)
-		cmd := exec.Command(serveBin, args...)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("start node %d: %v", i+1, err)
-		}
-		procs[i] = cmd
+		c.args = append(c.args, append(args, extra...))
+		c.start(t, i)
 	}
-	c := &tpcCluster{client: client, procs: procs}
-	t.Cleanup(c.stop)
 	for i := 0; i < nodes; i++ {
 		waitReady(t, client[i], 15*time.Second)
 	}
@@ -192,12 +216,14 @@ func bootCluster(t *testing.T, serveBin, dataPrefix string, extra ...string) *tp
 
 func (c *tpcCluster) stop() {
 	for _, p := range c.procs {
-		if p.Process != nil {
+		if p != nil && p.Process != nil {
 			_ = p.Process.Signal(syscall.SIGTERM)
 		}
 	}
 	for _, p := range c.procs {
-		_ = p.Wait()
+		if p != nil {
+			_ = p.Wait()
+		}
 	}
 	c.procs = nil
 }

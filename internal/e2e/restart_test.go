@@ -1,0 +1,229 @@
+package e2e
+
+import (
+	"bufio"
+	"bytes"
+	"flag"
+	"fmt"
+	"math/rand"
+	"net"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"syscall"
+	"testing"
+	"time"
+
+	"speccat/internal/stable"
+	"speccat/internal/wal"
+)
+
+var killSeed = flag.Int64("killseed", 0, "seed for TestServeKillRestart's victim and kill points (0 = from the clock; a failure prints it)")
+
+// startLoad runs tpcload in the background with its output captured.
+func startLoad(t *testing.T, loadBin string, args ...string) (*exec.Cmd, *bytes.Buffer) {
+	t.Helper()
+	var out bytes.Buffer
+	cmd := exec.Command(loadBin, args...)
+	cmd.Stdout, cmd.Stderr = &out, &out
+	if err := cmd.Start(); err != nil {
+		t.Fatalf("start tpcload: %v", err)
+	}
+	t.Cleanup(func() { _ = cmd.Process.Kill() })
+	return cmd, &out
+}
+
+// quiesce returns once no journal has grown for 300ms: every transaction
+// the cluster will finish on its own has finished.
+func quiesce(t *testing.T, c *tpcCluster) {
+	t.Helper()
+	sizes := func() (total int64) {
+		for _, j := range c.journal {
+			if fi, err := os.Stat(j); err == nil {
+				total += fi.Size()
+			}
+		}
+		return total
+	}
+	last, still := sizes(), 0
+	for end := time.Now().Add(30 * time.Second); time.Now().Before(end); {
+		time.Sleep(50 * time.Millisecond)
+		if now := sizes(); now != last {
+			last, still = now, 0
+		} else if still++; still == 6 {
+			return
+		}
+	}
+	t.Fatal("journals never went quiet")
+}
+
+// waitServing returns once a read-only transaction over every tpcload
+// account commits: every cohort is reachable from the coordinator and back,
+// and no account is locked by a branch nobody will decide. The first probes
+// after a restart may abort: the transport drops the first frames it writes
+// into a dead peer's connection (retransmission is the protocols' job), and
+// a transaction whose startwork was among them times out and is voted down.
+func waitServing(t *testing.T, c *tpcCluster, tag string) {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", c.client[0], 5*time.Second)
+	if err != nil {
+		t.Fatalf("dial coordinator: %v", err)
+	}
+	defer conn.Close()
+	sc := bufio.NewScanner(conn)
+	sc.Buffer(nil, 1<<20)
+	for end, i := time.Now().Add(90*time.Second), 0; time.Now().Before(end); i++ {
+		name := fmt.Sprintf("probe.%s.%d", tag, i)
+		lines := []string{"BEGIN " + name}
+		for w := 0; w < workers; w++ {
+			for a := 0; a < accounts; a++ {
+				lines = append(lines, fmt.Sprintf("READ %s w%d.a%d", name, w, a))
+			}
+		}
+		var reply string
+		for _, line := range append(lines, "COMMIT "+name) {
+			if _, err := fmt.Fprintln(conn, line); err != nil || !sc.Scan() {
+				t.Fatalf("probe %s: %q: %v %v", name, line, err, sc.Err())
+			}
+			reply = sc.Text()
+		}
+		if strings.HasPrefix(reply, "DONE "+name+" COMMIT") {
+			return
+		}
+		t.Logf("probe: %s", reply)
+	}
+	t.Fatalf("cluster never committed a probe after %s", tag)
+}
+
+// killSetup seeds the kill points and boots a journaled cluster.
+func killSetup(t *testing.T) (seed int64, rng *rand.Rand, loadBin string, cl *tpcCluster) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("subprocess chaos is not a -short test")
+	}
+	if seed = *killSeed; seed == 0 {
+		seed = time.Now().UnixNano()
+	}
+	t.Logf("kill seed %d (rerun with -killseed %d)", seed, seed)
+	dir := t.TempDir()
+	serveBin, loadBin := buildBinaries(t, dir)
+	return seed, rand.New(rand.NewSource(seed)), loadBin, bootCluster(t, serveBin, filepath.Join(dir, "data"))
+}
+
+// killLoadArgs is a half-WRITE half-INC tpcload over the shared accounts.
+func killLoadArgs(cl *tpcCluster, seed int64, prefix string, n int) []string {
+	return []string{
+		"-addr", cl.client[0], "-txns", strconv.Itoa(n), "-conc", strconv.Itoa(workers),
+		"-accounts", strconv.Itoa(accounts), "-mix", "0.5", "-seed", strconv.FormatInt(seed, 10), "-prefix", prefix,
+	}
+}
+
+// TestServeKillCohortMidLoad is the kill ISSUE 21 set out to survive and the
+// engines do not yet: one cohort dies -9 at a random instant of a running
+// load — no pause, no drain — and comes back on its journal. ROADMAP 3(f)(2)
+// says why that can split a transaction (a p made durable whose ack never
+// left recovers to commit; the coordinator times out and aborts): about one
+// run in five. It is an EXPECTED FAILURE, kept executable: a violated audit
+// is reported as a skip naming its seed, a clean run passes, and the PR that
+// closes 3(f)(2) turns the Skipf into a Fatalf and drops the pause from
+// TestServeKillRestart.
+func TestServeKillCohortMidLoad(t *testing.T) {
+	seed, rng, loadBin, cl := killSetup(t)
+	load, out := startLoad(t, loadBin, killLoadArgs(cl, seed, "m.", 1500)...)
+	time.Sleep(time.Duration(300+rng.Intn(700)) * time.Millisecond)
+	victim := 1 + rng.Intn(nodes-1)
+	cl.killRestart(t, victim)
+	if err := load.Wait(); err != nil || !strings.Contains(out.String(), "violations=0") {
+		t.Skipf("EXPECTED FAILURE (ROADMAP 3(f)(2)), seed %d: node %d killed mid-load: %v\n%s", seed, victim+1, err, out)
+	}
+	t.Logf("seed %d: the kill of node %d fell outside the windows; load clean", seed, victim+1)
+}
+
+// TestServeKillRestart is the first rung of ROADMAP 3(a): real tpcserve
+// processes are killed -9 under tpcload and restarted on their journals,
+// and what comes back must be what the journals say.
+//
+//   - A cohort dies with the load paused (SIGSTOP) and drained, then the load
+//     resumes through its successor and must finish with violations=0. The
+//     pause is not a convenience: a cohort killed mid-transaction can split
+//     one today (a p persisted but not yet acked recovers to commit while
+//     the coordinator times out to abort — ROADMAP 3(f)), so that kill is
+//     TestServeKillCohortMidLoad's, an expected failure, until the engines
+//     close the window.
+//   - The coordinator dies mid-load, unpaused. tpcload loses its connections
+//     and is expected to fail; the new coordinator aborts what it logged in
+//     w, commits what it logged in p and re-announces the rest.
+//   - Transactions the coordinator had not yet begun leave open branches at
+//     the cohorts that nobody will ever decide (its submission queue is not
+//     logged). Each cohort is killed -9 with those branches — and their
+//     locks — live, and its successor must abort them.
+//
+// Then every account is still funded exactly, a fresh load runs clean,
+// every cohort's DUMP equals what wal.Recover derives from its own journal,
+// and no journal holds an in-doubt branch.
+func TestServeKillRestart(t *testing.T) {
+	seed, rng, loadBin, cl := killSetup(t)
+	loadArgs := func(prefix string, n int) []string { return killLoadArgs(cl, seed, prefix, n) }
+
+	// A cohort, between transactions of a running load.
+	load, out := startLoad(t, loadBin, loadArgs("a.", 1200)...)
+	time.Sleep(time.Duration(300+rng.Intn(700)) * time.Millisecond)
+	_ = load.Process.Signal(syscall.SIGSTOP)
+	quiesce(t, cl)
+	victim := 1 + rng.Intn(nodes-1)
+	cl.killRestart(t, victim)
+	waitServing(t, cl, "cohort")
+	_ = load.Process.Signal(syscall.SIGCONT)
+	if err := load.Wait(); err != nil || !strings.Contains(out.String(), "violations=0") {
+		t.Fatalf("seed %d: load across the kill of node %d: %v\n%s", seed, victim+1, err, out)
+	}
+
+	// The coordinator, mid-transaction.
+	load, out = startLoad(t, loadBin, loadArgs("b.", 1_000_000)...)
+	time.Sleep(time.Duration(300+rng.Intn(700)) * time.Millisecond)
+	cl.killRestart(t, 0)
+	if err := load.Wait(); err == nil || strings.Contains(out.String(), "atomicity") {
+		t.Fatalf("seed %d: tpcload outlived its coordinator, or saw a violation: %v\n%s", seed, err, out)
+	}
+	quiesce(t, cl)
+
+	// Each cohort, holding the orphaned branches.
+	for i := 1; i < nodes; i++ {
+		cl.killRestart(t, i)
+	}
+	waitServing(t, cl, "orphans")
+	auditDump(t, cl, workers)
+	runLoad(t, loadBin, loadArgs("c.", 200)...)
+	auditDump(t, cl, workers)
+
+	dumps := make([]map[string]string, nodes)
+	for i := 1; i < nodes; i++ {
+		dumps[i] = dump(t, cl.client[i])
+	}
+	cl.stop()
+	for i := 1; i < nodes; i++ {
+		st, err := stable.OpenFile(cl.journal[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		active, err := wal.Active(st)
+		if err != nil || len(active) != 0 {
+			t.Errorf("seed %d: node %d journal: in-doubt branches %v (%v)", seed, i+1, active, err)
+		}
+		want, _, err := wal.Recover(st)
+		_ = st.Close() // only read
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) != len(dumps[i]) {
+			t.Errorf("seed %d: node %d dumped %d keys, its journal recovers %d", seed, i+1, len(dumps[i]), len(want))
+		}
+		for k, v := range want {
+			if dumps[i][k] != v {
+				t.Errorf("seed %d: node %d: DUMP %s=%q, journal says %q", seed, i+1, k, dumps[i][k], v)
+			}
+		}
+	}
+}

@@ -190,8 +190,13 @@ func E8Distributed(seed int64, transactions int, protocol tpc.Protocol) (*E8Resu
 			for _, site := range cluster.Sites {
 				res.BlockedAtProbe += site.Store.OpenTxns()
 			}
-			_ = cluster.Net.Recover(cluster.MasterID)
-			cluster.Master.RecoverCoordinator()
+			if err := cluster.Net.Recover(cluster.MasterID); err != nil {
+				return nil, err
+			}
+			// E8's published msgs/txn include this second announcement round.
+			if err := cluster.Master.RecoverCoordinator(); err != nil {
+				return nil, err
+			}
 			sched.RunUntil(sched.Now() + 800)
 			switch cluster.Master.Decision(wt.Name) {
 			case tpc.DecisionCommit:

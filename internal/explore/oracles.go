@@ -142,27 +142,16 @@ func foldRederivedCommits(st *stable.Store, db map[string]string, applied []stri
 	if err != nil {
 		return err
 	}
-	committed := map[string]bool{}
+	rederived := map[string]bool{}
+	for _, txn := range applied {
+		rederived[txn] = true
+	}
 	for _, rec := range recs {
 		if rec.Kind == wal.RecCommit {
-			committed[rec.Txn] = true
+			delete(rederived, rec.Txn)
 		}
 	}
-	for _, txn := range applied {
-		if committed[txn] {
-			continue
-		}
-		for _, rec := range recs {
-			if rec.Kind != wal.RecUpdate || rec.Txn != txn {
-				continue
-			}
-			if rec.Op == "" {
-				db[rec.Key] = rec.New
-			} else {
-				db[rec.Key] = wal.Apply(rec.Op, db[rec.Key], rec.Arg)
-			}
-		}
-	}
+	wal.Redo(recs, rederived, db)
 	return nil
 }
 

@@ -106,37 +106,20 @@ func Recover(st *stable.Store) (State, *Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	committed := map[string]bool{}
+	committed, undone := map[string]bool{}, map[string]bool{}
 	for _, r := range recs {
 		if r.Kind == wal.RecCommit {
 			committed[r.Txn] = true
 		}
 	}
-	seenUncommitted := map[string]bool{}
 	for _, r := range recs {
-		if r.Kind == wal.RecUpdate {
-			if committed[r.Txn] {
-				// Physical records install their after-image; logical
-				// (commutative) records fold the operation, because their
-				// absolute image bakes in concurrent updates whose
-				// transactions may not have committed.
-				if r.Op == "" {
-					state[r.Key] = r.New
-				} else {
-					state[r.Key] = wal.Apply(r.Op, state[r.Key], r.Arg)
-				}
-			} else if !seenUncommitted[r.Txn] {
-				seenUncommitted[r.Txn] = true
-			}
+		if r.Kind == wal.RecUpdate && !committed[r.Txn] {
+			undone[r.Txn] = true
 		}
 	}
+	wal.Redo(recs, committed, state)
 	rep.Redone = len(committed)
-	rep.Undone = len(seenUncommitted)
-
-	pending, err := wal.Active(st)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep.PendingTxns = pending
+	rep.Undone = len(undone)
+	rep.PendingTxns = wal.ActiveIn(recs)
 	return state, rep, nil
 }

@@ -11,8 +11,8 @@
 //
 // The adapter honors the rt.Transport concurrency contract:
 //
-//   - Per-node serialization: each node's handler, timer callbacks and
-//     recover function run on that node's single event-loop goroutine.
+//   - Per-node serialization: each node's handler and timer callbacks
+//     run on that node's single event-loop goroutine (see SetRecover).
 //   - Asynchronous sends: Send/Broadcast enqueue onto the destination
 //     mailbox and return; they never run the destination handler on the
 //     caller's stack.
@@ -100,7 +100,6 @@ type node struct {
 	id      rt.NodeID
 	store   *stable.Store
 	handler rt.Handler
-	recover rt.RecoverFunc
 
 	// mailbox is an unbounded FIFO so a node can send to itself from its
 	// own loop without deadlocking.
@@ -230,17 +229,12 @@ func (t *Net) SetHandler(id rt.NodeID, h rt.Handler) error {
 	return nil
 }
 
-// SetRecover registers a node's crash-recovery callback. The live
-// adapter never crashes nodes, so it is stored but never invoked.
+// SetRecover checks id and drops f: a live node crashes by its process
+// dying, and the next process recovers by constructing its engine (see
+// internal/txn/deploy.go), so this runtime has no moment to call f.
 func (t *Net) SetRecover(id rt.NodeID, f rt.RecoverFunc) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n, ok := t.nodes[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownNode, id)
-	}
-	n.recover = f
-	return nil
+	_, err := t.Store(id)
+	return err
 }
 
 // Store returns a node's stable store.

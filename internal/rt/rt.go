@@ -21,7 +21,8 @@
 //     After callbacks scheduled on that node, and its RecoverFunc run
 //     serially on that node's event loop — never concurrently with each
 //     other. The simulator satisfies this globally (one thread); the
-//     live adapter satisfies it per node (one goroutine per node).
+//     live adapter satisfies it per node (one goroutine per node); its
+//     engines recover in their constructors, before SetHandler.
 //   - Sends are asynchronous: Send/Broadcast never invoke the
 //     destination handler on the caller's stack across nodes.
 //   - Stores are node-local: Store(id) is only touched from id's event
@@ -57,8 +58,8 @@ type Handler func(msg Message)
 
 // RecoverFunc is invoked on a node's event loop when a crashed node
 // restarts; the protocol layer rebuilds volatile state from stable
-// storage inside it.
-type RecoverFunc func()
+// storage inside it. After an error the node must not serve.
+type RecoverFunc func() error
 
 // Timer is a handle to a scheduled callback; Cancel prevents it from
 // firing. Cancel is safe to call multiple times and after firing.

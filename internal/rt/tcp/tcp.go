@@ -200,12 +200,11 @@ func (t *Net) SetHandler(id rt.NodeID, h rt.Handler) error {
 	return t.inner.SetHandler(id, h)
 }
 
-// SetRecover registers the local node's crash-recovery callback.
+// SetRecover checks id and drops f: the node crashes when its process
+// dies, and the next one recovers by constructing its engine (live.SetRecover).
 func (t *Net) SetRecover(id rt.NodeID, f rt.RecoverFunc) error {
-	if id != t.opts.Local {
-		return fmt.Errorf("%w: %d (local is %d)", ErrNotLocal, id, t.opts.Local)
-	}
-	return t.inner.SetRecover(id, f)
+	_, err := t.Store(id)
+	return err
 }
 
 // Store returns the local node's stable store; remote stores live in

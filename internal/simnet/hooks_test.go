@@ -175,7 +175,7 @@ func TestSendHookCrashThenRestart(t *testing.T) {
 		return SendFault{}
 	}
 	recovered := false
-	if err := n.SetRecover(1, func() { recovered = true }); err != nil {
+	if err := n.SetRecover(1, func() error { recovered = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 

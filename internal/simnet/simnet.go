@@ -367,7 +367,9 @@ func (n *Network) crash(nd *node) {
 	}
 }
 
-// Recover restarts a crashed node and invokes its recovery callback.
+// Recover restarts a crashed node and invokes its recovery callback. A
+// node whose callback fails goes back down — it must not serve a partial
+// state — and the callback's error is returned.
 func (n *Network) Recover(id NodeID) error {
 	nd, ok := n.nodes[id]
 	if !ok {
@@ -381,7 +383,10 @@ func (n *Network) Recover(id NodeID) error {
 	// contents and must be able to persist its own repairs.
 	nd.store.SetFrozen(false)
 	if nd.onRecover != nil {
-		nd.onRecover()
+		if err := nd.onRecover(); err != nil {
+			n.crash(nd)
+			return fmt.Errorf("simnet: recover node %d: %w", id, err)
+		}
 	}
 	return nil
 }

@@ -142,7 +142,7 @@ func TestRecoverInvokesCallbackAndKeepsStableStore(t *testing.T) {
 	}
 	st.Put("durable", []byte("yes"))
 	recovered := false
-	if err := n.SetRecover(2, func() { recovered = true }); err != nil {
+	if err := n.SetRecover(2, func() error { recovered = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Crash(2); err != nil {

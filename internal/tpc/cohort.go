@@ -373,12 +373,14 @@ func (h *Cohort) decide(txn string, d Decision, cause Cause) {
 	// Divergence rule for the batched fsync: recovery re-derives commit
 	// from a durable p and abort from w/q, so only an outcome that
 	// CONTRADICTS what recovery would conclude must be forced down —
-	// commit decided anywhere below p, or abort decided at p (a backup's
-	// termination can abort a prepared cohort when a peer aborted). The
-	// sync sits after OnDecide so the one batch also covers the WAL
-	// commit/abort record the decision application just appended, and
-	// before decide's callers disseminate the outcome to any peer.
-	if (d == DecisionCommit && from != StatePrepared) || (d == DecisionAbort && from == StatePrepared) {
+	// commit decided at w, or abort decided at p (a backup's termination
+	// can abort a prepared cohort when a peer aborted). A commit met in q
+	// contradicts nothing: w is forced ahead of the yes-vote, so this site
+	// never voted and took no part (a recovering coordinator re-announces
+	// to every cohort). The sync sits after OnDecide so the one batch also
+	// covers the WAL commit/abort record the decision application just
+	// appended, and before decide's callers disseminate the outcome.
+	if (d == DecisionCommit && from == StateWait) || (d == DecisionAbort && from == StatePrepared) {
 		h.sync()
 	}
 }
@@ -408,9 +410,13 @@ func (h *Cohort) Blocked(txn string) (bool, rt.Time) {
 // decided states are kept. It returns the decisions taken.
 //
 //dur:handler
-func (h *Cohort) RecoverAll() map[string]Decision {
+func (h *Cohort) RecoverAll() (map[string]Decision, error) {
+	recs, err := h.persistedStates()
+	if err != nil {
+		return nil, err
+	}
 	out := map[string]Decision{}
-	for _, rec := range h.persistedStates() {
+	for _, rec := range recs {
 		d := DecisionAbort
 		if rec.state.Committable() {
 			d = DecisionCommit
@@ -425,5 +431,5 @@ func (h *Cohort) RecoverAll() map[string]Decision {
 		}
 		out[rec.txn] = d
 	}
-	return out
+	return out, nil
 }

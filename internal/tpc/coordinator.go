@@ -2,6 +2,7 @@ package tpc
 
 import (
 	"fmt"
+	"sort"
 
 	"speccat/internal/rt"
 )
@@ -197,9 +198,10 @@ func (c *Coordinator) commit(txn string, ct *coordTxn, cause Cause) {
 	c.persistDecision(txn, DecisionCommit)
 	// Divergence rule: independent recovery re-derives commit from a
 	// durable p, so committing from p needs no fsync before the decision
-	// leaves. Committing from anywhere else (2PC's w, a re-announce)
-	// would recover to abort, so the decision must hit the disk first.
-	if from != StatePrepared {
+	// leaves, nor does re-announcing a c recovery read off the disk.
+	// Committing from anywhere else (2PC's w) would recover to abort, so
+	// the decision must hit the disk first.
+	if !from.Committable() {
 		c.sync()
 	}
 	for _, ch := range ct.parts {
@@ -250,15 +252,22 @@ func (c *Coordinator) StateOf(txn string) State {
 	return ct.state
 }
 
-// RecoverAll applies the coordinator failure transitions of Fig. 3.2 on
-// restart, using only stable storage (independent recovery, assumption 8):
-// a transaction logged in w1 aborts; one logged in p1 commits; decided
-// transactions re-announce their outcome. It returns the decisions taken.
+// RecoverAll applies the coordinator failure transitions of Fig. 3.2 from
+// stable storage alone (independent recovery, assumption 8): w1 aborts, p1
+// commits, and decided transactions re-announce their outcome — first, so
+// a transport shedding the oldest frames of a backlog (rt/tcp's bounded
+// peer queue) keeps the ones somebody waits on. It returns the decisions.
 //
 //dur:handler
-func (c *Coordinator) RecoverAll() map[string]Decision {
+func (c *Coordinator) RecoverAll() (map[string]Decision, error) {
+	recs, err := c.persistedStates()
+	if err != nil {
+		return nil, err
+	}
+	decided := func(r persistedState) bool { return r.state == StateAborted || r.state == StateCommitted }
+	sort.SliceStable(recs, func(i, j int) bool { return decided(recs[i]) && !decided(recs[j]) })
 	out := map[string]Decision{}
-	for _, rec := range c.persistedStates() {
+	for _, rec := range recs {
 		ct, ok := c.txns[rec.txn]
 		if !ok {
 			ct = c.newTxn(nil)
@@ -266,17 +275,13 @@ func (c *Coordinator) RecoverAll() map[string]Decision {
 		}
 		ct.state = rec.state
 		switch rec.state {
-		case StateWait, StateAborted:
-			// Failure transition from w1: abort upon recovery. From a1:
-			// re-announce so cohorts blocked on the decision learn it.
+		case StateWait, StateAborted: // w1's failure transition; a1 re-announces
 			c.abort(rec.txn, ct, CauseFailure)
 			out[rec.txn] = DecisionAbort
-		case StatePrepared, StateCommitted:
-			// Failure transition from p1: commit upon recovery. From c1:
-			// re-announce.
+		case StatePrepared, StateCommitted: // p1's failure transition; c1 re-announces
 			c.commit(rec.txn, ct, CauseFailure)
 			out[rec.txn] = DecisionCommit
 		}
 	}
-	return out
+	return out, nil
 }

@@ -1,6 +1,10 @@
 package tpc
 
-import "speccat/internal/rt"
+import (
+	"fmt"
+
+	"speccat/internal/rt"
+)
 
 // endpoint is the part of a protocol site that does not depend on its
 // role: where it lives on the network, how it reaches stable storage, and
@@ -120,23 +124,25 @@ func (e *endpoint) syncThen(fn func()) {
 // corresponding sends, per assumption 4).
 //
 //dur:writes state
-func (e *endpoint) persist(txn string, s State) {
-	st, err := e.net.Store(e.id)
-	if err != nil {
-		return
-	}
-	st.Put(stateKey(txn), []byte(s.String()))
-}
+func (e *endpoint) persist(txn string, s State) { e.put(stateKey(txn), s.String()) }
 
 // persistDecision forces the final outcome for txn to stable storage.
 //
 //dur:writes decision
-func (e *endpoint) persistDecision(txn string, d Decision) {
+func (e *endpoint) persistDecision(txn string, d Decision) { e.put(decisionKey(txn), d.String()) }
+
+// put writes one protocol record unless the store already holds exactly
+// it: recovery re-announces outcomes it just read off the disk, and
+// rewriting those would grow the journal by its history on every restart.
+func (e *endpoint) put(key, val string) {
 	st, err := e.net.Store(e.id)
 	if err != nil {
 		return
 	}
-	st.Put(decisionKey(txn), []byte(d.String()))
+	if cur, ok := st.Get(key); ok && string(cur) == val {
+		return
+	}
+	st.Put(key, []byte(val))
 }
 
 // persistedState is one transaction's state record as recovery finds it.
@@ -147,12 +153,12 @@ type persistedState struct {
 
 // persistedStates scans the site's stable store for every state record
 // persist wrote, in key order — the input of both roles' independent
-// recovery. A record ParseState rejects is skipped, not reported:
-// rt.RecoverFunc has no error path (ROADMAP item 3(d)).
-func (e *endpoint) persistedStates() []persistedState {
+// recovery. A record ParseState rejects is a wrapped ErrCorrupt naming its
+// key: a site must not recover around a hole in its protocol state.
+func (e *endpoint) persistedStates() ([]persistedState, error) {
 	st, err := e.net.Store(e.id)
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("tpc: recover site %d: %w", e.id, err)
 	}
 	var out []persistedState
 	for _, key := range st.Keys() {
@@ -163,11 +169,11 @@ func (e *endpoint) persistedStates() []persistedState {
 		raw, _ := st.Get(key)
 		s, err := ParseState(string(raw))
 		if err != nil {
-			continue
+			return nil, fmt.Errorf("tpc: recover site %d: record %q: %w", e.id, key, err)
 		}
 		out = append(out, persistedState{txn, s})
 	}
-	return out
+	return out, nil
 }
 
 // txnOfStateKey extracts the transaction from "tpc/<txn>/state".

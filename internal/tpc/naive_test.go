@@ -66,8 +66,8 @@ func TestNaiveTimeoutsCommitInP2(t *testing.T) {
 	if err := g.Net.Recover(g.CoordID); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.Coordinator.RecoverAll(); got["t"] != DecisionCommit {
-		t.Fatalf("recovered coordinator = %s", got["t"])
+	if got, err := g.Coordinator.RecoverAll(); err != nil || got["t"] != DecisionCommit {
+		t.Fatalf("recovered coordinator = %s, err %v", got["t"], err)
 	}
 }
 

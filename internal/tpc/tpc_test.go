@@ -86,7 +86,10 @@ func TestCoordinatorCrashInW1CohortsTerminate(t *testing.T) {
 	if err := g.Net.Recover(g.CoordID); err != nil {
 		t.Fatal(err)
 	}
-	got := g.Coordinator.RecoverAll()
+	got, err := g.Coordinator.RecoverAll()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got["t1"] != DecisionAbort {
 		t.Fatalf("recovered coordinator decided %s", got["t1"])
 	}
@@ -136,7 +139,10 @@ func TestCoordinatorCrashAfterPrepareCohortsCommit(t *testing.T) {
 	if err := g.Net.Recover(g.CoordID); err != nil {
 		t.Fatal(err)
 	}
-	got := g.Coordinator.RecoverAll()
+	got, err := g.Coordinator.RecoverAll()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got["t1"] != DecisionCommit {
 		t.Fatalf("recovered coordinator decided %s, want commit", got["t1"])
 	}
@@ -174,7 +180,10 @@ func TestCohortCrashAfterVoteThenRecovers(t *testing.T) {
 	if err := g.Net.Recover(3); err != nil {
 		t.Fatal(err)
 	}
-	rec := g.Cohorts[3].RecoverAll()
+	rec, err := g.Cohorts[3].RecoverAll()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rec["t1"] == DecisionNone {
 		t.Fatal("recovered cohort undecided")
 	}

@@ -33,10 +33,8 @@ func NewCluster(seed int64, n int, cfg tpc.Config) (*Cluster, error) {
 // letting callers customize network options and install failure-injection
 // hooks. Every site's database is hash-partitioned into nshards
 // independent shards over the site's one stable store (see
-// NewShardedSiteOn). Crash recovery is wired: when simnet recovers a
-// site, the site reopens its store from stable storage and replays the
-// commit protocol's failure transitions; a recovered master replays the
-// coordinator's.
+// NewShardedSiteOn). simnet.Recover re-runs the recovery each engine's
+// constructor ran.
 func NewShardedClusterOn(net *simnet.Network, n int, cfg tpc.Config, nshards int) (*Cluster, error) {
 	masterID := simnet.NodeID(1)
 	net.AddNode(masterID, nil)

@@ -4,22 +4,20 @@ package txn
 // The simulator harness (cluster.go) wires a whole cluster in one
 // process; a real deployment (cmd/tpcserve) runs one process per node,
 // so it needs to construct exactly its own role — NewMasterOn for the
-// coordinator process, NewShardedSiteOn for each cohort process. Both
-// install the engine's handler and recovery callback on the transport, so
-// after the call the node is live.
+// coordinator process, NewShardedSiteOn for each cohort process.
+// Constructing an engine is recovering it: see wire.
 
 import (
 	"fmt"
 
-	"speccat/internal/kvstore"
 	"speccat/internal/rt"
 	"speccat/internal/tpc"
 )
 
 // NewMasterOn builds the master engine (transaction coordinator side) on
-// net. The master node must already be registered on the transport
-// (AddNode); siteIDs are the data sites, which may live in other
-// processes.
+// net and recovers it from the node's stable store (RecoverCoordinator).
+// The master node must already be registered on the transport (AddNode);
+// siteIDs are the data sites, which may live in other processes.
 func NewMasterOn(net rt.Transport, masterID rt.NodeID, siteIDs []rt.NodeID, cfg tpc.Config) (*Master, error) {
 	m := &Master{
 		net: net, id: masterID,
@@ -28,43 +26,45 @@ func NewMasterOn(net rt.Transport, masterID rt.NodeID, siteIDs []rt.NodeID, cfg 
 		scoped:  cfg.ScopedParticipants,
 	}
 	m.coord.OnDecide = m.onDecide
-	if err := net.SetHandler(masterID, m.handle); err != nil {
-		return nil, fmt.Errorf("txn: wire master %d: %w", masterID, err)
-	}
-	if err := net.SetRecover(masterID, m.RecoverCoordinator); err != nil {
-		return nil, fmt.Errorf("txn: wire master %d: %w", masterID, err)
+	if err := wire(net, masterID, m.RecoverCoordinator, m.handle); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
 // NewShardedSiteOn builds one data-site engine (cohort plus local
-// kvstore) on net. The site node must already be registered on the
-// transport; its stable store backs the kvstore's WAL, so a site built
-// over a file-journaled store recovers its committed state across real
-// process restarts. The database is hash-partitioned into nshards
-// independent shards (own lock manager and WAL session each) over that
-// one stable store — nshards == 1 is one real shard, anything less is
-// kvstore.OpenShards' error — and crash recovery reopens the same layout.
+// kvstore) on net and recovers it from the node's stable store
+// (Site.Recover): a site built over a killed process's file journal
+// settles that process's in-doubt branches before it serves. The site node
+// must already be registered on the transport. The database is
+// hash-partitioned into nshards shards (own lock manager and WAL session
+// each) over that one store; nshards < 1 is an error.
 func NewShardedSiteOn(net rt.Transport, id, masterID rt.NodeID, siteIDs []rt.NodeID, cfg tpc.Config, nshards int) (*Site, error) {
-	st, err := net.Store(id)
-	if err != nil {
-		return nil, fmt.Errorf("txn: wire site %d: %w", id, err)
-	}
-	store, err := kvstore.OpenShards(st, nshards)
-	if err != nil {
-		return nil, fmt.Errorf("txn: wire site %d: %w", id, err)
-	}
-	site := &Site{net: net, id: id, Store: store, masterID: masterID, failed: map[string]bool{}}
+	site := &Site{net: net, id: id, nshards: nshards, masterID: masterID}
 	site.cohort = tpc.NewCohort(net, id, masterID, siteIDs, cfg)
-	site.cohort.Vote = func(txn string) bool { return !site.failed[txn] }
-	site.cohort.OnDecide = site.applyDecision
-	if err := net.SetHandler(id, site.handle); err != nil {
-		return nil, fmt.Errorf("txn: wire site %d: %w", id, err)
+	// Scoped commit requests go only where work went: no open branch, work lost.
+	site.cohort.Vote = func(txn string) bool {
+		return !site.failed[txn] && (!cfg.ScopedParticipants || site.Store.Prepared(txn))
 	}
-	if err := net.SetRecover(id, func() { _ = site.Recover() }); err != nil {
-		return nil, fmt.Errorf("txn: wire site %d: %w", id, err)
+	site.cohort.OnDecide = site.applyDecision
+	if err := wire(net, id, site.Recover, site.handle); err != nil {
+		return nil, err
 	}
 	return site, nil
+}
+
+// wire brings a node up, the one way there is: the engine's recovery runs
+// over whatever its stable store holds (nothing, on a cold start) on the
+// caller's stack while the node has no handler — its event loop cannot
+// reach a half-recovered engine — and is then installed with the handler.
+func wire(net rt.Transport, id rt.NodeID, rec rt.RecoverFunc, h rt.Handler) error {
+	if err := rec(); err != nil {
+		return err
+	}
+	if err := net.SetHandler(id, h); err != nil {
+		return fmt.Errorf("txn: wire node %d: %w", id, err)
+	}
+	return net.SetRecover(id, rec) // fails as SetHandler does: an unknown node
 }
 
 // SiteFor maps a key to its home site by stable hashing over the sorted

@@ -1,0 +1,380 @@
+package txn
+
+import (
+	"errors"
+	"fmt"
+	"net"
+	"testing"
+	"time"
+
+	"speccat/internal/rt"
+	"speccat/internal/rt/tcp"
+	"speccat/internal/sim"
+	"speccat/internal/simnet"
+	"speccat/internal/stable"
+	"speccat/internal/tpc"
+	"speccat/internal/wal"
+)
+
+// Constructing an engine is recovering it: these tests build engines over
+// stores a killed process left behind (seeded by hand in the on-disk
+// formats: "tpc/<txn>/state", "tpc/<txn>/decision", WAL records) and
+// require what a simulated crash+recover of the same store would yield.
+
+const (
+	master = simnet.NodeID(1)
+	siteA  = simnet.NodeID(2)
+	siteB  = simnet.NodeID(3)
+)
+
+var restartKeys = []string{"k0", "k1", "k2", "k3", "k4", "k5"}
+
+// usedNet registers the three nodes and lets seed fill their stable
+// stores before any engine exists.
+func usedNet(t *testing.T, seed func(stores map[simnet.NodeID]*stable.Store)) *simnet.Network {
+	t.Helper()
+	net := simnet.New(sim.NewScheduler(1), simnet.DefaultOptions())
+	stores := map[simnet.NodeID]*stable.Store{}
+	for _, id := range []simnet.NodeID{master, siteA, siteB} {
+		stores[id] = net.AddNode(id, nil)
+	}
+	seed(stores)
+	return net
+}
+
+// construct builds the master and both sites over whatever net's stores
+// hold — what three restarted tpcserve processes do.
+func construct(net *simnet.Network, cfg tpc.Config, shards int) (*Cluster, error) {
+	c := &Cluster{Net: net, MasterID: master, SiteIDs: []simnet.NodeID{siteA, siteB}, Sites: map[simnet.NodeID]*Site{}}
+	var err error
+	if c.Master, err = NewMasterOn(net, master, c.SiteIDs, cfg); err != nil {
+		return nil, err
+	}
+	for _, id := range c.SiteIDs {
+		if c.Sites[id], err = NewShardedSiteOn(net, id, master, c.SiteIDs, cfg, shards); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+func putState(st *stable.Store, txn, state string) { st.Put("tpc/"+txn+"/state", []byte(state)) }
+
+// seedBranch leaves txn's branch in doubt on st: a persisted protocol
+// state, begin and update records for every restart key, no outcome.
+func seedBranch(t *testing.T, st *stable.Store, txn, state string) {
+	t.Helper()
+	putState(st, txn, state)
+	l, db := wal.New(st), map[string]string{}
+	mustOK(t, l.Begin(txn))
+	for _, k := range restartKeys {
+		mustOK(t, l.LoggedUpdate(txn, db, k, "v-"+k))
+	}
+}
+
+func noneActive(t *testing.T, st *stable.Store) {
+	t.Helper()
+	active, err := wal.Active(st)
+	mustOK(t, err)
+	if len(active) != 0 {
+		t.Fatalf("in-doubt branches after construction: %v", active)
+	}
+}
+
+func TestConstructionRecovers(t *testing.T) {
+	for _, proto := range []tpc.Protocol{tpc.ThreePhase, tpc.TwoPhase} {
+		for _, shards := range []int{1, 4} {
+			cfg := tpc.Config{Protocol: proto, ScopedParticipants: true}
+			t.Run(fmt.Sprintf("%s/shards=%d", proto, shards), func(t *testing.T) {
+				t.Run("cohort in p commits", func(t *testing.T) { cohortPrepared(t, cfg, shards) })
+				t.Run("cohort in w aborts", func(t *testing.T) { cohortWaiting(t, cfg, shards) })
+				t.Run("coordinator in w and p", func(t *testing.T) { coordinatorUndecided(t, cfg, shards) })
+				t.Run("corrupt state refuses", func(t *testing.T) { corruptState(t, cfg, shards) })
+				t.Run("decided history costs no sync", func(t *testing.T) { decidedHistory(t, cfg, shards) })
+				t.Run("lost work votes no", func(t *testing.T) { lostWork(t, cfg, shards) })
+				t.Run("lost startwork votes no", func(t *testing.T) { lostStartwork(t, cfg, shards) })
+				if proto == tpc.TwoPhase {
+					t.Run("new master unblocks cohorts", func(t *testing.T) { newMasterUnblocks(t, cfg, shards) })
+				}
+			})
+		}
+	}
+}
+
+// (a) kill -9 behind a prepared cohort: p on disk, the branch's updates in
+// the WAL, no commit record. The failure transition from p2 commits.
+func cohortPrepared(t *testing.T, cfg tpc.Config, shards int) {
+	net := usedNet(t, func(s map[simnet.NodeID]*stable.Store) { seedBranch(t, s[siteA], "T", "p") })
+	c, err := construct(net, cfg, shards)
+	mustOK(t, err)
+	site := c.Sites[siteA]
+	for _, k := range restartKeys {
+		if got := site.Store.Read(k); got != "v-"+k {
+			t.Fatalf("%s = %q after construction, want %q", k, got, "v-"+k)
+		}
+	}
+	st, _ := net.Store(siteA)
+	noneActive(t, st)
+	if d := site.Decision("T"); d != tpc.DecisionCommit {
+		t.Fatalf("decision = %s, want commit", d)
+	}
+	if d, err := tpc.DurableDecision(st, "T"); err != nil || d != tpc.DecisionCommit {
+		t.Fatalf("durable decision = %s, %v", d, err)
+	}
+}
+
+// (b) the same branch persisted in w aborts, and its locks are gone with
+// the process: a fresh transaction on the same keys commits.
+func cohortWaiting(t *testing.T, cfg tpc.Config, shards int) {
+	net := usedNet(t, func(s map[simnet.NodeID]*stable.Store) { seedBranch(t, s[siteA], "T", "w") })
+	c, err := construct(net, cfg, shards)
+	mustOK(t, err)
+	site := c.Sites[siteA]
+	if d := site.Decision("T"); d != tpc.DecisionAbort {
+		t.Fatalf("decision = %s, want abort", d)
+	}
+	st, _ := net.Store(siteA)
+	noneActive(t, st)
+	var ops []Op
+	for _, k := range restartKeys {
+		if got := site.Store.Read(k); got != "" {
+			t.Fatalf("aborted write visible: %s = %q", k, got)
+		}
+		ops = append(ops, Op{Site: siteA, Key: k, Value: "fresh", IsWrite: true})
+	}
+	if res := submitAndRun(t, c, "T2", ops); res.Decision != tpc.DecisionCommit {
+		t.Fatalf("fresh transaction on the aborted branch's keys: %s", res.Decision)
+	}
+}
+
+// (c) a coordinator killed in w aborts, in p commits, and says so.
+func coordinatorUndecided(t *testing.T, cfg tpc.Config, shards int) {
+	net := usedNet(t, func(s map[simnet.NodeID]*stable.Store) {
+		putState(s[master], "Tw", "w")
+		putState(s[master], "Tp", "p")
+	})
+	c, err := construct(net, cfg, shards)
+	mustOK(t, err)
+	c.Run()
+	for _, site := range c.Sites {
+		if w, p := site.Decision("Tw"), site.Decision("Tp"); w != tpc.DecisionAbort || p != tpc.DecisionCommit {
+			t.Fatalf("site %d heard Tw=%s Tp=%s, want abort and commit", site.ID(), w, p)
+		}
+	}
+}
+
+// (d) 2PC cohorts that voted yes block while the coordinator is dead; the
+// master a restarted process constructs over the old store re-announces
+// the commit it had decided, and they finish.
+func newMasterUnblocks(t *testing.T, cfg tpc.Config, shards int) {
+	net := usedNet(t, func(map[simnet.NodeID]*stable.Store) {})
+	c, err := construct(net, cfg, shards)
+	mustOK(t, err)
+	net.OnSend = func(_ uint64, m simnet.Message) simnet.SendFault {
+		return simnet.SendFault{CrashSender: m.Kind == tpc.KindCommit && m.From == master}
+	}
+	ops := []Op{{Site: siteA, Key: "x", Value: "1", IsWrite: true}, {Site: siteB, Key: "y", Value: "2", IsWrite: true}}
+	mustOK(t, c.Master.Submit("T", ops, nil))
+	net.Scheduler().RunUntil(2000)
+	for _, site := range c.Sites {
+		if blocked, _ := site.Blocked("T"); !blocked {
+			t.Fatalf("site %d not blocked behind the dead coordinator", site.ID())
+		}
+	}
+	// The process is gone; a new one comes up on its journal.
+	net.OnSend = nil
+	mustOK(t, net.SetRecover(master, func() error { return nil }))
+	mustOK(t, net.Recover(master))
+	if c.Master, err = NewMasterOn(net, master, c.SiteIDs, cfg); err != nil {
+		t.Fatal(err)
+	}
+	net.Scheduler().RunUntil(4000) // bounded: a still-blocked cohort re-arms its timer forever
+	for _, site := range c.Sites {
+		if d := site.Decision("T"); d != tpc.DecisionCommit {
+			t.Fatalf("site %d decided %s after the new master's announcement", site.ID(), d)
+		}
+	}
+	if c.Sites[siteA].Store.Read("x") != "1" || c.Sites[siteB].Store.Read("y") != "2" {
+		t.Fatal("committed values not visible")
+	}
+}
+
+// A site killed after doing a transaction's work and before voting on it
+// comes back without the branch. Its coordinator is alive and still asks;
+// the answer must be no — a yes commits the transaction everywhere else
+// with this site's writes missing.
+func lostWork(t *testing.T, cfg tpc.Config, shards int) {
+	net := usedNet(t, func(map[simnet.NodeID]*stable.Store) {})
+	c, err := construct(net, cfg, shards)
+	mustOK(t, err)
+	net.OnSend = func(_ uint64, m simnet.Message) simnet.SendFault {
+		return simnet.SendFault{CrashSender: m.Kind == kindWorkDone && m.From == siteA}
+	}
+	ops := []Op{{Site: siteA, Key: "x", Value: "1", IsWrite: true}, {Site: siteB, Key: "y", Value: "2", IsWrite: true}}
+	var res *Result
+	mustOK(t, c.Master.Submit("T", ops, func(r *Result) { res = r }))
+	net.Scheduler().RunUntil(5) // the work is done and siteA is dead
+	net.OnSend = nil
+	mustOK(t, net.SetRecover(siteA, func() error { return nil }))
+	mustOK(t, net.Recover(siteA))
+	if c.Sites[siteA], err = NewShardedSiteOn(net, siteA, master, c.SiteIDs, cfg, shards); err != nil {
+		t.Fatal(err)
+	}
+	c.Run()
+	if res == nil || res.Decision != tpc.DecisionAbort {
+		t.Fatalf("transaction whose work siteA lost: %+v, want abort", res)
+	}
+	if x, y := c.Sites[siteA].Store.Read("x"), c.Sites[siteB].Store.Read("y"); x != "" || y != "" {
+		t.Fatalf("half a transaction applied: x=%q y=%q", x, y)
+	}
+}
+
+// The frames a coordinator writes into a connection whose peer just died
+// are gone. When one is a startwork, the work timeout starts the protocol
+// anyway, and the site that never saw the work must not answer yes: scoped
+// commit requests go only where work went.
+func lostStartwork(t *testing.T, cfg tpc.Config, shards int) {
+	net := usedNet(t, func(map[simnet.NodeID]*stable.Store) {})
+	c, err := construct(net, cfg, shards)
+	mustOK(t, err)
+	net.OnSend = func(_ uint64, m simnet.Message) simnet.SendFault {
+		return simnet.SendFault{Drop: m.Kind == kindWork && m.To == siteA}
+	}
+	ops := []Op{{Site: siteA, Key: "x", Value: "1", IsWrite: true}, {Site: siteB, Key: "y", Value: "2", IsWrite: true}}
+	if res := submitAndRun(t, c, "T", ops); res.Decision != tpc.DecisionAbort {
+		t.Fatalf("transaction half of whose work was lost: %s, want abort", res.Decision)
+	}
+	if y := c.Sites[siteB].Store.Read("y"); y != "" {
+		t.Fatalf("half a transaction applied: y=%q", y)
+	}
+}
+
+// (e) a state record that does not decode stops the constructor — and a
+// simulated restart over the same store — with the same wrapped
+// ErrCorrupt; the node stays down.
+func corruptState(t *testing.T, cfg tpc.Config, shards int) {
+	for _, victim := range []simnet.NodeID{master, siteA} {
+		net := usedNet(t, func(s map[simnet.NodeID]*stable.Store) { putState(s[victim], "T", "\x00garbage") })
+		if _, err := construct(net, cfg, shards); !errors.Is(err, tpc.ErrCorrupt) {
+			t.Fatalf("constructing node %d over a corrupt record: %v", victim, err)
+		}
+
+		net = usedNet(t, func(map[simnet.NodeID]*stable.Store) {})
+		_, err := construct(net, cfg, shards)
+		mustOK(t, err)
+		st, _ := net.Store(victim)
+		putState(st, "T", "\x00garbage")
+		mustOK(t, net.Crash(victim))
+		if err := net.Recover(victim); !errors.Is(err, tpc.ErrCorrupt) {
+			t.Fatalf("simnet.Recover of node %d over a corrupt record: %v", victim, err)
+		}
+		if net.Up(victim) {
+			t.Fatalf("node %d serves after a failed recovery", victim)
+		}
+	}
+}
+
+// (f) a node with a long decided history comes up without one fsync or
+// one rewritten record per transaction, and the coordinator's outcomes
+// still reach the cohorts.
+func decidedHistory(t *testing.T, cfg tpc.Config, shards int) {
+	const n = 1000
+	name := func(i int) string { return fmt.Sprintf("h%04d", i) }
+	outcome := func(i int) (string, tpc.Decision) {
+		if i%3 == 0 {
+			return "a", tpc.DecisionAbort
+		}
+		return "c", tpc.DecisionCommit
+	}
+	net := usedNet(t, func(s map[simnet.NodeID]*stable.Store) {
+		for _, id := range []simnet.NodeID{master, siteA} {
+			for i := 0; i < n; i++ {
+				state, d := outcome(i)
+				putState(s[id], name(i), state)
+				s[id].Put("tpc/"+name(i)+"/decision", []byte(d.String()))
+			}
+			s[id].SetGroupCommit(true)
+		}
+	})
+	type bill struct{ syncs, kv, log int }
+	read := func(id simnet.NodeID) bill {
+		st, _ := net.Store(id)
+		kv, log := st.Writes()
+		return bill{st.Syncs(), kv, log}
+	}
+	before := map[simnet.NodeID]bill{master: read(master), siteA: read(siteA)}
+	c, err := construct(net, cfg, shards)
+	mustOK(t, err)
+	c.Run()
+	for id, b := range before {
+		// Opening a site's database discards any tentative checkpoint: one
+		// delete, whatever the history.
+		if got := read(id); got.syncs != b.syncs || got.log != b.log || got.kv-b.kv > 1 {
+			t.Fatalf("node %d paid %+v to come up over %d decided transactions, had %+v", id, got, n, b)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if _, want := outcome(i); c.Sites[siteB].Decision(name(i)) != want {
+			t.Fatalf("site %d never heard %s=%s", siteB, name(i), want)
+		}
+	}
+}
+
+// A restarted coordinator announces its whole decided history to peers that
+// may not be listening yet, through rt/tcp's bounded peer queue, which sheds
+// its oldest frames. The one outcome somebody can be waiting on — the
+// transaction the old process left in p — must not be among the shed: it is
+// decided last, wherever its name sorts (here: among the oldest, behind the
+// one frame the peer's writer holds while it dials).
+func TestInDoubtOutcomeSurvivesPeerQueue(t *testing.T) {
+	const decided = 1200 // > the queue's 1,024 frames
+	addrs := make([]string, 2)
+	for i := range addrs {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		mustOK(t, err)
+		addrs[i] = l.Addr().String()
+		l.Close()
+	}
+	cluster := map[rt.NodeID]string{master: addrs[0], siteA: addrs[1]}
+	codec := tcp.NewCodec()
+	mustOK(t, tpc.RegisterWire(codec))
+	mustOK(t, RegisterWire(codec))
+	up := func(id rt.NodeID, st *stable.Store) *tcp.Net {
+		n, err := tcp.New(tcp.Options{Local: id, Cluster: cluster, Codec: codec, Store: st})
+		mustOK(t, err)
+		mustOK(t, n.Start())
+		t.Cleanup(n.Close)
+		n.AddNode(id, nil)
+		return n
+	}
+
+	st := stable.NewStore()
+	putState(st, "h0010x", "p")
+	for i := 0; i < decided; i++ {
+		putState(st, fmt.Sprintf("h%04d", i), "c")
+		st.Put(fmt.Sprintf("tpc/h%04d/decision", i), []byte("commit"))
+	}
+	cfg := tpc.Config{ScopedParticipants: true}
+	coord := up(master, st)
+	if _, err := NewMasterOn(coord, master, []rt.NodeID{siteA}, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for end := time.Now().Add(10 * time.Second); coord.Stats(siteA).Dropped == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("%d announcements never overflowed the peer queue: %+v", decided+1, coord.Stats(siteA))
+		}
+	}
+
+	cohort := up(siteA, nil)
+	site, err := NewShardedSiteOn(cohort, siteA, master, []rt.NodeID{siteA}, cfg, 1)
+	mustOK(t, err)
+	heard := make(chan tpc.Decision)
+	for end := time.Now().Add(20 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		cohort.After(siteA, 0, func() { heard <- site.Decision("h0010x") })
+		if d := <-heard; d == tpc.DecisionCommit {
+			return
+		} else if d != tpc.DecisionNone || time.Now().After(end) {
+			t.Fatalf("cohort has %s for the in-doubt transaction (%d frames shed)", d, coord.Stats(siteA).Dropped)
+		}
+	}
+}

@@ -96,7 +96,6 @@ type Result struct {
 type pending struct {
 	ops     map[rt.NodeID][]Op
 	done    map[rt.NodeID]bool
-	failed  bool
 	started bool
 	result  *Result
 	onDone  func(*Result)
@@ -120,14 +119,14 @@ type Master struct {
 	// speccatlint's lock-order rule gates statically.
 	NoWorkTimeout bool
 	// OnUnhandled, when non-nil, observes messages the master dropped —
-	// unknown kinds and undecodable payloads. They are counted either way
-	// (see Unhandled); before this hook existed both cases were a silent
-	// bare return.
+	// unknown kinds, undecodable payloads, and work reports whose commit
+	// protocol could not be started. They are counted either way (see
+	// Unhandled).
 	OnUnhandled func(m rt.Message)
 	unhandled   int
 }
 
-// noteUnhandled accounts for a message the master could not dispatch.
+// noteUnhandled accounts for a message the master could not act on.
 func (m *Master) noteUnhandled(msg rt.Message) {
 	m.unhandled++
 	if m.OnUnhandled != nil {
@@ -135,19 +134,18 @@ func (m *Master) noteUnhandled(msg rt.Message) {
 	}
 }
 
-// Unhandled reports how many messages the master dropped (unknown kind or
-// undecodable payload).
+// Unhandled reports how many messages the master dropped (unknown kind,
+// undecodable payload, or a commit protocol that could not be started).
 func (m *Master) Unhandled() int { return m.unhandled }
 
 // Site hosts a cohort process plus the local store.
 type Site struct {
 	net rt.Transport
 	id  rt.NodeID
-	// Store is the site's transactional database, hash-partitioned into
-	// the shard count the site was built with (one shard is the
-	// undivided layout). Recover replaces it with a reopened store of the
-	// same shard count.
+	// Store is the site's transactional database in nshards hash partitions
+	// (one is the undivided layout); only Recover opens it.
 	Store    *kvstore.Shards
+	nshards  int
 	cohort   *tpc.Cohort
 	masterID rt.NodeID
 	// failed marks local branches that could not complete their work: the
@@ -242,12 +240,9 @@ func (m *Master) Submit(txn string, ops []Op, onDone func(*Result)) error {
 	if m.NoWorkTimeout {
 		return nil
 	}
-	// Work timeout: if some site never answers, abort via the protocol.
+	// Work timeout: a site that never answers has failed its work.
 	m.net.After(m.id, 8*m.net.Delta(), func() {
-		if !p.started {
-			p.failed = true
-			_ = m.startCommit(txn, p)
-		}
+		m.handle(rt.Message{From: m.id, To: m.id, Kind: kindWorkFail, Payload: doneMsg{Txn: txn}})
 	})
 	return nil
 }
@@ -277,8 +272,8 @@ func (m *Master) handle(msg rt.Message) {
 		for k, v := range d.Reads {
 			p.result.Reads[k] = v
 		}
-		if len(p.done) == len(p.ops) {
-			_ = m.startCommit(d.Txn, p)
+		if len(p.done) == len(p.ops) && m.startCommit(d.Txn, p) != nil {
+			m.noteUnhandled(msg)
 		}
 	case kindWorkFail:
 		d, ok := msg.Payload.(doneMsg)
@@ -290,8 +285,9 @@ func (m *Master) handle(msg rt.Message) {
 		if !ok || p.started {
 			return
 		}
-		p.failed = true
-		_ = m.startCommit(d.Txn, p)
+		if m.startCommit(d.Txn, p) != nil {
+			m.noteUnhandled(msg)
+		}
 	default:
 		m.noteUnhandled(msg)
 	}
@@ -332,28 +328,30 @@ func (m *Master) onDecide(txn string, d tpc.Decision) {
 // Decision returns the master's decision for txn.
 func (m *Master) Decision(txn string) tpc.Decision { return m.coord.Decision(txn) }
 
-// RecoverCoordinator replays the commit engine's failure transitions after
-// the master site recovers from a crash (Fig. 3.2 coordinator recovery):
+// RecoverCoordinator replays the commit engine's failure transitions from
+// the master site's stable store (Fig. 3.2 coordinator recovery):
 // transactions logged in w1 abort, p1 commits, decided outcomes are
 // re-announced. Submitted transactions whose commit protocol never began
 // have no persisted coordinator state; the master restarts the protocol
 // for them (treating its submission queue as durable — a real deployment
 // would log submissions) so cohort branches don't hold locks forever.
-func (m *Master) RecoverCoordinator() {
-	recovered := m.coord.RecoverAll()
+func (m *Master) RecoverCoordinator() error {
+	if _, err := m.coord.RecoverAll(); err != nil {
+		return fmt.Errorf("txn: recover master %d: %w", m.id, err)
+	}
 	var unstarted []string
 	for txn, p := range m.pending {
-		if _, done := recovered[txn]; done {
-			continue
-		}
 		if !p.started {
 			unstarted = append(unstarted, txn)
 		}
 	}
 	sort.Strings(unstarted) // deterministic send order across replays
 	for _, txn := range unstarted {
-		_ = m.startCommit(txn, m.pending[txn])
+		if err := m.startCommit(txn, m.pending[txn]); err != nil {
+			return fmt.Errorf("txn: recover master %d: %w", m.id, err)
+		}
 	}
+	return nil
 }
 
 // handle demultiplexes site-side traffic: commit protocol first, then the
@@ -480,8 +478,8 @@ func canonicalOrder(ops []Op, shards int) []Op {
 //
 //lock:handler
 func (s *Site) applyDecision(txn string, d tpc.Decision) {
-	if !s.Store.Prepared(txn) {
-		return // no local branch (not involved, or already applied)
+	if s.Store == nil || !s.Store.Prepared(txn) {
+		return // recovering (Recover settles the log itself), or no local branch
 	}
 	if d == tpc.DecisionCommit {
 		_ = s.Store.Commit(txn)
@@ -493,29 +491,30 @@ func (s *Site) applyDecision(txn string, d tpc.Decision) {
 	}
 }
 
-// Recover rebuilds the site after a crash, from stable storage alone: the
-// commit protocol's failure transitions settle every branch with a
-// persisted FSM state (a branch persisted in p2 commits, q2/w2 aborts,
-// decided states are kept); branches whose yes-vote never reached stable
-// storage cannot have been decided commit anywhere (the vote is written
-// ahead of its send), so they resolve to abort; then the store reopens,
-// replaying the WAL over the resolved log. simnet invokes this via the
-// RecoverFunc wired by NewShardedSiteOn.
+// Recover brings the site up from stable storage alone: an empty store, a
+// killed process's journal (NewShardedSiteOn) and a store frozen by a
+// simulated crash (simnet's RecoverFunc) are one case. The commit
+// protocol's failure transitions settle every branch with a persisted FSM
+// state (p2 commits, q2/w2 aborts, decided states are kept); branches whose
+// yes-vote never reached stable storage cannot have been decided commit
+// anywhere (the vote is written ahead of its send), so they resolve to
+// abort; then the store opens, replaying the WAL over the resolved log.
 func (s *Site) Recover() error {
 	st, err := s.net.Store(s.id)
 	if err != nil {
 		return fmt.Errorf("txn: recover site %d: %w", s.id, err)
 	}
-	// Failure transitions (Fig. 3.2). For branches the pre-crash Store
-	// object still had open this appends the commit/abort record via
-	// applyDecision; the volatile half of that object is discarded below.
-	decisions := s.cohort.RecoverAll()
-	// Settle any branch still in doubt on the log.
+	s.Store = nil // lost with the crash: in-doubt branches settle on the log
+	decisions, err := s.cohort.RecoverAll()
+	if err != nil {
+		return fmt.Errorf("txn: recover site %d: %w", s.id, err)
+	}
 	active, err := wal.Active(st)
 	if err != nil {
 		return fmt.Errorf("txn: recover site %d: %w", s.id, err)
 	}
 	for _, txn := range active {
+		// What the disk says wins over what this object remembers.
 		d, ok := decisions[txn]
 		if !ok {
 			d = s.cohort.Decision(txn)
@@ -530,11 +529,9 @@ func (s *Site) Recover() error {
 			s.OnApply(txn, d)
 		}
 	}
-	store, err := kvstore.OpenShards(st, s.Store.NumShards())
-	if err != nil {
+	if s.Store, err = kvstore.OpenShards(st, s.nshards); err != nil {
 		return fmt.Errorf("txn: recover site %d: %w", s.id, err)
 	}
-	s.Store = store
 	s.failed = map[string]bool{}
 	return nil
 }

@@ -243,6 +243,24 @@ type Outcome struct {
 	Committed bool
 }
 
+// Redo folds into db, in log order, the updates of the transactions in
+// committed; every other update is skipped, which equals undoing it from a
+// state it never reached. Physical records install their after-image;
+// logical records re-apply the operation — a logical record's absolute
+// image bakes in updates of concurrent transactions whose fate may differ.
+func Redo(recs []Record, committed map[string]bool, db map[string]string) {
+	for _, r := range recs {
+		if r.Kind != RecUpdate || !committed[r.Txn] {
+			continue
+		}
+		if r.Op == "" {
+			db[r.Key] = r.New
+		} else {
+			db[r.Key] = Apply(r.Op, db[r.Key], r.Arg)
+		}
+	}
+}
+
 // Recover reconstructs the database state from the log alone: committed
 // transactions' updates are redone, updates of uncommitted or aborted
 // transactions are undone (they never apply). It returns the recovered
@@ -268,22 +286,7 @@ func Recover(store *stable.Store) (map[string]string, []Outcome, error) {
 		}
 	}
 	db := map[string]string{}
-	// Redo pass: apply updates of committed transactions in log order.
-	// Uncommitted/aborted updates are skipped, which equals undoing them
-	// from an initially-empty volatile state. Physical records install
-	// their after-image; logical records re-apply the operation — folding,
-	// not copying, because a logical record's absolute image bakes in
-	// updates of concurrent transactions whose fate may differ.
-	for _, r := range recs {
-		if r.Kind != RecUpdate || !committed[r.Txn] {
-			continue
-		}
-		if r.Op == "" {
-			db[r.Key] = r.New
-		} else {
-			db[r.Key] = Apply(r.Op, db[r.Key], r.Arg)
-		}
-	}
+	Redo(recs, committed, db)
 	outcomes := make([]Outcome, 0, len(order))
 	for _, txn := range order {
 		outcomes = append(outcomes, Outcome{Txn: txn, Committed: committed[txn]})
@@ -296,9 +299,11 @@ func Recover(store *stable.Store) (map[string]string, []Outcome, error) {
 // managers to decide who needs the termination protocol).
 func Active(store *stable.Store) ([]string, error) {
 	recs, err := Records(store)
-	if err != nil {
-		return nil, err
-	}
+	return ActiveIn(recs), err
+}
+
+// ActiveIn is Active over an already-decoded log.
+func ActiveIn(recs []Record) []string {
 	state := map[string]bool{}
 	var order []string
 	for _, r := range recs {
@@ -318,5 +323,5 @@ func Active(store *stable.Store) ([]string, error) {
 			out = append(out, txn)
 		}
 	}
-	return out, nil
+	return out
 }
