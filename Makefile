@@ -18,9 +18,12 @@ race:
 # 2PL/lock-order analysis over the whole module, the spec linter over the
 # thesis corpus and the commutativity spec, and the generated-FSM-docs
 # staleness gate. Every layer runs by default; speccatlint -only <layer>
-# reruns any single layer in isolation.
+# reruns any single layer in isolation. The grep keeps the inert
+# tpc.Config.ScopedParticipants (declared only for bench/) from growing a
+# reader before it is deleted.
 lint:
 	$(GO) vet ./...
+	! grep -rn 'ScopedParticipants' --include='*.go' . | grep -v '^./bench/' | grep -v 'internal/tpc/tpc.go'
 	$(GO) run ./cmd/speccatlint ./...
 	$(GO) run ./cmd/speccatlint internal/core/speclang/testdata/thesis/*.sw internal/locking/comm.sw
 	$(GO) run ./cmd/speccatlint -fsm-check docs/fsm ./internal/...
@@ -35,12 +38,16 @@ lint:
 # harness (PR 13), the one-commit-path merge (PR 14: shared tpc endpoint,
 # one delivery recorder, no tpcserve mode flags), the retirement of the
 # second benchmark harness (PR 18), the one-discharge-path merge (PR 19:
-# the elaborator stops proving, tpcsim deleted) and the one-way-to-bring-
-# a-node-up merge (PR 21: constructors recover, one WAL redo fold) landed
-# at; raise one only with a reason.
+# the elaborator stops proving, tpcsim deleted), the one-way-to-bring-
+# a-node-up merge (PR 21: constructors recover, one WAL redo fold) and the
+# one-fan-out merge (PR 22: the all-cohorts arm and the cohorts' static
+# peer list deleted) landed at; raise one only with a reason. The one
+# raise so far: HARNESS 3028 -> 3044 in PR 22, exactly the 16 lines of the
+# durability oracle's missing-effects check — a check that was missing is
+# not what the budget exists to stop.
 ANALYSIS_LOC_BUDGET = 6512
-STACK_LOC_BUDGET = 4352
-HARNESS_LOC_BUDGET = 3028
+STACK_LOC_BUDGET = 4334
+HARNESS_LOC_BUDGET = 3044
 SERVING_LOC_BUDGET = 2063
 TOOLS_LOC_BUDGET = 1492
 PROOF_LOC_BUDGET = 6462
@@ -76,8 +83,8 @@ fsm-check:
 # must run clean, and the checked-in shrunk counterexamples must replay
 # byte-for-byte. Budget counts simulated runs, not wall time.
 explore:
-	$(GO) run ./cmd/tpcexplore -protocol 3pc-naive -seeds 40 -budget 400 -expect atomicity
-	$(GO) run ./cmd/tpcexplore -protocol 2pc -seeds 40 -budget 400 -expect progress
+	$(GO) run ./cmd/tpcexplore -protocol 3pc-naive -seeds 80 -budget 400 -expect atomicity
+	$(GO) run ./cmd/tpcexplore -protocol 2pc -seeds 80 -budget 400 -expect progress
 	$(GO) run ./cmd/tpcexplore -protocol 3pc -seeds 80 -budget 400 -expect none
 	$(GO) run ./cmd/tpcexplore -replay internal/explore/testdata/naive3pc_atomicity.json
 	$(GO) run ./cmd/tpcexplore -replay internal/explore/testdata/2pc_blocking.json

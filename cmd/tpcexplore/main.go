@@ -7,11 +7,11 @@
 //
 // Usage:
 //
-//	tpcexplore -protocol 3pc-naive -seeds 40            # rediscovers the naive-3PC atomicity violation
-//	tpcexplore -protocol 2pc -seeds 40                  # rediscovers 2PC blocking
+//	tpcexplore -protocol 3pc-naive -seeds 80            # rediscovers the naive-3PC atomicity violation
+//	tpcexplore -protocol 2pc -seeds 80                  # rediscovers 2PC blocking
 //	tpcexplore -protocol 3pc -seeds 80 -expect none     # full 3PC must run clean
 //	tpcexplore -replay internal/explore/testdata/naive3pc_atomicity.json
-//	tpcexplore -protocol 2pc -seeds 40 -out /tmp/traces # write shrunk traces
+//	tpcexplore -protocol 2pc -seeds 80 -out /tmp/traces # write shrunk traces
 //
 // The exploration is a pure function of its flags: rerunning the same
 // invocation reproduces the same findings, traces, and exit code. -budget

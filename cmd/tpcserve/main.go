@@ -18,13 +18,13 @@
 // settles in-doubt WAL branches and (node 1) re-announces every decided
 // outcome; an unrecoverable journal is a non-zero exit.
 //
-// There is one commit path. The journal is group-committed: records are
-// fsynced in batches at the commit protocol's divergence-mandated sync
-// points, concurrent commits sharing one fsync, and the sends that wait on
-// a batch re-enter the node's event loop when it lands. Every
-// transaction's prepare fan-out spans only the sites it touched. -shards N
-// hash-partitions a cohort's database into N shards (per-shard lock
-// managers and WAL sessions over the one journal).
+// There is one commit path and one fan-out, the one the explorer and
+// E8–E20 simulate: a commit protocol spans exactly the sites its
+// transaction sent work to. The journal is group-committed: records are
+// fsynced in batches at the protocol's divergence-mandated sync points,
+// concurrent commits sharing one fsync, and the sends that wait on a batch
+// re-enter the node's event loop when it lands. -shards N hash-partitions
+// a cohort's database (per-shard lock managers and WAL sessions, one journal).
 //
 // Client port line protocol (text, one command per line):
 //
@@ -158,7 +158,7 @@ func run(o runOptions) error {
 		return fmt.Errorf("-node %d not present in -cluster", o.node)
 	}
 
-	cfg := tpc.Config{ScopedParticipants: true}
+	var cfg tpc.Config
 	switch o.protocol {
 	case "3pc":
 		cfg.Protocol = tpc.ThreePhase

@@ -54,9 +54,9 @@ func CrossValidate(kindValue, protocol string, seeds []int64) (*CrossValidation,
 }
 
 func crossValidateSeed(kindValue, protocol string, seed int64) (*CrossValidation, error) {
-	base := explore.Schedule{Protocol: protocol, Seed: seed}
-
-	// Stage 1: fault-free probe for the time/send coordinates of the run.
+	// Stage 1: fault-free probe for the time/send coordinates of the run, over
+	// three-site transactions (stage 4 needs a backup with two peers to tell).
+	base := explore.Schedule{Protocol: protocol, Seed: seed, Workload: explore.WorkloadCrossPartition, Spread: 3}
 	probe, probeLog, err := explore.RunLogged(base)
 	if err != nil {
 		return nil, fmt.Errorf("durcheck: cross-validation probe: %w", err)

@@ -24,6 +24,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"speccat/internal/rt"
+	"speccat/internal/txn"
 )
 
 // reservePorts binds n ephemeral loopback listeners, records their
@@ -124,6 +127,19 @@ func dump(t *testing.T, addr string) map[string]string {
 	}
 	t.Fatalf("DUMP stream from %s ended without END: %v", addr, sc.Err())
 	return nil
+}
+
+// exchange sends each line to a client port and reads one reply per line,
+// returning the last.
+func exchange(t *testing.T, conn net.Conn, sc *bufio.Scanner, lines ...string) (reply string) {
+	t.Helper()
+	for _, line := range lines {
+		if _, err := fmt.Fprintln(conn, line); err != nil || !sc.Scan() {
+			t.Fatalf("%.60q: %v %v", line, err, sc.Err())
+		}
+		reply = sc.Text()
+	}
+	return reply
 }
 
 // e2e test shape shared by every cluster boot: node 1 coordinates, 2..4
@@ -350,4 +366,54 @@ func TestServeShardedAudit(t *testing.T) {
 		"-accounts", strconv.Itoa(accounts),
 	)
 	auditDump(t, cl, conc)
+}
+
+// TestServeRefusedStartwork: a transaction whose work for one site does not
+// fit a wire frame used to get "ERR ... oversized frame" with the branch it
+// had already opened at an earlier site left open: that site's keys stayed
+// locked until the cohort was restarted. A refused startwork is failed
+// work — the transaction aborts through the protocol, and the next
+// transaction on the same key commits.
+func TestServeRefusedStartwork(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess transcript is not a -short test")
+	}
+	dir := t.TempDir()
+	serveBin, _ := buildBinaries(t, dir)
+	cl := bootCluster(t, serveBin, filepath.Join(dir, "data"))
+
+	// Sites get their startwork in ID order: a small write homed on site 2
+	// opens its branch before the oversized work for site 3 is refused.
+	sites := []rt.NodeID{2, 3, 4}
+	var small string
+	var big []string
+	for i := 0; small == "" || len(big) < 3; i++ {
+		switch key := fmt.Sprintf("k%d", i); txn.SiteFor(sites, key) {
+		case 2:
+			small = key
+		case 3:
+			big = append(big, key)
+		}
+	}
+	conn, err := net.DialTimeout("tcp", cl.client[0], 5*time.Second)
+	if err != nil {
+		t.Fatalf("dial coordinator: %v", err)
+	}
+	defer conn.Close()
+	sc := bufio.NewScanner(conn)
+	sc.Buffer(nil, 1<<20)
+	lines := []string{"BEGIN big", "WRITE big " + small + " v"}
+	for _, key := range big[:3] { // 3 × 400 kB > the 1 MiB frame limit
+		lines = append(lines, "WRITE big "+key+" "+strings.Repeat("x", 400_000))
+	}
+	if reply := exchange(t, conn, sc, append(lines, "COMMIT big")...); reply != "DONE big ABORT" {
+		t.Fatalf("oversized transaction: %.120q, want DONE big ABORT", reply)
+	}
+	reply := exchange(t, conn, sc, "BEGIN after", "WRITE after "+small+" v", "COMMIT after")
+	if reply != "DONE after COMMIT" {
+		t.Fatalf("transaction on the key the refused one touched: %q (its branch is still open)", reply)
+	}
+	if got := dump(t, cl.client[1])[small]; got != "v" {
+		t.Fatalf("site 2 has %s=%q, want v", small, got)
+	}
 }

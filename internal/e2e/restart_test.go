@@ -82,13 +82,7 @@ func waitServing(t *testing.T, c *tpcCluster, tag string) {
 				lines = append(lines, fmt.Sprintf("READ %s w%d.a%d", name, w, a))
 			}
 		}
-		var reply string
-		for _, line := range append(lines, "COMMIT "+name) {
-			if _, err := fmt.Fprintln(conn, line); err != nil || !sc.Scan() {
-				t.Fatalf("probe %s: %q: %v %v", name, line, err, sc.Err())
-			}
-			reply = sc.Text()
-		}
+		reply := exchange(t, conn, sc, append(lines, "COMMIT "+name)...)
 		if strings.HasPrefix(reply, "DONE "+name+" COMMIT") {
 			return
 		}

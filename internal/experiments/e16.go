@@ -124,7 +124,7 @@ func runAndReplay(p tpc.Protocol, start func(ids []rt.NodeID) (*runningCluster, 
 	decCh := make(chan decided, 2*len(ids)) // every node decides both transactions
 	coord.OnDecide = func(txn string, dec tpc.Decision) { decCh <- decided{coordID, txn, dec} }
 	for _, id := range cohortIDs {
-		h, err := tpc.DeployCohort(cl.net(id), id, coordID, cohortIDs, cfg)
+		h, err := tpc.DeployCohort(cl.net(id), id, coordID, cfg)
 		if err != nil {
 			return ConformanceRow{}, fmt.Errorf("deploy: %w", err)
 		}

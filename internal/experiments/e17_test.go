@@ -77,7 +77,7 @@ func TestE17PartitionMidPrepare(t *testing.T) {
 	healed := make(chan struct{})
 	for _, id := range cohortIDs {
 		id := id
-		h, err := tpc.DeployCohort(cl.nets[id], id, coordID, cohortIDs, cfg)
+		h, err := tpc.DeployCohort(cl.nets[id], id, coordID, cfg)
 		if err != nil {
 			t.Fatalf("deploy cohort %d: %v", id, err)
 		}

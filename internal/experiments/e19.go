@@ -59,7 +59,7 @@ type E19Result struct {
 
 // e19Shape is the common workload shape of every arm: the cross-partition
 // mix spreads each write transaction over several accounts, so with 4-way
-// sharding most transactions span shards and the scoped prepare fan-out,
+// sharding most transactions span shards and the touched-sites fan-out,
 // per-shard branches, and shared-journal recovery are all on the hot path.
 const (
 	e19Accounts = 8

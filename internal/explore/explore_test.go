@@ -14,22 +14,26 @@ import (
 // when the engine or the explorer changes behavior.
 var update = flag.Bool("update", false, "regenerate golden traces")
 
-// ciSeeds is the seed budget the CI-facing discovery tests use; the
-// exploration is deterministic, so these tests either always find the
-// counterexample or never do.
-const ciSeeds = 40
+// ciSeeds is the seed budget the CI-facing discovery tests and all three
+// `make explore` sweeps use; the exploration is deterministic, so these
+// tests either always find the counterexample or never do. A default
+// transfer spans two of the three sites, so a random crash lands between
+// two prepares less often than it did over a three-cohort fan-out: of
+// seeds 1–200 naive 3PC splits on 13 (first 45, then 60, 69, 79 — three
+// witnesses of margin inside the budget) and 2PC blocks on 51 (first 2).
+const ciSeeds = 80
 
 // TestExplore3PCCleanUnderDesignFaults: within the paper's fault envelope
 // (one crash, reliable bounded-delay network, recovery only at event
 // granularity), full 3PC with the termination protocol must violate no
 // oracle on any seed.
 func TestExplore3PCCleanUnderDesignFaults(t *testing.T) {
-	rep, err := Explore(Options{Protocol: Proto3PC, Seeds: 80})
+	rep, err := Explore(Options{Protocol: Proto3PC, Seeds: ciSeeds})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.SeedsRun != 80 {
-		t.Fatalf("ran %d seeds, want 80", rep.SeedsRun)
+	if rep.SeedsRun != ciSeeds {
+		t.Fatalf("ran %d seeds, want %d", rep.SeedsRun, ciSeeds)
 	}
 	for _, f := range rep.Findings {
 		t.Errorf("3pc seed %d violated %v with faults %v: %+v",

@@ -55,7 +55,10 @@ func (r *runner) checkAtomicity() []Violation {
 // the transactions whose commit the site applied, in application order,
 // with each applied transaction's commutative operations folded over them
 // (mirroring the WAL's logical redo). Lost committed writes and
-// resurrected aborted writes both surface here.
+// resurrected aborted writes both surface here. That comparison is keyed
+// by what the site applied, so it cannot see effects that never arrived:
+// an up site that durably decided commit for a transaction it was sent
+// writes for, and never applied them, is convicted separately.
 func (r *runner) checkDurability() []Violation {
 	var out []Violation
 	for _, id := range r.cluster.SiteIDs {
@@ -80,6 +83,19 @@ func (r *runner) checkDurability() []Violation {
 					Detail: fmt.Sprintf("commit re-derivation failed: %v", err),
 				})
 				continue
+			}
+		}
+		for _, name := range r.submitted {
+			if _, applied := r.appliedAt[id][name]; applied || !r.net.Up(id) || len(r.writes[name][id])+len(r.classed[name][id]) == 0 {
+				continue
+			}
+			if d, err := tpc.DurableDecision(st, name); err == nil && d == tpc.DecisionCommit {
+				out = append(out, Violation{
+					Oracle: OracleDurability,
+					Txn:    name,
+					Site:   id,
+					Detail: "site durably decided commit for a transaction it was sent writes for and never applied them",
+				})
 			}
 		}
 		expected := map[string]string{}

@@ -17,11 +17,10 @@ type cohortTxn struct {
 	// termination-protocol bookkeeping (when this cohort is the backup).
 	gathering  bool
 	stateResps map[rt.NodeID]State
-	// peers is this transaction's scoped participant set, learned from
-	// the commit request; nil means the cohort's full static peer list.
-	// Termination (backup election, state gathering, dissemination) runs
-	// over exactly this set, so a scoped transaction never waits on
-	// sites it did not touch.
+	// peers is this transaction's participant set (self included), learned
+	// from the commit request — the only way into w2. Termination (backup
+	// election, state gathering, dissemination) runs over exactly this
+	// set, so a transaction never waits on sites it did not touch.
 	peers []rt.NodeID
 }
 
@@ -30,7 +29,6 @@ type cohortTxn struct {
 type Cohort struct {
 	endpoint
 	coord rt.NodeID
-	peers []rt.NodeID // all cohorts, including self
 	txns  map[string]*cohortTxn
 	// Vote returns the phase-1 vote for a transaction (nil: always yes).
 	Vote func(txn string) bool
@@ -39,13 +37,10 @@ type Cohort struct {
 	OnBlocked func(txn string)
 }
 
-// NewCohort creates a cohort on site id for the given coordinator; peers
-// lists all cohort sites (for the termination protocol).
-func NewCohort(net rt.Transport, id, coord rt.NodeID, peers []rt.NodeID, cfg Config) *Cohort {
-	return &Cohort{
-		endpoint: newEndpoint(net, id, cfg),
-		coord:    coord, peers: append([]rt.NodeID{}, peers...), txns: map[string]*cohortTxn{},
-	}
+// NewCohort creates a cohort on site id for the given coordinator. It
+// learns each transaction's peers from that transaction's commit request.
+func NewCohort(net rt.Transport, id, coord rt.NodeID, cfg Config) *Cohort {
+	return &Cohort{endpoint: newEndpoint(net, id, cfg), coord: coord, txns: map[string]*cohortTxn{}}
 }
 
 func (h *Cohort) txn(name string) *cohortTxn {
@@ -64,7 +59,7 @@ func (h *Cohort) HandleMessage(m rt.Message) bool {
 	switch m.Kind {
 	case KindCommitReq:
 		p, ok := m.Payload.(txnMsg)
-		if !ok {
+		if !ok || len(p.Participants) == 0 { // a request names at least its receiver
 			return h.badPayload(m)
 		}
 		h.onCommitReq(p.Txn, p.Participants)
@@ -124,16 +119,14 @@ func (h *Cohort) HandleMessage(m rt.Message) bool {
 }
 
 // onCommitReq is the q2 transition: vote and move to w2 (yes) or a2 (no).
-// A scoped commit request names the participant set the transaction's
-// termination protocol runs over.
+// The request names the participant set the transaction's termination
+// protocol runs over.
 func (h *Cohort) onCommitReq(txn string, participants []rt.NodeID) {
 	t := h.txn(txn)
 	if t.state != StateInitial {
 		return
 	}
-	if len(participants) > 0 {
-		t.peers = append([]rt.NodeID{}, participants...)
-	}
+	t.peers = append([]rt.NodeID{}, participants...)
 	yes := h.Vote == nil || h.Vote(txn)
 	if !yes {
 		h.send(h.coord, KindVoteNo, txnMsg{Txn: txn})
@@ -248,7 +241,7 @@ func (h *Cohort) startTermination(txn string, t *cohortTxn) {
 	}
 	t.gathering = true
 	t.stateResps = map[rt.NodeID]State{h.id: t.state}
-	for _, p := range h.peersFor(t) {
+	for _, p := range t.peers {
 		if p == h.id {
 			continue
 		}
@@ -257,20 +250,10 @@ func (h *Cohort) startTermination(txn string, t *cohortTxn) {
 	h.net.After(h.id, 2*h.net.Delta()+2, func() { h.terminationDecide(txn, t) })
 }
 
-// peersFor returns the participant set termination runs over for one
-// transaction: its scoped set when the commit request carried one, the
-// full static peer list otherwise (a fresh copy, per rt confinement).
-func (h *Cohort) peersFor(t *cohortTxn) []rt.NodeID {
-	if len(t.peers) > 0 {
-		return append([]rt.NodeID{}, t.peers...)
-	}
-	return append([]rt.NodeID{}, h.peers...)
-}
-
 // backup returns the lowest operational participant, the deterministic
 // election the thesis's voting protocol provides.
 func (h *Cohort) backup(t *cohortTxn) rt.NodeID {
-	ids := h.peersFor(t)
+	ids := append([]rt.NodeID{}, t.peers...)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		if h.net.Up(id) {
@@ -322,7 +305,7 @@ func (h *Cohort) terminationDecide(txn string, t *cohortTxn) {
 		// aborts, and atomicity splits. durcheck flags this shape as
 		// dur-send; the suppressions below keep the ablation compiling
 		// against a clean lint run.
-		for _, p := range h.peersFor(t) {
+		for _, p := range t.peers {
 			if p != h.id {
 				//lint:allow rt-sendorder E15 ablation deliberately disseminates before the decide transition; the conformance runs never enable UnsafeTermination
 				h.send(p, kind, txnMsg{Txn: txn}) //dur:ignore E15 ablation deliberately preserves the unsafe disseminate-before-persist ordering behind Config.UnsafeTermination
@@ -335,7 +318,7 @@ func (h *Cohort) terminationDecide(txn string, t *cohortTxn) {
 	// peer can learn it. The original ordering disseminated first — the
 	// violation durcheck was built to catch (see Config.UnsafeTermination).
 	h.decide(txn, d, CauseTerminate)
-	for _, p := range h.peersFor(t) {
+	for _, p := range t.peers {
 		if p != h.id {
 			h.send(p, kind, txnMsg{Txn: txn})
 		}

@@ -13,8 +13,7 @@ type coordTxn struct {
 	votes map[rt.NodeID]bool // yes-votes received
 	acks  map[rt.NodeID]bool
 	timer rt.Timer
-	// parts is the site set this transaction's fan-out spans: its scoped
-	// participants (BeginWith), or every cohort the coordinator manages.
+	// parts is the site set this transaction's fan-out spans (BeginWith).
 	parts []rt.NodeID
 }
 
@@ -35,28 +34,25 @@ func NewCoordinator(net rt.Transport, id rt.NodeID, cohorts []rt.NodeID, cfg Con
 	}
 }
 
-// newTxn returns a fresh transaction record spanning participants (nil:
-// every cohort), resolved once into the coordinator's own copy.
+// newTxn returns a fresh transaction record spanning participants, held
+// as the coordinator's own copy.
 func (c *Coordinator) newTxn(participants []rt.NodeID) *coordTxn {
-	if participants == nil {
-		participants = c.cohorts
-	}
 	return &coordTxn{
 		votes: map[rt.NodeID]bool{}, acks: map[rt.NodeID]bool{},
 		parts: append([]rt.NodeID{}, participants...),
 	}
 }
 
-// Begin starts the commit protocol for txn with the full cohort set.
-func (c *Coordinator) Begin(txn string) error { return c.BeginWith(txn, nil) }
+// Begin starts the commit protocol for txn over every cohort the
+// coordinator manages — the work-less harnesses' (Group) participant set.
+func (c *Coordinator) Begin(txn string) error { return c.BeginWith(txn, c.cohorts) }
 
 // BeginWith starts the commit protocol for txn over exactly the given
-// participant sites: the coordinator moves q1→w1 and multicasts the
-// commit request to them (nil means all cohorts — the unscoped Begin).
-// An empty non-nil set means the transaction touched no data site: there
-// is nothing to prepare and nobody to wait for, so it commits
-// immediately. It is not message dispatch, so it opts into the
-// durability analysis explicitly.
+// participant sites — the one fan-out there is: the coordinator moves
+// q1→w1 and multicasts the commit request, which names them, to them. An
+// empty set means the transaction touched no data site: there is nothing
+// to prepare and nobody to wait for, so it commits immediately. It is not
+// message dispatch, so it opts into the durability analysis explicitly.
 //
 // The w1 record is deliberately not forced to disk before the commit
 // requests leave (group commit): a coordinator that crashes with an
@@ -73,16 +69,11 @@ func (c *Coordinator) BeginWith(txn string, participants []rt.NodeID) error {
 	c.txns[txn] = ct
 	c.emit(txn, StateInitial, StateWait, CauseMessage)
 	c.persist(txn, StateWait)
-	if participants != nil && len(ct.parts) == 0 {
+	if len(ct.parts) == 0 {
 		c.commit(txn, ct, CauseMessage)
 		return nil
 	}
-	// Only a scoped request names its participants, which keeps the wire
-	// encoding of unscoped runs what it was before scoping existed.
-	req := txnMsg{Txn: txn}
-	if participants != nil {
-		req.Participants = ct.parts
-	}
+	req := txnMsg{Txn: txn, Participants: ct.parts}
 	for _, ch := range ct.parts {
 		if err := c.net.Send(c.id, ch, KindCommitReq, req); err != nil {
 			return fmt.Errorf("tpc: begin %s: %w", txn, err)
@@ -270,7 +261,7 @@ func (c *Coordinator) RecoverAll() (map[string]Decision, error) {
 	for _, rec := range recs {
 		ct, ok := c.txns[rec.txn]
 		if !ok {
-			ct = c.newTxn(nil)
+			ct = c.newTxn(c.cohorts) // participants are not logged: re-announce to everyone
 			c.txns[rec.txn] = ct
 		}
 		ct.state = rec.state

@@ -39,9 +39,9 @@ func DeployCoordinator(net rt.Transport, coordID rt.NodeID, cohortIDs []rt.NodeI
 
 // DeployCohort registers and wires only one cohort engine (see
 // DeployCoordinator).
-func DeployCohort(net rt.Transport, id, coordID rt.NodeID, cohortIDs []rt.NodeID, cfg Config) (*Cohort, error) {
+func DeployCohort(net rt.Transport, id, coordID rt.NodeID, cfg Config) (*Cohort, error) {
 	net.AddNode(id, nil)
-	h := NewCohort(net, id, coordID, cohortIDs, cfg)
+	h := NewCohort(net, id, coordID, cfg)
 	if err := net.SetHandler(id, func(m rt.Message) { h.HandleMessage(m) }); err != nil {
 		return nil, fmt.Errorf("%w: cohort %d: %w", ErrWire, id, err)
 	}
@@ -64,7 +64,7 @@ func Deploy(net rt.Transport, n int, cfg Config) (*Deployment, error) {
 		return nil, err
 	}
 	for _, id := range cohortIDs {
-		if d.Cohorts[id], err = DeployCohort(net, id, coordID, cohortIDs, cfg); err != nil {
+		if d.Cohorts[id], err = DeployCohort(net, id, coordID, cfg); err != nil {
 			return nil, err
 		}
 	}

@@ -7,10 +7,10 @@ import (
 	"speccat/internal/simnet" //lint:allow rt-boundary test drives the simulator harness directly
 )
 
-// scopedGroup builds a group with ScopedParticipants on.
+// scopedGroup builds the group the participant-scoping tests share.
 func scopedGroup(t *testing.T, n int) *Group {
 	t.Helper()
-	g, err := NewGroup(1, n, Config{Protocol: ThreePhase, ScopedParticipants: true})
+	g, err := NewGroup(1, n, Config{Protocol: ThreePhase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestScopedEmptyParticipantsCommitsImmediately(t *testing.T) {
 func TestScopedTerminationRunsOverParticipants(t *testing.T) {
 	sched := sim.NewScheduler(7)
 	net := simnet.New(sched, simnet.DefaultOptions())
-	g, err := NewGroupOn(net, 4, Config{Protocol: ThreePhase, ScopedParticipants: true})
+	g, err := NewGroupOn(net, 4, Config{Protocol: ThreePhase})
 	if err != nil {
 		t.Fatal(err)
 	}

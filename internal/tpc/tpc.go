@@ -165,11 +165,10 @@ const (
 )
 
 // txnMsg is the common payload: every protocol message names its
-// transaction. Participants rides only on scoped commit requests (see
-// Config.ScopedParticipants): it tells each cohort which sites this
-// transaction's termination protocol runs over. Absent (nil) means the
-// cohort's full static peer set, which keeps the wire encoding of
-// unscoped runs byte-identical to before the field existed.
+// transaction. Participants rides on every commit request and on nothing
+// else: it tells each cohort which sites (itself included) this
+// transaction's termination protocol runs over. A cohort rejects a commit
+// request without it as malformed.
 type txnMsg struct {
 	Txn          string
 	Participants []rt.NodeID `json:",omitempty"`
@@ -219,15 +218,10 @@ type Config struct {
 	// flags statically and the E15 cross-validation exhibits dynamically
 	// as an atomicity split. It exists for that ablation only.
 	UnsafeTermination bool
-	// ScopedParticipants, when true, makes the master hand the
-	// coordinator the exact site set each transaction touched
-	// (Coordinator.BeginWith): the commit protocol's fan-out — commit
-	// requests, prepares, decisions, and the cohorts' termination
-	// protocol — spans only those participants instead of every cohort
-	// in the cluster. A transaction touching no site commits
-	// immediately. Off by default: the unscoped all-cohorts fan-out is
-	// the coordinate system existing fault schedules (and their golden
-	// counterexamples) address sends by.
+	// Deprecated: ScopedParticipants has no effect. The commit protocol
+	// always spans exactly the sites a transaction sent work to; the field
+	// stays declared only because bench/layers.go and bench/tcluster.go
+	// set it by name, and goes when a PR may edit bench/.
 	ScopedParticipants bool
 }
 

@@ -20,10 +20,12 @@ import (
 // siteIDs are the data sites, which may live in other processes.
 func NewMasterOn(net rt.Transport, masterID rt.NodeID, siteIDs []rt.NodeID, cfg tpc.Config) (*Master, error) {
 	m := &Master{
-		net: net, id: masterID,
+		net: net, id: masterID, sites: map[rt.NodeID]bool{},
 		coord:   tpc.NewCoordinator(net, masterID, siteIDs, cfg),
 		pending: map[string]*pending{},
-		scoped:  cfg.ScopedParticipants,
+	}
+	for _, id := range siteIDs {
+		m.sites[id] = true
 	}
 	m.coord.OnDecide = m.onDecide
 	if err := wire(net, masterID, m.RecoverCoordinator, m.handle); err != nil {
@@ -38,14 +40,16 @@ func NewMasterOn(net rt.Transport, masterID rt.NodeID, siteIDs []rt.NodeID, cfg 
 // settles that process's in-doubt branches before it serves. The site node
 // must already be registered on the transport. The database is
 // hash-partitioned into nshards shards (own lock manager and WAL session
-// each) over that one store; nshards < 1 is an error.
-func NewShardedSiteOn(net rt.Transport, id, masterID rt.NodeID, siteIDs []rt.NodeID, cfg tpc.Config, nshards int) (*Site, error) {
+// each) over that one store; nshards < 1 is an error. The site-list
+// parameter is unused — a cohort learns each transaction's peers from its
+// commit request — and stays only because bench/tcluster.go passes it.
+func NewShardedSiteOn(net rt.Transport, id, masterID rt.NodeID, _ []rt.NodeID, cfg tpc.Config, nshards int) (*Site, error) {
 	site := &Site{net: net, id: id, nshards: nshards, masterID: masterID}
-	site.cohort = tpc.NewCohort(net, id, masterID, siteIDs, cfg)
-	// Scoped commit requests go only where work went: no open branch, work lost.
-	site.cohort.Vote = func(txn string) bool {
-		return !site.failed[txn] && (!cfg.ScopedParticipants || site.Store.Prepared(txn))
-	}
+	site.cohort = tpc.NewCohort(net, id, masterID, cfg)
+	// A commit request goes only where work went, so yes means "my work
+	// went fine AND I hold the branch open": with no open branch the
+	// startwork was lost (or refused), and the transaction must abort.
+	site.cohort.Vote = func(txn string) bool { return !site.failed[txn] && site.Store.Prepared(txn) }
 	site.cohort.OnDecide = site.applyDecision
 	if err := wire(net, id, site.Recover, site.handle); err != nil {
 		return nil, err

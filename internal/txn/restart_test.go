@@ -84,7 +84,7 @@ func noneActive(t *testing.T, st *stable.Store) {
 func TestConstructionRecovers(t *testing.T) {
 	for _, proto := range []tpc.Protocol{tpc.ThreePhase, tpc.TwoPhase} {
 		for _, shards := range []int{1, 4} {
-			cfg := tpc.Config{Protocol: proto, ScopedParticipants: true}
+			cfg := tpc.Config{Protocol: proto}
 			t.Run(fmt.Sprintf("%s/shards=%d", proto, shards), func(t *testing.T) {
 				t.Run("cohort in p commits", func(t *testing.T) { cohortPrepared(t, cfg, shards) })
 				t.Run("cohort in w aborts", func(t *testing.T) { cohortWaiting(t, cfg, shards) })
@@ -93,6 +93,8 @@ func TestConstructionRecovers(t *testing.T) {
 				t.Run("decided history costs no sync", func(t *testing.T) { decidedHistory(t, cfg, shards) })
 				t.Run("lost work votes no", func(t *testing.T) { lostWork(t, cfg, shards) })
 				t.Run("lost startwork votes no", func(t *testing.T) { lostStartwork(t, cfg, shards) })
+				t.Run("refused startwork aborts", func(t *testing.T) { refusedStartwork(t, cfg, shards) })
+				t.Run("master crashed mid-submit aborts on recovery", func(t *testing.T) { crashedMidSubmit(t, cfg, shards) })
 				if proto == tpc.TwoPhase {
 					t.Run("new master unblocks cohorts", func(t *testing.T) { newMasterUnblocks(t, cfg, shards) })
 				}
@@ -231,22 +233,119 @@ func lostWork(t *testing.T, cfg tpc.Config, shards int) {
 
 // The frames a coordinator writes into a connection whose peer just died
 // are gone. When one is a startwork, the work timeout starts the protocol
-// anyway, and the site that never saw the work must not answer yes: scoped
-// commit requests go only where work went.
+// anyway, and the site that never saw the work must not answer yes: a
+// commit request goes only where work went, so no open branch means the
+// work was lost. The transaction aborts everywhere and leaves no lock.
 func lostStartwork(t *testing.T, cfg tpc.Config, shards int) {
 	net := usedNet(t, func(map[simnet.NodeID]*stable.Store) {})
 	c, err := construct(net, cfg, shards)
 	mustOK(t, err)
 	net.OnSend = func(_ uint64, m simnet.Message) simnet.SendFault {
-		return simnet.SendFault{Drop: m.Kind == kindWork && m.To == siteA}
+		return simnet.SendFault{Drop: m.Kind == kindWork && m.To == siteB}
 	}
 	ops := []Op{{Site: siteA, Key: "x", Value: "1", IsWrite: true}, {Site: siteB, Key: "y", Value: "2", IsWrite: true}}
 	if res := submitAndRun(t, c, "T", ops); res.Decision != tpc.DecisionAbort {
 		t.Fatalf("transaction half of whose work was lost: %s, want abort", res.Decision)
 	}
-	if y := c.Sites[siteB].Store.Read("y"); y != "" {
-		t.Fatalf("half a transaction applied: y=%q", y)
+	net.OnSend = nil
+	abortedAndUnlocked(t, c, ops)
+}
+
+// abortedAndUnlocked requires that neither of ops' writes is visible and
+// that a fresh transaction issuing the same writes commits.
+func abortedAndUnlocked(t *testing.T, c *Cluster, ops []Op) {
+	t.Helper()
+	if x, y := c.Sites[siteA].Store.Read("x"), c.Sites[siteB].Store.Read("y"); x != "" || y != "" {
+		t.Fatalf("half a transaction applied: x=%q y=%q", x, y)
 	}
+	if res := submitAndRun(t, c, "fresh", ops); res.Decision != tpc.DecisionCommit {
+		t.Fatalf("fresh transaction on the aborted transaction's keys: %s, want commit", res.Decision)
+	}
+}
+
+// refusing is a transport that returns an error for the sends refuse
+// picks, the way rt/tcp does for a frame over its size limit.
+type refusing struct {
+	*simnet.Network
+	refuse func(to simnet.NodeID, kind string) bool
+	sends  int
+}
+
+func (r *refusing) Send(from, to rt.NodeID, kind string, payload any) error {
+	r.sends++
+	if r.refuse(to, kind) {
+		return errors.New("refused")
+	}
+	return r.Network.Send(from, to, kind, payload)
+}
+
+// A startwork the transport refuses is failed work, not a failed Submit:
+// the site it never reached votes no, so the branch already open at the
+// other site aborts — through the protocol, before the work timer (8δ)
+// could fire — and its locks go with it. A site the master does not manage
+// is refused before anything is sent, and the name is not burnt.
+func refusedStartwork(t *testing.T, cfg tpc.Config, shards int) {
+	net := usedNet(t, func(map[simnet.NodeID]*stable.Store) {})
+	c, err := construct(net, cfg, shards)
+	mustOK(t, err)
+	tr := &refusing{Network: net, refuse: func(to simnet.NodeID, kind string) bool { return kind == kindWork && to == siteB }}
+	c.Master, err = NewMasterOn(tr, master, c.SiteIDs, cfg)
+	mustOK(t, err)
+	ops := []Op{{Site: siteA, Key: "x", Value: "1", IsWrite: true}, {Site: siteB, Key: "y", Value: "2", IsWrite: true}}
+	var res *Result
+	mustOK(t, c.Master.Submit("T", ops, func(r *Result) { res = r }))
+	net.Scheduler().RunUntil(8*net.Delta() - 1)
+	if res == nil || res.Decision != tpc.DecisionAbort {
+		t.Fatalf("transaction one of whose startworks was refused: %+v, want abort before the work timeout", res)
+	}
+	c.Run()
+	for id, site := range c.Sites {
+		if site.Store.Prepared("T") {
+			t.Fatalf("site %d still holds T's branch open", id)
+		}
+	}
+	tr.refuse = func(simnet.NodeID, string) bool { return false }
+	abortedAndUnlocked(t, c, ops)
+
+	sent := tr.sends
+	stray := append([]Op{{Site: 9, Key: "z", Value: "3", IsWrite: true}}, ops...)
+	if err := c.Master.Submit("U", stray, nil); !errors.Is(err, ErrUnknownSite) {
+		t.Fatalf("Submit with an unmanaged site: %v, want ErrUnknownSite", err)
+	}
+	if tr.sends != sent {
+		t.Fatalf("%d sends before the unknown site was refused", tr.sends-sent)
+	}
+	if res := submitAndRun(t, c, "U", ops); res.Decision != tpc.DecisionCommit {
+		t.Fatalf("name refused with ErrUnknownSite was burnt: %s", res.Decision)
+	}
+}
+
+// A master that crashes between two startworks fails Submit; when it comes
+// back it runs the protocol for the submission it still holds, the site the
+// work never reached votes no, and the other site's branch is released.
+func crashedMidSubmit(t *testing.T, cfg tpc.Config, shards int) {
+	net := usedNet(t, func(map[simnet.NodeID]*stable.Store) {})
+	c, err := construct(net, cfg, shards)
+	mustOK(t, err)
+	net.OnSend = func(_ uint64, m simnet.Message) simnet.SendFault {
+		return simnet.SendFault{CrashSender: m.Kind == kindWork && m.To == siteB}
+	}
+	ops := []Op{{Site: siteA, Key: "x", Value: "1", IsWrite: true}, {Site: siteB, Key: "y", Value: "2", IsWrite: true}}
+	var res *Result
+	if err := c.Master.Submit("T", ops, func(r *Result) { res = r }); !errors.Is(err, simnet.ErrNodeDown) {
+		t.Fatalf("Submit on a master that crashed mid-submission: %v, want ErrNodeDown", err)
+	}
+	net.OnSend = nil
+	c.Run()
+	if !c.Sites[siteA].Store.Prepared("T") || res != nil {
+		t.Fatalf("staging: siteA holds no branch, or T was decided (%+v) with its master down", res)
+	}
+	mustOK(t, net.Recover(master))
+	c.Run()
+	if res == nil || res.Decision != tpc.DecisionAbort {
+		t.Fatalf("after the master's recovery: %+v, want abort", res)
+	}
+	abortedAndUnlocked(t, c, ops)
 }
 
 // (e) a state record that does not decode stops the constructor — and a
@@ -354,7 +453,7 @@ func TestInDoubtOutcomeSurvivesPeerQueue(t *testing.T) {
 		putState(st, fmt.Sprintf("h%04d", i), "c")
 		st.Put(fmt.Sprintf("tpc/h%04d/decision", i), []byte("commit"))
 	}
-	cfg := tpc.Config{ScopedParticipants: true}
+	cfg := tpc.Config{}
 	coord := up(master, st)
 	if _, err := NewMasterOn(coord, master, []rt.NodeID{siteA}, cfg); err != nil {
 		t.Fatal(err)

@@ -11,13 +11,13 @@ import (
 )
 
 // shardedCluster builds a cluster whose sites are 4-way hash-sharded with
-// scoped participants and group-committed stores — the full serving-path
-// configuration, in the simulator.
+// group-committed stores — the full serving-path configuration, in the
+// simulator.
 func shardedCluster(t *testing.T, seed int64, n int) *Cluster {
 	t.Helper()
 	sched := sim.NewScheduler(seed)
 	net := simnet.New(sched, simnet.DefaultOptions())
-	c, err := NewShardedClusterOn(net, n, tpc.Config{Protocol: tpc.ThreePhase, ScopedParticipants: true}, 4)
+	c, err := NewShardedClusterOn(net, n, tpc.Config{Protocol: tpc.ThreePhase}, 4)
 	mustOK(t, err)
 	for _, id := range append([]simnet.NodeID{c.MasterID}, c.SiteIDs...) {
 		st, err := net.Store(id)

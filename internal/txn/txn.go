@@ -80,7 +80,8 @@ type doneMsg struct {
 	Reads map[string]string
 }
 
-// ErrUnknownSite is returned for operations on unregistered sites.
+// ErrUnknownSite is returned by Submit, before anything is sent, for an
+// operation on a site the master does not manage.
 var ErrUnknownSite = errors.New("txn: unknown site")
 
 // Result is the final outcome of a distributed transaction.
@@ -101,15 +102,23 @@ type pending struct {
 	onDone  func(*Result)
 }
 
+// sites lists the sites the transaction has work for, in ID order.
+func (p *pending) sites() []rt.NodeID {
+	sites := make([]rt.NodeID, 0, len(p.ops))
+	for site := range p.ops {
+		sites = append(sites, site)
+	}
+	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
+	return sites
+}
+
 // Master coordinates distributed transactions from one site.
 type Master struct {
 	net     rt.Transport
 	id      rt.NodeID
+	sites   map[rt.NodeID]bool // the data sites this master manages
 	coord   *tpc.Coordinator
 	pending map[string]*pending
-	// scoped makes the commit protocol span only the sites a transaction
-	// actually touched (tpc.Config.ScopedParticipants).
-	scoped bool
 	// NoWorkTimeout disables the work-phase abort timer: the master waits
 	// for workdone/workfail indefinitely, trusting each site's lock manager
 	// to convict stuck transactions via its deadlock detector. It is half
@@ -149,8 +158,8 @@ type Site struct {
 	cohort   *tpc.Cohort
 	masterID rt.NodeID
 	// failed marks local branches that could not complete their work: the
-	// site votes no for them. Sites with no branch for a transaction vote
-	// yes trivially (they have nothing to make durable).
+	// site votes no for them, as it does for a transaction whose branch it
+	// does not hold open (see NewShardedSiteOn).
 	failed map[string]bool
 	// OnOp, when non-nil, observes every data operation this site executes,
 	// in execution order (= lock acquisition order under strict 2PL). Fault
@@ -206,9 +215,17 @@ func (s *Site) noteUnhandled(msg rt.Message) {
 func (s *Site) Unhandled() int { return s.unhandled }
 
 // Submit starts a distributed transaction; onDone fires with the outcome.
+// A nil return means the transaction will be decided: a startwork the
+// transport refuses fails that site's work, it does not fail Submit. On a
+// crashed master Submit fails and the master's recovery decides it.
 func (m *Master) Submit(txn string, ops []Op, onDone func(*Result)) error {
 	if _, dup := m.pending[txn]; dup {
 		return fmt.Errorf("txn: %s already submitted", txn)
+	}
+	for _, op := range ops {
+		if !m.sites[op.Site] {
+			return fmt.Errorf("txn: submit %s: %w: %d", txn, ErrUnknownSite, op.Site)
+		}
 	}
 	p := &pending{
 		ops:    map[rt.NodeID][]Op{},
@@ -223,14 +240,15 @@ func (m *Master) Submit(txn string, ops []Op, onDone func(*Result)) error {
 	// Fig. 3.1: startwork to every involved cohort, in parallel. Sites are
 	// contacted in ID order so the global send sequence — the coordinate
 	// system fault schedules target — is identical across replays.
-	sites := make([]rt.NodeID, 0, len(p.ops))
-	for site := range p.ops {
-		sites = append(sites, site)
-	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-	for _, site := range sites {
+	for _, site := range p.sites() {
 		if err := m.net.Send(m.id, site, kindWork, workMsg{Txn: txn, Ops: p.ops[site]}); err != nil {
-			return fmt.Errorf("txn: submit %s: %w", txn, err)
+			if !m.net.Up(m.id) { // crashed: RecoverCoordinator runs the protocol
+				return fmt.Errorf("txn: submit %s: %w", txn, err)
+			}
+			// The site never opens its branch, so it votes no: running the
+			// protocol now aborts the branches already open elsewhere
+			// instead of leaving them locked behind a burnt name.
+			return m.startCommit(txn, p)
 		}
 	}
 	// A transaction touching no data commits trivially via the protocol.
@@ -295,23 +313,15 @@ func (m *Master) handle(msg rt.Message) {
 
 // startCommit launches the atomic commitment protocol. A failed work phase
 // still runs the protocol (the failing site votes no), keeping the
-// decision path uniform. Under scoped participation the protocol spans
-// exactly the sites the transaction sent work to — untouched sites never
+// decision path uniform. The protocol spans exactly the sites the
+// transaction sent work to (Fig. 3.1's cohorts) — untouched sites never
 // see a commit request, and a dataless transaction commits immediately.
 func (m *Master) startCommit(txn string, p *pending) error {
 	if p.started {
 		return nil
 	}
 	p.started = true
-	if !m.scoped {
-		return m.coord.Begin(txn)
-	}
-	sites := make([]rt.NodeID, 0, len(p.ops))
-	for site := range p.ops {
-		sites = append(sites, site)
-	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-	return m.coord.BeginWith(txn, sites)
+	return m.coord.BeginWith(txn, p.sites())
 }
 
 func (m *Master) onDecide(txn string, d tpc.Decision) {
