@@ -10,13 +10,13 @@
 //	tpcexplore -protocol 3pc-naive -seeds 80            # rediscovers the naive-3PC atomicity violation
 //	tpcexplore -protocol 2pc -seeds 80                  # rediscovers 2PC blocking
 //	tpcexplore -protocol 3pc -seeds 80 -expect none     # full 3PC must run clean
+//	tpcexplore -protocol 3pc-unsafe-term -seeds 80      # E15's ablation: termination disseminates before it persists
 //	tpcexplore -replay internal/explore/testdata/naive3pc_atomicity.json
 //	tpcexplore -protocol 2pc -seeds 80 -out /tmp/traces # write shrunk traces
 //
-// The exploration is a pure function of its flags: rerunning the same
-// invocation reproduces the same findings, traces, and exit code. -budget
-// bounds the number of simulated runs (not wall time), so CI invocations
-// are bounded deterministically.
+// The exploration is a pure function of its flags: the same invocation
+// reproduces the same findings, traces and exit code. -budget bounds the
+// number of simulated runs (not wall time), so CI runs are bounded too.
 package main
 
 import (
@@ -37,7 +37,7 @@ func main() {
 }
 
 func run() error {
-	protocol := flag.String("protocol", "3pc", "protocol variant: 3pc, 3pc-naive, or 2pc")
+	protocol := flag.String("protocol", "3pc", "protocol variant: 3pc, 3pc-naive, 3pc-unsafe-term, or 2pc")
 	seeds := flag.Int("seeds", 32, "number of root seeds to explore")
 	startSeed := flag.Int64("seed", 1, "first root seed")
 	budget := flag.Int("budget", 0, "max simulated runs, probes and shrinking included (0 = unlimited)")

@@ -263,9 +263,9 @@ func run(sel func(string) bool, seed int64, txns, workers int) (proofs []provesc
 		if err != nil {
 			return nil, err
 		}
-		for _, r := range []experiments.E19Row{res.Unsharded, res.Sharded, res.Grouped} {
-			fmt.Printf("  %-14s shards=%d group=%-5v seeds=%d txns/seed=%d: %4d committed, %3d aborted; %.2f commits/ktick; %4d syncs (%.2f/commit); %s\n",
-				r.Label, r.Shards, r.GroupCommit, r.Seeds, r.Txns, r.Committed, r.Aborted, r.Throughput, r.Syncs, r.SyncsPerCommit, verdict(r.Violated, "oracles clean"))
+		for _, r := range []experiments.E19Row{res.Unsharded, res.Sharded} {
+			fmt.Printf("  %-14s shards=%d seeds=%d txns/seed=%d: %4d committed, %3d aborted; %.2f commits/ktick; %4d syncs (%.2f/commit); %s\n",
+				r.Label, r.Shards, r.Seeds, r.Txns, r.Committed, r.Aborted, r.Throughput, r.Syncs, r.SyncsPerCommit, verdict(r.Violated, "oracles clean"))
 		}
 		fmt.Printf("  crash-at-batch-boundary sweep (%d seeds): %s\n", res.CrashSeeds,
 			verdict(res.CrashViolated, "every oracle clean — the synced prefix re-derives lost commit records on restart"))

@@ -1,12 +1,15 @@
 package durcheck
 
 import (
+	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 
 	"speccat/internal/analysis"
 	"speccat/internal/analysis/analysistest"
+	"speccat/internal/explore"
 )
 
 // loadRepo loads this repository's internal tree.
@@ -152,5 +155,30 @@ func TestCrossValidateNegativeControl(t *testing.T) {
 	}
 	if cv != nil {
 		t.Fatalf("unexpected witness against the write-ahead engine: seed %d violates %v", cv.Seed, cv.Violated)
+	}
+}
+
+// TestWitnessIsExplorerGolden ties the explorer's third golden to E15: the
+// schedule internal/explore replays byte-for-byte as
+// testdata/unsafe_term_atomicity.json is the witness CrossValidate stages,
+// so a change that moves the staging coordinates cannot leave the golden
+// replaying some other run. On a mismatch, put the witness's schedule into
+// the golden and rerun `go test ./internal/explore -update`.
+func TestWitnessIsExplorerGolden(t *testing.T) {
+	const golden = "../../explore/testdata/unsafe_term_atomicity.json"
+	cv, err := CrossValidate("tpc.commit", "3pc-unsafe-term", crossValSeeds)
+	if err != nil || cv == nil {
+		t.Fatalf("no witness to compare: %v", err)
+	}
+	data, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := explore.ParseTrace(data)
+	if err != nil {
+		t.Fatalf("%s: %v", golden, err)
+	}
+	if want := cv.Schedule.Normalize(); !reflect.DeepEqual(rec.Schedule, want) {
+		t.Errorf("%s replays\n%+v\nE15's witness is\n%+v", golden, rec.Schedule, want)
 	}
 }

@@ -13,25 +13,22 @@ import (
 // leader-follower group commit whose sync points follow the divergence
 // rule: persist-and-sync only where 3PC's independent recovery cannot
 // re-derive the record. E19 is the conformance half of that design, in
-// three movements: (1) the cross-partition workload run unsharded, sharded,
-// and sharded+grouped — same outcomes, every oracle clean, so the layered
-// store refactor changed no protocol behavior; (2) the fsync bill of the
-// grouped arm — syncs per committed transaction, the quantity group commit
-// exists to shrink and the number the divergence rule pins (happy-path 3PC:
-// one coordinator sync, two per touched cohort); (3) a crash-at-sync sweep
+// three movements: (1) the cross-partition workload run unsharded and
+// sharded — same outcomes, every oracle clean, so the layered store
+// refactor changed no protocol behavior; (2) the fsync bill of each arm —
+// syncs per committed transaction, the quantity group commit exists to
+// shrink and the number the divergence rule pins (happy-path 3PC: one
+// coordinator sync, two per touched cohort); (3) a crash-at-sync sweep
 // that kills a site at batch boundaries — inside the window group commit
 // deliberately leaves open — with recovery, and every oracle still clean.
 
 // E19Row aggregates one commit-path configuration over a seed sweep of the
 // same cross-partition workload shape.
 type E19Row struct {
-	// Label names the configuration ("unsharded", "sharded", or
-	// "sharded+group").
+	// Label names the configuration ("unsharded" or "sharded").
 	Label string
-	// Shards is the per-site hash-shard count (1 = the undivided store);
-	// GroupCommit reports whether journal syncs were batched.
-	Shards      int
-	GroupCommit bool
+	// Shards is the per-site hash-shard count (1 = the undivided store).
+	Shards int
 	// Txns is the workload transactions per schedule.
 	Txns int
 	explore.Tally
@@ -46,8 +43,7 @@ type E19Row struct {
 type E19Result struct {
 	Unsharded E19Row
 	Sharded   E19Row
-	Grouped   E19Row
-	// CrashSeeds schedules ran the grouped arm with a crash at a batch
+	// CrashSeeds schedules ran the sharded arm with a crash at a batch
 	// boundary (FaultCrashAtSync) plus recovery; CrashClean reports all
 	// oracles held across them.
 	CrashSeeds int
@@ -81,17 +77,16 @@ func e19Schedule(seed int64) explore.Schedule {
 
 // e19Sweep runs one commit-path configuration over the seeds and
 // aggregates outcomes.
-func e19Sweep(label string, seeds []int64, shards int, group bool) (E19Row, error) {
+func e19Sweep(label string, seeds []int64, shards int) (E19Row, error) {
 	t, err := explore.Sweep(seeds, func(_ int, seed int64) explore.Schedule {
 		spec := e19Schedule(seed)
 		spec.Shards = shards
-		spec.GroupCommit = group
 		return spec
 	})
 	if err != nil {
 		return E19Row{}, fmt.Errorf("e19: %s: %w", label, err)
 	}
-	row := E19Row{Label: label, Shards: shards, GroupCommit: group, Txns: e19Txns, Tally: t, Throughput: t.CommitsPerKTick()}
+	row := E19Row{Label: label, Shards: shards, Txns: e19Txns, Tally: t, Throughput: t.CommitsPerKTick()}
 	if t.Committed > 0 {
 		row.SyncsPerCommit = float64(t.Syncs) / float64(t.Committed)
 	}
@@ -102,13 +97,10 @@ func e19Sweep(label string, seeds []int64, shards int, group bool) (E19Row, erro
 func E19ShardedCommit(seeds []int64) (*E19Result, error) {
 	out := &E19Result{}
 	var err error
-	if out.Unsharded, err = e19Sweep("unsharded", seeds, 1, false); err != nil {
+	if out.Unsharded, err = e19Sweep("unsharded", seeds, 1); err != nil {
 		return nil, err
 	}
-	if out.Sharded, err = e19Sweep("sharded", seeds, e19Shards, false); err != nil {
-		return nil, err
-	}
-	if out.Grouped, err = e19Sweep("sharded+group", seeds, e19Shards, true); err != nil {
+	if out.Sharded, err = e19Sweep("sharded", seeds, e19Shards); err != nil {
 		return nil, err
 	}
 
@@ -119,7 +111,6 @@ func E19ShardedCommit(seeds []int64) (*E19Result, error) {
 	crash, err := explore.Sweep(seeds, func(i int, seed int64) explore.Schedule {
 		spec := e19Schedule(seed)
 		spec.Shards = e19Shards
-		spec.GroupCommit = true
 		spec.Horizon = 8000
 		victim := simnet.NodeID(2 + i%3)
 		spec.Faults = []explore.Fault{

@@ -20,7 +20,7 @@ var update = flag.Bool("update", false, "regenerate golden traces")
 // transfer spans two of the three sites, so a random crash lands between
 // two prepares less often than it did over a three-cohort fan-out: of
 // seeds 1–200 naive 3PC splits on 13 (first 45, then 60, 69, 79 — three
-// witnesses of margin inside the budget) and 2PC blocks on 51 (first 2).
+// witnesses of margin inside the budget) and 2PC blocks on 65 (first 2).
 const ciSeeds = 80
 
 // TestExplore3PCCleanUnderDesignFaults: within the paper's fault envelope
@@ -177,11 +177,14 @@ func TestBudgetStopsExploration(t *testing.T) {
 	}
 }
 
-// golden trace files (satellite 3): the shrunk counterexamples for the two
-// protocol defects, checked in and replayed on every test run.
+// golden trace files: the shrunk counterexamples for the two protocol
+// defects, and E15's staged witness against the unsafe-termination engine —
+// the one golden whose schedule restarts a node — checked in and replayed
+// on every test run.
 const (
-	goldenNaive = "testdata/naive3pc_atomicity.json"
-	golden2PC   = "testdata/2pc_blocking.json"
+	goldenNaive      = "testdata/naive3pc_atomicity.json"
+	golden2PC        = "testdata/2pc_blocking.json"
+	goldenUnsafeTerm = "testdata/unsafe_term_atomicity.json"
 )
 
 // TestGoldenTraces replays the checked-in shrunk counterexamples: the
@@ -199,6 +202,7 @@ func TestGoldenTraces(t *testing.T) {
 	}{
 		{goldenNaive, OracleAtomicity},
 		{golden2PC, OracleProgress},
+		{goldenUnsafeTerm, OracleAtomicity},
 	}
 	for _, tc := range cases {
 		data, err := os.ReadFile(tc.file)
@@ -222,8 +226,32 @@ func TestGoldenTraces(t *testing.T) {
 	}
 }
 
+// TestCrashedNodeObservesNothing replays E15's witness: site 2, the
+// terminating backup, tells site 3 "commit" and is crashed before its second
+// send — with its handler still on the stack and its store frozen. What that
+// stack goes on to apply is not the site's history: site 2 restarts from a
+// durable w and aborts. The runner must hold no applied commit for it, and
+// the split between sites 3, 4 and 2 is the run's one violated oracle.
+func TestCrashedNodeObservesNothing(t *testing.T) {
+	res, r, err := run(goldenSchedule(t, goldenUnsafeTerm), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const disseminator = 2
+	if got := r.applied[disseminator]; len(got) != 1 || got[0] != SetupTxn || len(r.appliedAt[disseminator]) != 1 {
+		t.Errorf("site %d crashed having decided only %s, yet applied %v at %v",
+			disseminator, SetupTxn, got, r.appliedAt[disseminator])
+	}
+	if got := res.ViolatedOracles(); len(got) != 1 || got[0] != OracleAtomicity {
+		t.Errorf("violated oracles %v, want exactly [atomicity]", got)
+	}
+}
+
 // regenerateGoldens re-explores both defective variants and records the
-// shrunk counterexamples.
+// shrunk counterexamples, then re-records E15's witness from the schedule
+// its golden already holds: that schedule is staged by
+// durcheck.CrossValidate, which this package cannot import (durcheck's
+// TestWitnessIsExplorerGolden keeps the two equal).
 func regenerateGoldens(t *testing.T) {
 	t.Helper()
 	gen := func(proto, oracle, file string) {
@@ -245,6 +273,27 @@ func regenerateGoldens(t *testing.T) {
 	}
 	gen(Proto3PCNaive, OracleAtomicity, goldenNaive)
 	gen(Proto2PC, OracleProgress, golden2PC)
+	res, err := Run(goldenSchedule(t, goldenUnsafeTerm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenUnsafeTerm, res.Trace(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// goldenSchedule reads the schedule a checked-in trace replays.
+func goldenSchedule(t *testing.T, file string) Schedule {
+	t.Helper()
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := ParseTrace(data)
+	if err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	return rec.Schedule
 }
 
 func findingFor(rep *Report, oracle string) *Finding {

@@ -11,8 +11,7 @@ import (
 // three sites whose stores are 2-way hash-sharded and group-committed.
 func gcBase(seed int64) Schedule {
 	return Schedule{
-		Protocol: Proto3PC, Seed: seed, Sites: 3, Accounts: 8, Txns: 10,
-		GroupCommit: true, Shards: 2,
+		Protocol: Proto3PC, Seed: seed, Sites: 3, Accounts: 8, Txns: 10, Shards: 2,
 	}
 }
 

@@ -45,7 +45,6 @@ func TestDurabilityOracleConvictsMissingEffects(t *testing.T) {
 	sent := []*runner{
 		{writes: map[string]map[simnet.NodeID]map[string]string{"t": {site: {"x": "1"}}}},
 		{classed: map[string]map[simnet.NodeID][]classedOp{"t": {site: {{key: "n", op: txn.ClassInc, arg: "1"}}}}},
-		{writes: map[string]map[simnet.NodeID]map[string]string{"t": {site: {"x": "1"}}}, spec: Schedule{GroupCommit: true}},
 	}
 	for i, r := range sent {
 		r.net, r.cluster, r.submitted = net, cluster, []string{"t"}

@@ -75,15 +75,13 @@ func (r *runner) checkDurability() []Violation {
 			})
 			continue
 		}
-		if r.spec.GroupCommit {
-			if err := foldRederivedCommits(st, recovered, r.applied[id]); err != nil {
-				out = append(out, Violation{
-					Oracle: OracleDurability,
-					Site:   id,
-					Detail: fmt.Sprintf("commit re-derivation failed: %v", err),
-				})
-				continue
-			}
+		if err := foldRederivedCommits(st, recovered, r.applied[id]); err != nil {
+			out = append(out, Violation{
+				Oracle: OracleDurability,
+				Site:   id,
+				Detail: fmt.Sprintf("commit re-derivation failed: %v", err),
+			})
+			continue
 		}
 		for _, name := range r.submitted {
 			if _, applied := r.appliedAt[id][name]; applied || !r.net.Up(id) || len(r.writes[name][id])+len(r.classed[name][id]) == 0 {

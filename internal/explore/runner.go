@@ -69,8 +69,7 @@ type RunStats struct {
 	End   sim.Time `json:"end"`
 	Steps uint64   `json:"steps"`
 	// Syncs counts batched stable-store sync operations across all nodes —
-	// the journal's fsync bill. Zero (and omitted from traces) unless the
-	// schedule enables GroupCommit, so pre-existing traces are unchanged.
+	// the journal's fsync bill.
 	Syncs int `json:"syncs,omitempty"`
 }
 
@@ -197,10 +196,14 @@ func Run(spec Schedule) (*RunResult, error) {
 // observation changes nothing about the execution: the trace (and so every
 // golden) is byte-identical to Run's.
 func RunLogged(spec Schedule) (*RunResult, []SendInfo, error) {
-	return run(spec, true)
+	res, r, err := run(spec, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, r.sendLog, nil
 }
 
-func run(spec Schedule, logSends bool) (*RunResult, []SendInfo, error) {
+func run(spec Schedule, logSends bool) (*RunResult, *runner, error) {
 	spec = spec.Normalize()
 	cfg, err := spec.Config()
 	if err != nil {
@@ -232,19 +235,6 @@ func run(spec Schedule, logSends bool) (*RunResult, []SendInfo, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("explore: build cluster: %w", err)
 	}
-	if spec.GroupCommit {
-		// Group-committed journals on every node: appends accumulate in a
-		// volatile batch window until the engine's next divergence-mandated
-		// Sync, and a crash destroys the open window. Enabled before any
-		// protocol activity so the very first records already batch.
-		for _, id := range append([]simnet.NodeID{r.cluster.MasterID}, r.cluster.SiteIDs...) {
-			st, err := r.net.Store(id)
-			if err != nil {
-				return nil, nil, fmt.Errorf("explore: group commit on %d: %w", id, err)
-			}
-			st.SetGroupCommit(true)
-		}
-	}
 	r.net.OnCrash = func(id simnet.NodeID) { r.ev("crash node=%d", id) }
 	// The lock-wait ablation (E20): sites poll-retry contended locks and the
 	// master never aborts slow work — correctness then rests entirely on the
@@ -256,13 +246,18 @@ func run(spec Schedule, logSends bool) (*RunResult, []SendInfo, error) {
 		site.UnsafeWriteLocks = spec.Underlock
 		site.LockWait = spec.LockWait
 		site.CanonicalLockOrder = spec.CanonicalLockOrder
+		// A crash-at-send leaves the sender's handler running on its stack
+		// with a frozen store; what that ghost does is not the site's history.
 		site.OnOp = func(t string, op txn.Op) {
+			if !r.net.Up(sid) {
+				return
+			}
 			r.opLog[sid] = append(r.opLog[sid], opEvent{
 				txn: t, key: op.Key, write: op.IsWrite, class: op.Class, at: r.sched.Now(),
 			})
 		}
 		site.OnApply = func(t string, d tpc.Decision) {
-			if d == tpc.DecisionCommit {
+			if d == tpc.DecisionCommit && r.net.Up(sid) {
 				if r.appliedAt[sid] == nil {
 					r.appliedAt[sid] = map[string]sim.Time{}
 				}
@@ -326,7 +321,7 @@ func run(spec Schedule, logSends bool) (*RunResult, []SendInfo, error) {
 	res.Stats = r.stats(setupSends)
 	res.Violations = r.checkOracles()
 	res.Events = r.events // oracle evaluation appends nothing, but keep in sync
-	return res, r.sendLog, nil
+	return res, r, nil
 }
 
 // submit registers a transaction's intended writes and hands it to the

@@ -31,9 +31,7 @@ const (
 	// FaultCrashAtSync crashes Site the moment its stable store completes
 	// sync #Nth (1-based count of group-commit fsyncs at that site): the
 	// exact batch boundary of the group-committed journal, destroying
-	// whatever the next batch window accumulates. Only meaningful on
-	// schedules with GroupCommit set — without it every journal append is
-	// individually durable and no syncs are counted.
+	// whatever the next batch window accumulates.
 	FaultCrashAtSync FaultKind = "crash-at-sync"
 	// FaultDropSend discards the message of global send #Seq (violates
 	// the reliable-network assumption).
@@ -145,13 +143,6 @@ type Schedule struct {
 	// Spread is the cross-partition mix's accounts-per-transaction
 	// (workload.Config.Spread; 0 means the generator default).
 	Spread int `json:"spread,omitempty"`
-	// GroupCommit enables group-committed journals on every node's stable
-	// store: appends batch in a volatile window until the engine's next
-	// divergence-mandated Sync. Crashes then destroy the open batch
-	// window, which is exactly the failure mode the sync-point placement
-	// must survive — the oracles judge it like any other run. Off (the
-	// default) keeps every pre-existing trace byte-identical.
-	GroupCommit bool `json:"groupCommit,omitempty"`
 	// Shards hash-partitions every site's database into that many shards
 	// (per-shard lock managers and WAL sessions over the site's one
 	// stable store). Zero means one shard; it is left as zero in recorded

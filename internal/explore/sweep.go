@@ -17,8 +17,8 @@ type Tally struct {
 	Committed int
 	Aborted   int
 	Undecided int
-	// Syncs sums the batched journal syncs (zero unless the schedules
-	// enable GroupCommit) and Ticks the simulated time consumed.
+	// Syncs sums the batched journal syncs and Ticks the simulated time
+	// consumed.
 	Syncs int
 	Ticks sim.Time
 	// Stalls counts the seeds whose run violated the progress oracle.

@@ -15,7 +15,7 @@ func TestSweepSumsRuns(t *testing.T) {
 	seeds := []int64{1, 2}
 	for name, mk := range map[string]func(int, int64) Schedule{
 		"clean-grouped": func(_ int, seed int64) Schedule {
-			return Schedule{Protocol: Proto3PC, Seed: seed, Workload: WorkloadCommutative, GroupCommit: true}
+			return Schedule{Protocol: Proto3PC, Seed: seed, Workload: WorkloadCommutative}
 		},
 		"stalled": func(_ int, seed int64) Schedule { return opposedSpec(seed) },
 	} {

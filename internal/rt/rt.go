@@ -56,9 +56,9 @@ type Message struct {
 // loop.
 type Handler func(msg Message)
 
-// RecoverFunc is invoked on a node's event loop when a crashed node
-// restarts; the protocol layer rebuilds volatile state from stable
-// storage inside it. After an error the node must not serve.
+// RecoverFunc runs on a node's event loop when a crashed node restarts: it
+// rebuilds the protocol layer's state from stable storage and from nothing
+// the engine object still remembers. After an error the node must not serve.
 type RecoverFunc func() error
 
 // Timer is a handle to a scheduled callback; Cancel prevents it from

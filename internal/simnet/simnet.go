@@ -1,8 +1,14 @@
 // Package simnet simulates the network of the paper's assumption set
 // (Section 3.4): a reliable, non-partitioning network with FIFO two-way
 // channels between sites, bounded message delay, per-site drifting clocks,
-// crash/recovery of sites (volatile state lost, stable storage kept), and
-// timeout timers. Failure injection hooks (message drop, delay inflation)
+// crash/recovery of sites, and timeout timers. A crash is what kill -9 of
+// a serving process is: the node's timers die, its store freezes and —
+// when it group-commits, as every txn cluster's does — reverts to its last
+// synced record, and the engines' RecoverFuncs start from that store and
+// nothing else (rt.RecoverFunc). A handler the crash interrupted mid-fan-out
+// (SendFault.CrashSender) may still run to its end on the dead node's
+// stack; nothing it does reaches the disk, the network or the restart.
+// Failure injection hooks (message drop, delay inflation)
 // exist so tests can deliberately violate each assumption and observe which
 // protocol invariants break (experiment E10). The SendHook schedule
 // injection API additionally lets a fault explorer (internal/explore)
@@ -338,7 +344,8 @@ func (n *Network) After(id NodeID, d sim.Time, fn func()) rt.Timer {
 }
 
 // Crash takes a node down: its volatile state is gone, its timers are
-// dead, in-flight messages to it will be discarded. Stable storage stays.
+// dead, in-flight messages to it will be discarded. Stable storage stays,
+// up to its last sync.
 func (n *Network) Crash(id NodeID) error {
 	nd, ok := n.nodes[id]
 	if !ok {

@@ -389,8 +389,9 @@ func (h *Cohort) Blocked(txn string) (bool, rt.Time) {
 }
 
 // RecoverAll applies the cohort failure transitions on restart from
-// stable storage alone (independent recovery): q2/w2 abort, p2 commits,
-// decided states are kept. It returns the decisions taken.
+// stable storage alone (independent recovery: what the site remembered
+// went with the crash): q2/w2 abort, p2 commits, decided states are kept.
+// It returns the decisions taken.
 //
 //dur:handler
 func (h *Cohort) RecoverAll() (map[string]Decision, error) {
@@ -398,14 +399,15 @@ func (h *Cohort) RecoverAll() (map[string]Decision, error) {
 	if err != nil {
 		return nil, err
 	}
+	h.txns, h.decisions = map[string]*cohortTxn{}, map[string]Decision{}
 	out := map[string]Decision{}
 	for _, rec := range recs {
 		d := DecisionAbort
 		if rec.state.Committable() {
 			d = DecisionCommit
 		}
+		h.txn(rec.txn).state = rec.state
 		if rec.state == StateAborted || rec.state == StateCommitted {
-			h.txn(rec.txn).state = rec.state
 			h.decisions[rec.txn] = d
 		} else {
 			// Failure transitions: abort from q2/w2, commit from p2

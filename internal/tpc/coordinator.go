@@ -244,10 +244,11 @@ func (c *Coordinator) StateOf(txn string) State {
 }
 
 // RecoverAll applies the coordinator failure transitions of Fig. 3.2 from
-// stable storage alone (independent recovery, assumption 8): w1 aborts, p1
-// commits, and decided transactions re-announce their outcome — first, so
-// a transport shedding the oldest frames of a backlog (rt/tcp's bounded
-// peer queue) keeps the ones somebody waits on. It returns the decisions.
+// stable storage alone (independent recovery, assumption 8: what the
+// coordinator remembered went with the crash): w1 aborts, p1 commits, and
+// decided transactions re-announce their outcome — first, so a transport
+// shedding the oldest frames of a backlog (rt/tcp's bounded peer queue)
+// keeps the ones somebody waits on. It returns the decisions.
 //
 //dur:handler
 func (c *Coordinator) RecoverAll() (map[string]Decision, error) {
@@ -257,14 +258,12 @@ func (c *Coordinator) RecoverAll() (map[string]Decision, error) {
 	}
 	decided := func(r persistedState) bool { return r.state == StateAborted || r.state == StateCommitted }
 	sort.SliceStable(recs, func(i, j int) bool { return decided(recs[i]) && !decided(recs[j]) })
+	c.txns, c.decisions = map[string]*coordTxn{}, map[string]Decision{}
 	out := map[string]Decision{}
 	for _, rec := range recs {
-		ct, ok := c.txns[rec.txn]
-		if !ok {
-			ct = c.newTxn(c.cohorts) // participants are not logged: re-announce to everyone
-			c.txns[rec.txn] = ct
-		}
+		ct := c.newTxn(c.cohorts) // participants are not logged: re-announce to everyone
 		ct.state = rec.state
+		c.txns[rec.txn] = ct
 		switch rec.state {
 		case StateWait, StateAborted: // w1's failure transition; a1 re-announces
 			c.abort(rec.txn, ct, CauseFailure)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -56,6 +57,21 @@ func construct(net *simnet.Network, cfg tpc.Config, shards int) (*Cluster, error
 		}
 	}
 	return c, nil
+}
+
+// reconstruct is a process restart of crashed node id: the node comes back
+// with nothing but its store, and a new engine is constructed over it.
+func reconstruct(t *testing.T, c *Cluster, id simnet.NodeID, cfg tpc.Config, shards int) {
+	t.Helper()
+	mustOK(t, c.Net.SetRecover(id, func() error { return nil }))
+	mustOK(t, c.Net.Recover(id))
+	var err error
+	if id == c.MasterID {
+		c.Master, err = NewMasterOn(c.Net, id, c.SiteIDs, cfg)
+	} else {
+		c.Sites[id], err = NewShardedSiteOn(c.Net, id, c.MasterID, c.SiteIDs, cfg, shards)
+	}
+	mustOK(t, err)
 }
 
 func putState(st *stable.Store, txn, state string) { st.Put("tpc/"+txn+"/state", []byte(state)) }
@@ -185,11 +201,7 @@ func newMasterUnblocks(t *testing.T, cfg tpc.Config, shards int) {
 	}
 	// The process is gone; a new one comes up on its journal.
 	net.OnSend = nil
-	mustOK(t, net.SetRecover(master, func() error { return nil }))
-	mustOK(t, net.Recover(master))
-	if c.Master, err = NewMasterOn(net, master, c.SiteIDs, cfg); err != nil {
-		t.Fatal(err)
-	}
+	reconstruct(t, c, master, cfg, shards)
 	net.Scheduler().RunUntil(4000) // bounded: a still-blocked cohort re-arms its timer forever
 	for _, site := range c.Sites {
 		if d := site.Decision("T"); d != tpc.DecisionCommit {
@@ -217,11 +229,7 @@ func lostWork(t *testing.T, cfg tpc.Config, shards int) {
 	mustOK(t, c.Master.Submit("T", ops, func(r *Result) { res = r }))
 	net.Scheduler().RunUntil(5) // the work is done and siteA is dead
 	net.OnSend = nil
-	mustOK(t, net.SetRecover(siteA, func() error { return nil }))
-	mustOK(t, net.Recover(siteA))
-	if c.Sites[siteA], err = NewShardedSiteOn(net, siteA, master, c.SiteIDs, cfg, shards); err != nil {
-		t.Fatal(err)
-	}
+	reconstruct(t, c, siteA, cfg, shards)
 	c.Run()
 	if res == nil || res.Decision != tpc.DecisionAbort {
 		t.Fatalf("transaction whose work siteA lost: %+v, want abort", res)
@@ -416,6 +424,202 @@ func decidedHistory(t *testing.T, cfg tpc.Config, shards int) {
 		if _, want := outcome(i); c.Sites[siteB].Decision(name(i)) != want {
 			t.Fatalf("site %d never heard %s=%s", siteB, name(i), want)
 		}
+	}
+}
+
+// restartRow stages one crash of TestSimulatedRestartIsProcessRestart: T
+// writes at sites, the cluster is stepped until crashWhen holds, and the
+// victim is crashed with durable as T's state record on its disk.
+type restartRow struct {
+	name       string
+	threePhase bool // the row needs a p state
+	victim     simnet.NodeID
+	sites      []simnet.NodeID
+	// dropVote loses siteB's yes-vote, so the coordinator times out in w
+	// and aborts a transaction siteA voted yes for.
+	dropVote  bool
+	crashWhen func(c *Cluster) bool
+	// forceSync syncs the victim's store before the crash, as a concurrent
+	// committer's sync point would: a coordinator's w is never forced.
+	forceSync bool
+	durable   string
+}
+
+// Every cohort row crashes the site with its memory ahead of its disk (the
+// outcome it heard sits in the unsynced tail); every coordinator row runs a
+// transaction that spans one of the two sites, where a coordinator that
+// remembered the participants would announce to fewer nodes than one that
+// read them off the disk, which does not have them.
+var restartRows = []restartRow{
+	{name: "cohort in w", victim: siteA, sites: []simnet.NodeID{siteA, siteB}, dropVote: true, durable: "w",
+		crashWhen: func(c *Cluster) bool { return c.Sites[siteA].Decision("T") == tpc.DecisionAbort }},
+	{name: "cohort in p", threePhase: true, victim: siteA, sites: []simnet.NodeID{siteA}, durable: "p",
+		crashWhen: func(c *Cluster) bool { return c.Sites[siteA].Decision("T") == tpc.DecisionCommit }},
+	{name: "coordinator in w", victim: master, sites: []simnet.NodeID{siteA}, forceSync: true, durable: "w",
+		crashWhen: func(c *Cluster) bool { return c.Master.coord.StateOf("T") == tpc.StateWait }},
+	{name: "coordinator in p", threePhase: true, victim: master, sites: []simnet.NodeID{siteA}, durable: "p",
+		crashWhen: func(c *Cluster) bool { return c.Master.coord.StateOf("T") == tpc.StatePrepared }},
+}
+
+// restart stages the row on a new cluster whose stores group-commit, brings
+// the victim back — simnet.Recover on the live engine, or a new engine
+// constructed over the same store, as a restarted tpcserve does — and
+// returns every node's protocol records plus every send from the restart on.
+func (row restartRow) restart(t *testing.T, cfg tpc.Config, shards int, fresh bool) string {
+	t.Helper()
+	net := usedNet(t, func(s map[simnet.NodeID]*stable.Store) {
+		for _, st := range s {
+			st.SetGroupCommit(true)
+		}
+	})
+	c, err := construct(net, cfg, shards)
+	mustOK(t, err)
+	heard := map[string]int{}
+	submit := func(name string, sites []simnet.NodeID) {
+		var ops []Op
+		for _, id := range sites {
+			ops = append(ops, Op{Site: id, Key: fmt.Sprintf("k%d", id), Value: name, IsWrite: true})
+		}
+		mustOK(t, c.Master.Submit(name, ops, func(*Result) { heard[name]++ }))
+	}
+	submit("T0", []simnet.NodeID{siteB}) // decided history a restarted coordinator re-announces
+	c.Run()
+	if row.dropVote {
+		net.OnSend = func(_ uint64, m simnet.Message) simnet.SendFault {
+			return simnet.SendFault{Drop: m.Kind == tpc.KindVoteYes && m.From == siteB}
+		}
+	}
+	submit("T", row.sites)
+	for !row.crashWhen(c) {
+		if !net.Scheduler().Step() {
+			t.Fatalf("quiesced before the crash point")
+		}
+	}
+	st, _ := net.Store(row.victim)
+	if row.forceSync {
+		mustOK(t, st.Sync())
+	}
+	mustOK(t, net.Crash(row.victim))
+	if got, _ := st.Get("tpc/T/state"); string(got) != row.durable {
+		t.Fatalf("staging: node %d crashed with T in %q on disk, want %q", row.victim, got, row.durable)
+	}
+
+	var out []string
+	net.OnSend = func(_ uint64, m simnet.Message) simnet.SendFault {
+		out = append(out, fmt.Sprintf("%d->%d %s", m.From, m.To, m.Kind))
+		return simnet.SendFault{}
+	}
+	if fresh {
+		reconstruct(t, c, row.victim, cfg, shards)
+	} else {
+		mustOK(t, net.Recover(row.victim))
+	}
+	net.Scheduler().RunUntil(net.Now() + 2000) // bounded: a blocked 2PC cohort re-arms its timer forever
+	for name, n := range heard {
+		if n > 1 {
+			t.Errorf("the submitter of %s heard its outcome %d times", name, n)
+		}
+	}
+	for _, id := range net.Nodes() {
+		st, _ := net.Store(id)
+		for _, key := range st.Keys() {
+			if strings.HasPrefix(key, "tpc/") {
+				val, _ := st.Get(key)
+				out = append(out, fmt.Sprintf("node %d %s=%s", id, key, val))
+			}
+		}
+	}
+	return strings.Join(out, "\n")
+}
+
+// A simulated crash is what kill -9 is: simnet.Crash + Recover on the live
+// engines and engines constructed anew over the same stores leave the same
+// protocol records on every disk and send the same kinds to the same nodes.
+func TestSimulatedRestartIsProcessRestart(t *testing.T) {
+	for _, proto := range []tpc.Protocol{tpc.ThreePhase, tpc.TwoPhase} {
+		for _, shards := range []int{1, 4} {
+			cfg := tpc.Config{Protocol: proto}
+			for _, row := range restartRows {
+				if row.threePhase && proto == tpc.TwoPhase {
+					continue
+				}
+				t.Run(fmt.Sprintf("%s/shards=%d/%s", proto, shards, row.name), func(t *testing.T) {
+					live, constructed := row.restart(t, cfg, shards, false), row.restart(t, cfg, shards, true)
+					if live != constructed {
+						t.Fatalf("simnet.Recover on the live engine:\n%s\n\nengine constructed over the same store:\n%s", live, constructed)
+					}
+				})
+			}
+		}
+	}
+	t.Run("memory ahead of disk", unsafeDisseminator)
+	t.Run("batch window", batchWindow)
+}
+
+// The unsafe-termination backup (E15's ablation) tells one peer "commit",
+// is crashed before its second send, and its handler runs on — on a frozen
+// store — to a committed state only its memory holds. Its disk says w, so
+// Fig. 3.2 says abort: the restart must not believe the dead stack.
+func unsafeDisseminator(t *testing.T) {
+	net := simnet.New(sim.NewScheduler(1), simnet.DefaultOptions())
+	c, err := NewShardedClusterOn(net, 3, tpc.Config{UnsafeTermination: true}, 1)
+	mustOK(t, err)
+	backup, peer, last := c.SiteIDs[0], c.SiteIDs[1], c.SiteIDs[2]
+	// The coordinator dies between two prepares and the backup's own was
+	// lost: it terminates from w over a peer in p, and commits.
+	net.OnSend = func(_ uint64, m simnet.Message) simnet.SendFault {
+		return simnet.SendFault{
+			Drop:        m.Kind == tpc.KindPrepare && m.To == backup,
+			CrashSender: m.To == last && (m.Kind == tpc.KindPrepare || m.Kind == tpc.KindCommit),
+		}
+	}
+	var ops []Op
+	for _, id := range c.SiteIDs {
+		ops = append(ops, Op{Site: id, Key: "x", Value: "1", IsWrite: true})
+	}
+	mustOK(t, c.Master.Submit("T", ops, nil))
+	net.Scheduler().RunUntil(2000)
+	st, _ := net.Store(backup)
+	if got, _ := st.Get("tpc/T/state"); net.Up(backup) || string(got) != "w" || c.Sites[peer].Decision("T") != tpc.DecisionCommit {
+		t.Fatalf("staging: backup up=%v with %q on disk, peer decided %s; want a dead backup in w and a committed peer",
+			net.Up(backup), got, c.Sites[peer].Decision("T"))
+	}
+	net.OnSend = nil
+	mustOK(t, net.Recover(backup))
+	if got, _ := st.Get("tpc/T/state"); string(got) != "a" {
+		t.Fatalf("backup restarted from a durable w into %q, want a", got)
+	}
+	if d, err := tpc.DurableDecision(st, "T"); err != nil || d != tpc.DecisionAbort {
+		t.Fatalf("backup's durable decision = %s, %v; want abort", d, err)
+	}
+}
+
+// A cluster's stores group-commit, so a crash takes the unsynced tail: a
+// cohort that applied a commit heard in p (never forced: recovery re-derives
+// it) is back at its last synced record, p with the branch open, and its
+// restart commits again from there.
+func batchWindow(t *testing.T) {
+	net := simnet.New(sim.NewScheduler(1), simnet.DefaultOptions())
+	c, err := NewShardedClusterOn(net, 2, tpc.Config{}, 1)
+	mustOK(t, err)
+	site := c.Sites[siteA]
+	mustOK(t, c.Master.Submit("T", []Op{{Site: siteA, Key: "x", Value: "1", IsWrite: true}}, nil))
+	for site.Decision("T") != tpc.DecisionCommit {
+		if !net.Scheduler().Step() {
+			t.Fatal("quiesced before the site decided")
+		}
+	}
+	st, _ := net.Store(siteA)
+	mustOK(t, net.Crash(siteA))
+	active, err := wal.Active(st)
+	mustOK(t, err)
+	if got, _ := st.Get("tpc/T/state"); string(got) != "p" || len(active) != 1 {
+		t.Fatalf("crashed site's disk: T in %q with open branches %v; want the last synced record, p, and T's branch", got, active)
+	}
+	mustOK(t, net.Recover(siteA))
+	noneActive(t, st)
+	if d, err := tpc.DurableDecision(st, "T"); err != nil || d != tpc.DecisionCommit || site.Store.Read("x") != "1" {
+		t.Fatalf("after the restart: durable decision %s (%v), x=%q; want commit and 1", d, err, site.Store.Read("x"))
 	}
 }
 

@@ -10,20 +10,15 @@ import (
 	"speccat/internal/tpc"
 )
 
-// shardedCluster builds a cluster whose sites are 4-way hash-sharded with
-// group-committed stores — the full serving-path configuration, in the
-// simulator.
+// shardedCluster builds a cluster whose sites are 4-way hash-sharded (the
+// cluster constructor group-commits every store) — the full serving-path
+// configuration, in the simulator.
 func shardedCluster(t *testing.T, seed int64, n int) *Cluster {
 	t.Helper()
 	sched := sim.NewScheduler(seed)
 	net := simnet.New(sched, simnet.DefaultOptions())
 	c, err := NewShardedClusterOn(net, n, tpc.Config{Protocol: tpc.ThreePhase}, 4)
 	mustOK(t, err)
-	for _, id := range append([]simnet.NodeID{c.MasterID}, c.SiteIDs...) {
-		st, err := net.Store(id)
-		mustOK(t, err)
-		st.SetGroupCommit(true)
-	}
 	return c
 }
 

@@ -324,9 +324,10 @@ func (m *Master) startCommit(txn string, p *pending) error {
 	return m.coord.BeginWith(txn, p.sites())
 }
 
+// onDecide tells the submitter once: pending outlives a simulated restart.
 func (m *Master) onDecide(txn string, d tpc.Decision) {
 	p, ok := m.pending[txn]
-	if !ok {
+	if !ok || p.result.Decision != tpc.DecisionNone {
 		return
 	}
 	p.result.Decision = d
@@ -524,11 +525,7 @@ func (s *Site) Recover() error {
 		return fmt.Errorf("txn: recover site %d: %w", s.id, err)
 	}
 	for _, txn := range active {
-		// What the disk says wins over what this object remembers.
-		d, ok := decisions[txn]
-		if !ok {
-			d = s.cohort.Decision(txn)
-		}
+		d := decisions[txn]
 		if d != tpc.DecisionCommit {
 			d = tpc.DecisionAbort
 		}
