@@ -18,12 +18,14 @@ race:
 # 2PL/lock-order analysis over the whole module, the spec linter over the
 # thesis corpus and the commutativity spec, and the generated-FSM-docs
 # staleness gate. Every layer runs by default; speccatlint -only <layer>
-# reruns any single layer in isolation. The grep keeps the inert
-# tpc.Config.ScopedParticipants (declared only for bench/) from growing a
-# reader before it is deleted.
+# reruns any single layer in isolation. The greps keep the two inert names
+# declared only for bench/ — tpc.Config.ScopedParticipants and
+# (*stable.Store).SetGroupCommit — from growing a reader or a caller
+# before they are deleted.
 lint:
 	$(GO) vet ./...
 	! grep -rn 'ScopedParticipants' --include='*.go' . | grep -v '^./bench/' | grep -v 'internal/tpc/tpc.go'
+	! grep -rn 'SetGroupCommit' --include='*.go' . | grep -v '^./bench/' | grep -v 'internal/stable/stable.go'
 	$(GO) run ./cmd/speccatlint ./...
 	$(GO) run ./cmd/speccatlint internal/core/speclang/testdata/thesis/*.sw internal/locking/comm.sw
 	$(GO) run ./cmd/speccatlint -fsm-check docs/fsm ./internal/...
@@ -48,10 +50,14 @@ lint:
 # STACK 4334 -> 4333, recovery no longer looking for leftover map entries;
 # HARNESS 3044 -> 3019, explore.Schedule.GroupCommit and everything that
 # branched on it (runner setup loop, oracle fold switch, E19's third arm).
+# PR 24 (one journal) lowered two: STACK 4333 -> 4319, the
+# durable-on-return mode of internal/stable and its full-copy snapshot
+# replaced by the unsynced window, with 2PC's forced w1 counted;
+# SERVING 2063 -> 2062, tpcserve's SetGroupCommit call.
 ANALYSIS_LOC_BUDGET = 6512
-STACK_LOC_BUDGET = 4333
+STACK_LOC_BUDGET = 4319
 HARNESS_LOC_BUDGET = 3019
-SERVING_LOC_BUDGET = 2063
+SERVING_LOC_BUDGET = 2062
 TOOLS_LOC_BUDGET = 1492
 PROOF_LOC_BUDGET = 6462
 loc_count = find $(1) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l

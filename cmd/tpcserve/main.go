@@ -194,7 +194,6 @@ func run(o runOptions) error {
 			return err
 		}
 		defer store.Close()
-		store.SetGroupCommit(true)
 	}
 
 	codec := tcp.NewCodec()

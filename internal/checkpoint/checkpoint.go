@@ -163,7 +163,8 @@ func (n *Node) HandleMessage(m rt.Message) (bool, error) {
 	}
 }
 
-// saveTentative writes the tentative checkpoint to stable storage.
+// saveTentative forces the tentative checkpoint to stable storage: the ack
+// that follows promises the coordinator it survives a crash.
 //
 //dur:writes checkpoint
 func (n *Node) saveTentative(seq int) error {
@@ -176,10 +177,11 @@ func (n *Node) saveTentative(seq int) error {
 		return err
 	}
 	st.Put(keyTentative, data)
-	return nil
+	return st.Sync()
 }
 
-// promote turns the matching tentative checkpoint permanent.
+// promote turns the matching tentative checkpoint permanent, and forces
+// it before anybody hears so.
 //
 //dur:writes checkpoint
 func (n *Node) promote(seq int) error {
@@ -197,6 +199,9 @@ func (n *Node) promote(seq int) error {
 	}
 	st.Put(keyPermanent, data)
 	st.Put("ckpt/lastseq", []byte(strconv.Itoa(seq)))
+	if err := st.Sync(); err != nil {
+		return err
+	}
 	if n.OnPermanent != nil {
 		n.OnPermanent(seq)
 	}

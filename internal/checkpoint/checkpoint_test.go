@@ -149,3 +149,26 @@ func TestDiscardTentative(t *testing.T) {
 		t.Fatal("tentative survived discard")
 	}
 }
+
+// TestPermanentCheckpointSurvivesCrash: a site acks a tentative checkpoint
+// and reports a permanent one only once a Sync covers it — a crash takes
+// whatever the store was handed since its last Sync.
+func TestPermanentCheckpointSurvivesCrash(t *testing.T) {
+	net, sites := setup(7, 3)
+	sites[1].node.StartCoordinator(0)
+	sites[1].node.TakeNow()
+	net.Scheduler().Run(0)
+	for id := range sites {
+		st, _ := net.Store(id)
+		want, _, err := Permanent(st)
+		if err != nil {
+			t.Fatalf("site %d before its crash: %v", id, err)
+		}
+		if err := net.Crash(id); err != nil {
+			t.Fatal(err)
+		}
+		if seq, _, err := Permanent(st); err != nil || seq != want {
+			t.Errorf("site %d after its crash: seq=%d, %v; had reported %d permanent", id, seq, err, want)
+		}
+	}
+}

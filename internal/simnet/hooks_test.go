@@ -158,7 +158,7 @@ func TestSendHookFaultTable(t *testing.T) {
 
 // TestSendHookCrashThenRestart closes the loop: a hook-injected crash
 // behaves exactly like an explicit one under Recover — the recovery
-// callback runs, stable storage survives, and the node sends again with
+// callback runs, synced stable storage survives, and the node sends again with
 // the global send sequence continuing where it left off.
 func TestSendHookCrashThenRestart(t *testing.T) {
 	sched := sim.NewScheduler(5)
@@ -167,6 +167,9 @@ func TestSendHookCrashThenRestart(t *testing.T) {
 	c := &collector{}
 	n.AddNode(2, c.handler())
 	st.Put("survives", []byte("yes"))
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
 
 	n.OnSend = func(seq uint64, msg Message) SendFault {
 		if seq == 1 {

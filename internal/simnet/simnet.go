@@ -2,12 +2,12 @@
 // (Section 3.4): a reliable, non-partitioning network with FIFO two-way
 // channels between sites, bounded message delay, per-site drifting clocks,
 // crash/recovery of sites, and timeout timers. A crash is what kill -9 of
-// a serving process is: the node's timers die, its store freezes and —
-// when it group-commits, as every txn cluster's does — reverts to its last
-// synced record, and the engines' RecoverFuncs start from that store and
-// nothing else (rt.RecoverFunc). A handler the crash interrupted mid-fan-out
-// (SendFault.CrashSender) may still run to its end on the dead node's
-// stack; nothing it does reaches the disk, the network or the restart.
+// a serving process is: the node's timers die, its store freezes and
+// reverts to what its last Sync covered, and the engines' RecoverFuncs
+// start from that store and nothing else (rt.RecoverFunc). A handler the
+// crash interrupted mid-fan-out (SendFault.CrashSender) may still run to
+// its end on the dead node's stack; nothing it does reaches the disk, the
+// network or the restart.
 // Failure injection hooks (message drop, delay inflation)
 // exist so tests can deliberately violate each assumption and observe which
 // protocol invariants break (experiment E10). The SendHook schedule
@@ -363,7 +363,7 @@ func (n *Network) crash(nd *node) {
 	// Freeze the node's stable storage: a crashed site cannot force
 	// anything more to disk, even if handler code on its stack keeps
 	// running (e.g. a SendFault that crashes the sender mid-handler).
-	// Reads stay live — stable contents survive the crash.
+	// Reads stay live — what a Sync covered survives the crash.
 	nd.store.SetFrozen(true)
 	for _, t := range nd.timers {
 		t.Cancel()

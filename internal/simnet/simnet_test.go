@@ -141,6 +141,9 @@ func TestRecoverInvokesCallbackAndKeepsStableStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Put("durable", []byte("yes"))
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	recovered := false
 	if err := n.SetRecover(2, func() error { recovered = true; return nil }); err != nil {
 		t.Fatal(err)

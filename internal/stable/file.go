@@ -2,8 +2,9 @@ package stable
 
 // File-journaled stable storage: the serving path's real medium. Every
 // mutation the in-memory Store applies is appended to a journal file as
-// one JSON record per line and fsynced before the mutator returns, so a
-// process crash after any mutator call finds that mutation on disk.
+// one JSON record per line; the record sits in the OS cache until a Sync
+// batch covers it (and every concurrent neighbour) with one fsync, so a
+// process crash finds on disk every mutation a completed Sync covered.
 // OpenFile replays the journal into a fresh Store on restart; a torn
 // tail (the partial last line a mid-write crash leaves) is discarded and
 // truncated away, which is exactly the WAL recovery rule: an incomplete
@@ -22,6 +23,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 )
 
 // journal record operations.
@@ -66,15 +68,7 @@ func (s *Store) journalRecord(r journalRec) {
 		j.err = fmt.Errorf("stable: journal write: %w", err)
 		return
 	}
-	if s.group {
-		// Group commit: the record sits in the OS cache until a Sync()
-		// batch covers it (and every concurrent neighbor) with one fsync.
-		s.mutGen++
-		return
-	}
-	if err := j.f.Sync(); err != nil {
-		j.err = fmt.Errorf("stable: journal sync: %w", err)
-	}
+	s.mutGen++ // durable once a Sync batch covers this generation
 }
 
 // JournalErr reports the first journal write failure, or nil (always nil
@@ -98,6 +92,7 @@ func (s *Store) Close() error {
 	}
 	j := s.journal
 	s.journal = nil
+	s.dropWindowLocked() // from here on the store is an in-memory one
 	if s.pendReq != nil {
 		// Wake the SyncThen syncer so it observes the closed journal and
 		// exits once its queue drains.
@@ -116,7 +111,7 @@ func (s *Store) Close() error {
 // OpenFile opens a journal-backed store, creating the journal at path if
 // absent and replaying it if present. A torn final record is discarded
 // and truncated away. The returned store journals every subsequent
-// mutation with a per-record fsync.
+// mutation; Sync makes them durable.
 func OpenFile(path string) (*Store, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
@@ -165,7 +160,9 @@ func OpenFile(path string) (*Store, error) {
 		return nil, fmt.Errorf("stable: seek journal %s: %w", path, err)
 	}
 	s.mu.Lock()
+	s.dropWindowLocked() // the replay ran through Put/Append: all of it is synced
 	s.journal = &fileJournal{f: f}
+	s.syncDone = sync.NewCond(&s.mu)
 	s.mu.Unlock()
 	return s, nil
 }

@@ -22,7 +22,6 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 		t.Fatalf("OpenFile: %v", err)
 	}
 	defer s.Close()
-	s.SetGroupCommit(true)
 
 	for round := 0; round < rounds; round++ {
 		var wrote, synced sync.WaitGroup
@@ -64,12 +63,14 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 }
 
 // TestGroupCommitCrashRevert proves the in-memory medium's batch-window
-// crash semantics: a freeze reverts to the last-synced snapshot, so the
+// crash semantics: a freeze reverts to what the last Sync covered, so the
 // unsynced tail — kv, log, and write counters alike — never happened.
 func TestGroupCommitCrashRevert(t *testing.T) {
 	s := NewStore()
-	s.Put("boot", []byte("x")) // pre-group contents become the baseline
-	s.SetGroupCommit(true)
+	s.Put("boot", []byte("x"))
+	if err := s.Sync(); err != nil { // the baseline a crash goes back to
+		t.Fatalf("Sync: %v", err)
+	}
 
 	s.Put("a", []byte("1"))
 	s.Append([]byte("rec0"))
@@ -102,27 +103,9 @@ func TestGroupCommitCrashRevert(t *testing.T) {
 	if _, ok := s.Get("b"); ok {
 		t.Error("unsynced put resurfaced after recovery")
 	}
-	if got := s.Syncs(); got != 1 {
-		t.Errorf("Syncs() = %d, want 1", got)
+	if got := s.Syncs(); got != 2 {
+		t.Errorf("Syncs() = %d, want 2", got)
 	}
-}
-
-// TestGroupCommitSyncNoOpByDefault pins the compatibility contract: with
-// group commit off, Sync is free and every mutation is already durable.
-func TestGroupCommitSyncNoOpByDefault(t *testing.T) {
-	s := NewStore()
-	s.Put("a", []byte("1"))
-	if err := s.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
-	}
-	if got := s.Syncs(); got != 0 {
-		t.Errorf("Syncs() = %d outside group mode, want 0", got)
-	}
-	s.SetFrozen(true)
-	if _, ok := s.Get("a"); !ok {
-		t.Error("non-group store reverted on freeze")
-	}
-	s.SetFrozen(false)
 }
 
 // TestGroupCommitOnSyncHook proves the hook fires outside the store lock
@@ -131,7 +114,6 @@ func TestGroupCommitSyncNoOpByDefault(t *testing.T) {
 // deadlocking.
 func TestGroupCommitOnSyncHook(t *testing.T) {
 	s := NewStore()
-	s.SetGroupCommit(true)
 	var calls []int
 	s.SetOnSync(func(n int) {
 		calls = append(calls, n)
@@ -159,10 +141,9 @@ func TestGroupCommitOnSyncHook(t *testing.T) {
 }
 
 // TestGroupCommitFrozenSyncDiscarded proves a crashed site cannot force
-// anything to disk: Sync while frozen neither promotes nor counts.
+// anything to disk: Sync while frozen neither covers anything nor counts.
 func TestGroupCommitFrozenSyncDiscarded(t *testing.T) {
 	s := NewStore()
-	s.SetGroupCommit(true)
 	s.Put("a", []byte("1"))
 	s.SetFrozen(true)
 	if err := s.Sync(); err != nil {

@@ -19,7 +19,6 @@ func TestSyncThenInlineWithoutDispatcher(t *testing.T) {
 		t.Fatalf("OpenFile: %v", err)
 	}
 	defer s.Close()
-	s.SetGroupCommit(true)
 
 	s.Put("a", []byte("1"))
 	ran := false
@@ -34,10 +33,9 @@ func TestSyncThenInlineWithoutDispatcher(t *testing.T) {
 
 // TestSyncThenInlineOnMemoryStore: the in-memory medium has no journal to
 // pipeline, so SyncThen stays inline even with a dispatcher installed —
-// and the sync still promotes the snapshot exactly like Sync.
+// and the sync still covers the record exactly like Sync.
 func TestSyncThenInlineOnMemoryStore(t *testing.T) {
 	s := NewStore()
-	s.SetGroupCommit(true)
 	s.SetSyncDispatch(func(fn func()) { t.Error("dispatcher used on in-memory store"); fn() })
 	s.Put("a", []byte("1"))
 	ran := false
@@ -64,7 +62,6 @@ func TestSyncThenPipelinesAndPreservesOrder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenFile: %v", err)
 	}
-	s.SetGroupCommit(true)
 
 	var mu sync.Mutex
 	var order []int
@@ -122,7 +119,6 @@ func TestSyncThenCloseDrains(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenFile: %v", err)
 	}
-	s.SetGroupCommit(true)
 	var ran sync.WaitGroup
 	s.SetSyncDispatch(func(fn func()) { fn() })
 	const n = 8

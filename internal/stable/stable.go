@@ -1,8 +1,11 @@
 // Package stable models the paper's assumption 4: a stable storage medium
 // whose contents survive site crashes. Each site owns one Store with a
 // key-value area (checkpoints, protocol metadata) and an append-only log
-// area (write-ahead logging). A simulated crash destroys the site's
-// volatile state but never the Store.
+// area (write-ahead logging). The contract is the same on both media (in
+// memory for the simulator, a file journal for tpcserve): a mutation is
+// applied at once and survives a crash once a Sync covers it. A crash
+// destroys the site's volatile state and whatever the store was handed
+// since its last Sync, never what a Sync covered.
 package stable
 
 import (
@@ -30,26 +33,26 @@ type Store struct {
 	// site's store for the duration of its crash.
 	frozen bool
 	// journal, when non-nil, makes the medium real: every applied mutation
-	// is appended (and synced) to a file journal, and OpenFile replays it
-	// on restart. See file.go; a nil journal is the simulator's in-memory
-	// medium, unchanged.
+	// is appended to a file journal, Sync fsyncs it, and OpenFile replays
+	// it on restart. See file.go; a nil journal is the simulator's
+	// in-memory medium.
 	journal *fileJournal
-	// group commit: when enabled, mutations are applied but not durable
-	// until Sync() — file journals defer the per-record fsync to one
-	// batched fsync, and the in-memory medium keeps a last-synced
-	// snapshot that a crash (SetFrozen) reverts to, destroying the
-	// unsynced batch window exactly as a real crash destroys the page
-	// cache. Off by default: every mutator is then durable on return and
-	// Sync() is a no-op, so all pre-group callers are unchanged.
-	group  bool
-	syncs  int
-	onSync func(n int)
-	// last-synced snapshot (group mode, in-memory medium only).
-	snapKV        map[string][]byte
-	snapLog       [][]byte
-	snapKVWrites  int
-	snapLogWrites int
-	// leader/follower batching state (group mode, file journal only):
+	syncs   int
+	onSync  func(n int)
+	// the unsynced window (in-memory medium only): what a crash (SetFrozen)
+	// takes back, exactly as a real crash destroys the page cache. undoKV
+	// holds what each key written since the last Sync held before (nil =
+	// absent), keepLog the length of the synced log prefix still in place,
+	// cutLog the synced records a TruncateLog below keepLog removed, and
+	// the two counters the write counts as of the last Sync. Sync drops the
+	// window; its cost follows the writes since the last Sync, not the
+	// store.
+	undoKV          map[string][]byte
+	keepLog         int
+	cutLog          [][]byte
+	syncedKVWrites  int
+	syncedLogWrites int
+	// leader/follower batching state (file journal only):
 	// mutGen counts journaled-but-unsynced records, syncedGen the highest
 	// generation a completed fsync covered. A Sync caller whose target is
 	// already covered returns without touching the disk; otherwise one
@@ -85,68 +88,40 @@ func NewStore() *Store { return &Store{} }
 // SetFrozen freezes or thaws the store. While frozen, Put, Delete, Append,
 // and TruncateLog are silently discarded (counters included) and reads see
 // the contents as of the freeze — the storage a crashed site leaves behind.
-// Under group commit the freeze also reverts the store to its last-synced
-// snapshot first: the crash destroys whatever sat in the open batch window.
+// The freeze first takes back the in-memory medium's unsynced window: the
+// crash destroys whatever no Sync covered.
 func (s *Store) SetFrozen(frozen bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if frozen && !s.frozen && s.group && s.journal == nil {
+	if frozen && !s.frozen && s.journal == nil {
 		s.revertLocked()
 	}
 	s.frozen = frozen
 }
 
-// SetGroupCommit switches the store into (or out of) group-commit mode.
-// Enabling it on an in-memory store snapshots the current contents as the
-// durable baseline; everything mutated afterwards is volatile until the
-// next Sync.
-func (s *Store) SetGroupCommit(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if on == s.group {
-		return
-	}
-	s.group = on
-	if on {
-		if s.syncDone == nil {
-			s.syncDone = sync.NewCond(&s.mu)
-		}
-		if s.journal == nil {
-			s.promoteLocked()
-		}
-	}
-}
-
-// GroupCommit reports whether group-commit mode is on.
-func (s *Store) GroupCommit() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.group
-}
+// SetGroupCommit does nothing: every store group-commits.
+//
+// Deprecated: kept only because bench/ calls it by name (ROADMAP item 2
+// deletes it); `make lint` greps that nothing else does.
+func (s *Store) SetGroupCommit(bool) {}
 
 // Sync makes every mutation applied so far durable and returns the first
-// journal error, if any. Outside group-commit mode each mutator is already
-// durable when it returns, so Sync is a no-op — protocol code can call it
-// unconditionally. Under group commit, concurrent callers batch: one
+// journal error, if any. Concurrent callers on a file journal batch: one
 // leader issues a single fsync covering every record written so far and
 // the followers block on it instead of issuing their own.
 func (s *Store) Sync() error {
 	s.mu.Lock()
-	if !s.group || s.frozen { // a crashed site cannot force anything to disk
+	if s.frozen { // a crashed site cannot force anything to disk
 		s.mu.Unlock()
 		return nil
 	}
+	var err error
 	if s.journal == nil {
-		s.promoteLocked()
+		s.dropWindowLocked()
 		s.syncs++
-		n, hook := s.syncs, s.onSync
-		s.mu.Unlock()
-		if hook != nil {
-			hook(n)
-		}
-		return nil
+	} else {
+		err = s.syncToLocked(s.mutGen)
 	}
-	err := s.syncToLocked(s.mutGen)
 	n, hook := s.syncs, s.onSync
 	s.mu.Unlock()
 	if hook != nil {
@@ -196,18 +171,17 @@ func (s *Store) SetSyncDispatch(fn func(fn func())) {
 }
 
 // SyncThen arranges fn to run once every mutation applied so far is
-// durable. Outside group-commit mode persists are already durable, and
-// without a journal or dispatcher there is nothing to overlap — in all
-// those cases this is Sync followed by fn inline. With a dispatcher on a
-// group-committed file journal the fsync moves off the caller's
-// goroutine entirely: fn queues behind the current mutation generation,
+// durable. Without a journal or dispatcher there is nothing to overlap,
+// and this is Sync followed by fn inline. With a dispatcher on a file
+// journal the fsync moves off the caller's goroutine entirely: fn queues
+// behind the current mutation generation,
 // the syncer goroutine covers every queued callback with one batched
 // fsync, and fn is dispatched afterwards. That is pipelined group commit:
 // a serial event loop keeps absorbing concurrent transactions while the
 // disk settles, instead of stalling a full fsync at every sync point.
 func (s *Store) SyncThen(fn func()) {
 	s.mu.Lock()
-	if !s.group || s.frozen || s.journal == nil || s.dispatch == nil {
+	if s.frozen || s.journal == nil || s.dispatch == nil {
 		s.mu.Unlock()
 		_ = s.Sync()
 		fn()
@@ -278,31 +252,38 @@ func (s *Store) SetOnSync(fn func(n int)) {
 	s.onSync = fn
 }
 
-// promoteLocked snapshots the live contents as the new durable baseline.
-func (s *Store) promoteLocked() {
-	s.snapKV = make(map[string][]byte, len(s.kv))
-	for k, v := range s.kv {
-		s.snapKV[k] = append([]byte{}, v...)
-	}
-	s.snapLog = make([][]byte, len(s.log))
-	for i, r := range s.log {
-		s.snapLog[i] = append([]byte{}, r...)
-	}
-	s.snapKVWrites, s.snapLogWrites = s.kvWrites, s.logWrites
+// dropWindowLocked makes the live contents the synced ones.
+func (s *Store) dropWindowLocked() {
+	s.undoKV, s.keepLog, s.cutLog = nil, len(s.log), nil
+	s.syncedKVWrites, s.syncedLogWrites = s.kvWrites, s.logWrites
 }
 
-// revertLocked discards the unsynced batch window, restoring the
-// last-synced snapshot (write counters included).
+// revertLocked puts the unsynced window back, restoring the store (write
+// counters included) to what the last Sync covered.
 func (s *Store) revertLocked() {
-	s.kv = make(map[string][]byte, len(s.snapKV))
-	for k, v := range s.snapKV {
-		s.kv[k] = append([]byte{}, v...)
+	for k, v := range s.undoKV {
+		if v == nil {
+			delete(s.kv, k)
+		} else {
+			s.kv[k] = v
+		}
 	}
-	s.log = make([][]byte, len(s.snapLog))
-	for i, r := range s.snapLog {
-		s.log[i] = append([]byte{}, r...)
+	s.log = append(s.log[:s.keepLog], s.cutLog...)
+	s.kvWrites, s.logWrites = s.syncedKVWrites, s.syncedLogWrites
+	s.dropWindowLocked()
+}
+
+// undoLocked notes, the first time key is written after a Sync, what it
+// held at that Sync. Stored values are never modified in place, so the
+// window shares them.
+func (s *Store) undoLocked(key string) {
+	if _, noted := s.undoKV[key]; noted || s.journal != nil {
+		return
 	}
-	s.kvWrites, s.logWrites = s.snapKVWrites, s.snapLogWrites
+	if s.undoKV == nil {
+		s.undoKV = map[string][]byte{}
+	}
+	s.undoKV[key] = s.kv[key]
 }
 
 // Frozen reports whether mutations are currently discarded.
@@ -322,6 +303,7 @@ func (s *Store) Put(key string, value []byte) {
 	if s.kv == nil {
 		s.kv = map[string][]byte{}
 	}
+	s.undoLocked(key)
 	s.kv[key] = append([]byte{}, value...)
 	s.kvWrites++
 	s.journalRecord(journalRec{Op: opPut, Key: key, Val: value})
@@ -345,6 +327,7 @@ func (s *Store) Delete(key string) {
 	if s.frozen {
 		return
 	}
+	s.undoLocked(key)
 	delete(s.kv, key)
 	s.kvWrites++
 	s.journalRecord(journalRec{Op: opDelete, Key: key})
@@ -408,6 +391,10 @@ func (s *Store) TruncateLog(n int) error {
 	}
 	if s.frozen {
 		return nil
+	}
+	if s.journal == nil && n < s.keepLog { // cutting into the synced prefix: a crash restores it
+		s.cutLog = append(append([][]byte{}, s.log[n:s.keepLog]...), s.cutLog...)
+		s.keepLog = n
 	}
 	s.log = s.log[:n]
 	s.logWrites++

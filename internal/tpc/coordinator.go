@@ -54,10 +54,12 @@ func (c *Coordinator) Begin(txn string) error { return c.BeginWith(txn, c.cohort
 // to prepare and nobody to wait for, so it commits immediately. It is not
 // message dispatch, so it opts into the durability analysis explicitly.
 //
-// The w1 record is deliberately not forced to disk before the commit
-// requests leave (group commit): a coordinator that crashes with an
-// unsynced w recovers to q, decides nothing, and the cohorts' termination
-// protocol aborts — the same outcome recovery-from-w would reach.
+// The w1 record is deliberately not forced *under 3PC* before the commit
+// requests leave: a coordinator that crashes with an unsynced w recovers
+// to q, decides nothing, and the cohorts' termination protocol aborts —
+// the same outcome recovery-from-w would reach. 2PC has no termination
+// protocol: a recordless coordinator would leave the yes-voters in w for
+// good, so there w1 is forced and recovery from it announces the abort.
 //
 //dur:handler
 func (c *Coordinator) BeginWith(txn string, participants []rt.NodeID) error {
@@ -72,6 +74,9 @@ func (c *Coordinator) BeginWith(txn string, participants []rt.NodeID) error {
 	if len(ct.parts) == 0 {
 		c.commit(txn, ct, CauseMessage)
 		return nil
+	}
+	if c.cfg.Protocol == TwoPhase {
+		c.sync()
 	}
 	req := txnMsg{Txn: txn, Participants: ct.parts}
 	for _, ch := range ct.parts {

@@ -92,11 +92,9 @@ func (e *endpoint) send(to rt.NodeID, kind string, payload any) {
 	}
 }
 
-// sync forces the site's pending stable writes to disk in one batch. A
-// no-op outside group-commit mode, where every persist is already
-// durable on return; under group commit it is placed exactly where an
-// unsynced record would diverge from what independent recovery re-derives
-// (see the comments at each call site).
+// sync forces the site's pending stable writes to disk in one batch. It is
+// placed exactly where an unsynced record would diverge from what
+// independent recovery re-derives (see the comments at each call site).
 func (e *endpoint) sync() {
 	st, err := e.net.Store(e.id)
 	if err != nil {
@@ -106,8 +104,7 @@ func (e *endpoint) sync() {
 }
 
 // syncThen runs fn once the site's pending stable writes are durable: on
-// the caller's stack under the simulator (and outside group-commit mode,
-// where persists are already durable), or re-enqueued on this node's
+// the caller's stack under the simulator, or re-enqueued on this node's
 // event loop by the store's pipelined group commit on the live serving
 // path — the loop keeps absorbing concurrent transactions while the
 // batched fsync settles, instead of stalling behind it.

@@ -110,23 +110,14 @@ func TestScopedTerminationRunsOverParticipants(t *testing.T) {
 }
 
 // TestGroupCommitSyncPoints pins the divergence-rule fsync placement on
-// the happy 3PC path with group commit enabled on every site: the
-// coordinator syncs exactly once (at p1, before the prepares), each
-// cohort exactly twice (w2 before its vote, p2 before its ack) — and the
-// commit dissemination itself rides on recovery-from-p, costing nothing.
+// the happy 3PC path: the coordinator syncs exactly once (at p1, before
+// the prepares), each cohort exactly twice (w2 before its vote, p2 before
+// its ack) — and the commit dissemination itself rides on
+// recovery-from-p, costing nothing.
 func TestGroupCommitSyncPoints(t *testing.T) {
 	g, err := NewGroup(3, 3, Config{Protocol: ThreePhase})
 	if err != nil {
 		t.Fatal(err)
-	}
-	stores := map[simnet.NodeID]int{}
-	for _, id := range append([]simnet.NodeID{g.CoordID}, g.CohortIDs...) {
-		st, err := g.Net.Store(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.SetGroupCommit(true)
-		stores[id] = 0
 	}
 	if err := g.Run("t1"); err != nil {
 		t.Fatal(err)
@@ -134,7 +125,7 @@ func TestGroupCommitSyncPoints(t *testing.T) {
 	if d := g.Coordinator.Decision("t1"); d != DecisionCommit {
 		t.Fatalf("decision = %v, want commit", d)
 	}
-	for id := range stores {
+	for _, id := range append([]simnet.NodeID{g.CoordID}, g.CohortIDs...) {
 		st, _ := g.Net.Store(id)
 		want := 2
 		if id == g.CoordID {
@@ -147,23 +138,16 @@ func TestGroupCommitSyncPoints(t *testing.T) {
 }
 
 // TestGroupCommitCoordinatorCrashUnsyncedPrepared is the divergence the
-// mandatory p1 sync prevents, run as a what-if: with group commit ON the
-// coordinator's p record is synced before any prepare leaves, so crashing
-// it right after the prepares and recovering must re-derive COMMIT — the
-// same outcome the cohorts' termination protocol reaches.
+// mandatory p1 sync prevents, run as a what-if: the coordinator's p
+// record is synced before any prepare leaves, so crashing it right after
+// the prepares and recovering must re-derive COMMIT — the same outcome
+// the cohorts' termination protocol reaches.
 func TestGroupCommitCoordinatorCrashUnsyncedPrepared(t *testing.T) {
 	sched := sim.NewScheduler(11)
 	net := simnet.New(sched, simnet.DefaultOptions())
 	g, err := NewGroupOn(net, 3, Config{Protocol: ThreePhase})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, id := range append([]simnet.NodeID{g.CoordID}, g.CohortIDs...) {
-		st, err := net.Store(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.SetGroupCommit(true)
 	}
 	if err := g.Coordinator.Begin("t1"); err != nil {
 		t.Fatal(err)

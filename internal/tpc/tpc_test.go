@@ -67,31 +67,50 @@ func TestCohortCrashBeforeVoteAborts(t *testing.T) {
 func TestCoordinatorCrashInW1CohortsTerminate(t *testing.T) {
 	// Coordinator crashes right after the commit requests go out: cohorts
 	// time out in w2 and the termination protocol aborts everywhere —
-	// non-blocking.
-	g := mustGroup(t, 4, 3, Config{})
-	if err := g.Coordinator.Begin("t1"); err != nil {
-		t.Fatal(err)
-	}
-	g.Net.Scheduler().RunUntil(1)
-	if err := g.Net.Crash(g.CoordID); err != nil {
-		t.Fatal(err)
-	}
-	g.Net.Scheduler().Run(0)
-	for id, h := range g.Cohorts {
-		if h.Decision("t1") != DecisionAbort {
-			t.Fatalf("cohort %d = %s, want abort", id, h.Decision("t1"))
-		}
-	}
-	// Coordinator recovers later and must agree (failure transition w1→a).
-	if err := g.Net.Recover(g.CoordID); err != nil {
-		t.Fatal(err)
-	}
-	got, err := g.Coordinator.RecoverAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got["t1"] != DecisionAbort {
-		t.Fatalf("recovered coordinator decided %s", got["t1"])
+	// non-blocking. BeginWith does not force w1 under 3PC, so the
+	// coordinator recovers recordless and decides nothing; had a sync
+	// covered w1, recovery takes the failure transition w1→a. Either way
+	// nobody disagrees.
+	for name, syncedW1 := range map[string]bool{"unsynced w1": false, "synced w1": true} {
+		t.Run(name, func(t *testing.T) {
+			g := mustGroup(t, 4, 3, Config{})
+			if err := g.Coordinator.Begin("t1"); err != nil {
+				t.Fatal(err)
+			}
+			if syncedW1 {
+				st, err := g.Net.Store(g.CoordID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			g.Net.Scheduler().RunUntil(1)
+			if err := g.Net.Crash(g.CoordID); err != nil {
+				t.Fatal(err)
+			}
+			g.Net.Scheduler().Run(0)
+			for id, h := range g.Cohorts {
+				if h.Decision("t1") != DecisionAbort {
+					t.Fatalf("cohort %d = %s, want abort", id, h.Decision("t1"))
+				}
+			}
+			if err := g.Net.Recover(g.CoordID); err != nil {
+				t.Fatal(err)
+			}
+			got, err := g.Coordinator.RecoverAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := DecisionNone
+			if syncedW1 {
+				want = DecisionAbort
+			}
+			if d, found := got["t1"]; d != want || found != syncedW1 {
+				t.Fatalf("recovered coordinator decided %s (on record: %v), want %s", d, found, want)
+			}
+		})
 	}
 }
 

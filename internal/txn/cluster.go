@@ -34,16 +34,16 @@ func NewCluster(seed int64, n int, cfg tpc.Config) (*Cluster, error) {
 // hooks. Every site's database is hash-partitioned into nshards
 // independent shards over the site's one stable store (see
 // NewShardedSiteOn). simnet.Recover re-runs the recovery each engine's
-// constructor ran. Every store group-commits, as a durable tpcserve's
-// does: a crash takes the unsynced tail along with the node's memory.
+// constructor ran. A crash takes a store's unsynced tail along with the
+// node's memory, as it does a killed tpcserve's.
 func NewShardedClusterOn(net *simnet.Network, n int, cfg tpc.Config, nshards int) (*Cluster, error) {
 	masterID := simnet.NodeID(1)
-	net.AddNode(masterID, nil).SetGroupCommit(true)
+	net.AddNode(masterID, nil)
 	var siteIDs []simnet.NodeID
 	for i := 2; i <= n+1; i++ {
 		id := simnet.NodeID(i)
 		siteIDs = append(siteIDs, id)
-		net.AddNode(id, nil).SetGroupCommit(true)
+		net.AddNode(id, nil)
 	}
 	c := &Cluster{Net: net, MasterID: masterID, SiteIDs: siteIDs, Sites: map[simnet.NodeID]*Site{}}
 

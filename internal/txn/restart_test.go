@@ -113,6 +113,7 @@ func TestConstructionRecovers(t *testing.T) {
 				t.Run("master crashed mid-submit aborts on recovery", func(t *testing.T) { crashedMidSubmit(t, cfg, shards) })
 				if proto == tpc.TwoPhase {
 					t.Run("new master unblocks cohorts", func(t *testing.T) { newMasterUnblocks(t, cfg, shards) })
+					t.Run("master killed in w1 unblocks cohorts", func(t *testing.T) { masterKilledInW1(t, cfg, shards) })
 				}
 			})
 		}
@@ -210,6 +211,35 @@ func newMasterUnblocks(t *testing.T, cfg tpc.Config, shards int) {
 	}
 	if c.Sites[siteA].Store.Read("x") != "1" || c.Sites[siteB].Store.Read("y") != "2" {
 		t.Fatal("committed values not visible")
+	}
+}
+
+// A 2PC coordinator killed after its commit requests left, with every
+// cohort in w: there is no termination protocol, so the yes-voters wait
+// for the coordinator, which must find its w1 on disk (BeginWith forces
+// it) and announce the abort. Unforced, it came back recordless, said
+// nothing, and both sites kept the transaction's locks for good.
+func masterKilledInW1(t *testing.T, cfg tpc.Config, shards int) {
+	net := usedNet(t, func(map[simnet.NodeID]*stable.Store) {})
+	c, err := construct(net, cfg, shards)
+	mustOK(t, err)
+	ops := []Op{{Site: siteA, Key: "x", Value: "1", IsWrite: true}, {Site: siteB, Key: "y", Value: "2", IsWrite: true}}
+	mustOK(t, c.Master.Submit("T", ops, nil))
+	for c.Sites[siteA].StateOf("T") != tpc.StateWait || c.Sites[siteB].StateOf("T") != tpc.StateWait {
+		if !net.Scheduler().Step() {
+			t.Fatal("quiesced before both sites reached w")
+		}
+	}
+	mustOK(t, net.Crash(master))
+	mustOK(t, net.Recover(master))
+	net.Scheduler().RunUntil(4000) // bounded: a still-blocked cohort re-arms its timer forever
+	for _, site := range c.Sites {
+		if d := site.Decision("T"); d == tpc.DecisionNone {
+			t.Errorf("site %d still blocked in %s", site.ID(), site.StateOf("T"))
+		}
+	}
+	if !t.Failed() {
+		abortedAndUnlocked(t, c, ops)
 	}
 }
 
@@ -371,6 +401,7 @@ func corruptState(t *testing.T, cfg tpc.Config, shards int) {
 		mustOK(t, err)
 		st, _ := net.Store(victim)
 		putState(st, "T", "\x00garbage")
+		mustOK(t, st.Sync())
 		mustOK(t, net.Crash(victim))
 		if err := net.Recover(victim); !errors.Is(err, tpc.ErrCorrupt) {
 			t.Fatalf("simnet.Recover of node %d over a corrupt record: %v", victim, err)
@@ -400,7 +431,7 @@ func decidedHistory(t *testing.T, cfg tpc.Config, shards int) {
 				putState(s[id], name(i), state)
 				s[id].Put("tpc/"+name(i)+"/decision", []byte(d.String()))
 			}
-			s[id].SetGroupCommit(true)
+			mustOK(t, s[id].Sync())
 		}
 	})
 	type bill struct{ syncs, kv, log int }
@@ -440,7 +471,7 @@ type restartRow struct {
 	dropVote  bool
 	crashWhen func(c *Cluster) bool
 	// forceSync syncs the victim's store before the crash, as a concurrent
-	// committer's sync point would: a coordinator's w is never forced.
+	// committer's sync point would: a 3PC coordinator's w is never forced.
 	forceSync bool
 	durable   string
 }
@@ -461,17 +492,13 @@ var restartRows = []restartRow{
 		crashWhen: func(c *Cluster) bool { return c.Master.coord.StateOf("T") == tpc.StatePrepared }},
 }
 
-// restart stages the row on a new cluster whose stores group-commit, brings
-// the victim back — simnet.Recover on the live engine, or a new engine
-// constructed over the same store, as a restarted tpcserve does — and
-// returns every node's protocol records plus every send from the restart on.
+// restart stages the row on a new cluster, brings the victim back —
+// simnet.Recover on the live engine, or a new engine constructed over the
+// same store, as a restarted tpcserve does — and returns every node's
+// protocol records plus every send from the restart on.
 func (row restartRow) restart(t *testing.T, cfg tpc.Config, shards int, fresh bool) string {
 	t.Helper()
-	net := usedNet(t, func(s map[simnet.NodeID]*stable.Store) {
-		for _, st := range s {
-			st.SetGroupCommit(true)
-		}
-	})
+	net := usedNet(t, func(map[simnet.NodeID]*stable.Store) {})
 	c, err := construct(net, cfg, shards)
 	mustOK(t, err)
 	heard := map[string]int{}
