@@ -20,7 +20,7 @@ import (
 	_ "embed"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Mode is a lock mode.
@@ -140,7 +140,8 @@ type object struct {
 // not usable; call NewManager.
 type Manager struct {
 	objects map[string]*object
-	// held[txn] is the set of objects the transaction holds (for release).
+	// held[txn] maps each key txn holds to its granted mode, and each key
+	// it is queued on (or released early) to 0: all that ReleaseAll visits.
 	held map[string]map[string]Mode
 	// waits[txn] is the transaction's pending request object, if any.
 	waits map[string]string
@@ -191,40 +192,52 @@ func (m *Manager) compatible(o *object, txn string, mode Mode) bool {
 // (false, ErrDeadlock) and is not queued.
 func (m *Manager) Acquire(txn, key string, mode Mode, onGrant func()) (bool, error) {
 	o := m.obj(key)
-	if cur := m.held[txn][key]; cur != 0 && Covers(cur, mode) {
-		m.grants++
-		if onGrant != nil {
-			onGrant()
-		}
-		return true, nil // already held at sufficient strength
-	}
-	if m.compatible(o, txn, mode) && len(o.queue) == 0 {
+	cur := m.held[txn][key]
+	switch {
+	case cur != 0 && Covers(cur, mode):
+		m.grants++ // already held at sufficient strength
+	case m.compatible(o, txn, mode) && len(o.queue) == 0:
 		m.grant(o, txn, key, mode)
-		if onGrant != nil {
-			onGrant()
+	default:
+		// Would block: check the waits-for graph for a cycle first.
+		if m.wouldDeadlock(txn, o) {
+			m.deadlocks++
+			m.forget(key, o)
+			return false, fmt.Errorf("%w: txn %s on %s/%s", ErrDeadlock, txn, key, mode)
 		}
-		return true, nil
+		m.blocks++
+		o.queue = append(o.queue, request{txn: txn, mode: mode, grant: onGrant})
+		m.waits[txn] = key
+		m.note(txn, key, cur) // a granted mode stays; else 0, queued
+		return false, nil
 	}
-	// Would block: check the waits-for graph for a cycle first.
-	if m.wouldDeadlock(txn, o) {
-		m.deadlocks++
-		return false, fmt.Errorf("%w: txn %s on %s/%s", ErrDeadlock, txn, key, mode)
+	if onGrant != nil {
+		onGrant()
 	}
-	m.blocks++
-	o.queue = append(o.queue, request{txn: txn, mode: mode, grant: onGrant})
-	m.waits[txn] = key
-	return false, nil
+	return true, nil
 }
 
 func (m *Manager) grant(o *object, txn, key string, mode Mode) {
 	m.grants++
 	eff := Join(o.holders[txn], mode)
 	o.holders[txn] = eff
+	m.note(txn, key, eff)
+	delete(m.waits, txn)
+}
+
+// note records key in txn's held set at mode (0: queued, not granted).
+func (m *Manager) note(txn, key string, mode Mode) {
 	if m.held[txn] == nil {
 		m.held[txn] = map[string]Mode{}
 	}
-	m.held[txn][key] = eff
-	delete(m.waits, txn)
+	m.held[txn][key] = mode
+}
+
+// forget drops key's object once nothing holds or waits on it.
+func (m *Manager) forget(key string, o *object) {
+	if len(o.holders) == 0 && len(o.queue) == 0 {
+		delete(m.objects, key)
+	}
 }
 
 // wouldDeadlock checks whether txn waiting on o closes a cycle in the
@@ -234,14 +247,13 @@ func (m *Manager) wouldDeadlock(txn string, o *object) bool {
 	// lock never blocks its upgrade request, so the waits-for edges
 	// run only to the other holders (otherwise every upgrade behind a
 	// co-reader would be misreported as a self-deadlock).
-	var start []string
-	for _, h := range m.holdersOf(o) {
+	var stack []string
+	for _, h := range sortedKeys(o.holders) {
 		if h != txn {
-			start = append(start, h)
+			stack = append(stack, h)
 		}
 	}
 	seen := map[string]bool{}
-	stack := append([]string{}, start...)
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -254,24 +266,27 @@ func (m *Manager) wouldDeadlock(txn string, o *object) bool {
 		seen[cur] = true
 		// cur waits on some object; its holders are next.
 		if key, waiting := m.waits[cur]; waiting {
-			stack = append(stack, m.holdersOf(m.obj(key))...)
+			stack = append(stack, sortedKeys(m.obj(key).holders)...)
 		}
 	}
 	return false
 }
 
-func (m *Manager) holdersOf(o *object) []string {
-	out := make([]string, 0, len(o.holders))
-	for h := range o.holders {
-		out = append(out, h)
+// sortedKeys returns the keys of a map in sorted order.
+func sortedKeys[V any](set map[string]V) []string {
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
 // ReleaseAll releases every lock held by txn (strict 2PL: all locks are
 // held to transaction end, then released together), granting queued
-// compatible requests in FIFO order.
+// compatible requests in FIFO order and forgetting objects left idle. It
+// costs O(k log k) in the k keys txn holds or is queued on, not in the
+// number of keys the manager holds.
 //
 // The transaction's own queued requests are purged BEFORE any queue is
 // pumped: a transaction can simultaneously hold a key and be queued on it
@@ -280,54 +295,41 @@ func (m *Manager) holdersOf(o *object) []string {
 // removed — a stale grant to a transaction that is releasing everything,
 // re-creating its held entry after deletion and leaking the lock forever.
 func (m *Manager) ReleaseAll(txn string) {
-	// Sorted key iteration: pumping grants queued requests, whose callbacks
-	// re-enter the engines, so the grant order must be identical across
-	// replays (map-order pumping would leak nondeterminism into the
-	// deterministic simulator's traces).
-	queued := make([]string, 0, len(m.objects))
-	for key := range m.objects {
-		queued = append(queued, key)
-	}
-	sort.Strings(queued)
-	for _, key := range queued {
-		o := m.objects[key]
-		var rest []request
-		for _, r := range o.queue {
-			if r.txn != txn {
-				rest = append(rest, r)
-			}
-		}
-		if len(rest) != len(o.queue) {
-			o.queue = rest
+	// Sorted keys: grant callbacks re-enter the engines, so map-order
+	// pumping would leak nondeterminism into the simulator's traces.
+	for _, key := range sortedKeys(m.held[txn]) {
+		o := m.obj(key)
+		n := len(o.queue)
+		if o.queue = slices.DeleteFunc(o.queue, func(r request) bool { return r.txn == txn }); len(o.queue) != n {
 			// The shorter queue may unblock a head request behind the purged
 			// one even on keys txn never held.
 			m.pump(o, key)
 		}
 	}
-	keys := make([]string, 0, len(m.held[txn]))
-	for key := range m.held[txn] {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
+	held := m.held[txn]
 	delete(m.held, txn)
 	delete(m.waits, txn)
-	for _, key := range keys {
-		o := m.obj(key)
-		delete(o.holders, txn)
-		m.pump(o, key)
+	for _, key := range sortedKeys(held) {
+		o := m.obj(key) // afresh: the callbacks above may have re-entered m
+		if held[key] != 0 {
+			delete(o.holders, txn)
+			m.pump(o, key)
+		}
+		m.forget(key, o)
 	}
 }
 
 // Release drops one lock early (non-strict use; tests of 2PL violations).
+// The key stays noted at 0: txn may still be queued on it for an upgrade.
 func (m *Manager) Release(txn, key string) error {
-	o := m.obj(key)
-	_, held := m.held[txn][key]
-	if !held {
+	if m.held[txn][key] == 0 {
 		return fmt.Errorf("%w: %s on %s", ErrNotHeld, txn, key)
 	}
-	delete(m.held[txn], key)
+	o := m.obj(key)
+	m.held[txn][key] = 0
 	delete(o.holders, txn)
 	m.pump(o, key)
+	m.forget(key, o)
 	return nil
 }
 
@@ -348,11 +350,10 @@ func (m *Manager) pump(o *object, key string) {
 
 // QueueLen reports the number of waiting requests on key.
 func (m *Manager) QueueLen(key string) int {
-	o, ok := m.objects[key]
-	if !ok {
-		return 0
+	if o := m.objects[key]; o != nil {
+		return len(o.queue)
 	}
-	return len(o.queue)
+	return 0
 }
 
 // Stats reports grant/block/deadlock counters.
@@ -362,9 +363,8 @@ func (m *Manager) Stats() (grants, blocks, deadlocks int) {
 
 // Holders reports the current holders of key, sorted.
 func (m *Manager) Holders(key string) []string {
-	o, ok := m.objects[key]
-	if !ok {
-		return nil
+	if o := m.objects[key]; o != nil {
+		return sortedKeys(o.holders)
 	}
-	return m.holdersOf(o)
+	return nil
 }
