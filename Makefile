@@ -54,12 +54,14 @@ lint:
 # durable-on-return mode of internal/stable and its full-copy snapshot
 # replaced by the unsynced window, with 2PC's forced w1 counted;
 # SERVING 2063 -> 2062, tpcserve's SetGroupCommit call.
+# Standardizing each clause apart once lowered one: PROOF 6462 -> 6377,
+# the prover's sort-blind clausification cache and clause-weight helper.
 ANALYSIS_LOC_BUDGET = 6512
 STACK_LOC_BUDGET = 4319
 HARNESS_LOC_BUDGET = 3019
 SERVING_LOC_BUDGET = 2062
 TOOLS_LOC_BUDGET = 1492
-PROOF_LOC_BUDGET = 6462
+PROOF_LOC_BUDGET = 6377
 loc_count = find $(1) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
 loc:
 	@a=$$($(call loc_count,internal/analysis)); \

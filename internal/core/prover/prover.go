@@ -122,11 +122,6 @@ type Prover struct {
 	// Nil means the wall clock; tests and simulations inject their own so
 	// proof search stays deterministic under a controlled clock.
 	Now func() time.Time
-	// Cache, when non-nil, memoizes clausification of premises and goals
-	// across Prove calls. Skolem symbols are namespaced per formula, so
-	// cached and uncached searches derive bit-identical proofs. The cache
-	// may be shared by provers running concurrently.
-	Cache *ClauseCache
 }
 
 // deadlineCheckInterval is how often, in given-clause iterations, the
@@ -156,12 +151,12 @@ func (p *Prover) Prove(axioms []NamedFormula, goal NamedFormula) (*Result, error
 	}
 	var inputs []tagged
 	for _, ax := range axioms {
-		for _, c := range p.clausify(ax.Name, ax.Formula) {
+		for _, c := range clausify(ax.Name, ax.Formula) {
 			inputs = append(inputs, tagged{clause: c, origin: ax.Name})
 		}
 	}
 	negGoal := logic.Not(logic.Closure(goal.Formula))
-	for _, c := range p.clausify("~"+goal.Name, negGoal) {
+	for _, c := range clausify("~"+goal.Name, negGoal) {
 		inputs = append(inputs, tagged{clause: c, sos: true, origin: "~" + goal.Name})
 	}
 
@@ -201,19 +196,11 @@ func (p *Prover) Prove(axioms []NamedFormula, goal NamedFormula) (*Result, error
 
 // clausify converts one named formula to clauses. Skolem symbols are
 // namespaced by the formula's name (premise names are unique within a
-// spec; the goal is keyed under "~name"), so the clause set is a pure
-// function of (name, formula) — the property that makes memoization sound
-// and keeps cached and uncached searches bit-identical.
-func (p *Prover) clausify(name string, f *logic.Formula) []*logic.Clause {
-	build := func() []*logic.Clause {
-		n := 0
-		fresh := func() string { n++; return fmt.Sprintf("sk_%s_%d", name, n) }
-		return logic.ClausifyWith(f, fresh)
-	}
-	if p.Cache == nil {
-		return build()
-	}
-	return p.Cache.clauses(name+"\x00"+f.String(), build)
+// spec; the goal is named "~name"), so two premises never share one.
+func clausify(name string, f *logic.Formula) []*logic.Clause {
+	n := 0
+	fresh := func() string { n++; return fmt.Sprintf("sk_%s_%d", name, n) }
+	return logic.ClausifyWith(f, fresh)
 }
 
 // searchState is the mutable state of one proof search.
@@ -226,8 +213,10 @@ type searchState struct {
 	restrictSOS bool
 	steps       []ProofStep
 	sos         []bool
-	active      []int // indices of processed clauses
-	queue       []int // indices of unprocessed clauses
+	size        []int           // total argument term size of each step's clause
+	active      []int           // indices of processed clauses
+	renamed     []*logic.Clause // active[i]'s clause, standardized apart once
+	queue       []int           // indices of unprocessed clauses
 	seen        map[string]int
 	stats       Stats
 	emptyIdx    int
@@ -251,6 +240,7 @@ func (st *searchState) addClause(c *logic.Clause, rule string, parents []int, or
 	if len(c.Literals) > st.limits.MaxClauseLiterals {
 		return -1
 	}
+	size := 0
 	for _, l := range c.Literals {
 		sz := 0
 		for _, a := range l.Atom.Args {
@@ -259,6 +249,7 @@ func (st *searchState) addClause(c *logic.Clause, rule string, parents []int, or
 		if sz > st.limits.MaxTermSize {
 			return -1
 		}
+		size += sz
 	}
 	key := c.Canonical()
 	if _, dup := st.seen[key]; dup {
@@ -271,6 +262,7 @@ func (st *searchState) addClause(c *logic.Clause, rule string, parents []int, or
 	st.seen[key] = idx
 	st.steps = append(st.steps, ProofStep{Index: idx, Clause: c, Rule: rule, Parents: parents, Origin: origin})
 	st.sos = append(st.sos, sos)
+	st.size = append(st.size, size)
 	st.queue = append(st.queue, idx)
 	st.stats.Retained++
 	return idx
@@ -283,7 +275,12 @@ func (st *searchState) saturate() (*Result, error) {
 			return nil, fmt.Errorf("%w (iterations > %d)", ErrLimit, st.limits.MaxIterations)
 		}
 		given := st.pickGiven()
+		// Each clause is standardized apart once: its "_r" copy joins
+		// renamed as it joins active, before the loop below, which
+		// resolves the given clause against itself too.
 		st.active = append(st.active, given)
+		st.renamed = append(st.renamed, st.steps[given].Clause.RenameVars("_r"))
+		left := st.steps[given].Clause.RenameVars("_l")
 
 		// Factors of the given clause.
 		for _, f := range factors(st.steps[given].Clause) {
@@ -296,11 +293,11 @@ func (st *searchState) saturate() (*Result, error) {
 		}
 		// Binary resolution against all active clauses. Set of support:
 		// at least one parent must be a SOS clause.
-		for _, other := range st.active {
+		for i, other := range st.active {
 			if st.restrictSOS && !st.sos[given] && !st.sos[other] {
 				continue
 			}
-			for _, r := range resolvents(st.steps[given].Clause, st.steps[other].Clause) {
+			for _, r := range resolvents(left, st.renamed[i]) {
 				st.stats.Generated++
 				idx := st.addClause(r, "resolve", []int{given, other}, "", true)
 				if idx >= 0 && st.steps[idx].Clause.IsEmpty() {
@@ -326,7 +323,8 @@ func (st *searchState) saturate() (*Result, error) {
 
 // pickGiven removes and returns the best clause index from the queue:
 // fewest literals first (unit preference), then smallest term size, then
-// oldest. The queue is small in our corpus, so a linear scan is fine.
+// oldest. The scan is linear (RBR's monolithic queue reaches ~10k
+// clauses), so each comparison reads the weight addClause cached.
 func (st *searchState) pickGiven() int {
 	best := 0
 	for i := 1; i < len(st.queue); i++ {
@@ -344,21 +342,10 @@ func (st *searchState) better(a, b int) bool {
 	if len(ca.Literals) != len(cb.Literals) {
 		return len(ca.Literals) < len(cb.Literals)
 	}
-	sa, sb := clauseSize(ca), clauseSize(cb)
-	if sa != sb {
-		return sa < sb
+	if st.size[a] != st.size[b] {
+		return st.size[a] < st.size[b]
 	}
 	return a < b
-}
-
-func clauseSize(c *logic.Clause) int {
-	n := 0
-	for _, l := range c.Literals {
-		for _, a := range l.Atom.Args {
-			n += a.Size()
-		}
-	}
-	return n
 }
 
 func (st *searchState) result(emptyIdx int) (*Result, error) {
@@ -402,14 +389,12 @@ func extractProof(steps []ProofStep, emptyIdx int) []ProofStep {
 	return out
 }
 
-// resolvents returns all binary resolvents of clauses a and b.
+// resolvents returns all binary resolvents of clauses a and b, which the
+// caller has already standardized apart (no variable name in common).
 func resolvents(a, b *logic.Clause) []*logic.Clause {
-	// Standardize apart.
-	a2 := a.RenameVars("_l")
-	b2 := b.RenameVars("_r")
 	var out []*logic.Clause
-	for i, la := range a2.Literals {
-		for j, lb := range b2.Literals {
+	for i, la := range a.Literals {
+		for j, lb := range b.Literals {
 			if la.Negated == lb.Negated {
 				continue
 			}
@@ -418,12 +403,12 @@ func resolvents(a, b *logic.Clause) []*logic.Clause {
 				continue
 			}
 			var lits []logic.Literal
-			for k, l := range a2.Literals {
+			for k, l := range a.Literals {
 				if k != i {
 					lits = append(lits, l.Apply(s))
 				}
 			}
-			for k, l := range b2.Literals {
+			for k, l := range b.Literals {
 				if k != j {
 					lits = append(lits, l.Apply(s))
 				}

@@ -332,87 +332,3 @@ func TestDefaultLimitsHaveTimeout(t *testing.T) {
 		t.Fatal("DefaultLimits().Timeout must be non-zero")
 	}
 }
-
-func renderProof(res *Result) string {
-	var b []byte
-	for _, s := range res.Proof {
-		b = append(b, s.String()...)
-		b = append(b, '\n')
-	}
-	return string(b)
-}
-
-// TestClauseCacheBitIdentical pins memoization soundness: with skolem
-// names namespaced per formula, proofs derived through a shared cache are
-// byte-identical to proofs that re-clausify everything.
-func TestClauseCacheBitIdentical(t *testing.T) {
-	x, y := logic.Var("x", ""), logic.Var("y", "")
-	// The negated universal goal skolemizes, exercising skolem naming.
-	ax := nf("imp", logic.Forall([]*logic.Term{x},
-		logic.Implies(logic.Pred("P", x), logic.Pred("Q", x))))
-	base := nf("base", logic.Forall([]*logic.Term{y}, logic.Pred("P", y)))
-	goal := nf("allq", logic.Forall([]*logic.Term{y}, logic.Pred("Q", y)))
-
-	plain := mustProve(t, []NamedFormula{ax, base}, goal)
-
-	cache := NewClauseCache()
-	first, second := New(), New()
-	first.Cache, second.Cache = cache, cache
-	res1, err := first.Prove([]NamedFormula{ax, base}, goal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := second.Prove([]NamedFormula{ax, base}, goal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if renderProof(res1) != renderProof(plain) || renderProof(res2) != renderProof(plain) {
-		t.Errorf("cached proof differs from uncached:\ncached:\n%s\nuncached:\n%s", renderProof(res1), renderProof(plain))
-	}
-	hits, misses := cache.Stats()
-	if hits == 0 || misses == 0 {
-		t.Errorf("cache not exercised: hits=%d misses=%d", hits, misses)
-	}
-}
-
-// TestClauseCacheConcurrent drives one cache from many provers at once;
-// run under -race this pins the cache's thread safety, and every proof
-// must match the sequential rendering.
-func TestClauseCacheConcurrent(t *testing.T) {
-	x := logic.Var("x", "")
-	ax := nf("imp", logic.Forall([]*logic.Term{x},
-		logic.Implies(logic.Pred("P", x), logic.Pred("Q", x))))
-	base := nf("base", logic.Pred("P", logic.Const("c", "")))
-	goal := nf("qc", logic.Pred("Q", logic.Const("c", "")))
-	want := renderProof(mustProve(t, []NamedFormula{ax, base}, goal))
-
-	cache := NewClauseCache()
-	const n = 8
-	got := make([]string, n)
-	errs := make([]error, n)
-	done := make(chan int)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer func() { done <- i }()
-			p := New()
-			p.Cache = cache
-			res, err := p.Prove([]NamedFormula{ax, base}, goal)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			got[i] = renderProof(res)
-		}(i)
-	}
-	for i := 0; i < n; i++ {
-		<-done
-	}
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("worker %d: %v", i, errs[i])
-		}
-		if got[i] != want {
-			t.Errorf("worker %d proof differs from sequential", i)
-		}
-	}
-}

@@ -14,9 +14,8 @@
 // and are dispatched first, shrinking the tail of the schedule.
 //
 // Results are deterministic and bit-identical at any worker count: each
-// Prove call is a pure function of its premise set, and the shared clause
-// cache memoizes a pure function of each named formula (see
-// prover.ClauseCache).
+// Prove call is a pure function of its premise set, and the workers share
+// no state beyond the read-only environment.
 package provesched
 
 import (
@@ -193,9 +192,6 @@ type Scheduler struct {
 	// Limits bounds each proof search. The zero value means
 	// prover.DefaultLimits.
 	Limits prover.Limits
-	// Cache memoizes clausification across obligations; nil means a
-	// fresh cache private to each Run call.
-	Cache *prover.ClauseCache
 }
 
 // Verify is the one way from source text to a proved environment: it
@@ -228,10 +224,6 @@ func (s *Scheduler) Run(env *speclang.Env, obs []Obligation) []Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cache := s.Cache
-	if cache == nil {
-		cache = prover.NewClauseCache()
-	}
 	// Dispatch deepest-first (largest premise sets first), ties in source
 	// order: starting the long searches early shortens the schedule tail.
 	order := make([]int, len(obs))
@@ -253,7 +245,7 @@ func (s *Scheduler) Run(env *speclang.Env, obs []Obligation) []Result {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				results[i] = s.proveOne(env, cache, obs[i])
+				results[i] = s.proveOne(env, obs[i])
 			}
 		}()
 	}
@@ -267,7 +259,7 @@ func (s *Scheduler) Run(env *speclang.Env, obs []Obligation) []Result {
 
 // proveOne discharges a single obligation on the premises and goal
 // Env.ProveOperands resolves for it.
-func (s *Scheduler) proveOne(env *speclang.Env, cache *prover.ClauseCache, ob Obligation) Result {
+func (s *Scheduler) proveOne(env *speclang.Env, ob Obligation) Result {
 	premises, goal, err := env.ProveOperands(ob.In, ob.Theorem, ob.Using)
 	if err != nil {
 		return Result{Obligation: ob, Err: fmt.Errorf("%w: %w", ErrObligation, err)}
@@ -276,7 +268,7 @@ func (s *Scheduler) proveOne(env *speclang.Env, cache *prover.ClauseCache, ob Ob
 	if lim == (prover.Limits{}) {
 		lim = prover.DefaultLimits()
 	}
-	pr := &prover.Prover{Limits: lim, Cache: cache}
+	pr := &prover.Prover{Limits: lim}
 	res, err := pr.Prove(premises, goal)
 	if err != nil {
 		return Result{Obligation: ob, Err: fmt.Errorf("prove %s in %s: %w", ob.Theorem, ob.In, err)}

@@ -136,9 +136,9 @@ func TestSchedulerDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestSchedulerMatchesSequentialElaborator keeps the reference the inline
-// elaborator used to be: a fresh prover with no clause cache, run on the
-// statement's operands one statement at a time. Scheduler proofs — pooled,
-// cached — must be bit-identical to it.
+// elaborator used to be: a fresh prover run on the statement's operands
+// one statement at a time. Pooled scheduler proofs must be bit-identical
+// to it.
 func TestSchedulerMatchesSequentialElaborator(t *testing.T) {
 	env, obs := testEnv(t)
 	results := (&Scheduler{Workers: 4}).Run(env, obs)
@@ -155,7 +155,7 @@ func TestSchedulerMatchesSequentialElaborator(t *testing.T) {
 			t.Fatalf("reference proof of %s failed: %v", r.Obligation.Name, err)
 		}
 		if want := render(Result{Proof: ref}); render(r) != want {
-			t.Errorf("%s: scheduled proof differs from the uncached sequential proof", r.Obligation.Name)
+			t.Errorf("%s: scheduled proof differs from the sequential proof", r.Obligation.Name)
 		}
 	}
 }
@@ -202,20 +202,40 @@ func TestBindAttachesProofs(t *testing.T) {
 	}
 }
 
-// TestSchedulerSharedCache pins that a caller-provided cache is actually
-// used across obligations: the shared premise axioms hit.
-func TestSchedulerSharedCache(t *testing.T) {
-	env, obs := testEnv(t)
-	cache := prover.NewClauseCache()
-	results := (&Scheduler{Workers: 1, Cache: cache}).Run(env, obs)
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatalf("%s failed: %v", r.Obligation.Name, r.Err)
+// sameNamesTwoSorts states one axiom name and one theorem body in two
+// specs that differ only in the sort: A's P(c) is over S, B's over T.
+// A rendered formula omits sorts, so anything keyed on an axiom's name and
+// rendering conflates the two axioms; pb, a true theorem, must still prove
+// from B's own axiom whatever the scheduler ran before it.
+const sameNamesTwoSorts = `A = spec
+sort S
+op c : S
+op P : S -> Boolean
+axiom a is P(c)
+theorem ga is P(c)
+endspec
+
+B = spec
+sort T
+op c : T
+op P : T -> Boolean
+axiom a is P(c)
+theorem gb is P(c)
+endspec
+
+pa = prove ga in A using a
+pb = prove gb in B using a
+`
+
+func TestSameNamedAxiomsOverDifferentSorts(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		_, results, err := (&Scheduler{Workers: workers}).Verify(sameNamesTwoSorts, speclang.Options{})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-	}
-	hits, misses := cache.Stats()
-	if misses == 0 || hits == 0 {
-		t.Errorf("shared cache unused: hits=%d misses=%d", hits, misses)
+		if len(results) != 2 {
+			t.Fatalf("workers=%d: results = %d, want 2", workers, len(results))
+		}
 	}
 }
 
