@@ -33,9 +33,12 @@ lint:
 # Tracked design-quality outcomes (ROADMAP items 2 and 3): non-test line
 # counts of the checkers, of the protocol stack they check, of the
 # experiment/explorer harness, of the serving runtime under tpcserve, of
-# the other command-line tools, and of the proof side (the paper's
-# contribution: internal/core plus the encoded thesis). The CI lint job
-# runs this and fails when any of the six outgrows its budget — the sizes
+# the other command-line tools, of the proof side (the paper's
+# contribution: internal/core plus the encoded thesis), and of the rest —
+# every other non-test Go file of the module outside bench/ (the simulator,
+# the model checker, conformance, checkpoint, workload, examples), so a new
+# package cannot grow unnoticed. The CI lint job
+# runs this and fails when any of the seven outgrows its budget — the sizes
 # the shared analysis core (PR 12), the shared sweep/witness/replay
 # harness (PR 13), the one-commit-path merge (PR 14: shared tpc endpoint,
 # one delivery recorder, no tpcserve mode flags), the retirement of the
@@ -56,12 +59,20 @@ lint:
 # SERVING 2063 -> 2062, tpcserve's SetGroupCommit call.
 # Standardizing each clause apart once lowered one: PROOF 6462 -> 6377,
 # the prover's sort-blind clausification cache and clause-weight helper.
+# One implementation per building block (the standalone broadcast,
+# consensus, election, detector and snapshot packages deleted; conformance
+# observes the served engine) lowered four and added REST at its landed
+# value: HARNESS 3019 -> 2996 (E18's ablation flag, the send-log switch),
+# SERVING 2062 -> 2002 (LocalTime, UpNodes, DriftClock and Clock left the
+# runtime boundary; the caller-less tcp.WriteFrame), TOOLS 1492 -> 1489,
+# PROOF 6377 -> 6364 (the duplicate block-name list, the unused SpecOf).
 ANALYSIS_LOC_BUDGET = 6512
 STACK_LOC_BUDGET = 4319
-HARNESS_LOC_BUDGET = 3019
-SERVING_LOC_BUDGET = 2062
-TOOLS_LOC_BUDGET = 1492
-PROOF_LOC_BUDGET = 6377
+HARNESS_LOC_BUDGET = 2996
+SERVING_LOC_BUDGET = 2002
+TOOLS_LOC_BUDGET = 1489
+PROOF_LOC_BUDGET = 6364
+REST_LOC_BUDGET = 3090
 loc_count = find $(1) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
 loc:
 	@a=$$($(call loc_count,internal/analysis)); \
@@ -70,15 +81,18 @@ loc:
 	r=$$($(call loc_count,internal/rt cmd/tpcserve)); \
 	c=$$($(call loc_count,$(filter-out cmd/tpcserve,$(wildcard cmd/*)))); \
 	p=$$($(call loc_count,internal/core internal/thesis)); \
+	x=$$(( $$($(call loc_count,internal cmd examples doc.go)) - a - s - h - r - c - p )); \
 	echo "internal/analysis: $$a non-test lines (budget $(ANALYSIS_LOC_BUDGET))"; \
 	echo "protocol stack (tpc txn kvstore locking wal stable recovery): $$s non-test lines (budget $(STACK_LOC_BUDGET))"; \
 	echo "harness (experiments explore): $$h non-test lines (budget $(HARNESS_LOC_BUDGET))"; \
 	echo "serving runtime (rt cmd/tpcserve): $$r non-test lines (budget $(SERVING_LOC_BUDGET))"; \
 	echo "tools (cmd minus tpcserve): $$c non-test lines (budget $(TOOLS_LOC_BUDGET))"; \
 	echo "proof side (core thesis): $$p non-test lines (budget $(PROOF_LOC_BUDGET))"; \
+	echo "rest (sim simnet mc conformance checkpoint workload examples): $$x non-test lines (budget $(REST_LOC_BUDGET))"; \
 	test $$a -le $(ANALYSIS_LOC_BUDGET) && test $$s -le $(STACK_LOC_BUDGET) && \
 	test $$h -le $(HARNESS_LOC_BUDGET) && test $$r -le $(SERVING_LOC_BUDGET) && \
-	test $$c -le $(TOOLS_LOC_BUDGET) && test $$p -le $(PROOF_LOC_BUDGET)
+	test $$c -le $(TOOLS_LOC_BUDGET) && test $$p -le $(PROOF_LOC_BUDGET) && \
+	test $$x -le $(REST_LOC_BUDGET)
 
 # Regenerate docs/fsm from the //fsm:* annotations in the sources. The
 # output is deterministic; commit it, and CI fails when it drifts.

@@ -9,7 +9,7 @@
 //	e8        Fig. 3.1: end-to-end 3PC vs 2PC under a coordinator crash (-seed, -txns)
 //	e9        modular vs monolithic verification ablation
 //	e10       assumption-violation matrix
-//	e11       proof axioms checked on execution traces (-seed)
+//	e11       proof axioms observed on the served engine, with their ablations
 //	e14       corpus proofs on a worker pool (-workers)
 //	e15       static durcheck plus staged crash-at-dissemination schedules
 //	e16, e17  live-goroutine and TCP runs replayed deterministically
@@ -29,6 +29,7 @@ import (
 	"speccat/internal/core/provesched"
 	"speccat/internal/core/speclang"
 	"speccat/internal/experiments"
+	"speccat/internal/explore"
 	"speccat/internal/thesis"
 	"speccat/internal/tpc"
 )
@@ -77,9 +78,9 @@ func run(sel func(string) bool, seed int64, txns, workers int) (proofs []provesc
 		if err != nil {
 			return nil, err
 		}
-		fmt.Printf("%-4s %-38s %-15s %-22s %4s %4s\n", "id", "building block", "spec", "package", "reqs", "axms")
+		fmt.Printf("%-4s %-38s %-15s %-20s %4s %4s  %s\n", "id", "building block", "spec", "package", "reqs", "axms", "code")
 		for _, r := range rows {
-			fmt.Printf("%-4s %-38s %-15s %-22s %4d %4d\n", r.ID, r.Name, r.Spec, r.Package, r.Requirements, r.Axioms)
+			fmt.Printf("%-4s %-38s %-15s %-20s %4d %4d  %s\n", r.ID, r.Name, r.SpecName, r.Package, len(r.Requirements), r.Axioms, r.Code)
 		}
 		fmt.Println()
 	}
@@ -244,13 +245,13 @@ func run(sel func(string) bool, seed int64, txns, workers int) (proofs []provesc
 			100*res.Exclusive.ConflictRate, 100*res.Commutative.ConflictRate)
 		fmt.Printf("  crash+recover sweep (%d seeds): %s\n", res.FaultedSeeds,
 			verdict(res.FaultedViolated, "every oracle clean — committed increments survive via the WAL's logical fold"))
-		if res.Ablation.Caught {
+		if a := res.Ablation; a != nil {
 			control := "control (correct locking) clean"
-			if !res.Ablation.ControlClean {
+			if !a.ControlClean {
 				control = "CONTROL NOT CLEAN"
 			}
 			fmt.Printf("  underlock ablation seed=%d: CAUGHT by serializability oracle — %s; %s\n",
-				res.Ablation.Seed, res.Ablation.Detail, control)
+				a.Seed, a.Detail, control)
 		} else {
 			fmt.Println("  underlock ablation: NOT CAUGHT (cross-validation failed)")
 		}
@@ -293,17 +294,13 @@ func run(sel func(string) bool, seed int64, txns, workers int) (proofs []provesc
 	}
 
 	if sel("e11") {
-		fmt.Println("== E11: axiom conformance — proof axioms observed on execution traces ==")
-		rows, err := conformance.CheckAll(seed)
+		fmt.Println("== E11: axiom conformance — proof axioms observed on the served engine, 60 coordinator-crash runs ==")
+		rows, err := conformance.CheckAll(explore.SeedRange(1, 60))
 		if err != nil {
 			return nil, err
 		}
 		for _, r := range rows {
-			verdict := "conforms"
-			if !r.Holds {
-				verdict = "VIOLATED: " + r.Detail
-			}
-			fmt.Printf("  %-22s %-22s %5d trace obligations: %s\n", r.Axiom, r.Block, r.Obligations, verdict)
+			fmt.Println(r)
 		}
 		fmt.Println()
 	}

@@ -1,344 +1,610 @@
-// Package conformance closes the loop the thesis leaves as future work
-// ("how much and how often implementation details will be needed to
-// capture all subtleties of sub-block interactions"): it checks that the
-// *executable* building blocks satisfy the very axioms the compositional
-// proofs consume. Each check runs a protocol on the simulated network,
-// records an event trace, and evaluates the corresponding corpus axiom as
-// a trace property:
-//
-//	Agreebroad        — if any correct site delivers m, every correct site
-//	                    delivers m within Δ (internal/broadcast);
-//	Agreeconsensus    — no two sites decide differently (internal/consensus);
-//	Storevalues       — an undo+redo pair always yields a stable log
-//	                    record (internal/wal);
-//	Readlock/Writelock— lock grants respect the 2PL rules
-//	                    (internal/locking);
-//	Checkpoint/Recover— a failed site rolls back to, and restores, its
-//	                    last permanent checkpoint (internal/checkpoint,
-//	                    internal/recovery).
-//
-// A Report lists each axiom with the number of trace obligations checked,
-// so the corpus axioms are not merely assumed of the implementation —
-// they are observed.
+// Package conformance observes, on the engine tpcserve runs, the axioms
+// the compositional proofs consume — the step the thesis leaves as future
+// work. Each axiom of a corpus `using` list gets a row: a trace property
+// checked on full-stack explore runs whose master crashes inside the
+// submission window, so the cohorts' termination protocol runs — or the
+// reason no served code discharges it. A row reads each run's send log,
+// payloads included, and the explorer's oracles. A row with a defect in the
+// tree to catch also runs against it and a clean control: an explorer
+// golden and its schedule under 3PC, E18's underlock witness and its
+// schedule correctly locked, or the crash sweep under 2PC or naive 3PC and
+// the same sweep under 3PC.
 package conformance
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 
-	"speccat/internal/broadcast"
-	"speccat/internal/consensus"
-	"speccat/internal/locking"
+	"speccat/internal/analysis"
+	"speccat/internal/core/provesched"
+	"speccat/internal/experiments"
+	"speccat/internal/explore"
+	"speccat/internal/rt"
 	"speccat/internal/sim"
 	"speccat/internal/simnet"
-	"speccat/internal/stable"
-	"speccat/internal/wal"
+	"speccat/internal/thesis"
+	"speccat/internal/tpc"
+	"speccat/internal/txn"
 )
 
-// Result is one axiom's conformance verdict.
+// Result is one row of the report: the corpus axioms, the prove statements
+// naming them and the served code discharging them; the obligations judged
+// and whether all held (Detail is the first that did not); a measured Note;
+// the ablations run. Unobserved, when set, says why no code discharges them.
 type Result struct {
-	// Axiom is the corpus axiom name (as used in the proofs).
-	Axiom string
-	// Block is the executable package checked.
-	Block string
-	// Obligations is the number of trace instances evaluated.
-	Obligations int
-	// Holds reports whether every obligation held.
-	Holds bool
-	// Detail describes the first violation, if any.
-	Detail string
+	Axioms, Proofs []string
+	Code           string
+	Obligations    int
+	Holds          bool
+	Detail, Note   string
+	Ablations      []Ablation
+	Unobserved     string
 }
 
-// CheckAll runs every conformance check with the given seed.
-func CheckAll(seed int64) ([]Result, error) {
-	checks := []func(int64) (Result, error){
-		CheckAgreebroad,
-		CheckAgreeconsensus,
-		CheckStorevalues,
-		CheckReadlockWritelock,
+// Ablation is one seeded defect a row must catch: Caught reports the row
+// failed on the ablated runs, ControlClean that it held on their control.
+type Ablation struct {
+	Name                 string
+	Caught, ControlClean bool
+}
+
+// String renders the row, then its note and ablations on indented lines.
+func (r Result) String() string {
+	head := fmt.Sprintf("  %-40s ", fmt.Sprintf("%s (%s)", strings.Join(r.Axioms, ", "), strings.Join(r.Proofs, " ")))
+	if r.Unobserved != "" {
+		return head + "unobserved: " + r.Unobserved
 	}
-	var out []Result
-	for _, check := range checks {
-		r, err := check(seed)
+	verdict := "conforms"
+	if !r.Holds {
+		verdict = "VIOLATED: " + r.Detail
+	}
+	lines := []string{fmt.Sprintf("%s%5d obligations, %s — %s", head, r.Obligations, verdict, r.Code), r.Note}
+	if len(r.Ablations) == 0 {
+		lines = append(lines, "ablation: none in the tree")
+	}
+	for _, a := range r.Ablations {
+		lines = append(lines, fmt.Sprintf("ablation %s: caught %v, control clean %v", a.Name, a.Caught, a.ControlClean))
+	}
+	return strings.Join(slices.DeleteFunc(lines, func(l string) bool { return l == "" }), "\n      ")
+}
+
+// The ablations rows name.
+const (
+	ablateNaive     = "naive3pc_atomicity.json"
+	ablateUnsafe    = "unsafe_term_atomicity.json"
+	ablateUnderlock = "E18 underlock witness"
+	ablate2PC       = "2pc coordinator crashes"
+	ablateNaiveRuns = "3pc-naive coordinator crashes"
+)
+
+// row is one axiom group: the trace property checking it, or why none can.
+type row struct {
+	axioms     []string
+	code       string
+	check      func(r *run, c *tally)
+	ablations  []string
+	unobserved string
+}
+
+func rows() []row {
+	termination := []string{ablate2PC, ablateNaiveRuns}
+	return []row{
+		{[]string{"Agreeconsensus"}, "tpc Cohort.decide, terminationDecide", agreeconsensus, []string{ablateNaive, ablateUnsafe}, ""},
+		{[]string{"Storevalues"}, "kvstore and wal under txn.Site", storevalues, nil, ""},
+		{[]string{"Readlock", "Writelock"}, "locking under txn Site.runOps", locks, []string{ablateUnderlock}, ""},
+		{[]string{"Agreebroad"}, "tpc Coordinator.commit/abort fan-out, terminationDecide re-dissemination", agreebroad, []string{ablateUnsafe}, ""},
+		{[]string{"Timeout"}, "tpc cohort phase timers (onCommitReq, onPrepare)", timeout, termination, ""},
+		{[]string{"DeclareFailed", "CoordFailure"}, "tpc Cohort.onCoordinatorSilent → startTermination", declareFailed, termination, ""},
+		{[]string{"Elect", "Installed"}, "tpc Cohort.backup, terminationDecide", elect, termination, ""},
+		{[]string{"Globprocstateinfo"}, "tpc Cohort.HandleMessage's KindStateReq arm", stateinfo, termination, ""},
+		{[]string{"Constateinfo"}, "tpc Cohort.terminationDecide", constateinfo, []string{ablateUnsafe}, ""},
+		{axioms: []string{"Checkpoint", "Recover", "RestoreAx"}, unobserved: "the served path takes no checkpoint; a restart replays the whole journal"},
+		{axioms: []string{"InstallFromDecision", "ProposalShared"}, unobserved: "p5's group-membership service has no executable"},
+	}
+}
+
+// CheckAll observes every row on the 3PC crash sweep of seeds, then runs
+// each row against its ablations, reading the explorer's goldens from the
+// module the working directory is in.
+func CheckAll(seeds []int64) ([]Result, error) {
+	ablated := map[string][]explore.Schedule{
+		ablate2PC: crashSweep(explore.Proto2PC, seeds), ablateNaiveRuns: crashSweep(explore.Proto3PCNaive, seeds),
+	}
+	module, err := analysis.NewLoader(".")
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range []string{ablateNaive, ablateUnsafe} {
+		data, err := os.ReadFile(filepath.Join(module.ModuleRoot, "internal", "explore", "testdata", name))
+		if err != nil {
+			return nil, fmt.Errorf("conformance: %w", err)
+		}
+		golden, err := explore.ParseTrace(data)
 		if err != nil {
 			return nil, err
+		}
+		ablated[name] = []explore.Schedule{golden.Schedule}
+	}
+	w, err := experiments.E18UnderlockWitness()
+	if err != nil || w == nil {
+		return nil, errors.Join(errors.New("conformance: no underlock witness"), err)
+	}
+	ablated[ablateUnderlock] = []explore.Schedule{w.Schedule}
+
+	// A control is its ablation repaired — full 3PC, correct locking — so
+	// the 2PC sweep's control is the observed 3PC sweep.
+	runs := map[string][2][]*run{}
+	for name, specs := range ablated {
+		var control []explore.Schedule
+		for _, s := range specs {
+			s.Protocol, s.Underlock = explore.Proto3PC, false
+			control = append(control, s)
+		}
+		a, err := execute(specs)
+		if err != nil {
+			return nil, err
+		}
+		c, err := execute(control)
+		if err != nil {
+			return nil, err
+		}
+		runs[name] = [2][]*run{a, c}
+	}
+	proofs, err := thesis.Obligations()
+	if err != nil {
+		return nil, err
+	}
+	var out []Result
+	for _, rw := range rows() {
+		if rw.check == nil {
+			out = append(out, Result{Axioms: rw.axioms, Proofs: proofsNaming(proofs, rw.axioms), Unobserved: rw.unobserved})
+			continue
+		}
+		c := rw.eval(runs[ablate2PC][1])
+		res := Result{Axioms: rw.axioms, Proofs: proofsNaming(proofs, rw.axioms), Code: rw.code,
+			Obligations: c.n, Holds: c.detail == "", Detail: c.detail, Note: c.note}
+		for _, name := range rw.ablations {
+			res.Ablations = append(res.Ablations, Ablation{name, rw.eval(runs[name][0]).detail != "", rw.eval(runs[name][1]).detail == ""})
+		}
+		out = append(out, res)
+	}
+	return out, nil
+}
+
+// proofsNaming lists, sorted, the prove statements naming any of axioms.
+func proofsNaming(proofs []provesched.Obligation, axioms []string) []string {
+	var out []string
+	for _, ob := range proofs {
+		if slices.ContainsFunc(axioms, func(ax string) bool { return slices.Contains(ob.Using, ax) }) {
+			out = append(out, ob.Name)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// crashSweep is, per seed, the default-shape workload with the master
+// (node 1) crashed for good inside the submission window, which opens at
+// t = 501 with a submission every 15 ticks, run to t = 4000.
+func crashSweep(protocol string, seeds []int64) []explore.Schedule {
+	var out []explore.Schedule
+	for _, seed := range seeds {
+		at := 501 + 15*sim.Time(seed%10) + sim.Time(seed%7)
+		out = append(out, explore.Schedule{Protocol: protocol, Seed: seed, Horizon: 4000,
+			Faults: []explore.Fault{{Kind: explore.FaultCrashAtTime, Site: 1, At: at}}})
+	}
+	return out
+}
+
+// tally accumulates one row's obligations over a set of runs.
+type tally struct {
+	n            int
+	detail, note string
+}
+
+// check counts one obligation, keeping the first that failed.
+func (c *tally) check(ok bool, r *run, format string, args ...any) {
+	c.n++
+	if !ok && c.detail == "" {
+		c.detail = fmt.Sprintf("%s seed %d: ", r.spec.Protocol, r.spec.Seed) + fmt.Sprintf(format, args...)
+	}
+}
+
+// judged counts n obligations the named explorer oracle decided on r —
+// or, when the oracle convicted r, one failed obligation in their place.
+func (c *tally) judged(r *run, n int, oracle string) {
+	for _, v := range r.res.Violations {
+		if v.Oracle == oracle {
+			c.check(false, r, "%s oracle: txn %s site %d: %s", oracle, v.Txn, v.Site, v.Detail)
+			return
+		}
+	}
+	c.n += n
+}
+
+func (rw row) eval(runs []*run) tally {
+	var c tally
+	for _, r := range runs {
+		rw.check(r, &c)
+	}
+	return c
+}
+
+// run is one executed schedule as the rows see it: the explorer's result,
+// the send log per transaction, the transactions in commit-request order
+// with their participants, and each node's crashes and recoveries.
+type run struct {
+	spec  explore.Schedule
+	res   *explore.RunResult
+	sends map[string][]send
+	txns  []string
+	parts map[string][]rt.NodeID
+	life  map[rt.NodeID][]flip
+}
+
+type flip struct {
+	at sim.Time
+	up bool
+}
+
+// send is one logged send with its payload decoded.
+type send struct {
+	explore.SendInfo
+	state tpc.State
+	ops   []txn.Op
+}
+
+// wire is the shape every engine payload marshals to — its transaction plus
+// whichever of participants, state and operations it carries — so a
+// payload is read through its wire form and the engines' types stay private.
+type wire struct {
+	Txn          string
+	Participants []rt.NodeID
+	State        tpc.State
+	Ops          []txn.Op
+}
+
+func execute(specs []explore.Schedule) ([]*run, error) {
+	var out []*run
+	for _, spec := range specs {
+		res, log, err := explore.RunLogged(spec)
+		if err != nil {
+			return nil, err
+		}
+		r := &run{spec: spec, res: res, sends: map[string][]send{}, parts: map[string][]rt.NodeID{}, life: map[rt.NodeID][]flip{}}
+		for _, s := range log {
+			var w wire
+			data, err := json.Marshal(s.Payload)
+			if err == nil {
+				err = json.Unmarshal(data, &w)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("conformance: payload of send %d (%s): %w", s.Seq, s.Kind, err)
+			}
+			r.sends[w.Txn] = append(r.sends[w.Txn], send{s, w.State, w.Ops})
+			if s.Kind == tpc.KindCommitReq && r.parts[w.Txn] == nil {
+				slices.Sort(w.Participants)
+				r.txns, r.parts[w.Txn] = append(r.txns, w.Txn), w.Participants
+			}
+		}
+		for _, e := range res.Events {
+			var id rt.NodeID
+			if _, err := fmt.Sscanf(e.What, "crash node=%d", &id); err == nil {
+				r.life[id] = append(r.life[id], flip{e.T, false})
+			} else if _, err := fmt.Sscanf(e.What, "fault recover site=%d", &id); err == nil {
+				r.life[id] = append(r.life[id], flip{e.T, true})
+			}
 		}
 		out = append(out, r)
 	}
 	return out, nil
 }
 
-// CheckAgreebroad runs reliable broadcasts under a mid-broadcast sender
-// crash and checks the Agreebroad axiom on the delivery trace: if any
-// correct site delivered message m, every correct site delivered m, and
-// within the Δ bound.
-func CheckAgreebroad(seed int64) (Result, error) {
-	res := Result{Axiom: "Agreebroad", Block: "internal/broadcast", Holds: true}
-	const n, f, rounds = 4, 1, 12
+// delta is the explorer network's delay bound δ; the engines' default
+// phase timer is 4δ, and a backup gathers states for 2δ+2.
+func delta() sim.Time { return simnet.DefaultOptions().MaxDelay }
 
-	sched := sim.NewScheduler(seed)
-	net := simnet.New(sched, simnet.DefaultOptions())
-	for i := 1; i <= n; i++ {
-		net.AddNode(simnet.NodeID(i), nil)
+// up reports whether id was up at t: nodes start up, and the last crash or
+// recovery at or before t decides.
+func (r *run) up(id rt.NodeID, t sim.Time) bool {
+	up := true
+	for _, f := range r.life[id] {
+		if f.at <= t {
+			up = f.up
+		}
 	}
-	eps := broadcast.Group(net, f)
+	return up
+}
 
-	crashed := simnet.NodeID(2)
-	for r := 0; r < rounds; r++ {
-		origin := simnet.NodeID(1 + r%n)
-		if origin == crashed {
+func (r *run) crashed(id rt.NodeID, from, to sim.Time) bool {
+	return slices.ContainsFunc(r.life[id], func(f flip) bool { return !f.up && f.at >= from && f.at <= to })
+}
+
+// reaches reports whether a send's receiver was up to take it.
+func (r *run) reaches(s send) bool { return r.up(s.To, s.At) && !r.crashed(s.To, s.At, s.At+delta()) }
+
+// violated reports whether the named oracle convicted txn (at site, when
+// site is not 0).
+func (r *run) violated(oracle, name string, site rt.NodeID) bool {
+	return slices.ContainsFunc(r.res.Violations, func(v explore.Violation) bool {
+		return v.Oracle == oracle && v.Txn == name && (site == 0 || v.Site == site)
+	})
+}
+
+// lowestUp is the lowest participant of txn up at t — whom Cohort.backup
+// elects — or 0.
+func (r *run) lowestUp(name string, t sim.Time) rt.NodeID {
+	if i := slices.IndexFunc(r.parts[name], func(p rt.NodeID) bool { return r.up(p, t) }); i >= 0 {
+		return r.parts[name][i]
+	}
+	return 0
+}
+
+// about returns the sends naming txn that satisfy keep, in send order.
+func (r *run) about(name string, keep func(s send) bool) []send {
+	return slices.DeleteFunc(slices.Clone(r.sends[name]), func(s send) bool { return !keep(s) })
+}
+
+func isDecision(s send) bool { return s.Kind == tpc.KindCommit || s.Kind == tpc.KindAbort }
+func isStateReq(s send) bool { return s.Kind == tpc.KindStateReq }
+
+func (r *run) committed(name string) bool {
+	return slices.ContainsFunc(r.sends[name], func(s send) bool { return s.Kind == tpc.KindCommit })
+}
+
+// agreeconsensus: no two sites decide a transaction differently — the
+// atomicity oracle over durable decisions — counted per (transaction,
+// deciding site) on the wire: each sender and up receiver of a decision,
+// and each no-voter.
+func agreeconsensus(r *run, c *tally) {
+	deciders := map[string]bool{}
+	for name, sends := range r.sends {
+		for _, s := range sends {
+			if isDecision(s) || s.Kind == tpc.KindVoteNo {
+				deciders[fmt.Sprint(name, "@", s.From)] = true
+			}
+			if isDecision(s) && r.up(s.To, s.At) {
+				deciders[fmt.Sprint(name, "@", s.To)] = true
+			}
+		}
+	}
+	c.judged(r, len(deciders), explore.OracleAtomicity)
+}
+
+// committedOps counts the committed transactions' operations keep holds for.
+func (r *run) committedOps(keep func(op txn.Op) bool) int {
+	n := 0
+	for name, sends := range r.sends {
+		for _, s := range sends {
+			for _, op := range s.ops {
+				if keep(op) && r.committed(name) {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// storevalues: a committed write is in its site's stable log — the
+// durability oracle, which recovers each site from its WAL alone — counted
+// per write of a committed transaction.
+func storevalues(r *run, c *tally) {
+	c.judged(r, r.committedOps(txn.Op.Mutates), explore.OracleDurability)
+}
+
+// locks: a write lock excludes every other lock on its object and a read
+// lock excludes writers — the serializability oracle's overlap rule —
+// counted per lock grant it judged: each plain read or write of a
+// committed transaction.
+func locks(r *run, c *tally) {
+	c.judged(r, r.committedOps(func(op txn.Op) bool { return op.Class == "" }), explore.OracleSerializability)
+}
+
+// agreebroad: once a correct participant (up at the end) learns a decision
+// — is sent it or sends it — every correct participant decides it: none
+// learns the other outcome, splits from it durably or is left stalled. The
+// largest gap between the first and last learning it is the Clockbound.
+func agreebroad(r *run, c *tally) {
+	end, lag := r.res.Stats.End, sim.Time(0)
+	for _, name := range r.txns {
+		learned := map[rt.NodeID]send{}
+		var first send
+		for _, s := range r.about(name, isDecision) {
+			for _, x := range []rt.NodeID{s.From, s.To} {
+				if _, ok := learned[x]; !ok && slices.Contains(r.parts[name], x) && r.up(x, s.At) && r.up(x, end) {
+					if len(learned) == 0 {
+						first = s
+					}
+					learned[x] = s
+				}
+			}
+		}
+		for _, x := range r.parts[name] {
+			if l, ok := learned[x]; len(learned) > 0 && r.up(x, end) {
+				c.check(!r.violated(explore.OracleAtomicity, name, 0) && !r.violated(explore.OracleProgress, name, x) && (!ok || l.Kind == first.Kind),
+					r, "txn %s: %s reached a correct participant, site %d did not decide it", name, first.Kind, x)
+				lag = max(lag, l.At-first.At)
+			}
+		}
+	}
+	c.note = fmt.Sprintf("observed Clockbound: the last correct participant learned a decision %d ticks after the first (plus ≤ δ=%d delivery)", lag, delta())
+}
+
+// wait is a participant whose 4δ phase timer must fire by deadline: its
+// yes-vote or ack left, it stayed up, and nobody sent it anything that
+// could settle the wait — a prepare while in w, or a decision — by then.
+type wait struct {
+	txn      string
+	site     rt.NodeID
+	deadline sim.Time
+}
+
+// silent lists the waits of transactions with at least two participants
+// (a lone participant terminates without a message on the wire).
+func (r *run) silent() []wait {
+	var out []wait
+	for _, name := range r.txns {
+		for _, p := range r.parts[name] {
+			armed := r.about(name, func(s send) bool { return s.From == p && (s.Kind == tpc.KindVoteYes || s.Kind == tpc.KindAck) })
+			if len(armed) == 0 || len(r.parts[name]) < 2 {
+				continue
+			}
+			last := armed[len(armed)-1]
+			d := last.At + 4*delta()
+			settled := r.about(name, func(s send) bool {
+				return s.To == p && s.At <= d && (isDecision(s) || (s.Kind == tpc.KindPrepare && last.Kind == tpc.KindVoteYes))
+			})
+			if len(settled) == 0 && !r.crashed(p, last.At, d) {
+				out = append(out, wait{name, p, d})
+			}
+		}
+	}
+	return out
+}
+
+// terminated reports whether a participant of txn waited on a silent
+// coordinator.
+func (r *run) terminated(name string) bool {
+	return slices.ContainsFunc(r.silent(), func(w wait) bool { return w.txn == name })
+}
+
+// timeout: a participant waiting on a silent coordinator acts — sends its
+// first state request — within PhaseTimeout+δ of arming its timer.
+func timeout(r *run, c *tally) {
+	for _, w := range r.silent() {
+		reqs := r.about(w.txn, func(s send) bool { return s.From == w.site && isStateReq(s) })
+		c.check(len(reqs) > 0 && reqs[0].At <= w.deadline+delta(), r,
+			"txn %s: site %d's coordinator fell silent, no state request by t=%d", w.txn, w.site, w.deadline+delta())
+	}
+}
+
+// declareFailed: having timed out, the participant declares the
+// coordinator failed: it asks for state, and from then on speaks only to
+// fellow participants, never asking or waiting on the coordinator.
+func declareFailed(r *run, c *tally) {
+	for _, w := range r.silent() {
+		after := r.about(w.txn, func(s send) bool { return s.From == w.site && s.At >= w.deadline })
+		ok := slices.ContainsFunc(after, isStateReq) &&
+			!slices.ContainsFunc(after, func(s send) bool { return !slices.Contains(r.parts[w.txn], s.To) })
+		c.check(ok, r, "txn %s: site %d timed out and did not turn to its fellow participants", w.txn, w.site)
+	}
+}
+
+// gathering is one backup's state-vector round: the lowest up participant's
+// state requests at one instant, closed by terminationDecide 2δ+2 later.
+type gathering struct {
+	backup     rt.NodeID
+	at, closes sim.Time
+}
+
+func (r *run) gatherings(name string) []gathering {
+	var out []gathering
+	for _, s := range r.about(name, func(s send) bool { return isStateReq(s) && s.From == r.lowestUp(name, s.At) }) {
+		if g := (gathering{s.From, s.At, s.At + 2*delta() + 2}); !slices.Contains(out, g) {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// answered pairs each state request of txn that reached its receiver with
+// the first later state response or decision sent back, and returns the
+// sequence numbers of both sends of every pair.
+func (r *run) answered(name string) map[uint64]bool {
+	paired := map[uint64]bool{}
+	for _, q := range r.about(name, func(s send) bool { return isStateReq(s) && r.reaches(s) }) {
+		if a := r.about(name, func(a send) bool {
+			return a.Seq > q.Seq && !paired[a.Seq] && a.From == q.To && a.To == q.From && (a.Kind == tpc.KindStateResp || isDecision(a))
+		}); len(a) > 0 {
+			paired[q.Seq], paired[a[0].Seq] = true, true
+		}
+	}
+	return paired
+}
+
+// elect: per terminated transaction, a backup is elected and installed.
+// Every state request goes to the lowest participant up, unless it comes
+// from it, gathering; only it sends a decision other than as an answer;
+// and a backup that survives its gathering without being told the outcome
+// sends its decision to every other participant as the window closes.
+func elect(r *run, c *tally) {
+	for _, name := range r.txns {
+		if !r.terminated(name) {
 			continue
 		}
-		if _, err := eps[origin].Broadcast(fmt.Sprintf("m%d", r)); err != nil {
-			return res, err
-		}
-		if r == rounds/2 {
-			if err := net.Crash(crashed); err != nil {
-				return res, err
+		reqs := r.about(name, isStateReq)
+		ok, why := len(reqs) > 0, "no backup was elected"
+		fail := func(format string, args ...any) { ok, why = false, fmt.Sprintf(format, args...) }
+		for _, s := range reqs {
+			if b := r.lowestUp(name, s.At); s.From != b && s.To != b {
+				fail("site %d asked %d, the lowest up participant was %d", s.From, s.To, b)
 			}
 		}
-	}
-	sched.Run(0)
-
-	// Gather per-site delivery sets.
-	delta := eps[1].Delta()
-	delivered := map[simnet.NodeID]map[string]broadcast.Delivery{}
-	for id, ep := range eps {
-		delivered[id] = map[string]broadcast.Delivery{}
-		for _, d := range ep.Delivered() {
-			delivered[id][d.ID] = d
+		answered := r.answered(name)
+		for _, s := range r.about(name, func(s send) bool { return isDecision(s) && slices.Contains(r.parts[name], s.From) && !answered[s.Seq] }) {
+			if b := r.lowestUp(name, s.At); s.From != b {
+				fail("site %d disseminated %s, the lowest up participant was %d", s.From, s.Kind, b)
+			}
 		}
-	}
-	correct := []simnet.NodeID{}
-	for _, id := range net.Nodes() {
-		if net.Up(id) {
-			correct = append(correct, id)
-		}
-	}
-	// Agreebroad: ∀p,q correct: Deliver(p,m) ⇒ Deliver(q,m) within Δ+slack.
-	for _, p := range correct {
-		for id := range delivered[p] {
-			res.Obligations++
-			for _, q := range correct {
-				dq, ok := delivered[q][id]
-				if !ok {
-					res.Holds = false
-					if res.Detail == "" {
-						res.Detail = fmt.Sprintf("site %d delivered %s, site %d did not", p, id, q)
-					}
-					continue
-				}
-				if lat := dq.DeliveredAt - dq.BroadcastAt; lat > delta+10 {
-					res.Holds = false
-					if res.Detail == "" {
-						res.Detail = fmt.Sprintf("delivery of %s at site %d took %d > Δ=%d", id, q, lat, delta)
-					}
+		for _, g := range r.gatherings(name) {
+			told := func(from, to rt.NodeID) bool {
+				return slices.ContainsFunc(r.sends[name], func(s send) bool {
+					return isDecision(s) && s.From == from && s.To == to && s.At >= g.at && s.At <= g.closes
+				})
+			}
+			if r.crashed(g.backup, g.at, g.closes) || slices.ContainsFunc(r.parts[name], func(x rt.NodeID) bool { return told(x, g.backup) }) {
+				continue
+			}
+			for _, x := range r.parts[name] {
+				if x != g.backup && !told(g.backup, x) {
+					fail("backup %d gathered at t=%d and never told participant %d the outcome", g.backup, g.at, x)
 				}
 			}
 		}
+		c.check(ok, r, "txn %s: %s", name, why)
 	}
-	return res, nil
 }
 
-// CheckAgreeconsensus runs consensus instances with crashes and checks the
-// Agreeconsensus axiom: Decision(p,v) ⇒ Decision(q,v) for all correct q.
-func CheckAgreeconsensus(seed int64) (Result, error) {
-	res := Result{Axiom: "Agreeconsensus", Block: "internal/consensus", Holds: true}
-	const n, f, instances = 4, 1, 8
-
-	sched := sim.NewScheduler(seed)
-	net := simnet.New(sched, simnet.DefaultOptions())
-	for i := 1; i <= n; i++ {
-		net.AddNode(simnet.NodeID(i), nil)
-	}
-	nodes := consensus.Group(net, f)
-	vals := []consensus.Value{"commit", "abort"}
-	for k := 0; k < instances; k++ {
-		inst := fmt.Sprintf("i%d", k)
-		for i := 1; i <= n; i++ {
-			if err := nodes[simnet.NodeID(i)].Propose(inst, vals[(k+i)%2]); err != nil {
-				return res, err
+// stateinfo: every state request that reaches its receiver is answered
+// with the receiver's state or its decision, and a terminated transaction
+// gathers a state vector at all.
+func stateinfo(r *run, c *tally) {
+	for _, name := range r.txns {
+		reqs := r.about(name, isStateReq)
+		if len(reqs) == 0 && r.terminated(name) {
+			c.check(false, r, "txn %s: coordinator silent, no state vector gathered", name)
+		}
+		answered := r.answered(name)
+		for _, q := range reqs {
+			if r.reaches(q) {
+				c.check(answered[q.Seq], r, "txn %s: site %d never answered site %d's state request (t=%d)", name, q.To, q.From, q.At)
 			}
 		}
 	}
-	sched.At(sim.Time(30), func() { _ = net.Crash(3) })
-	sched.Run(0)
-
-	for k := 0; k < instances; k++ {
-		inst := fmt.Sprintf("i%d", k)
-		var first consensus.Value
-		seen := false
-		for i := 1; i <= n; i++ {
-			id := simnet.NodeID(i)
-			if !net.Up(id) {
-				continue
-			}
-			v, ok := nodes[id].Decided(inst)
-			res.Obligations++
-			if !ok {
-				res.Holds = false
-				if res.Detail == "" {
-					res.Detail = fmt.Sprintf("correct site %d undecided on %s", id, inst)
-				}
-				continue
-			}
-			if !seen {
-				first, seen = v, true
-			} else if v != first {
-				res.Holds = false
-				if res.Detail == "" {
-					res.Detail = fmt.Sprintf("instance %s: %q vs %q", inst, v, first)
-				}
-			}
-		}
-	}
-	return res, nil
 }
 
-// CheckStorevalues drives the WAL through commit/abort pairs and checks
-// the Storevalues axiom: for every transaction with both an undo path
-// (abort branch available) and a redo (commit), the new value is in the
-// stable log.
-func CheckStorevalues(seed int64) (Result, error) {
-	res := Result{Axiom: "Storevalues", Block: "internal/wal", Holds: true}
-	st := stable.NewStore()
-	l := wal.New(st)
-	db := map[string]string{}
-	const txns = 20
-	for i := 0; i < txns; i++ {
-		name := fmt.Sprintf("t%d", i)
-		if err := l.Begin(name); err != nil {
-			return res, err
-		}
-		key := fmt.Sprintf("k%d", i%5)
-		val := fmt.Sprintf("v%d", i)
-		if err := l.LoggedUpdate(name, db, key, val); err != nil {
-			return res, err
-		}
-		if i%4 == 3 {
-			if err := l.Abort(name); err != nil {
-				return res, err
+// constateinfo: each state vector a backup gathers never holds both a
+// commit and an abort, and the decision the backup then sends matches
+// every other decision of the transaction, durable ones included.
+func constateinfo(r *run, c *tally) {
+	for _, name := range r.txns {
+		for _, g := range r.gatherings(name) {
+			commit, abort := false, false
+			for _, s := range r.about(name, func(s send) bool { return s.To == g.backup && s.At >= g.at && s.At <= g.closes }) {
+				commit = commit || s.Kind == tpc.KindCommit || (s.Kind == tpc.KindStateResp && s.state == tpc.StateCommitted)
+				abort = abort || s.Kind == tpc.KindAbort || (s.Kind == tpc.KindStateResp && s.state == tpc.StateAborted)
 			}
-			continue
-		}
-		if err := l.Commit(name); err != nil {
-			return res, err
+			ok := !(commit && abort)
+			if d := r.about(name, func(s send) bool { return isDecision(s) && s.From == g.backup && s.At >= g.at }); len(d) > 0 {
+				ok = ok && !r.violated(explore.OracleAtomicity, name, 0) && len(r.about(name, func(s send) bool { return isDecision(s) && s.Kind != d[0].Kind })) == 0
+			}
+			c.check(ok, r, "txn %s: backup %d's state vector or decision is inconsistent", name, g.backup)
 		}
 	}
-	recs, err := wal.Records(st)
-	if err != nil {
-		return res, err
-	}
-	// Storevalues: every committed transaction's update is a stable log
-	// record (Log(t, X, z)).
-	committed := map[string]bool{}
-	logged := map[string]map[string]string{}
-	for _, r := range recs {
-		if r.Kind == wal.RecCommit {
-			committed[r.Txn] = true
-		}
-		if r.Kind == wal.RecUpdate {
-			if logged[r.Txn] == nil {
-				logged[r.Txn] = map[string]string{}
-			}
-			logged[r.Txn][r.Key] = r.New
-		}
-	}
-	for txn := range committed {
-		res.Obligations++
-		if len(logged[txn]) == 0 {
-			res.Holds = false
-			if res.Detail == "" {
-				res.Detail = fmt.Sprintf("committed %s has no stable log record", txn)
-			}
-		}
-	}
-	return res, nil
-}
-
-// CheckReadlockWritelock replays a random lock workload and checks the
-// Readlock/Writelock axioms as trace invariants: a write grant implies no
-// concurrent reader or second writer; a read grant implies no concurrent
-// writer.
-func CheckReadlockWritelock(seed int64) (Result, error) {
-	res := Result{Axiom: "Readlock/Writelock", Block: "internal/locking", Holds: true}
-	m := locking.NewManager()
-	rng := sim.NewScheduler(seed).Rand()
-
-	type held struct {
-		txn  string
-		mode locking.Mode
-	}
-	current := map[string][]held{} // key -> holders
-	active := map[string]bool{}
-	for step := 0; step < 400; step++ {
-		txn := fmt.Sprintf("t%d", rng.Intn(8))
-		key := fmt.Sprintf("k%d", rng.Intn(3))
-		switch rng.Intn(5) {
-		case 0: // end transaction
-			if active[txn] {
-				m.ReleaseAll(txn)
-				delete(active, txn)
-				for k := range current {
-					var keep []held
-					for _, h := range current[k] {
-						if h.txn != txn {
-							keep = append(keep, h)
-						}
-					}
-					current[k] = keep
-				}
-			}
-		default:
-			mode := locking.Read
-			if rng.Intn(2) == 0 {
-				mode = locking.Write
-			}
-			granted, err := m.Acquire(txn, key, mode, nil)
-			if err != nil {
-				// Deadlock: abort.
-				m.ReleaseAll(txn)
-				delete(active, txn)
-				for k := range current {
-					var keep []held
-					for _, h := range current[k] {
-						if h.txn != txn {
-							keep = append(keep, h)
-						}
-					}
-					current[k] = keep
-				}
-				continue
-			}
-			if !granted {
-				continue
-			}
-			active[txn] = true
-			// Update holder model (upgrade replaces).
-			var keep []held
-			for _, h := range current[key] {
-				if h.txn != txn {
-					keep = append(keep, h)
-				}
-			}
-			current[key] = append(keep, held{txn: txn, mode: mode})
-
-			// Trace obligation: the grant must respect the axioms.
-			res.Obligations++
-			writers, readers := 0, 0
-			for _, h := range current[key] {
-				if h.mode == locking.Write {
-					writers++
-				} else {
-					readers++
-				}
-			}
-			if writers > 1 || (writers == 1 && readers > 0) {
-				res.Holds = false
-				if res.Detail == "" {
-					res.Detail = fmt.Sprintf("step %d: key %s has %d writers, %d readers", step, key, writers, readers)
-				}
-			}
-		}
-	}
-	return res, nil
 }

@@ -280,7 +280,6 @@ func (inertTimer) Cancel() {}
 
 func (r *replayNet) After(id rt.NodeID, d rt.Time, fn func()) rt.Timer { return inertTimer{} }
 func (r *replayNet) Now() rt.Time                                      { return 0 }
-func (r *replayNet) LocalTime(id rt.NodeID) rt.Time                    { return 0 }
 func (r *replayNet) Delta() rt.Time                                    { return r.delta }
 
 func (r *replayNet) AddNode(id rt.NodeID, h rt.Handler) *stable.Store {
@@ -313,7 +312,6 @@ func (r *replayNet) Store(id rt.NodeID) (*stable.Store, error) {
 }
 
 func (r *replayNet) Nodes() []rt.NodeID   { return append([]rt.NodeID(nil), r.order...) }
-func (r *replayNet) UpNodes() []rt.NodeID { return r.Nodes() }
 func (r *replayNet) Up(id rt.NodeID) bool { _, ok := r.stores[id]; return ok }
 
 var _ rt.Transport = (*replayNet)(nil)

@@ -35,16 +35,6 @@ type E18Row struct {
 	Throughput float64
 }
 
-// E18Ablation is the negative arm: the first underlocked seed the
-// serializability oracle catches (its Detail is that violation's
-// evidence), plus its correctly-locked control.
-type E18Ablation struct {
-	// Caught reports whether any swept seed produced a serializability
-	// violation under the underlock mutation.
-	Caught bool
-	explore.Conviction
-}
-
 // E18Result is the full experiment outcome.
 type E18Result struct {
 	Exclusive   E18Row
@@ -56,7 +46,9 @@ type E18Result struct {
 	// FaultedViolated lists oracle names that failed in the faulted sweep
 	// (diagnostic; empty when FaultedClean).
 	FaultedViolated []string
-	Ablation        E18Ablation
+	// Ablation is the underlock witness (E18UnderlockWitness); nil when no
+	// seed convicts.
+	Ablation *explore.Conviction
 }
 
 // e18Shape is the common workload shape of every arm: few accounts and a
@@ -126,11 +118,20 @@ func E18Commutativity(seeds []int64) (*E18Result, error) {
 	out.FaultedViolated = faulted.Violated
 	out.FaultedClean = len(faulted.Violated) == 0
 
-	// Movement 3: the underlock ablation. Mixed blind writes and
-	// increments on hot keys, with absolute writes taking only the
-	// increment lock — the serializability oracle must convict, and the
-	// identical schedule under correct locking must acquit.
-	w, err := explore.Witness(explore.SeedRange(0, 30), func(seed int64) explore.Schedule {
+	if out.Ablation, err = E18UnderlockWitness(); err != nil {
+		return nil, fmt.Errorf("e18: ablation: %w", err)
+	}
+	return out, nil
+}
+
+// E18UnderlockWitness is movement 3, the underlock ablation: mixed blind
+// writes and increments on hot keys, with absolute writes taking only the
+// increment lock. It returns the first seed the serializability oracle
+// convicts (its Detail is that violation's evidence) with the identical
+// schedule under correct locking as the control that must acquit, or nil.
+// E11's lock rows reuse it as their ablation.
+func E18UnderlockWitness() (*explore.Conviction, error) {
+	return explore.Witness(explore.SeedRange(0, 30), func(seed int64) explore.Schedule {
 		return explore.Schedule{
 			Protocol: explore.Proto3PC, Seed: seed,
 			Accounts: 4, Txns: 24,
@@ -139,11 +140,4 @@ func E18Commutativity(seeds []int64) (*E18Result, error) {
 			Underlock: true,
 		}
 	}, explore.OracleSerializability, func(s *explore.Schedule) { s.Underlock = false })
-	if err != nil {
-		return nil, fmt.Errorf("e18: ablation: %w", err)
-	}
-	if w != nil {
-		out.Ablation = E18Ablation{Caught: true, Conviction: *w}
-	}
-	return out, nil
 }

@@ -44,7 +44,7 @@ func TestE1ShapesMatchTable31(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
-		if r.Requirements == 0 || r.Axioms == 0 || r.Package == "" {
+		if len(r.Requirements) == 0 || r.Axioms == 0 || r.Package == "" {
 			t.Errorf("incomplete row: %+v", r)
 		}
 	}

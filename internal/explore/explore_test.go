@@ -233,7 +233,7 @@ func TestGoldenTraces(t *testing.T) {
 // durable w and aborts. The runner must hold no applied commit for it, and
 // the split between sites 3, 4 and 2 is the run's one violated oracle.
 func TestCrashedNodeObservesNothing(t *testing.T) {
-	res, r, err := run(goldenSchedule(t, goldenUnsafeTerm), false)
+	res, r, err := run(goldenSchedule(t, goldenUnsafeTerm))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,15 +110,16 @@ func (r *RunResult) ViolatedOracles() []string {
 }
 
 // SendInfo is one network send observed during a logged run, in global
-// sequence order. The log lets callers (the durcheck cross-validation)
-// locate protocol moments — a prepare fan-out, a decision dissemination —
-// and aim send-targeted faults at their sequence numbers.
+// sequence order. The log lets callers locate protocol moments — a prepare
+// fan-out, a decision dissemination — and aim send-targeted faults at their
+// sequence numbers (durcheck), or read what each message said (conformance).
 type SendInfo struct {
-	Seq  uint64
-	From simnet.NodeID
-	To   simnet.NodeID
-	Kind string
-	At   sim.Time
+	Seq     uint64
+	From    simnet.NodeID
+	To      simnet.NodeID
+	Kind    string
+	At      sim.Time
+	Payload any
 }
 
 // runner executes one schedule and gathers oracle evidence.
@@ -130,11 +131,8 @@ type runner struct {
 
 	events []Event
 
-	// logSends, when set, records every send into sendLog. The log is not
-	// part of the trace format, so logged and unlogged runs of the same
-	// schedule stay byte-identical.
-	logSends bool
-	sendLog  []SendInfo
+	// sendLog records every send, in order; it is not part of the trace.
+	sendLog []SendInfo
 
 	// submitted lists transaction names in submission order (setup first).
 	submitted []string
@@ -188,22 +186,21 @@ func (r *runner) ev(format string, args ...any) {
 // from Schedule.Seed, and every observation is gathered in deterministic
 // order.
 func Run(spec Schedule) (*RunResult, error) {
-	res, _, err := run(spec, false)
+	res, _, err := run(spec)
 	return res, err
 }
 
-// RunLogged is Run plus the chronological send log of the run. The extra
-// observation changes nothing about the execution: the trace (and so every
-// golden) is byte-identical to Run's.
+// RunLogged is Run plus the chronological send log of the run. The log is
+// not part of the trace format, so the trace (and every golden) is Run's.
 func RunLogged(spec Schedule) (*RunResult, []SendInfo, error) {
-	res, r, err := run(spec, true)
+	res, r, err := run(spec)
 	if err != nil {
 		return nil, nil, err
 	}
 	return res, r.sendLog, nil
 }
 
-func run(spec Schedule, logSends bool) (*RunResult, *runner, error) {
+func run(spec Schedule) (*RunResult, *runner, error) {
 	spec = spec.Normalize()
 	cfg, err := spec.Config()
 	if err != nil {
@@ -226,7 +223,6 @@ func run(spec Schedule, logSends bool) (*RunResult, *runner, error) {
 		applied:   map[simnet.NodeID][]string{},
 		appliedAt: map[simnet.NodeID]map[string]sim.Time{},
 		opLog:     map[simnet.NodeID][]opEvent{},
-		logSends:  logSends,
 	}
 	r.net = simnet.New(r.sched, simnet.DefaultOptions())
 	// An unset shard count means one shard. It is defaulted here, not in
@@ -377,27 +373,23 @@ func (r *runner) installFaults() {
 			bySeq[f.Seq] = sf
 		}
 	}
-	if len(bySeq) > 0 || r.logSends {
-		r.net.OnSend = func(seq uint64, msg simnet.Message) simnet.SendFault {
-			if r.logSends {
-				r.sendLog = append(r.sendLog, SendInfo{
-					Seq: seq, From: msg.From, To: msg.To, Kind: msg.Kind, At: r.sched.Now(),
-				})
-			}
-			sf, ok := bySeq[seq]
-			if !ok {
-				return simnet.SendFault{}
-			}
-			switch {
-			case sf.CrashSender:
-				r.ev("fault crash-at-send seq=%d from=%d kind=%s", seq, msg.From, msg.Kind)
-			case sf.Drop:
-				r.ev("fault drop-send seq=%d from=%d to=%d kind=%s", seq, msg.From, msg.To, msg.Kind)
-			default:
-				r.ev("fault delay-send seq=%d kind=%s delay=%d", seq, msg.Kind, sf.Delay)
-			}
-			return sf
+	r.net.OnSend = func(seq uint64, msg simnet.Message) simnet.SendFault {
+		r.sendLog = append(r.sendLog, SendInfo{
+			Seq: seq, From: msg.From, To: msg.To, Kind: msg.Kind, At: r.sched.Now(), Payload: msg.Payload,
+		})
+		sf, ok := bySeq[seq]
+		if !ok {
+			return simnet.SendFault{}
 		}
+		switch {
+		case sf.CrashSender:
+			r.ev("fault crash-at-send seq=%d from=%d kind=%s", seq, msg.From, msg.Kind)
+		case sf.Drop:
+			r.ev("fault drop-send seq=%d from=%d to=%d kind=%s", seq, msg.From, msg.To, msg.Kind)
+		default:
+			r.ev("fault delay-send seq=%d kind=%s delay=%d", seq, msg.Kind, sf.Delay)
+		}
+		return sf
 	}
 	// Sync-targeted crashes: one hook per victim store, firing on the
 	// batch boundaries the schedule names. The stable store invokes the

@@ -190,10 +190,6 @@ func (t *Net) Now() rt.Time {
 	return rt.Time(time.Since(t.start) / t.opts.Tick) //lint:allow nowallclock live runtime adapter: the wall clock IS this runtime's clock source
 }
 
-// LocalTime reads a node's local clock; the live adapter models no
-// drift, so every node reads global time.
-func (t *Net) LocalTime(id rt.NodeID) rt.Time { return t.Now() }
-
 // Delta returns the advertised message-delay bound in ticks.
 func (t *Net) Delta() rt.Time { return t.opts.Delta }
 
@@ -254,10 +250,6 @@ func (t *Net) Nodes() []rt.NodeID {
 	defer t.mu.Unlock()
 	return append([]rt.NodeID(nil), t.order...)
 }
-
-// UpNodes returns the operational node IDs; without fault injection
-// that is every registered node.
-func (t *Net) UpNodes() []rt.NodeID { return t.Nodes() }
 
 // Up reports whether a node is registered (live nodes never crash).
 func (t *Net) Up(id rt.NodeID) bool {

@@ -1,9 +1,8 @@
 // Package rt is the runtime boundary of the protocol engines: the
-// narrow set of interfaces — Clock, Timer, Transport, Rand — through
-// which every engine (tpc, txn, kvstore, election, broadcast, consensus,
-// detector, recovery, checkpoint) touches time, randomness and the
-// network. The deterministic simulator (internal/sim + internal/simnet)
-// implements these interfaces for verification runs; a real-goroutine
+// narrow set of interfaces — Timer, Transport, Rand — through which every
+// engine (tpc, txn, kvstore, recovery, checkpoint) touches time,
+// randomness and the network. The deterministic simulator (internal/sim +
+// internal/simnet) implements these interfaces for verification runs; a real-goroutine
 // adapter (internal/rt/live) implements them over channels and the wall
 // clock for serving-path runs. The engines themselves import only this
 // package, so the identical handler code runs on both runtimes and the
@@ -67,17 +66,6 @@ type Timer interface {
 	Cancel()
 }
 
-// Clock reads the current time and schedules callbacks. Transport
-// implementations embed a per-node view of it (Now + After); it is also
-// the standalone face a non-networked component needs.
-type Clock interface {
-	// Now returns the current time in ticks.
-	Now() Time
-	// After schedules fn d ticks from now and returns a cancellable
-	// timer. The callback runs on the scheduling runtime's event loop.
-	After(d Time, fn func()) Timer
-}
-
 // Rand is the seam for protocol-visible randomness: implementations are
 // the simulator's seeded source (deterministic replay) or a live
 // source. Engines must not reach for math/rand globals (the norand
@@ -113,8 +101,6 @@ type Transport interface {
 	// Now returns the current time of the runtime driving this
 	// transport, in ticks.
 	Now() Time
-	// LocalTime reads a node's (possibly drifting) local clock.
-	LocalTime(id NodeID) Time
 	// Delta returns the fabric's message delay bound (the paper's δ),
 	// from which the engines derive their phase timeouts.
 	Delta() Time
@@ -131,8 +117,6 @@ type Transport interface {
 
 	// Nodes returns all node IDs in registration order.
 	Nodes() []NodeID
-	// UpNodes returns the operational node IDs in registration order.
-	UpNodes() []NodeID
 	// Up reports whether a node is operational.
 	Up(id NodeID) bool
 }
@@ -162,30 +146,4 @@ type PayloadRegistry interface {
 type Quiescer interface {
 	// RunToQuiescence executes pending work until none remains.
 	RunToQuiescence()
-}
-
-// DriftClock models a site-local clock with bounded drift rho relative
-// to global time: local(t) = offset + t*(1+rho). The paper's assumption
-// 6 (synchronized timers) corresponds to rho = 0. It is pure
-// arithmetic, shared by both runtimes.
-type DriftClock struct {
-	// Offset is the local clock value at global time zero.
-	Offset Time
-	// RhoPPM is the drift rate in parts-per-million (positive runs fast).
-	RhoPPM int64
-}
-
-// Read returns the local clock value at global time t.
-func (c DriftClock) Read(t Time) Time {
-	return c.Offset + t + t*Time(c.RhoPPM)/1_000_000
-}
-
-// TimeoutFor inflates a timeout d to compensate worst-case drift, the
-// paper's (1+rho)*delta rule.
-func (c DriftClock) TimeoutFor(d Time) Time {
-	rho := c.RhoPPM
-	if rho < 0 {
-		rho = -rho
-	}
-	return d + d*Time(rho)/1_000_000
 }

@@ -134,18 +134,6 @@ func DecodeFrame(codec *Codec, data []byte) (rt.Message, int, error) {
 	return msg, 4 + int(n), nil
 }
 
-// WriteFrame encodes msg and writes the frame to w.
-func WriteFrame(w io.Writer, codec *Codec, msg rt.Message) error {
-	buf, err := EncodeFrame(codec, msg)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("tcp: write frame: %w", err)
-	}
-	return nil
-}
-
 // ReadFrame reads one frame from r. Stream errors pass through (io.EOF
 // at a frame boundary means a clean close); malformed bytes are the same
 // wrapped sentinels DecodeBody returns.

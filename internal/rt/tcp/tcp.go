@@ -222,7 +222,9 @@ func (t *Net) Nodes() []rt.NodeID { return append([]rt.NodeID(nil), t.order...) 
 // UpNodes returns the cluster membership. The transport deliberately
 // does not equate connection state with liveness — a partitioned peer is
 // still a member, and the engines' timeout/termination machinery owns
-// failure handling — so membership is the only honest answer.
+// failure handling — so membership is the only honest answer. It and
+// LocalTime are no longer rt.Transport methods; the benchmark's traced
+// transport still forwards both on this concrete type.
 func (t *Net) UpNodes() []rt.NodeID { return t.Nodes() }
 
 // Up reports cluster membership (see UpNodes).

@@ -111,9 +111,6 @@ func (s *Scheduler) After(d Time, fn func()) *Timer {
 	return s.At(s.now+d, fn)
 }
 
-// Pending reports the number of scheduled (possibly cancelled) events.
-func (s *Scheduler) Pending() int { return len(s.events) }
-
 // Step executes the next event; it reports whether an event ran.
 func (s *Scheduler) Step() bool {
 	for len(s.events) > 0 {
@@ -161,11 +158,3 @@ func (s *Scheduler) RunUntil(t Time) {
 		s.now = t
 	}
 }
-
-// Clock models a site-local clock with bounded drift rho relative to the
-// global simulated time: local(t) = offset + t*(1+rho). The paper's
-// assumption 6 (synchronized timers) corresponds to rho = 0. The drift
-// arithmetic lives at the runtime boundary (rt.DriftClock) so ported
-// engines can use it without importing the simulator; this alias keeps
-// the simulator-side name.
-type Clock = rt.DriftClock

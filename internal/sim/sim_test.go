@@ -132,23 +132,6 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestClockDrift(t *testing.T) {
-	c := Clock{Offset: 100, RhoPPM: 1000} // 0.1% fast
-	if got := c.Read(0); got != 100 {
-		t.Errorf("Read(0) = %d", got)
-	}
-	if got := c.Read(1_000_000); got != 100+1_000_000+1000 {
-		t.Errorf("Read(1e6) = %d", got)
-	}
-	if got := c.TimeoutFor(1_000_000); got != 1_001_000 {
-		t.Errorf("TimeoutFor = %d", got)
-	}
-	neg := Clock{RhoPPM: -1000}
-	if got := neg.TimeoutFor(1_000_000); got != 1_001_000 {
-		t.Errorf("TimeoutFor with negative drift = %d", got)
-	}
-}
-
 // Property: events always execute in nondecreasing time order.
 func TestMonotoneTimeProperty(t *testing.T) {
 	prop := func(seed int64, delays []uint8) bool {

@@ -1,7 +1,7 @@
 // Package simnet simulates the network of the paper's assumption set
 // (Section 3.4): a reliable, non-partitioning network with FIFO two-way
-// channels between sites, bounded message delay, per-site drifting clocks,
-// crash/recovery of sites, and timeout timers. A crash is what kill -9 of
+// channels between sites, bounded message delay, crash/recovery of
+// sites, and timeout timers. A crash is what kill -9 of
 // a serving process is: the node's timers die, its store freezes and
 // reverts to what its last Sync covered, and the engines' RecoverFuncs
 // start from that store and nothing else (rt.RecoverFunc). A handler the
@@ -96,7 +96,6 @@ type node struct {
 	up        bool
 	handler   Handler
 	onRecover RecoverFunc
-	clock     sim.Clock
 	store     *stable.Store
 	timers    []*sim.Timer
 }
@@ -151,22 +150,12 @@ func (n *Network) Now() sim.Time { return n.sched.Now() }
 // (rt.Quiescer): the simulator's synchronous drive.
 func (n *Network) RunToQuiescence() { n.sched.Run(0) }
 
-// AddNode registers a node with a drift-free clock and fresh stable store.
+// AddNode registers a node with a fresh stable store.
 func (n *Network) AddNode(id NodeID, h Handler) *stable.Store {
 	nd := &node{id: id, up: true, handler: h, store: stable.NewStore()}
 	n.nodes[id] = nd
 	n.order = append(n.order, id)
 	return nd.store
-}
-
-// SetClock assigns a drifting clock to a node.
-func (n *Network) SetClock(id NodeID, c sim.Clock) error {
-	nd, ok := n.nodes[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownNode, id)
-	}
-	nd.clock = c
-	return nil
 }
 
 // SetHandler replaces a node's message handler (protocols installed after
@@ -199,17 +188,6 @@ func (n *Network) Up(id NodeID) bool {
 	return ok && nd.up
 }
 
-// UpNodes returns the operational node IDs in registration order.
-func (n *Network) UpNodes() []NodeID {
-	var out []NodeID
-	for _, id := range n.order {
-		if n.nodes[id].up {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // Store returns a node's stable store.
 func (n *Network) Store(id NodeID) (*stable.Store, error) {
 	nd, ok := n.nodes[id]
@@ -217,15 +195,6 @@ func (n *Network) Store(id NodeID) (*stable.Store, error) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownNode, id)
 	}
 	return nd.store, nil
-}
-
-// LocalTime reads a node's (possibly drifting) local clock.
-func (n *Network) LocalTime(id NodeID) sim.Time {
-	nd, ok := n.nodes[id]
-	if !ok {
-		return 0
-	}
-	return nd.clock.Read(n.sched.Now())
 }
 
 // Send transmits a message; delivery is scheduled per the network options.

@@ -226,20 +226,6 @@ func TestDeliveryWithinDelta(t *testing.T) {
 	}
 }
 
-func TestLocalClockDrift(t *testing.T) {
-	n, _ := newNet(1, 2)
-	if err := n.SetClock(2, sim.Clock{Offset: 5, RhoPPM: 0}); err != nil {
-		t.Fatal(err)
-	}
-	n.Scheduler().RunUntil(100)
-	if got := n.LocalTime(2); got != 105 {
-		t.Fatalf("LocalTime = %d, want 105", got)
-	}
-	if got := n.LocalTime(1); got != 100 {
-		t.Fatalf("LocalTime(1) = %d, want 100", got)
-	}
-}
-
 func TestUnknownNodeErrors(t *testing.T) {
 	n, _ := newNet(1, 1)
 	if err := n.Send(9, 1, "x", nil); !errors.Is(err, ErrUnknownNode) {

@@ -1,8 +1,8 @@
 package thesis
 
 // BuildingBlock is one row of the paper's Table 3.1, extended with the
-// requirements stated in Section 3.5.1 and the Go package that implements
-// the block executably.
+// requirements stated in Section 3.5.1 and the Go code that implements the
+// block executably.
 type BuildingBlock struct {
 	// ID is the table row (1, 1.1, 1.2, 2, ...).
 	ID string
@@ -10,8 +10,9 @@ type BuildingBlock struct {
 	Name string
 	// SpecName is the corpus specification encoding its properties.
 	SpecName string
-	// Package is the executable implementation.
-	Package string
+	// Package is the directory of the executable implementation, and Code
+	// the functions or types in it that discharge the block's requirements.
+	Package, Code string
 	// Requirements are the stated requirements from Section 3.5.1.
 	Requirements []string
 }
@@ -21,7 +22,7 @@ type BuildingBlock struct {
 func Table31() []BuildingBlock {
 	return []BuildingBlock{
 		{
-			ID: "1", Name: "Controller Protocol", SpecName: "CONTROLLER", Package: "internal/tpc",
+			ID: "1", Name: "Controller Protocol", SpecName: "CONTROLLER", Package: "internal/tpc", Code: "Coordinator, Cohort",
 			Requirements: []string{
 				"recognize participant failures",
 				"allow recovery from mid-commitment failure",
@@ -32,7 +33,7 @@ func Table31() []BuildingBlock {
 			},
 		},
 		{
-			ID: "1.1", Name: "Broadcast Protocol", SpecName: "BROADCAST", Package: "internal/broadcast",
+			ID: "1.1", Name: "Broadcast Protocol", SpecName: "BROADCAST", Package: "internal/tpc", Code: "Coordinator.commit/abort, Cohort.terminationDecide",
 			Requirements: []string{
 				"termination: some correct process eventually delivers",
 				"validity: delivered messages were multicast",
@@ -42,7 +43,7 @@ func Table31() []BuildingBlock {
 			},
 		},
 		{
-			ID: "1.2", Name: "Consensus Protocol", SpecName: "CONSENSUS", Package: "internal/consensus",
+			ID: "1.2", Name: "Consensus Protocol", SpecName: "CONSENSUS", Package: "internal/tpc", Code: "Cohort.decide, Cohort.terminationDecide",
 			Requirements: []string{
 				"termination: every correct site eventually decides",
 				"integrity: a site decides at most once",
@@ -51,7 +52,7 @@ func Table31() []BuildingBlock {
 			},
 		},
 		{
-			ID: "2", Name: "Snapshot Protocol", SpecName: "SNAPSHOT", Package: "internal/snapshot",
+			ID: "2", Name: "Snapshot Protocol", SpecName: "SNAPSHOT", Package: "internal/tpc", Code: "Cohort.startTermination, KindStateReq/KindStateResp",
 			Requirements: []string{
 				"global state never holds both a commit and an abort state",
 				"global transition on every local transition",
@@ -60,7 +61,7 @@ func Table31() []BuildingBlock {
 			},
 		},
 		{
-			ID: "3", Name: "Undo/Redo Logging Protocol", SpecName: "UNDOREDO", Package: "internal/wal",
+			ID: "3", Name: "Undo/Redo Logging Protocol", SpecName: "UNDOREDO", Package: "internal/wal", Code: "Log.LoggedUpdate, Log.Commit",
 			Requirements: []string{
 				"log kept in stable storage",
 				"undo entry in stable log before writing",
@@ -70,7 +71,7 @@ func Table31() []BuildingBlock {
 			},
 		},
 		{
-			ID: "4", Name: "Two Phase Locking Protocol", SpecName: "TWOPHASELOCK", Package: "internal/locking",
+			ID: "4", Name: "Two Phase Locking Protocol", SpecName: "TWOPHASELOCK", Package: "internal/locking", Code: "Manager.Acquire, Manager.ReleaseAll",
 			Requirements: []string{
 				"at most one transaction write-locks an object",
 				"write lock enforces complete mutual exclusion",
@@ -80,7 +81,7 @@ func Table31() []BuildingBlock {
 			},
 		},
 		{
-			ID: "5", Name: "Checkpointing Protocol", SpecName: "CHECKPOINTING", Package: "internal/checkpoint",
+			ID: "5", Name: "Checkpointing Protocol", SpecName: "CHECKPOINTING", Package: "internal/checkpoint", Code: "Node (not on the served path)",
 			Requirements: []string{
 				"no domino effect",
 				"checkpoint sets form a consistent system state",
@@ -90,7 +91,7 @@ func Table31() []BuildingBlock {
 			},
 		},
 		{
-			ID: "6", Name: "Recovery Protocol", SpecName: "RECOVERY", Package: "internal/recovery",
+			ID: "6", Name: "Recovery Protocol", SpecName: "RECOVERY", Package: "internal/recovery", Code: "Recover",
 			Requirements: []string{
 				"restore an earlier state from a stable checkpoint and replay the log",
 				"roll back processes whose states depend on lost states",
@@ -99,7 +100,7 @@ func Table31() []BuildingBlock {
 			},
 		},
 		{
-			ID: "7", Name: "Decision Making Protocol", SpecName: "DECISIONMAKING", Package: "internal/tpc",
+			ID: "7", Name: "Decision Making Protocol", SpecName: "DECISIONMAKING", Package: "internal/tpc", Code: "Cohort.terminationDecide",
 			Requirements: []string{
 				"no local state's concurrency set contains both abort and commit",
 				"no non-committable state concurrent with a commit state",
@@ -107,7 +108,7 @@ func Table31() []BuildingBlock {
 			},
 		},
 		{
-			ID: "8", Name: "Termination Protocol", SpecName: "TERMINATION", Package: "internal/tpc",
+			ID: "8", Name: "Termination Protocol", SpecName: "TERMINATION", Package: "internal/tpc", Code: "Cohort.startTermination",
 			Requirements: []string{
 				"terminate temporarily when the non-blocking theorem holds at some operational site",
 				"terminate permanently when no operational site satisfies the rules",
@@ -115,7 +116,7 @@ func Table31() []BuildingBlock {
 			},
 		},
 		{
-			ID: "9", Name: "Voting (Election) Protocol", SpecName: "VOTING", Package: "internal/election",
+			ID: "9", Name: "Voting (Election) Protocol", SpecName: "VOTING", Package: "internal/tpc", Code: "Cohort.backup",
 			Requirements: []string{
 				"invoked by the termination protocol on coordinator failure",
 				"backup bases the commit decision on its local state",
@@ -124,7 +125,7 @@ func Table31() []BuildingBlock {
 			},
 		},
 		{
-			ID: "10", Name: "Failure/Time-out Management Protocol", SpecName: "FAILUREMGMT", Package: "internal/detector",
+			ID: "10", Name: "Failure/Time-out Management Protocol", SpecName: "FAILUREMGMT", Package: "internal/tpc", Code: "cohort phase timers, Cohort.onCoordinatorSilent",
 			Requirements: []string{
 				"specify the failure model for the network",
 				"compensate clock drift: delta replaced by (1+rho)*delta",

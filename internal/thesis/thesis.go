@@ -19,7 +19,6 @@ import (
 
 	"speccat/internal/core/prover"
 	"speccat/internal/core/provesched"
-	"speccat/internal/core/spec"
 	"speccat/internal/core/speclang"
 )
 
@@ -203,15 +202,6 @@ func chainSteps(env *speclang.Env, defs [][3]string) ([]ChainStep, error) {
 	return out, nil
 }
 
-// BlockSpecNames maps Table 3.1 building blocks to corpus spec names.
-func BlockSpecNames() []string {
-	return []string{
-		"BROADCAST", "CONSENSUS", "CONTROLLER", "UNDOREDO", "TWOPHASELOCK",
-		"CHECKPOINTING", "RECOVERY", "SNAPSHOT", "DECISIONMAKING",
-		"TERMINATION", "VOTING", "FAILUREMGMT",
-	}
-}
-
 // CommutationReport verifies, for every colimit in the corpus, that the
 // cocone commutes with its diagram (the correctness condition the thesis
 // states for each composed module).
@@ -264,7 +254,3 @@ func SubsumesTheorem(env *speclang.Env, composite, theorem string) (bool, error)
 	_, ok := s.FindTheorem(theorem)
 	return ok, nil
 }
-
-// SpecOf returns a spec from the env (convenience for callers outside the
-// package).
-func SpecOf(env *speclang.Env, name string) (*spec.Spec, error) { return env.Spec(name) }

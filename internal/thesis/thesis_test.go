@@ -1,6 +1,9 @@
 package thesis
 
 import (
+	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -26,9 +29,9 @@ func env(t *testing.T) *speclang.Env {
 
 func TestCorpusElaborates(t *testing.T) {
 	e := env(t)
-	for _, name := range BlockSpecNames() {
-		if _, err := e.Spec(name); err != nil {
-			t.Errorf("block spec %s: %v", name, err)
+	for _, row := range Table31() {
+		if _, err := e.Spec(row.SpecName); err != nil {
+			t.Errorf("block spec %s: %v", row.SpecName, err)
 		}
 	}
 	for _, name := range []string{"PR1", "PR2", "PR3", "PR4", "PR5", "PR6", "PR7", "PR8", "PR9"} {
@@ -196,6 +199,15 @@ func TestTable31Complete(t *testing.T) {
 		}
 		if _, err := e.Spec(row.SpecName); err != nil {
 			t.Errorf("block %s: spec %s: %v", row.Name, row.SpecName, err)
+		}
+		// Package names real code: a directory of the module (the test
+		// runs two levels below its root) holding non-test Go files.
+		files, _ := filepath.Glob(filepath.Join("..", "..", row.Package, "*.go"))
+		if !slices.ContainsFunc(files, func(f string) bool { return !strings.HasSuffix(f, "_test.go") }) {
+			t.Errorf("block %s: package %s holds no non-test Go files", row.Name, row.Package)
+		}
+		if row.Code == "" {
+			t.Errorf("block %s names no code in %s", row.Name, row.Package)
 		}
 	}
 }

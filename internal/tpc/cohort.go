@@ -18,9 +18,8 @@ type cohortTxn struct {
 	gathering  bool
 	stateResps map[rt.NodeID]State
 	// peers is this transaction's participant set (self included), learned
-	// from the commit request — the only way into w2. Termination (backup
-	// election, state gathering, dissemination) runs over exactly this
-	// set, so a transaction never waits on sites it did not touch.
+	// from the commit request — the only way into w2. Termination runs over
+	// exactly this set, so a transaction never waits on sites it did not touch.
 	peers []rt.NodeID
 }
 
@@ -217,10 +216,8 @@ func (h *Cohort) onCoordinatorSilent(txn string, t *cohortTxn) {
 	}
 }
 
-// startTermination runs the termination protocol: the lowest-numbered
-// operational cohort acts as backup coordinator (the voting protocol in
-// miniature — every cohort computes the same backup deterministically),
-// gathers the local states of operational cohorts, applies the
+// startTermination runs the termination protocol: the backup coordinator
+// (see backup) gathers the participants' local states, applies the
 // non-blocking rules, and disseminates the decision.
 func (h *Cohort) startTermination(txn string, t *cohortTxn) {
 	backup := h.backup(t)
@@ -250,8 +247,11 @@ func (h *Cohort) startTermination(txn string, t *cohortTxn) {
 	h.net.After(h.id, 2*h.net.Delta()+2, func() { h.terminationDecide(txn, t) })
 }
 
-// backup returns the lowest operational participant, the deterministic
-// election the thesis's voting protocol provides.
+// backup returns the lowest participant Up reports — the voting protocol
+// in miniature: every cohort computes the same backup. Under the simulator
+// Up is a perfect failure detector; tcp.Net.Up is cluster membership, true
+// for every configured peer, so a served cohort asks a dead lowest
+// participant again every 2·PhaseTimeout until that peer restarts.
 func (h *Cohort) backup(t *cohortTxn) rt.NodeID {
 	ids := append([]rt.NodeID{}, t.peers...)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
