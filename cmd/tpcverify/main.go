@@ -13,9 +13,9 @@
 //	e14       corpus proofs on a worker pool (-workers)
 //	e15       static durcheck plus staged crash-at-dissemination schedules
 //	e16, e17  live-goroutine and TCP runs replayed deterministically
-//	e18       commutativity-derived lock modes: conflict rates, underlock ablation
+//	e18       commutativity-derived lock modes: conflict rates, the underlock mutant
 //	e19       sharded group-committed commit path: conformance and fsync bill
-//	e20       static lockcheck plus the explorer-witnessed cross-shard deadlock
+//	e20       static lockcheck plus the lock-wait mutant's cross-shard deadlock
 package main
 
 import (
@@ -30,6 +30,7 @@ import (
 	"speccat/internal/core/speclang"
 	"speccat/internal/experiments"
 	"speccat/internal/explore"
+	"speccat/internal/mutant"
 	"speccat/internal/thesis"
 	"speccat/internal/tpc"
 )
@@ -232,7 +233,7 @@ func run(sel func(string) bool, seed int64, txns, workers int) (proofs []provesc
 	}
 
 	if sel("e18") {
-		fmt.Println("== E18: commutativity conformance — derived lock modes, conflict rates, underlock ablation ==")
+		fmt.Println("== E18: commutativity conformance — derived lock modes, conflict rates, underlock mutant ==")
 		res, err := experiments.E18Commutativity([]int64{1, 2, 3, 4, 5})
 		if err != nil {
 			return nil, err
@@ -245,15 +246,8 @@ func run(sel func(string) bool, seed int64, txns, workers int) (proofs []provesc
 			100*res.Exclusive.ConflictRate, 100*res.Commutative.ConflictRate)
 		fmt.Printf("  crash+recover sweep (%d seeds): %s\n", res.FaultedSeeds,
 			verdict(res.FaultedViolated, "every oracle clean — committed increments survive via the WAL's logical fold"))
-		if a := res.Ablation; a != nil {
-			control := "control (correct locking) clean"
-			if !a.ControlClean {
-				control = "CONTROL NOT CLEAN"
-			}
-			fmt.Printf("  underlock ablation seed=%d: CAUGHT by serializability oracle — %s; %s\n",
-				a.Seed, a.Detail, control)
-		} else {
-			fmt.Println("  underlock ablation: NOT CAUGHT (cross-validation failed)")
+		if err := printVerdicts(experiments.E18Ablation()); err != nil {
+			return nil, err
 		}
 		fmt.Println()
 	}
@@ -274,21 +268,15 @@ func run(sel func(string) bool, seed int64, txns, workers int) (proofs []provesc
 	}
 
 	if sel("e20") {
-		fmt.Println("== E20: lock discipline — static 2PL/lock-order analysis with explorer-witnessed deadlock ==")
-		res, err := experiments.E20LockDiscipline([]int64{1, 2, 3})
+		fmt.Println("== E20: lock discipline — static 2PL/lock-order analysis with the lock-wait mutant's deadlock ==")
+		rep, findings, err := experiments.E20LockDiscipline()
 		if err != nil {
 			return nil, err
 		}
 		fmt.Printf("  static lockcheck over ./internal/...: %d findings; %d roots, %d functions analyzed, %d acquire / %d release sites, %d routed calls, %d SyncThen continuations\n",
-			res.Findings, res.Roots, res.Analyzed, res.AcquireSites, res.ReleaseSites, res.RoutedCalls, res.SyncThenSites)
-		for _, arm := range []experiments.E20Arm{res.Ablated, res.Canonical, res.Single} {
-			fmt.Printf("  %-18s seeds=%d: %3d committed, %3d aborted, %3d undecided, %d stalls; %s\n",
-				arm.Label, arm.Seeds, arm.Committed, arm.Aborted, arm.Undecided, arm.Stalls, verdict(arm.Violated, "oracles clean"))
-		}
-		if res.Witness {
-			fmt.Printf("  lock-order witness: seed=%d stalls the sharded engine (fault-free progress violation); canonical-order control clean\n", res.WitnessSeed)
-		} else {
-			fmt.Println("  lock-order witness: NOT FOUND (cross-validation failed)")
+			findings, len(rep.Roots), rep.Analyzed, rep.AcquireSites, rep.ReleaseSites, rep.RoutedCalls, rep.SyncThenSites)
+		if err := printVerdicts(experiments.E20Arms()); err != nil {
+			return nil, err
 		}
 		fmt.Println()
 	}
@@ -305,6 +293,14 @@ func run(sel func(string) bool, seed int64, txns, workers int) (proofs []provesc
 		fmt.Println()
 	}
 	return proofs, nil
+}
+
+// printVerdicts prints one line per mutant verdict.
+func printVerdicts(vs []mutant.Verdict, err error) error {
+	for _, v := range vs {
+		fmt.Println("  " + v.String())
+	}
+	return err
 }
 
 // verdict renders a sweep's violated-oracle set, or clean when it is empty.

@@ -38,8 +38,10 @@
 //
 // Static findings are cross-validated dynamically: experiment E18 runs
 // the commutative workload mix under the fault-schedule explorer, where
-// the serializability oracle holds with the derived modes and fails on a
-// seeded comm-underlock ablation (kvstore.Store.PutUnderlocked).
+// the serializability oracle holds with the derived modes. The underlock
+// mutant in internal/mutant (kvstore.Store.Put acquiring IncMode) is
+// killed both by this layer's comm-underlock rule and by that oracle, on
+// the same source.
 package commcheck
 
 import "speccat/internal/analysis"

@@ -50,11 +50,12 @@
 //   - lock-extract: malformed, unknown or unbound //lock:* directives, and
 //     reasonless suppressions.
 //
-// A lock-order finding is cross-validated dynamically: CrossValidate
-// compiles it into a tpcexplore schedule whose opposed workload stalls the
-// sharded engine forever under lock-waiting (the fault-free progress
-// oracle convicts the run) while the canonical-order engine survives the
-// identical staging — see crossval.go and experiment E20.
+// The lock-order rule's dynamic twin is the lock-wait mutant in
+// internal/mutant: sites that wait for a contended lock instead of failing
+// the work phase. Over two shard-local managers it stalls the opposed
+// workload forever (explore's TestOpposedProgressTwoShards fails on it), while
+// the same mutant with ops sorted by ascending shard, and the same mutant
+// over one manager per site, pass the gate — see experiment E20.
 package lockcheck
 
 import "speccat/internal/analysis"
@@ -99,8 +100,7 @@ var verbs = map[string]analysis.Verb{ //lint:allow noglobalstate immutable looku
 
 // Run analyzes the loaded packages and returns the coverage report and the
 // surviving diagnostics (with //lock:ignore and //lock:ordered
-// suppressions applied), sorted by position. The run is purely static; see
-// CrossValidate for the dynamic confirmation of lock-order findings.
+// suppressions applied), sorted by position. The run is purely static.
 func Run(pkgs []*analysis.Package) (*Report, []analysis.Diagnostic) {
 	x := newExtractor(pkgs)
 	rep := x.extract()

@@ -6,14 +6,13 @@
 // reason no served code discharges it. A row reads each run's send log,
 // payloads included, and the explorer's oracles. A row with a defect in the
 // tree to catch also runs against it and a clean control: an explorer
-// golden and its schedule under 3PC, E18's underlock witness and its
-// schedule correctly locked, or the crash sweep under 2PC or naive 3PC and
-// the same sweep under 3PC.
+// golden and its schedule under 3PC, or the crash sweep under 2PC or naive
+// 3PC and the same sweep under 3PC. The lock row's is the underlock mutant,
+// judged by the row's gate on a mutated and an unmutated module copy.
 package conformance
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -22,8 +21,8 @@ import (
 
 	"speccat/internal/analysis"
 	"speccat/internal/core/provesched"
-	"speccat/internal/experiments"
 	"speccat/internal/explore"
+	"speccat/internal/mutant"
 	"speccat/internal/rt"
 	"speccat/internal/sim"
 	"speccat/internal/simnet"
@@ -77,7 +76,7 @@ func (r Result) String() string {
 const (
 	ablateNaive     = "naive3pc_atomicity.json"
 	ablateUnsafe    = "unsafe_term_atomicity.json"
-	ablateUnderlock = "E18 underlock witness"
+	ablateUnderlock = "underlock mutant"
 	ablate2PC       = "2pc coordinator crashes"
 	ablateNaiveRuns = "3pc-naive coordinator crashes"
 )
@@ -130,19 +129,16 @@ func CheckAll(seeds []int64) ([]Result, error) {
 		}
 		ablated[name] = []explore.Schedule{golden.Schedule}
 	}
-	w, err := experiments.E18UnderlockWitness()
-	if err != nil || w == nil {
-		return nil, errors.Join(errors.New("conformance: no underlock witness"), err)
+	lock, err := mutant.Judge("underlock", "TestLockRowHoldsOnWitnessShape")
+	if err != nil {
+		return nil, err
 	}
-	ablated[ablateUnderlock] = []explore.Schedule{w.Schedule}
-
-	// A control is its ablation repaired — full 3PC, correct locking — so
-	// the 2PC sweep's control is the observed 3PC sweep.
+	// A control is its ablation under full 3PC: the 2PC sweep's is the 3PC one.
 	runs := map[string][2][]*run{}
 	for name, specs := range ablated {
 		var control []explore.Schedule
 		for _, s := range specs {
-			s.Protocol, s.Underlock = explore.Proto3PC, false
+			s.Protocol = explore.Proto3PC
 			control = append(control, s)
 		}
 		a, err := execute(specs)
@@ -169,7 +165,11 @@ func CheckAll(seeds []int64) ([]Result, error) {
 		res := Result{Axioms: rw.axioms, Proofs: proofsNaming(proofs, rw.axioms), Code: rw.code,
 			Obligations: c.n, Holds: c.detail == "", Detail: c.detail, Note: c.note}
 		for _, name := range rw.ablations {
-			res.Ablations = append(res.Ablations, Ablation{name, rw.eval(runs[name][0]).detail != "", rw.eval(runs[name][1]).detail == ""})
+			a := Ablation{name, rw.eval(runs[name][0]).detail != "", rw.eval(runs[name][1]).detail == ""}
+			if name == ablateUnderlock {
+				a = Ablation{name, lock[0].Killed, lock[0].ControlPassed}
+			}
+			res.Ablations = append(res.Ablations, a)
 		}
 		out = append(out, res)
 	}

@@ -175,3 +175,25 @@ func TestTerminationRowsAreNonVacuous(t *testing.T) {
 		t.Errorf("waits=%d requests=%d Globprocstateinfo obligations=%d (%q)", waits, reqs, c.n, c.detail)
 	}
 }
+
+// TestLockRowHoldsOnWitnessShape judges the Readlock/Writelock row on E18's
+// witness shape — blind absolute writes mixed with increments on four hot
+// accounts, seeds 0–29 — where a write taking too weak a lock races the
+// increments. The row holds on the served engine; the underlock mutant
+// (internal/mutant) fails it, and that failure is the row's ablation.
+func TestLockRowHoldsOnWitnessShape(t *testing.T) {
+	var specs []explore.Schedule
+	for seed := int64(0); seed < 30; seed++ {
+		specs = append(specs, explore.Schedule{Protocol: explore.Proto3PC, Seed: seed, Accounts: 4, Txns: 24,
+			Workload: explore.WorkloadCommutative, ZipfTheta: 1.2, WriteFraction: 0.4})
+	}
+	runs, err := execute(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := evalRow(locks, runs...)
+	if c.detail != "" || c.n == 0 {
+		t.Fatalf("Readlock/Writelock over %d obligations: %s", c.n, c.detail)
+	}
+	t.Logf("Readlock/Writelock holds over %d obligations", c.n)
+}

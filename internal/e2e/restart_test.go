@@ -114,15 +114,15 @@ func killLoadArgs(cl *tpcCluster, seed int64, prefix string, n int) []string {
 	}
 }
 
-// TestServeKillCohortMidLoad is the kill ISSUE 21 set out to survive and the
-// engines do not yet: one cohort dies -9 at a random instant of a running
-// load — no pause, no drain — and comes back on its journal. ROADMAP 3(f)(2)
-// says why that can split a transaction (a p made durable whose ack never
+// TestServeKillCohortMidLoad is a kill the engines do not survive yet: one
+// cohort dies -9 at a random instant of a running load — no pause, no
+// drain — and comes back on its journal. Persisting and sending are two
+// steps, so that can split a transaction (a p made durable whose ack never
 // left recovers to commit; the coordinator times out and aborts): about one
 // run in five. It is an EXPECTED FAILURE, kept executable: a violated audit
-// is reported as a skip naming its seed, a clean run passes, and the PR that
-// closes 3(f)(2) turns the Skipf into a Fatalf and drops the pause from
-// TestServeKillRestart.
+// is reported as a skip naming its seed, a clean run passes, and the change
+// that has a recovering in-doubt cohort ask instead of deciding alone turns
+// the Skipf into a Fatalf and drops the pause from TestServeKillRestart.
 func TestServeKillCohortMidLoad(t *testing.T) {
 	seed, rng, loadBin, cl := killSetup(t)
 	load, out := startLoad(t, loadBin, killLoadArgs(cl, seed, "m.", 1500)...)
@@ -130,20 +130,20 @@ func TestServeKillCohortMidLoad(t *testing.T) {
 	victim := 1 + rng.Intn(nodes-1)
 	cl.killRestart(t, victim)
 	if err := load.Wait(); err != nil || !strings.Contains(out.String(), "violations=0") {
-		t.Skipf("EXPECTED FAILURE (ROADMAP 3(f)(2)), seed %d: node %d killed mid-load: %v\n%s", seed, victim+1, err, out)
+		t.Skipf("EXPECTED FAILURE (a durable p whose ack never left), seed %d: node %d killed mid-load: %v\n%s", seed, victim+1, err, out)
 	}
 	t.Logf("seed %d: the kill of node %d fell outside the windows; load clean", seed, victim+1)
 }
 
-// TestServeKillRestart is the first rung of ROADMAP 3(a): real tpcserve
-// processes are killed -9 under tpcload and restarted on their journals,
+// TestServeKillRestart is the first rung of real-process crash testing: real
+// tpcserve processes are killed -9 under tpcload and restarted on their journals,
 // and what comes back must be what the journals say.
 //
 //   - A cohort dies with the load paused (SIGSTOP) and drained, then the load
 //     resumes through its successor and must finish with violations=0. The
 //     pause is not a convenience: a cohort killed mid-transaction can split
 //     one today (a p persisted but not yet acked recovers to commit while
-//     the coordinator times out to abort — ROADMAP 3(f)), so that kill is
+//     the coordinator times out to abort), so that kill is
 //     TestServeKillCohortMidLoad's, an expected failure, until the engines
 //     close the window.
 //   - The coordinator dies mid-load, unpaused. tpcload loses its connections

@@ -18,8 +18,8 @@ import (
 // transport driving the very same engine code, and the decisions and
 // byte-level durable stores of the two runs must agree. Together with
 // portcheck (static) and the race detector (dynamic, when the test suite
-// runs with -race) this is the evidence ROADMAP item 1 asks for: the
-// port off the simulator is checked, not trusted.
+// runs with -race) this is the evidence that the port off the simulator
+// is checked, not trusted.
 
 // ConformanceRow is one protocol's comparison of a run on real event
 // loops (E16: the live adapter; E17: TCP loopback) against the

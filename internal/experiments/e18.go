@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"speccat/internal/explore"
+	"speccat/internal/mutant"
 )
 
 // E18 — commutativity conformance. The commcheck layer proves, from the
@@ -14,10 +15,10 @@ import (
 // increment-transfers — measuring the conflict-rate and throughput win
 // the shared IncMode buys; (2) the commutative mix under crash-and-recover
 // faults, with every oracle (in particular serializability over the
-// generalized conflict relation) staying clean; (3) the seeded underlock
-// ablation — absolute writes routed through increment locks, exactly what
-// the comm-underlock static rule flags — which the serializability oracle
-// must catch as incompatible lock classes held simultaneously.
+// generalized conflict relation) staying clean; (3) the underlock mutant
+// (internal/mutant) — Store.Put taking the increment lock, exactly what the
+// comm-underlock static rule flags — which the serializability oracle must
+// catch as incompatible lock classes held simultaneously (E18Ablation).
 
 // E18Row aggregates one locking regime over a seed sweep of the same
 // zipfian workload shape.
@@ -46,9 +47,6 @@ type E18Result struct {
 	// FaultedViolated lists oracle names that failed in the faulted sweep
 	// (diagnostic; empty when FaultedClean).
 	FaultedViolated []string
-	// Ablation is the underlock witness (E18UnderlockWitness); nil when no
-	// seed convicts.
-	Ablation *explore.Conviction
 }
 
 // e18Shape is the common workload shape of every arm: few accounts and a
@@ -87,7 +85,7 @@ func e18Sweep(label string, seeds []int64, writeFraction float64) (E18Row, error
 	return row, nil
 }
 
-// E18Commutativity runs all three movements over the given seeds.
+// E18Commutativity runs movements 1 and 2 over the given seeds.
 func E18Commutativity(seeds []int64) (*E18Result, error) {
 	out := &E18Result{}
 	var err error
@@ -117,27 +115,13 @@ func E18Commutativity(seeds []int64) (*E18Result, error) {
 	out.FaultedSeeds = faulted.Seeds
 	out.FaultedViolated = faulted.Violated
 	out.FaultedClean = len(faulted.Violated) == 0
-
-	if out.Ablation, err = E18UnderlockWitness(); err != nil {
-		return nil, fmt.Errorf("e18: ablation: %w", err)
-	}
 	return out, nil
 }
 
-// E18UnderlockWitness is movement 3, the underlock ablation: mixed blind
-// writes and increments on hot keys, with absolute writes taking only the
-// increment lock. It returns the first seed the serializability oracle
-// convicts (its Detail is that violation's evidence) with the identical
-// schedule under correct locking as the control that must acquit, or nil.
-// E11's lock rows reuse it as their ablation.
-func E18UnderlockWitness() (*explore.Conviction, error) {
-	return explore.Witness(explore.SeedRange(0, 30), func(seed int64) explore.Schedule {
-		return explore.Schedule{
-			Protocol: explore.Proto3PC, Seed: seed,
-			Accounts: 4, Txns: 24,
-			Workload:  explore.WorkloadCommutative,
-			ZipfTheta: 1.2, WriteFraction: 0.4,
-			Underlock: true,
-		}
-	}, explore.OracleSerializability, func(s *explore.Schedule) { s.Underlock = false })
+// E18Ablation is movement 3: the underlock mutant's verdict on the
+// serializability gate over the witness shape (blind writes and increments
+// on four hot accounts, seeds 0–29), with the gate on the unmutated copy as
+// its control; its commcheck kill, on the same source, is in the catalogue.
+func E18Ablation() ([]mutant.Verdict, error) {
+	return mutant.Judge("underlock", "TestUnderlockWitnessShapeSerializable")
 }

@@ -4,9 +4,9 @@ import "testing"
 
 // TestE18Commutativity pins the experiment's claims: the commutative
 // regime beats the exclusive regime on conflict rate on the identical
-// zipfian shape, both correct regimes violate no oracle (including under
-// crash faults), and the underlock ablation is caught by the
-// serializability oracle while its control stays clean.
+// zipfian shape, and both correct regimes violate no oracle (including
+// under crash faults). The underlock mutant's verdicts are internal/mutant's
+// TestCatalogue.
 func TestE18Commutativity(t *testing.T) {
 	res, err := E18Commutativity([]int64{1, 2, 3})
 	if err != nil {
@@ -30,14 +30,5 @@ func TestE18Commutativity(t *testing.T) {
 	}
 	if !res.FaultedClean {
 		t.Errorf("faulted commutative sweep violated oracles: %v", res.FaultedViolated)
-	}
-	if res.Ablation == nil {
-		t.Fatal("underlock ablation was not caught by the serializability oracle")
-	}
-	if !res.Ablation.ControlClean {
-		t.Errorf("seed %d control (correct locking) was not clean", res.Ablation.Seed)
-	}
-	if res.Ablation.Detail == "" {
-		t.Error("caught ablation carries no evidence detail")
 	}
 }

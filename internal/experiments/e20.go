@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-
-	"speccat/internal/analysis"
 	"speccat/internal/analysis/lockcheck"
-	"speccat/internal/explore"
+	"speccat/internal/mutant"
 )
 
 // E20 — lock discipline, static and witnessed. The lockcheck layer walks
@@ -18,99 +15,35 @@ import (
 // both. E20 runs in two movements: (1) the static analysis over this
 // module — zero findings (reasoned suppressions included), with pinned
 // coverage so the clean verdict is non-vacuous; (2) the dynamic twin of
-// the lock-order rule — the opposed workload (transaction pairs touching
-// the same cross-shard keys in opposite orders) run against the ablated
-// sharded engine (stalls into a fault-free progress violation), the same
-// engine under CanonicalLockOrder (clean), and the single-manager store
-// (clean: its one detector sees the cycle and aborts a victim).
+// the lock-order rule (E20Arms) — the lock-wait mutant, whose sites wait
+// for a contended lock instead of failing the work, run through the
+// progress gate over the opposed workload (transaction pairs touching the
+// same cross-shard keys in opposite orders): killed with two shard-local
+// managers per site, spared with one (its detector sees the cycle and
+// aborts a victim), and spared with two once its ops are sorted by shard.
 
-// E20Arm aggregates one engine configuration over the opposed-workload
-// seed sweep; its Stalls are the seeds that violated the fault-free
-// progress oracle.
-type E20Arm struct {
-	// Label names the configuration ("sharded", "sharded+canonical", or
-	// "single-manager").
-	Label string
-	explore.Tally
-}
-
-// E20Result pairs the static lockcheck summary over this module with the
-// three dynamic arms.
-type E20Result struct {
-	// Findings is the static finding count over ./internal/... — zero on
-	// a lock-discipline-clean tree.
-	Findings int
-	// Roots, Analyzed, AcquireSites, ReleaseSites, RoutedCalls and
-	// SyncThenSites summarize analysis coverage (lockcheck.Report); a
-	// clean run over zero lock events would prove nothing.
-	Roots, Analyzed, AcquireSites, ReleaseSites, RoutedCalls, SyncThenSites int
-	// Ablated is the per-shard-manager engine acquiring in submission
-	// order — the configuration the lock-order rule convicts; Canonical
-	// the identical schedule with ascending-shard presorting; Single the
-	// one-shard store whose one detector covers the whole waits-for graph.
-	Ablated   E20Arm
-	Canonical E20Arm
-	Single    E20Arm
-	// Witness reports that CrossValidate produced a replayable stall
-	// schedule for a lock-order finding with a clean canonical control;
-	// WitnessSeed is its seed.
-	Witness     bool
-	WitnessSeed int64
-}
-
-// e20Arm sweeps one engine configuration over the opposed schedule.
-func e20Arm(label string, seeds []int64, mutate func(*explore.Schedule)) (E20Arm, error) {
-	t, err := explore.Sweep(seeds, func(_ int, seed int64) explore.Schedule {
-		spec := lockcheck.OpposedSchedule(seed)
-		mutate(&spec)
-		return spec
-	})
-	if err != nil {
-		return E20Arm{}, fmt.Errorf("e20: %s: %w", label, err)
-	}
-	return E20Arm{Label: label, Tally: t}, nil
-}
-
-// E20LockDiscipline runs both movements over the given seeds.
-func E20LockDiscipline(seeds []int64) (*E20Result, error) {
+// E20LockDiscipline runs movement 1: lockcheck over ./internal/..., its
+// coverage report (a clean run over zero lock events would prove nothing)
+// and its finding count — zero on a lock-discipline-clean tree.
+func E20LockDiscipline() (*lockcheck.Report, int, error) {
 	pkgs, err := loadInternal()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	rep, diags := lockcheck.Run(pkgs)
-	res := &E20Result{
-		Findings:      len(diags),
-		Roots:         len(rep.Roots),
-		Analyzed:      rep.Analyzed,
-		AcquireSites:  rep.AcquireSites,
-		ReleaseSites:  rep.ReleaseSites,
-		RoutedCalls:   rep.RoutedCalls,
-		SyncThenSites: rep.SyncThenSites,
-	}
+	return rep, len(diags), nil
+}
 
-	if res.Ablated, err = e20Arm("sharded", seeds, func(*explore.Schedule) {}); err != nil {
-		return nil, err
-	}
-	if res.Canonical, err = e20Arm("sharded+canonical", seeds, func(s *explore.Schedule) {
-		s.CanonicalLockOrder = true
-	}); err != nil {
-		return nil, err
-	}
-	if res.Single, err = e20Arm("single-manager", seeds, func(s *explore.Schedule) {
-		s.Shards = 0
-	}); err != nil {
-		return nil, err
-	}
-
-	// The witness arm exercises the finding→schedule compiler exactly as
-	// speccatlint would hand it a live lock-order diagnostic.
-	cv, err := lockcheck.CrossValidate(analysis.Diagnostic{Rule: lockcheck.RuleOrder}, seeds)
+// E20Arms runs movement 2: the lock-wait mutant's verdicts on the
+// two-shard and one-shard progress gates, then the canonical-order
+// mutant's on the two-shard gate, each with its control. The first
+// verdict, the two-shard kill, is the lock-order rule's witness; its
+// evidence is the gate's tally over seeds 1–3.
+func E20Arms() ([]mutant.Verdict, error) {
+	arms, err := mutant.Judge("lock-wait")
 	if err != nil {
 		return nil, err
 	}
-	if cv != nil && cv.CanonicalClean {
-		res.Witness = true
-		res.WitnessSeed = cv.Seed
-	}
-	return res, nil
+	canonical, err := mutant.Judge("lock-wait, canonical order")
+	return append(arms, canonical...), err
 }

@@ -2,50 +2,19 @@ package experiments
 
 import "testing"
 
-// TestE20LockDiscipline pins the experiment's claims: the static layer is
-// clean over real coverage, the ablated sharded engine stalls the opposed
-// workload into a fault-free progress violation (the detector-blind
-// cross-manager deadlock), the canonical-order arm survives the identical
-// schedules untouched, the single-manager arm resolves the same cycles by
-// detection and abort, and the finding→schedule compiler reproduces the
-// stall as a replayable witness with a clean control.
+// TestE20LockDiscipline pins the static movement: the lockcheck layer is
+// clean over real coverage. The dynamic arms are the lock-wait mutants'
+// verdicts, pinned by internal/mutant's TestCatalogue.
 func TestE20LockDiscipline(t *testing.T) {
-	res, err := E20LockDiscipline([]int64{1, 2})
+	res, findings, err := E20LockDiscipline()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Findings != 0 {
-		t.Errorf("static lockcheck reported %d findings on this module", res.Findings)
+	if findings != 0 {
+		t.Errorf("static lockcheck reported %d findings on this module", findings)
 	}
-	if res.Roots == 0 || res.Analyzed < 15 || res.AcquireSites < 6 ||
-		res.ReleaseSites < 2 || res.RoutedCalls < 6 || res.SyncThenSites < 3 {
+	if len(res.Roots) == 0 || res.Analyzed < 15 || res.AcquireSites < 5 ||
+		res.ReleaseSites < 2 || res.RoutedCalls < 5 || res.SyncThenSites < 3 {
 		t.Errorf("static coverage collapsed: %+v", res)
-	}
-
-	stalled := false
-	for _, o := range res.Ablated.Violated {
-		if o == "progress" {
-			stalled = true
-		}
-	}
-	if !stalled || res.Ablated.Stalls == 0 {
-		t.Errorf("ablated arm did not stall: violated %v", res.Ablated.Violated)
-	}
-	if res.Ablated.Undecided == 0 {
-		t.Error("ablated arm decided everything; no deadlocked pair")
-	}
-	if len(res.Canonical.Violated) != 0 || res.Canonical.Undecided != 0 {
-		t.Errorf("canonical arm not clean: violated %v, %d undecided",
-			res.Canonical.Violated, res.Canonical.Undecided)
-	}
-	if len(res.Single.Violated) != 0 || res.Single.Undecided != 0 {
-		t.Errorf("single-manager arm not clean: violated %v, %d undecided",
-			res.Single.Violated, res.Single.Undecided)
-	}
-	if res.Single.Aborted == 0 {
-		t.Error("single-manager arm aborted nothing; its detector never fired")
-	}
-	if !res.Witness {
-		t.Error("no replayable lock-order witness with a clean canonical control")
 	}
 }

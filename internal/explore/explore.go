@@ -74,7 +74,7 @@ func probe(spec Schedule, budget *Budget) (*RunResult, error) {
 
 // Options parameterizes an exploration.
 type Options struct {
-	// Protocol is "3pc", "3pc-naive", or "2pc".
+	// Protocol is "3pc", "3pc-naive", "3pc-unsafe-term", or "2pc".
 	Protocol string
 	// Seeds is how many root seeds to explore (default 32), starting at
 	// StartSeed (default 1).

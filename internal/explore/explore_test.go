@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -312,4 +313,39 @@ func violates(vs []Violation, oracle string) bool {
 		}
 	}
 	return false
+}
+
+// TestParseTraceRejectsUnknownFields: a trace naming a field the format
+// does not have — a retired schedule field or a misspelt one — is refused
+// rather than replayed as some other run.
+func TestParseTraceRejectsUnknownFields(t *testing.T) {
+	res, err := Run(Schedule{Protocol: Proto3PC, Seed: 1, Txns: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := string(res.Trace())
+	const at = `"protocol": "3pc",`
+	if !strings.Contains(trace, at) {
+		t.Fatalf("trace has no %s", at)
+	}
+	for _, tc := range []struct {
+		name, field string
+		ok          bool
+	}{
+		{"recorded", "", true},
+		{"retired underlock", `"underlock": true,`, false},
+		{"retired lock wait", `"lockWait": true,`, false},
+		{"retired canonical order", `"canonicalLockOrder": true,`, false},
+		{"typo for shards", `"shard": 2,`, false},
+		{"unknown top-level", `"bogus": 1,`, false},
+	} {
+		data := strings.Replace(trace, at, at+tc.field, 1)
+		if tc.name == "unknown top-level" {
+			data = strings.Replace(trace, "{", "{"+tc.field, 1)
+		}
+		_, err := ParseTrace([]byte(data))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: ParseTrace error = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
 }

@@ -232,16 +232,9 @@ func run(spec Schedule) (*RunResult, *runner, error) {
 		return nil, nil, fmt.Errorf("explore: build cluster: %w", err)
 	}
 	r.net.OnCrash = func(id simnet.NodeID) { r.ev("crash node=%d", id) }
-	// The lock-wait ablation (E20): sites poll-retry contended locks and the
-	// master never aborts slow work — correctness then rests entirely on the
-	// per-shard deadlock detectors, which cannot see cross-shard cycles.
-	r.cluster.Master.NoWorkTimeout = spec.LockWait
 	for _, id := range r.cluster.SiteIDs {
 		site := r.cluster.Sites[id]
 		sid := id
-		site.UnsafeWriteLocks = spec.Underlock
-		site.LockWait = spec.LockWait
-		site.CanonicalLockOrder = spec.CanonicalLockOrder
 		// A crash-at-send leaves the sender's handler running on its stack
 		// with a frozen store; what that ghost does is not the site's history.
 		site.OnOp = func(t string, op txn.Op) {

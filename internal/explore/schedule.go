@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -133,13 +134,8 @@ type Schedule struct {
 	ReadFraction float64 `json:"readFraction,omitempty"`
 	// WriteFraction is the commutative mix's share of blind absolute-write
 	// transactions (see workload.Config.WriteFraction) — the accesses the
-	// underlock ablation races against concurrent increments.
+	// underlock mutant races against concurrent increments.
 	WriteFraction float64 `json:"writeFraction,omitempty"`
-	// Underlock routes every site's absolute writes through the
-	// deliberately-underlocked kvstore path (increment-mode locks instead
-	// of exclusive ones) — the dynamic twin of the comm-underlock static
-	// rule. The serializability oracle must catch what this admits.
-	Underlock bool `json:"underlock,omitempty"`
 	// Spread is the cross-partition mix's accounts-per-transaction
 	// (workload.Config.Spread; 0 means the generator default).
 	Spread int `json:"spread,omitempty"`
@@ -148,19 +144,6 @@ type Schedule struct {
 	// stable store). Zero means one shard; it is left as zero in recorded
 	// traces (Run defaults it, Normalize does not) so they keep their bytes.
 	Shards int `json:"shards,omitempty"`
-	// LockWait makes sites wait (poll-retry) on contended locks instead of
-	// failing the work phase, and disables the master's work-abort timer —
-	// the configuration that trusts each lock manager's deadlock detector.
-	// With per-shard managers that trust is misplaced: a lock cycle
-	// spanning two shards' managers is invisible to both, and the stalled
-	// transactions surface as progress-oracle violations. This is the
-	// dynamic twin of speccatlint's lock-order rule (E20).
-	LockWait bool `json:"lockWait,omitempty"`
-	// CanonicalLockOrder makes every site sort each work message's
-	// operations into ascending shard-index order before acquiring locks —
-	// the canonical order under which cross-shard cycles cannot form. E20's
-	// repaired arm runs the identical opposed schedule with this set.
-	CanonicalLockOrder bool `json:"canonicalLockOrder,omitempty"`
 }
 
 // WorkloadKind translates the schedule's workload name.
@@ -237,10 +220,14 @@ func (s Schedule) UnreliableNetwork() bool {
 }
 
 // ParseTrace decodes a trace file (as written by RunResult.Trace) and
-// returns the embedded schedule for replay.
+// returns the embedded schedule for replay. A field the trace format does
+// not have is an error, not ignored: a misspelt or retired schedule field
+// would otherwise replay a different run than the one recorded.
 func ParseTrace(data []byte) (*RunResult, error) {
 	var r RunResult
-	if err := json.Unmarshal(data, &r); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&r); err != nil {
 		return nil, fmt.Errorf("explore: corrupt trace: %w", err)
 	}
 	if _, err := r.Schedule.Config(); err != nil {

@@ -74,51 +74,3 @@ func Sweep(seeds []int64, mk func(i int, seed int64) Schedule) (Tally, error) {
 	sort.Strings(t.Violated)
 	return t, nil
 }
-
-// Conviction is a dynamic witness for a static finding: a replayable
-// schedule on which the ablated engine violates an oracle, plus the
-// verdict of the identical schedule with the ablation repaired.
-type Conviction struct {
-	// Seed is the seed that produced the witness, Schedule its ablated
-	// schedule (replayable with cmd/tpcexplore).
-	Seed     int64
-	Schedule Schedule
-	// Violated are the oracle names the ablated run fails, and Detail the
-	// evidence of its first violation of the oracle searched for.
-	Violated []string
-	Detail   string
-	// ControlClean records that the repaired schedule violated nothing,
-	// isolating the ablation as the failure's single cause.
-	ControlClean bool
-}
-
-// Witness searches the seeds for the first whose ablated schedule violates
-// oracle, then runs that schedule with repair applied as the control. It
-// returns nil when no seed convicts — the expected outcome on an engine
-// that does not have the defect.
-func Witness(seeds []int64, ablated func(seed int64) Schedule, oracle string, repair func(*Schedule)) (*Conviction, error) {
-	for _, seed := range seeds {
-		spec := ablated(seed)
-		res, err := Run(spec)
-		if err != nil {
-			return nil, fmt.Errorf("explore: witness seed %d: %w", seed, err)
-		}
-		for _, v := range res.Violations {
-			if v.Oracle != oracle {
-				continue
-			}
-			repaired := spec
-			repair(&repaired)
-			ctrl, err := Run(repaired)
-			if err != nil {
-				return nil, fmt.Errorf("explore: witness control seed %d: %w", seed, err)
-			}
-			return &Conviction{
-				Seed: seed, Schedule: spec,
-				Violated: res.ViolatedOracles(), Detail: v.Detail,
-				ControlClean: len(ctrl.Violations) == 0,
-			}, nil
-		}
-	}
-	return nil, nil
-}

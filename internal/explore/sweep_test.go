@@ -10,14 +10,18 @@ import (
 // stands for — the setup transaction excluded once per seed, the violated
 // oracles de-duplicated and sorted, a stall counted per seed that violated
 // progress. One arm is clean and group-committed (so syncs are non-zero),
-// the other is the fault-free cross-shard stall.
+// the other is 2PC with its coordinator crashed for good, blocking its
+// cohorts.
 func TestSweepSumsRuns(t *testing.T) {
 	seeds := []int64{1, 2}
 	for name, mk := range map[string]func(int, int64) Schedule{
 		"clean-grouped": func(_ int, seed int64) Schedule {
 			return Schedule{Protocol: Proto3PC, Seed: seed, Workload: WorkloadCommutative}
 		},
-		"stalled": func(_ int, seed int64) Schedule { return opposedSpec(seed) },
+		"stalled": func(_ int, seed int64) Schedule {
+			return Schedule{Protocol: Proto2PC, Seed: seed, Horizon: 4000,
+				Faults: []Fault{{Kind: FaultCrashAtTime, Site: 1, At: 520}}}
+		},
 	} {
 		got, err := Sweep(seeds, mk)
 		if err != nil {
@@ -75,49 +79,5 @@ func TestSweepRotatesByIndex(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seen, []int{0, 1, 2}) {
 		t.Fatalf("indices = %v", seen)
-	}
-}
-
-// TestWitness: the search finds nothing on the correctly locked engine,
-// and under the Underlock ablation returns a convicting seed whose
-// repaired control is clean.
-func TestWitness(t *testing.T) {
-	seeds := SeedRange(0, 30)
-	shape := func(underlock bool) func(int64) Schedule {
-		return func(seed int64) Schedule {
-			return Schedule{
-				Protocol: Proto3PC, Seed: seed, Accounts: 4, Txns: 24,
-				Workload: WorkloadCommutative, ZipfTheta: 1.2, WriteFraction: 0.4,
-				Underlock: underlock,
-			}
-		}
-	}
-	repair := func(s *Schedule) { s.Underlock = false }
-	w, err := Witness(seeds, shape(false), OracleSerializability, repair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w != nil {
-		t.Fatalf("correctly locked engine convicted at seed %d: %s", w.Seed, w.Detail)
-	}
-	w, err = Witness(seeds, shape(true), OracleSerializability, repair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w == nil {
-		t.Fatal("no underlocked seed was convicted")
-	}
-	if !w.ControlClean {
-		t.Errorf("seed %d: repaired control was not clean", w.Seed)
-	}
-	if w.Detail == "" || !w.Schedule.Underlock || w.Schedule.Seed != w.Seed {
-		t.Errorf("witness does not carry its ablated schedule and evidence: %+v", w)
-	}
-	found := false
-	for _, o := range w.Violated {
-		found = found || o == OracleSerializability
-	}
-	if !found {
-		t.Errorf("witness violated %v, want serializability among them", w.Violated)
 	}
 }

@@ -79,22 +79,6 @@ func TestIncrementConflictsWithWrite(t *testing.T) {
 	mustOK(t, s.Commit("t1"))
 }
 
-// TestPutUnderlockedAdmitsTheRace pins the E18 ablation: the underlocked
-// write and a concurrent increment are BOTH granted — the unsafe
-// admission the serializability oracle (and commcheck's comm-underlock
-// rule) exists to catch.
-func TestPutUnderlockedAdmitsTheRace(t *testing.T) {
-	s, _ := open(t)
-	mustOK(t, s.Begin("t1"))
-	mustOK(t, s.Begin("t2"))
-	mustOK(t, s.PutUnderlocked("t1", "x", "50"))
-	if err := s.Increment("t2", "x", "7"); err != nil {
-		t.Fatalf("concurrent increment was refused, so the ablation seeds nothing: %v", err)
-	}
-	mustOK(t, s.Commit("t1"))
-	mustOK(t, s.Commit("t2"))
-}
-
 // TestSameTxnMixesClassesViaUpgrade pins Join's escalation: one
 // transaction reading then incrementing a key upgrades its own lock
 // rather than deadlocking with itself.

@@ -170,29 +170,6 @@ func (s *Store) SetInsert(txn, key, elem string) error {
 	return s.log.LoggedApply(txn, s.data, key, wal.OpSetInsert, elem)
 }
 
-// PutUnderlocked is the seeded comm-underlock ablation for experiment
-// E18: an absolute overwrite acquiring only the increment lock, so
-// concurrent increments are admitted against a non-commuting write. It
-// exists to show the serializability oracle failing where commcheck's
-// static comm-underlock rule points; nothing on the serving path calls
-// it.
-//
-//comm:op write
-func (s *Store) PutUnderlocked(txn, key, value string) error {
-	if !s.open[txn] {
-		return fmt.Errorf("%w: %s", ErrNoTxn, txn)
-	}
-	//comm:ignore deliberate E18 underlock ablation; the dynamic oracle catches what the static rule flags
-	granted, err := s.locks.Acquire(txn, key, locking.IncMode, nil)
-	if err != nil {
-		return fmt.Errorf("kvstore: put %s: %w", key, err)
-	}
-	if !granted {
-		return fmt.Errorf("%w: write %s for %s", ErrConflict, key, txn)
-	}
-	return s.log.LoggedUpdate(txn, s.data, key, value)
-}
-
 // Commit makes the branch durable and releases its locks.
 func (s *Store) Commit(txn string) error {
 	if !s.open[txn] {

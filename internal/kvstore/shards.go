@@ -150,15 +150,6 @@ func (s *Shards) SetInsert(txn, key, elem string) error {
 	return sh.SetInsert(txn, key, elem)
 }
 
-// PutUnderlocked routes the E18 underlock ablation to key's shard.
-func (s *Shards) PutUnderlocked(txn, key, value string) error {
-	sh, err := s.branch(txn, key)
-	if err != nil {
-		return err
-	}
-	return sh.PutUnderlocked(txn, key, value)
-}
-
 // Commit commits every touched shard's branch. The commit records all
 // land in the shared stable log, so under group commit the whole fan-out
 // is covered by the next single fsync.

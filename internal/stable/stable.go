@@ -101,8 +101,8 @@ func (s *Store) SetFrozen(frozen bool) {
 
 // SetGroupCommit does nothing: every store group-commits.
 //
-// Deprecated: kept only because bench/ calls it by name (ROADMAP item 2
-// deletes it); `make lint` greps that nothing else does.
+// Deprecated: kept only because bench/ calls it by name (the next change
+// to bench/ deletes it); `make lint` greps that nothing else does.
 func (s *Store) SetGroupCommit(bool) {}
 
 // Sync makes every mutation applied so far durable and returns the first

@@ -80,27 +80,6 @@ func TestUnknownClassVotesNo(t *testing.T) {
 	}
 }
 
-// TestUnsafeWriteLocksAdmitsIncrementRace pins the E18 ablation wiring:
-// with UnsafeWriteLocks set, an absolute write and a concurrent
-// increment on one key are both granted (the comm-underlock admission)
-// instead of one of them conflicting.
-func TestUnsafeWriteLocksAdmitsIncrementRace(t *testing.T) {
-	c, err := NewCluster(14, 1, tpc.Config{})
-	mustOK(t, err)
-	s2 := c.SiteIDs[0]
-	c.Sites[s2].UnsafeWriteLocks = true
-	var r1, r2 *Result
-	mustOK(t, c.Master.Submit("w", []Op{{Site: s2, Key: "x", Value: "50", IsWrite: true}}, func(r *Result) { r1 = r }))
-	mustOK(t, c.Master.Submit("i", []Op{{Site: s2, Key: "x", Value: "7", Class: ClassInc}}, func(r *Result) { r2 = r }))
-	c.Run()
-	if r1 == nil || r2 == nil {
-		t.Fatal("transactions never completed")
-	}
-	if r1.Decision != tpc.DecisionCommit || r2.Decision != tpc.DecisionCommit {
-		t.Fatalf("decisions = %s, %s; the underlock ablation must admit the race", r1.Decision, r2.Decision)
-	}
-}
-
 // TestClassedOpsSurviveCrashRecovery pins logical redo through the full
 // stack: a committed increment survives a site crash via the WAL's
 // operation fold.

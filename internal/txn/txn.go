@@ -119,14 +119,6 @@ type Master struct {
 	sites   map[rt.NodeID]bool // the data sites this master manages
 	coord   *tpc.Coordinator
 	pending map[string]*pending
-	// NoWorkTimeout disables the work-phase abort timer: the master waits
-	// for workdone/workfail indefinitely, trusting each site's lock manager
-	// to convict stuck transactions via its deadlock detector. It is half
-	// of the E20 lock-wait ablation (txn.Site.LockWait is the other half):
-	// per-shard detectors only see their own waits-for graph, so a cycle
-	// spanning two shards' managers stalls forever — exactly the blind spot
-	// speccatlint's lock-order rule gates statically.
-	NoWorkTimeout bool
 	// OnUnhandled, when non-nil, observes messages the master dropped —
 	// unknown kinds, undecodable payloads, and work reports whose commit
 	// protocol could not be started. They are counted either way (see
@@ -165,31 +157,6 @@ type Site struct {
 	// in execution order (= lock acquisition order under strict 2PL). Fault
 	// explorers derive the serializability conflict graph from it.
 	OnOp func(txn string, op Op)
-	// UnsafeWriteLocks routes absolute writes through the seeded
-	// comm-underlock ablation (kvstore.PutUnderlocked): the write takes
-	// only the increment lock, admitting concurrent non-commuting
-	// increments. Experiment E18 flips it to show the serializability
-	// oracle catching dynamically what commcheck's comm-underlock rule
-	// flags statically. The flag survives Recover (it describes the code
-	// under test, not volatile state).
-	UnsafeWriteLocks bool
-	// LockWait makes the site wait for contended locks instead of failing
-	// the work phase: on kvstore.ErrConflict the remaining operations are
-	// retried after a network delta (the conflicting request stays queued in
-	// the shard's FIFO lock queue, so a later grant lets the retry proceed).
-	// Pair it with Master.NoWorkTimeout so nothing aborts stuck work — the
-	// configuration under which a cross-shard lock cycle, invisible to every
-	// per-shard wouldDeadlock, stalls a transaction forever. Experiment E20
-	// flips it to witness dynamically what lockcheck's lock-order rule flags
-	// statically.
-	LockWait bool
-	// CanonicalLockOrder sorts each work message's operations into ascending
-	// shard-index order before execution — the canonical acquisition order
-	// that makes cross-shard cycles impossible (every transaction climbs the
-	// shard lattice in one direction). It is E20's repaired arm: the same
-	// opposed workload that deadlocks under LockWait alone runs to
-	// completion when acquisition order is canonicalized.
-	CanonicalLockOrder bool
 	// OnApply, when non-nil, observes every commit-protocol decision applied
 	// to the local store (the moment a local branch's effects become
 	// committed or are rolled back).
@@ -254,9 +221,6 @@ func (m *Master) Submit(txn string, ops []Op, onDone func(*Result)) error {
 	// A transaction touching no data commits trivially via the protocol.
 	if len(p.ops) == 0 {
 		return m.startCommit(txn, p)
-	}
-	if m.NoWorkTimeout {
-		return nil
 	}
 	// Work timeout: a site that never answers has failed its work.
 	m.net.After(m.id, 8*m.net.Delta(), func() {
@@ -386,19 +350,14 @@ func (s *Site) handle(msg rt.Message) {
 	s.startWork(w)
 }
 
-// startWork opens the local branch and begins executing the work message's
-// operations. Under CanonicalLockOrder the operations are first sorted into
-// ascending shard-index order, the canonical acquisition order.
+// startWork opens the local branch and executes the work message's
+// operations in submission order.
 func (s *Site) startWork(w workMsg) {
 	if err := s.Store.Begin(w.Txn); err != nil {
 		s.failWork(w.Txn)
 		return
 	}
-	ops := w.Ops
-	if s.CanonicalLockOrder {
-		ops = canonicalOrder(ops, s.Store.NumShards())
-	}
-	s.runOps(w.Txn, ops, 0, map[string]string{})
+	s.runOps(w.Txn, w.Ops, map[string]string{})
 }
 
 // failWork reports a local work failure (conflict/deadlock) and rolls the
@@ -411,30 +370,13 @@ func (s *Site) failWork(txn string) {
 	_ = s.net.Send(s.id, s.masterID, kindWorkFail, doneMsg{Txn: txn})
 }
 
-// runOps executes ops[from:] against the local store, reporting workdone on
-// completion. Under LockWait a lock conflict suspends the transaction at the
-// blocked operation and re-enters here after a network delta — the blocked
-// request stays queued at the shard's lock manager, so a later FIFO grant
-// makes the retry's acquire succeed (locking.Covers) and execution resumes
-// exactly where it stopped. Operations already executed are never re-run
-// (re-applying an increment would double it).
-func (s *Site) runOps(txn string, ops []Op, from int, reads map[string]string) {
-	//lock:ordered submission-order acquisition is safe under the default abort-on-conflict policy (no waiting, no cycle); under LockWait the risk is real — E20 witnesses the cross-manager stall — and CanonicalLockOrder presorts ops ascending by shard to remove it
-	for i := from; i < len(ops); i++ {
-		op := ops[i]
+// runOps executes ops against the local store, reporting workdone on
+// completion. A lock conflict fails the work at once: no site waits for a
+// lock, so the vote becomes no and the branch rolls back.
+func (s *Site) runOps(txn string, ops []Op, reads map[string]string) {
+	//lock:ordered submission-order acquisition cannot close a waits-for cycle: a conflict fails the work at once and no site ever waits for a lock, so acquisition order is free
+	for _, op := range ops {
 		if err := s.applyOp(txn, op, reads); err != nil {
-			if s.LockWait && errors.Is(err, kvstore.ErrConflict) {
-				next := i
-				s.net.After(s.id, s.net.Delta(), func() {
-					// The branch may have been settled meanwhile (a decision
-					// applied, or a recovery); a retry then has nothing to do.
-					if s.failed[txn] || !s.Store.Prepared(txn) {
-						return
-					}
-					s.runOps(txn, ops, next, reads)
-				})
-				return
-			}
 			s.failWork(txn)
 			return
 		}
@@ -456,8 +398,6 @@ func (s *Site) applyOp(txn string, op Op, reads map[string]string) error {
 		return s.Store.SetInsert(txn, op.Key, op.Value)
 	case op.Class != "":
 		return fmt.Errorf("txn: unknown op class %q", op.Class)
-	case op.IsWrite && s.UnsafeWriteLocks:
-		return s.Store.PutUnderlocked(txn, op.Key, op.Value)
 	case op.IsWrite:
 		return s.Store.Put(txn, op.Key, op.Value)
 	default:
@@ -468,18 +408,6 @@ func (s *Site) applyOp(txn string, op Op, reads map[string]string) error {
 		reads[fmt.Sprintf("%d/%s", s.id, op.Key)] = v
 		return nil
 	}
-}
-
-// canonicalOrder returns ops stably sorted by ascending shard index (ties
-// keep submission order): every transaction then climbs the shard lattice
-// in one direction, so no two transactions can acquire a pair of shards'
-// locks in opposite orders and close a cross-manager waits-for cycle.
-func canonicalOrder(ops []Op, shards int) []Op {
-	out := append([]Op{}, ops...)
-	sort.SliceStable(out, func(i, j int) bool {
-		return kvstore.ShardOf(out[i].Key, shards) < kvstore.ShardOf(out[j].Key, shards)
-	})
-	return out
 }
 
 // applyDecision applies the commit protocol's outcome to the local store.
