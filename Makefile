@@ -77,13 +77,22 @@ lint:
 # fields, explore.Witness, E18's witness, E20's in-process arms), TOOLS
 # 1489 -> 1485; REST 3090 -> 3419, exactly internal/mutant's own 329 lines
 # (its catalogue and the runner that judges it).
+# One ablation mechanism for the commit protocol (tpc.Config's NaiveTimeouts
+# and UnsafeTermination became internal/mutant catalogue entries) lowered
+# two and raised one: STACK 4215 -> 4177 (both switches, their branches and
+# suppressions), HARNESS 2845 -> 2810 (two explorer protocols and their
+# crash-at-send bias, E15's per-protocol rows, E20's second Judge call);
+# REST 3419 -> 3490: the two catalogue entries (+31) and a runner that
+# judges several mutants in one call, each gate's control once, a package's
+# gates in one go test and the lint gates in one speccatlint run (+58),
+# less conformance's golden reading and naive sweep (-18).
 ANALYSIS_LOC_BUDGET = 6433
-STACK_LOC_BUDGET = 4215
-HARNESS_LOC_BUDGET = 2845
+STACK_LOC_BUDGET = 4177
+HARNESS_LOC_BUDGET = 2810
 SERVING_LOC_BUDGET = 2002
 TOOLS_LOC_BUDGET = 1485
 PROOF_LOC_BUDGET = 6364
-REST_LOC_BUDGET = 3419
+REST_LOC_BUDGET = 3490
 loc_count = find $(1) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
 loc:
 	@a=$$($(call loc_count,internal/analysis)); \
@@ -115,17 +124,16 @@ fsm-check:
 	$(GO) run ./cmd/speccatlint -fsm-check docs/fsm ./internal/...
 
 # Deterministic fault-exploration smoke suite: the explorer must rediscover
-# the naive-3PC atomicity violation and 2PC blocking end to end, full 3PC
-# must run clean, and the checked-in counterexamples — the two shrunk ones
-# and E15's staged witness, the one that restarts a node — must replay
-# byte-for-byte. Budget counts simulated runs, not wall time.
+# 2PC blocking end to end, full 3PC must run clean, and the shrunk 2PC
+# counterexample must replay byte-for-byte. Budget counts simulated runs,
+# not wall time. The naive-timeouts split and the two ablation goldens
+# (naive3pc_atomicity.json, unsafe_term_atomicity.json) belong to mutants:
+# on the served tree those goldens run clean, and make mutants checks that
+# each replays byte-for-byte on its mutant and the 3PC sweep splits there.
 explore:
-	$(GO) run ./cmd/tpcexplore -protocol 3pc-naive -seeds 80 -budget 400 -expect atomicity
 	$(GO) run ./cmd/tpcexplore -protocol 2pc -seeds 80 -budget 400 -expect progress
 	$(GO) run ./cmd/tpcexplore -protocol 3pc -seeds 80 -budget 400 -expect none
-	$(GO) run ./cmd/tpcexplore -replay internal/explore/testdata/naive3pc_atomicity.json
 	$(GO) run ./cmd/tpcexplore -replay internal/explore/testdata/2pc_blocking.json
-	$(GO) run ./cmd/tpcexplore -replay internal/explore/testdata/unsafe_term_atomicity.json
 
 # The mutant catalogue's kill matrix: every catalogued mutant applied to a
 # copy of the module, each kill gate failing on it, each spare gate passing,

@@ -7,12 +7,12 @@
 //
 // Usage:
 //
-//	tpcexplore -protocol 3pc-naive -seeds 80            # rediscovers the naive-3PC atomicity violation
 //	tpcexplore -protocol 2pc -seeds 80                  # rediscovers 2PC blocking
 //	tpcexplore -protocol 3pc -seeds 80 -expect none     # full 3PC must run clean
-//	tpcexplore -protocol 3pc-unsafe-term -seeds 80      # E15's ablation: termination disseminates before it persists
-//	tpcexplore -replay internal/explore/testdata/naive3pc_atomicity.json
-//	tpcexplore -protocol 2pc -seeds 80 -out /tmp/traces # write shrunk traces
+//	tpcexplore -replay internal/explore/testdata/2pc_blocking.json
+//	tpcexplore -protocol 2pc -seeds 80 -out traces      # write shrunk traces
+//
+// Naive timeouts and unsafe termination are mutants (make mutants), not protocols.
 //
 // The exploration is a pure function of its flags: the same invocation
 // reproduces the same findings, traces and exit code. -budget bounds the
@@ -37,7 +37,7 @@ func main() {
 }
 
 func run() error {
-	protocol := flag.String("protocol", "3pc", "protocol variant: 3pc, 3pc-naive, 3pc-unsafe-term, or 2pc")
+	protocol := flag.String("protocol", "3pc", "protocol: 3pc or 2pc")
 	seeds := flag.Int("seeds", 32, "number of root seeds to explore")
 	startSeed := flag.Int64("seed", 1, "first root seed")
 	budget := flag.Int("budget", 0, "max simulated runs, probes and shrinking included (0 = unlimited)")

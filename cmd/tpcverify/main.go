@@ -11,7 +11,7 @@
 //	e10       assumption-violation matrix
 //	e11       proof axioms observed on the served engine, with their ablations
 //	e14       corpus proofs on a worker pool (-workers)
-//	e15       static durcheck plus staged crash-at-dissemination schedules
+//	e15       static durcheck plus the staged crash-at-dissemination schedule, then the unsafe termination mutant
 //	e16, e17  live-goroutine and TCP runs replayed deterministically
 //	e18       commutativity-derived lock modes: conflict rates, the underlock mutant
 //	e19       sharded group-committed commit path: conformance and fsync bill
@@ -201,20 +201,20 @@ func run(sel func(string) bool, seed int64, txns, workers int) (proofs []provesc
 	}
 
 	if sel("e15") {
-		fmt.Println("== E15: durability cross-validation — static durcheck + staged crash schedules ==")
+		fmt.Println("== E15: durability cross-validation — static durcheck + staged crash schedule, on the served engine and the unsafe termination mutant ==")
 		res, err := experiments.E15Durability([]int64{1, 2, 3})
 		if err != nil {
 			return nil, err
 		}
 		fmt.Printf("  static: %d findings over the module (%d roots, %d functions, %d requiring kinds, %d write summaries, %d volatiles)\n",
 			res.Findings, res.Roots, res.Analyzed, res.Requires, res.Writes, res.Volatiles)
-		for _, r := range res.Rows {
-			if r.Witness {
-				fmt.Printf("  %-18s WITNESS seed=%d faults=%d violates %s\n",
-					r.Protocol, r.Seed, r.Faults, strings.Join(r.Violated, ","))
-			} else {
-				fmt.Printf("  %-18s survives the staged crash-at-dissemination schedule\n", r.Protocol)
-			}
+		if w := res.Witness; w != nil {
+			fmt.Printf("  3pc WITNESS seed=%d faults=%d violates %s\n", w.Seed, len(w.Schedule.Faults), strings.Join(w.Violated, ","))
+		} else {
+			fmt.Println("  3pc survives the staged crash-at-dissemination schedule")
+		}
+		if err := printVerdicts(experiments.E15Ablation()); err != nil {
+			return nil, err
 		}
 		fmt.Println()
 	}

@@ -37,12 +37,12 @@ type CrossValidation struct {
 // durable state while a peer already acted on the escaped message, and the
 // atomicity or durability oracle fails.
 //
-// It returns the first witness found, or nil when no seed yields one —
-// which is the expected outcome for an engine that persists before
-// sending (the negative control of the cross-validation tests).
-func CrossValidate(kindValue, protocol string, seeds []int64) (*CrossValidation, error) {
+// It runs the module's 3PC engine and returns the first witness, or nil
+// when no seed yields one: the served engine persists first; the unsafe
+// termination mutant of internal/mutant sends first and yields one.
+func CrossValidate(kindValue string, seeds []int64) (*CrossValidation, error) {
 	for _, seed := range seeds {
-		cv, err := crossValidateSeed(kindValue, protocol, seed)
+		cv, err := crossValidateSeed(kindValue, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -53,10 +53,10 @@ func CrossValidate(kindValue, protocol string, seeds []int64) (*CrossValidation,
 	return nil, nil
 }
 
-func crossValidateSeed(kindValue, protocol string, seed int64) (*CrossValidation, error) {
+func crossValidateSeed(kindValue string, seed int64) (*CrossValidation, error) {
 	// Stage 1: fault-free probe for the time/send coordinates of the run, over
 	// three-site transactions (stage 4 needs a backup with two peers to tell).
-	base := explore.Schedule{Protocol: protocol, Seed: seed, Workload: explore.WorkloadCrossPartition, Spread: 3}
+	base := explore.Schedule{Protocol: explore.Proto3PC, Seed: seed, Workload: explore.WorkloadCrossPartition, Spread: 3}
 	probe, probeLog, err := explore.RunLogged(base)
 	if err != nil {
 		return nil, fmt.Errorf("durcheck: cross-validation probe: %w", err)

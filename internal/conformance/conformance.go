@@ -4,22 +4,19 @@
 // checked on full-stack explore runs whose master crashes inside the
 // submission window, so the cohorts' termination protocol runs — or the
 // reason no served code discharges it. A row reads each run's send log,
-// payloads included, and the explorer's oracles. A row with a defect in the
-// tree to catch also runs against it and a clean control: an explorer
-// golden and its schedule under 3PC, or the crash sweep under 2PC or naive
-// 3PC and the same sweep under 3PC. The lock row's is the underlock mutant,
-// judged by the row's gate on a mutated and an unmutated module copy.
+// payloads included, and the explorer's oracles. A row also runs against
+// the defects it must catch, each beside a clean control: the crash sweep
+// under 2PC beside the same sweep under 3PC, or a mutant of internal/mutant
+// judged by the row's conformance test on a mutated and an unmutated copy
+// of the module.
 package conformance
 
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 
-	"speccat/internal/analysis"
 	"speccat/internal/core/provesched"
 	"speccat/internal/explore"
 	"speccat/internal/mutant"
@@ -72,84 +69,66 @@ func (r Result) String() string {
 	return strings.Join(slices.DeleteFunc(lines, func(l string) bool { return l == "" }), "\n      ")
 }
 
-// The ablations rows name.
-const (
-	ablateNaive     = "naive3pc_atomicity.json"
-	ablateUnsafe    = "unsafe_term_atomicity.json"
-	ablateUnderlock = "underlock mutant"
-	ablate2PC       = "2pc coordinator crashes"
-	ablateNaiveRuns = "3pc-naive coordinator crashes"
-)
+// ablate2PC names the 2PC crash sweep; every other ablation a row names is
+// a mutant of internal/mutant, judged by the row's gate.
+const ablate2PC = "2pc coordinator crashes"
 
-// row is one axiom group: the trace property checking it, or why none can.
+// row is one axiom group: the trace property checking it, or why none can,
+// and the test of this package that judges its mutants.
 type row struct {
 	axioms     []string
 	code       string
 	check      func(r *run, c *tally)
+	gate       string
 	ablations  []string
 	unobserved string
 }
 
 func rows() []row {
-	termination := []string{ablate2PC, ablateNaiveRuns}
+	const naive, unsafe = "naive timeouts", "unsafe termination"
+	termination := []string{ablate2PC, naive}
 	return []row{
-		{[]string{"Agreeconsensus"}, "tpc Cohort.decide, terminationDecide", agreeconsensus, []string{ablateNaive, ablateUnsafe}, ""},
-		{[]string{"Storevalues"}, "kvstore and wal under txn.Site", storevalues, nil, ""},
-		{[]string{"Readlock", "Writelock"}, "locking under txn Site.runOps", locks, []string{ablateUnderlock}, ""},
-		{[]string{"Agreebroad"}, "tpc Coordinator.commit/abort fan-out, terminationDecide re-dissemination", agreebroad, []string{ablateUnsafe}, ""},
-		{[]string{"Timeout"}, "tpc cohort phase timers (onCommitReq, onPrepare)", timeout, termination, ""},
-		{[]string{"DeclareFailed", "CoordFailure"}, "tpc Cohort.onCoordinatorSilent → startTermination", declareFailed, termination, ""},
-		{[]string{"Elect", "Installed"}, "tpc Cohort.backup, terminationDecide", elect, termination, ""},
-		{[]string{"Globprocstateinfo"}, "tpc Cohort.HandleMessage's KindStateReq arm", stateinfo, termination, ""},
-		{[]string{"Constateinfo"}, "tpc Cohort.terminationDecide", constateinfo, []string{ablateUnsafe}, ""},
+		{[]string{"Agreeconsensus"}, "tpc Cohort.decide, terminationDecide", agreeconsensus, "TestAgreeconsensusCatchesCrashMidProtocol", []string{naive, unsafe}, ""},
+		{[]string{"Storevalues"}, "kvstore and wal under txn.Site", storevalues, "", nil, ""},
+		{[]string{"Readlock", "Writelock"}, "locking under txn Site.runOps", locks, "TestLockRowHoldsOnWitnessShape", []string{"underlock"}, ""},
+		{[]string{"Agreebroad"}, "tpc Coordinator.commit/abort fan-out, terminationDecide re-dissemination", agreebroad, "TestAgreebroadCatchesDisseminatorCrash", []string{unsafe}, ""},
+		{[]string{"Timeout"}, "tpc cohort phase timers (onCommitReq, onPrepare)", timeout, "TestTimeoutActsWithinPhaseTimeout", termination, ""},
+		{[]string{"DeclareFailed", "CoordFailure"}, "tpc Cohort.onCoordinatorSilent → startTermination", declareFailed, "TestTimeoutActsWithinPhaseTimeout", termination, ""},
+		{[]string{"Elect", "Installed"}, "tpc Cohort.backup, terminationDecide", elect, "TestBackupElectedAfterCoordinatorCrash", termination, ""},
+		{[]string{"Globprocstateinfo"}, "tpc Cohort.HandleMessage's KindStateReq arm", stateinfo, "TestTerminationRowsAreNonVacuous", termination, ""},
+		{[]string{"Constateinfo"}, "tpc Cohort.terminationDecide", constateinfo, "TestGatheredStateVectorRules", []string{unsafe}, ""},
 		{axioms: []string{"Checkpoint", "Recover", "RestoreAx"}, unobserved: "the served path takes no checkpoint; a restart replays the whole journal"},
 		{axioms: []string{"InstallFromDecision", "ProposalShared"}, unobserved: "p5's group-membership service has no executable"},
 	}
 }
 
 // CheckAll observes every row on the 3PC crash sweep of seeds, then runs
-// each row against its ablations, reading the explorer's goldens from the
-// module the working directory is in.
+// each row against its ablations: the 2PC sweep of the same seeds, and the
+// mutants the rows name, judged on the rows' gates in the module the
+// working directory is in.
 func CheckAll(seeds []int64) ([]Result, error) {
-	ablated := map[string][]explore.Schedule{
-		ablate2PC: crashSweep(explore.Proto2PC, seeds), ablateNaiveRuns: crashSweep(explore.Proto3PCNaive, seeds),
-	}
-	module, err := analysis.NewLoader(".")
+	sweep, err := execute(crashSweep(explore.Proto3PC, seeds))
 	if err != nil {
 		return nil, err
 	}
-	for _, name := range []string{ablateNaive, ablateUnsafe} {
-		data, err := os.ReadFile(filepath.Join(module.ModuleRoot, "internal", "explore", "testdata", name))
-		if err != nil {
-			return nil, fmt.Errorf("conformance: %w", err)
-		}
-		golden, err := explore.ParseTrace(data)
-		if err != nil {
-			return nil, err
-		}
-		ablated[name] = []explore.Schedule{golden.Schedule}
-	}
-	lock, err := mutant.Judge("underlock", "TestLockRowHoldsOnWitnessShape")
+	twoPC, err := execute(crashSweep(explore.Proto2PC, seeds))
 	if err != nil {
 		return nil, err
 	}
-	// A control is its ablation under full 3PC: the 2PC sweep's is the 3PC one.
-	runs := map[string][2][]*run{}
-	for name, specs := range ablated {
-		var control []explore.Schedule
-		for _, s := range specs {
-			s.Protocol = explore.Proto3PC
-			control = append(control, s)
+	var mutants, gates []string
+	for _, rw := range rows() {
+		for _, a := range rw.ablations {
+			if a != ablate2PC && !slices.Contains(mutants, a) {
+				mutants = append(mutants, a)
+			}
 		}
-		a, err := execute(specs)
-		if err != nil {
-			return nil, err
+		if rw.gate != "" && !slices.Contains(gates, rw.gate) {
+			gates = append(gates, rw.gate)
 		}
-		c, err := execute(control)
-		if err != nil {
-			return nil, err
-		}
-		runs[name] = [2][]*run{a, c}
+	}
+	verdicts, err := mutant.Judge(mutants, gates...)
+	if err != nil {
+		return nil, err
 	}
 	proofs, err := thesis.Obligations()
 	if err != nil {
@@ -161,15 +140,18 @@ func CheckAll(seeds []int64) ([]Result, error) {
 			out = append(out, Result{Axioms: rw.axioms, Proofs: proofsNaming(proofs, rw.axioms), Unobserved: rw.unobserved})
 			continue
 		}
-		c := rw.eval(runs[ablate2PC][1])
+		c := rw.eval(sweep)
 		res := Result{Axioms: rw.axioms, Proofs: proofsNaming(proofs, rw.axioms), Code: rw.code,
 			Obligations: c.n, Holds: c.detail == "", Detail: c.detail, Note: c.note}
-		for _, name := range rw.ablations {
-			a := Ablation{name, rw.eval(runs[name][0]).detail != "", rw.eval(runs[name][1]).detail == ""}
-			if name == ablateUnderlock {
-				a = Ablation{name, lock[0].Killed, lock[0].ControlPassed}
+		for _, a := range rw.ablations {
+			ablation := Ablation{Name: a + " mutant"}
+			if i := slices.IndexFunc(verdicts, func(v mutant.Verdict) bool { return v.Mutant == a && v.Gate.Test == rw.gate }); i >= 0 {
+				ablation.Caught, ablation.ControlClean = verdicts[i].Killed, verdicts[i].ControlPassed
 			}
-			res.Ablations = append(res.Ablations, a)
+			if a == ablate2PC { // its control is the 3PC sweep the row was observed on
+				ablation = Ablation{a, rw.eval(twoPC).detail != "", c.detail == ""}
+			}
+			res.Ablations = append(res.Ablations, ablation)
 		}
 		out = append(out, res)
 	}

@@ -45,9 +45,17 @@ func faultFree(t *testing.T, seeds []int64, txns int) []*run {
 	return runs
 }
 
-// goldenRuns runs an explorer golden's schedule as recorded and, as its
-// control, the same schedule under full 3PC.
-func goldenRuns(t *testing.T, file string) (ablated, control *run) {
+// The explorer goldens of the two commit-protocol mutants: the naive
+// timeouts split (a coordinator crash between two prepares) and E15's
+// staged witness against unsafe termination (a backup crashed between two
+// sends of its decision).
+const (
+	goldenNaive  = "naive3pc_atomicity.json"
+	goldenUnsafe = "unsafe_term_atomicity.json"
+)
+
+// goldenRun runs the schedule an explorer golden records.
+func goldenRun(t *testing.T, file string) *run {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("..", "explore", "testdata", file))
 	if err != nil {
@@ -57,13 +65,11 @@ func goldenRuns(t *testing.T, file string) (ablated, control *run) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := g.Schedule
-	c.Protocol = explore.Proto3PC
-	runs, err := execute([]explore.Schedule{g.Schedule, c})
+	runs, err := execute([]explore.Schedule{g.Schedule})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return runs[0], runs[1]
+	return runs[0]
 }
 
 func evalRow(check func(*run, *tally), runs ...*run) tally {
@@ -164,19 +170,18 @@ func TestDecisionReachesWaitersWithinBound(t *testing.T) {
 }
 
 // TestAgreebroadCatchesDisseminatorCrash: a backup that crashes between
-// the sends of its decision fan-out, under the ordering that disseminates
-// before persisting, leaves correct participants with different outcomes;
-// Agreebroad convicts it, and holds on the same schedule under 3PC.
+// the sends of its decision fan-out leaves every correct participant with
+// the one outcome, because the served backup persists before it sends;
+// Agreebroad holds. Under the unsafe termination mutant (internal/mutant),
+// which disseminates before persisting, the restarted backup aborts what a
+// peer committed, and Agreebroad convicts it: the row's ablation.
 func TestAgreebroadCatchesDisseminatorCrash(t *testing.T) {
-	a, c := goldenRuns(t, ablateUnsafe)
-	if !slices.ContainsFunc(a.spec.Faults, func(f explore.Fault) bool { return f.Kind == explore.FaultCrashAtSend }) {
-		t.Fatalf("%s crashes no sender mid fan-out: %v", ablateUnsafe, a.spec.Faults)
+	r := goldenRun(t, goldenUnsafe)
+	if !slices.ContainsFunc(r.spec.Faults, func(f explore.Fault) bool { return f.Kind == explore.FaultCrashAtSend }) {
+		t.Fatalf("%s crashes no sender mid fan-out: %v", goldenUnsafe, r.spec.Faults)
 	}
-	if got := evalRow(agreebroad, a); got.detail == "" {
-		t.Errorf("ablated: Agreebroad held over %d obligations", got.n)
-	}
-	if got := evalRow(agreebroad, c); got.detail != "" || got.n == 0 {
-		t.Errorf("control: %d obligations, %q", got.n, got.detail)
+	if got := evalRow(agreebroad, r); got.detail != "" || got.n == 0 {
+		t.Errorf("Agreebroad: %d obligations, %q", got.n, got.detail)
 	}
 }
 
@@ -185,11 +190,7 @@ func TestAgreebroadCatchesDisseminatorCrash(t *testing.T) {
 // learns a decision every correct participant learns the same one — some
 // of them from a backup, not the coordinator.
 func TestAgreebroadHoldsUnderCoordinatorCrash(t *testing.T) {
-	runs := sweepRuns(t, explore.Proto3PC, 60)
-	for _, file := range []string{ablateNaive, ablateUnsafe} {
-		_, c := goldenRuns(t, file)
-		runs = append(runs, c)
-	}
+	runs := append(sweepRuns(t, explore.Proto3PC, 60), goldenRun(t, goldenNaive), goldenRun(t, goldenUnsafe))
 	fromBackup := 0
 	for _, r := range runs {
 		for _, name := range r.txns {
@@ -284,17 +285,16 @@ func TestAgreeconsensusUnderRandomSingleCrash(t *testing.T) {
 }
 
 // TestAgreeconsensusCatchesCrashMidProtocol: a site crashing between two
-// sends of a fan-out splits the decision under naive 3PC and under the
-// unsafe termination ordering; Agreeconsensus convicts both, and holds on
-// the same schedules under 3PC.
+// sends of a fan-out — the coordinator between two prepares, a backup
+// between two decisions — leaves no two sites deciding differently on the
+// served engine; Agreeconsensus holds on both mutant goldens' schedules. The
+// naive timeouts and the unsafe termination mutants (internal/mutant) each
+// split their golden's transaction, and Agreeconsensus convicts both: the
+// row's ablations.
 func TestAgreeconsensusCatchesCrashMidProtocol(t *testing.T) {
-	for _, file := range []string{ablateNaive, ablateUnsafe} {
-		a, c := goldenRuns(t, file)
-		if got := evalRow(agreeconsensus, a); got.detail == "" {
-			t.Errorf("%s: Agreeconsensus held over %d obligations", file, got.n)
-		}
-		if got := evalRow(agreeconsensus, c); got.detail != "" || got.n == 0 {
-			t.Errorf("%s control: %d obligations, %q", file, got.n, got.detail)
+	for _, file := range []string{goldenNaive, goldenUnsafe} {
+		if got := evalRow(agreeconsensus, goldenRun(t, file)); got.detail != "" || got.n == 0 {
+			t.Errorf("%s: %d obligations, %q", file, got.n, got.detail)
 		}
 	}
 }
@@ -302,7 +302,9 @@ func TestAgreeconsensusCatchesCrashMidProtocol(t *testing.T) {
 // TestTimeoutActsWithinPhaseTimeout: a participant whose coordinator has
 // crashed sends its first state request no earlier than PhaseTimeout (4δ)
 // after the vote or ack that armed its timer and no later than
-// PhaseTimeout+δ. 2PC and naive 3PC never do, and the Timeout row says so.
+// PhaseTimeout+δ, and from then on speaks only to fellow participants. 2PC
+// never does, and the Timeout and DeclareFailed rows say so; nor do the
+// naive timeouts mutant's cohorts (internal/mutant), which fail this test.
 func TestTimeoutActsWithinPhaseTimeout(t *testing.T) {
 	runs := sweepRuns(t, explore.Proto3PC, 60)
 	reqs := 0
@@ -323,12 +325,16 @@ func TestTimeoutActsWithinPhaseTimeout(t *testing.T) {
 	for _, r := range runs {
 		waits += len(r.silent())
 	}
-	if got := evalRow(timeout, runs...); got.detail != "" || got.n != waits || waits == 0 || reqs == 0 {
-		t.Errorf("Timeout: %d obligations for %d waits and %d requests, %q", got.n, waits, reqs, got.detail)
-	}
-	for _, p := range []string{explore.Proto2PC, explore.Proto3PCNaive} {
-		if got := evalRow(timeout, sweepRuns(t, p, 20)...); got.detail == "" {
-			t.Errorf("%s: Timeout held over %d obligations", p, got.n)
+	twoPC := sweepRuns(t, explore.Proto2PC, 20)
+	for _, rw := range []struct {
+		name  string
+		check func(*run, *tally)
+	}{{"Timeout", timeout}, {"DeclareFailed", declareFailed}} {
+		if got := evalRow(rw.check, runs...); got.detail != "" || got.n != waits || waits == 0 || reqs == 0 {
+			t.Errorf("%s: %d obligations for %d waits and %d requests, %q", rw.name, got.n, waits, reqs, got.detail)
+		}
+		if got := evalRow(rw.check, twoPC...); got.detail == "" {
+			t.Errorf("2pc: %s held over %d obligations", rw.name, got.n)
 		}
 	}
 }
@@ -336,7 +342,8 @@ func TestTimeoutActsWithinPhaseTimeout(t *testing.T) {
 // TestBackupElectedAfterCoordinatorCrash: every transaction whose
 // coordinator fell silent elects a backup — each state request goes to or
 // comes from the lowest participant up — and Elect/Installed counts one
-// obligation per such transaction. Naive 3PC elects none.
+// obligation per such transaction. The naive timeouts mutant
+// (internal/mutant) elects none and fails it.
 func TestBackupElectedAfterCoordinatorCrash(t *testing.T) {
 	runs := sweepRuns(t, explore.Proto3PC, 60)
 	terminated := 0
@@ -360,17 +367,13 @@ func TestBackupElectedAfterCoordinatorCrash(t *testing.T) {
 	if got := evalRow(elect, runs...); got.detail != "" || got.n != terminated || terminated == 0 {
 		t.Errorf("Elect: %d obligations for %d terminated transactions, %q", got.n, terminated, got.detail)
 	}
-	if got := evalRow(elect, sweepRuns(t, explore.Proto3PCNaive, 20)...); got.detail == "" {
-		t.Errorf("3pc-naive: Elect held over %d obligations", got.n)
-	}
 }
 
 // TestBackupIsLowestUpParticipant: every state vector is gathered by the
 // lowest participant up at the time; when that backup crashes, the next
 // lowest takes over.
 func TestBackupIsLowestUpParticipant(t *testing.T) {
-	_, c := goldenRuns(t, ablateUnsafe)
-	runs := append(sweepRuns(t, explore.Proto3PC, 60), c)
+	runs := append(sweepRuns(t, explore.Proto3PC, 60), goldenRun(t, goldenUnsafe))
 	gathered, successors := 0, 0
 	for _, r := range runs {
 		for _, name := range r.txns {
@@ -398,8 +401,9 @@ func TestBackupIsLowestUpParticipant(t *testing.T) {
 
 // TestGatheredStateVectorRules: a backup's state vector holding both a
 // committed and an aborted state is flagged, one holding only committed
-// states is not; every vector the served backups gather is consistent,
-// and the unsafe termination ordering's is caught.
+// states is not, and every vector the served backups gather is consistent
+// with the decisions sent — on the unsafe termination mutant
+// (internal/mutant) its golden's is not, which fails this test.
 func TestGatheredStateVectorRules(t *testing.T) {
 	vector := func(states ...tpc.State) *run {
 		r := &run{res: &explore.RunResult{}, sends: map[string][]send{}, parts: map[string][]rt.NodeID{"t": {2, 3, 4}}, txns: []string{"t"}}
@@ -422,8 +426,7 @@ func TestGatheredStateVectorRules(t *testing.T) {
 		t.Errorf("commit-only vector: %d obligations, %q", got.n, got.detail)
 	}
 
-	a, c := goldenRuns(t, ablateUnsafe)
-	runs := append(sweepRuns(t, explore.Proto3PC, 60), c)
+	runs := append(sweepRuns(t, explore.Proto3PC, 60), goldenRun(t, goldenUnsafe))
 	gathered := 0
 	for _, r := range runs {
 		for _, name := range r.txns {
@@ -432,8 +435,5 @@ func TestGatheredStateVectorRules(t *testing.T) {
 	}
 	if got := evalRow(constateinfo, runs...); got.detail != "" || got.n != gathered || gathered == 0 {
 		t.Errorf("Constateinfo: %d obligations for %d gathered vectors, %q", got.n, gathered, got.detail)
-	}
-	if got := evalRow(constateinfo, a); got.detail == "" {
-		t.Errorf("%s: Constateinfo held over %d obligations", ablateUnsafe, got.n)
 	}
 }

@@ -123,5 +123,5 @@ func E18Commutativity(seeds []int64) (*E18Result, error) {
 // on four hot accounts, seeds 0–29), with the gate on the unmutated copy as
 // its control; its commcheck kill, on the same source, is in the catalogue.
 func E18Ablation() ([]mutant.Verdict, error) {
-	return mutant.Judge("underlock", "TestUnderlockWitnessShapeSerializable")
+	return mutant.Judge([]string{"underlock"}, "TestUnderlockWitnessShapeSerializable")
 }

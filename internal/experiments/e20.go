@@ -40,10 +40,5 @@ func E20LockDiscipline() (*lockcheck.Report, int, error) {
 // verdict, the two-shard kill, is the lock-order rule's witness; its
 // evidence is the gate's tally over seeds 1–3.
 func E20Arms() ([]mutant.Verdict, error) {
-	arms, err := mutant.Judge("lock-wait")
-	if err != nil {
-		return nil, err
-	}
-	canonical, err := mutant.Judge("lock-wait, canonical order")
-	return append(arms, canonical...), err
+	return mutant.Judge([]string{"lock-wait", "lock-wait, canonical order"})
 }

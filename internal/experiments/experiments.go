@@ -14,8 +14,8 @@ import (
 	"speccat/internal/analysis/durcheck"
 	"speccat/internal/core/provesched"
 	"speccat/internal/core/speclang"
-	"speccat/internal/explore"
 	"speccat/internal/mc"
+	"speccat/internal/mutant"
 	"speccat/internal/sim"
 	"speccat/internal/simnet"
 	"speccat/internal/thesis"
@@ -408,23 +408,8 @@ func loadInternal() ([]*analysis.Package, error) {
 	return loader.Load([]string{"./internal/..."})
 }
 
-// E15Row is one dynamic cross-validation verdict: the staged
-// crash-at-dissemination schedule run against one protocol engine.
-type E15Row struct {
-	// Protocol is the explore protocol name the schedule ran against.
-	Protocol string
-	// Witness reports whether any probe seed produced an oracle
-	// violation; Seed, Violated and Faults describe the witness.
-	Witness  bool
-	Seed     int64
-	Violated []string
-	// Faults counts the schedule's staged fault injections
-	// (drop + crash + crash-at-send + recover when complete).
-	Faults int
-}
-
-// E15Result pairs the static durcheck summary over this module with the
-// dynamic verdicts.
+// E15Result is the static durcheck summary over this module and the
+// staged crash-at-dissemination schedule's verdict on its 3PC engine.
 type E15Result struct {
 	// Findings is the static finding count over ./internal/... — zero on
 	// a write-ahead-clean tree.
@@ -434,43 +419,42 @@ type E15Result struct {
 	// requiring kinds, durable-write summaries and volatile objects. A
 	// clean run over nothing would prove nothing.
 	Roots, Analyzed, Requires, Writes, Volatiles int
-	Rows                                         []E15Row
+	// Witness is the staged schedule's oracle violation against the served
+	// engine, nil when the engine survives it.
+	Witness *durcheck.CrossValidation
 }
 
-// E15Durability closes the static→dynamic loop from DESIGN.md S30: run
-// the durcheck write-ahead/durability-ordering analysis over the module
-// (expected clean, with real coverage), then aim the staged
-// crash-at-dissemination schedule the analysis would generate for a
-// hoisted-commit finding at both the write-ahead 3PC engine (expected to
-// survive) and the unsafe-termination variant (expected to yield an
-// atomicity/durability witness).
+// E15Durability closes the static→dynamic loop from DESIGN.md S30 on the
+// served tree: run the durcheck write-ahead/durability-ordering analysis
+// over the module (expected clean, with real coverage), then aim the
+// staged crash-at-dissemination schedule the analysis would generate for a
+// hoisted-commit finding at the write-ahead 3PC engine (expected to
+// survive). E15Ablation runs both halves on the unsafe termination mutant.
 func E15Durability(seeds []int64) (*E15Result, error) {
 	pkgs, err := loadInternal()
 	if err != nil {
 		return nil, err
 	}
 	rep, diags := durcheck.Run(pkgs)
-	res := &E15Result{
+	witness, err := durcheck.CrossValidate(tpc.KindCommit, seeds)
+	if err != nil {
+		return nil, err
+	}
+	return &E15Result{
 		Findings:  len(diags),
 		Roots:     len(rep.Roots),
 		Analyzed:  rep.Analyzed,
 		Requires:  len(rep.Requires),
 		Writes:    len(rep.Writes),
 		Volatiles: len(rep.Volatiles),
-	}
-	for _, proto := range []string{explore.Proto3PC, explore.Proto3PCUnsafeTerm} {
-		cv, err := durcheck.CrossValidate(tpc.KindCommit, proto, seeds)
-		if err != nil {
-			return nil, err
-		}
-		row := E15Row{Protocol: proto}
-		if cv != nil {
-			row.Witness = true
-			row.Seed = cv.Seed
-			row.Violated = cv.Violated
-			row.Faults = len(cv.Schedule.Faults)
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+		Witness:   witness,
+	}, nil
+}
+
+// E15Ablation judges the unsafe termination mutant — the backup
+// disseminates its decision before it persists it — on the dur and port
+// lint layers and on the staged schedule (durcheck's negative control, seeds
+// 1–3): the static findings and the dynamic witness on the same source.
+func E15Ablation() ([]mutant.Verdict, error) {
+	return mutant.Judge([]string{"unsafe termination"}, "speccatlint -only dur", "speccatlint -only port", "TestCrossValidateNegativeControl")
 }

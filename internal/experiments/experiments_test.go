@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
@@ -184,6 +183,10 @@ func TestE10MatrixShape(t *testing.T) {
 	}
 }
 
+// TestE15Durability pins the served half: durcheck is clean over real
+// coverage, and the staged schedule finds no witness against the
+// write-ahead engine. The unsafe termination mutant's verdicts are pinned by
+// internal/mutant's TestCatalogue.
 func TestE15Durability(t *testing.T) {
 	res, err := E15Durability([]int64{1, 2, 3})
 	if err != nil {
@@ -195,21 +198,7 @@ func TestE15Durability(t *testing.T) {
 	if res.Roots == 0 || res.Requires == 0 || res.Writes == 0 || res.Volatiles == 0 || res.Analyzed < 20 {
 		t.Errorf("coverage collapsed: %+v", res)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want the write-ahead engine and the unsafe-termination variant", len(res.Rows))
-	}
-	if safe := res.Rows[0]; safe.Protocol != "3pc" || safe.Witness {
-		t.Errorf("write-ahead engine row = %+v, want no witness", safe)
-	}
-	unsafe := res.Rows[1]
-	if unsafe.Protocol != "3pc-unsafe-term" || !unsafe.Witness {
-		t.Fatalf("unsafe-termination row = %+v, want a witness", unsafe)
-	}
-	violated := strings.Join(unsafe.Violated, " ")
-	if !strings.Contains(violated, "atomicity") && !strings.Contains(violated, "durability") {
-		t.Errorf("witness violates %v, want atomicity or durability", unsafe.Violated)
-	}
-	if unsafe.Faults != 4 {
-		t.Errorf("witness faults = %d, want drop+crash+crash-at-send+recover", unsafe.Faults)
+	if res.Witness != nil {
+		t.Errorf("witness against the write-ahead engine: %+v", res.Witness)
 	}
 }

@@ -20,7 +20,8 @@
 // independent recovery per Fig. 3.2 is only sound at that granularity, so
 // pairing recovery with a mid-fan-out crash would report violations the
 // paper does not claim to prevent. Under the generated envelope, 3pc runs
-// clean, 3pc-naive loses atomicity, and 2pc blocks.
+// clean and 2pc blocks; the naive timeouts mutant of internal/mutant, 3pc
+// with Fig. 3.2's bare timeout arrows, loses atomicity.
 package explore
 
 import (
@@ -74,7 +75,7 @@ func probe(spec Schedule, budget *Budget) (*RunResult, error) {
 
 // Options parameterizes an exploration.
 type Options struct {
-	// Protocol is "3pc", "3pc-naive", "3pc-unsafe-term", or "2pc".
+	// Protocol is "3pc" or "2pc".
 	Protocol string
 	// Seeds is how many root seeds to explore (default 32), starting at
 	// StartSeed (default 1).
@@ -245,13 +246,7 @@ func genSchedule(opts Options, seed int64, budget *Budget) (Schedule, error) {
 
 	var faults []Fault
 	for i := 0; i < opts.Crashes; i++ {
-		// Naive 3PC's vulnerability window is mid-fan-out, so bias that
-		// variant toward send-granularity crashes (3 in 4 instead of 2 in 4).
-		atSendOdds := 2
-		if opts.Protocol == Proto3PCNaive {
-			atSendOdds = 3
-		}
-		if rng.Intn(4) < atSendOdds && hi > lo {
+		if rng.Intn(4) < 2 && hi > lo {
 			seq := lo + uint64(rng.Int63n(int64(hi-lo)))
 			faults = append(faults, Fault{Kind: FaultCrashAtSend, Seq: seq})
 			continue

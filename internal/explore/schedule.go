@@ -81,13 +81,8 @@ func (f Fault) String() string {
 
 // Protocol names accepted by schedules (the CLI's -protocol values).
 const (
-	Proto3PC      = "3pc"
-	Proto3PCNaive = "3pc-naive"
-	Proto2PC      = "2pc"
-	// Proto3PCUnsafeTerm is full 3PC with the pre-durcheck termination
-	// ordering (disseminate before persist); see tpc.Config.UnsafeTermination.
-	// It exists for the E15 static↔dynamic cross-validation ablation.
-	Proto3PCUnsafeTerm = "3pc-unsafe-term"
+	Proto3PC = "3pc"
+	Proto2PC = "2pc"
 )
 
 // Workload names accepted by schedules (the CLI's -workload values).
@@ -171,14 +166,10 @@ func (s Schedule) Config() (tpc.Config, error) {
 	switch s.Protocol {
 	case Proto3PC:
 		return tpc.Config{Protocol: tpc.ThreePhase}, nil
-	case Proto3PCNaive:
-		return tpc.Config{Protocol: tpc.ThreePhase, NaiveTimeouts: true}, nil
-	case Proto3PCUnsafeTerm:
-		return tpc.Config{Protocol: tpc.ThreePhase, UnsafeTermination: true}, nil
 	case Proto2PC:
 		return tpc.Config{Protocol: tpc.TwoPhase}, nil
 	default:
-		return tpc.Config{}, fmt.Errorf("explore: unknown protocol %q (want 3pc, 3pc-naive, 3pc-unsafe-term, or 2pc)", s.Protocol)
+		return tpc.Config{}, fmt.Errorf("explore: unknown protocol %q (want 3pc or 2pc)", s.Protocol)
 	}
 }
 

@@ -2,14 +2,17 @@ package mutant
 
 const (
 	txnGo, cohortGo, lockingGo = "internal/txn/txn.go", "internal/tpc/cohort.go", "internal/locking/locking.go"
-	explore, conformance       = "./internal/explore", "./internal/conformance"
+	explore, conformance, tpc  = "./internal/explore", "./internal/conformance", "./internal/tpc"
+	// disseminate is terminationDecide's write-ahead tail: persist the
+	// decision, then tell every other participant.
+	disseminate = "\th.decide(txn, d, CauseTerminate)\n\tfor _, p := range t.peers {\n\t\tif p != h.id {\n\t\t\th.send(p, kind, txnMsg{Txn: txn})\n\t\t}\n\t}"
 )
 
 // Catalogue returns every mutant, each with the gates that must kill it
-// and, for E20's controls, the gates that must spare it. The lock layer's
-// reports select their gates by name: E18 the serializability gate over its
-// witness shape and commcheck, E11 its Readlock/Writelock row over the same
-// shape, E20 the progress gates over its opposed workload.
+// and the gates that must spare it. The reports select their gates by name:
+// E18 the serializability gate over its witness shape and commcheck, E20 the
+// progress gates over its opposed workload, E15 unsafe termination's dur and
+// port layers and its staged schedule, E11 each row's conformance test.
 func Catalogue() []Mutant {
 	// lockWait makes a site wait for a contended lock instead of failing the
 	// work: runOps retries an ErrConflict one δ later from the blocked op
@@ -44,6 +47,34 @@ func Catalogue() []Mutant {
 	})
 	s.runOps(w.Txn, ops, map[string]string{})`}
 	return []Mutant{
+		// The commit protocol's ablations: E7's and E15's, and E11's
+		// termination and agreement rows'. Naive timeouts takes Fig. 3.2's
+		// bare timeout arrows instead of the termination protocol: atomic
+		// while a fan-out is one event, split by a coordinator crash between
+		// two prepares. Unsafe termination has the backup disseminate its
+		// decision before persisting it: a backup crashed between two sends
+		// restarts from w and aborts what a peer committed.
+		{Name: "naive timeouts", Edits: []Edit{{cohortGo, "\tdefault:\n\t\th.startTermination(txn, t)\n", `	default:
+		if t.state == StateWait {
+			h.decide(txn, DecisionAbort, CauseTimeout)
+		} else if t.state == StatePrepared {
+			h.decide(txn, DecisionCommit, CauseTimeout)
+		}
+`}},
+			Kills: []Gate{Test(explore, "TestExplore3PCCleanUnderDesignFaults"), Test(explore, "TestAblationGoldensRunClean"), Test(tpc, "TestTraceCausesMeaningful"),
+				Test(conformance, "TestAgreeconsensusCatchesCrashMidProtocol"), Test(conformance, "TestTimeoutActsWithinPhaseTimeout"),
+				Test(conformance, "TestBackupElectedAfterCoordinatorCrash"), Test(conformance, "TestTerminationRowsAreNonVacuous")},
+			Spares: []Gate{Test(tpc, "TestNaiveTimeoutsSweepStaysAtomicInEngine")}},
+		{Name: "unsafe termination", Edits: []Edit{{cohortGo, disseminate, `	for _, p := range t.peers {
+		if p != h.id {
+			h.send(p, kind, txnMsg{Txn: txn})
+		}
+	}
+	h.decide(txn, d, CauseTerminate)`}},
+			Kills: []Gate{Lint("dur"), Lint("port"), Test("./internal/analysis/durcheck", "TestCrossValidateNegativeControl"), Test(explore, "TestAblationGoldensRunClean"),
+				Test(conformance, "TestAgreeconsensusCatchesCrashMidProtocol"), Test(conformance, "TestAgreebroadCatchesDisseminatorCrash"), Test(conformance, "TestGatheredStateVectorRules")},
+			Spares: []Gate{Test(explore, "TestCrashedNodeObservesNothing"), Test("./internal/txn", "TestSimulatedRestartIsProcessRestart")}},
+
 		// The lock layer's ablations: E18, E20 and E11's Readlock/Writelock row.
 		{Name: "underlock", Edits: []Edit{{"internal/kvstore/kvstore.go", "key, locking.Write, nil)", "key, locking.IncMode, nil)"}},
 			Kills: []Gate{Test(explore, "TestUnderlockWitnessShapeSerializable"), Test(conformance, "TestLockRowHoldsOnWitnessShape"), Lint("comm")}},
@@ -76,7 +107,7 @@ func Catalogue() []Mutant {
 			Kills: []Gate{Test(conformance, "TestTimeoutActsWithinPhaseTimeout")}},
 		{Name: "tpc: cohort asks the coordinator", Edits: []Edit{{cohortGo, "h.send(backup, KindStateReq", "h.send(h.coord, KindStateReq"}},
 			Kills: []Gate{Test(conformance, "TestBackupElectedAfterCoordinatorCrash")}},
-		{Name: "tpc: backup never disseminates", Edits: []Edit{{cohortGo, "\th.decide(txn, d, CauseTerminate)\n\tfor _, p := range t.peers {\n\t\tif p != h.id {\n\t\t\th.send(p, kind, txnMsg{Txn: txn})\n\t\t}\n\t}", "\th.decide(txn, d, CauseTerminate)"}},
+		{Name: "tpc: backup never disseminates", Edits: []Edit{{cohortGo, disseminate, "\th.decide(txn, d, CauseTerminate)\n\t_ = kind"}},
 			Kills: []Gate{Test(conformance, "TestBackupElectedAfterCoordinatorCrash")}},
 	}
 }

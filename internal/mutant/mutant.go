@@ -2,8 +2,9 @@
 // defects, each a set of exact source edits, and a runner that applies a
 // mutant to a copy of the module and runs the gates that must kill it — or,
 // as a control arm, spare it. A gate is a go test of one named test or a
-// speccatlint layer over ./internal/...; a kill is a non-zero exit. Served
-// code carries no switch for a defect: the defect lives here, as text.
+// speccatlint layer over ./internal/...; a kill is a failed test or a
+// finding of the layer. Served code carries no switch for a defect: the
+// defect lives here, as text.
 //
 // The runner shells out to the go tool, so nothing served may link this
 // package (make lint checks tpcserve). Gates never call the runner, so
@@ -21,8 +22,10 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 )
 
 // Edit replaces the one occurrence of Old in File (module-relative, slash
@@ -80,47 +83,94 @@ func (v Verdict) String() string {
 // the gate passing on the unmutated copy.
 func (v Verdict) AsExpected() bool { return v.Killed == v.Want && v.ControlPassed }
 
-// Judge judges the catalogued mutant named name in the module the working
-// directory is in, on its gates named in only (by Gate.String), or on all
-// its gates when only is empty. Each gate also runs on an unmutated copy,
-// as the verdict's control.
-func Judge(name string, only ...string) ([]Verdict, error) {
-	i := slices.IndexFunc(Catalogue(), func(m Mutant) bool { return m.Name == name })
-	if i < 0 {
-		return nil, fmt.Errorf("mutant: no mutant %q", name)
-	}
-	m := Catalogue()[i]
-	gates := slices.DeleteFunc(append(slices.Clone(m.Kills), m.Spares...), func(g Gate) bool {
-		return len(only) > 0 && !slices.Contains(only, g.String())
-	})
-	if len(gates) < len(only) {
-		return nil, fmt.Errorf("mutant %s has no gate among %q", name, only)
-	}
+// Judge judges the catalogued mutants named in names in the module the
+// working directory is in, each on its gates named in only (by
+// Gate.String), or on all its gates when only is empty. Every copy is of
+// the same tree, so each gate runs once on one unmutated copy, as the
+// control of every verdict on it. The copies are judged GOMAXPROCS at a
+// time; the verdicts come in the order of names.
+func Judge(names []string, only ...string) ([]Verdict, error) {
 	root, err := moduleRoot()
 	if err != nil {
 		return nil, err
 	}
-	dir, err := copyModule(root, m.Edits)
-	if err != nil {
-		return nil, fmt.Errorf("mutant %s: %w", name, err)
+	pick := func(gates []Gate) []Gate {
+		return slices.DeleteFunc(slices.Clone(gates), func(g Gate) bool { return len(only) > 0 && !slices.Contains(only, g.String()) })
 	}
-	defer os.RemoveAll(dir)
-	control, err := copyModule(root, nil)
-	if err != nil {
+	ms := []Mutant{{Name: "control"}} // the unmutated copy, spared by every gate the mutants name
+	for _, name := range names {
+		i := slices.IndexFunc(Catalogue(), func(m Mutant) bool { return m.Name == name })
+		if i < 0 {
+			return nil, fmt.Errorf("mutant: no mutant %q", name)
+		}
+		m := Catalogue()[i]
+		m.Kills, m.Spares = pick(m.Kills), pick(m.Spares)
+		ms[0].Spares = append(ms[0].Spares, m.gates()...) // a gate named twice runs once
+		ms = append(ms, m)
+	}
+	for _, o := range only {
+		if !slices.ContainsFunc(ms[0].Spares, func(g Gate) bool { return g.String() == o }) {
+			return nil, fmt.Errorf("mutants %q have no gate %q", names, o)
+		}
+	}
+	ran, errs := make([]map[Gate]outcome, len(ms)), make([]error, len(ms))
+	slots, wg := make(chan struct{}, runtime.GOMAXPROCS(0)), sync.WaitGroup{}
+	for i, m := range ms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			slots <- struct{}{}
+			ran[i], errs[i] = m.run(root)
+			<-slots
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(control)
 	var out []Verdict
-	for _, g := range gates {
-		killed, evidence, err := run(dir, g)
-		if err != nil {
-			return nil, fmt.Errorf("mutant %s: %w", name, err)
+	for i, m := range ms[1:] {
+		for _, g := range m.gates() {
+			r := ran[i+1][g]
+			out = append(out, Verdict{m.Name, g, slices.Contains(m.Kills, g), r.failed, !ran[0][g].failed, r.evidence})
 		}
-		failed, _, err := run(control, g)
-		if err != nil {
-			return nil, fmt.Errorf("control: %w", err)
+	}
+	return out, nil
+}
+
+func (m Mutant) gates() []Gate { return append(slices.Clone(m.Kills), m.Spares...) }
+
+// outcome is one gate's run on one copy.
+type outcome struct {
+	failed   bool
+	evidence string
+}
+
+// run runs m's gates on a copy of the module at root with m's edits
+// applied: the test gates of a package in one go test, the lint gates in
+// one speccatlint run of every layer.
+func (m Mutant) run(root string) (map[Gate]outcome, error) {
+	dir, err := copyModule(root, m.Edits)
+	if err != nil {
+		return nil, fmt.Errorf("mutant %s: %w", m.Name, err)
+	}
+	defer os.RemoveAll(dir)
+	out, tests := map[Gate]outcome{}, map[string][]string{}
+	for _, g := range m.gates() {
+		if g.Layer != "" {
+			out[g] = outcome{}
+		} else {
+			tests[g.Pkg] = append(tests[g.Pkg], g.Test)
 		}
-		out = append(out, Verdict{name, g, slices.Contains(m.Kills, g), killed, !failed, evidence})
+	}
+	if len(out) > 0 {
+		err = runLint(dir, out)
+	}
+	for pkg, names := range tests {
+		err = errors.Join(err, runTests(dir, pkg, names, out))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("mutant %s: %w", m.Name, err)
 	}
 	return out, nil
 }
@@ -181,67 +231,75 @@ func copyModule(root string, edits []Edit) (string, error) {
 	return dir, nil
 }
 
-// run runs gate g in the module copy dir and reports whether it failed,
-// with its first test-log or finding line as evidence. A copy that does not
-// build, or a test gate that names no test of its package, is an error —
-// neither a kill nor a pass. Builds use -trimpath, so copies in different
-// directories share the build cache.
-func run(dir string, g Gate) (failed bool, evidence string, err error) {
-	if g.Layer != "" {
-		return runLint(dir, g.Layer)
-	}
-	cmd := exec.Command("go", "test", "-trimpath", "-count=1", "-json", "-run", "^"+g.Test+"$", g.Pkg)
+// runTests runs the named tests of pkg in the module copy dir in one go
+// test and records whether each failed, with its first test-log line as
+// evidence. A copy that does not build, or a gate that names no test of its
+// package, is an error — neither a kill nor a pass. A test the run left
+// without a result (a panic ends the binary) runs again alone. Builds use
+// -trimpath, so copies in different directories share the build cache.
+func runTests(dir, pkg string, names []string, out map[Gate]outcome) error {
+	cmd := exec.Command("go", "test", "-trimpath", "-count=1", "-json", "-run", "^("+strings.Join(names, "|")+")$", pkg)
 	cmd.Dir = dir
 	stdout, _ := cmd.Output() // a failing gate exits 1: the events say what ran and how
-	var result string
-	var output, build []string
+	testLog := regexp.MustCompile(`^\s+\S+_test\.go:\d+: (.*)$`)
+	ran := map[string]bool{}
 	for sc := bufio.NewScanner(bytes.NewReader(stdout)); sc.Scan(); {
 		var ev struct{ Action, Test, Output string }
-		switch _ = json.Unmarshal(sc.Bytes(), &ev); {
+		_ = json.Unmarshal(sc.Bytes(), &ev)
+		g := Test(pkg, ev.Test)
+		switch log := testLog.FindStringSubmatch(strings.TrimRight(ev.Output, "\n")); {
 		case ev.Action == "build-output":
-			build = append(build, ev.Output)
-		case ev.Test != g.Test:
-		case ev.Action == "output":
-			output = append(output, strings.TrimRight(ev.Output, "\n"))
-		case ev.Action == "pass" || ev.Action == "fail" || ev.Action == "skip":
-			result = ev.Action
+			return fmt.Errorf("%s does not build: %s", pkg, strings.TrimSpace(ev.Output))
+		case !slices.Contains(names, ev.Test):
+		case ev.Action == "output" && log != nil && out[g].evidence == "":
+			out[g] = outcome{evidence: log[1]}
+		case ev.Action == "pass" || ev.Action == "fail":
+			out[g], ran[ev.Test] = outcome{ev.Action == "fail", out[g].evidence}, true
 		}
 	}
-	switch {
-	case len(build) > 0:
-		return false, "", fmt.Errorf("%s does not build: %s", g.Pkg, strings.TrimSpace(build[0]))
-	case result == "" || result == "skip":
-		return false, "", fmt.Errorf("gate %s ran no test in %s", g, g.Pkg)
-	}
-	testLog := regexp.MustCompile(`^\s+\S+_test\.go:\d+: (.*)$`)
-	for _, l := range output {
-		if m := testLog.FindStringSubmatch(l); m != nil {
-			return result == "fail", m[1], nil
+	for _, name := range names {
+		switch {
+		case ran[name]:
+		case len(names) == 1:
+			return fmt.Errorf("gate %s ran no test in %s", name, pkg)
+		default:
+			if err := runTests(dir, pkg, []string{name}, out); err != nil {
+				return err
+			}
 		}
 	}
-	return result == "fail", "", nil
+	return nil
 }
 
-// runLint runs one speccatlint layer in the copy. A finding exits 1,
-// which go run reports as "exit status 1": that kills, with the first
-// finding as evidence; any other failure is an error.
-func runLint(dir, layer string) (bool, string, error) {
+// runLint runs every speccatlint layer over ./internal/... in dir and
+// records the outcome of each lint gate out holds: killed by its layer's
+// first finding, with paths relative to the copy. Findings exit 1, which
+// go run reports as "exit status 1"; any other failure is an error.
+func runLint(dir string, out map[Gate]outcome) error {
 	goroot, err := exec.Command("go", "env", "GOROOT").Output()
 	if err != nil {
-		return false, "", err
+		return err
 	}
-	cmd := exec.Command("go", "run", "-trimpath", "./cmd/speccatlint", "-only", layer, "./internal/...")
+	cmd := exec.Command("go", "run", "-trimpath", "./cmd/speccatlint", "-json", "./internal/...")
 	// A -trimpath binary does not know its GOROOT, where the loader reads
 	// the standard library's source.
 	var stderr bytes.Buffer
 	cmd.Dir, cmd.Env, cmd.Stderr = dir, append(os.Environ(), "GOROOT="+string(bytes.TrimSpace(goroot))), &stderr
-	out, err := cmd.Output()
-	first, _, _ := strings.Cut(strings.ReplaceAll(string(out), dir+string(filepath.Separator), ""), "\n")
-	switch {
-	case err == nil:
-		return false, "", nil
-	case strings.HasSuffix(strings.TrimSpace(stderr.String()), "exit status 1"):
-		return true, first, nil
+	stdout, err := cmd.Output()
+	var findings []struct {
+		File, Rule, Layer, Message string
+		Line, Col                  int
 	}
-	return false, "", fmt.Errorf("speccatlint -only %s: %w: %s", layer, err, stderr.String())
+	if err != nil && !strings.HasSuffix(strings.TrimSpace(stderr.String()), "exit status 1") {
+		return fmt.Errorf("speccatlint: %w: %s", err, stderr.String())
+	} else if err := json.Unmarshal(stdout, &findings); err != nil {
+		return fmt.Errorf("speccatlint: %w", err)
+	}
+	for i := len(findings) - 1; i >= 0; i-- { // backwards: a layer's first finding is recorded last
+		f := findings[i]
+		if _, gated := out[Lint(f.Layer)]; gated {
+			out[Lint(f.Layer)] = outcome{true, strings.TrimPrefix(fmt.Sprintf("%s:%d:%d: %s: %s", f.File, f.Line, f.Col, f.Rule, f.Message), dir+string(filepath.Separator))}
+		}
+	}
+	return nil
 }

@@ -37,55 +37,77 @@ func TestEditsApplyOnce(t *testing.T) {
 	}
 }
 
+// evidence pins what a kill must say beyond failing: the naive sweep its
+// first witness and the counterexample it shrinks to, each golden replay
+// that the run it recorded is reproduced byte-for-byte, the staged schedule
+// its witness and that the witness is the golden's schedule.
+var evidence = map[[2]string][]string{
+	{"naive timeouts", "TestExplore3PCCleanUnderDesignFaults"}: {"seed 45 violated [atomicity]", "shrunk to 1 txns with faults [crash sender of send #30]"},
+	{"naive timeouts", "TestAblationGoldensRunClean"}:          {"naive3pc_atomicity.json", "matches the recording byte-for-byte"},
+	{"unsafe termination", "TestAblationGoldensRunClean"}:      {"unsafe_term_atomicity.json", "matches the recording byte-for-byte"},
+	{"unsafe termination", "TestCrossValidateNegativeControl"}: {"seed 1 with 4 faults violates [atomicity]", "its schedule equals unsafe_term_atomicity.json"},
+}
+
 // TestCatalogue is the kill matrix: every kill gate fails on its mutant,
 // every spare gate passes on it, and every gate passes on the unmutated
-// copy. Mutants are judged in parallel (go test -parallel). Run verbosely
-// (make mutants), it prints the matrix.
+// copy; a pinned kill says what evidence pins. One Judge call judges every
+// mutant, each gate's control running once; each mutant's subtest checks
+// its verdicts. Run verbosely (make mutants), it prints the matrix.
 func TestCatalogue(t *testing.T) {
 	cat := Catalogue()
-	verdicts := make([][]Verdict, len(cat))
+	var names []string
+	for _, m := range cat {
+		names = append(names, m.Name)
+	}
+	verdicts, err := Judge(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []string{fmt.Sprintf("%-40s %-46s %-7s %-7s %s", "mutant", "gate", "mutant", "control", "evidence")}
 	t.Run("judge", func(t *testing.T) {
-		for i, m := range cat {
+		for _, m := range cat {
 			t.Run(m.Name, func(t *testing.T) {
-				t.Parallel()
-				vs, err := Judge(m.Name)
-				if err != nil {
-					t.Fatal(err)
+				for _, v := range verdicts {
+					if v.Mutant != m.Name {
+						continue
+					}
+					verdict, control := "spared", "passes"
+					if v.Killed {
+						verdict = "KILLED"
+					}
+					if !v.ControlPassed {
+						control = "FAILS"
+					}
+					rows = append(rows, fmt.Sprintf("%-40s %-46s %-7s %-7s %s", v.Mutant, v.Gate, verdict, control, v.Evidence))
+					if !v.AsExpected() {
+						t.Errorf("%s × %s: killed %v, want %v; control passed %v (%s)", v.Mutant, v.Gate, v.Killed, v.Want, v.ControlPassed, v.Evidence)
+					}
+					for _, want := range evidence[[2]string{v.Mutant, v.Gate.String()}] {
+						if !strings.Contains(v.Evidence, want) {
+							t.Errorf("%s × %s: evidence %q does not say %q", v.Mutant, v.Gate, v.Evidence, want)
+						}
+					}
 				}
-				verdicts[i] = vs
 			})
 		}
 	})
-	rows := []string{fmt.Sprintf("%-40s %-46s %-7s %-7s %s", "mutant", "gate", "mutant", "control", "evidence")}
-	for _, vs := range verdicts {
-		for _, v := range vs {
-			verdict, control := "spared", "passes"
-			if v.Killed {
-				verdict = "KILLED"
-			}
-			if !v.ControlPassed {
-				control = "FAILS"
-			}
-			rows = append(rows, fmt.Sprintf("%-40s %-46s %-7s %-7s %s", v.Mutant, v.Gate, verdict, control, v.Evidence))
-			if !v.AsExpected() {
-				t.Errorf("%s × %s: killed %v, want %v; control passed %v (%s)", v.Mutant, v.Gate, v.Killed, v.Want, v.ControlPassed, v.Evidence)
-			}
-		}
-	}
 	t.Log("kill matrix:\n" + strings.Join(rows, "\n"))
 }
 
 // TestGateNamingNoTestIsAnError: a gate whose name matches no test of its
-// package is an error, not a pass — a renamed test cannot turn a kill
-// into a silent spare.
+// package is an error, not a pass — alone, or run in one go test with a
+// gate that does name a test — so a renamed test cannot turn a kill into a
+// silent spare.
 func TestGateNamingNoTestIsAnError(t *testing.T) {
 	root, err := moduleRoot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"TestNoSuchGate", "TestWindowMatches"} {
-		if _, _, err := run(root, Test("./internal/stable", name)); err == nil {
-			t.Errorf("gate %s ran no test and was not an error", name)
+		for _, names := range [][]string{{name}, {"TestWindowMatchesFullCopy", name}} {
+			if err := runTests(root, "./internal/stable", names, map[Gate]outcome{}); err == nil {
+				t.Errorf("gates %q: %s ran no test and was not an error", names, name)
+			}
 		}
 	}
 }

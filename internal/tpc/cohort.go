@@ -181,8 +181,8 @@ func (h *Cohort) onPrepare(txn string, from rt.NodeID) {
 	})
 }
 
-// onCoordinatorSilent handles phase timeouts: either the naive Fig. 3.2
-// transitions, 2PC blocking, or the 3PC termination protocol.
+// onCoordinatorSilent handles phase timeouts: 2PC blocking, or the 3PC
+// termination protocol in place of Fig. 3.2's bare timeout arrows.
 func (h *Cohort) onCoordinatorSilent(txn string, t *cohortTxn) {
 	switch {
 	case h.cfg.Protocol == TwoPhase:
@@ -202,14 +202,6 @@ func (h *Cohort) onCoordinatorSilent(txn string, t *cohortTxn) {
 					h.onCoordinatorSilent(txn, t)
 				}
 			})
-		}
-	case h.cfg.NaiveTimeouts:
-		// Bare Fig. 3.2 timeout transitions (unsafe across a mid-prepare
-		// coordinator crash; kept for the E7 ablation).
-		if t.state == StateWait {
-			h.decide(txn, DecisionAbort, CauseTimeout)
-		} else if t.state == StatePrepared {
-			h.decide(txn, DecisionCommit, CauseTimeout)
 		}
 	default:
 		h.startTermination(txn, t)
@@ -297,26 +289,10 @@ func (h *Cohort) terminationDecide(txn string, t *cohortTxn) {
 	if d == DecisionCommit {
 		kind = KindCommit
 	}
-	if h.cfg.UnsafeTermination {
-		// Pre-durcheck ordering, kept for the E15 ablation: disseminate
-		// before persisting. If the backup crashes between two of these
-		// sends, one peer holds a durable outcome the backup's own stable
-		// storage never recorded — on recovery the backup decides from w,
-		// aborts, and atomicity splits. durcheck flags this shape as
-		// dur-send; the suppressions below keep the ablation compiling
-		// against a clean lint run.
-		for _, p := range t.peers {
-			if p != h.id {
-				//lint:allow rt-sendorder E15 ablation deliberately disseminates before the decide transition; the conformance runs never enable UnsafeTermination
-				h.send(p, kind, txnMsg{Txn: txn}) //dur:ignore E15 ablation deliberately preserves the unsafe disseminate-before-persist ordering behind Config.UnsafeTermination
-			}
-		}
-		h.decide(txn, d, CauseTerminate)
-		return
-	}
 	// Write-ahead rule: persist the decision locally (decide) BEFORE any
 	// peer can learn it. The original ordering disseminated first — the
-	// violation durcheck was built to catch (see Config.UnsafeTermination).
+	// violation durcheck was built to catch, kept as the unsafe termination
+	// mutant of internal/mutant.
 	h.decide(txn, d, CauseTerminate)
 	for _, p := range t.peers {
 		if p != h.id {

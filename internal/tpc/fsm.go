@@ -48,8 +48,8 @@ type TraceFunc func(txn string, tr Transition)
 
 // Fig32Table returns the full transition relation of the paper's Fig. 3.2
 // (with the termination protocol's decisions subsuming the cohort timeout
-// arrows — the bare timeout transitions are the NaiveTimeouts special
-// case and map to the same pairs).
+// arrows: a served cohort never takes a bare timeout arrow, and the naive
+// timeouts mutant of internal/mutant, which does, maps to the same pairs).
 func Fig32Table() []Transition {
 	c, h := RoleCoordinator, RoleCohort
 	return []Transition{
@@ -73,7 +73,7 @@ func Fig32Table() []Transition {
 		{h, StateWait, StateAborted, CauseMessage},       // abort received
 		{h, StatePrepared, StateCommitted, CauseMessage}, // commit received
 		{h, StatePrepared, StateAborted, CauseMessage},   // abort received in p2
-		// Cohort timeout transitions (naive) / termination decisions.
+		// Cohort timeout arrows of the figure / termination decisions.
 		{h, StateInitial, StateAborted, CauseTimeout},
 		{h, StateWait, StateAborted, CauseTimeout},
 		{h, StatePrepared, StateCommitted, CauseTimeout},

@@ -204,20 +204,6 @@ type Config struct {
 	// PhaseTimeout is the per-phase timeout; zero derives 4δ from the
 	// network at engine construction.
 	PhaseTimeout rt.Time
-	// NaiveTimeouts, when true, uses the bare Fig. 3.2 timeout
-	// transitions (w2→abort, p2→commit) instead of running the
-	// termination protocol. The model checker shows this is unsafe when
-	// the coordinator fails between prepare sends; it exists for the
-	// E7 ablation.
-	NaiveTimeouts bool
-	// UnsafeTermination, when true, restores the pre-durcheck backup
-	// ordering: the termination decision is disseminated to the peers
-	// BEFORE it is persisted locally. A backup that crashes between two
-	// dissemination sends has then told one peer an outcome its own
-	// stable storage never recorded — the write-ahead violation durcheck
-	// flags statically and the E15 cross-validation exhibits dynamically
-	// as an atomicity split. It exists for that ablation only.
-	UnsafeTermination bool
 	// Deprecated: ScopedParticipants has no effect. The commit protocol
 	// always spans exactly the sites a transaction sent work to; the field
 	// stays declared only because bench/layers.go and bench/tcluster.go

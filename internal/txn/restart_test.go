@@ -579,17 +579,22 @@ func TestSimulatedRestartIsProcessRestart(t *testing.T) {
 			}
 		}
 	}
-	t.Run("memory ahead of disk", unsafeDisseminator)
+	t.Run("memory ahead of disk", crashedBackup)
 	t.Run("batch window", batchWindow)
 }
 
-// The unsafe-termination backup (E15's ablation) tells one peer "commit",
-// is crashed before its second send, and its handler runs on — on a frozen
-// store — to a committed state only its memory holds. Its disk says w, so
-// Fig. 3.2 says abort: the restart must not believe the dead stack.
-func unsafeDisseminator(t *testing.T) {
+// A terminating backup tells one peer "commit" and is crashed before its
+// second send, its handler running on over a frozen store. Whatever that
+// dead stack goes on to do, the restart follows the disk: Fig. 3.2 recovers
+// the state the backup crashed with (w aborts, p and c commit, a aborts),
+// and the backup's data holds the write exactly when it commits. The served
+// backup decides — durably — before it sends, so it restarts committed; the
+// unsafe termination mutant (internal/mutant) sends first, its disk says w,
+// and it restarts into an abort. Both pass: the restart never believes
+// the dead stack.
+func crashedBackup(t *testing.T) {
 	net := simnet.New(sim.NewScheduler(1), simnet.DefaultOptions())
-	c, err := NewShardedClusterOn(net, 3, tpc.Config{UnsafeTermination: true}, 1)
+	c, err := NewShardedClusterOn(net, 3, tpc.Config{}, 1)
 	mustOK(t, err)
 	backup, peer, last := c.SiteIDs[0], c.SiteIDs[1], c.SiteIDs[2]
 	// The coordinator dies between two prepares and the backup's own was
@@ -607,17 +612,22 @@ func unsafeDisseminator(t *testing.T) {
 	mustOK(t, c.Master.Submit("T", ops, nil))
 	net.Scheduler().RunUntil(2000)
 	st, _ := net.Store(backup)
-	if got, _ := st.Get("tpc/T/state"); net.Up(backup) || string(got) != "w" || c.Sites[peer].Decision("T") != tpc.DecisionCommit {
-		t.Fatalf("staging: backup up=%v with %q on disk, peer decided %s; want a dead backup in w and a committed peer",
-			net.Up(backup), got, c.Sites[peer].Decision("T"))
+	raw, _ := st.Get("tpc/T/state")
+	if net.Up(backup) || c.Sites[peer].Decision("T") != tpc.DecisionCommit {
+		t.Fatalf("staging: backup up=%v with %q on disk, peer decided %s; want a dead backup and a committed peer",
+			net.Up(backup), raw, c.Sites[peer].Decision("T"))
+	}
+	crashedIn, err := tpc.ParseState(string(raw))
+	mustOK(t, err)
+	want, wantX := tpc.DecisionAbort, ""
+	if crashedIn.Committable() {
+		want, wantX = tpc.DecisionCommit, "1"
 	}
 	net.OnSend = nil
 	mustOK(t, net.Recover(backup))
-	if got, _ := st.Get("tpc/T/state"); string(got) != "a" {
-		t.Fatalf("backup restarted from a durable w into %q, want a", got)
-	}
-	if d, err := tpc.DurableDecision(st, "T"); err != nil || d != tpc.DecisionAbort {
-		t.Fatalf("backup's durable decision = %s, %v; want abort", d, err)
+	if d, err := tpc.DurableDecision(st, "T"); err != nil || d != want || c.Sites[backup].Store.Read("x") != wantX {
+		t.Fatalf("backup crashed in %s and restarted to %s (%v) with x=%q; want %s with x=%q",
+			crashedIn, d, err, c.Sites[backup].Store.Read("x"), want, wantX)
 	}
 }
 
