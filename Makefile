@@ -22,8 +22,10 @@ race:
 # declared only for bench/ — tpc.Config.ScopedParticipants and
 # (*stable.Store).SetGroupCommit — from growing a reader or a caller
 # before they are deleted. The served binary must not link the mutant
-# runner, which shells out to the go tool.
+# runner, which shells out to the go tool. Every Go file, bench/ included,
+# must be gofmt-clean.
 lint:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	! $(GO) list -deps ./cmd/tpcserve | grep -x 'speccat/internal/mutant'
 	! grep -rn 'ScopedParticipants' --include='*.go' . | grep -v '^./bench/' | grep -v 'internal/tpc/tpc.go'
@@ -86,13 +88,21 @@ lint:
 # judges several mutants in one call, each gate's control once, a package's
 # gates in one go test and the lint gates in one speccatlint run (+58),
 # less conformance's golden reading and naive sweep (-18).
+# The allocation-light given-clause loop raised two and lowered one: PROOF
+# 6364 -> 6382, the key encoder that writes into a reused buffer and sorts
+# literal spans in place, with the sort bytes that make the duplicate key
+# sort-aware, and Subst's shared argument walk that allocates only on the
+# first changed argument (+18); REST 3490 -> 3495, exactly the two prover
+# catalogue entries' own lines (sort-blind key, key literals unsorted);
+# SERVING 2002 -> 2001, the live timer's cancelled flag paid for by a
+# shorter finish and Cancel.
 ANALYSIS_LOC_BUDGET = 6433
 STACK_LOC_BUDGET = 4177
 HARNESS_LOC_BUDGET = 2810
-SERVING_LOC_BUDGET = 2002
+SERVING_LOC_BUDGET = 2001
 TOOLS_LOC_BUDGET = 1485
-PROOF_LOC_BUDGET = 6364
-REST_LOC_BUDGET = 3490
+PROOF_LOC_BUDGET = 6382
+REST_LOC_BUDGET = 3495
 loc_count = find $(1) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
 loc:
 	@a=$$($(call loc_count,internal/analysis)); \

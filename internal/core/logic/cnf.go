@@ -1,8 +1,10 @@
 package logic
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -54,59 +56,65 @@ func (c *Clause) String() string {
 }
 
 // Canonical returns a normalized string key for the clause under variable
-// renaming: variables are numbered in order of first occurrence and literals
-// are sorted. Used for subsumption-by-identity and duplicate elimination.
-func (c *Clause) Canonical() string {
-	next := 0
-	names := map[string]string{}
-	lits := make([]string, len(c.Literals))
-	for i, l := range c.Literals {
-		lits[i] = canonLiteral(l, names, &next)
-	}
-	sort.Strings(lits)
-	return strings.Join(lits, " | ")
-}
+// renaming: variables are numbered in order of first occurrence, every
+// variable, constant and function symbol carries its sort, and literals are
+// sorted. Used for subsumption-by-identity and duplicate elimination.
+func (c *Clause) Canonical() string { return string(c.AppendCanonical(nil)) }
 
-func canonLiteral(l Literal, names map[string]string, next *int) string {
-	var b strings.Builder
-	if l.Negated {
-		b.WriteByte('~')
+// AppendCanonical appends the clause's Canonical key to dst and returns the
+// extended buffer. Each literal is encoded into dst's tail, the spans are
+// sorted, and the joined key replaces them, so a caller that reuses dst
+// encodes a clause without allocating.
+func (c *Clause) AppendCanonical(dst []byte) []byte {
+	// Stack room for the variable numbering (vars[i] is numbered i) and for
+	// the literal spans of a clause within the prover's default limits.
+	var varsArr [16]string
+	var spansArr [24]struct{ lo, hi int }
+	buf, vars, spans := dst, varsArr[:0], spansArr[:0]
+	for _, l := range c.Literals {
+		lo := len(buf)
+		if l.Negated {
+			buf = append(buf, '~')
+		}
+		buf, vars = appendCanonArgs(append(buf, l.Atom.Name...), vars, l.Atom.Args)
+		spans = append(spans, struct{ lo, hi int }{lo, len(buf)})
 	}
-	b.WriteString(l.Atom.Name)
-	b.WriteByte('(')
-	for i, a := range l.Atom.Args {
+	start, mid := len(dst), len(buf)
+	slices.SortFunc(spans, func(a, b struct{ lo, hi int }) int { return bytes.Compare(buf[a.lo:a.hi], buf[b.lo:b.hi]) })
+	for i, s := range spans {
 		if i > 0 {
-			b.WriteByte(',')
+			buf = append(buf, " | "...)
 		}
-		canonTerm(a, names, next, &b)
+		buf = append(buf, buf[s.lo:s.hi]...)
 	}
-	b.WriteByte(')')
-	return b.String()
+	return buf[:start+copy(buf[start:], buf[mid:])]
 }
 
-func canonTerm(t *Term, names map[string]string, next *int, b *strings.Builder) {
-	switch t.Kind {
-	case KindVar:
-		n, ok := names[t.Name]
-		if !ok {
-			n = fmt.Sprintf("V%d", *next)
-			*next++
-			names[t.Name] = n
+// appendCanonArgs encodes a parenthesized argument list for
+// AppendCanonical: a variable as 'V' and its first-occurrence number in
+// vars, every term followed by ':' and its sort.
+func appendCanonArgs(buf []byte, vars []string, args []*Term) ([]byte, []string) {
+	buf = append(buf, '(')
+	for i, t := range args {
+		if i > 0 {
+			buf = append(buf, ',')
 		}
-		b.WriteString(n)
-	case KindConst:
-		b.WriteString(t.Name)
-	case KindApp:
-		b.WriteString(t.Name)
-		b.WriteByte('(')
-		for i, a := range t.Args {
-			if i > 0 {
-				b.WriteByte(',')
+		if t.Kind == KindVar {
+			n := slices.Index(vars, t.Name)
+			if n < 0 {
+				n = len(vars)
+				vars = append(vars, t.Name)
 			}
-			canonTerm(a, names, next, b)
+			buf = strconv.AppendInt(append(buf, 'V'), int64(n), 10)
+		} else {
+			buf = append(buf, t.Name...)
 		}
-		b.WriteByte(')')
+		buf = append(append(buf, ':'), t.Sort...)
+		if t.Kind == KindApp {
+			buf, vars = appendCanonArgs(buf, vars, t.Args)
+		}
 	}
+	return append(buf, ')'), vars
 }
 
 // RenameVars returns a copy of the clause with every variable renamed using

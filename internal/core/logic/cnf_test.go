@@ -129,6 +129,33 @@ func TestClauseCanonicalStableUnderRenaming(t *testing.T) {
 	}
 }
 
+// TestClauseCanonicalKey pins the key's bytes: variables numbered by first
+// occurrence, ':' and the sort after every term, literals sorted, and an
+// appended key that leaves the buffer's prefix alone.
+func TestClauseCanonicalKey(t *testing.T) {
+	c := &Clause{Literals: []Literal{
+		{Negated: true, Atom: Pred("Q", Var("y", ""))},
+		{Atom: Pred("P", Var("x", "S"), App("f", "T", Var("y", ""), Const("c", "U")))},
+	}}
+	want := "P(V1:S,f:T(V0:,c:U)) | ~Q(V0:)"
+	if got := c.Canonical(); got != want {
+		t.Errorf("Canonical = %q, want %q", got, want)
+	}
+	if got := string(c.AppendCanonical([]byte("key="))); got != "key="+want {
+		t.Errorf("AppendCanonical = %q, want %q", got, "key="+want)
+	}
+}
+
+// TestClausifyKeepsClausesDifferingInSort: P(x:S) and the more general
+// P(y) are distinct clauses, so clausification must keep both.
+func TestClausifyKeepsClausesDifferingInSort(t *testing.T) {
+	x, y := Var("x", "S"), Var("y", "")
+	f := And(Forall([]*Term{x}, Pred("P", x)), Forall([]*Term{y}, Pred("P", y)))
+	if cs := Clausify(f); len(cs) != 2 {
+		t.Fatalf("want 2 clauses, got %v", cs)
+	}
+}
+
 func TestSimplifyClause(t *testing.T) {
 	p := Pred("P", Const("c", ""))
 	dup := &Clause{Literals: []Literal{{Atom: p}, {Atom: p.Clone()}}}

@@ -17,11 +17,12 @@ func (s Subst) Apply(t *Term) *Term {
 	switch t.Kind {
 	case KindVar:
 		// Chase chains v -> u -> ... created by incremental unification.
-		// A seen-set guards against identity or cyclic bindings so Apply
-		// terminates on any map, not just ones produced by Unify.
-		seen := map[string]bool{t.Name: true}
+		// An acyclic chain follows at most len(s) bindings, so a longer one
+		// is an identity or cyclic binding: stopping there makes Apply
+		// terminate on any variable-to-variable cycle, not just on maps
+		// produced by Unify.
 		cur := t
-		for {
+		for range len(s) + 1 {
 			r, ok := s[cur.Name]
 			if !ok {
 				return cur
@@ -29,30 +30,37 @@ func (s Subst) Apply(t *Term) *Term {
 			if r.Kind != KindVar {
 				return s.Apply(r)
 			}
-			if seen[r.Name] {
-				return r
-			}
-			seen[r.Name] = true
 			cur = r
 		}
+		return cur
 	case KindConst:
 		return t
 	case KindApp:
-		args := make([]*Term, len(t.Args))
-		changed := false
-		for i, a := range t.Args {
-			args[i] = s.Apply(a)
-			if args[i] != a {
-				changed = true
-			}
-		}
-		if !changed {
+		args := s.applyArgs(t.Args)
+		if args == nil {
 			return t
 		}
 		return &Term{Kind: KindApp, Name: t.Name, Sort: t.Sort, Args: args}
 	default:
 		return t
 	}
+}
+
+// applyArgs applies the substitution to each argument. It returns nil when
+// no argument changes, and allocates the new list only at the first change.
+func (s Subst) applyArgs(args []*Term) []*Term {
+	var out []*Term
+	for i, a := range args {
+		b := s.Apply(a)
+		if b != a && out == nil {
+			out = make([]*Term, len(args))
+			copy(out, args[:i])
+		}
+		if out != nil {
+			out[i] = b
+		}
+	}
+	return out
 }
 
 // ApplyFormula applies the substitution to every term in the formula.
@@ -65,11 +73,11 @@ func (s Subst) ApplyFormula(f *Formula) *Formula {
 	}
 	switch f.Kind {
 	case KindPred, KindEq:
-		c := &Formula{Kind: f.Kind, Name: f.Name, Args: make([]*Term, len(f.Args))}
-		for i, a := range f.Args {
-			c.Args[i] = s.Apply(a)
+		args := s.applyArgs(f.Args)
+		if args == nil {
+			return f // formulas are immutable: an unchanged atom is shared
 		}
-		return c
+		return &Formula{Kind: f.Kind, Name: f.Name, Args: args}
 	case KindForall, KindExists:
 		inner := make(Subst, len(s))
 		for k, v := range s {

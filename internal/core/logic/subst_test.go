@@ -148,3 +148,17 @@ func TestUnifyReflexiveProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyTerminatesOnCyclicSubst pins that Apply stops on identity and
+// cyclic variable bindings, which Unify never builds but a caller may.
+func TestApplyTerminatesOnCyclicSubst(t *testing.T) {
+	x, y := Var("x", ""), Var("y", "")
+	for _, s := range []Subst{{"x": x}, {"x": y, "y": x}} {
+		if got := s.Apply(x); !got.IsVar() {
+			t.Errorf("%s applied to x = %s, want a variable", s, got)
+		}
+		if got := s.Apply(App("f", "", x, y)); got.Kind != KindApp || !got.Args[0].IsVar() || !got.Args[1].IsVar() {
+			t.Errorf("%s applied to f(x, y) = %s, want f of two variables", s, got)
+		}
+	}
+}

@@ -6,8 +6,8 @@
 //
 // The search uses the given-clause algorithm with a set-of-support strategy
 // (clauses descending from the negated conjecture are preferred), unit
-// preference, and subsumption by canonical identity. Limits bound the search
-// so a failed proof attempt terminates.
+// preference, and duplicate elimination by sort-aware canonical identity.
+// Limits bound the search so a failed proof attempt terminates.
 package prover
 
 import (
@@ -217,7 +217,8 @@ type searchState struct {
 	active      []int           // indices of processed clauses
 	renamed     []*logic.Clause // active[i]'s clause, standardized apart once
 	queue       []int           // indices of unprocessed clauses
-	seen        map[string]int
+	seen        map[string]int  // canonical key -> step index
+	key         []byte          // addClause's reused key buffer
 	stats       Stats
 	emptyIdx    int
 }
@@ -251,15 +252,16 @@ func (st *searchState) addClause(c *logic.Clause, rule string, parents []int, or
 		}
 		size += sz
 	}
-	key := c.Canonical()
-	if _, dup := st.seen[key]; dup {
+	// The lookup converts without allocating; only an insert copies the key.
+	st.key = c.AppendCanonical(st.key[:0])
+	if _, dup := st.seen[string(st.key)]; dup {
 		return -1
 	}
 	if len(st.steps) >= st.limits.MaxClauses {
 		return -1
 	}
 	idx := len(st.steps)
-	st.seen[key] = idx
+	st.seen[string(st.key)] = idx
 	st.steps = append(st.steps, ProofStep{Index: idx, Clause: c, Rule: rule, Parents: parents, Origin: origin})
 	st.sos = append(st.sos, sos)
 	st.size = append(st.size, size)
@@ -402,7 +404,7 @@ func resolvents(a, b *logic.Clause) []*logic.Clause {
 			if !ok {
 				continue
 			}
-			var lits []logic.Literal
+			lits := make([]logic.Literal, 0, len(a.Literals)+len(b.Literals)-2)
 			for k, l := range a.Literals {
 				if k != i {
 					lits = append(lits, l.Apply(s))
@@ -413,7 +415,7 @@ func resolvents(a, b *logic.Clause) []*logic.Clause {
 					lits = append(lits, l.Apply(s))
 				}
 			}
-			if c := simplify(&logic.Clause{Literals: lits}); c != nil {
+			if c := simplify(lits); c != nil {
 				out = append(out, c)
 			}
 		}
@@ -435,14 +437,13 @@ func factors(c *logic.Clause) []*logic.Clause {
 			if !ok {
 				continue
 			}
-			var lits []logic.Literal
+			lits := make([]logic.Literal, 0, len(c.Literals)-1)
 			for k, l := range c.Literals {
-				if k == j {
-					continue
+				if k != j {
+					lits = append(lits, l.Apply(s))
 				}
-				lits = append(lits, l.Apply(s))
 			}
-			if f := simplify(&logic.Clause{Literals: lits}); f != nil {
+			if f := simplify(lits); f != nil {
 				out = append(out, f)
 			}
 		}
@@ -450,10 +451,11 @@ func factors(c *logic.Clause) []*logic.Clause {
 	return out
 }
 
-// simplify removes duplicate literals; returns nil for tautologies.
-func simplify(c *logic.Clause) *logic.Clause {
-	var out []logic.Literal
-	for _, l := range c.Literals {
+// simplify removes duplicate literals, compacting lits in place, and
+// returns them as a clause; it returns nil for tautologies.
+func simplify(lits []logic.Literal) *logic.Clause {
+	out := lits[:0]
+	for _, l := range lits {
 		dup := false
 		for _, m := range out {
 			if l.Negated == m.Negated && l.Atom.Equal(m.Atom) {

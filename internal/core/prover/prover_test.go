@@ -332,3 +332,49 @@ func TestDefaultLimitsHaveTimeout(t *testing.T) {
 		t.Fatal("DefaultLimits().Timeout must be non-zero")
 	}
 }
+
+// TestDuplicateKeyIsSortAware pins that duplicate elimination compares
+// sorts: the unsorted P(y) is more general than the sorted P(x:S), so
+// neither may be dropped as the other's duplicate, whichever comes first.
+// Renaming a variable still yields the same key.
+func TestDuplicateKeyIsSortAware(t *testing.T) {
+	x, y := logic.Var("x", "S"), logic.Var("y", "")
+	sorted := nf("sorted", logic.Forall([]*logic.Term{x}, logic.Pred("P", x)))
+	unsorted := nf("unsorted", logic.Forall([]*logic.Term{y}, logic.Pred("P", y)))
+	goal := nf("goal", logic.Pred("P", logic.Const("c", "T")))
+	mustProve(t, []NamedFormula{sorted, unsorted}, goal)
+	mustProve(t, []NamedFormula{unsorted, sorted}, goal)
+
+	unit := func(v *logic.Term) *logic.Clause {
+		return &logic.Clause{Literals: []logic.Literal{{Atom: logic.Pred("P", v)}}}
+	}
+	if a, b := unit(x).Canonical(), unit(logic.Var("z", "S")).Canonical(); a != b {
+		t.Errorf("P(x:S) and P(z:S) keys differ: %q vs %q", a, b)
+	}
+	if a, b := unit(x).Canonical(), unit(y).Canonical(); a == b {
+		t.Errorf("P(x:S) and P(y) share the key %q", a)
+	}
+}
+
+// TestDuplicateClauseDoesNotAllocate pins the duplicate path of addClause:
+// the key is built in the search state's reused buffer and looked up
+// without converting it to a string.
+func TestDuplicateClauseDoesNotAllocate(t *testing.T) {
+	x, y := logic.Var("x", "S"), logic.Var("y", "")
+	c := &logic.Clause{Literals: []logic.Literal{
+		{Atom: logic.Pred("P", x, logic.App("f", "S", y, logic.Const("c", "S")))},
+		{Negated: true, Atom: logic.Pred("Q", y, x)},
+	}}
+	st := &searchState{limits: DefaultLimits(), seen: map[string]int{}}
+	if idx := st.addClause(c, "input", nil, "", false); idx != 0 {
+		t.Fatalf("first addClause = %d, want 0", idx)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if st.addClause(c, "input", nil, "", false) != -1 {
+			t.Fatal("duplicate clause was retained")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("addClause of a duplicate allocates %v times, want 0", allocs)
+	}
+}

@@ -228,8 +228,8 @@ type declSite struct {
 }
 
 type linter struct {
-	file      string
-	env       map[string]*binding
+	file       string
+	env        map[string]*binding
 	used       map[string]bool // symbol names referenced anywhere
 	sortDecls  []declSite
 	opDecls    []declSite

@@ -97,6 +97,11 @@ func Catalogue() []Mutant {
 		// prover: given-clause selection without the size tie-break.
 		{Name: "prover: better without size", Edits: []Edit{{"internal/core/prover/prover.go", "\tif st.size[a] != st.size[b] {\n\t\treturn st.size[a] < st.size[b]\n\t}\n", ""}},
 			Kills: []Gate{Test("./internal/thesis", "TestProofsMatchGolden")}},
+		// prover: the duplicate key blind to sorts, or to literal order.
+		{Name: "prover: sort-blind key", Edits: []Edit{{"internal/core/logic/cnf.go", "\t\tbuf = append(append(buf, ':'), t.Sort...)\n", ""}},
+			Kills: []Gate{Test("./internal/core/prover", "TestDuplicateKeyIsSortAware")}},
+		{Name: "prover: key literals unsorted", Edits: []Edit{{"internal/core/logic/cnf.go", "slices.SortFunc(spans,", "slices.SortFunc(spans[:0],"}},
+			Kills: []Gate{Test("./internal/thesis", "TestProofsMatchGolden")}},
 
 		// tpc: the termination protocol's building blocks, each broken once.
 		{Name: "tpc: backup is the highest participant", Edits: []Edit{{cohortGo, "return ids[i] < ids[j]", "return ids[i] > ids[j]"}},

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"speccat/internal/rt"
@@ -305,27 +306,25 @@ func (t *Net) Deliver(msg rt.Message) error {
 // wallTimer adapts time.Timer to rt.Timer with hand-off to the node
 // loop: the callback is enqueued, not run on the timer goroutine. The
 // once/done pair retires the timer's slot in Net.timerWG exactly once,
-// whether it fires or is cancelled first.
+// whether it fires or is cancelled first. The hand-off re-checks
+// cancelled when it runs, so a Cancel made on the node's loop stops a
+// callback that fired and was enqueued before it.
 type wallTimer struct {
-	t    *time.Timer
-	once sync.Once
-	done func()
+	t         *time.Timer
+	once      sync.Once
+	done      func()
+	cancelled atomic.Bool
 }
 
 // finish retires the timer's in-flight accounting exactly once.
-func (w *wallTimer) finish() {
-	if w.done != nil {
-		w.once.Do(w.done)
-	}
-}
+func (w *wallTimer) finish() { w.once.Do(w.done) }
 
 func (w *wallTimer) Cancel() {
 	if w == nil || w.t == nil {
 		return
 	}
-	if w.t.Stop() {
-		// Stopped before firing: the hand-off callback will never run, so
-		// retire the in-flight slot on its behalf.
+	w.cancelled.Store(true)
+	if w.t.Stop() { // before firing: the hand-off never runs, so retire its slot
 		w.finish()
 	}
 }
@@ -361,9 +360,9 @@ func (t *Net) After(id rt.NodeID, d rt.Time, fn func()) rt.Timer {
 	w := &wallTimer{done: t.timerWG.Done}
 	w.t = time.AfterFunc(time.Duration(d)*t.opts.Tick, func() { //lint:allow nowallclock live runtime adapter: the wall clock IS this runtime's clock source
 		n.enqueue(func() {
-			// Execution-time closed check: a timer callback that was already
-			// sitting in the mailbox when Close began must not fire.
-			if t.isClosed() {
+			// Execution-time checks: a timer callback that was already sitting
+			// in the mailbox when Close began, or when Cancel ran, must not fire.
+			if t.isClosed() || w.cancelled.Load() {
 				return
 			}
 			fn()

@@ -73,10 +73,22 @@ func TestLiveTimerFiresOnLoop(t *testing.T) {
 		t.Fatal("timer never fired")
 	}
 
-	// A cancelled timer must not fire.
-	stop := net.After(1, 1, func() { t.Error("cancelled timer fired") })
-	stop.Cancel()
-	time.Sleep(5 * time.Millisecond)
+	// A timer cancelled on its node's loop, as the engines cancel, must not
+	// fire, even when its callback already sits in the mailbox: the loop
+	// waits for every wall timer's hand-off before it cancels.
+	done := make(chan struct{})
+	net.After(1, 0, func() {
+		stop := net.After(1, 1, func() { t.Error("cancelled timer fired") })
+		for pending := 1; pending > 0; time.Sleep(100 * time.Microsecond) {
+			net.timerMu.Lock()
+			pending = len(net.timers)
+			net.timerMu.Unlock()
+		}
+		stop.Cancel()
+		// Enqueued behind the cancelled callback, so it runs after it.
+		net.After(1, 0, func() { close(done) })
+	})
+	<-done
 }
 
 // TestCloseJoinsAfterCallbacks pins the shutdown-ordering contract: once

@@ -367,7 +367,7 @@ func TestSharedTracerOrder(t *testing.T) {
 
 	const perSender = 50
 	var wg sync.WaitGroup
-	wg.Add(4 * perSender) // each node hears itself and its peer
+	wg.Add(4 * perSender)                             // each node hears itself and its peer
 	ran := map[rt.NodeID]*[]testPayload{1: {}, 2: {}} // each slice is touched only on its node's loop
 	for id, n := range nets {
 		log := ran[id]
