@@ -15,7 +15,7 @@ race:
 # the fsmcheck protocol extraction, the durcheck durability-ordering
 # analysis, the portcheck runtime-boundary/state-confinement analysis,
 # the commcheck commutativity lock-mode analysis and the lockcheck
-# 2PL/lock-order analysis over the whole module, the spec linter over the
+# 2PL analysis over the whole module, the spec linter over the
 # thesis corpus and the commutativity spec, and the generated-FSM-docs
 # staleness gate. Every layer runs by default; speccatlint -only <layer>
 # reruns any single layer in isolation. The greps keep the two inert names
@@ -96,13 +96,21 @@ lint:
 # catalogue entries' own lines (sort-blind key, key literals unsorted);
 # SERVING 2002 -> 2001, the live timer's cancelled flag paid for by a
 # shorter finish and Cancel.
-ANALYSIS_LOC_BUDGET = 6433
-STACK_LOC_BUDGET = 4177
-HARNESS_LOC_BUDGET = 2810
+# The no-wait lock manager (a conflicting request is refused, never
+# queued) lowered five: ANALYSIS 6433 -> 5856 (lockcheck's lock-order
+# rule and the flow walker's loop hook and must-join value test it alone
+# used; portcheck's send-order rule, dominated in the kill matrix), STACK
+# 4177 -> 3996 (locking's wait queue, pump, waits-for detector and
+# counters; kvstore's five unreachable error arms), HARNESS 2810 -> 2790
+# (E20's mutant arms), TOOLS 1485 -> 1479 (tpcverify's printing of
+# them), REST 3495 -> 3457 (four catalogue entries and their edits).
+ANALYSIS_LOC_BUDGET = 5856
+STACK_LOC_BUDGET = 3996
+HARNESS_LOC_BUDGET = 2790
 SERVING_LOC_BUDGET = 2001
-TOOLS_LOC_BUDGET = 1485
+TOOLS_LOC_BUDGET = 1479
 PROOF_LOC_BUDGET = 6382
-REST_LOC_BUDGET = 3495
+REST_LOC_BUDGET = 3457
 loc_count = find $(1) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
 loc:
 	@a=$$($(call loc_count,internal/analysis)); \

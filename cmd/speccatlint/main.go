@@ -12,21 +12,18 @@
 //     //dur:volatile writes dominated by some durable write.
 //   - port: runtime-boundary + state-confinement analysis
 //     (internal/analysis/portcheck): //rt:engine
-//     packages speak only the rt interfaces, handler state stays confined
-//     to its event loop, and //dur:requires sends follow the in-memory
-//     transition they advertise.
+//     packages speak only the rt interfaces, and handler state stays
+//     confined to its event loop.
 //   - comm: commutativity-derived lock modes (internal/analysis/commcheck):
 //     the //comm:matrix compatibility table must match
 //     the prover-discharged Safe theorems of its spec byte for byte, and
 //     every //comm:op site must acquire exactly its class's derived mode
 //     (comm-matrix, comm-overlock, comm-underlock, comm-extract).
-//   - lock: two-phase-locking / cross-shard lock-order dataflow
-//     (internal/analysis/lockcheck): every handler-reachable
-//     locking.Manager call site must grow before it shrinks, release on every
-//     return path, keep acquisitions out of SyncThen continuations and after
-//     the wal decision record, and acquire across shards in canonical
-//     ascending order (lock-twophase, lock-leak, lock-order, lock-hold,
-//     lock-extract).
+//   - lock: two-phase-locking dataflow (internal/analysis/lockcheck):
+//     every handler-reachable locking.Manager call site must grow before
+//     it shrinks, release on every return path, and keep acquisitions out
+//     of SyncThen continuations and releases after the wal decision record
+//     (lock-twophase, lock-leak, lock-hold, lock-extract).
 //   - spec: the spec/diagram linter (internal/core/speclint) over .sw
 //     files: undeclared symbols, arity mismatches, duplicate axioms,
 //     morphism totality pre-checks, prove/using consistency, diagram shape.

@@ -8,9 +8,10 @@ import (
 // TestRunDischargesCorpusOnce counts the corpus results run produces: a
 // run of every experiment, which prints five proof experiments (E4–E6, E9,
 // E14), discharges p1..p5 once and hands all five the same result set; a
-// selection with no proof experiment discharges nothing. E11, E15, E18 and
-// E20 are left out: they judge mutants in copies of the module through the
-// go tool, and internal/mutant's TestCatalogue pins those verdicts.
+// selection with no proof experiment discharges nothing. E11, E15 and E18
+// are left out: they judge mutants in copies of the module through the go
+// tool, and internal/mutant's TestCatalogue pins those verdicts. E20 loads
+// the module's source; its own test pins it.
 func TestRunDischargesCorpusOnce(t *testing.T) {
 	for _, tc := range []struct {
 		only string

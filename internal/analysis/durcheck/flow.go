@@ -27,7 +27,7 @@ func (s *flowState) Clone() *flowState {
 }
 
 func (s *flowState) Join(live []*flowState, at []token.Pos) {
-	s.avail = analysis.JoinMust(analysis.Project(live, func(b *flowState) analysis.Must[bool] { return b.avail }), at, nil)
+	s.avail = analysis.JoinMust(analysis.Project(live, func(b *flowState) analysis.Must[bool] { return b.avail }), at)
 }
 
 func (s *flowState) gen(classes ...string) {

@@ -46,9 +46,6 @@ type Flow[S FlowState[S]] struct {
 	// Return, when set, sees every return statement of the function
 	// itself (not of its closures) after its results were evaluated.
 	Return func(pos token.Pos, s S)
-	// Loop, when set, sees every for and range statement on entry, before
-	// its body is walked.
-	Loop func(loop ast.Stmt, s S)
 	// Store, when set, sees every assignment or inc/dec through an index
 	// expression: target is the indexed collection.
 	Store func(target ast.Expr, pos token.Pos, s S)
@@ -130,9 +127,6 @@ func (f *Flow[S]) stmt(st ast.Stmt, s S) {
 	case *ast.ForStmt:
 		f.stmt(v.Init, s)
 		f.expr(v.Cond, s)
-		if f.Loop != nil {
-			f.Loop(v, s)
-		}
 		// The loop may run zero times: the out-state is the in-state;
 		// statements inside are checked against the evolving body state.
 		body := s.Clone()
@@ -140,9 +134,6 @@ func (f *Flow[S]) stmt(st ast.Stmt, s S) {
 		f.stmt(v.Post, body)
 	case *ast.RangeStmt:
 		f.expr(v.X, s)
-		if f.Loop != nil {
-			f.Loop(v, s)
-		}
 		f.Block(v.Body.List, s.Clone())
 	case *ast.ReturnStmt:
 		for _, r := range v.Results {
@@ -278,14 +269,13 @@ func (m Must[V]) Clone() Must[V] {
 }
 
 // JoinMust intersects the live branches' sets: a fact survives when every
-// branch has it and — with a non-nil same — all agree on its value (the
-// first branch's value is kept).
-func JoinMust[V any](live []Must[V], at []token.Pos, same func(a, b V) bool) Must[V] {
+// branch has it (the first branch's value is kept).
+func JoinMust[V any](live []Must[V], at []token.Pos) Must[V] {
 	out := NewMust[V]()
 	for key, v := range live[0].Has {
 		all := true
 		for _, b := range live[1:] {
-			if o, ok := b.Has[key]; !ok || (same != nil && !same(v, o)) {
+			if _, ok := b.Has[key]; !ok {
 				all = false
 				break
 			}

@@ -104,7 +104,7 @@ func (s *testState) Clone() *testState {
 }
 
 func (s *testState) Join(live []*testState, at []token.Pos) {
-	s.must = analysis.JoinMust(analysis.Project(live, func(b *testState) analysis.Must[bool] { return b.must }), at, nil)
+	s.must = analysis.JoinMust(analysis.Project(live, func(b *testState) analysis.Must[bool] { return b.must }), at)
 	s.may = analysis.JoinMay(analysis.Project(live, func(b *testState) analysis.May[bool] { return b.may }))
 }
 
@@ -120,12 +120,12 @@ func keys[V any](m map[string]V) string {
 // TestFlowSemantics pins the generic dataflow on small synthetic functions:
 // must-intersection vs may-union at if/else, a switch without default, a
 // zero-iteration loop, a branch that returns, and closure / defer bodies
-// analysed against a snapshot — plus the four hook points.
+// analysed against a snapshot — plus the three hook points.
 func TestFlowSemantics(t *testing.T) {
 	pkg := loadSource(t, flowSrc)[0]
 	line := func(p token.Pos) int { return pkg.Fset.Position(p).Line }
 	probes := map[string]string{}
-	var returns, loops, stores, calls []string
+	var returns, stores, calls []string
 	var fn string
 	flow := &analysis.Flow[*testState]{
 		Call: func(c *ast.CallExpr, s *testState) {
@@ -148,7 +148,6 @@ func TestFlowSemantics(t *testing.T) {
 			}
 		},
 		Return: func(pos token.Pos, _ *testState) { returns = append(returns, fmt.Sprintf("%s@%d", fn, line(pos))) },
-		Loop:   func(l ast.Stmt, _ *testState) { loops = append(loops, fmt.Sprintf("%s@%d", fn, line(l.Pos()))) },
 		Store: func(target ast.Expr, _ token.Pos, _ *testState) {
 			stores = append(stores, fn+":"+target.(*ast.Ident).Name)
 		},
@@ -194,9 +193,6 @@ func TestFlowSemantics(t *testing.T) {
 	// The Return hook sees the function's own returns, never a closure's.
 	if got := strings.Join(returns, " "); got != "cond@5 key@6 branchReturns@47 allReturn@55 allReturn@57" {
 		t.Errorf("Return hook saw %q", got)
-	}
-	if got := strings.Join(loops, " "); got != "loop@37" {
-		t.Errorf("Loop hook saw %q", got)
 	}
 	// An indexed store evaluates its index (the key() call) and then
 	// reports the collection; inc/dec through an index is a store too.

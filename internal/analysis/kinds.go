@@ -44,9 +44,9 @@ type KindTable struct {
 	Declaring map[*types.Package]bool
 }
 
-// RequiredKinds extracts the table. seen, when non-nil, is told of every
-// one-argument //dur:requires trailing a constant spec, with the reason
-// it was rejected ("" when it was accepted).
+// RequiredKinds extracts the table. seen is told of every one-argument
+// //dur:requires trailing a constant spec, with the reason it was
+// rejected ("" when it was accepted).
 func RequiredKinds(pkgs []*Package, seen func(d Directive, problem string)) *KindTable {
 	t := &KindTable{
 		Class: map[types.Object]string{}, Value: map[types.Object]string{},
@@ -67,9 +67,7 @@ func RequiredKinds(pkgs []*Package, seen func(d Directive, problem string)) *Kin
 				t.Value[cnst] = constant.StringVal(cnst.Val())
 				t.Declaring[pkg.Types] = true
 			}
-			if seen != nil {
-				seen(d, problem)
-			}
+			seen(d, problem)
 		}
 	})
 	return t

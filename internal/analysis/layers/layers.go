@@ -43,7 +43,7 @@ func Go() []Layer {
 		{Name: "comm", Rules: "comm-*", Run: erase(commcheck.Run),
 			Doc: "commutativity-derived lock modes vs the discharged spec matrix (commcheck)"},
 		{Name: "lock", Rules: "lock-*", Run: erase(lockcheck.Run),
-			Doc: "two-phase-locking / cross-shard lock-order dataflow analysis (lockcheck)"},
+			Doc: "two-phase-locking dataflow analysis (lockcheck)"},
 	}
 }
 

@@ -2,9 +2,7 @@ package lockcheck
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
-	"strings"
 
 	"speccat/internal/analysis"
 )
@@ -38,9 +36,6 @@ type facts struct {
 	// reachesAcquire: directAcquire, or calls (statically or through an
 	// interface) a function that reaches an acquire.
 	reachesAcquire bool
-	// routedAcquire: the body contains a shard-routed acquire-reaching call
-	// (see isRoutedCall), or calls a function that does.
-	routedAcquire bool
 	// syncWrapIdx is the flattened parameter index this function forwards
 	// as the continuation to stable.Store.SyncThen; -1 otherwise.
 	syncWrapIdx int
@@ -55,7 +50,7 @@ func newExtractor(pkgs []*analysis.Package) *extractor {
 }
 
 // extract runs the full pipeline: binding, per-function fact computation,
-// the two reachability closures, and the flow analysis of every function
+// the reachesAcquire closure, and the flow analysis of every function
 // reachable from a root through static and interface-bridged calls.
 func (x *extractor) extract() *Report {
 	for _, fi := range x.funcs.Sorted() {
@@ -77,8 +72,8 @@ func (x *extractor) extract() *Report {
 
 // computeFacts fills the per-function classification fields: direct lock
 // events, deferred releases, wal decision writes, SyncThen forwarding —
-// then runs the two reachability closures (reachesAcquire, routedAcquire)
-// to a fixpoint over static and interface-bridged calls.
+// then closes reachesAcquire to a fixpoint over static and
+// interface-bridged calls.
 func (x *extractor) computeFacts() {
 	for _, fi := range x.funcs.Sorted() {
 		x.computeFuncFacts(fi)
@@ -100,17 +95,6 @@ func (x *extractor) computeFacts() {
 	}
 	x.funcs.Close(func(fi *funcInfo) bool { return fi.Facts.reachesAcquire },
 		func(fi *funcInfo) { fi.Facts.reachesAcquire = true })
-	// routedAcquire closure: seed with bodies containing a base routed
-	// call, then propagate through callers.
-	for _, fi := range x.funcs.Sorted() {
-		fi.EachCall(func(call *ast.CallExpr) {
-			if x.isRoutedCall(fi.Pkg, call) {
-				fi.Facts.routedAcquire = true
-			}
-		})
-	}
-	x.funcs.Close(func(fi *funcInfo) bool { return fi.Facts.routedAcquire },
-		func(fi *funcInfo) { fi.Facts.routedAcquire = true })
 }
 
 func (x *extractor) computeFuncFacts(fi *funcInfo) {
@@ -151,29 +135,6 @@ func (x *extractor) computeFuncFacts(fi *funcInfo) {
 // what one function's call sites share.
 func exprText(e ast.Expr) string { return types.ExprString(analysis.Unparen(e)) }
 
-// isRoutedCall reports whether a call can acquire locks through
-// shard-routed managers: a direct Acquire whose manager expression indexes
-// a collection with a non-constant index, a method on a multi-manager type
-// that reaches an acquire, or an interface-method call with such an
-// implementation in the load.
-func (x *extractor) isRoutedCall(pkg *analysis.Package, call *ast.CallExpr) bool {
-	if isManagerMethod(analysis.ObjOf(pkg, call.Fun), "Acquire") {
-		ie := managerIndexExpr(call)
-		if ie == nil {
-			return false
-		}
-		_, isConst := constIndex(pkg, ie)
-		return !isConst
-	}
-	for _, fi := range x.funcs.Callees(pkg, call) {
-		named := fi.RecvNamed()
-		if named != nil && fi.Facts.reachesAcquire && multiManager(named) {
-			return true
-		}
-	}
-	return false
-}
-
 // countCoverage fills the non-vacuity counters over the analyzed set.
 func (x *extractor) countCoverage(analyzed []*funcInfo) {
 	for _, fi := range analyzed {
@@ -184,9 +145,6 @@ func (x *extractor) countCoverage(analyzed []*funcInfo) {
 				x.rep.AcquireSites++
 			case isManagerMethod(obj, "Release", "ReleaseAll"):
 				x.rep.ReleaseSites++
-			}
-			if x.isRoutedCall(fi.Pkg, call) {
-				x.rep.RoutedCalls++
 			}
 			if x.syncThenCont(fi.Pkg, call) != nil {
 				x.rep.SyncThenSites++
@@ -213,7 +171,7 @@ func (x *extractor) syncThenCont(pkg *analysis.Package, call *ast.CallExpr) *ast
 	return lit
 }
 
-// --- object and type classification helpers --------------------------------
+// --- object classification helpers -------------------------------------------
 
 // isManagerMethod recognizes the locking.Manager lock-event API.
 func isManagerMethod(obj types.Object, names ...string) bool {
@@ -229,90 +187,4 @@ func isWalDecision(obj types.Object) bool {
 // isSyncThen recognizes the stable.Store durability-wait primitive.
 func isSyncThen(obj types.Object) bool {
 	return analysis.IsMethodOn(obj, "internal/stable", "Store", "SyncThen")
-}
-
-// ownsManager reports whether t (a named struct, possibly behind a
-// pointer) embeds its own locking.Manager — the single-manager shape.
-func ownsManager(t types.Type) bool {
-	st := underlyingStruct(t)
-	if st == nil {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if named := analysis.NamedOf(st.Field(i).Type()); named != nil {
-			tn := named.Obj()
-			if tn.Name() == "Manager" && tn.Pkg() != nil && strings.HasSuffix(tn.Pkg().Path(), "internal/locking") {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// multiManager reports whether t routes between several lock managers: a
-// struct with a slice, array or map of manager-owning elements. This is
-// the shape whose per-element deadlock detectors are mutually blind.
-func multiManager(t types.Type) bool {
-	st := underlyingStruct(t)
-	if st == nil {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		var elem types.Type
-		switch ft := st.Field(i).Type().Underlying().(type) {
-		case *types.Slice:
-			elem = ft.Elem()
-		case *types.Array:
-			elem = ft.Elem()
-		case *types.Map:
-			elem = ft.Elem()
-		default:
-			continue
-		}
-		if ownsManager(elem) {
-			return true
-		}
-	}
-	return false
-}
-
-func underlyingStruct(t types.Type) *types.Struct {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	st, _ := t.Underlying().(*types.Struct)
-	return st
-}
-
-// managerIndexExpr walks the selector chain of a manager-method call's
-// receiver expression and returns the first index expression in it
-// (s.shards[i].locks → s.shards[i]), nil when the chain has none.
-func managerIndexExpr(call *ast.CallExpr) *ast.IndexExpr {
-	sel, ok := analysis.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	e := sel.X
-	for {
-		switch v := analysis.Unparen(e).(type) {
-		case *ast.SelectorExpr:
-			e = v.X
-		case *ast.IndexExpr:
-			return v
-		case *ast.CallExpr:
-			return managerIndexExpr(v)
-		default:
-			return nil
-		}
-	}
-}
-
-// constIndex evaluates an index expression's index to a constant int.
-func constIndex(pkg *analysis.Package, ie *ast.IndexExpr) (int, bool) {
-	tv, ok := pkg.Info.Types[ie.Index]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
-		return 0, false
-	}
-	v, exact := constant.Int64Val(tv.Value)
-	return int(v), exact
 }

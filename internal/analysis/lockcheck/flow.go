@@ -3,7 +3,6 @@ package lockcheck
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 
@@ -26,37 +25,26 @@ type lockState struct {
 	// durable marks transactions whose wal decision record was written —
 	// MUST analysis, consumed by the release-before-durable rule.
 	durable analysis.Must[bool]
-	// lastShard tracks the last constant shard index a transaction
-	// acquired through — kept at joins only when all live branches agree.
-	lastShard analysis.Must[shardAt]
-}
-
-type shardAt struct {
-	idx int
-	pos token.Pos
 }
 
 func (s *lockState) Clone() *lockState {
 	return &lockState{
-		Term:      s.Term,
-		acquired:  s.acquired.Clone(),
-		released:  s.released.Clone(),
-		durable:   s.durable.Clone(),
-		lastShard: s.lastShard.Clone(),
+		Term:     s.Term,
+		acquired: s.acquired.Clone(),
+		released: s.released.Clone(),
+		durable:  s.durable.Clone(),
 	}
 }
 
 func (s *lockState) Join(live []*lockState, at []token.Pos) {
 	s.acquired = analysis.JoinMay(analysis.Project(live, func(b *lockState) analysis.May[token.Pos] { return b.acquired }))
-	s.released = analysis.JoinMust(analysis.Project(live, func(b *lockState) analysis.Must[token.Pos] { return b.released }), at, nil)
-	s.durable = analysis.JoinMust(analysis.Project(live, func(b *lockState) analysis.Must[bool] { return b.durable }), at, nil)
-	s.lastShard = analysis.JoinMust(analysis.Project(live, func(b *lockState) analysis.Must[shardAt] { return b.lastShard }), at,
-		func(a, b shardAt) bool { return a.idx == b.idx })
+	s.released = analysis.JoinMust(analysis.Project(live, func(b *lockState) analysis.Must[token.Pos] { return b.released }), at)
+	s.durable = analysis.JoinMust(analysis.Project(live, func(b *lockState) analysis.Must[bool] { return b.durable }), at)
 }
 
 // flow holds lockcheck's transfer functions over one function: lock
 // events, decision records and durability waits update the state, and the
-// 2PL, leak, order and hold rules are checked as the shared walker
+// 2PL, leak and hold rules are checked as the shared walker
 // reaches them.
 type flow struct {
 	x  *extractor
@@ -65,12 +53,11 @@ type flow struct {
 
 func (x *extractor) flow(fi *funcInfo) {
 	a := &flow{x: x, fi: fi}
-	w := &analysis.Flow[*lockState]{Call: a.handleCall, Return: a.checkLeak, Loop: a.checkLoopOrder}
+	w := &analysis.Flow[*lockState]{Call: a.handleCall, Return: a.checkLeak}
 	s := &lockState{
-		acquired:  analysis.May[token.Pos]{},
-		released:  analysis.NewMust[token.Pos](),
-		durable:   analysis.NewMust[bool](),
-		lastShard: analysis.NewMust[shardAt](),
+		acquired: analysis.May[token.Pos]{},
+		released: analysis.NewMust[token.Pos](),
+		durable:  analysis.NewMust[bool](),
 	}
 	w.Block(fi.Decl.Body.List, s)
 	if !s.Terminated() {
@@ -95,16 +82,6 @@ func (a *flow) handleCall(c *ast.CallExpr, s *lockState) {
 				key, txn, a.fi.ShortPos(relPos))
 		}
 		s.acquired[txn+"\x00"+key] = c.Pos()
-		if ie := managerIndexExpr(c); ie != nil {
-			if idx, ok := constIndex(pkg, ie); ok {
-				if last, held := s.lastShard.Has[txn]; held && idx < last.idx {
-					a.x.Reportf(pkg, c.Pos(), RuleOrder,
-						"acquires shard %d for %s after shard %d (%s); cross-shard acquisitions must follow ascending shard-index order, or a detector-blind waits-for cycle can close across managers",
-						idx, txn, last.idx, a.fi.ShortPos(last.pos))
-				}
-				s.lastShard.Gen(txn, shardAt{idx: idx, pos: c.Pos()})
-			}
-		}
 	case isManagerMethod(obj, "ReleaseAll") && len(c.Args) >= 1:
 		txn := exprText(c.Args[0])
 		if a.fi.Facts.walTxns[txn] && !s.durable.Has[txn] {
@@ -118,7 +95,6 @@ func (a *flow) handleCall(c *ast.CallExpr, s *lockState) {
 				delete(s.acquired, k)
 			}
 		}
-		delete(s.lastShard.Has, txn)
 		s.released.Gen(txn, c.Pos())
 	case isManagerMethod(obj, "Release") && len(c.Args) >= 2:
 		txn, key := exprText(c.Args[0]), exprText(c.Args[1])
@@ -166,121 +142,6 @@ func (a *flow) checkContinuation(lit *ast.FuncLit) {
 		}
 		return true
 	})
-}
-
-// rangeKey resolves a range statement's key variable and whether the
-// ranged expression is a slice or array (index order ascending — a map
-// range would visit shards in randomized order).
-func (a *flow) rangeKey(v *ast.RangeStmt) (types.Object, bool) {
-	id, ok := analysis.Unparen(v.Key).(*ast.Ident)
-	if !ok {
-		return nil, false
-	}
-	obj := a.fi.Pkg.Info.Defs[id]
-	if obj == nil {
-		obj = a.fi.Pkg.Info.Uses[id]
-	}
-	if obj == nil {
-		return nil, false
-	}
-	tv, ok := a.fi.Pkg.Info.Types[v.X]
-	if !ok {
-		return obj, false
-	}
-	switch tv.Type.Underlying().(type) {
-	case *types.Slice, *types.Array:
-		return obj, true
-	}
-	if p, isPtr := tv.Type.Underlying().(*types.Pointer); isPtr {
-		if _, isArr := p.Elem().Underlying().(*types.Array); isArr {
-			return obj, true
-		}
-	}
-	return obj, false
-}
-
-// checkLoopOrder convicts loops whose bodies acquire locks through
-// shard-routed managers in iteration order — the static shape of the
-// cross-manager deadlock: two such loops iterating opposite key orders
-// close a waits-for cycle neither per-shard detector sees. The one
-// exempt shape is ranging over the manager collection itself by ascending
-// slice index (s.shards[i] with i the range key over s.shards). Nested
-// loops are skipped — they are checked as their own loops.
-func (a *flow) checkLoopOrder(loop ast.Stmt, _ *lockState) {
-	var body *ast.BlockStmt
-	var keyObj types.Object
-	var rangeX ast.Expr
-	sliceRange := false
-	switch v := loop.(type) {
-	case *ast.ForStmt:
-		body = v.Body
-	case *ast.RangeStmt:
-		body, rangeX = v.Body, v.X
-		keyObj, sliceRange = a.rangeKey(v)
-	}
-	reported := false
-	for _, st := range body.List {
-		ast.Inspect(st, func(n ast.Node) bool {
-			if reported {
-				return false
-			}
-			switch n.(type) {
-			case *ast.ForStmt, *ast.RangeStmt:
-				return false
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			routed, name := a.routedCallee(call)
-			if !routed {
-				return true
-			}
-			if sliceRange && keyObj != nil && a.indexedByKey(call, keyObj, rangeX) {
-				return true
-			}
-			a.x.Reportf(a.fi.Pkg, loop.Pos(), RuleOrder,
-				"loop body acquires locks through %s with iteration-dependent shard routing; acquisitions must follow ascending shard-index order (sort the iteration by shard first, or annotate //lock:ordered with the reason no cross-manager cycle can form)",
-				name)
-			reported = true
-			return false
-		})
-		if reported {
-			return
-		}
-	}
-}
-
-// routedCallee reports whether a call can acquire through shard-routed
-// managers (directly or transitively) and names the offender.
-func (a *flow) routedCallee(call *ast.CallExpr) (bool, string) {
-	if a.x.isRoutedCall(a.fi.Pkg, call) {
-		if obj := analysis.ObjOf(a.fi.Pkg, call.Fun); obj != nil {
-			return true, obj.Name()
-		}
-		return true, "a shard-routed call"
-	}
-	for _, callee := range a.x.funcs.Callees(a.fi.Pkg, call) {
-		if callee.Facts.routedAcquire {
-			return true, callee.Name
-		}
-	}
-	return false, ""
-}
-
-// indexedByKey reports whether the call's receiver chain indexes the
-// ranged collection by the loop's own key variable (s.shards[i].… inside
-// `for i := range s.shards`) — ascending slice order by construction.
-func (a *flow) indexedByKey(call *ast.CallExpr, keyObj types.Object, rangeX ast.Expr) bool {
-	ie := managerIndexExpr(call)
-	if ie == nil {
-		return false
-	}
-	id, ok := analysis.Unparen(ie.Index).(*ast.Ident)
-	if !ok || a.fi.Pkg.Info.Uses[id] != keyObj {
-		return false
-	}
-	return types.ExprString(analysis.Unparen(ie.X)) == types.ExprString(analysis.Unparen(rangeX))
 }
 
 // checkLeak convicts a return path of the function itself (a closure

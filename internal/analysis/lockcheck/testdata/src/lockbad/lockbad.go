@@ -4,10 +4,6 @@
 //   - growAfterShrink: an Acquire after a Release of the same transaction
 //     (lock-twophase)
 //   - leaky: an early return holding an acquired lock (lock-leak)
-//   - descending: cross-shard acquisition in descending constant index
-//     order (lock-order)
-//   - opposedScan: a loop acquiring through the shard-routed store in
-//     iteration order (lock-order, reported at the loop)
 //   - holdAcross: an Acquire inside a stable.SyncThen continuation
 //     (lock-hold)
 //   - releaseBeforeDecision: ReleaseAll ahead of the transaction's wal
@@ -26,35 +22,8 @@ import (
 
 var errEarly = errors.New("lockbad: early")
 
-// shard is one lock-partitioned slice of the store.
-type shard struct {
-	locks *locking.Manager
-}
-
-// store routes keys to per-shard lock managers.
-type store struct {
-	shards []*shard
-}
-
-func (s *store) route(key string) int {
-	return len(key) % len(s.shards)
-}
-
-// get acquires the key's lock on whichever shard owns it.
-func (s *store) get(txn, key string) error {
-	granted, err := s.shards[s.route(key)].locks.Acquire(txn, key, locking.Read, nil)
-	if err != nil {
-		return err
-	}
-	if !granted {
-		return errEarly
-	}
-	return nil
-}
-
 // engine is the toy transaction engine.
 type engine struct {
-	st    *store
 	locks *locking.Manager
 	wlog  *wal.Log
 	disk  *stable.Store
@@ -80,33 +49,6 @@ func (e *engine) leaky(txn string, fail bool) error {
 		return errEarly // want `lock-leak: returns while txn may still hold "k"`
 	}
 	e.locks.ReleaseAll(txn)
-	return nil
-}
-
-// descending acquires shard 1 before shard 0 — the opposite of the
-// canonical ascending order.
-//
-//lock:handler
-func (e *engine) descending(txn string) {
-	e.st.shards[1].locks.Acquire(txn, "a", locking.Write, nil)
-	e.st.shards[0].locks.Acquire(txn, "b", locking.Write, nil) // want `lock-order: acquires shard 0 for txn after shard 1`
-	e.st.shards[0].locks.ReleaseAll(txn)
-	e.st.shards[1].locks.ReleaseAll(txn)
-}
-
-// opposedScan acquires through the shard-routed store in whatever order
-// the keys arrive — two of these with opposite key orders close a
-// cross-manager waits-for cycle.
-//
-//lock:handler
-func (e *engine) opposedScan(txn string, keys []string) error {
-	for _, key := range keys { // want `lock-order: loop body acquires locks through get`
-		if err := e.st.get(txn, key); err != nil {
-			return err
-		}
-	}
-	e.st.shards[0].locks.ReleaseAll(txn)
-	e.st.shards[1].locks.ReleaseAll(txn)
 	return nil
 }
 

@@ -1,9 +1,8 @@
 // Package lockclean is a zero-finding lockcheck fixture: a miniature
-// sharded transaction engine exercising every clean shape the analysis
-// must accept — a lock-managing operation releasing on every path, a
-// defer-covered release, cross-shard acquisitions in ascending constant
-// order, the exempt ascending range over the shard slice itself, a
-// shard-routed loop excused by a reasoned //lock:ordered, a SyncThen
+// transaction engine exercising every clean shape the analysis must
+// accept — a lock-managing operation releasing on every path, a
+// defer-covered release, acquisitions in any key order (the manager is
+// no-wait, so order cannot close a waits-for cycle), a SyncThen
 // continuation that only publishes state, a decision record written
 // before ReleaseAll, and a //lock:handler opt-in root.
 package lockclean
@@ -18,38 +17,8 @@ import (
 
 var errConflict = errors.New("lockclean: conflict")
 
-// shard is one lock-partitioned slice of the store.
-type shard struct {
-	locks *locking.Manager
-}
-
-// store routes keys to per-shard lock managers (the multi-manager shape
-// the lock-order rule watches).
-type store struct {
-	shards []*shard
-}
-
-// route hashes a key to its shard index.
-func (s *store) route(key string) int {
-	return len(key) % len(s.shards)
-}
-
-// get acquires the key's lock on whichever shard owns it — the routed
-// acquire at the core of every lock-order conviction.
-func (s *store) get(txn, key string) error {
-	granted, err := s.shards[s.route(key)].locks.Acquire(txn, key, locking.Read, nil)
-	if err != nil {
-		return err
-	}
-	if !granted {
-		return errConflict
-	}
-	return nil
-}
-
 // engine is the toy transaction engine.
 type engine struct {
-	st    *store
 	locks *locking.Manager
 	wlog  *wal.Log
 	disk  *stable.Store
@@ -61,12 +30,11 @@ type engine struct {
 //
 //lock:handler
 func (e *engine) transfer(txn string) error {
-	if _, err := e.locks.Acquire(txn, "src", locking.Write, nil); err != nil {
+	if granted, _ := e.locks.Acquire(txn, "src", locking.Write, nil); !granted {
 		e.locks.ReleaseAll(txn)
-		return err
+		return errConflict
 	}
-	granted, err := e.locks.Acquire(txn, "dst", locking.Write, nil)
-	if err != nil || !granted {
+	if granted, _ := e.locks.Acquire(txn, "dst", locking.Write, nil); !granted {
 		e.locks.ReleaseAll(txn)
 		return errConflict
 	}
@@ -74,53 +42,15 @@ func (e *engine) transfer(txn string) error {
 	return nil
 }
 
-// audit covers every return path with one deferred ReleaseAll.
+// audit covers every return path with one deferred ReleaseAll, taking
+// the keys in whatever order they arrive.
 //
 //lock:handler
 func (e *engine) audit(txn string, keys []string) error {
 	defer e.locks.ReleaseAll(txn)
 	for _, key := range keys {
-		if _, err := e.locks.Acquire(txn, key, locking.Read, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// pair acquires across two shards in ascending constant index order —
-// the canonical order under which cross-manager cycles cannot form.
-//
-//lock:handler
-func (e *engine) pair(txn string) {
-	e.st.shards[0].locks.Acquire(txn, "a", locking.Write, nil)
-	e.st.shards[1].locks.Acquire(txn, "b", locking.Write, nil)
-	e.st.shards[0].locks.ReleaseAll(txn)
-	e.st.shards[1].locks.ReleaseAll(txn)
-}
-
-// sweep ranges over the shard slice by index — ascending shard order by
-// construction, the one loop shape the lock-order rule exempts.
-//
-//lock:handler
-func (e *engine) sweep(txn string) {
-	for i := range e.st.shards {
-		e.st.shards[i].locks.Acquire(txn, "sweep", locking.Read, nil)
-	}
-	for i := range e.st.shards {
-		e.st.shards[i].locks.ReleaseAll(txn)
-	}
-}
-
-// scan acquires in key order through the shard-routed store — statically
-// indistinguishable from the deadlock shape, excused here because the
-// fixture's policy sorts keys by shard before calling.
-//
-//lock:handler
-func (e *engine) scan(txn string, keys []string) error {
-	//lock:ordered keys arrive pre-sorted by shard index (see route), so iteration order is ascending shard order
-	for _, key := range keys {
-		if err := e.st.get(txn, key); err != nil {
-			return err
+		if granted, _ := e.locks.Acquire(txn, key, locking.Read, nil); !granted {
+			return errConflict
 		}
 	}
 	return nil

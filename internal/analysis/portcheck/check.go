@@ -219,212 +219,3 @@ func (x *extractor) confinedRefIn(fi *funcInfo, root ast.Node) string {
 	ast.Inspect(root, walk)
 	return found
 }
-
-// checkSendOrder enforces rt-sendorder on one reachable function: a send
-// whose kind carries //dur:requires advertises a durable protocol step,
-// so the in-memory state transition it announces must precede it. The
-// check is per statement list: a requiring send is flagged when control
-// can flow past its statement and a later statement in the same list
-// performs the first state transition (directly, or via a call to a
-// same-load function that assigns state).
-func (x *extractor) checkSendOrder(fi *funcInfo) {
-	sends := x.requiringSends(fi)
-	if len(sends) == 0 {
-		return
-	}
-	transitions := x.transitionPositions(fi)
-	if len(transitions) == 0 {
-		return
-	}
-	reported := map[token.Pos]bool{}
-	x.walkBlocks(fi.Decl.Body, func(list []ast.Stmt) {
-		for i, si := range list {
-			if isCaseClause(si) {
-				// A switch body's statement list is its case clauses; the
-				// cases are mutually exclusive alternatives, not sequential
-				// statements, and each case body is walked as its own list.
-				continue
-			}
-			for pos, kind := range sends {
-				if !within(si, pos) || reported[pos] || !escapes(si, pos) {
-					continue
-				}
-				for _, sj := range list[i+1:] {
-					if containsAny(sj, transitions) {
-						reported[pos] = true
-						x.Reportf(fi.Pkg, pos, RuleSendOrder,
-							"send of %s races ahead of the in-memory state transition it advertises (transition at %s); transition, persist, then send", kind, fi.ShortPos(firstWithin(sj, transitions)))
-						break
-					}
-					if _, isRet := sj.(*ast.ReturnStmt); isRet {
-						break
-					}
-				}
-			}
-		}
-	})
-}
-
-// requiringSends maps the positions of this function's requiring send
-// call sites to the kind-constant names they send.
-func (x *extractor) requiringSends(fi *funcInfo) map[token.Pos]string {
-	pkg := fi.Pkg
-	varKinds := fi.VarKinds()
-	out := map[token.Pos]string{}
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		// A send inside a closure (an After callback, typically) does not
-		// execute at the statement that creates the closure; it is ordered
-		// by when the runtime fires it, not where it is written.
-		if _, isLit := n.(*ast.FuncLit); isLit {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		obj := analysis.ObjOf(pkg, call.Fun)
-		if obj == nil {
-			return true
-		}
-		idx := -1
-		if i, isSend := analysis.SendKindArg(obj); isSend {
-			idx = i
-		} else if ci := x.funcs.ByObj[obj]; ci != nil {
-			idx = ci.Facts.sendWrapKindIdx
-		}
-		if idx < 0 || idx >= len(call.Args) {
-			return true
-		}
-		kobjs, _ := fi.KindConsts(varKinds, call.Args[idx])
-		for _, kobj := range kobjs {
-			if _, requiring := x.kinds.Class[kobj]; requiring {
-				out[call.Pos()] = kobj.Name()
-				break
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// transitionPositions collects the positions of this function's in-memory
-// state transitions: direct assignments to state-typed fields, plus calls
-// to same-load functions that directly assign state (one level of call
-// summaries, enough for the decide()/commit() helpers of the engines).
-func (x *extractor) transitionPositions(fi *funcInfo) map[token.Pos]bool {
-	pkg := fi.Pkg
-	out := map[token.Pos]bool{}
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.FuncLit:
-			// A transition inside a closure happens when the closure runs
-			// (on the event loop, later), not at the statement installing
-			// it — it must not order against sends in the enclosing list.
-			return false
-		case *ast.AssignStmt:
-			for _, lhs := range v.Lhs {
-				if x.isStateField(pkg, lhs) {
-					out[v.Pos()] = true
-				}
-			}
-		case *ast.CallExpr:
-			if obj := analysis.ObjOf(pkg, v.Fun); obj != nil {
-				if ci := x.funcs.ByObj[obj]; ci != nil && ci.Facts.assignsState {
-					out[v.Pos()] = true
-				}
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// walkBlocks invokes fn on every statement list of the function body.
-func (x *extractor) walkBlocks(body *ast.BlockStmt, fn func([]ast.Stmt)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.BlockStmt:
-			fn(v.List)
-		case *ast.CaseClause:
-			fn(v.Body)
-		case *ast.CommClause:
-			fn(v.Body)
-		}
-		return true
-	})
-}
-
-// isCaseClause reports whether s is a switch or select clause.
-func isCaseClause(s ast.Stmt) bool {
-	switch s.(type) {
-	case *ast.CaseClause, *ast.CommClause:
-		return true
-	}
-	return false
-}
-
-// within reports whether pos falls inside the statement's extent.
-func within(s ast.Stmt, pos token.Pos) bool {
-	return s.Pos() <= pos && pos < s.End()
-}
-
-// containsAny reports whether any of the positions fall inside the
-// statement.
-func containsAny(s ast.Stmt, positions map[token.Pos]bool) bool {
-	for p := range positions {
-		if within(s, p) {
-			return true
-		}
-	}
-	return false
-}
-
-// firstWithin returns the earliest of the positions inside the statement.
-func firstWithin(s ast.Stmt, positions map[token.Pos]bool) token.Pos {
-	best := token.NoPos
-	for p := range positions {
-		if within(s, p) && (best == token.NoPos || p < best) {
-			best = p
-		}
-	}
-	return best
-}
-
-// escapes reports whether control can flow past stmt after executing the
-// send at pos: walking up from the innermost statement list containing
-// the send, a trailing return terminates the path (so the send cannot
-// race a transition in an outer list).
-func escapes(stmt ast.Stmt, pos token.Pos) bool {
-	terminated := false
-	var visit func(n ast.Node) bool
-	visit = func(n ast.Node) bool {
-		var list []ast.Stmt
-		switch v := n.(type) {
-		case *ast.BlockStmt:
-			list = v.List
-		case *ast.CaseClause:
-			list = v.Body
-		case *ast.CommClause:
-			list = v.Body
-		default:
-			return true
-		}
-		after := false
-		for _, s := range list {
-			if within(s, pos) {
-				after = true
-				continue
-			}
-			if !after {
-				continue
-			}
-			if _, isRet := s.(*ast.ReturnStmt); isRet {
-				terminated = true
-				return false
-			}
-		}
-		return true
-	}
-	ast.Inspect(stmt, visit)
-	return !terminated
-}

@@ -25,38 +25,23 @@ type extractor struct {
 	engines []*analysis.Package
 	// funcs indexes the function declarations of the engine packages; the
 	// roots are the //fsm:handler and //dur:handler functions.
-	funcs *analysis.FuncIndex[facts]
+	funcs *analysis.FuncIndex[struct{}]
 	// confined are the role types (receivers of handler roots).
 	confined map[*types.TypeName]bool
 	// guards maps //rt:guard-annotated field objects to their kind.
 	guards map[types.Object]string
-	// kinds is the //dur:requires table of the engine packages: the kinds
-	// whose sends advertise a durable protocol step.
-	kinds *analysis.KindTable
-	// stateTypes are the named types whose constants carry //fsm:state:
-	// assigning a field of such a type is an in-memory state transition.
-	stateTypes map[*types.TypeName]bool
 }
 
-type funcInfo = analysis.Func[facts]
-
-// facts is the per-function classification.
-type facts struct {
-	// sendWrapKindIdx is the parameter index this function forwards as a
-	// send kind, or -1.
-	sendWrapKindIdx int
-	// assignsState reports a direct assignment to a state-typed field.
-	assignsState bool
-}
+// funcInfo carries no per-function facts: confinement needs none.
+type funcInfo = analysis.Func[struct{}]
 
 func newExtractor(pkgs []*analysis.Package) *extractor {
 	return &extractor{
-		Scope:      analysis.NewScope(pkgs, "rt", RuleExtract, verbs),
-		pkgs:       pkgs,
-		rep:        &Report{Guards: map[string]string{}},
-		confined:   map[*types.TypeName]bool{},
-		guards:     map[types.Object]string{},
-		stateTypes: map[*types.TypeName]bool{},
+		Scope:    analysis.NewScope(pkgs, "rt", RuleExtract, verbs),
+		pkgs:     pkgs,
+		rep:      &Report{Guards: map[string]string{}},
+		confined: map[*types.TypeName]bool{},
+		guards:   map[types.Object]string{},
 	}
 }
 
@@ -65,17 +50,8 @@ func (x *extractor) extract() *Report {
 	for _, pkg := range x.pkgs {
 		x.bindDirectives(pkg)
 	}
-	x.kinds = analysis.RequiredKinds(x.engines, nil)
-	analysis.EachConstSpec(x.engines, func(pkg *analysis.Package, spec *ast.ValueSpec) {
-		for _, d := range analysis.CommentDirectives(pkg, spec.Comment) {
-			if named, ok := pkg.Info.TypeOf(spec.Names[0]).(*types.Named); ok && d.NS == "fsm" && d.Verb == "state" {
-				x.stateTypes[named.Obj()] = true
-			}
-		}
-	})
-	x.funcs = analysis.IndexFuncs[facts](x.engines, "fsm:handler", "dur:handler")
+	x.funcs = analysis.IndexFuncs[struct{}](x.engines, "fsm:handler", "dur:handler")
 	for _, fi := range x.funcs.Sorted() {
-		x.computeFuncFacts(fi)
 		if tn := recvTypeName(fi); fi.Root && tn != nil && !x.confined[tn] {
 			x.confined[tn] = true
 			x.rep.Confined = append(x.rep.Confined, fi.Pkg.Types.Name()+"."+tn.Name())
@@ -85,12 +61,11 @@ func (x *extractor) extract() *Report {
 		x.checkBoundary(pkg)
 	}
 	// Only functions reachable from the handler roots are subject to
-	// confinement and send-order checks (constructor and harness wiring
+	// confinement checks (constructor and harness wiring
 	// runs before the event loops exist).
 	reachable := x.funcs.Reachable(nil)
 	for _, fi := range reachable {
 		x.checkConfine(fi)
-		x.checkSendOrder(fi)
 	}
 	x.ReportUnbound()
 	x.rep.Analyzed = len(reachable)
@@ -185,35 +160,4 @@ func recvTypeName(fi *funcInfo) *types.TypeName {
 		return named.Obj()
 	}
 	return nil
-}
-
-// computeFuncFacts fills the per-function classification: send-wrapper
-// kind forwarding and direct state-transition assignments.
-func (x *extractor) computeFuncFacts(fi *funcInfo) {
-	fi.Facts.sendWrapKindIdx = fi.SendWrapperParam()
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		if v, ok := n.(*ast.AssignStmt); ok {
-			for _, lhs := range v.Lhs {
-				if x.isStateField(fi.Pkg, lhs) {
-					fi.Facts.assignsState = true
-				}
-			}
-		}
-		return true
-	})
-}
-
-// isStateField reports whether expr is a selector onto a field of a
-// state-machine type (one whose constants carry //fsm:state).
-func (x *extractor) isStateField(pkg *analysis.Package, expr ast.Expr) bool {
-	sel, ok := analysis.Unparen(expr).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	obj, isVar := pkg.Info.Uses[sel.Sel].(*types.Var)
-	if !isVar {
-		return false
-	}
-	named, ok := obj.Type().(*types.Named)
-	return ok && x.stateTypes[named.Obj()]
 }

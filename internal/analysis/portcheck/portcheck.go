@@ -43,13 +43,6 @@
 //	              interior pointer (a reference-typed field) of a
 //	              confined struct — unless every touched field carries
 //	              //rt:guard
-//	rt-sendorder  a send whose kind carries //dur:requires (it advertises
-//	              a durable protocol step) appears before the in-memory
-//	              state transition in the same function: on a real
-//	              runtime the receiver could act on the message and
-//	              re-enter this node before the transition lands.
-//	              durcheck orders sends against stable storage; this rule
-//	              orders them against the volatile state machine
 //	rt-extract    malformed or unattached //rt:* annotations
 //
 // Findings are suppressed with the repository-wide convention
@@ -68,10 +61,9 @@ import "speccat/internal/analysis"
 
 // Rule names reported by this layer.
 const (
-	RuleBoundary  = "rt-boundary"
-	RuleConfine   = "rt-confine"
-	RuleSendOrder = "rt-sendorder"
-	RuleExtract   = "rt-extract"
+	RuleBoundary = "rt-boundary"
+	RuleConfine  = "rt-confine"
+	RuleExtract  = "rt-extract"
 )
 
 // guardKinds are the accepted //rt:guard mechanisms.

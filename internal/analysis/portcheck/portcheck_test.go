@@ -55,8 +55,8 @@ func TestRepoIsPortClean(t *testing.T) {
 
 // TestPortCleanFixture pins that a well-ported engine produces zero
 // findings: rt-only imports, event-loop timers, a guarded field touched
-// from a goroutine, transition-then-persist-then-send ordering, and a
-// reasoned rt-boundary suppression on a harness import.
+// from a goroutine, and a reasoned rt-boundary suppression on a harness
+// import.
 func TestPortCleanFixture(t *testing.T) {
 	dir := analysistest.FixtureDir(t, "portclean")
 	rep, diags := Run(analysistest.Load(t, dir))
@@ -74,8 +74,8 @@ func TestPortCleanFixture(t *testing.T) {
 
 // TestPortBadFixture pins one finding per mutation class: simulator
 // import, type assertion to a simulator concretion, goroutine field
-// escape, stored-closure escape, returned interior pointer,
-// send-before-transition, and malformed/unattached annotations.
+// escape, stored-closure escape, returned interior pointer, and
+// malformed/unattached annotations.
 func TestPortBadFixture(t *testing.T) {
 	dir := analysistest.FixtureDir(t, "portbad")
 	_, diags := Run(analysistest.Load(t, dir))
@@ -91,9 +91,6 @@ func TestPortBadFixture(t *testing.T) {
 	}
 	if counts[RuleConfine] != 3 {
 		t.Errorf("rt-confine findings = %d, want 3 (goroutine escape, stored closure, interior pointer)", counts[RuleConfine])
-	}
-	if counts[RuleSendOrder] != 1 {
-		t.Errorf("rt-sendorder findings = %d, want 1 (send hoisted above the transition)", counts[RuleSendOrder])
 	}
 	if counts[RuleExtract] != 3 {
 		t.Errorf("rt-extract findings = %d, want 3 (unknown verb, misplaced engine, malformed guard)", counts[RuleExtract])

@@ -1,8 +1,7 @@
 // Package portbad seeds one violation of every portcheck rule class: a
 // bare simulator import, a type assertion reaching around the rt
 // boundary, the three confinement escapes (spawned goroutine, stored
-// closure, returned interior pointer), a requiring send hoisted above
-// the state transition it advertises, and the malformed-annotation
+// closure, returned interior pointer), and the malformed-annotation
 // variants of rt-extract.
 //
 //rt:engine
@@ -13,28 +12,14 @@ import (
 	"speccat/internal/simnet" // want `rt-boundary: engine package imports the simulator package speccat/internal/simnet`
 )
 
-// State is the toy engine's state machine.
-type State string
-
-// States of the toy engine.
-const (
-	StateIdle State = "idle" //fsm:state
-	StateDone State = "done" //fsm:state
-)
-
-// Wire kinds of the toy engine.
-const (
-	kindGo     = "bad.go"
-	kindCommit = "bad.commit" //dur:requires decision
-)
+// kindGo is the toy engine's one wire kind.
+const kindGo = "bad.go"
 
 //rt:bogus an unknown verb // want `rt-extract: unknown directive .*rt:bogus`
 
 // Node is the toy engine's confined role struct.
 type Node struct {
 	net   rt.Transport
-	id    rt.NodeID
-	state State
 	count int
 	// cache is per-node volatile bookkeeping.
 	cache map[string]int //rt:guard mutex // want `rt-extract: malformed .*rt:guard: want`
@@ -45,22 +30,12 @@ type Node struct {
 // leaked is the package-level home of the stored-closure escape.
 var leaked func()
 
-// send forwards to the transport.
-func (n *Node) send(to rt.NodeID, kind string, payload any) {
-	_ = n.net.Send(n.id, to, kind, payload)
-}
-
 // HandleMessage dispatches the toy engine.
 //
 //fsm:handler toy node
 func (n *Node) HandleMessage(m rt.Message) bool {
 	switch m.Kind {
 	case kindGo:
-		// The send advertises the decision before the in-memory
-		// transition lands: on a real runtime the receiver can act on it
-		// and re-enter this node in the stale state.
-		n.send(m.From, kindCommit, nil) // want `rt-sendorder: send of kindCommit races ahead of the in-memory state transition`
-		n.state = StateDone
 		n.offload()
 		n.stash()
 		_ = n.snapshot()

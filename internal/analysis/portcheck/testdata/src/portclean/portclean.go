@@ -3,9 +3,7 @@
 // rt-only imports with a reasoned //lint:allow on the harness's simulator
 // import, an event-loop timer closure capturing the receiver (safe: After
 // callbacks run on the node's loop), a //rt:guard-annotated metrics pair
-// touched from a spawned goroutine, a send wrapper resolved to its call
-// sites, a branch that sends-then-returns before an unrelated later
-// transition, and transition-persist-send ordering on the commit path.
+// touched from a spawned goroutine, and a send wrapper on the receiver.
 //
 //rt:engine
 package portclean
@@ -30,9 +28,9 @@ const (
 // Wire kinds of the toy engine.
 const (
 	kindPing   = "clean.ping"
-	kindVote   = "clean.vote"   //dur:requires state
-	kindCommit = "clean.commit" //dur:requires decision
-	kindAbort  = "clean.abort"  //dur:requires decision
+	kindVote   = "clean.vote"
+	kindCommit = "clean.commit"
+	kindAbort  = "clean.abort"
 )
 
 // Node is the toy engine's confined role struct.
@@ -56,8 +54,7 @@ func NewOnSim(net *simnet.Network, id rt.NodeID) *Node {
 	return New(net, id)
 }
 
-// send forwards to the transport; portcheck resolves its call sites
-// against the forwarded kind parameter.
+// send forwards to the transport.
 func (n *Node) send(to rt.NodeID, kind string, payload any) {
 	_ = n.net.Send(n.id, to, kind, payload)
 }
@@ -68,13 +65,6 @@ func (n *Node) send(to rt.NodeID, kind string, payload any) {
 func (n *Node) HandleMessage(m rt.Message) bool {
 	switch m.Kind {
 	case kindPing:
-		if m.Payload == nil {
-			// Reject-and-return: this requiring send precedes the commit
-			// transition below in source order, but the trailing return
-			// terminates the path, so rt-sendorder stays quiet.
-			n.send(m.From, kindAbort, nil)
-			return true
-		}
 		n.state = StateWait
 		n.send(m.From, kindVote, nil)
 		n.timer = n.net.After(n.id, n.net.Delta(), func() { n.onTimeout() })

@@ -452,9 +452,9 @@ func E15Durability(seeds []int64) (*E15Result, error) {
 }
 
 // E15Ablation judges the unsafe termination mutant — the backup
-// disseminates its decision before it persists it — on the dur and port
-// lint layers and on the staged schedule (durcheck's negative control, seeds
+// disseminates its decision before it persists it — on the dur lint layer
+// and on the staged schedule (durcheck's negative control, seeds
 // 1–3): the static findings and the dynamic witness on the same source.
 func E15Ablation() ([]mutant.Verdict, error) {
-	return mutant.Judge([]string{"unsafe termination"}, "speccatlint -only dur", "speccatlint -only port", "TestCrossValidateNegativeControl")
+	return mutant.Judge([]string{"unsafe termination"}, "speccatlint -only dur", "TestCrossValidateNegativeControl")
 }

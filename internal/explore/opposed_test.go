@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// opposedProgress sweeps E20's staging — the opposed workload's three
-// transactions (warm-up, then a pair touching the same two cross-shard keys
-// in opposite orders) over seeds 1–3 — and fails when any transaction is
-// left undecided without a fault to excuse it. The first line it prints is
-// the sweep's tally, the evidence E20 reports.
+// opposedProgress sweeps the opposed workload's three transactions
+// (warm-up, then a pair touching the same two cross-shard keys in opposite
+// orders) over seeds 1–3, and fails when any transaction is left undecided
+// without a fault to excuse it. It logs the sweep's tally.
 func opposedProgress(t *testing.T, shards int) {
 	tally, err := Sweep(SeedRange(1, 3), func(_ int, seed int64) Schedule {
 		return Schedule{
@@ -29,14 +28,13 @@ func opposedProgress(t *testing.T, shards int) {
 }
 
 // TestOpposedProgressTwoShards is the progress gate over two shard-local
-// lock managers. The served engine fails a conflicting work phase at once,
-// so the opposed pair aborts instead of waiting. The lock-wait mutant
-// (internal/mutant) waits instead: the pair closes a waits-for cycle that
-// spans both managers, neither per-shard detector sees it, and the gate
-// fails — the blind spot lockcheck's lock-order rule names statically.
+// lock managers. The managers are no-wait: a conflicting request is
+// refused, the site fails its work at once, and the opposed pair decides
+// instead of waiting on each other across the managers. The gate fails if
+// a site ever waits for a lock, since then the pair can close a
+// waits-for cycle that nothing breaks.
 func TestOpposedProgressTwoShards(t *testing.T) { opposedProgress(t, 2) }
 
 // TestOpposedProgressOneShard is the same gate over one lock manager per
-// site. The lock-wait mutant passes it: the cycle lives in one waits-for
-// graph, the detector aborts a victim, and every transaction decides.
+// site.
 func TestOpposedProgressOneShard(t *testing.T) { opposedProgress(t, 1) }

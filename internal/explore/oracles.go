@@ -315,9 +315,8 @@ func (r *runner) checkProgress() []Violation {
 	// With no failures at all, the claim sharpens: every submitted
 	// transaction must reach a durable decision somewhere by the horizon. A
 	// transaction nobody decided never even entered the commit protocol —
-	// the signature of work stalled forever, e.g. a cross-shard lock cycle
-	// no per-shard deadlock detector could see (lockcheck's lock-order
-	// rule; witnessed by E20's lock-wait ablation). The per-site state
+	// the signature of work stalled forever, e.g. a cross-shard waits-for
+	// cycle between sites that wait for locks. The per-site state
 	// check below cannot catch that stall: a cohort that never saw a
 	// commit request is in its initial state, not w or p.
 	if r.spec.CrashCount() == 0 {

@@ -78,7 +78,7 @@ func TestOneShardMatchesStore(t *testing.T) {
 		}
 	}
 	// op runs one random data operation of txn; a failed one (a lock
-	// conflict, or a deadlock conviction) aborts the branch.
+	// conflict) aborts the branch.
 	op := func(txn string) {
 		t.Helper()
 		k, arg := rng.Intn(3), fmt.Sprint(rng.Intn(9)+1)

@@ -1,10 +1,8 @@
 package kvstore
 
 import (
-	"errors"
 	"testing"
 
-	"speccat/internal/locking"
 	"speccat/internal/stable"
 )
 
@@ -21,31 +19,5 @@ func TestDoubleBegin(t *testing.T) {
 	mustOK(t, s.Begin("t"))
 	if err := s.Begin("t"); err == nil {
 		t.Fatal("double begin accepted")
-	}
-}
-
-func TestDeadlockSurfacesAsError(t *testing.T) {
-	s, _ := open(t)
-	mustOK(t, s.Begin("a"))
-	mustOK(t, s.Begin("b"))
-	mustOK(t, s.Put("a", "x", "1"))
-	mustOK(t, s.Put("b", "y", "1"))
-	// a queues on y...
-	if _, err := s.Get("a", "y"); !errors.Is(err, ErrConflict) {
-		t.Fatalf("expected conflict, got %v", err)
-	}
-	// ...and b closing the cycle on x must surface the deadlock.
-	err := s.Put("b", "x", "2")
-	if err == nil {
-		t.Fatal("deadlock not detected")
-	}
-	if !errors.Is(err, locking.ErrDeadlock) {
-		t.Fatalf("want ErrDeadlock, got %v", err)
-	}
-	// Aborting b resolves everything.
-	mustOK(t, s.Abort("b"))
-	mustOK(t, s.Abort("a"))
-	if s.OpenTxns() != 0 {
-		t.Fatal("locks leaked after deadlock resolution")
 	}
 }

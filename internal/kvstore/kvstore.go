@@ -19,9 +19,10 @@ import (
 
 // Sentinel errors.
 var (
-	// ErrConflict is returned when a lock cannot be granted immediately
-	// (the caller may retry or abort; the simulated sites do not block
-	// goroutines).
+	// ErrConflict is returned when the lock manager refuses a conflicting
+	// lock request (no-wait: the caller aborts rather than waits). A
+	// refusal is the only way a lock is not granted: Acquire's error is
+	// always nil, which is why the operations below drop it.
 	ErrConflict = errors.New("kvstore: lock conflict")
 	// ErrNoTxn is returned for operations outside a transaction.
 	ErrNoTxn = errors.New("kvstore: unknown transaction")
@@ -86,11 +87,7 @@ func (s *Store) Get(txn, key string) (string, error) {
 	if !s.open[txn] {
 		return "", fmt.Errorf("%w: %s", ErrNoTxn, txn)
 	}
-	granted, err := s.locks.Acquire(txn, key, locking.Read, nil)
-	if err != nil {
-		return "", fmt.Errorf("kvstore: get %s: %w", key, err)
-	}
-	if !granted {
+	if granted, _ := s.locks.Acquire(txn, key, locking.Read, nil); !granted {
 		return "", fmt.Errorf("%w: read %s for %s", ErrConflict, key, txn)
 	}
 	return s.data[key], nil
@@ -103,11 +100,7 @@ func (s *Store) Put(txn, key, value string) error {
 	if !s.open[txn] {
 		return fmt.Errorf("%w: %s", ErrNoTxn, txn)
 	}
-	granted, err := s.locks.Acquire(txn, key, locking.Write, nil)
-	if err != nil {
-		return fmt.Errorf("kvstore: put %s: %w", key, err)
-	}
-	if !granted {
+	if granted, _ := s.locks.Acquire(txn, key, locking.Write, nil); !granted {
 		return fmt.Errorf("%w: write %s for %s", ErrConflict, key, txn)
 	}
 	return s.log.LoggedUpdate(txn, s.data, key, value)
@@ -123,11 +116,7 @@ func (s *Store) Increment(txn, key, delta string) error {
 	if !s.open[txn] {
 		return fmt.Errorf("%w: %s", ErrNoTxn, txn)
 	}
-	granted, err := s.locks.Acquire(txn, key, locking.IncMode, nil)
-	if err != nil {
-		return fmt.Errorf("kvstore: increment %s: %w", key, err)
-	}
-	if !granted {
+	if granted, _ := s.locks.Acquire(txn, key, locking.IncMode, nil); !granted {
 		return fmt.Errorf("%w: increment %s for %s", ErrConflict, key, txn)
 	}
 	return s.log.LoggedApply(txn, s.data, key, wal.OpInc, delta)
@@ -141,11 +130,7 @@ func (s *Store) Append(txn, key, elem string) error {
 	if !s.open[txn] {
 		return fmt.Errorf("%w: %s", ErrNoTxn, txn)
 	}
-	granted, err := s.locks.Acquire(txn, key, locking.AppendMode, nil)
-	if err != nil {
-		return fmt.Errorf("kvstore: append %s: %w", key, err)
-	}
-	if !granted {
+	if granted, _ := s.locks.Acquire(txn, key, locking.AppendMode, nil); !granted {
 		return fmt.Errorf("%w: append %s for %s", ErrConflict, key, txn)
 	}
 	return s.log.LoggedApply(txn, s.data, key, wal.OpAppend, elem)
@@ -160,11 +145,7 @@ func (s *Store) SetInsert(txn, key, elem string) error {
 	if !s.open[txn] {
 		return fmt.Errorf("%w: %s", ErrNoTxn, txn)
 	}
-	granted, err := s.locks.Acquire(txn, key, locking.SetInsMode, nil)
-	if err != nil {
-		return fmt.Errorf("kvstore: setinsert %s: %w", key, err)
-	}
-	if !granted {
+	if granted, _ := s.locks.Acquire(txn, key, locking.SetInsMode, nil); !granted {
 		return fmt.Errorf("%w: setinsert %s for %s", ErrConflict, key, txn)
 	}
 	return s.log.LoggedApply(txn, s.data, key, wal.OpSetInsert, elem)

@@ -56,9 +56,11 @@ func TestConflictDetected(t *testing.T) {
 	if _, err := s.Get("b", "x"); !errors.Is(err, ErrConflict) {
 		t.Fatalf("want ErrConflict, got %v", err)
 	}
-	// After a commits, b can proceed... but queued request was registered;
-	// b retries.
+	// The refusal left nothing behind: once a commits, b's retry is granted.
 	mustOK(t, s.Commit("a"))
+	if _, err := s.Get("b", "x"); err != nil {
+		t.Fatalf("retry after the holder committed: %v", err)
+	}
 }
 
 func TestSharedReadsOK(t *testing.T) {

@@ -1,6 +1,7 @@
 package locking
 
 import (
+	"slices"
 	"testing"
 
 	"speccat/internal/analysis/commcheck"
@@ -83,7 +84,7 @@ func TestJoinCoversBoth(t *testing.T) {
 
 // TestCommutingModesShare pins the diagonal of the derived matrix at the
 // manager level: two transactions in the same commuting class hold one
-// object concurrently, and a third in any different class queues.
+// object concurrently, and a third in any different class is refused.
 func TestCommutingModesShare(t *testing.T) {
 	for _, m := range []Mode{Read, IncMode, AppendMode, SetInsMode} {
 		t.Run(m.String(), func(t *testing.T) {
@@ -94,10 +95,10 @@ func TestCommutingModesShare(t *testing.T) {
 				}
 			}
 			if granted, err := mgr.Acquire("t3", "x", Write, nil); granted || err != nil {
-				t.Fatalf("t3 write x: granted=%v err=%v, want queued", granted, err)
+				t.Fatalf("t3 write x: granted=%v err=%v, want refused", granted, err)
 			}
-			if got := mgr.QueueLen("x"); got != 1 {
-				t.Fatalf("QueueLen(x) = %d, want 1", got)
+			if got := mgr.Holders("x"); !slices.Equal(got, []string{"t1", "t2"}) {
+				t.Fatalf("Holders(x) = %v after the refusal, want t1 and t2", got)
 			}
 		})
 	}
@@ -105,7 +106,7 @@ func TestCommutingModesShare(t *testing.T) {
 
 // TestDistinctUpdateClassesConflict pins the off-diagonal: increments do
 // not commute with appends (or any other distinct class), so the manager
-// must queue the second class even though both are "weaker than write".
+// must refuse the second class even though both are "weaker than write".
 func TestDistinctUpdateClassesConflict(t *testing.T) {
 	pairs := [][2]Mode{
 		{IncMode, AppendMode},
@@ -122,107 +123,8 @@ func TestDistinctUpdateClassesConflict(t *testing.T) {
 				t.Fatalf("t1 %s x not granted on free object", p[0])
 			}
 			if granted, err := mgr.Acquire("t2", "x", p[1], nil); granted || err != nil {
-				t.Fatalf("t2 %s x: granted=%v err=%v, want queued behind %s", p[1], granted, err, p[0])
+				t.Fatalf("t2 %s x: granted=%v err=%v, want refused beside %s", p[1], granted, err, p[0])
 			}
 		})
-	}
-}
-
-// TestFIFOQueueOrderAfterRelease pins grant fairness across the new
-// modes: a writer releases, and the queue drains strictly FIFO — the
-// first queued increment and the increments immediately behind it grant
-// together (they commute), while the append queued between two
-// increment batches blocks the later batch until its own turn.
-func TestFIFOQueueOrderAfterRelease(t *testing.T) {
-	mgr := NewManager()
-	if granted, _ := mgr.Acquire("w", "x", Write, nil); !granted {
-		t.Fatal("writer not granted on free object")
-	}
-	var order []string
-	enq := func(txn string, mode Mode) {
-		t.Helper()
-		granted, err := mgr.Acquire(txn, "x", mode, func() { order = append(order, txn) })
-		if granted || err != nil {
-			t.Fatalf("%s %s x: granted=%v err=%v, want queued", txn, mode, granted, err)
-		}
-	}
-	enq("i1", IncMode)
-	enq("i2", IncMode)
-	enq("a1", AppendMode)
-	enq("i3", IncMode)
-
-	mgr.ReleaseAll("w")
-	// FIFO with commutativity: i1 and i2 grant together; a1 does not
-	// commute with them, so it — and i3 behind it — stay queued. No
-	// barging: i3 may not jump the non-commuting a1 even though it would
-	// be compatible with the current holders.
-	if want := []string{"i1", "i2"}; len(order) != 2 || order[0] != want[0] || order[1] != want[1] {
-		t.Fatalf("grant order after writer release = %v, want %v", order, want)
-	}
-	if got := mgr.QueueLen("x"); got != 2 {
-		t.Fatalf("QueueLen(x) = %d, want a1 and i3 still queued", got)
-	}
-
-	mgr.ReleaseAll("i1")
-	if len(order) != 2 {
-		t.Fatalf("a1 granted while i2 still holds inc: order = %v", order)
-	}
-	mgr.ReleaseAll("i2")
-	if want := []string{"i1", "i2", "a1"}; len(order) != 3 || order[2] != "a1" {
-		t.Fatalf("grant order after increments release = %v, want %v", order, want)
-	}
-	mgr.ReleaseAll("a1")
-	if want := []string{"i1", "i2", "a1", "i3"}; len(order) != 4 || order[3] != "i3" {
-		t.Fatalf("final grant order = %v, want %v", order, want)
-	}
-}
-
-// TestUpgradeWaitsBehindQueuedWriter pins no-barging on the upgrade
-// path: an increment holder upgrading to Write must queue behind a
-// writer that queued first, even though the holder's request arrives
-// while it already holds the object.
-func TestUpgradeWaitsBehindQueuedWriter(t *testing.T) {
-	mgr := NewManager()
-	if granted, _ := mgr.Acquire("t1", "x", IncMode, nil); !granted {
-		t.Fatal("t1 inc x not granted on free object")
-	}
-	if granted, _ := mgr.Acquire("t2", "x", IncMode, nil); !granted {
-		t.Fatal("t2 inc x not granted alongside t1")
-	}
-	var order []string
-	if granted, err := mgr.Acquire("w", "x", Write, func() { order = append(order, "w") }); granted || err != nil {
-		t.Fatalf("w write x: granted=%v err=%v, want queued", granted, err)
-	}
-	// t1's upgrade to write conflicts with co-holder t2, and closing the
-	// t1↔w wait is not a cycle (w holds nothing), so t1 queues behind w.
-	if granted, err := mgr.Acquire("t1", "x", Write, func() { order = append(order, "t1") }); granted || err != nil {
-		t.Fatalf("t1 upgrade: granted=%v err=%v, want queued", granted, err)
-	}
-	mgr.ReleaseAll("t2")
-	if len(order) != 0 {
-		t.Fatalf("grants fired while t1 still holds inc: %v", order)
-	}
-	mgr.ReleaseAll("t1")
-	if want := []string{"w"}; len(order) != 1 || order[0] != "w" {
-		t.Fatalf("grant order = %v, want %v (queued writer first)", order, want)
-	}
-	mgr.ReleaseAll("w")
-}
-
-// TestIncIncDeadlockOnUpgrade pins the generalized dueling-upgrade
-// deadlock: two increment holders both upgrading to Write mirror the
-// classic read/read case.
-func TestIncIncDeadlockOnUpgrade(t *testing.T) {
-	mgr := NewManager()
-	for _, txn := range []string{"t1", "t2"} {
-		if granted, _ := mgr.Acquire(txn, "x", IncMode, nil); !granted {
-			t.Fatalf("%s inc x not granted", txn)
-		}
-	}
-	if granted, err := mgr.Acquire("t1", "x", Write, nil); granted || err != nil {
-		t.Fatalf("t1 upgrade: granted=%v err=%v, want queued", granted, err)
-	}
-	if _, err := mgr.Acquire("t2", "x", Write, nil); err == nil {
-		t.Fatal("t2 upgrade should deadlock against t1's queued upgrade")
 	}
 }

@@ -1,7 +1,7 @@
 package locking
 
 import (
-	"errors"
+	"slices"
 	"testing"
 )
 
@@ -10,25 +10,17 @@ type step struct {
 	txn  string
 	key  string
 	mode Mode
-	// wantGranted is the expected immediate-grant result.
+	// wantGranted is the expected result: granted, or refused.
 	wantGranted bool
-	// wantDeadlock expects ErrDeadlock instead of a queue entry.
-	wantDeadlock bool
 }
 
 // runScript drives a fresh manager through the steps, asserting each
-// grant/block/deadlock outcome in order.
+// grant or refusal in order.
 func runScript(t *testing.T, steps []step) *Manager {
 	t.Helper()
 	m := NewManager()
 	for i, s := range steps {
 		granted, err := m.Acquire(s.txn, s.key, s.mode, nil)
-		if s.wantDeadlock {
-			if !errors.Is(err, ErrDeadlock) {
-				t.Fatalf("step %d (%s %s %s): err = %v, want ErrDeadlock", i, s.txn, s.mode, s.key, err)
-			}
-			continue
-		}
 		if err != nil {
 			t.Fatalf("step %d (%s %s %s): unexpected error %v", i, s.txn, s.mode, s.key, err)
 		}
@@ -67,11 +59,8 @@ func TestCompatibilityMatrix(t *testing.T) {
 			if got := m.Holds("t2", "x"); (got >= tc.req) != tc.compat {
 				t.Errorf("Holds(t2, x) = %v after grant=%v", got, tc.compat)
 			}
-			if wantQueue := 0; !tc.compat {
-				wantQueue = 1
-				if got := m.QueueLen("x"); got != wantQueue {
-					t.Errorf("QueueLen(x) = %d, want %d", got, wantQueue)
-				}
+			if got := m.Holders("x"); !tc.compat && !slices.Equal(got, []string{"t1"}) {
+				t.Errorf("Holders(x) = %v after a refusal, want t1 alone", got)
 			}
 
 			runScript(t, []step{
@@ -82,9 +71,9 @@ func TestCompatibilityMatrix(t *testing.T) {
 	}
 }
 
-// TestUpgradeTable pins read-to-write upgrades: granted when the
-// requester is the sole reader, queued behind co-readers, and detected
-// as the classic upgrade deadlock when two readers both upgrade.
+// TestUpgradeTable pins upgrades to write: granted when the requester is
+// the sole holder, refused behind a co-holder — so the classic dueling
+// upgrade, read/read or inc/inc, refuses both and cannot deadlock.
 func TestUpgradeTable(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -110,14 +99,24 @@ func TestUpgradeTable(t *testing.T) {
 			wantHolds: map[string]Mode{"t1": Read, "t2": Read},
 		},
 		{
-			name: "dueling upgrades deadlock",
+			name: "dueling upgrades both refused",
 			steps: []step{
 				{txn: "t1", key: "x", mode: Read, wantGranted: true},
 				{txn: "t2", key: "x", mode: Read, wantGranted: true},
 				{txn: "t1", key: "x", mode: Write, wantGranted: false},
-				{txn: "t2", key: "x", mode: Write, wantDeadlock: true},
+				{txn: "t2", key: "x", mode: Write, wantGranted: false},
 			},
 			wantHolds: map[string]Mode{"t1": Read, "t2": Read},
+		},
+		{
+			name: "dueling increment upgrades both refused",
+			steps: []step{
+				{txn: "t1", key: "x", mode: IncMode, wantGranted: true},
+				{txn: "t2", key: "x", mode: IncMode, wantGranted: true},
+				{txn: "t1", key: "x", mode: Write, wantGranted: false},
+				{txn: "t2", key: "x", mode: Write, wantGranted: false},
+			},
+			wantHolds: map[string]Mode{"t1": IncMode, "t2": IncMode},
 		},
 	}
 	for _, tc := range cases {
@@ -132,47 +131,15 @@ func TestUpgradeTable(t *testing.T) {
 	}
 }
 
-// TestUpgradeCompletesOnCoReaderRelease pins the deferred half of the
-// blocked-upgrade case: when the co-reader finishes, the queued write
-// grants and the read entry is folded into the write lock.
-func TestUpgradeCompletesOnCoReaderRelease(t *testing.T) {
-	m := runScript(t, []step{
-		{txn: "t1", key: "x", mode: Read, wantGranted: true},
-		{txn: "t2", key: "x", mode: Read, wantGranted: true},
-		{txn: "t1", key: "x", mode: Write, wantGranted: false},
-	})
-	fired := false
-	// Re-queue with a grant callback via a second waiter to observe FIFO:
-	// t3's read must stay behind t1's queued upgrade.
-	if granted, err := m.Acquire("t3", "x", Read, func() { fired = true }); granted || err != nil {
-		t.Fatalf("t3 read: granted=%v err=%v, want queued", granted, err)
-	}
-	m.ReleaseAll("t2")
-	if got := m.Holds("t1", "x"); got != Write {
-		t.Fatalf("Holds(t1, x) = %v after co-reader release, want write", got)
-	}
-	if !fired {
-		// t3 cannot be granted while t1 holds the write lock.
-		if got := m.QueueLen("x"); got != 1 {
-			t.Fatalf("QueueLen(x) = %d, want t3 still queued", got)
-		}
-	} else {
-		t.Fatal("t3's read granted while t1 holds the write lock")
-	}
-	m.ReleaseAll("t1")
-	if !fired {
-		t.Fatal("t3's queued read never granted")
-	}
-}
-
-// TestConflictDetectionTable pins the waits-for cycle detector over the
-// deadlock topologies of the protocol: two-party, three-party, and the
-// acyclic chain that must NOT be called a deadlock.
+// TestConflictDetectionTable pins no-wait conflict detection over the
+// deadlock topologies of the protocol — two-party, three-party, a reader
+// in the cycle, and the acyclic chain: each request that would wait is
+// refused at once, so no waits-for edge and no cycle forms, and every key
+// stays with exactly the transactions granted it.
 func TestConflictDetectionTable(t *testing.T) {
 	cases := []struct {
-		name          string
-		steps         []step
-		wantDeadlocks int
+		name  string
+		steps []step
 	}{
 		{
 			name: "two-party cycle",
@@ -180,9 +147,8 @@ func TestConflictDetectionTable(t *testing.T) {
 				{txn: "t1", key: "x", mode: Write, wantGranted: true},
 				{txn: "t2", key: "y", mode: Write, wantGranted: true},
 				{txn: "t1", key: "y", mode: Write, wantGranted: false},
-				{txn: "t2", key: "x", mode: Write, wantDeadlock: true},
+				{txn: "t2", key: "x", mode: Write, wantGranted: false},
 			},
-			wantDeadlocks: 1,
 		},
 		{
 			name: "three-party cycle",
@@ -192,9 +158,8 @@ func TestConflictDetectionTable(t *testing.T) {
 				{txn: "t3", key: "z", mode: Write, wantGranted: true},
 				{txn: "t1", key: "y", mode: Write, wantGranted: false},
 				{txn: "t2", key: "z", mode: Write, wantGranted: false},
-				{txn: "t3", key: "x", mode: Write, wantDeadlock: true},
+				{txn: "t3", key: "x", mode: Write, wantGranted: false},
 			},
-			wantDeadlocks: 1,
 		},
 		{
 			name: "acyclic chain is not a deadlock",
@@ -204,7 +169,6 @@ func TestConflictDetectionTable(t *testing.T) {
 				{txn: "t3", key: "y", mode: Write, wantGranted: false},
 				{txn: "t2", key: "x", mode: Write, wantGranted: false},
 			},
-			wantDeadlocks: 0,
 		},
 		{
 			name: "reader participates in the cycle",
@@ -212,16 +176,23 @@ func TestConflictDetectionTable(t *testing.T) {
 				{txn: "t1", key: "x", mode: Read, wantGranted: true},
 				{txn: "t2", key: "y", mode: Write, wantGranted: true},
 				{txn: "t1", key: "y", mode: Read, wantGranted: false},
-				{txn: "t2", key: "x", mode: Write, wantDeadlock: true},
+				{txn: "t2", key: "x", mode: Write, wantGranted: false},
 			},
-			wantDeadlocks: 1,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m := runScript(t, tc.steps)
-			if _, _, deadlocks := m.Stats(); deadlocks != tc.wantDeadlocks {
-				t.Errorf("deadlocks = %d, want %d", deadlocks, tc.wantDeadlocks)
+			granted := map[string][]string{}
+			for _, s := range tc.steps {
+				if s.wantGranted {
+					granted[s.key] = append(granted[s.key], s.txn)
+				}
+			}
+			for key, want := range granted {
+				if got := m.Holders(key); !slices.Equal(got, want) {
+					t.Errorf("Holders(%s) = %v, want %v", key, got, want)
+				}
 			}
 		})
 	}

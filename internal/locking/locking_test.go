@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -35,8 +36,8 @@ func TestWriteExcludesAll(t *testing.T) {
 	if err != nil || ok {
 		t.Fatalf("second write granted: %v", err)
 	}
-	if m.QueueLen("x") != 2 {
-		t.Fatalf("queue = %d", m.QueueLen("x"))
+	if got := m.Holders("x"); !slices.Equal(got, []string{"a"}) {
+		t.Fatalf("holders = %v, want the writer alone", got)
 	}
 }
 
@@ -77,103 +78,87 @@ func TestUpgradeReadToWrite(t *testing.T) {
 	}
 }
 
-func TestFIFOGrantOnRelease(t *testing.T) {
-	m := NewManager()
-	var order []string
-	if ok, _ := m.Acquire("a", "x", Write, nil); !ok {
-		t.Fatal("setup failed")
-	}
-	for _, txn := range []string{"b", "c", "d"} {
-		txn := txn
-		if ok, err := m.Acquire(txn, "x", Write, func() { order = append(order, txn) }); ok || err != nil {
-			t.Fatalf("unexpected grant/err for %s: %v", txn, err)
-		}
-	}
-	m.ReleaseAll("a")
-	if len(order) != 1 || order[0] != "b" {
-		t.Fatalf("grant order = %v", order)
-	}
-	m.ReleaseAll("b")
-	m.ReleaseAll("c")
-	if len(order) != 3 || order[1] != "c" || order[2] != "d" {
-		t.Fatalf("grant order = %v", order)
-	}
-}
-
-func TestQueuedReadersGrantTogether(t *testing.T) {
-	m := NewManager()
-	if ok, _ := m.Acquire("w", "x", Write, nil); !ok {
-		t.Fatal("setup failed")
-	}
-	granted := 0
-	for _, txn := range []string{"r1", "r2", "r3"} {
-		if ok, err := m.Acquire(txn, "x", Read, func() { granted++ }); ok || err != nil {
-			t.Fatalf("read should queue: %v", err)
-		}
-	}
-	m.ReleaseAll("w")
-	if granted != 3 {
-		t.Fatalf("granted = %d, want 3 (readers batch)", granted)
-	}
-}
-
+// TestDeadlockDetected: the two-party cycle a→y→b→x→a cannot form. a's
+// request for y is refused rather than left waiting, so b's request for x
+// is refused too, no error is raised, and each key stays with its first
+// holder. Once a aborts, b's retry of x is granted.
 func TestDeadlockDetected(t *testing.T) {
 	m := NewManager()
-	if ok, _ := m.Acquire("a", "x", Write, nil); !ok {
-		t.Fatal("setup x")
-	}
-	if ok, _ := m.Acquire("b", "y", Write, nil); !ok {
-		t.Fatal("setup y")
-	}
+	mustAcquire(m, "a", "x", Write)
+	mustAcquire(m, "b", "y", Write)
 	if ok, err := m.Acquire("a", "y", Write, nil); ok || err != nil {
-		t.Fatalf("a should wait for y: %v", err)
+		t.Fatalf("a on y: granted=%v err=%v, want refused", ok, err)
 	}
-	// b requesting x closes the cycle a→y→b→x→a.
-	if _, err := m.Acquire("b", "x", Write, nil); !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("want ErrDeadlock, got %v", err)
+	if ok, err := m.Acquire("b", "x", Write, nil); ok || err != nil {
+		t.Fatalf("b on x: granted=%v err=%v, want refused", ok, err)
 	}
-	_, _, dl := m.Stats()
-	if dl != 1 {
-		t.Fatalf("deadlock counter = %d", dl)
-	}
-}
-
-func TestDeadlockThreeWay(t *testing.T) {
-	m := NewManager()
-	for i, txn := range []string{"a", "b", "c"} {
-		if ok, _ := m.Acquire(txn, fmt.Sprintf("k%d", i), Write, nil); !ok {
-			t.Fatal("setup failed")
+	for key, want := range map[string]string{"x": "a", "y": "b"} {
+		if got := m.Holders(key); !slices.Equal(got, []string{want}) {
+			t.Fatalf("Holders(%s) = %v, want [%s]", key, got, want)
 		}
 	}
-	if ok, _ := m.Acquire("a", "k1", Write, nil); ok {
-		t.Fatal("a should block")
-	}
-	if ok, _ := m.Acquire("b", "k2", Write, nil); ok {
-		t.Fatal("b should block")
-	}
-	if _, err := m.Acquire("c", "k0", Write, nil); !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("3-cycle not detected: %v", err)
+	m.ReleaseAll("a")
+	if ok, err := m.Acquire("b", "x", Write, nil); !ok || err != nil {
+		t.Fatalf("b retries x after a aborted: granted=%v err=%v, want granted", ok, err)
 	}
 }
 
-func TestReleaseAllDropsQueuedRequests(t *testing.T) {
+// TestDeadlockThreeWay: the three-party cycle a→k1→b→k2→c→k0→a cannot
+// form. Every request that would wait is refused, nobody holds more than
+// its first key, and once one party aborts the cycle's next party
+// completes on retry.
+func TestDeadlockThreeWay(t *testing.T) {
 	m := NewManager()
-	if ok, _ := m.Acquire("a", "x", Write, nil); !ok {
-		t.Fatal("setup failed")
+	txns := []string{"a", "b", "c"}
+	for i, txn := range txns {
+		mustAcquire(m, txn, fmt.Sprintf("k%d", i), Write)
 	}
-	fired := false
-	if ok, _ := m.Acquire("b", "x", Write, func() { fired = true }); ok {
-		t.Fatal("b should queue")
+	for i, txn := range txns {
+		key := fmt.Sprintf("k%d", (i+1)%len(txns))
+		if ok, err := m.Acquire(txn, key, Write, nil); ok || err != nil {
+			t.Fatalf("%s on %s: granted=%v err=%v, want refused", txn, key, ok, err)
+		}
+		if got := m.Holds(txn, key); got != 0 {
+			t.Fatalf("%s holds %s in %v after refusal, want nothing", txn, key, got)
+		}
 	}
-	// b aborts while waiting.
 	m.ReleaseAll("b")
-	m.ReleaseAll("a")
-	if fired {
-		t.Fatal("aborted waiter was granted")
+	if ok, err := m.Acquire("a", "k1", Write, nil); !ok || err != nil {
+		t.Fatalf("a retries k1 after b aborted: granted=%v err=%v, want granted", ok, err)
 	}
-	// x should now be free.
-	if ok, _ := m.Acquire("c", "x", Write, nil); !ok {
-		t.Fatal("x not free after releases")
+}
+
+// TestRefusedAcquireLeavesNoTrace: a refused request changes nothing. t2's
+// write behind t1's read is refused; t3's read is then granted at once, as
+// no request stands before it; releasing t1 grants t2 nothing, as nothing
+// was queued; and once every transaction has released, the manager holds
+// no object.
+func TestRefusedAcquireLeavesNoTrace(t *testing.T) {
+	m := NewManager()
+	mustAcquire(m, "t1", "k", Read)
+	fired := false
+	if ok, err := m.Acquire("t2", "k", Write, func() { fired = true }); ok || err != nil {
+		t.Fatalf("t2 write behind t1's read: granted=%v err=%v, want refused", ok, err)
+	}
+	if ok, err := m.Acquire("t3", "k", Read, nil); !ok || err != nil {
+		t.Fatalf("t3 read after t2's refusal: granted=%v err=%v, want granted at once", ok, err)
+	}
+	m.ReleaseAll("t1")
+	if got := m.Holds("t2", "k"); got != 0 || fired {
+		t.Fatalf("t2 holds %v (callback fired: %v) after t1 released, want nothing", got, fired)
+	}
+	for _, txn := range []string{"t2", "t3"} {
+		m.ReleaseAll(txn)
+	}
+	if len(m.objects) != 0 || len(m.held) != 0 {
+		t.Fatalf("%d objects, %d held sets left after every transaction released", len(m.objects), len(m.held))
+	}
+}
+
+func mustAcquire(m *Manager, txn, key string, mode Mode) {
+	ok, err := m.Acquire(txn, key, mode, nil)
+	if !ok || err != nil {
+		panic("acquire " + txn + "/" + key + " not immediate")
 	}
 }
 
@@ -203,15 +188,13 @@ func TestConflictSerializabilityProperty(t *testing.T) {
 		keys := []string{"x", "y", "z"}
 
 		// Each transaction is a list of (key, mode) accesses. Execute them
-		// round-robin; a blocked transaction pauses; a deadlocked one
-		// aborts (its accesses are discarded).
+		// round-robin; a refused access aborts its transaction (no-wait):
+		// the transaction releases its locks and its accesses are discarded.
 		type txnState struct {
-			name    string
-			ops     []op
-			pc      int
-			blocked bool
-			aborted bool
-			done    bool
+			name string
+			ops  []op
+			pc   int
+			over bool
 		}
 		var txns []*txnState
 		for i := 0; i < nTxn; i++ {
@@ -227,57 +210,27 @@ func TestConflictSerializabilityProperty(t *testing.T) {
 		}
 
 		var schedule []op // executed (granted) accesses in order
-		for rounds := 0; rounds < 1000; rounds++ {
-			progress := false
+		for live := len(txns); live > 0; {
 			for _, ts := range txns {
-				if ts.done || ts.aborted || ts.blocked {
+				if ts.over {
 					continue
 				}
-				if ts.pc >= len(ts.ops) {
-					ts.done = true
+				if ts.pc == len(ts.ops) {
+					ts.over = true
+					live--
 					m.ReleaseAll(ts.name)
-					progress = true
 					continue
 				}
 				cur := ts.ops[ts.pc]
-				ts.blocked = true
-				granted, err := m.Acquire(cur.txn, cur.key, cur.mode, func() {
-					ts.blocked = false
-					schedule = append(schedule, cur)
-					ts.pc++
-				})
-				if err != nil {
-					// Deadlock: abort, release, discard its schedule entries.
-					ts.aborted = true
-					ts.blocked = false
+				if granted, _ := m.Acquire(cur.txn, cur.key, cur.mode, nil); !granted {
+					ts.over = true
+					live--
 					m.ReleaseAll(ts.name)
-					var kept []op
-					for _, o := range schedule {
-						if o.txn != ts.name {
-							kept = append(kept, o)
-						}
-					}
-					schedule = kept
-					progress = true
+					schedule = slices.DeleteFunc(schedule, func(o op) bool { return o.txn == ts.name })
 					continue
 				}
-				if granted {
-					ts.blocked = false
-					schedule = append(schedule, cur)
-					ts.pc++
-					progress = true
-				}
-			}
-			if !progress {
-				allDone := true
-				for _, ts := range txns {
-					if !ts.done && !ts.aborted {
-						allDone = false
-					}
-				}
-				if allDone {
-					break
-				}
+				schedule = append(schedule, cur)
+				ts.pc++
 			}
 		}
 

@@ -5,44 +5,22 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"strconv"
 	"testing"
 )
 
-// fullScanReleaseAll is ReleaseAll as it was before held noted the keys a
-// transaction is queued on: it purges txn's queued requests from every
-// object the manager has, in sorted key order, then drops txn's holds. It
-// never forgets an object. It is the reference the indexed ReleaseAll must
-// reproduce grant for grant.
+// fullScanReleaseAll is ReleaseAll by a scan of every object the manager
+// has rather than of txn's own held set: it drops txn from each object's
+// holders, forgets the objects left idle, then forgets txn's held set. It
+// is the reference the indexed ReleaseAll must reproduce.
 func fullScanReleaseAll(m *Manager, txn string) {
-	for _, key := range sortedKeys(m.objects) {
-		o := m.objects[key]
-		var rest []request
-		for _, r := range o.queue {
-			if r.txn != txn {
-				rest = append(rest, r)
-			}
-		}
-		if len(rest) != len(o.queue) {
-			o.queue = rest
-			m.pump(o, key)
+	for key, holders := range m.objects {
+		delete(holders, txn)
+		if len(holders) == 0 {
+			delete(m.objects, key)
 		}
 	}
-	var keys []string
-	for key, mode := range m.held[txn] {
-		if mode != 0 { // the full scan kept only granted keys in held
-			keys = append(keys, key)
-		}
-	}
-	slices.Sort(keys)
 	delete(m.held, txn)
-	delete(m.waits, txn)
-	for _, key := range keys {
-		o := m.obj(key)
-		delete(o.holders, txn)
-		m.pump(o, key)
-	}
 }
 
 // historyOp is one step of a random lock history.
@@ -60,9 +38,8 @@ var (
 // randomHistory is a seeded mix of Acquire in all five modes, early
 // Release (held or not), ReleaseAll and upgrades: a third of the acquires
 // name a key the transaction asked for earlier, in a random mode. Every
-// history opens with TestReleaseAllWaiterCleanup's mixed-hold upgrade: t0
-// holds k0 in Read beside reader t1, queues an IncMode upgrade, and
-// releases everything.
+// history opens with a mixed-hold upgrade: t0 holds k0 in Read beside
+// reader t1, is refused an IncMode upgrade, and releases everything.
 func randomHistory(seed int64, steps int) []historyOp {
 	r := rand.New(rand.NewSource(seed))
 	h := []historyOp{
@@ -97,41 +74,36 @@ func randomHistory(seed int64, steps int) []historyOp {
 }
 
 // replay drives m through h, releasing with release, and returns after
-// every step what a caller can observe: the grant callbacks the step
-// fired, in order, its result, each key's holders, queue length and
-// per-transaction modes, and the manager's counters.
+// every step its result, each key's holders and per-transaction modes, and
+// how many objects the manager keeps.
 func replay(m *Manager, h []historyOp, release func(*Manager, string)) []string {
-	var grants, seen []string
-	for i, op := range h {
-		grants = grants[:0]
-		var result string
+	var seen []string
+	for _, op := range h {
+		var state string
 		switch op.kind {
 		case 'a':
-			tag := fmt.Sprintf("%d:%s/%s/%s", i, op.txn, op.key, op.mode)
-			ok, err := m.Acquire(op.txn, op.key, op.mode, func() { grants = append(grants, tag) })
-			result = fmt.Sprint(ok, err)
+			ok, err := m.Acquire(op.txn, op.key, op.mode, nil)
+			state = fmt.Sprint(ok, err)
 		case 'r':
-			result = fmt.Sprint(m.Release(op.txn, op.key))
+			state = fmt.Sprint(m.Release(op.txn, op.key))
 		case 'R':
 			release(m, op.txn)
 		}
-		g, b, d := m.Stats()
-		state := fmt.Sprintf("%s grants=%v stats=%d/%d/%d", result, grants, g, b, d)
 		for _, k := range historyKeys {
-			state += fmt.Sprintf(" %s:%v/%d", k, m.Holders(k), m.QueueLen(k))
+			state += fmt.Sprintf(" %s:%v/", k, m.Holders(k))
 			for _, t := range historyTxns {
 				state += strconv.Itoa(int(m.Holds(t, k)))
 			}
 		}
-		seen = append(seen, state)
+		seen = append(seen, fmt.Sprintf("%s objects=%d", state, len(m.objects)))
 	}
 	return seen
 }
 
 // TestReleaseAllMatchesFullScan: over 300 seeded histories the indexed
-// ReleaseAll fires the same grant callbacks in the same order, and leaves
-// the same holders, queues and counters after every step, as the full
-// scan over every object the manager has seen.
+// ReleaseAll leaves the same grants, refusals, holders, modes and object
+// count after every step as the full scan over every object the manager
+// has.
 func TestReleaseAllMatchesFullScan(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		h := randomHistory(seed, 200)
@@ -147,18 +119,18 @@ func TestReleaseAllMatchesFullScan(t *testing.T) {
 }
 
 // TestReleasingEveryTransactionEmptiesManager: whatever mix of grants,
-// queued upgrades, deadlocks, Release errors and ReleaseAlls came first,
-// once every transaction has released everything the manager remembers
-// nothing: no object, no held set, no waiter.
+// upgrades, refusals, Release errors and ReleaseAlls came first, once every
+// transaction has released everything the manager remembers nothing: no
+// object, no held set.
 func TestReleasingEveryTransactionEmptiesManager(t *testing.T) {
-	var deadlocks, notHeld int
+	var refused, notHeld int
 	for seed := int64(0); seed < 300; seed++ {
 		m := NewManager()
 		for _, op := range randomHistory(seed, 200) {
 			switch op.kind {
 			case 'a':
-				if _, err := m.Acquire(op.txn, op.key, op.mode, nil); errors.Is(err, ErrDeadlock) {
-					deadlocks++
+				if granted, _ := m.Acquire(op.txn, op.key, op.mode, nil); !granted {
+					refused++
 				}
 			case 'r':
 				if errors.Is(m.Release(op.txn, op.key), ErrNotHeld) {
@@ -171,12 +143,12 @@ func TestReleasingEveryTransactionEmptiesManager(t *testing.T) {
 		for _, txn := range historyTxns {
 			m.ReleaseAll(txn)
 		}
-		if len(m.objects) != 0 || len(m.held) != 0 || len(m.waits) != 0 {
-			t.Fatalf("seed %d: %d objects, %d held sets, %d waiters left", seed, len(m.objects), len(m.held), len(m.waits))
+		if len(m.objects) != 0 || len(m.held) != 0 {
+			t.Fatalf("seed %d: %d objects, %d held sets left", seed, len(m.objects), len(m.held))
 		}
 	}
-	if deadlocks == 0 || notHeld == 0 {
-		t.Fatalf("histories exercised %d deadlocks and %d Release errors, want both", deadlocks, notHeld)
+	if refused == 0 || notHeld == 0 {
+		t.Fatalf("histories exercised %d refusals and %d Release errors, want both", refused, notHeld)
 	}
 }
 

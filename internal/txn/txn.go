@@ -360,7 +360,7 @@ func (s *Site) startWork(w workMsg) {
 	s.runOps(w.Txn, w.Ops, map[string]string{})
 }
 
-// failWork reports a local work failure (conflict/deadlock) and rolls the
+// failWork reports a local work failure (a refused lock, say) and rolls the
 // branch back so the vote becomes no.
 func (s *Site) failWork(txn string) {
 	s.failed[txn] = true
@@ -374,7 +374,6 @@ func (s *Site) failWork(txn string) {
 // completion. A lock conflict fails the work at once: no site waits for a
 // lock, so the vote becomes no and the branch rolls back.
 func (s *Site) runOps(txn string, ops []Op, reads map[string]string) {
-	//lock:ordered submission-order acquisition cannot close a waits-for cycle: a conflict fails the work at once and no site ever waits for a lock, so acquisition order is free
 	for _, op := range ops {
 		if err := s.applyOp(txn, op, reads); err != nil {
 			s.failWork(txn)

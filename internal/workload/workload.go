@@ -46,12 +46,12 @@ const (
 	// orders alternating — transaction 1 takes (high shard, low shard),
 	// transaction 2 (low, high), and so on. Transaction 0 is a warm-up
 	// that writes both keys and so (under strict 2PL) holds both shards'
-	// locks until its commit applies, forcing the opposed pair to suspend
-	// mid-acquisition; when the warm-up releases, each of the pair grabs
-	// its first key and then waits on the other's — a waits-for cycle
-	// spanning two lock managers that neither manager's deadlock detector
-	// can see. It exists for E20 and lockcheck's lock-order rule; it is
-	// deterministic (no random draws).
+	// locks until its commit applies. A site that waited for a contended
+	// lock would let the opposed pair each grab its first key and wait on
+	// the other's — a waits-for cycle spanning two lock managers; the
+	// no-wait managers refuse the second request instead, and explore's
+	// opposed-workload progress tests pin that every transaction decides.
+	// It is deterministic (no random draws).
 	Opposed
 )
 
