@@ -104,13 +104,22 @@ lint:
 # counters; kvstore's five unreachable error arms), HARNESS 2810 -> 2790
 # (E20's mutant arms), TOOLS 1485 -> 1479 (tpcverify's printing of
 # them), REST 3495 -> 3457 (four catalogue entries and their edits).
+# Looking a resolvent up before building it raised two: PROOF 6382 -> 6520
+# for the literal index, the resolve/factor pair that simplifies, sizes and
+# keys a candidate under the unifier (Subst.EqualAtoms, Subst.Size, the one
+# canonical encoder taking a substitution), the discard counters that keep
+# a drained queue from reading as saturation, and logic/logictest (+48),
+# the random-term generator the logic and prover property tests share;
+# deleted with it: resolvents and the map-based Subst helpers (cloneSubst,
+# the map copies in Unify, UnifyAtoms and ApplyFormula). REST 3457 -> 3468,
+# exactly the three new prover catalogue entries.
 ANALYSIS_LOC_BUDGET = 5856
 STACK_LOC_BUDGET = 3996
 HARNESS_LOC_BUDGET = 2790
 SERVING_LOC_BUDGET = 2001
 TOOLS_LOC_BUDGET = 1479
-PROOF_LOC_BUDGET = 6382
-REST_LOC_BUDGET = 3457
+PROOF_LOC_BUDGET = 6520
+REST_LOC_BUDGET = 3468
 loc_count = find $(1) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
 loc:
 	@a=$$($(call loc_count,internal/analysis)); \

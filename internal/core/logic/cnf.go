@@ -62,30 +62,37 @@ func (c *Clause) String() string {
 func (c *Clause) Canonical() string { return string(c.AppendCanonical(nil)) }
 
 // AppendCanonical appends the clause's Canonical key to dst and returns the
-// extended buffer. Each literal is encoded into dst's tail, the spans are
-// sorted, and the joined key replaces them, so a caller that reuses dst
-// encodes a clause without allocating.
+// extended buffer: the empty-substitution case of Subst.AppendCanonical.
 func (c *Clause) AppendCanonical(dst []byte) []byte {
+	return Subst(nil).AppendCanonical(dst, c.Literals)
+}
+
+// AppendCanonical appends to dst the Canonical key of the clause whose
+// literals are lits with s applied, without applying it. Each literal is
+// encoded into dst's tail, the spans are sorted, and the joined key
+// replaces them, so a caller that reuses dst encodes a clause without
+// allocating.
+func (s Subst) AppendCanonical(dst []byte, lits []Literal) []byte {
 	// Stack room for the variable numbering (vars[i] is numbered i) and for
 	// the literal spans of a clause within the prover's default limits.
 	var varsArr [16]string
 	var spansArr [24]struct{ lo, hi int }
 	buf, vars, spans := dst, varsArr[:0], spansArr[:0]
-	for _, l := range c.Literals {
+	for _, l := range lits {
 		lo := len(buf)
 		if l.Negated {
 			buf = append(buf, '~')
 		}
-		buf, vars = appendCanonArgs(append(buf, l.Atom.Name...), vars, l.Atom.Args)
+		buf, vars = s.appendCanonArgs(append(buf, l.Atom.Name...), vars, l.Atom.Args)
 		spans = append(spans, struct{ lo, hi int }{lo, len(buf)})
 	}
 	start, mid := len(dst), len(buf)
 	slices.SortFunc(spans, func(a, b struct{ lo, hi int }) int { return bytes.Compare(buf[a.lo:a.hi], buf[b.lo:b.hi]) })
-	for i, s := range spans {
+	for i, sp := range spans {
 		if i > 0 {
 			buf = append(buf, " | "...)
 		}
-		buf = append(buf, buf[s.lo:s.hi]...)
+		buf = append(buf, buf[sp.lo:sp.hi]...)
 	}
 	return buf[:start+copy(buf[start:], buf[mid:])]
 }
@@ -93,12 +100,13 @@ func (c *Clause) AppendCanonical(dst []byte) []byte {
 // appendCanonArgs encodes a parenthesized argument list for
 // AppendCanonical: a variable as 'V' and its first-occurrence number in
 // vars, every term followed by ':' and its sort.
-func appendCanonArgs(buf []byte, vars []string, args []*Term) ([]byte, []string) {
+func (s Subst) appendCanonArgs(buf []byte, vars []string, args []*Term) ([]byte, []string) {
 	buf = append(buf, '(')
 	for i, t := range args {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
+		t = s.resolve(t)
 		if t.Kind == KindVar {
 			n := slices.Index(vars, t.Name)
 			if n < 0 {
@@ -111,7 +119,7 @@ func appendCanonArgs(buf []byte, vars []string, args []*Term) ([]byte, []string)
 		}
 		buf = append(append(buf, ':'), t.Sort...)
 		if t.Kind == KindApp {
-			buf, vars = appendCanonArgs(buf, vars, t.Args)
+			buf, vars = s.appendCanonArgs(buf, vars, t.Args)
 		}
 	}
 	return append(buf, ')'), vars
@@ -120,12 +128,12 @@ func appendCanonArgs(buf []byte, vars []string, args []*Term) ([]byte, []string)
 // RenameVars returns a copy of the clause with every variable renamed using
 // the given suffix, standardizing clauses apart before resolution.
 func (c *Clause) RenameVars(suffix string) *Clause {
-	m := Subst{}
+	var m Subst
 	for _, l := range c.Literals {
 		for _, a := range l.Atom.Args {
 			for _, v := range a.Vars() {
-				if _, ok := m[v.Name]; !ok {
-					m[v.Name] = Var(v.Name+suffix, v.Sort)
+				if _, ok := m.lookup(v.Name); !ok {
+					m = append(m, Binding{v.Name, Var(v.Name+suffix, v.Sort)})
 				}
 			}
 		}
@@ -159,7 +167,7 @@ func ClausifyWith(f *Formula, freshSkolem func() string) []*Clause {
 	f = Closure(f)
 	nnf := toNNF(f, false)
 	renumber := &varRenamer{taken: map[string]int{}}
-	matrix := skolemize(nnf, nil, Subst{}, freshSkolem, renumber)
+	matrix := skolemize(nnf, nil, nil, freshSkolem, renumber)
 	return distribute(matrix)
 }
 
@@ -234,7 +242,8 @@ func (r *varRenamer) fresh(base string) string {
 
 // skolemize removes quantifiers from an NNF formula. universals is the list
 // of universally bound variables in scope (after renaming); s carries the
-// renaming/skolem substitution.
+// renaming/skolem substitution, a quantifier's bindings shadowing the
+// enclosing ones.
 func skolemize(f *Formula, universals []*Term, s Subst, freshSkolem func() string, r *varRenamer) *Formula {
 	switch f.Kind {
 	case KindPred, KindEq:
@@ -248,27 +257,27 @@ func skolemize(f *Formula, universals []*Term, s Subst, freshSkolem func() strin
 		}
 		return &Formula{Kind: f.Kind, Sub: sub}
 	case KindForall:
-		inner := cloneSubst(s)
-		// Copy before extending: sibling branches must not share growth of
+		// Cap before extending: sibling branches must not share growth of
 		// the same backing array.
+		inner := s[:len(s):len(s)]
 		scope := make([]*Term, len(universals), len(universals)+len(f.Bound))
 		copy(scope, universals)
 		for _, v := range f.Bound {
 			nv := Var(r.fresh(v.Name), v.Sort)
-			inner[v.Name] = nv
+			inner = append(inner, Binding{v.Name, nv})
 			scope = append(scope, nv)
 		}
 		return skolemize(f.Sub[0], scope, inner, freshSkolem, r)
 	case KindExists:
-		inner := cloneSubst(s)
+		inner := s[:len(s):len(s)]
 		for _, v := range f.Bound {
 			name := freshSkolem()
 			if len(universals) == 0 {
-				inner[v.Name] = Const(name, v.Sort)
+				inner = append(inner, Binding{v.Name, Const(name, v.Sort)})
 			} else {
 				args := make([]*Term, len(universals))
 				copy(args, universals)
-				inner[v.Name] = App(name, v.Sort, args...)
+				inner = append(inner, Binding{v.Name, App(name, v.Sort, args...)})
 			}
 		}
 		return skolemize(f.Sub[0], universals, inner, freshSkolem, r)
@@ -277,14 +286,6 @@ func skolemize(f *Formula, universals []*Term, s Subst, freshSkolem func() strin
 	default:
 		return f
 	}
-}
-
-func cloneSubst(s Subst) Subst {
-	c := make(Subst, len(s)+2)
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
 }
 
 // distribute converts a quantifier-free NNF formula to clauses.

@@ -1,11 +1,6 @@
 package logic
 
-import (
-	"math/rand"
-	"reflect"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestTermString(t *testing.T) {
 	tests := []struct {
@@ -88,64 +83,5 @@ func TestTermRename(t *testing.T) {
 	}
 	if term.Name != "f" {
 		t.Error("Rename mutated its receiver")
-	}
-}
-
-// symbolSort fixes one sort per symbol name, mirroring a well-sorted
-// signature: soundness of unification w.r.t. sort-sensitive Equal only
-// holds for sort-consistent corpora.
-var symbolSort = map[string]string{
-	"x": "S", "y": "T", "z": "",
-	"a": "S", "b": "T", "c": "",
-	"f": "S", "g": "T",
-}
-
-// genTerm builds a random well-sorted term of bounded depth for property tests.
-func genTerm(r *rand.Rand, depth int) *Term {
-	switch {
-	case depth <= 0 || r.Intn(3) == 0:
-		if r.Intn(2) == 0 {
-			n := []string{"x", "y", "z"}[r.Intn(3)]
-			return Var(n, symbolSort[n])
-		}
-		n := []string{"a", "b", "c"}[r.Intn(3)]
-		return Const(n, symbolSort[n])
-	default:
-		n := r.Intn(3)
-		args := make([]*Term, n)
-		for i := range args {
-			args[i] = genTerm(r, depth-1)
-		}
-		if n == 0 {
-			return Const("a", symbolSort["a"])
-		}
-		f := []string{"f", "g"}[r.Intn(2)]
-		return App(f, symbolSort[f], args...)
-	}
-}
-
-// termGen adapts genTerm for testing/quick.
-type termGen struct{ T *Term }
-
-// Generate implements quick.Generator.
-func (termGen) Generate(r *rand.Rand, _ int) reflect.Value {
-	return reflect.ValueOf(termGen{T: genTerm(r, 3)})
-}
-
-func TestTermCloneEqualProperty(t *testing.T) {
-	prop := func(g termGen) bool {
-		return g.T.Equal(g.T.Clone())
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTermSizePositiveProperty(t *testing.T) {
-	prop := func(g termGen) bool {
-		return g.T.Size() >= 1
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
 	}
 }

@@ -7,12 +7,21 @@
 // The search uses the given-clause algorithm with a set-of-support strategy
 // (clauses descending from the negated conjecture are preferred), unit
 // preference, and duplicate elimination by sort-aware canonical identity.
-// Limits bound the search so a failed proof attempt terminates.
+// A literal index maps each (polarity, predicate, arity) to the active
+// clauses that have such a literal, so a given clause is resolved only
+// against clauses with a complementary one, in the order they became
+// active. A resolvent is checked before it is built: its simplification,
+// term sizes and duplicate key are computed through the unifier, and only
+// a clause within the limits and not seen before is materialised.
+// Limits bound the search so a failed proof attempt terminates; a search
+// whose queue drains after the limits discarded a clause reports ErrLimit,
+// not ErrExhausted.
 package prover
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -27,6 +36,9 @@ var (
 	ErrExhausted = errors.New("prover: saturated without refutation; goal not entailed")
 	// ErrLimit means a resource limit stopped the search inconclusively.
 	ErrLimit = errors.New("prover: resource limit reached before refutation")
+	// errDiscarded marks an ErrLimit whose queue drained only because the
+	// limits discarded clauses: the clause space was not saturated.
+	errDiscarded = errors.New("queue drained after discarding")
 )
 
 // Limits bounds a proof search.
@@ -35,9 +47,9 @@ type Limits struct {
 	MaxClauses int
 	// MaxIterations caps given-clause loop iterations.
 	MaxIterations int
-	// MaxClauseLiterals discards derived clauses longer than this.
+	// MaxClauseLiterals discards clauses, inputs included, longer than this.
 	MaxClauseLiterals int
-	// MaxTermSize discards derived clauses containing literals bigger than this.
+	// MaxTermSize discards clauses containing literals bigger than this.
 	MaxTermSize int
 	// Timeout caps wall-clock search time; zero means no timeout.
 	Timeout time.Duration
@@ -166,12 +178,13 @@ func (p *Prover) Prove(axioms []NamedFormula, goal NamedFormula) (*Result, error
 			now:         now,
 			start:       start,
 			seen:        map[string]int{},
+			index:       map[atomKey][]int{},
 			deadline:    start.Add(lim.Timeout),
 			hasDeadline: lim.Timeout > 0,
 			restrictSOS: restrictSOS,
 		}
 		for _, in := range inputs {
-			st.addClause(in.clause, "input", nil, in.origin, in.sos)
+			st.add(in.clause.Literals, nil, "input", nil, in.origin, in.sos)
 		}
 		st.stats.InputClauses = len(inputs)
 
@@ -185,10 +198,10 @@ func (p *Prover) Prove(axioms []NamedFormula, goal NamedFormula) (*Result, error
 		return run(false)
 	}
 	res, err := run(true)
-	if errors.Is(err, ErrExhausted) {
+	if errors.Is(err, ErrExhausted) || errors.Is(err, errDiscarded) {
 		// Set-of-support is complete only when the axioms alone are
-		// satisfiable; retry unrestricted so inconsistent axiom sets are
-		// still refuted.
+		// satisfiable; retry unrestricted whenever the queue drained, so
+		// inconsistent axiom sets are still refuted.
 		return run(false)
 	}
 	return res, err
@@ -213,14 +226,29 @@ type searchState struct {
 	restrictSOS bool
 	steps       []ProofStep
 	sos         []bool
-	size        []int           // total argument term size of each step's clause
-	active      []int           // indices of processed clauses
-	renamed     []*logic.Clause // active[i]'s clause, standardized apart once
-	queue       []int           // indices of unprocessed clauses
-	seen        map[string]int  // canonical key -> step index
-	key         []byte          // addClause's reused key buffer
+	size        []int             // total argument term size of each step's clause
+	active      []int             // indices of processed clauses
+	renamed     []*logic.Clause   // active[i]'s clause, standardized apart once
+	index       map[atomKey][]int // ascending positions in active of the clauses with a literal of that key
+	queue       []int             // indices of unprocessed clauses
+	seen        map[string]int    // canonical key -> step index
+	overLits    int               // clauses discarded over MaxClauseLiterals
+	overSize    int               // clauses discarded over MaxTermSize
 	stats       Stats
-	emptyIdx    int
+	// Buffers reused across candidate clauses.
+	key      []byte
+	subst    logic.Subst
+	lits     []logic.Literal
+	partners []int
+}
+
+// atomKey is the literal index's key: a literal's polarity, predicate
+// (equality is its own kind) and arity.
+type atomKey struct {
+	negated bool
+	kind    logic.FormulaKind
+	name    string
+	arity   int
 }
 
 func (st *searchState) emptyClause() int {
@@ -232,37 +260,42 @@ func (st *searchState) emptyClause() int {
 	return -1
 }
 
-// addClause records a clause unless it is a duplicate, too large, or over
-// limits; it returns the step index or -1.
-func (st *searchState) addClause(c *logic.Clause, rule string, parents []int, origin string, sos bool) int {
-	if c == nil {
-		return -1
-	}
-	if len(c.Literals) > st.limits.MaxClauseLiterals {
+// add records the clause that lits form under s unless it is over a
+// limit, a duplicate, or over MaxClauses; it returns the step index or -1.
+// The size and the key are computed through s and the clause is built only
+// once it is kept, so a rejected candidate allocates nothing.
+func (st *searchState) add(lits []logic.Literal, s logic.Subst, rule string, parents []int, origin string, sos bool) int {
+	if len(lits) > st.limits.MaxClauseLiterals {
+		st.overLits++
 		return -1
 	}
 	size := 0
-	for _, l := range c.Literals {
+	for _, l := range lits {
 		sz := 0
 		for _, a := range l.Atom.Args {
-			sz += a.Size()
+			sz += s.Size(a)
 		}
 		if sz > st.limits.MaxTermSize {
+			st.overSize++
 			return -1
 		}
 		size += sz
 	}
 	// The lookup converts without allocating; only an insert copies the key.
-	st.key = c.AppendCanonical(st.key[:0])
+	st.key = s.AppendCanonical(st.key[:0], lits)
 	if _, dup := st.seen[string(st.key)]; dup {
 		return -1
 	}
 	if len(st.steps) >= st.limits.MaxClauses {
 		return -1
 	}
+	c := &logic.Clause{Literals: make([]logic.Literal, len(lits))}
+	for i, l := range lits {
+		c.Literals[i] = l.Apply(s)
+	}
 	idx := len(st.steps)
 	st.seen[string(st.key)] = idx
-	st.steps = append(st.steps, ProofStep{Index: idx, Clause: c, Rule: rule, Parents: parents, Origin: origin})
+	st.steps = append(st.steps, ProofStep{Index: idx, Clause: c, Rule: rule, Parents: slices.Clone(parents), Origin: origin})
 	st.sos = append(st.sos, sos)
 	st.size = append(st.size, size)
 	st.queue = append(st.queue, idx)
@@ -278,37 +311,30 @@ func (st *searchState) saturate() (*Result, error) {
 		}
 		given := st.pickGiven()
 		// Each clause is standardized apart once: its "_r" copy joins
-		// renamed as it joins active, before the loop below, which
-		// resolves the given clause against itself too.
-		st.active = append(st.active, given)
-		st.renamed = append(st.renamed, st.steps[given].Clause.RenameVars("_r"))
+		// renamed as it joins active and the index, before the loop below,
+		// which resolves the given clause against itself too.
+		st.activate(given)
 		left := st.steps[given].Clause.RenameVars("_l")
 
-		// Factors of the given clause.
-		for _, f := range factors(st.steps[given].Clause) {
-			if idx := st.addClause(f, "factor", []int{given}, "", st.sos[given]); idx >= 0 {
-				st.stats.Generated++
-				if st.steps[idx].Clause.IsEmpty() {
-					return st.result(idx)
-				}
-			}
+		if idx := st.factor(given); idx >= 0 {
+			return st.result(idx)
 		}
-		// Binary resolution against all active clauses. Set of support:
-		// at least one parent must be a SOS clause.
-		for i, other := range st.active {
+		// Binary resolution against the active clauses with a
+		// complementary literal. Set of support: at least one parent must
+		// be a SOS clause.
+		for _, i := range st.partnersOf(st.steps[given].Clause) {
+			other := st.active[i]
 			if st.restrictSOS && !st.sos[given] && !st.sos[other] {
 				continue
 			}
-			for _, r := range resolvents(left, st.renamed[i]) {
-				st.stats.Generated++
-				idx := st.addClause(r, "resolve", []int{given, other}, "", true)
-				if idx >= 0 && st.steps[idx].Clause.IsEmpty() {
-					return st.result(idx)
-				}
+			if idx := st.resolve(left, st.renamed[i], given, other); idx >= 0 {
+				return st.result(idx)
 			}
-			if len(st.steps) >= st.limits.MaxClauses {
-				return nil, fmt.Errorf("%w (clauses >= %d)", ErrLimit, st.limits.MaxClauses)
-			}
+		}
+		// Once MaxClauses is reached add keeps nothing, so the search
+		// stops here even when the given clause had no partner.
+		if len(st.steps) >= st.limits.MaxClauses {
+			return nil, fmt.Errorf("%w (clauses >= %d)", ErrLimit, st.limits.MaxClauses)
 		}
 		// The deadline is sampled after the given clause is processed and
 		// only while unprocessed clauses remain: when the timeout fires on
@@ -320,13 +346,52 @@ func (st *searchState) saturate() (*Result, error) {
 			return nil, fmt.Errorf("%w (timeout %v)", ErrLimit, st.limits.Timeout)
 		}
 	}
+	// A drained queue is saturation only if the limits discarded nothing.
+	var over []string
+	if st.overLits > 0 {
+		over = append(over, fmt.Sprintf("%d clauses over MaxClauseLiterals %d", st.overLits, st.limits.MaxClauseLiterals))
+	}
+	if st.overSize > 0 {
+		over = append(over, fmt.Sprintf("%d clauses over MaxTermSize %d", st.overSize, st.limits.MaxTermSize))
+	}
+	if len(over) > 0 {
+		return nil, fmt.Errorf("%w (%w %s)", ErrLimit, errDiscarded, strings.Join(over, " and "))
+	}
 	return nil, ErrExhausted
+}
+
+// activate appends a clause to active, its "_r" copy to renamed, and its
+// position to the index entry of each of its literals.
+func (st *searchState) activate(given int) {
+	pos := len(st.active)
+	c := st.steps[given].Clause
+	st.active = append(st.active, given)
+	st.renamed = append(st.renamed, c.RenameVars("_r"))
+	for _, l := range c.Literals {
+		k := atomKey{l.Negated, l.Atom.Kind, l.Atom.Name, len(l.Atom.Args)}
+		if ps := st.index[k]; len(ps) == 0 || ps[len(ps)-1] != pos {
+			st.index[k] = append(ps, pos)
+		}
+	}
+}
+
+// partnersOf returns, ascending, the positions in active of the clauses
+// with a literal of opposite polarity, the same predicate and the same
+// arity as one of c's: the only clauses c can resolve with.
+func (st *searchState) partnersOf(c *logic.Clause) []int {
+	ps := st.partners[:0]
+	for _, l := range c.Literals {
+		ps = append(ps, st.index[atomKey{!l.Negated, l.Atom.Kind, l.Atom.Name, len(l.Atom.Args)}]...)
+	}
+	slices.Sort(ps)
+	st.partners = slices.Compact(ps)
+	return st.partners
 }
 
 // pickGiven removes and returns the best clause index from the queue:
 // fewest literals first (unit preference), then smallest term size, then
 // oldest. The scan is linear (RBR's monolithic queue reaches ~10k
-// clauses), so each comparison reads the weight addClause cached.
+// clauses), so each comparison reads the weight add cached.
 func (st *searchState) pickGiven() int {
 	best := 0
 	for i := 1; i < len(st.queue); i++ {
@@ -391,84 +456,87 @@ func extractProof(steps []ProofStep, emptyIdx int) []ProofStep {
 	return out
 }
 
-// resolvents returns all binary resolvents of clauses a and b, which the
-// caller has already standardized apart (no variable name in common).
-func resolvents(a, b *logic.Clause) []*logic.Clause {
-	var out []*logic.Clause
+// resolve adds the binary resolvents of a and b, which the caller has
+// standardized apart (no variable name in common): a is the given clause's
+// copy, b the copy of the active clause other. It returns the index of an
+// empty resolvent, or -1.
+func (st *searchState) resolve(a, b *logic.Clause, given, other int) int {
 	for i, la := range a.Literals {
 		for j, lb := range b.Literals {
 			if la.Negated == lb.Negated {
 				continue
 			}
-			s, ok := logic.UnifyAtoms(la.Atom, lb.Atom, nil)
+			s, ok := logic.UnifyAtoms(la.Atom, lb.Atom, st.subst[:0])
 			if !ok {
 				continue
 			}
-			lits := make([]logic.Literal, 0, len(a.Literals)+len(b.Literals)-2)
-			for k, l := range a.Literals {
-				if k != i {
-					lits = append(lits, l.Apply(s))
-				}
+			st.subst = s
+			st.lits = append(append(st.lits[:0], a.Literals[:i]...), a.Literals[i+1:]...)
+			st.lits = append(append(st.lits, b.Literals[:j]...), b.Literals[j+1:]...)
+			lits, ok := simplify(st.lits, s)
+			if !ok {
+				continue
 			}
-			for k, l := range b.Literals {
-				if k != j {
-					lits = append(lits, l.Apply(s))
-				}
-			}
-			if c := simplify(lits); c != nil {
-				out = append(out, c)
+			st.stats.Generated++
+			if idx := st.add(lits, s, "resolve", []int{given, other}, "", true); idx >= 0 && len(lits) == 0 {
+				return idx
 			}
 		}
 	}
-	return out
+	return -1
 }
 
-// factors returns the binary factors of a clause: for each unifiable pair of
-// same-polarity literals, the clause with the pair merged.
-func factors(c *logic.Clause) []*logic.Clause {
-	var out []*logic.Clause
+// factor adds the binary factors of the given clause: for each unifiable
+// pair of same-polarity literals, the clause with the pair merged. It
+// returns the index of an empty factor, or -1.
+func (st *searchState) factor(given int) int {
+	c := st.steps[given].Clause
 	for i := 0; i < len(c.Literals); i++ {
 		for j := i + 1; j < len(c.Literals); j++ {
 			li, lj := c.Literals[i], c.Literals[j]
 			if li.Negated != lj.Negated {
 				continue
 			}
-			s, ok := logic.UnifyAtoms(li.Atom, lj.Atom, nil)
+			s, ok := logic.UnifyAtoms(li.Atom, lj.Atom, st.subst[:0])
 			if !ok {
 				continue
 			}
-			lits := make([]logic.Literal, 0, len(c.Literals)-1)
-			for k, l := range c.Literals {
-				if k != j {
-					lits = append(lits, l.Apply(s))
-				}
+			st.subst = s
+			st.lits = append(append(st.lits[:0], c.Literals[:j]...), c.Literals[j+1:]...)
+			lits, ok := simplify(st.lits, s)
+			if !ok {
+				continue
 			}
-			if f := simplify(lits); f != nil {
-				out = append(out, f)
+			if idx := st.add(lits, s, "factor", []int{given}, "", st.sos[given]); idx >= 0 {
+				st.stats.Generated++
+				if len(lits) == 0 {
+					return idx
+				}
 			}
 		}
 	}
-	return out
+	return -1
 }
 
-// simplify removes duplicate literals, compacting lits in place, and
-// returns them as a clause; it returns nil for tautologies.
-func simplify(lits []logic.Literal) *logic.Clause {
+// simplify removes the literals that duplicate an earlier one under s,
+// compacting lits in place; ok is false when two literals are
+// complementary under s (the clause is a tautology).
+func simplify(lits []logic.Literal, s logic.Subst) ([]logic.Literal, bool) {
 	out := lits[:0]
 	for _, l := range lits {
 		dup := false
 		for _, m := range out {
-			if l.Negated == m.Negated && l.Atom.Equal(m.Atom) {
+			if s.EqualAtoms(l.Atom, m.Atom) {
+				if l.Negated != m.Negated {
+					return nil, false
+				}
 				dup = true
 				break
-			}
-			if l.Complementary(m) {
-				return nil
 			}
 		}
 		if !dup {
 			out = append(out, l)
 		}
 	}
-	return &logic.Clause{Literals: out}
+	return out, true
 }

@@ -3,6 +3,7 @@ package prover
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -157,11 +158,48 @@ func TestProveTimeout(t *testing.T) {
 	_, err := p.Prove(
 		[]NamedFormula{nf("grow", grow), nf("base", logic.Pred("P", logic.Const("z", "")))},
 		nf("goal", logic.Pred("Q")))
-	if err == nil {
-		t.Fatal("expected failure")
+	if !errors.Is(err, ErrLimit) {
+		t.Fatalf("got %v, want ErrLimit", err)
 	}
-	if !errors.Is(err, ErrLimit) && !errors.Is(err, ErrExhausted) {
-		t.Fatalf("unexpected error: %v", err)
+}
+
+// TestDiscardingSearchIsNotExhausted pins that a search whose limits
+// discard a clause never reports non-entailment: both goals follow, but
+// the limits drop an input clause (P∨Q over one literal) or the negated
+// goal (a term of size 4 over 3), so the queue drains without a proof. The
+// verdict is ErrLimit, naming the limit.
+func TestDiscardingSearchIsNotExhausted(t *testing.T) {
+	p, q, z := logic.Pred("P"), logic.Pred("Q"), logic.Const("z", "")
+	x := logic.Var("x", "")
+	s := func(t *logic.Term) *logic.Term { return logic.App("s", "", t) }
+	step := logic.Forall([]*logic.Term{x}, logic.Implies(logic.Pred("P", x), logic.Pred("P", s(x))))
+	for _, tc := range []struct {
+		limit  string
+		limits Limits
+		axioms []NamedFormula
+		goal   NamedFormula
+	}{
+		{"MaxClauseLiterals", Limits{MaxClauses: 100, MaxIterations: 100, MaxClauseLiterals: 1, MaxTermSize: 50},
+			[]NamedFormula{nf("pq", logic.Or(p, q)), nf("np", logic.Not(p))}, nf("q", q)},
+		{"MaxTermSize", Limits{MaxClauses: 100, MaxIterations: 100, MaxClauseLiterals: 8, MaxTermSize: 3},
+			[]NamedFormula{nf("base", logic.Pred("P", z)), nf("step", step)}, nf("sss", logic.Pred("P", s(s(s(z)))))},
+	} {
+		if _, err := (&Prover{Limits: tc.limits}).Prove(tc.axioms, tc.goal); !errors.Is(err, ErrLimit) || !strings.Contains(err.Error(), tc.limit) {
+			t.Errorf("%s over %s: got %v, want ErrLimit naming %s", tc.goal.Name, tc.limit, err, tc.limit)
+		}
+	}
+}
+
+// TestMaxClausesWithoutPartners fills the clause set to MaxClauses with
+// clauses that resolve with nothing: no given clause has an indexed
+// partner, yet the search must stop on the limit instead of draining its
+// queue. The goal's negation is the clause MaxClauses turned away, so
+// ErrExhausted would be a false verdict.
+func TestMaxClausesWithoutPartners(t *testing.T) {
+	axioms, goal := saturationInputs(8)
+	p := &Prover{Limits: Limits{MaxClauses: 7, MaxIterations: 100, MaxClauseLiterals: 8, MaxTermSize: 50}}
+	if _, err := p.Prove(axioms, goal); !errors.Is(err, ErrLimit) {
+		t.Fatalf("got %v, want ErrLimit", err)
 	}
 }
 
@@ -356,9 +394,9 @@ func TestDuplicateKeyIsSortAware(t *testing.T) {
 	}
 }
 
-// TestDuplicateClauseDoesNotAllocate pins the duplicate path of addClause:
-// the key is built in the search state's reused buffer and looked up
-// without converting it to a string.
+// TestDuplicateClauseDoesNotAllocate pins the duplicate path of add: the
+// key is built in the search state's reused buffer and looked up without
+// converting it to a string.
 func TestDuplicateClauseDoesNotAllocate(t *testing.T) {
 	x, y := logic.Var("x", "S"), logic.Var("y", "")
 	c := &logic.Clause{Literals: []logic.Literal{
@@ -366,15 +404,15 @@ func TestDuplicateClauseDoesNotAllocate(t *testing.T) {
 		{Negated: true, Atom: logic.Pred("Q", y, x)},
 	}}
 	st := &searchState{limits: DefaultLimits(), seen: map[string]int{}}
-	if idx := st.addClause(c, "input", nil, "", false); idx != 0 {
-		t.Fatalf("first addClause = %d, want 0", idx)
+	if idx := st.add(c.Literals, nil, "input", nil, "", false); idx != 0 {
+		t.Fatalf("first add = %d, want 0", idx)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if st.addClause(c, "input", nil, "", false) != -1 {
+		if st.add(c.Literals, nil, "input", nil, "", false) != -1 {
 			t.Fatal("duplicate clause was retained")
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("addClause of a duplicate allocates %v times, want 0", allocs)
+		t.Errorf("add of a duplicate allocates %v times, want 0", allocs)
 	}
 }

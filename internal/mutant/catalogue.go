@@ -1,8 +1,9 @@
 package mutant
 
 const (
-	cohortGo                  = "internal/tpc/cohort.go"
+	cohortGo, proverGo        = "internal/tpc/cohort.go", "internal/core/prover/prover.go"
 	explore, conformance, tpc = "./internal/explore", "./internal/conformance", "./internal/tpc"
+	prover                    = "./internal/core/prover"
 	// disseminate is terminationDecide's write-ahead tail: persist the
 	// decision, then tell every other participant.
 	disseminate = "\th.decide(txn, d, CauseTerminate)\n\tfor _, p := range t.peers {\n\t\tif p != h.id {\n\t\t\th.send(p, kind, txnMsg{Txn: txn})\n\t\t}\n\t}"
@@ -57,13 +58,23 @@ func Catalogue() []Mutant {
 			Kills: []Gate{Test("./internal/locking", "TestReleasingEveryTransactionEmptiesManager")}},
 
 		// prover: given-clause selection without the size tie-break.
-		{Name: "prover: better without size", Edits: []Edit{{"internal/core/prover/prover.go", "\tif st.size[a] != st.size[b] {\n\t\treturn st.size[a] < st.size[b]\n\t}\n", ""}},
+		{Name: "prover: better without size", Edits: []Edit{{proverGo, "\tif st.size[a] != st.size[b] {\n\t\treturn st.size[a] < st.size[b]\n\t}\n", ""}},
 			Kills: []Gate{Test("./internal/thesis", "TestProofsMatchGolden")}},
 		// prover: the duplicate key blind to sorts, or to literal order.
 		{Name: "prover: sort-blind key", Edits: []Edit{{"internal/core/logic/cnf.go", "\t\tbuf = append(append(buf, ':'), t.Sort...)\n", ""}},
-			Kills: []Gate{Test("./internal/core/prover", "TestDuplicateKeyIsSortAware")}},
+			Kills: []Gate{Test(prover, "TestDuplicateKeyIsSortAware")}},
 		{Name: "prover: key literals unsorted", Edits: []Edit{{"internal/core/logic/cnf.go", "slices.SortFunc(spans,", "slices.SortFunc(spans[:0],"}},
 			Kills: []Gate{Test("./internal/thesis", "TestProofsMatchGolden")}},
+		// prover: the literal index looks up the given literal's own
+		// polarity; the duplicate check under the unifier ignores sorts; the
+		// MaxClauses check runs only after a partner.
+		{Name: "prover: index looks up own polarity", Edits: []Edit{{proverGo, "atomKey{!l.Negated", "atomKey{l.Negated"}},
+			Kills: []Gate{Test("./internal/thesis", "TestProofsMatchGolden")}},
+		{Name: "prover: sort-blind duplicate check", Edits: []Edit{{"internal/core/logic/subst.go", "a.Name != b.Name || a.Sort != b.Sort ||", "a.Name != b.Name ||"}},
+			Kills: []Gate{Test(prover, "TestResolveMatchesReference")}},
+		{Name: "prover: limit checked after a partner", Edits: []Edit{{proverGo, "\t\t}\n\t\t// Once MaxClauses", "\t\t// Once MaxClauses"},
+			{proverGo, "ErrLimit, st.limits.MaxClauses)\n\t\t}\n", "ErrLimit, st.limits.MaxClauses)\n\t\t}\n\t\t}\n"}},
+			Kills: []Gate{Test(prover, "TestMaxClausesWithoutPartners")}},
 
 		// tpc: the termination protocol's building blocks, each broken once.
 		{Name: "tpc: backup is the highest participant", Edits: []Edit{{cohortGo, "return ids[i] < ids[j]", "return ids[i] > ids[j]"}},
