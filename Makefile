@@ -22,14 +22,18 @@ race:
 # declared only for bench/ — tpc.Config.ScopedParticipants and
 # (*stable.Store).SetGroupCommit — from growing a reader or a caller
 # before they are deleted. The served binary must not link the mutant
-# runner, which shells out to the go tool. Every Go file, bench/ included,
-# must be gofmt-clean.
+# runner, which shells out to the go tool. The engines have one sync
+# primitive: every forced announcement in internal/tpc goes through
+# endpoint.forceThen, which is Store.SyncThen, so the grep for a .Sync( call
+# in its non-test files keeps a blocking fsync from coming back onto the
+# served event loop. Every Go file, bench/ included, must be gofmt-clean.
 lint:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	! $(GO) list -deps ./cmd/tpcserve | grep -x 'speccat/internal/mutant'
 	! grep -rn 'ScopedParticipants' --include='*.go' . | grep -v '^./bench/' | grep -v 'internal/tpc/tpc.go'
 	! grep -rn 'SetGroupCommit' --include='*.go' . | grep -v '^./bench/' | grep -v 'internal/stable/stable.go'
+	! grep -rn --include='*.go' --exclude='*_test.go' '\.Sync(' internal/tpc
 	$(GO) run ./cmd/speccatlint ./...
 	$(GO) run ./cmd/speccatlint internal/core/speclang/testdata/thesis/*.sw internal/locking/comm.sw
 	$(GO) run ./cmd/speccatlint -fsm-check docs/fsm ./internal/...
@@ -113,13 +117,19 @@ lint:
 # deleted with it: resolvents and the map-based Subst helpers (cloneSubst,
 # the map copies in Unify, UnifyAtoms and ApplyFormula). REST 3457 -> 3468,
 # exactly the three new prover catalogue entries.
+# One sync primitive in the commit engine lowered one and raised one: STACK
+# 3996 -> 3995, endpoint.sync and its four blocking call sites folded into
+# forceThen continuations, paying for the cohort's pending-force flag, the
+# decided reply's write-ahead and stable's rule that a callback never runs
+# over a failed journal write or fsync; REST 3468 -> 3483, exactly the five
+# tpc catalogue entries, one per forced announcement.
 ANALYSIS_LOC_BUDGET = 5856
-STACK_LOC_BUDGET = 3996
+STACK_LOC_BUDGET = 3995
 HARNESS_LOC_BUDGET = 2790
 SERVING_LOC_BUDGET = 2001
 TOOLS_LOC_BUDGET = 1479
 PROOF_LOC_BUDGET = 6520
-REST_LOC_BUDGET = 3468
+REST_LOC_BUDGET = 3483
 loc_count = find $(1) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
 loc:
 	@a=$$($(call loc_count,internal/analysis)); \

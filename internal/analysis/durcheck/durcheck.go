@@ -14,8 +14,8 @@
 // reaches a stable.Store mutation (Put/Delete/Append/TruncateLog), a
 // wal.Log mutator (Begin/LoggedUpdate/Commit/Abort) or wal.Resolve — either
 // directly, via one level of call summaries, or via an asserted
-// //dur:writes annotation. Sends are simnet.Network.Send / Broadcast calls
-// and same-package wrappers that forward a kind parameter to one.
+// //dur:writes annotation. Sends are Send / Broadcast on simnet.Network or
+// rt.Transport, and same-package wrappers forwarding a kind parameter to one.
 //
 // Annotation grammar:
 //

@@ -1,12 +1,13 @@
 package mutant
 
 const (
-	cohortGo, proverGo        = "internal/tpc/cohort.go", "internal/core/prover/prover.go"
+	cohortGo, coordinatorGo   = "internal/tpc/cohort.go", "internal/tpc/coordinator.go"
+	proverGo                  = "internal/core/prover/prover.go"
 	explore, conformance, tpc = "./internal/explore", "./internal/conformance", "./internal/tpc"
 	prover                    = "./internal/core/prover"
 	// disseminate is terminationDecide's write-ahead tail: persist the
-	// decision, then tell every other participant.
-	disseminate = "\th.decide(txn, d, CauseTerminate)\n\tfor _, p := range t.peers {\n\t\tif p != h.id {\n\t\t\th.send(p, kind, txnMsg{Txn: txn})\n\t\t}\n\t}"
+	// decision, and have decide tell every other participant.
+	disseminate = "\th.decide(txn, d, CauseTerminate, func() {\n\t\tfor _, p := range t.peers {\n\t\t\tif p != h.id {\n\t\t\t\th.send(p, kind, txnMsg{Txn: txn})\n\t\t\t}\n\t\t}\n\t})"
 )
 
 // Catalogue returns every mutant, each with the gates that must kill it
@@ -25,9 +26,9 @@ func Catalogue() []Mutant {
 		// restarts from w and aborts what a peer committed.
 		{Name: "naive timeouts", Edits: []Edit{{cohortGo, "\tdefault:\n\t\th.startTermination(txn, t)\n", `	default:
 		if t.state == StateWait {
-			h.decide(txn, DecisionAbort, CauseTimeout)
+			h.decide(txn, DecisionAbort, CauseTimeout, nil)
 		} else if t.state == StatePrepared {
-			h.decide(txn, DecisionCommit, CauseTimeout)
+			h.decide(txn, DecisionCommit, CauseTimeout, nil)
 		}
 `}},
 			Kills: []Gate{Test(explore, "TestExplore3PCCleanUnderDesignFaults"), Test(explore, "TestAblationGoldensRunClean"), Test(tpc, "TestTraceCausesMeaningful"),
@@ -39,7 +40,7 @@ func Catalogue() []Mutant {
 			h.send(p, kind, txnMsg{Txn: txn})
 		}
 	}
-	h.decide(txn, d, CauseTerminate)`}},
+	h.decide(txn, d, CauseTerminate, nil)`}},
 			Kills: []Gate{Lint("dur"), Test("./internal/analysis/durcheck", "TestCrossValidateNegativeControl"), Test(explore, "TestAblationGoldensRunClean"),
 				Test(conformance, "TestAgreeconsensusCatchesCrashMidProtocol"), Test(conformance, "TestAgreebroadCatchesDisseminatorCrash"), Test(conformance, "TestGatheredStateVectorRules")},
 			Spares: []Gate{Test(explore, "TestCrashedNodeObservesNothing"), Test("./internal/txn", "TestSimulatedRestartIsProcessRestart")}},
@@ -85,7 +86,21 @@ func Catalogue() []Mutant {
 			Kills: []Gate{Test(conformance, "TestTimeoutActsWithinPhaseTimeout")}},
 		{Name: "tpc: cohort asks the coordinator", Edits: []Edit{{cohortGo, "h.send(backup, KindStateReq", "h.send(h.coord, KindStateReq"}},
 			Kills: []Gate{Test(conformance, "TestBackupElectedAfterCoordinatorCrash")}},
-		{Name: "tpc: backup never disseminates", Edits: []Edit{{cohortGo, disseminate, "\th.decide(txn, d, CauseTerminate)\n\t_ = kind"}},
+		{Name: "tpc: backup never disseminates", Edits: []Edit{{cohortGo, disseminate, "\th.decide(txn, d, CauseTerminate, nil)\n\t_ = kind"}},
 			Kills: []Gate{Test(conformance, "TestBackupElectedAfterCoordinatorCrash")}},
+
+		// tpc: each forced announcement sent before the fsync recovery needs —
+		// 2PC's w1 and its commit from w, the coordinator's abort from p, the
+		// cohort's contradicting decision and its decided reply meanwhile.
+		{Name: "tpc: 2PC w1 not forced", Edits: []Edit{{coordinatorGo, "c.forceThen(c.cfg.Protocol == TwoPhase,", "c.forceThen(false,"}},
+			Kills: []Gate{Test("./internal/txn", "TestConstructionRecovers")}},
+		{Name: "tpc: commit from w not forced", Edits: []Edit{{coordinatorGo, "c.forceThen(!from.Committable(),", "_ = from\n\tc.forceThen(false,"}},
+			Kills: []Gate{Test("./internal/txn", "TestConstructionRecovers")}},
+		{Name: "tpc: contradicting decision not forced", Edits: []Edit{{cohortGo, "t.forcing = (d ==", "t.forcing = false && (d =="}},
+			Kills: []Gate{Test(explore, "TestGoldenTraces")}},
+		{Name: "tpc: abort from p not forced", Edits: []Edit{{coordinatorGo, "c.forceThen(from == StatePrepared,", "_ = from\n\tc.forceThen(false,"}},
+			Kills: []Gate{Test(explore, "TestAbortFromPreparedIsForced")}},
+		{Name: "tpc: decided reply ignores a pending force", Edits: []Edit{{cohortGo, "h.forceThen(t.forcing, func() { h.send(", "h.forceThen(false, func() { h.send("}},
+			Kills: []Gate{Test(tpc, "TestForcedAnnouncementsWaitForTheFsync")}},
 	}
 }

@@ -51,8 +51,8 @@ type fileJournal struct {
 // journalRecord appends one mutation to the journal (no-op for in-memory
 // stores). Called with s.mu held, so journal order equals logical
 // mutation order. The first write or sync failure sticks (JournalErr);
-// later mutations still apply in memory — the medium degrades to
-// volatile rather than wedging the engines mid-protocol.
+// later mutations still apply in memory, but no SyncThen callback runs
+// again, so the engines announce nothing the journal did not make durable.
 func (s *Store) journalRecord(r journalRec) {
 	j := s.journal
 	if j == nil || j.err != nil {
@@ -82,8 +82,9 @@ func (s *Store) JournalErr() error {
 	return s.journal.err
 }
 
-// Close syncs and closes the journal file. In-memory stores have nothing
-// to close. Mutations after Close are applied in memory only.
+// Close syncs and closes the journal file; queued SyncThen callbacks run
+// after that sync, or never if it or an earlier journal write failed.
+// In-memory stores have nothing to close; later mutations apply in memory.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -93,16 +94,19 @@ func (s *Store) Close() error {
 	j := s.journal
 	s.journal = nil
 	s.dropWindowLocked() // from here on the store is an in-memory one
+	err := j.f.Sync()
+	if err != nil || j.err != nil {
+		s.pend = nil
+	}
 	if s.pendReq != nil {
 		// Wake the SyncThen syncer so it observes the closed journal and
 		// exits once its queue drains.
 		s.pendReq.Broadcast()
 	}
-	if err := j.f.Sync(); err != nil {
-		j.f.Close()
-		return fmt.Errorf("stable: close journal: %w", err)
+	if cerr := j.f.Close(); err == nil {
+		err = cerr
 	}
-	if err := j.f.Close(); err != nil {
+	if err != nil {
 		return fmt.Errorf("stable: close journal: %w", err)
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -140,6 +141,50 @@ func TestSyncThenCloseDrains(t *testing.T) {
 	for i := 0; i < n; i++ {
 		if _, ok := r.Get(fmt.Sprintf("k%d", i)); !ok {
 			t.Errorf("record k%d lost across close", i)
+		}
+	}
+}
+
+// TestSyncThenNeverRunsOverAFailedJournal: a callback whose covering
+// write or fsync failed never runs, and because the failure sticks
+// (JournalErr) no later callback does either — on the dispatching path
+// and on the inline one. The journal file is closed under the store, so
+// the fsync covering a record written before fails, and so does every
+// write after.
+func TestSyncThenNeverRunsOverAFailedJournal(t *testing.T) {
+	for _, dispatching := range []bool{true, false} {
+		s, err := OpenFile(filepath.Join(t.TempDir(), "journal"))
+		if err != nil {
+			t.Fatalf("OpenFile: %v", err)
+		}
+		if dispatching {
+			s.SetSyncDispatch(func(fn func()) { fn() })
+		}
+		var ran atomic.Int32
+		s.Put("a", []byte("1"))
+		s.mu.Lock()
+		s.journal.f.Close()
+		s.mu.Unlock()
+		s.SyncThen(func() { ran.Add(1) }) // the fsync covering a fails
+		s.Put("b", []byte("2"))           // the write fails
+		s.SyncThen(func() { ran.Add(1) })
+		if s.JournalErr() == nil {
+			t.Fatalf("dispatching=%v: no journal error after writing to a closed file", dispatching)
+		}
+		_ = s.Close() // fails on the closed file, and tells the syncer to exit
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			s.mu.Lock()
+			up := s.syncerUp
+			s.mu.Unlock()
+			if !up {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("dispatching=%v: syncer never exited", dispatching)
+			}
+		}
+		if n := ran.Load(); n != 0 {
+			t.Errorf("dispatching=%v: %d callbacks ran over a failed journal, want none", dispatching, n)
 		}
 	}
 }

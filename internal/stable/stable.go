@@ -171,20 +171,24 @@ func (s *Store) SetSyncDispatch(fn func(fn func())) {
 }
 
 // SyncThen arranges fn to run once every mutation applied so far is
-// durable. Without a journal or dispatcher there is nothing to overlap,
-// and this is Sync followed by fn inline. With a dispatcher on a file
-// journal the fsync moves off the caller's goroutine entirely: fn queues
-// behind the current mutation generation,
-// the syncer goroutine covers every queued callback with one batched
-// fsync, and fn is dispatched afterwards. That is pipelined group commit:
-// a serial event loop keeps absorbing concurrent transactions while the
-// disk settles, instead of stalling a full fsync at every sync point.
+// durable, and never if a journal write or fsync it depends on failed:
+// the failure sticks (JournalErr), so no later callback runs either, and
+// nothing that depends on an unforced record is ever announced. Without a
+// journal or dispatcher there is nothing to overlap, and this is Sync
+// followed by fn inline. With a dispatcher on a file journal the fsync
+// moves off the caller's goroutine entirely: fn queues behind the current
+// mutation generation, the syncer goroutine covers every queued callback
+// with one batched fsync, and fn is dispatched afterwards. That is
+// pipelined group commit: a serial event loop keeps absorbing concurrent
+// transactions while the disk settles, instead of stalling a full fsync
+// at every sync point.
 func (s *Store) SyncThen(fn func()) {
 	s.mu.Lock()
 	if s.frozen || s.journal == nil || s.dispatch == nil {
 		s.mu.Unlock()
-		_ = s.Sync()
-		fn()
+		if s.Sync() == nil {
+			fn()
+		}
 		return
 	}
 	s.pend = append(s.pend, pendItem{gen: s.mutGen, fn: fn})
@@ -217,11 +221,8 @@ func (s *Store) syncLoop() {
 		}
 		batch := s.pend
 		s.pend = nil
-		if s.journal != nil {
-			// A sync failure degrades the medium to volatile (JournalErr
-			// sticks) but still releases the callbacks, matching the
-			// error policy of the synchronous Sync call sites.
-			_ = s.syncToLocked(batch[len(batch)-1].gen)
+		if s.journal != nil && s.syncToLocked(batch[len(batch)-1].gen) != nil {
+			batch = nil // a failed write or fsync: the callbacks never run
 		}
 		n, hook, dispatch := s.syncs, s.onSync, s.dispatch
 		s.mu.Unlock()

@@ -20,7 +20,8 @@ type cohortTxn struct {
 	// peers is this transaction's participant set (self included), learned
 	// from the commit request — the only way into w2. Termination runs over
 	// exactly this set, so a transaction never waits on sites it did not touch.
-	peers []rt.NodeID
+	peers   []rt.NodeID
+	forcing bool // a decision recovery would contradict awaits its fsync (decide)
 }
 
 // Cohort is the paper's participant process. Vote decides phase-1 votes;
@@ -75,14 +76,14 @@ func (h *Cohort) HandleMessage(m rt.Message) bool {
 		if !ok {
 			return h.badPayload(m)
 		}
-		h.decide(p.Txn, DecisionCommit, CauseMessage)
+		h.decide(p.Txn, DecisionCommit, CauseMessage, nil)
 		return true
 	case KindAbort:
 		p, ok := m.Payload.(txnMsg)
 		if !ok {
 			return h.badPayload(m)
 		}
-		h.decide(p.Txn, DecisionAbort, CauseMessage)
+		h.decide(p.Txn, DecisionAbort, CauseMessage, nil)
 		return true
 	case KindStateReq:
 		p, ok := m.Payload.(txnMsg)
@@ -90,20 +91,21 @@ func (h *Cohort) HandleMessage(m rt.Message) bool {
 			return h.badPayload(m)
 		}
 		t := h.txn(p.Txn)
+		if t.state != StateCommitted && t.state != StateAborted {
+			h.send(m.From, KindStateResp, stateResp{Txn: p.Txn, State: t.state})
+			return true
+		}
 		// A decided cohort answers a state request with the decision
 		// itself, so a requester that missed the original dissemination
-		// (message loss) still converges. The decided guards below are why
-		// the durability checker stands down: a cohort only ever enters
-		// StateCommitted/StateAborted through decide(), which persists the
-		// outcome first.
-		switch t.state {
-		case StateCommitted:
-			h.send(m.From, KindCommit, txnMsg{Txn: p.Txn}) //dur:ignore StateCommitted is only entered via decide(), which persisted the decision
-		case StateAborted:
-			h.send(m.From, KindAbort, txnMsg{Txn: p.Txn}) //dur:ignore StateAborted is only entered via decide(), which persisted the decision
-		default:
-			h.send(m.From, KindStateResp, stateResp{Txn: p.Txn, State: t.state})
+		// (message loss) still converges. Like every announcement of a
+		// decision it is written ahead — decide wrote this record, so put
+		// skips it — and it waits out the decision's own pending force.
+		d, kind := DecisionAbort, KindAbort
+		if t.state == StateCommitted {
+			d, kind = DecisionCommit, KindCommit
 		}
+		h.persistDecision(p.Txn, d)
+		h.forceThen(t.forcing, func() { h.send(m.From, kind, txnMsg{Txn: p.Txn}) })
 		return true
 	case KindStateResp:
 		p, ok := m.Payload.(stateResp)
@@ -129,7 +131,7 @@ func (h *Cohort) onCommitReq(txn string, participants []rt.NodeID) {
 	yes := h.Vote == nil || h.Vote(txn)
 	if !yes {
 		h.send(h.coord, KindVoteNo, txnMsg{Txn: txn})
-		h.decide(txn, DecisionAbort, CauseMessage)
+		h.decide(txn, DecisionAbort, CauseMessage, nil)
 		return
 	}
 	h.emit(txn, t.state, StateWait, CauseMessage)
@@ -144,7 +146,7 @@ func (h *Cohort) onCommitReq(txn string, participants []rt.NodeID) {
 	// fsync here covers the vote, the branch's WAL records, and every
 	// concurrent committer in the window; the vote (and the phase timer it
 	// starts) waits on the batch, the event loop does not.
-	h.syncThen(func() {
+	h.forceThen(true, func() {
 		h.send(h.coord, KindVoteYes, txnMsg{Txn: txn})
 		// Timeout waiting for prepare: coordinator failed in w1.
 		t.timer = h.net.After(h.id, h.cfg.PhaseTimeout, func() {
@@ -170,7 +172,7 @@ func (h *Cohort) onPrepare(txn string, from rt.NodeID) {
 	// The p2 record must be durable before the ack: an acked-but-unsynced
 	// p crashes back to w, which recovers to abort — while the
 	// coordinator, holding every ack, commits.
-	h.syncThen(func() {
+	h.forceThen(true, func() {
 		h.send(from, KindAck, txnMsg{Txn: txn})
 		// Timeout waiting for commit: coordinator failed in p1.
 		t.timer = h.net.After(h.id, h.cfg.PhaseTimeout, func() {
@@ -281,32 +283,30 @@ func (h *Cohort) terminationDecide(txn string, t *cohortTxn) {
 			anyAborted = true
 		}
 	}
-	d := DecisionAbort
+	d, kind := DecisionAbort, KindAbort
 	if anyCommittable && !anyAborted {
-		d = DecisionCommit
-	}
-	kind := KindAbort
-	if d == DecisionCommit {
-		kind = KindCommit
+		d, kind = DecisionCommit, KindCommit
 	}
 	// Write-ahead rule: persist the decision locally (decide) BEFORE any
 	// peer can learn it. The original ordering disseminated first — the
 	// violation durcheck was built to catch, kept as the unsafe termination
 	// mutant of internal/mutant.
-	h.decide(txn, d, CauseTerminate)
-	for _, p := range t.peers {
-		if p != h.id {
-			h.send(p, kind, txnMsg{Txn: txn})
+	h.decide(txn, d, CauseTerminate, func() {
+		for _, p := range t.peers {
+			if p != h.id {
+				h.send(p, kind, txnMsg{Txn: txn})
+			}
 		}
-	}
+	})
 }
 
 // decide finalizes the local outcome: it persists the decided state and
-// the decision before any observer (OnDecide, subsequent sends) can act
-// on them.
+// the decision before any observer (OnDecide, announce) can act on them.
+// announce, when non-nil, tells others; it runs once the decision is as
+// durable as recovery needs it to be.
 //
 //dur:writes state decision
-func (h *Cohort) decide(txn string, d Decision, cause Cause) {
+func (h *Cohort) decide(txn string, d Decision, cause Cause, announce func()) {
 	t := h.txn(txn)
 	if t.state == StateCommitted || t.state == StateAborted {
 		return
@@ -336,12 +336,16 @@ func (h *Cohort) decide(txn string, d Decision, cause Cause) {
 	// can abort a prepared cohort when a peer aborted). A commit met in q
 	// contradicts nothing: w is forced ahead of the yes-vote, so this site
 	// never voted and took no part (a recovering coordinator re-announces
-	// to every cohort). The sync sits after OnDecide so the one batch also
+	// to every cohort). The force follows OnDecide so the one batch also
 	// covers the WAL commit/abort record the decision application just
-	// appended, and before decide's callers disseminate the outcome.
-	if (d == DecisionCommit && from == StateWait) || (d == DecisionAbort && from == StatePrepared) {
-		h.sync()
-	}
+	// appended, and precedes announce.
+	t.forcing = (d == DecisionCommit && from == StateWait) || (d == DecisionAbort && from == StatePrepared)
+	h.forceThen(t.forcing, func() {
+		t.forcing = false
+		if announce != nil {
+			announce()
+		}
+	})
 }
 
 // emit reports a transition to the trace hook. Call sites are the edges
@@ -388,7 +392,7 @@ func (h *Cohort) RecoverAll() (map[string]Decision, error) {
 		} else {
 			// Failure transitions: abort from q2/w2, commit from p2
 			// (consistent with the p2 timeout transition).
-			h.decide(rec.txn, d, CauseFailure)
+			h.decide(rec.txn, d, CauseFailure, nil)
 		}
 		out[rec.txn] = d
 	}

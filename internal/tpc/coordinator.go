@@ -61,6 +61,9 @@ func (c *Coordinator) Begin(txn string) error { return c.BeginWith(txn, c.cohort
 // protocol: a recordless coordinator would leave the yes-voters in w for
 // good, so there w1 is forced and recovery from it announces the abort.
 //
+// A refused commit request is counted in SendErrors and stops the fan-out
+// before the vote timer is armed.
+//
 //dur:handler
 func (c *Coordinator) BeginWith(txn string, participants []rt.NodeID) error {
 	if _, dup := c.txns[txn]; dup {
@@ -75,20 +78,18 @@ func (c *Coordinator) BeginWith(txn string, participants []rt.NodeID) error {
 		c.commit(txn, ct, CauseMessage)
 		return nil
 	}
-	if c.cfg.Protocol == TwoPhase {
-		c.sync()
-	}
-	req := txnMsg{Txn: txn, Participants: ct.parts}
-	for _, ch := range ct.parts {
-		if err := c.net.Send(c.id, ch, KindCommitReq, req); err != nil {
-			return fmt.Errorf("tpc: begin %s: %w", txn, err)
+	c.forceThen(c.cfg.Protocol == TwoPhase, func() {
+		for _, ch := range ct.parts {
+			if !c.send(ch, KindCommitReq, txnMsg{Txn: txn, Participants: ct.parts}) {
+				return
+			}
 		}
-	}
-	// Timeout waiting for votes: abort (w1 timeout transition).
-	ct.timer = c.net.After(c.id, c.cfg.PhaseTimeout, func() {
-		if ct.state == StateWait {
-			c.abort(txn, ct, CauseTimeout)
-		}
+		// Timeout waiting for votes: abort (w1 timeout transition).
+		ct.timer = c.net.After(c.id, c.cfg.PhaseTimeout, func() {
+			if ct.state == StateWait {
+				c.abort(txn, ct, CauseTimeout)
+			}
+		})
 	})
 	return nil
 }
@@ -155,7 +156,7 @@ func (c *Coordinator) onVote(txn string, from rt.NodeID, yes bool) {
 	// cohort that ran termination over the prepares commits. The one
 	// batched fsync here covers the whole fan-out (and, pipelined, every
 	// concurrent transaction's sync point in the same window).
-	c.syncThen(func() {
+	c.forceThen(true, func() {
 		for _, ch := range ct.parts {
 			c.send(ch, KindPrepare, txnMsg{Txn: txn})
 		}
@@ -196,14 +197,13 @@ func (c *Coordinator) commit(txn string, ct *coordTxn, cause Cause) {
 	// durable p, so committing from p needs no fsync before the decision
 	// leaves, nor does re-announcing a c recovery read off the disk.
 	// Committing from anywhere else (2PC's w) would recover to abort, so
-	// the decision must hit the disk first.
-	if !from.Committable() {
-		c.sync()
-	}
-	for _, ch := range ct.parts {
-		c.send(ch, KindCommit, txnMsg{Txn: txn})
-	}
-	c.finish(txn, DecisionCommit)
+	// the decision must hit the disk before anyone learns it.
+	c.forceThen(!from.Committable(), func() {
+		for _, ch := range ct.parts {
+			c.send(ch, KindCommit, txnMsg{Txn: txn})
+		}
+		c.finish(txn, DecisionCommit)
+	})
 }
 
 func (c *Coordinator) abort(txn string, ct *coordTxn, cause Cause) {
@@ -220,13 +220,12 @@ func (c *Coordinator) abort(txn string, ct *coordTxn, cause Cause) {
 	// Mirror of commit's divergence rule: recovery from w (or q) already
 	// aborts, so only an abort decided from p — where recovery would
 	// commit instead — must be forced down before it is announced.
-	if from == StatePrepared {
-		c.sync()
-	}
-	for _, ch := range ct.parts {
-		c.send(ch, KindAbort, txnMsg{Txn: txn})
-	}
-	c.finish(txn, DecisionAbort)
+	c.forceThen(from == StatePrepared, func() {
+		for _, ch := range ct.parts {
+			c.send(ch, KindAbort, txnMsg{Txn: txn})
+		}
+		c.finish(txn, DecisionAbort)
+	})
 }
 
 // emit reports a transition to the trace hook. Call sites are the edges

@@ -80,37 +80,28 @@ func (e *endpoint) badPayload(m rt.Message) bool {
 // send transmits one protocol message, routing refusals through the
 // send-error accounting (SendErrors, OnSendError) instead of dropping
 // them silently: the protocol cannot act on a failed send (timeouts and
-// the termination protocol own that recovery), but observers can. Begin
-// keeps its direct error-returning sends: a commit request that cannot
-// even leave the coordinator fails the whole Begin.
-func (e *endpoint) send(to rt.NodeID, kind string, payload any) {
-	if err := e.net.Send(e.id, to, kind, payload); err != nil {
+// the termination protocol own that recovery), but observers can. It
+// reports whether the network took the message.
+func (e *endpoint) send(to rt.NodeID, kind string, payload any) bool {
+	err := e.net.Send(e.id, to, kind, payload)
+	if err != nil {
 		e.sendErrors++
 		if e.OnSendError != nil {
 			e.OnSendError(to, kind, err)
 		}
 	}
+	return err == nil
 }
 
-// sync forces the site's pending stable writes to disk in one batch. It is
-// placed exactly where an unsynced record would diverge from what
-// independent recovery re-derives (see the comments at each call site).
-func (e *endpoint) sync() {
+// forceThen runs fn, which announces what the site just wrote: at once, or
+// if force is set — exactly where an unsynced record would diverge from
+// what independent recovery re-derives — once the site's stable writes are
+// durable. That is the caller's stack under the simulator, and this node's
+// event loop after the store's pipelined group commit on the serving path,
+// which never blocks on the fsync.
+func (e *endpoint) forceThen(force bool, fn func()) {
 	st, err := e.net.Store(e.id)
-	if err != nil {
-		return
-	}
-	_ = st.Sync()
-}
-
-// syncThen runs fn once the site's pending stable writes are durable: on
-// the caller's stack under the simulator, or re-enqueued on this node's
-// event loop by the store's pipelined group commit on the live serving
-// path — the loop keeps absorbing concurrent transactions while the
-// batched fsync settles, instead of stalling behind it.
-func (e *endpoint) syncThen(fn func()) {
-	st, err := e.net.Store(e.id)
-	if err != nil {
+	if !force || err != nil {
 		fn()
 		return
 	}

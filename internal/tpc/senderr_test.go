@@ -105,3 +105,36 @@ func TestCohortSendErrorsCounted(t *testing.T) {
 		}
 	}
 }
+
+// TestBeginStopsAtRefusedCommitRequest pins what BeginWith does when the
+// network refuses a commit request (here: a participant the network does
+// not know): the refusal is counted in SendErrors, the fan-out stops
+// there, no vote timer is armed, and Begin itself succeeds — its error is
+// only for a transaction already begun.
+func TestBeginStopsAtRefusedCommitRequest(t *testing.T) {
+	g, err := NewGroup(1, 3, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reqs []simnet.NodeID
+	g.Net.OnSend = func(seq uint64, m simnet.Message) simnet.SendFault {
+		reqs = append(reqs, m.To)
+		return simnet.SendFault{}
+	}
+	const unknown = simnet.NodeID(99)
+	if err := g.Coordinator.BeginWith("t1", []simnet.NodeID{2, unknown, 3}); err != nil {
+		t.Fatalf("Begin = %v, want nil: a refused request is counted, not returned", err)
+	}
+	if len(reqs) != 1 || reqs[0] != 2 {
+		t.Errorf("commit requests went to %v, want only [2]: the fan-out stops at the refusal", reqs)
+	}
+	if got := g.Coordinator.SendErrors(); got != 1 {
+		t.Errorf("SendErrors = %d, want 1", got)
+	}
+	if ct := g.Coordinator.txns["t1"]; ct.state != StateWait || ct.timer != nil {
+		t.Errorf("coordinator in %s with timer %v, want w and no vote timer", ct.state, ct.timer)
+	}
+	if err := g.Coordinator.Begin("t1"); err == nil {
+		t.Error("second Begin of t1 succeeded, want already begun")
+	}
+}
