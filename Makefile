@@ -26,7 +26,12 @@ race:
 # primitive: every forced announcement in internal/tpc goes through
 # endpoint.forceThen, which is Store.SyncThen, so the grep for a .Sync( call
 # in its non-test files keeps a blocking fsync from coming back onto the
-# served event loop. Every Go file, bench/ included, must be gofmt-clean.
+# served event loop. go.mod's go 1.22 directive keeps the pre-1.23 timer
+# semantics, under which a time.After timer stays on the runtime heap until
+# it fires: a per-request watchdog holds its memory for its whole duration.
+# The grep for a time.After( call in the non-test files of cmd/tpcserve and
+# internal/rt keeps the serving path on time.NewTimer, stopped on return.
+# Every Go file, bench/ included, must be gofmt-clean.
 lint:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
@@ -34,6 +39,7 @@ lint:
 	! grep -rn 'ScopedParticipants' --include='*.go' . | grep -v '^./bench/' | grep -v 'internal/tpc/tpc.go'
 	! grep -rn 'SetGroupCommit' --include='*.go' . | grep -v '^./bench/' | grep -v 'internal/stable/stable.go'
 	! grep -rn --include='*.go' --exclude='*_test.go' '\.Sync(' internal/tpc
+	! grep -rn --include='*.go' --exclude='*_test.go' 'time\.After(' cmd/tpcserve internal/rt
 	$(GO) run ./cmd/speccatlint ./...
 	$(GO) run ./cmd/speccatlint internal/core/speclang/testdata/thesis/*.sw internal/locking/comm.sw
 	$(GO) run ./cmd/speccatlint -fsm-check docs/fsm ./internal/...
@@ -123,13 +129,21 @@ lint:
 # decided reply's write-ahead and stable's rule that a callback never runs
 # over a failed journal write or fsync; REST 3468 -> 3483, exactly the five
 # tpc catalogue entries, one per forced announcement.
+# A decided transaction costing the coordinator only its decision raised
+# three: STACK 3995 -> 4015, the coordinator deleting its record once the
+# decision is announced (BeginWith's and StateOf's reading of the decision
+# it keeps) and the master's shared decided marker; SERVING 2001 -> 2032,
+# rt/live's Cancel forgetting its timer (stop and forget split out, so
+# Close can stop timers under the lock it holds) and tpcserve's one
+# watchdog timer per request, stopped on return, in place of time.After;
+# REST 3483 -> 3492, exactly the two new catalogue entries.
 ANALYSIS_LOC_BUDGET = 5856
-STACK_LOC_BUDGET = 3995
+STACK_LOC_BUDGET = 4015
 HARNESS_LOC_BUDGET = 2790
-SERVING_LOC_BUDGET = 2001
+SERVING_LOC_BUDGET = 2032
 TOOLS_LOC_BUDGET = 1479
 PROOF_LOC_BUDGET = 6520
-REST_LOC_BUDGET = 3483
+REST_LOC_BUDGET = 3492
 loc_count = find $(1) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
 loc:
 	@a=$$($(call loc_count,internal/analysis)); \

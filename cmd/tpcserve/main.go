@@ -360,21 +360,32 @@ func (srv *server) buffer(pending map[string][]txn.Op, name string, op txn.Op) [
 }
 
 // commit submits the buffered transaction on the master's event loop and
-// waits for the distributed outcome.
+// waits for the distributed outcome. One watchdog timer covers both waits
+// and is stopped on return (see the Makefile's lint target on time.After).
 func (srv *server) commit(name string, ops []txn.Op) []string {
 	resCh := make(chan *txn.Result, 1)
 	errCh := make(chan error, 1)
 	srv.net.After(srv.local, 0, func() {
 		errCh <- srv.master.Submit(name+srv.boot, ops, func(r *txn.Result) { resCh <- r })
 	})
+	watchdog := time.NewTimer(30 * time.Second) //lint:allow nowallclock client-port watchdog over a wall-clock serving path
+	defer watchdog.Stop()
 	select {
 	case err := <-errCh:
 		if err != nil {
 			return []string{"ERR " + err.Error()}
 		}
-	case <-time.After(30 * time.Second): //lint:allow nowallclock client-port watchdog over a wall-clock serving path
+	case <-watchdog.C:
 		return []string{"ERR submit dispatch timed out"}
 	}
+	// Re-arm for the outcome, dropping a tick that raced the dispatch.
+	if !watchdog.Stop() {
+		select {
+		case <-watchdog.C:
+		default:
+		}
+	}
+	watchdog.Reset(60 * time.Second)
 	select {
 	case r := <-resCh:
 		line := "DONE " + name + " " + strings.ToUpper(r.Decision.String())
@@ -387,7 +398,7 @@ func (srv *server) commit(name string, ops []txn.Op) []string {
 			line += " " + k + "=" + r.Reads[k]
 		}
 		return []string{line}
-	case <-time.After(60 * time.Second): //lint:allow nowallclock client-port watchdog over a wall-clock serving path
+	case <-watchdog.C:
 		return []string{"ERR transaction timed out"}
 	}
 }
@@ -399,6 +410,8 @@ func (srv *server) dump() []string {
 	}
 	ch := make(chan recovery.State, 1)
 	srv.net.After(srv.local, 0, func() { ch <- srv.site.Store.Snapshot() })
+	watchdog := time.NewTimer(30 * time.Second) //lint:allow nowallclock client-port watchdog over a wall-clock serving path
+	defer watchdog.Stop()
 	select {
 	case state := <-ch:
 		keys := make([]string, 0, len(state))
@@ -411,7 +424,7 @@ func (srv *server) dump() []string {
 			out = append(out, "KV "+k+" "+state[k])
 		}
 		return append(out, "END")
-	case <-time.After(30 * time.Second): //lint:allow nowallclock client-port watchdog over a wall-clock serving path
+	case <-watchdog.C:
 		return []string{"ERR dump timed out"}
 	}
 }

@@ -102,5 +102,14 @@ func Catalogue() []Mutant {
 			Kills: []Gate{Test(explore, "TestAbortFromPreparedIsForced")}},
 		{Name: "tpc: decided reply ignores a pending force", Edits: []Edit{{cohortGo, "h.forceThen(t.forcing, func() { h.send(", "h.forceThen(false, func() { h.send("}},
 			Kills: []Gate{Test(tpc, "TestForcedAnnouncementsWaitForTheFsync")}},
+
+		// tpc: a decided transaction keeps only its decision, which must
+		// still keep its name taken.
+		{Name: "tpc: decided name begins again", Edits: []Edit{{coordinatorGo, "; dup || c.Decision(txn) != DecisionNone {", "; dup {"}},
+			Kills: []Gate{Test(tpc, "TestDecidedTransactionKeepsOnlyItsDecision")}},
+
+		// live: Cancel stops a timer but leaves it in the registry until Close.
+		{Name: "live: cancelled timer kept", Edits: []Edit{{"internal/rt/live/live.go", "\tw.stop()\n\tw.net.forget(w)\n", "\tw.stop()\n"}},
+			Kills: []Gate{Test("./internal/rt/live", "TestCancelledTimersAreForgotten")}},
 	}
 }

@@ -311,6 +311,7 @@ func (t *Net) Deliver(msg rt.Message) error {
 // callback that fired and was enqueued before it.
 type wallTimer struct {
 	t         *time.Timer
+	net       *Net
 	once      sync.Once
 	done      func()
 	cancelled atomic.Bool
@@ -319,14 +320,31 @@ type wallTimer struct {
 // finish retires the timer's in-flight accounting exactly once.
 func (w *wallTimer) finish() { w.once.Do(w.done) }
 
+// Cancel stops the timer and drops it from Net.timers, so a cancelled
+// timer — and the engine state its callback captures — is not retained
+// until Close.
 func (w *wallTimer) Cancel() {
 	if w == nil || w.t == nil {
 		return
 	}
+	w.stop()
+	w.net.forget(w)
+}
+
+// stop marks the timer cancelled and, if it has not fired, retires its
+// slot: the hand-off never runs.
+func (w *wallTimer) stop() {
 	w.cancelled.Store(true)
-	if w.t.Stop() { // before firing: the hand-off never runs, so retire its slot
+	if w.t.Stop() {
 		w.finish()
 	}
+}
+
+// forget drops w from the outstanding timers Close stops.
+func (t *Net) forget(w *wallTimer) {
+	t.timerMu.Lock()
+	delete(t.timers, w)
+	t.timerMu.Unlock()
 }
 
 // isClosed reports whether Close has begun; timer callbacks re-check it
@@ -340,7 +358,8 @@ func (t *Net) isClosed() bool {
 
 // After schedules fn on node id's event loop d ticks from now. Unknown
 // nodes, and nodes of a closing transport, get an inert timer (matching
-// the simulator's tolerance).
+// the simulator's tolerance). Net.timers holds the timer until it fires or
+// is cancelled, whichever comes first.
 func (t *Net) After(id rt.NodeID, d rt.Time, fn func()) rt.Timer {
 	t.mu.Lock()
 	n, ok := t.nodes[id]
@@ -357,7 +376,7 @@ func (t *Net) After(id rt.NodeID, d rt.Time, fn func()) rt.Timer {
 		return &wallTimer{}
 	}
 	t.timerWG.Add(1)
-	w := &wallTimer{done: t.timerWG.Done}
+	w := &wallTimer{net: t, done: t.timerWG.Done}
 	w.t = time.AfterFunc(time.Duration(d)*t.opts.Tick, func() { //lint:allow nowallclock live runtime adapter: the wall clock IS this runtime's clock source
 		n.enqueue(func() {
 			// Execution-time checks: a timer callback that was already sitting
@@ -367,21 +386,20 @@ func (t *Net) After(id rt.NodeID, d rt.Time, fn func()) rt.Timer {
 			}
 			fn()
 		})
-		t.timerMu.Lock()
-		delete(t.timers, w)
-		t.timerMu.Unlock()
+		t.forget(w)
 		w.finish()
 	})
 	t.timers[w] = struct{}{}
 	return w
 }
 
-// Close cancels outstanding timers, joins their in-flight hand-off
-// callbacks, and stops every node's event loop, waiting for the
-// mailboxes to drain. Once Close has been invoked no After callback body
-// runs — pending deliveries still drain, but a timer that fires into the
-// shutdown is suppressed at execution time — and when Close returns no
-// timer goroutine is in flight. The transport rejects further sends.
+// Close stops the outstanding timers (those neither fired nor cancelled),
+// joins their in-flight hand-off callbacks, and stops every node's event
+// loop, waiting for the mailboxes to drain. Once Close has been invoked no
+// After callback body runs — pending deliveries still drain, but a timer
+// that fires into the shutdown is suppressed at execution time — and when
+// Close returns no timer goroutine is in flight. The transport rejects
+// further sends.
 func (t *Net) Close() {
 	t.mu.Lock()
 	if t.closed {
@@ -397,7 +415,7 @@ func (t *Net) Close() {
 	t.timerMu.Lock()
 	t.timersClosed = true
 	for w := range t.timers {
-		w.Cancel()
+		w.stop() // not Cancel: forget would take timerMu, held here
 	}
 	t.timers = map[*wallTimer]struct{}{}
 	t.timerMu.Unlock()

@@ -156,6 +156,36 @@ func TestCloseWaitsForInFlightTimer(t *testing.T) {
 	}
 }
 
+// TestCancelledTimersAreForgotten pins that a cancelled timer leaves
+// Net.timers at once: the engines cancel most of the timers they arm, and
+// each one kept would hold its callback and the state that captures until
+// Close. Close still stops, without deadlocking on timerMu, the timers
+// that were neither fired nor cancelled.
+func TestCancelledTimersAreForgotten(t *testing.T) {
+	net := New(Options{Tick: time.Millisecond, Delta: 5})
+	net.AddNode(1, nil)
+	const hour = rt.Time(3600 * 1000)
+	for i := 0; i < 1000; i++ {
+		net.After(1, hour, func() { t.Error("cancelled timer fired") }).Cancel()
+	}
+	net.timerMu.Lock()
+	kept := len(net.timers)
+	net.timerMu.Unlock()
+	if kept != 0 {
+		t.Errorf("%d cancelled timers kept, want 0", kept)
+	}
+	for i := 0; i < 8; i++ {
+		net.After(1, hour, func() { t.Error("timer fired after Close") })
+	}
+	closed := make(chan struct{})
+	go func() { net.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close with outstanding timers never returned")
+	}
+}
+
 func TestLiveBroadcastReachesAll(t *testing.T) {
 	net := New(Options{Tick: 100 * time.Microsecond, Delta: 5})
 	defer net.Close()

@@ -14,7 +14,7 @@ type cohortTxn struct {
 	// coordinator — the blocking window the paper's intro describes.
 	blockedSince rt.Time
 	blocked      bool
-	// termination-protocol bookkeeping (when this cohort is the backup).
+	// termination bookkeeping, made by startTermination on a backup.
 	gathering  bool
 	stateResps map[rt.NodeID]State
 	// peers is this transaction's participant set (self included), learned
@@ -46,7 +46,7 @@ func NewCohort(net rt.Transport, id, coord rt.NodeID, cfg Config) *Cohort {
 func (h *Cohort) txn(name string) *cohortTxn {
 	t, ok := h.txns[name]
 	if !ok {
-		t = &cohortTxn{state: StateInitial, stateResps: map[rt.NodeID]State{}}
+		t = &cohortTxn{state: StateInitial}
 		h.txns[name] = t
 	}
 	return t

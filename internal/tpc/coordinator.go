@@ -7,7 +7,10 @@ import (
 	"speccat/internal/rt"
 )
 
-// coordTxn is the coordinator's per-transaction state.
+// coordTxn is the coordinator's state for a transaction it has not yet
+// decided. Once the decision is announced the entry goes: a decided
+// transaction is its decision (endpoint.decisions) and its durable
+// records, from which RecoverAll re-derives the outcome.
 type coordTxn struct {
 	state State
 	votes map[rt.NodeID]bool // yes-votes received
@@ -62,11 +65,12 @@ func (c *Coordinator) Begin(txn string) error { return c.BeginWith(txn, c.cohort
 // good, so there w1 is forced and recovery from it announces the abort.
 //
 // A refused commit request is counted in SendErrors and stops the fan-out
-// before the vote timer is armed.
+// before the vote timer is armed. A decided transaction keeps only its
+// decision, so a name is taken while it runs and once it is decided.
 //
 //dur:handler
 func (c *Coordinator) BeginWith(txn string, participants []rt.NodeID) error {
-	if _, dup := c.txns[txn]; dup {
+	if _, dup := c.txns[txn]; dup || c.Decision(txn) != DecisionNone {
 		return fmt.Errorf("tpc: transaction %s already begun", txn)
 	}
 	ct := c.newTxn(participants)
@@ -203,6 +207,7 @@ func (c *Coordinator) commit(txn string, ct *coordTxn, cause Cause) {
 			c.send(ch, KindCommit, txnMsg{Txn: txn})
 		}
 		c.finish(txn, DecisionCommit)
+		delete(c.txns, txn)
 	})
 }
 
@@ -225,6 +230,7 @@ func (c *Coordinator) abort(txn string, ct *coordTxn, cause Cause) {
 			c.send(ch, KindAbort, txnMsg{Txn: txn})
 		}
 		c.finish(txn, DecisionAbort)
+		delete(c.txns, txn)
 	})
 }
 
@@ -238,13 +244,19 @@ func (c *Coordinator) emit(txn string, from, to State, cause Cause) {
 	}
 }
 
-// StateOf reports the coordinator's FSM state for txn.
+// StateOf reports the coordinator's FSM state for txn: c1 or a1 once it
+// is decided, when only the decision is kept.
 func (c *Coordinator) StateOf(txn string) State {
-	ct, ok := c.txns[txn]
-	if !ok {
-		return StateInitial
+	if ct, ok := c.txns[txn]; ok {
+		return ct.state
 	}
-	return ct.state
+	switch c.Decision(txn) {
+	case DecisionCommit:
+		return StateCommitted
+	case DecisionAbort:
+		return StateAborted
+	}
+	return StateInitial
 }
 
 // RecoverAll applies the coordinator failure transitions of Fig. 3.2 from

@@ -23,6 +23,7 @@ func NewMasterOn(net rt.Transport, masterID rt.NodeID, siteIDs []rt.NodeID, cfg 
 		net: net, id: masterID, sites: map[rt.NodeID]bool{},
 		coord:   tpc.NewCoordinator(net, masterID, siteIDs, cfg),
 		pending: map[string]*pending{},
+		decided: &pending{started: true, result: &Result{Decision: tpc.DecisionCommit}},
 	}
 	for _, id := range siteIDs {
 		m.sites[id] = true

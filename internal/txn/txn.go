@@ -119,6 +119,10 @@ type Master struct {
 	sites   map[rt.NodeID]bool // the data sites this master manages
 	coord   *tpc.Coordinator
 	pending map[string]*pending
+	// decided replaces a transaction's pending entry once its submitter is
+	// told: started, with a decided result, it keeps the name taken and
+	// every path that finds it a no-op, and nothing else.
+	decided *pending
 	// OnUnhandled, when non-nil, observes messages the master dropped —
 	// unknown kinds, undecodable payloads, and work reports whose commit
 	// protocol could not be started. They are counted either way (see
@@ -289,11 +293,14 @@ func (m *Master) startCommit(txn string, p *pending) error {
 }
 
 // onDecide tells the submitter once: pending outlives a simulated restart.
+// The entry is then the shared decided marker, so a decided transaction
+// keeps none of its ops, reads or callback.
 func (m *Master) onDecide(txn string, d tpc.Decision) {
 	p, ok := m.pending[txn]
 	if !ok || p.result.Decision != tpc.DecisionNone {
 		return
 	}
+	m.pending[txn] = m.decided
 	p.result.Decision = d
 	if p.onDone != nil {
 		p.onDone(p.result)
