@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	speccat [-lenient] [-skip-proofs] [-lint] [-j workers] [-print name] file.sw...
+//	speccat [-lenient] [-skip-proofs] [-j workers] [-print name] file.sw...
 package main
 
 import (
@@ -15,25 +15,23 @@ import (
 
 	"speccat/internal/core/provesched"
 	"speccat/internal/core/speclang"
-	"speccat/internal/core/speclint"
 )
 
 func main() {
 	lenient := flag.Bool("lenient", false, "tolerate unknown symbols (auto-declare) and unbound identifiers")
 	skipProofs := flag.Bool("skip-proofs", false, "record prove statements without running the prover")
-	lint := flag.Bool("lint", false, "run the spec linter before elaboration; lint errors fail the file")
 	jobs := flag.Int("j", 1, "discharge prove statements on this many workers (0 = GOMAXPROCS); results are bit-identical to -j 1")
 	printName := flag.String("print", "", "print the named value after elaboration")
 	quiet := flag.Bool("q", false, "suppress the per-statement summary")
 	flag.Parse()
 
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: speccat [-lenient] [-skip-proofs] [-lint] [-j workers] [-print name] file.sw...")
+		fmt.Fprintln(os.Stderr, "usage: speccat [-lenient] [-skip-proofs] [-j workers] [-print name] file.sw...")
 		os.Exit(2)
 	}
 	code := 0
 	for _, path := range flag.Args() {
-		if err := processFile(path, *lenient, *skipProofs, *lint, *jobs, *printName, *quiet); err != nil {
+		if err := processFile(path, *lenient, *skipProofs, *jobs, *printName, *quiet); err != nil {
 			fmt.Fprintf(os.Stderr, "speccat: %s: %v\n", path, err)
 			code = 1
 		}
@@ -41,19 +39,10 @@ func main() {
 	os.Exit(code)
 }
 
-func processFile(path string, lenient, skipProofs, lint bool, jobs int, printName string, quiet bool) error {
+func processFile(path string, lenient, skipProofs bool, jobs int, printName string, quiet bool) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return err
-	}
-	if lint {
-		diags := speclint.LintSource(path, string(src))
-		for _, d := range diags {
-			fmt.Fprintln(os.Stderr, d)
-		}
-		if speclint.HasErrors(diags) {
-			return fmt.Errorf("spec lint failed")
-		}
 	}
 	env, err := elaborate(string(src), lenient, skipProofs, jobs)
 	if err != nil {

@@ -20,7 +20,7 @@ func process(t *testing.T, skipProofs bool, jobs int) string {
 	os.Stdout = out
 	defer func() { os.Stdout = stdout }()
 	path := filepath.Join("..", "..", "internal", "core", "speclang", "testdata", "thesis", "serializability.sw")
-	if err := processFile(path, true, skipProofs, false, jobs, "p1", false); err != nil {
+	if err := processFile(path, true, skipProofs, jobs, "p1", false); err != nil {
 		t.Fatalf("processFile(-skip-proofs=%v -j %d): %v", skipProofs, jobs, err)
 	}
 	printed, err := os.ReadFile(out.Name())

@@ -1,4 +1,5 @@
-// Command speccatlint runs the project's seven static-analysis layers:
+// Command speccatlint runs the project's six static-analysis layers over Go
+// packages:
 //
 //   - base: Go design-rule analyzers (internal/analysis) over package
 //     patterns: nopanic, nowallclock, norand, noglobalstate, errwrap.
@@ -24,22 +25,19 @@
 //     it shrinks, release on every return path, and keep acquisitions out
 //     of SyncThen continuations and releases after the wal decision record
 //     (lock-twophase, lock-leak, lock-hold, lock-extract).
-//   - spec: the spec/diagram linter (internal/core/speclint) over .sw
-//     files: undeclared symbols, arity mismatches, duplicate axioms,
-//     morphism totality pre-checks, prove/using consistency, diagram shape.
 //
-// Targets may be mixed freely; anything ending in .sw is linted as a
-// specification file, everything else is treated as a Go package pattern
-// ("./..." expands recursively, skipping testdata and nested modules).
+// Targets are Go package patterns ("./..." expands recursively, skipping
+// testdata and nested modules). A .sw specification file is no target:
+// strict elaboration, speccat, is the one checker of the spec language.
 //
 // Usage:
 //
-//	speccatlint [-list] [-werror] [-only layer] [-json] [-fsm dir] [-fsm-check dir] [target ...]
+//	speccatlint [-list] [-only layer] [-json] [-fsm dir] [-fsm-check dir] [target ...]
 //
 // Every layer runs by default (the Go layers are the rows of
-// internal/analysis/layers). -only base|fsm|dur|port|comm|lock|spec
+// internal/analysis/layers). -only base|fsm|dur|port|comm|lock
 // runs exactly one layer, so CI and bisection scripts can attribute
-// findings to a layer without re-running the other six. With
+// findings to a layer without re-running the other five. With
 // -fsm the extracted machines are rendered as markdown + DOT into dir
 // (the generated docs/fsm/ artifacts); with -fsm-check the rendering is
 // instead compared against dir and staleness is a failure (both belong
@@ -50,9 +48,8 @@
 //
 // Exit status is identical across all layers and layer combinations:
 // 0 when every requested layer ran clean, 1 when any layer reported
-// findings, 2 on usage or load errors (unknown -only layer, unreadable
-// target, type-check failure). Spec-lint warnings are printed but do not
-// affect the exit status unless -werror is given.
+// findings, 2 on usage or load errors (unknown -only layer, a .sw target,
+// unreadable target, type-check failure).
 package main
 
 import (
@@ -67,17 +64,16 @@ import (
 	"speccat/internal/analysis"
 	"speccat/internal/analysis/fsmcheck"
 	"speccat/internal/analysis/layers"
-	"speccat/internal/core/speclint"
 )
 
 // layerNames are the selectable analysis layers, in run order: the rows of
-// the Go layer table, then the spec linter.
+// the Go layer table.
 func layerNames() []string {
 	var names []string
 	for _, l := range layers.Go() {
 		names = append(names, l.Name)
 	}
-	return append(names, "spec")
+	return names
 }
 
 // finding is the unified JSON shape of one diagnostic from any layer.
@@ -99,8 +95,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("speccatlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the Go analyzers and exit")
-	werror := fs.Bool("werror", false, "treat spec-lint warnings as errors")
-	only := fs.String("only", "", "run exactly one layer: base, fsm, dur, port, comm, lock or spec")
+	only := fs.String("only", "", "run exactly one layer: base, fsm, dur, port, comm or lock")
 	jsonOut := fs.Bool("json", false, "emit findings of all layers as a JSON array")
 	fsmDir := fs.String("fsm", "", "write the extracted machine docs (markdown + DOT) into this directory")
 	fsmCheck := fs.String("fsm-check", "", "fail if the generated machine docs in this directory are stale")
@@ -108,9 +103,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 	goLayers := layers.Go()
-	// enabled reports whether a layer should run: all do, unless -only
-	// selects exactly one.
-	enabled := func(layer string) bool { return *only == "" || *only == layer }
 	if *only != "" {
 		known := false
 		for _, name := range layerNames() {
@@ -132,98 +124,60 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 		return 0
 	}
-	var findings []finding
 
 	targets := fs.Args()
 	if len(targets) == 0 {
 		targets = []string{"./..."}
 	}
-	var specFiles, goPatterns []string
 	for _, t := range targets {
 		if strings.HasSuffix(t, ".sw") {
-			specFiles = append(specFiles, t)
-		} else {
-			goPatterns = append(goPatterns, t)
+			fmt.Fprintf(stderr, "speccatlint: %s is a specification file; check it with speccat, whose strict elaboration is the spec language's checker\n", t)
+			return 2
 		}
 	}
 
-	failed := false
-	if enabled("spec") {
-		for _, f := range specFiles {
-			src, err := os.ReadFile(f)
-			if err != nil {
-				fmt.Fprintf(stderr, "speccatlint: %v\n", err)
-				return 2
-			}
-			for _, d := range speclint.LintSource(f, string(src)) {
-				findings = append(findings, finding{
-					File: d.File, Line: d.Line,
-					Severity: d.Severity.String(), Rule: d.Rule, Layer: "spec", Message: d.Message,
-				})
-				if !*jsonOut {
-					fmt.Fprintln(stdout, d)
-				}
-				if d.Severity == speclint.SevError || *werror {
-					failed = true
-				}
-			}
-		}
+	loader, err := analysis.NewLoader(".")
+	if err != nil {
+		fmt.Fprintf(stderr, "speccatlint: %v\n", err)
+		return 2
 	}
-
-	if len(goPatterns) > 0 && *only != "spec" {
-		loader, err := analysis.NewLoader(".")
-		if err != nil {
-			fmt.Fprintf(stderr, "speccatlint: %v\n", err)
-			return 2
+	pkgs, err := loader.Load(targets)
+	if err != nil {
+		fmt.Fprintf(stderr, "speccatlint: %v\n", err)
+		return 2
+	}
+	// Every layer runs unless -only selects exactly one.
+	var findings []finding
+	var docs map[string]string
+	for _, l := range goLayers {
+		if *only != "" && *only != l.Name {
+			continue
 		}
-		pkgs, err := loader.Load(goPatterns)
-		if err != nil {
-			fmt.Fprintf(stderr, "speccatlint: %v\n", err)
-			return 2
-		}
-		// diags pairs each Go-layer diagnostic with its originating layer.
-		type layered struct {
-			layer string
-			diag  analysis.Diagnostic
-		}
-		var diags []layered
-		var docs map[string]string
-		for _, l := range goLayers {
-			if !enabled(l.Name) {
-				continue
-			}
-			rep, layerDiags := l.Run(pkgs)
-			for _, d := range layerDiags {
-				diags = append(diags, layered{l.Name, d})
-			}
-			if machines, ok := rep.(*fsmcheck.Report); ok {
-				docs = fsmcheck.Docs(machines, loader.ModuleRoot)
-			}
-		}
-		for _, ld := range diags {
-			d := ld.diag
+		rep, diags := l.Run(pkgs)
+		for _, d := range diags {
 			findings = append(findings, finding{
 				File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column,
-				Severity: "error", Rule: d.Rule, Layer: ld.layer, Message: d.Message,
+				Severity: "error", Rule: d.Rule, Layer: l.Name, Message: d.Message,
 			})
 			if !*jsonOut {
 				fmt.Fprintln(stdout, d)
 			}
-			failed = true
 		}
-		if *fsmDir != "" && docs != nil {
-			if err := writeDocs(*fsmDir, docs); err != nil {
-				fmt.Fprintf(stderr, "speccatlint: %v\n", err)
-				return 2
-			}
+		if machines, ok := rep.(*fsmcheck.Report); ok {
+			docs = fsmcheck.Docs(machines, loader.ModuleRoot)
 		}
-		if *fsmCheck != "" && docs != nil {
-			for _, msg := range staleDocs(*fsmCheck, docs) {
-				findings = append(findings, finding{Severity: "error", Rule: "fsm-docs", Layer: "fsm", Message: msg})
-				if !*jsonOut {
-					fmt.Fprintln(stdout, msg)
-				}
-				failed = true
+	}
+	if *fsmDir != "" && docs != nil {
+		if err := writeDocs(*fsmDir, docs); err != nil {
+			fmt.Fprintf(stderr, "speccatlint: %v\n", err)
+			return 2
+		}
+	}
+	if *fsmCheck != "" && docs != nil {
+		for _, msg := range staleDocs(*fsmCheck, docs) {
+			findings = append(findings, finding{Severity: "error", Rule: "fsm-docs", Layer: "fsm", Message: msg})
+			if !*jsonOut {
+				fmt.Fprintln(stdout, msg)
 			}
 		}
 	}
@@ -240,7 +194,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 	}
 
-	if failed {
+	if len(findings) > 0 {
 		return 1
 	}
 	return 0

@@ -44,7 +44,7 @@ func lockbadDir(t *testing.T) string {
 }
 
 // TestListShowsAllLayers: -list names every analyzer family, including
-// the seventh (lock) layer, and exits 0.
+// the sixth (lock) layer, and exits 0.
 func TestListShowsAllLayers(t *testing.T) {
 	code, out, serr := capture(t, "-list")
 	if code != 0 {
@@ -89,8 +89,20 @@ func TestExitCodeUsageError(t *testing.T) {
 	if code != 2 {
 		t.Fatalf("-only bogus exited %d, want 2", code)
 	}
-	if !strings.Contains(serr, "unknown layer") {
-		t.Errorf("usage error not reported on stderr: %s", serr)
+	if !strings.Contains(serr, "unknown layer") || !strings.Contains(serr, "(want base, fsm, dur, port, comm, lock)") {
+		t.Errorf("usage error not reported on stderr with the six layers: %s", serr)
+	}
+}
+
+// TestSpecFileIsNoTarget: a .sw target is a usage error (2) that points at
+// speccat, the spec language's one checker, before any package is loaded.
+func TestSpecFileIsNoTarget(t *testing.T) {
+	code, out, serr := capture(t, "./internal/locking", filepath.Join("..", "..", "internal", "locking", "comm.sw"))
+	if code != 2 || out != "" {
+		t.Fatalf("a .sw target exited %d with stdout %q, want 2 and none", code, out)
+	}
+	if !strings.Contains(serr, "comm.sw") || !strings.Contains(serr, "speccat") {
+		t.Errorf("stderr does not name the file and point at speccat: %s", serr)
 	}
 }
 

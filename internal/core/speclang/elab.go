@@ -136,9 +136,9 @@ func (el *elaborator) evalStmt(stmt Stmt) (*Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		rename := map[string]string{}
-		for _, rp := range e.Renames {
-			rename[rp.From] = rp.To
+		rename, err := renames(src, e.Renames)
+		if err != nil {
+			return nil, err
 		}
 		out, err := spec.Translate(src, stmt.Name, rename)
 		if err != nil {
@@ -255,13 +255,17 @@ func (el *elaborator) evalMorphism(name string, e *MorphismExpr) (*spec.Morphism
 	if err != nil {
 		return nil, err
 	}
+	rename, err := renames(src, e.Renames)
+	if err != nil {
+		return nil, err
+	}
 	sortMap := map[string]string{}
 	opMap := map[string]string{}
-	for _, rp := range e.Renames {
-		if src.HasSort(rp.From) {
-			sortMap[rp.From] = rp.To
+	for from, to := range rename {
+		if src.HasSort(from) {
+			sortMap[from] = to
 		} else {
-			opMap[rp.From] = rp.To
+			opMap[from] = to
 		}
 	}
 	if name == "" {
@@ -274,6 +278,23 @@ func (el *elaborator) evalMorphism(name string, e *MorphismExpr) (*spec.Morphism
 		}
 	}
 	return m, nil
+}
+
+// renames reads the rename list of a translate or morphism against its
+// source spec, in both modes: every entry must name a sort or op src
+// declares, and no symbol may be renamed twice.
+func renames(src *spec.Spec, pairs []RenamePair) (map[string]string, error) {
+	rename := make(map[string]string, len(pairs))
+	for _, rp := range pairs {
+		if _, dup := rename[rp.From]; dup {
+			return nil, fmt.Errorf("%w: %s renamed twice", spec.ErrIllFormed, rp.From)
+		}
+		if _, isOp := src.FindOp(rp.From); !isOp && !src.HasSort(rp.From) {
+			return nil, fmt.Errorf("%w: rename of %s, which %s does not declare", spec.ErrUnknownSymbol, rp.From, src.Name)
+		}
+		rename[rp.From] = rp.To
+	}
+	return rename, nil
 }
 
 func (el *elaborator) evalDiagram(e *DiagramExpr) (*cat.Diagram, error) {

@@ -58,6 +58,11 @@ func Catalogue() []Mutant {
 		{Name: "locking: ReleaseAll does not evict", Edits: []Edit{{"internal/locking/locking.go", "\t\tm.unhold(txn, key)\n", "\t\tdelete(m.objects[key], txn)\n"}},
 			Kills: []Gate{Test("./internal/locking", "TestReleasingEveryTransactionEmptiesManager")}},
 
+		// corpus: an axiom names an op its spec never declares, which strict
+		// elaboration rejects.
+		{Name: "corpus: axiom names an undeclared op", Edits: []Edit{{"internal/thesis/corpus.sw", "Broadcast(p, m, T) => Deliver(p, m,", "Broadcast(p, m, T) => Delivered(p, m,"}},
+			Kills: []Gate{Test("./internal/thesis", "TestCorpusElaborates")}},
+
 		// prover: given-clause selection without the size tie-break.
 		{Name: "prover: better without size", Edits: []Edit{{proverGo, "\tif st.size[a] != st.size[b] {\n\t\treturn st.size[a] < st.size[b]\n\t}\n", ""}},
 			Kills: []Gate{Test("./internal/thesis", "TestProofsMatchGolden")}},

@@ -26,6 +26,8 @@ import (
 	"slices"
 	"strings"
 	"sync"
+
+	"speccat/internal/analysis/layers"
 )
 
 // Edit replaces the one occurrence of Old in File (module-relative, slash
@@ -274,8 +276,14 @@ func runTests(dir, pkg string, names []string, out map[Gate]outcome) error {
 // runLint runs every speccatlint layer over ./internal/... in dir and
 // records the outcome of each lint gate out holds: killed by its layer's
 // first finding, with paths relative to the copy. Findings exit 1, which
-// go run reports as "exit status 1"; any other failure is an error.
+// go run reports as "exit status 1"; any other failure is an error, as is
+// a gate naming no layer, which no finding could ever kill.
 func runLint(dir string, out map[Gate]outcome) error {
+	for g := range out {
+		if !slices.ContainsFunc(layers.Go(), func(l layers.Layer) bool { return l.Name == g.Layer }) {
+			return fmt.Errorf("gate %s names no speccatlint layer", g)
+		}
+	}
 	goroot, err := exec.Command("go", "env", "GOROOT").Output()
 	if err != nil {
 		return err

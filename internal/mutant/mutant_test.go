@@ -111,3 +111,18 @@ func TestGateNamingNoTestIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestGateNamingNoLayerIsAnError: a lint gate whose layer is not a row of
+// the layer table is an error, not a silent spare — speccatlint would run
+// clean, and no finding could carry that layer.
+func TestGateNamingNoLayerIsAnError(t *testing.T) {
+	root, err := moduleRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, layer := range []string{"spec", "durr"} {
+		if err := runLint(root, map[Gate]outcome{Lint("dur"): {}, Lint(layer): {}}); err == nil || !strings.Contains(err.Error(), layer) {
+			t.Errorf("lint gate %q: got %v, want an error naming it", layer, err)
+		}
+	}
+}
