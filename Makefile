@@ -32,6 +32,11 @@ race:
 # it fires: a per-request watchdog holds its memory for its whole duration.
 # The grep for a time.After( call in the non-test files of cmd/tpcserve and
 # internal/rt keeps the serving path on time.NewTimer, stopped on return.
+# The served node writes each batch of peer frames as one contiguous buffer
+# with conn.Write: the grep for net.Buffers or Writev in the non-test files
+# of internal/rt and cmd/tpcserve keeps it off the writev path, which skips
+# the race detector's annotation that syscall.Write carries, so a test that
+# orders two accesses only through a socket would report a false race.
 # Every Go file, bench/ included, must be gofmt-clean.
 lint:
 	test -z "$$(gofmt -l .)"
@@ -41,6 +46,7 @@ lint:
 	! grep -rn 'SetGroupCommit' --include='*.go' . | grep -v '^./bench/' | grep -v 'internal/stable/stable.go'
 	! grep -rn --include='*.go' --exclude='*_test.go' '\.Sync(' internal/tpc
 	! grep -rn --include='*.go' --exclude='*_test.go' 'time\.After(' cmd/tpcserve internal/rt
+	! grep -rnE --include='*.go' --exclude='*_test.go' 'net\.Buffers|Writev' cmd/tpcserve internal/rt
 	$(GO) run ./cmd/speccatlint ./...
 	$(GO) run ./cmd/speccatlint -fsm-check docs/fsm ./internal/...
 
@@ -145,13 +151,20 @@ lint:
 # handling and speccat's -lint; REST 3492 -> 3505, exactly the catalogue
 # entry that corrupts a corpus axiom and the mutant runner's check that a
 # lint gate names a layer.
+# One syscall per burst raised two: SERVING 2032 -> 2061, the peer writer
+# taking every queued frame into one reused buffer per conn.Write (its
+# ready/take pair and the count of frames still queued at stop), the
+# buffered peer reader, DecodeBody keeping the header of a frame whose
+# payload fails so readLoop charges the sender, live.After's zero-delay
+# hand-off and the client port's flushing reader; REST 3505 -> 3507,
+# exactly the catalogue entry for a zero-delay hand-off that ignores Cancel.
 ANALYSIS_LOC_BUDGET = 5856
 STACK_LOC_BUDGET = 4015
 HARNESS_LOC_BUDGET = 2790
-SERVING_LOC_BUDGET = 2032
+SERVING_LOC_BUDGET = 2061
 TOOLS_LOC_BUDGET = 1422
 PROOF_LOC_BUDGET = 5787
-REST_LOC_BUDGET = 3505
+REST_LOC_BUDGET = 3507
 loc_count = find $(1) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
 loc:
 	@a=$$($(call loc_count,internal/analysis)); \

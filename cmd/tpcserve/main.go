@@ -51,6 +51,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -280,19 +281,31 @@ func acceptClients(l net.Listener, srv *server) {
 // them on its own event loop (rt-confine), this goroutine only shuttles.
 func serveClient(conn net.Conn, srv *server) {
 	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	w := bufio.NewWriter(conn)
+	sc := bufio.NewScanner(flushingReader{conn, w})
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	pending := map[string][]txn.Op{}
 	for sc.Scan() {
-		reply := srv.handleLine(strings.Fields(sc.Text()), pending)
-		for _, line := range reply {
+		for _, line := range srv.handleLine(strings.Fields(sc.Text()), pending) {
 			fmt.Fprintln(w, line)
 		}
-		if w.Flush() != nil {
-			return
-		}
 	}
+	_ = w.Flush() // the replies to the last lines; the connection closes either way
+}
+
+// flushingReader flushes the buffered replies before each read. The
+// Scanner reads only once no complete line is left in its buffer, so the
+// replies to lines that arrived together leave in one write.
+type flushingReader struct {
+	r io.Reader
+	w *bufio.Writer
+}
+
+func (f flushingReader) Read(p []byte) (int, error) {
+	if err := f.w.Flush(); err != nil {
+		return 0, err
+	}
+	return f.r.Read(p)
 }
 
 // handleLine executes one client command, returning response lines.

@@ -113,8 +113,10 @@ func Catalogue() []Mutant {
 		{Name: "tpc: decided name begins again", Edits: []Edit{{coordinatorGo, "; dup || c.Decision(txn) != DecisionNone {", "; dup {"}},
 			Kills: []Gate{Test(tpc, "TestDecidedTransactionKeepsOnlyItsDecision")}},
 
-		// live: Cancel stops a timer but leaves it in the registry until Close.
-		{Name: "live: cancelled timer kept", Edits: []Edit{{"internal/rt/live/live.go", "\tw.stop()\n\tw.net.forget(w)\n", "\tw.stop()\n"}},
+		// live: what Cancel must do — forget a wall timer, stop a zero-delay hand-off.
+		{Name: "live: cancelled timer kept", Edits: []Edit{{"internal/rt/live/live.go", "\t\tw.stop()\n\t\tw.net.forget(w)\n", "\t\tw.stop()\n"}},
 			Kills: []Gate{Test("./internal/rt/live", "TestCancelledTimersAreForgotten")}},
+		{Name: "live: zero-delay hand-off ignores Cancel", Edits: []Edit{{"internal/rt/live/live.go", "\t\tn.enqueue(run)\n\t\treturn w\n", "\t\tn.enqueue(fn)\n\t\treturn w\n"}},
+			Kills: []Gate{Test("./internal/rt/live", "TestZeroDelayAfterIsAHandOff")}},
 	}
 }

@@ -320,15 +320,15 @@ type wallTimer struct {
 // finish retires the timer's in-flight accounting exactly once.
 func (w *wallTimer) finish() { w.once.Do(w.done) }
 
-// Cancel stops the timer and drops it from Net.timers, so a cancelled
-// timer — and the engine state its callback captures — is not retained
-// until Close.
+// Cancel marks the timer cancelled; a wall timer it also stops and drops
+// from Net.timers, so a cancelled timer — and the engine state its
+// callback captures — is not retained until Close.
 func (w *wallTimer) Cancel() {
-	if w == nil || w.t == nil {
-		return
+	w.cancelled.Store(true)
+	if w.t != nil {
+		w.stop()
+		w.net.forget(w)
 	}
-	w.stop()
-	w.net.forget(w)
 }
 
 // stop marks the timer cancelled and, if it has not fired, retires its
@@ -358,8 +358,10 @@ func (t *Net) isClosed() bool {
 
 // After schedules fn on node id's event loop d ticks from now. Unknown
 // nodes, and nodes of a closing transport, get an inert timer (matching
-// the simulator's tolerance). Net.timers holds the timer until it fires or
-// is cancelled, whichever comes first.
+// the simulator's tolerance). At d <= 0 the callback is a mailbox hand-off:
+// it is enqueued at once, behind whatever the mailbox already holds, with
+// no wall timer and no Net.timers entry. Otherwise Net.timers holds the
+// timer until it fires or is cancelled, whichever comes first.
 func (t *Net) After(id rt.NodeID, d rt.Time, fn func()) rt.Timer {
 	t.mu.Lock()
 	n, ok := t.nodes[id]
@@ -367,8 +369,18 @@ func (t *Net) After(id rt.NodeID, d rt.Time, fn func()) rt.Timer {
 	if !ok {
 		return &wallTimer{}
 	}
-	if d < 0 {
-		d = 0
+	w := &wallTimer{net: t}
+	run := func() {
+		// Execution-time checks: a callback that was already sitting in the
+		// mailbox when Close began, or when Cancel ran, must not fire.
+		if t.isClosed() || w.cancelled.Load() {
+			return
+		}
+		fn()
+	}
+	if d <= 0 {
+		n.enqueue(run)
+		return w
 	}
 	t.timerMu.Lock()
 	defer t.timerMu.Unlock()
@@ -376,16 +388,9 @@ func (t *Net) After(id rt.NodeID, d rt.Time, fn func()) rt.Timer {
 		return &wallTimer{}
 	}
 	t.timerWG.Add(1)
-	w := &wallTimer{net: t, done: t.timerWG.Done}
+	w.done = t.timerWG.Done
 	w.t = time.AfterFunc(time.Duration(d)*t.opts.Tick, func() { //lint:allow nowallclock live runtime adapter: the wall clock IS this runtime's clock source
-		n.enqueue(func() {
-			// Execution-time checks: a timer callback that was already sitting
-			// in the mailbox when Close began, or when Cancel ran, must not fire.
-			if t.isClosed() || w.cancelled.Load() {
-				return
-			}
-			fn()
-		})
+		n.enqueue(run)
 		t.forget(w)
 		w.finish()
 	})

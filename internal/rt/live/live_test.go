@@ -186,6 +186,53 @@ func TestCancelledTimersAreForgotten(t *testing.T) {
 	}
 }
 
+// TestZeroDelayAfterIsAHandOff pins After(node, 0, fn) as a mailbox
+// hand-off: the callback queues behind the deliveries already in the
+// mailbox and runs on the loop, with no wall timer and no Net.timers
+// entry; it never runs after Cancel, nor once Close has begun.
+func TestZeroDelayAfterIsAHandOff(t *testing.T) {
+	net := New(Options{Tick: time.Millisecond, Delta: 5})
+	var order []string // touched only on node 1's loop, then after Close
+	net.AddNode(1, func(m rt.Message) { order = append(order, m.Kind) })
+	// park holds the loop in a callback until the returned channel closes.
+	park := func() chan struct{} {
+		parked, release := make(chan struct{}), make(chan struct{})
+		net.After(1, 0, func() { close(parked); <-release })
+		<-parked
+		return release
+	}
+
+	release := park()
+	if err := net.Send(1, 1, "delivery", nil); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	net.After(1, 0, func() { order = append(order, "callback") })
+	net.After(1, 0, func() { t.Error("cancelled callback ran") }).Cancel()
+	ran := make(chan struct{})
+	net.After(1, 0, func() { close(ran) })
+	net.timerMu.Lock()
+	kept := len(net.timers)
+	net.timerMu.Unlock()
+	if kept != 0 {
+		t.Errorf("%d Net.timers entries for zero-delay callbacks, want 0", kept)
+	}
+	close(release)
+	<-ran
+
+	release = park()
+	net.After(1, 0, func() { t.Error("callback ran once Close had begun") })
+	closed := make(chan struct{})
+	go func() { net.Close(); close(closed) }()
+	for !net.isClosed() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(release)
+	<-closed
+	if want := []string{"delivery", "callback"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("loop ran %q, want %q", order, want)
+	}
+}
+
 func TestLiveBroadcastReachesAll(t *testing.T) {
 	net := New(Options{Tick: 100 * time.Microsecond, Delta: 5})
 	defer net.Close()

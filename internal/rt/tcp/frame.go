@@ -80,7 +80,8 @@ func EncodeFrame(codec *Codec, msg rt.Message) ([]byte, error) {
 // into a message, using codec for the payload. Every malformation maps
 // to a wrapped sentinel: ErrCorrupt for structure, ErrVersion for wire
 // version skew, ErrOversize for size, ErrUnknownKind/ErrCodec from the
-// payload codec.
+// payload codec. A payload error comes with the header's fields and no
+// payload, so a reader can charge the frame to its sender.
 func DecodeBody(codec *Codec, body []byte) (rt.Message, error) {
 	if len(body) > MaxFrame {
 		return rt.Message{}, fmt.Errorf("%w: body %d bytes > %d", ErrOversize, len(body), MaxFrame)
@@ -98,18 +99,15 @@ func DecodeBody(codec *Codec, body []byte) (rt.Message, error) {
 	if headerLen+kindLen > len(body) {
 		return rt.Message{}, fmt.Errorf("%w: kind length %d exceeds body", ErrCorrupt, kindLen)
 	}
-	kind := string(body[21 : 21+kindLen])
-	payload, err := codec.Decode(kind, body[21+kindLen:])
-	if err != nil {
-		return rt.Message{}, err
+	msg := rt.Message{
+		From:   rt.NodeID(int32(binary.BigEndian.Uint32(body[3:7]))),
+		To:     rt.NodeID(int32(binary.BigEndian.Uint32(body[7:11]))),
+		Kind:   string(body[21 : 21+kindLen]),
+		SentAt: rt.Time(binary.BigEndian.Uint64(body[11:19])),
 	}
-	return rt.Message{
-		From:    rt.NodeID(int32(binary.BigEndian.Uint32(body[3:7]))),
-		To:      rt.NodeID(int32(binary.BigEndian.Uint32(body[7:11]))),
-		Kind:    kind,
-		Payload: payload,
-		SentAt:  rt.Time(binary.BigEndian.Uint64(body[11:19])),
-	}, nil
+	var err error
+	msg.Payload, err = codec.Decode(msg.Kind, body[21+kindLen:])
+	return msg, err
 }
 
 // DecodeFrame decodes one full frame (length prefix plus body) from a

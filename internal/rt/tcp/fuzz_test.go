@@ -1,9 +1,13 @@
 package tcp
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
+	"io"
+	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"speccat/internal/rt"
 )
@@ -79,7 +83,10 @@ func FuzzFrameDecode(f *testing.F) {
 }
 
 // FuzzReadFrame runs the same totality property through the streaming
-// reader, which is the path real connections exercise.
+// reader, which is the path real connections exercise, and reads every
+// input a second time the way readLoop does, through a bufio.Reader, here
+// over a source that yields one byte per read: both reads must produce the
+// same messages and the same error classes.
 func FuzzReadFrame(f *testing.F) {
 	codec := fuzzCodec()
 	valid, err := EncodeFrame(codec, rt.Message{From: 1, To: 2, Kind: "test.kind", Payload: testPayload{Txn: "s"}})
@@ -91,14 +98,49 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(valid[:5])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := &sliceReader{data: data}
-		for {
-			_, err := ReadFrame(r, codec)
-			if err != nil {
-				return // any error ends the stream; the property is no panic
-			}
+		direct := readAll(&sliceReader{data: data}, codec)
+		buffered := readAll(bufio.NewReaderSize(iotest.OneByteReader(&sliceReader{data: data}), 16), codec)
+		if !reflect.DeepEqual(direct, buffered) {
+			t.Fatalf("direct read %+v, buffered read %+v", direct, buffered)
 		}
 	})
+}
+
+// read is one ReadFrame result: the message and its error's class.
+type read struct {
+	msg   rt.Message
+	class string
+}
+
+// readAll reads frames as readLoop does, past payload errors, until an
+// error that ends the stream.
+func readAll(r io.Reader, codec *Codec) []read {
+	var out []read
+	for {
+		msg, err := ReadFrame(r, codec)
+		c := errClass(err)
+		out = append(out, read{msg, c})
+		if c != "" && c != "payload" {
+			return out
+		}
+	}
+}
+
+// errClass names the sentinel family of a ReadFrame error.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return ""
+	case errors.Is(err, ErrUnknownKind), errors.Is(err, ErrCodec):
+		return "payload"
+	case errors.Is(err, ErrCorrupt):
+		return "corrupt"
+	case errors.Is(err, ErrOversize):
+		return "oversize"
+	case errors.Is(err, ErrVersion):
+		return "version"
+	}
+	return "stream"
 }
 
 // sliceReader is a minimal io.Reader over a byte slice (avoids pulling

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -74,8 +75,8 @@ type PeerStats struct {
 	Sent uint64
 	// Received counts frames received from the peer.
 	Received uint64
-	// Dropped counts frames discarded: queue overflow, write failures,
-	// and sends attempted while the transport shuts down.
+	// Dropped counts frames discarded: queue overflow, failed writes (the
+	// whole batch), and frames still queued or sent at shutdown.
 	Dropped uint64
 	// Reconnects counts re-established outbound connections (the first
 	// successful dial is a connect, not a reconnect).
@@ -353,39 +354,56 @@ func (p *peer) bumpSent() {
 	p.mu.Unlock()
 }
 
-// dequeue blocks until a frame or shutdown.
-func (p *peer) dequeue() ([]byte, bool) {
+// ready blocks until a frame is queued or the peer stops; false on stop.
+func (p *peer) ready() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for len(p.queue) == 0 && !p.done {
 		p.cond.Wait()
 	}
-	if p.done {
-		return nil, false
-	}
-	f := p.queue[0]
-	p.queue[0] = nil
-	p.queue = p.queue[1:]
-	return f, true
+	return !p.done
 }
 
+// maxBatch caps the bytes of one batch, which still always holds a frame.
+const maxBatch = 64 << 10
+
+// take appends the queued frames to buf, oldest first, up to maxBatch
+// bytes; it returns the batch and its frame count.
+func (p *peer) take(buf []byte) ([]byte, int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for n < len(p.queue) && (n == 0 || len(buf)+len(p.queue[n]) <= maxBatch) {
+		buf = append(buf, p.queue[n]...)
+		p.queue[n] = nil
+		n++
+	}
+	p.queue = p.queue[n:]
+	return buf, n
+}
+
+// stop ends the peer; the frames still queued are dropped and counted.
 func (p *peer) stop() {
 	p.mu.Lock()
 	if !p.done {
 		p.done = true
+		p.stats.dropped += uint64(len(p.queue))
+		p.queue = nil
 		close(p.stopCh)
 		p.cond.Broadcast()
 	}
 	p.mu.Unlock()
 }
 
-// runPeer is the outbound worker: dial (with capped jittered backoff),
-// write frames, reconnect on failure. A frame whose write fails is
-// dropped and counted — retransmission is the protocols' job (timeouts,
+// runPeer is the outbound worker: dial (with capped jittered backoff) while
+// the frames wait in the queue, then write each batch of them with one
+// conn.Write, reconnecting on failure. A batch whose write fails is dropped
+// and counted — retransmission is the protocols' job (timeouts,
 // termination, recovery), not the transport's.
 func (t *Net) runPeer(p *peer) {
 	defer t.wg.Done()
 	var conn net.Conn
+	var buf []byte
 	connected := false
 	attempt := 0
 	defer func() {
@@ -393,20 +411,13 @@ func (t *Net) runPeer(p *peer) {
 			conn.Close()
 		}
 	}()
-	for {
-		frame, ok := p.dequeue()
-		if !ok {
-			return
-		}
-		for conn == nil {
+	for p.ready() {
+		if conn == nil {
 			c, err := net.DialTimeout("tcp", p.addr, t.opts.DialTimeout)
 			if err != nil {
 				delay := t.opts.Backoff.Delay(attempt, t.jitter())
 				attempt++
 				if !t.sleep(delay, p) {
-					p.mu.Lock()
-					p.stats.dropped++
-					p.mu.Unlock()
 					return
 				}
 				continue
@@ -420,16 +431,16 @@ func (t *Net) runPeer(p *peer) {
 			p.mu.Unlock()
 			connected = true
 		}
-		if _, err := conn.Write(frame); err != nil {
+		var n int
+		buf, n = p.take(buf[:0])
+		counter := &p.stats.sent
+		if _, err := conn.Write(buf); err != nil {
 			conn.Close()
 			conn = nil
-			p.mu.Lock()
-			p.stats.dropped++
-			p.mu.Unlock()
-			continue
+			counter = &p.stats.dropped
 		}
 		p.mu.Lock()
-		p.stats.sent++
+		*counter += uint64(n)
 		p.mu.Unlock()
 	}
 }
@@ -516,7 +527,8 @@ func (t *Net) acceptLoop(l net.Listener) {
 	}
 }
 
-// readLoop decodes frames off one inbound connection and delivers them
+// readLoop decodes frames off one inbound connection, through a read
+// buffer that takes whatever burst the kernel holds, and delivers them
 // onto the local mailbox. Unknown kinds and undecodable payloads are
 // counted and skipped (the frame boundary is intact); structural
 // corruption closes the connection (the stream can no longer be framed).
@@ -528,11 +540,12 @@ func (t *Net) readLoop(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
+	r := bufio.NewReader(conn)
 	for {
-		msg, err := ReadFrame(conn, t.opts.Codec)
+		msg, err := ReadFrame(r, t.opts.Codec)
 		if err != nil {
 			if errors.Is(err, ErrUnknownKind) || errors.Is(err, ErrCodec) {
-				t.bumpRecv(0, true)
+				t.bumpRecv(msg.From, true) // the header decoded: charge its sender
 				continue
 			}
 			return // EOF, closed conn, or unframeable corruption

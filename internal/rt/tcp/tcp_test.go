@@ -134,16 +134,7 @@ func TestCounters(t *testing.T) {
 	for i := 0; i < total; i++ {
 		waitMsg(t, ch2, "counted message")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if s := n1.Stats(2); s.Sent == total {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sender stats = %+v, want Sent=%d", n1.Stats(2), total)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitSent(t, n1, 2, total)
 	if s := n2.Stats(1); s.Received != total {
 		t.Fatalf("receiver stats = %+v, want Received=%d", s, total)
 	}
@@ -241,10 +232,13 @@ func TestQueueOverflowDrops(t *testing.T) {
 	}
 	defer n1.Close()
 	n1.AddNode(1, nil)
-	// Node 2 never starts; every frame queues against a dead peer.
+	// Node 2 has not started; every frame queues against a dead peer.
 	for i := 0; i < 64; i++ {
 		if err := n1.Send(1, 2, "test.kind", testPayload{N: i}); err != nil {
 			t.Fatalf("Send %d: %v", i, err)
+		}
+		if i == 0 {
+			time.Sleep(20 * time.Millisecond) // let the worker start dialing
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -253,6 +247,126 @@ func TestQueueOverflowDrops(t *testing.T) {
 			t.Fatalf("overflow not counted; stats = %+v", n1.Stats(2))
 		}
 		time.Sleep(time.Millisecond)
+	}
+
+	// The newest SendQueue frames survive: the writer leaves frames queued
+	// while it dials, so none is held outside the queue's bound.
+	n2, err := New(Options{Local: 2, Cluster: cluster, Codec: codec})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer n2.Close()
+	h2, ch2 := collector()
+	n2.AddNode(2, h2)
+	if err := n2.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	for want := 60; want < 64; want++ {
+		if got := waitMsg(t, ch2, "a surviving frame").Payload.(testPayload).N; got != want {
+			t.Fatalf("delivered frame %d, want %d", got, want)
+		}
+	}
+	waitSent(t, n1, 2, 4)
+	if s := n1.Stats(2); s.Dropped != 60 {
+		t.Fatalf("stats = %+v, want Dropped=60", s)
+	}
+}
+
+// TestFramesQueuedWhilePeerIsDownArriveInOrder sends before the peer
+// listens: every frame waits in the queue and arrives, in order, once the
+// writer connects.
+func TestFramesQueuedWhilePeerIsDownArriveInOrder(t *testing.T) {
+	codec := newTestCodec(t)
+	addrs := reserveAddrs(t, 2)
+	cluster := map[rt.NodeID]string{1: addrs[0], 2: addrs[1]}
+	n1, err := New(Options{Local: 1, Cluster: cluster, Codec: codec,
+		Backoff: Backoff{Base: time.Millisecond, Cap: 10 * time.Millisecond}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer n1.Close()
+	n1.AddNode(1, nil)
+	const n = 100
+	for i := 0; i < n; i++ {
+		if err := n1.Send(1, 2, "test.kind", testPayload{N: i}); err != nil {
+			t.Fatalf("Send %d: %v", i, err)
+		}
+	}
+	n2, err := New(Options{Local: 2, Cluster: cluster, Codec: codec})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer n2.Close()
+	h2, ch2 := collector()
+	n2.AddNode(2, h2)
+	if err := n2.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	for want := 0; want < n; want++ {
+		if got := waitMsg(t, ch2, "a queued frame").Payload.(testPayload).N; got != want {
+			t.Fatalf("delivered frame %d, want %d", got, want)
+		}
+	}
+	waitSent(t, n1, 2, n)
+	if s := n1.Stats(2); s.Dropped != 0 {
+		t.Fatalf("stats = %+v, want Dropped=0", s)
+	}
+}
+
+// waitSent waits until n's counters show sent frames to peer.
+func waitSent(t *testing.T, n *Net, peer rt.NodeID, sent uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for n.Stats(peer).Sent != sent {
+		if time.Now().After(deadline) {
+			t.Fatalf("stats = %+v, want Sent=%d", n.Stats(peer), sent)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDecodeErrorsChargeTheSender writes, on one raw connection, a frame of
+// an unregistered kind, a frame whose payload does not decode and a valid
+// frame: both bad frames count against their sender, and the connection
+// survives to deliver the third.
+func TestDecodeErrorsChargeTheSender(t *testing.T) {
+	codec := newTestCodec(t)
+	_, n2 := newPair(t, codec)
+	h2, ch2 := collector()
+	n2.AddNode(2, h2)
+
+	wide := newTestCodec(t)
+	enc, dec := jsonCodecFor[testPayload]()
+	if err := wide.Register("other.kind", enc, dec); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	var stream []byte
+	for i, m := range []struct {
+		codec *Codec
+		kind  string
+	}{{wide, "other.kind"}, {codec, "test.kind"}, {codec, "test.kind"}} {
+		f, err := EncodeFrame(m.codec, rt.Message{From: 1, To: 2, Kind: m.kind, Payload: testPayload{N: i}})
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		if i == 1 {
+			f[len(f)-1] = '{' // break the JSON payload
+		}
+		stream = append(stream, f...)
+	}
+	conn, err := net.Dial("tcp", n2.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(stream); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if m := waitMsg(t, ch2, "the valid frame"); m.Payload.(testPayload).N != 2 {
+		t.Fatalf("delivered %+v, want frame 2", m.Payload)
+	}
+	if s := n2.Stats(1); s.DecodeErrors != 2 || s.Received != 1 {
+		t.Fatalf("stats of the sender = %+v, want DecodeErrors=2 Received=1", s)
 	}
 }
 
