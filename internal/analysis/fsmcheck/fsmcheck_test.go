@@ -65,8 +65,8 @@ func TestRepoIsFSMClean(t *testing.T) {
 		machines = append(machines, name)
 	}
 	sort.Strings(machines)
-	if got := strings.Join(machines, " "); got != "tpc txn" {
-		t.Errorf("machines extracted = %q, want \"tpc txn\"", got)
+	if got := strings.Join(machines, " "); got != "tpc" {
+		t.Errorf("machines extracted = %q, want \"tpc\"", got)
 	}
 }
 

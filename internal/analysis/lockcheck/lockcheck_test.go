@@ -36,8 +36,7 @@ func TestRepoIsLockClean(t *testing.T) {
 	roots := strings.Join(rep.Roots, " ")
 	for _, want := range []string{
 		"Store.Get", "Store.Put", "Store.Increment", // //comm:op store operations
-		"Master.handle", "Site.handle", // //fsm:handler engines
-		"Site.applyDecision", // the //lock:handler-opted commit-path callback
+		"Site.vote", "Site.applyDecision", // the //lock:handler-opted cohort callbacks: work, then decision
 		"Cohort.HandleMessage", "Coordinator.HandleMessage",
 	} {
 		if !strings.Contains(roots, want) {

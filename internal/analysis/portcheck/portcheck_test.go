@@ -43,7 +43,7 @@ func TestRepoIsPortClean(t *testing.T) {
 		t.Errorf("confined role types = %s, want %s", confined, want)
 	}
 	roots := strings.Join(rep.Roots, " ")
-	for _, want := range []string{"Coordinator.HandleMessage", "Cohort.HandleMessage", "Master.handle"} {
+	for _, want := range []string{"Coordinator.HandleMessage", "Cohort.HandleMessage", "Master.Submit", "Site.vote"} {
 		if !strings.Contains(roots, want) {
 			t.Errorf("analysis roots missing %s (got %s)", want, roots)
 		}

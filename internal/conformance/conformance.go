@@ -90,7 +90,7 @@ func rows() []row {
 	return []row{
 		{[]string{"Agreeconsensus"}, "tpc Cohort.decide, terminationDecide", agreeconsensus, "TestAgreeconsensusCatchesCrashMidProtocol", []string{naive, unsafe}, ""},
 		{[]string{"Storevalues"}, "kvstore and wal under txn.Site", storevalues, "", nil, ""},
-		{[]string{"Readlock", "Writelock"}, "locking under txn Site.runOps", locks, "TestLockRowHoldsOnWitnessShape", []string{"underlock"}, ""},
+		{[]string{"Readlock", "Writelock"}, "locking under txn Site.vote", locks, "TestLockRowHoldsOnWitnessShape", []string{"underlock"}, ""},
 		{[]string{"Agreebroad"}, "tpc Coordinator.commit/abort fan-out, terminationDecide re-dissemination", agreebroad, "TestAgreebroadCatchesDisseminatorCrash", []string{unsafe}, ""},
 		{[]string{"Timeout"}, "tpc cohort phase timers (onCommitReq, onPrepare)", timeout, "TestTimeoutActsWithinPhaseTimeout", termination, ""},
 		{[]string{"DeclareFailed", "CoordFailure"}, "tpc Cohort.onCoordinatorSilent → startTermination", declareFailed, "TestTimeoutActsWithinPhaseTimeout", termination, ""},
@@ -107,11 +107,11 @@ func rows() []row {
 // mutants the rows name, judged on the rows' gates in the module the
 // working directory is in.
 func CheckAll(seeds []int64) ([]Result, error) {
-	sweep, err := execute(crashSweep(explore.Proto3PC, seeds))
+	sweep, err := crashSweep(explore.Proto3PC, seeds)
 	if err != nil {
 		return nil, err
 	}
-	twoPC, err := execute(crashSweep(explore.Proto2PC, seeds))
+	twoPC, err := crashSweep(explore.Proto2PC, seeds)
 	if err != nil {
 		return nil, err
 	}
@@ -170,17 +170,26 @@ func proofsNaming(proofs []provesched.Obligation, axioms []string) []string {
 	return out
 }
 
-// crashSweep is, per seed, the default-shape workload with the master
-// (node 1) crashed for good inside the submission window, which opens at
-// t = 501 with a submission every 15 ticks, run to t = 4000.
-func crashSweep(protocol string, seeds []int64) []explore.Schedule {
-	var out []explore.Schedule
+// crashSweep runs, per seed, the default-shape workload with the master
+// (node 1) crashed for good one tick after its (seed mod 30)th send of the
+// workload in the seed's fault-free run — whole fan-outs, in a phase that
+// varies with the seed — to t = 4000.
+func crashSweep(protocol string, seeds []int64) ([]*run, error) {
+	var specs []explore.Schedule
 	for _, seed := range seeds {
-		at := 501 + 15*sim.Time(seed%10) + sim.Time(seed%7)
-		out = append(out, explore.Schedule{Protocol: protocol, Seed: seed, Horizon: 4000,
-			Faults: []explore.Fault{{Kind: explore.FaultCrashAtTime, Site: 1, At: at}}})
+		spec := explore.Schedule{Protocol: protocol, Seed: seed, Horizon: 4000}
+		probe, log, err := explore.RunLogged(spec)
+		if err != nil {
+			return nil, err
+		}
+		log = slices.DeleteFunc(log, func(s explore.SendInfo) bool { return s.Seq < probe.Stats.SetupSends || s.From != 1 })
+		if len(log) == 0 {
+			return nil, fmt.Errorf("conformance: %s seed %d: the master sent nothing to crash after", protocol, seed)
+		}
+		spec.Faults = []explore.Fault{{Kind: explore.FaultCrashAtTime, Site: 1, At: log[int(seed)%min(len(log), 30)].At + 1}}
+		specs = append(specs, spec)
 	}
-	return out
+	return execute(specs)
 }
 
 // tally accumulates one row's obligations over a set of runs.
@@ -242,13 +251,14 @@ type send struct {
 }
 
 // wire is the shape every engine payload marshals to — its transaction plus
-// whichever of participants, state and operations it carries — so a
-// payload is read through its wire form and the engines' types stay private.
+// whichever of participants, state and body it carries — so a payload is
+// read through its wire form and the engines' types stay private. A commit
+// request's body is its receiver's operations (txn.DecodeOps).
 type wire struct {
 	Txn          string
 	Participants []rt.NodeID
 	State        tpc.State
-	Ops          []txn.Op
+	Body         []byte
 }
 
 func execute(specs []explore.Schedule) ([]*run, error) {
@@ -261,14 +271,18 @@ func execute(specs []explore.Schedule) ([]*run, error) {
 		r := &run{spec: spec, res: res, sends: map[string][]send{}, parts: map[string][]rt.NodeID{}, life: map[rt.NodeID][]flip{}}
 		for _, s := range log {
 			var w wire
+			var ops []txn.Op
 			data, err := json.Marshal(s.Payload)
 			if err == nil {
 				err = json.Unmarshal(data, &w)
 			}
+			if err == nil && s.Kind == tpc.KindCommitReq {
+				ops, err = txn.DecodeOps(w.Body, s.To)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("conformance: payload of send %d (%s): %w", s.Seq, s.Kind, err)
 			}
-			r.sends[w.Txn] = append(r.sends[w.Txn], send{s, w.State, w.Ops})
+			r.sends[w.Txn] = append(r.sends[w.Txn], send{s, w.State, ops})
 			if s.Kind == tpc.KindCommitReq && r.parts[w.Txn] == nil {
 				slices.Sort(w.Participants)
 				r.txns, r.parts[w.Txn] = append(r.txns, w.Txn), w.Participants

@@ -152,7 +152,7 @@ func TestStorevaluesCountsCommittedOnly(t *testing.T) {
 // the protocol sent: every state request of the sweep is an obligation of
 // Globprocstateinfo.
 func TestTerminationRowsAreNonVacuous(t *testing.T) {
-	runs, err := execute(crashSweep(explore.Proto3PC, explore.SeedRange(1, 20)))
+	runs, err := crashSweep(explore.Proto3PC, explore.SeedRange(1, 20))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ const master rt.NodeID = 1
 
 func sweepRuns(t *testing.T, protocol string, n int) []*run {
 	t.Helper()
-	runs, err := execute(crashSweep(protocol, explore.SeedRange(1, n)))
+	runs, err := crashSweep(protocol, explore.SeedRange(1, n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,6 +66,46 @@ func goldenRun(t *testing.T, file string) *run {
 		t.Fatal(err)
 	}
 	runs, err := execute([]explore.Schedule{g.Schedule})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runs[0]
+}
+
+// successorRun stages a termination whose natural backup is down, by the
+// protocol events of a run of one transaction over all three sites: the
+// master crashes at its first prepare of the transaction, so every
+// participant waits in w, and the lowest participant crashes one tick
+// later; the other two time out and the next lowest gathers.
+func successorRun(t *testing.T) *run {
+	t.Helper()
+	spec := explore.Schedule{Protocol: explore.Proto3PC, Seed: 1, Txns: 1, Horizon: 4000,
+		Workload: explore.WorkloadCrossPartition, Spread: 3}
+	probe, log, err := explore.RunLogged(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prepare *explore.SendInfo
+	var parts []rt.NodeID
+	for i, s := range log {
+		if s.Seq < probe.Stats.SetupSends {
+			continue
+		}
+		if s.Kind == tpc.KindCommitReq {
+			parts = append(parts, s.To)
+		}
+		if s.Kind == tpc.KindPrepare && prepare == nil {
+			prepare = &log[i]
+		}
+	}
+	if prepare == nil || len(parts) != 3 {
+		t.Fatalf("staging: the transaction spans %v and prepares at %v, want three sites and a prepare", parts, prepare)
+	}
+	spec.Faults = []explore.Fault{
+		{Kind: explore.FaultCrashAtSend, Seq: prepare.Seq},
+		{Kind: explore.FaultCrashAtTime, Site: slices.Min(parts), At: prepare.At + 1},
+	}
+	runs, err := execute([]explore.Schedule{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,13 +410,19 @@ func TestBackupElectedAfterCoordinatorCrash(t *testing.T) {
 }
 
 // TestBackupIsLowestUpParticipant: every state vector is gathered by the
-// lowest participant up at the time; when that backup crashes, the next
-// lowest takes over.
+// lowest participant up at the time, and every other participant's state
+// request goes to it; when that backup is down, the next lowest takes over
+// — staged by successorRun.
 func TestBackupIsLowestUpParticipant(t *testing.T) {
-	runs := append(sweepRuns(t, explore.Proto3PC, 60), goldenRun(t, goldenUnsafe))
+	runs := append(sweepRuns(t, explore.Proto3PC, 60), goldenRun(t, goldenUnsafe), successorRun(t))
 	gathered, successors := 0, 0
 	for _, r := range runs {
 		for _, name := range r.txns {
+			for _, q := range r.about(name, isStateReq) {
+				if b := r.lowestUp(name, q.At); q.From != master && q.From != b && q.To != b {
+					t.Errorf("seed %d txn %s: site %d asked %d at t=%d, the lowest participant up was %d", r.spec.Seed, name, q.From, q.To, q.At, b)
+				}
+			}
 			for _, g := range r.gatherings(name) {
 				gathered++
 				var up []rt.NodeID

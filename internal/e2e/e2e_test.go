@@ -371,9 +371,10 @@ func TestServeShardedAudit(t *testing.T) {
 // TestServeRefusedStartwork: a transaction whose work for one site does not
 // fit a wire frame used to get "ERR ... oversized frame" with the branch it
 // had already opened at an earlier site left open: that site's keys stayed
-// locked until the cohort was restarted. A refused startwork is failed
-// work — the transaction aborts through the protocol, and the next
-// transaction on the same key commits.
+// locked until the cohort was restarted. The work rides on the commit
+// request, and a refused commit request is a no vote — the coordinator
+// aborts at once (not "ERR transaction timed out"), the branch the earlier
+// site opened rolls back, and the next transaction on the same key commits.
 func TestServeRefusedStartwork(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess transcript is not a -short test")
@@ -382,8 +383,9 @@ func TestServeRefusedStartwork(t *testing.T) {
 	serveBin, _ := buildBinaries(t, dir)
 	cl := bootCluster(t, serveBin, filepath.Join(dir, "data"))
 
-	// Sites get their startwork in ID order: a small write homed on site 2
-	// opens its branch before the oversized work for site 3 is refused.
+	// Sites get their commit requests in ID order: a small write homed on
+	// site 2 opens its branch before the oversized request for site 3 is
+	// refused.
 	sites := []rt.NodeID{2, 3, 4}
 	var small string
 	var big []string

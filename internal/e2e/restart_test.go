@@ -64,7 +64,7 @@ func quiesce(t *testing.T, c *tpcCluster) {
 // and no account is locked by a branch nobody will decide. The first probes
 // after a restart may abort: the transport drops the first frames it writes
 // into a dead peer's connection (retransmission is the protocols' job), and
-// a transaction whose startwork was among them times out and is voted down.
+// a transaction whose commit request was among them times out and aborts.
 func waitServing(t *testing.T, c *tpcCluster, tag string) {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", c.client[0], 5*time.Second)
@@ -149,10 +149,11 @@ func TestServeKillCohortMidLoad(t *testing.T) {
 //   - The coordinator dies mid-load, unpaused. tpcload loses its connections
 //     and is expected to fail; the new coordinator aborts what it logged in
 //     w, commits what it logged in p and re-announces the rest.
-//   - Transactions the coordinator had not yet begun leave open branches at
-//     the cohorts that nobody will ever decide (its submission queue is not
-//     logged). Each cohort is killed -9 with those branches — and their
-//     locks — live, and its successor must abort them.
+//   - The coordinator's kill leaves branches at the cohorts that only the
+//     protocol will decide: every one was opened by a commit request and
+//     voted yes, so the cohort's phase timer runs the termination protocol.
+//     Each cohort is killed -9 with whatever it still holds — and its locks
+//     — live, and its successor must settle it.
 //
 // Then every account is still funded exactly, a fresh load runs clean,
 // every cohort's DUMP equals what wal.Recover derives from its own journal,
@@ -183,7 +184,7 @@ func TestServeKillRestart(t *testing.T) {
 	}
 	quiesce(t, cl)
 
-	// Each cohort, holding the orphaned branches.
+	// Each cohort, holding what the coordinator's kill left it.
 	for i := 1; i < nodes; i++ {
 		cl.killRestart(t, i)
 	}

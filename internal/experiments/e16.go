@@ -100,7 +100,7 @@ func runAndReplay(p tpc.Protocol, start func(ids []rt.NodeID) (*runningCluster, 
 	// healthy real run, so the trace contains every cause of every
 	// transition and the timer-free replay cannot diverge.
 	cfg := tpc.Config{Protocol: p, PhaseTimeout: 50_000}
-	noVoter := func(txn string) bool { return txn != "t-abort" }
+	noVoter := func(txn string, _ []byte) (bool, []byte) { return txn != "t-abort", nil }
 	coordID := rt.NodeID(1)
 	cohortIDs := []rt.NodeID{2, 3, 4}
 	ids := append([]rt.NodeID{coordID}, cohortIDs...)

@@ -83,7 +83,7 @@ func TestE17PartitionMidPrepare(t *testing.T) {
 		}
 		h.OnDecide = func(txn string, d tpc.Decision) { decCh <- decided{id, d} }
 		if id == partitioned {
-			h.Vote = func(txn string) bool {
+			h.Vote = func(string, []byte) (bool, []byte) {
 				// The vote handler runs mid-commit-request, strictly before
 				// the prepare round: cut our inbound side right here.
 				cl.nets[id].CloseInbound()
@@ -96,7 +96,7 @@ func TestE17PartitionMidPrepare(t *testing.T) {
 					}
 					close(healed)
 				}()
-				return true
+				return true, nil
 			}
 		}
 	}

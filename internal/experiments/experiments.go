@@ -172,13 +172,14 @@ func E8Distributed(seed int64, transactions int, protocol tpc.Protocol) (*E8Resu
 		}
 		ops, undo := ledger.Fill(wt, 5)
 		if i == crashAtTxn {
-			// Mid-run master crash while this transaction's commit phase
-			// runs. Probe the blocking window (open branches = held
-			// locks) before recovering the master.
+			// Mid-run master crash in this transaction's voting phase, once
+			// its first site voted yes. Probe the blocking window (open
+			// branches = held locks) before recovering the master.
 			if err := cluster.Master.Submit(wt.Name, ops, nil); err != nil {
 				return nil, err
 			}
-			sched.RunUntil(sched.Now() + 25) // into the voting phase
+			for cluster.Sites[ops[0].Site].StateOf(wt.Name) != tpc.StateWait && sched.Step() {
+			}
 			_ = cluster.Net.Crash(cluster.MasterID)
 			sched.RunUntil(sched.Now() + 800)
 			for _, site := range cluster.Sites {

@@ -83,11 +83,23 @@ func TestExplore2PCBlocks(t *testing.T) {
 // TestTraceDeterminism: the same schedule must produce byte-identical
 // traces, and the same options must produce an identical report — the
 // property that makes every counterexample replayable from its seed alone.
+// The schedule crashes the coordinator at the workload's sixth prepare.
 func TestTraceDeterminism(t *testing.T) {
-	spec := Schedule{
-		Protocol: Proto3PC, Seed: 2, Sites: 3, Accounts: 8, Txns: 12,
-		Horizon: 4000, Faults: []Fault{{Kind: FaultCrashAtSend, Seq: 91}},
+	spec := Schedule{Protocol: Proto3PC, Seed: 2, Sites: 3, Accounts: 8, Txns: 12, Horizon: 4000}
+	probe, log, err := RunLogged(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var prepares []SendInfo
+	for _, s := range log {
+		if s.Seq >= probe.Stats.SetupSends && s.Kind == tpc.KindPrepare {
+			prepares = append(prepares, s)
+		}
+	}
+	if len(prepares) < 6 {
+		t.Fatalf("staging: %d prepares, want 6", len(prepares))
+	}
+	spec.Faults = []Fault{{Kind: FaultCrashAtSend, Seq: prepares[5].Seq}}
 	a, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -61,14 +61,15 @@ func TestDurabilityOracleConvictsMissingEffects(t *testing.T) {
 	}
 }
 
-// TestDroppedStartworkNeverCommits drops, one run each, every post-setup
-// startwork of seeds 1–20. A site that never got its work votes no, so no
-// run may commit a transaction with that site's writes missing (the
+// TestDroppedCommitRequestNeverCommits drops, one run each, every
+// post-setup commit request of seeds 1–20. The request carries its site's
+// work, so a site that never got it never opens a branch and never votes:
+// no run may commit a transaction with that site's writes missing (the
 // durability oracle above), split it, or break serializability; progress
 // is not claimed under drops. The same probes show the default schedule
 // exercises participant scoping at all: its transfers touch two accounts,
 // so some commit protocol spans fewer than all three sites.
-func TestDroppedStartworkNeverCommits(t *testing.T) {
+func TestDroppedCommitRequestNeverCommits(t *testing.T) {
 	runs, scoped := 0, false
 	for seed := int64(1); seed <= 20; seed++ {
 		base := Schedule{Protocol: Proto3PC, Seed: seed}
@@ -78,15 +79,10 @@ func TestDroppedStartworkNeverCommits(t *testing.T) {
 		}
 		reqs := 0
 		for _, s := range log {
-			if s.Seq < probe.Stats.SetupSends {
+			if s.Seq < probe.Stats.SetupSends || s.Kind != tpc.KindCommitReq {
 				continue
 			}
-			if s.Kind == tpc.KindCommitReq {
-				reqs++
-			}
-			if s.Kind != "txn.startwork" {
-				continue
-			}
+			reqs++
 			spec := base
 			spec.Horizon = probe.Stats.End + horizonMargin
 			spec.Faults = []Fault{{Kind: FaultDropSend, Seq: s.Seq}}
@@ -97,14 +93,14 @@ func TestDroppedStartworkNeverCommits(t *testing.T) {
 			runs++
 			for _, v := range res.Violations {
 				if v.Oracle != OracleProgress {
-					t.Errorf("seed %d, startwork #%d to site %d dropped: %+v", seed, s.Seq, s.To, v)
+					t.Errorf("seed %d, commit request #%d to site %d dropped: %+v", seed, s.Seq, s.To, v)
 				}
 			}
 		}
 		scoped = scoped || reqs < probe.Schedule.Sites*probe.Schedule.Txns
 	}
 	if runs < 200 {
-		t.Errorf("only %d dropped-startwork runs; the sweep lost its coverage", runs)
+		t.Errorf("only %d dropped-request runs; the sweep lost its coverage", runs)
 	}
 	if !scoped {
 		t.Error("every commit protocol of every probe spanned all sites: the default schedule does not explore scoping")

@@ -279,10 +279,10 @@ func run(spec Schedule) (*RunResult, *runner, error) {
 		Shards:        spec.Shards,
 	}, r.cluster.SiteFor)
 
-	// Phase 1: bootstrap the accounts, ending at a fixed time so the
-	// workload timeline is schedule-independent.
-	r.submit(SetupTxn, gen.SetupOps())
+	// Phase 1: bootstrap the accounts, ending at a fixed time so the workload
+	// timeline is schedule-independent; faults first, so the log has setup.
 	r.installFaults()
+	r.submit(SetupTxn, gen.SetupOps())
 	r.sched.RunUntil(setupHorizon)
 	setupSends := r.net.SendSeq()
 

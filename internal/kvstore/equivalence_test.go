@@ -35,7 +35,7 @@ type database interface {
 // recovery reopen — is driven into both; every returned value and error,
 // the snapshot, and the stable store's kv and log bytes must agree before
 // and after the reopen. Each begin is followed at once by the
-// transaction's first operation, as txn.Site.startWork does: Shards
+// transaction's first operation, as txn.Site.vote does: Shards
 // writes the begin record on first touch, so only then is the log order
 // the same.
 func TestOneShardMatchesStore(t *testing.T) {

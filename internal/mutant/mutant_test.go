@@ -42,7 +42,7 @@ func TestEditsApplyOnce(t *testing.T) {
 // that the run it recorded is reproduced byte-for-byte, the staged schedule
 // its witness and that the witness is the golden's schedule.
 var evidence = map[[2]string][]string{
-	{"naive timeouts", "TestExplore3PCCleanUnderDesignFaults"}: {"seed 45 violated [atomicity]", "shrunk to 1 txns with faults [crash sender of send #30]"},
+	{"naive timeouts", "TestExplore3PCCleanUnderDesignFaults"}: {"seed 3 violated [atomicity]", "shrunk to 1 txns with faults [crash sender of send #20]"},
 	{"naive timeouts", "TestAblationGoldensRunClean"}:          {"naive3pc_atomicity.json", "matches the recording byte-for-byte"},
 	{"unsafe termination", "TestAblationGoldensRunClean"}:      {"unsafe_term_atomicity.json", "matches the recording byte-for-byte"},
 	{"unsafe termination", "TestCrossValidateNegativeControl"}: {"seed 1 with 4 faults violates [atomicity]", "its schedule equals unsafe_term_atomicity.json"},

@@ -30,8 +30,10 @@ type Cohort struct {
 	endpoint
 	coord rt.NodeID
 	txns  map[string]*cohortTxn
-	// Vote returns the phase-1 vote for a transaction (nil: always yes).
-	Vote func(txn string) bool
+	// Vote returns the phase-1 vote for a transaction, given the body its
+	// commit request carried, and the reply a yes-vote carries back (nil:
+	// always yes, with no reply).
+	Vote func(txn string, body []byte) (yes bool, reply []byte)
 	// OnBlocked fires when a 2PC cohort becomes blocked (uncertain, dead
 	// coordinator). Used by experiment E8.
 	OnBlocked func(txn string)
@@ -62,7 +64,7 @@ func (h *Cohort) HandleMessage(m rt.Message) bool {
 		if !ok || len(p.Participants) == 0 { // a request names at least its receiver
 			return h.badPayload(m)
 		}
-		h.onCommitReq(p.Txn, p.Participants)
+		h.onCommitReq(p.Txn, p.Participants, p.Body)
 		return true
 	case KindPrepare:
 		p, ok := m.Payload.(txnMsg)
@@ -121,14 +123,17 @@ func (h *Cohort) HandleMessage(m rt.Message) bool {
 
 // onCommitReq is the q2 transition: vote and move to w2 (yes) or a2 (no).
 // The request names the participant set the transaction's termination
-// protocol runs over.
-func (h *Cohort) onCommitReq(txn string, participants []rt.NodeID) {
+// protocol runs over, and carries the body Vote reads.
+func (h *Cohort) onCommitReq(txn string, participants []rt.NodeID, body []byte) {
 	t := h.txn(txn)
 	if t.state != StateInitial {
 		return
 	}
 	t.peers = append([]rt.NodeID{}, participants...)
-	yes := h.Vote == nil || h.Vote(txn)
+	yes, reply := true, []byte(nil)
+	if h.Vote != nil {
+		yes, reply = h.Vote(txn, body)
+	}
 	if !yes {
 		h.send(h.coord, KindVoteNo, txnMsg{Txn: txn})
 		h.decide(txn, DecisionAbort, CauseMessage, nil)
@@ -147,7 +152,7 @@ func (h *Cohort) onCommitReq(txn string, participants []rt.NodeID) {
 	// concurrent committer in the window; the vote (and the phase timer it
 	// starts) waits on the batch, the event loop does not.
 	h.forceThen(true, func() {
-		h.send(h.coord, KindVoteYes, txnMsg{Txn: txn})
+		h.send(h.coord, KindVoteYes, txnMsg{Txn: txn, Body: reply})
 		// Timeout waiting for prepare: coordinator failed in w1.
 		t.timer = h.net.After(h.id, h.cfg.PhaseTimeout, func() {
 			if t.state == StateWait {

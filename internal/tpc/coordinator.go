@@ -26,6 +26,10 @@ type Coordinator struct {
 	endpoint
 	cohorts []rt.NodeID
 	txns    map[string]*coordTxn
+	// OnVoteYes, when non-nil, reads the body of each yes-vote that counts
+	// (its transaction undecided in w1) before the vote is counted; false
+	// makes it a no vote, as for a reply the layer above cannot read.
+	OnVoteYes func(txn string, from rt.NodeID, body []byte) bool
 }
 
 // NewCoordinator creates a coordinator on site id managing the given
@@ -48,14 +52,16 @@ func (c *Coordinator) newTxn(participants []rt.NodeID) *coordTxn {
 
 // Begin starts the commit protocol for txn over every cohort the
 // coordinator manages — the work-less harnesses' (Group) participant set.
-func (c *Coordinator) Begin(txn string) error { return c.BeginWith(txn, c.cohorts) }
+func (c *Coordinator) Begin(txn string) error { return c.BeginWith(txn, c.cohorts, nil) }
 
 // BeginWith starts the commit protocol for txn over exactly the given
 // participant sites — the one fan-out there is: the coordinator moves
-// q1→w1 and multicasts the commit request, which names them, to them. An
-// empty set means the transaction touched no data site: there is nothing
-// to prepare and nobody to wait for, so it commits immediately. It is not
-// message dispatch, so it opts into the durability analysis explicitly.
+// q1→w1 and multicasts the commit request, which names them, to them;
+// bodies, when non-nil, holds one body per participant, in order, and
+// each request carries its receiver's. An empty set means the transaction
+// touched no data site: there is nothing to prepare and nobody to wait
+// for, so it commits immediately. It is not message dispatch, so it opts
+// into the durability analysis explicitly.
 //
 // The w1 record is deliberately not forced *under 3PC* before the commit
 // requests leave: a coordinator that crashes with an unsynced w recovers
@@ -64,12 +70,13 @@ func (c *Coordinator) Begin(txn string) error { return c.BeginWith(txn, c.cohort
 // protocol: a recordless coordinator would leave the yes-voters in w for
 // good, so there w1 is forced and recovery from it announces the abort.
 //
-// A refused commit request is counted in SendErrors and stops the fan-out
-// before the vote timer is armed. A decided transaction keeps only its
+// A refused commit request is counted in SendErrors and is a no vote: the
+// fan-out stops and the coordinator aborts from w1, which needs no force
+// (recovery from w1 aborts too). A decided transaction keeps only its
 // decision, so a name is taken while it runs and once it is decided.
 //
 //dur:handler
-func (c *Coordinator) BeginWith(txn string, participants []rt.NodeID) error {
+func (c *Coordinator) BeginWith(txn string, participants []rt.NodeID, bodies [][]byte) error {
 	if _, dup := c.txns[txn]; dup || c.Decision(txn) != DecisionNone {
 		return fmt.Errorf("tpc: transaction %s already begun", txn)
 	}
@@ -83,8 +90,13 @@ func (c *Coordinator) BeginWith(txn string, participants []rt.NodeID) error {
 		return nil
 	}
 	c.forceThen(c.cfg.Protocol == TwoPhase, func() {
-		for _, ch := range ct.parts {
-			if !c.send(ch, KindCommitReq, txnMsg{Txn: txn, Participants: ct.parts}) {
+		for i, ch := range ct.parts {
+			req := txnMsg{Txn: txn, Participants: ct.parts}
+			if bodies != nil {
+				req.Body = bodies[i]
+			}
+			if !c.send(ch, KindCommitReq, req) {
+				c.abort(txn, ct, CauseMessage)
 				return
 			}
 		}
@@ -108,14 +120,14 @@ func (c *Coordinator) HandleMessage(m rt.Message) bool {
 		if !ok {
 			return c.badPayload(m)
 		}
-		c.onVote(p.Txn, m.From, true)
+		c.onVote(p.Txn, m.From, true, p.Body)
 		return true
 	case KindVoteNo:
 		p, ok := m.Payload.(txnMsg)
 		if !ok {
 			return c.badPayload(m)
 		}
-		c.onVote(p.Txn, m.From, false)
+		c.onVote(p.Txn, m.From, false, nil)
 		return true
 	case KindAck:
 		p, ok := m.Payload.(txnMsg)
@@ -129,10 +141,13 @@ func (c *Coordinator) HandleMessage(m rt.Message) bool {
 	}
 }
 
-func (c *Coordinator) onVote(txn string, from rt.NodeID, yes bool) {
+func (c *Coordinator) onVote(txn string, from rt.NodeID, yes bool, body []byte) {
 	ct, ok := c.txns[txn]
 	if !ok || ct.state != StateWait {
 		return
+	}
+	if yes && c.OnVoteYes != nil {
+		yes = c.OnVoteYes(txn, from, body)
 	}
 	if !yes {
 		c.abort(txn, ct, CauseMessage)

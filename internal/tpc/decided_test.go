@@ -18,7 +18,7 @@ func TestDecidedTransactionKeepsOnlyItsDecision(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, h := range g.Cohorts {
-			h.Vote = func(txn string) bool { return txn != "ta" }
+			h.Vote = func(txn string, _ []byte) (bool, []byte) { return txn != "ta", nil }
 		}
 		for _, txn := range []string{"tc", "ta"} {
 			if err := g.Run(txn); err != nil {
@@ -42,7 +42,7 @@ func TestDecidedTransactionKeepsOnlyItsDecision(t *testing.T) {
 			if d, s := c.Decision(txn), c.StateOf(txn); d != w.d || s != w.s {
 				t.Errorf("%v %s: decision %v in %v, want %v in %v", proto, txn, d, s, w.d, w.s)
 			}
-			err := c.BeginWith(txn, g.CohortIDs)
+			err := c.BeginWith(txn, g.CohortIDs, nil)
 			if err == nil || !strings.Contains(err.Error(), "already begun") {
 				t.Errorf("%v %s: BeginWith again = %v, want already begun", proto, txn, err)
 			}

@@ -60,7 +60,7 @@ func TestEngineRefinesFig32(t *testing.T) {
 		// Random no-voter sometimes.
 		if r.Intn(4) == 0 {
 			veto := g.CohortIDs[r.Intn(n)]
-			g.Cohorts[veto].Vote = func(string) bool { return false }
+			g.Cohorts[veto].Vote = func(string, []byte) (bool, []byte) { return false, nil }
 		}
 		// Random single crash, sometimes with recovery.
 		victim := simnet.NodeID(0)

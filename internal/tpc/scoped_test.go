@@ -24,7 +24,7 @@ func TestScopedCommitSpansOnlyParticipants(t *testing.T) {
 	g := scopedGroup(t, 4)
 	in := g.CohortIDs[:2]
 	out := g.CohortIDs[2:]
-	if err := g.Coordinator.BeginWith("t1", in); err != nil {
+	if err := g.Coordinator.BeginWith("t1", in, nil); err != nil {
 		t.Fatal(err)
 	}
 	g.Net.Scheduler().Run(0)
@@ -50,7 +50,7 @@ func TestScopedCommitSpansOnlyParticipants(t *testing.T) {
 // touched no site commits without any protocol traffic.
 func TestScopedEmptyParticipantsCommitsImmediately(t *testing.T) {
 	g := scopedGroup(t, 3)
-	if err := g.Coordinator.BeginWith("t1", []simnet.NodeID{}); err != nil {
+	if err := g.Coordinator.BeginWith("t1", []simnet.NodeID{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d := g.Coordinator.Decision("t1"); d != DecisionCommit {
@@ -75,7 +75,7 @@ func TestScopedTerminationRunsOverParticipants(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := g.CohortIDs[:3]
-	if err := g.Coordinator.BeginWith("t1", in); err != nil {
+	if err := g.Coordinator.BeginWith("t1", in, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Crash the coordinator as soon as it has sent the prepares (its FSM

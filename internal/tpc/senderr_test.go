@@ -108,31 +108,46 @@ func TestCohortSendErrorsCounted(t *testing.T) {
 
 // TestBeginStopsAtRefusedCommitRequest pins what BeginWith does when the
 // network refuses a commit request (here: a participant the network does
-// not know): the refusal is counted in SendErrors, the fan-out stops
-// there, no vote timer is armed, and Begin itself succeeds — its error is
-// only for a transaction already begun.
+// not know): the refusal is counted in SendErrors, the fan-out of commit
+// requests stops there, and the refusal is a no vote — the coordinator
+// aborts from w1 and announces it to every participant, so the cohort
+// that did get a request (and opened whatever the body asked) aborts
+// instead of waiting. Begin itself succeeds — its error is only for a
+// transaction already begun.
 func TestBeginStopsAtRefusedCommitRequest(t *testing.T) {
 	g, err := NewGroup(1, 3, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reqs []simnet.NodeID
+	var reqs, aborts []simnet.NodeID
 	g.Net.OnSend = func(seq uint64, m simnet.Message) simnet.SendFault {
-		reqs = append(reqs, m.To)
+		switch m.Kind {
+		case KindCommitReq:
+			reqs = append(reqs, m.To)
+		case KindAbort:
+			aborts = append(aborts, m.To)
+		}
 		return simnet.SendFault{}
 	}
 	const unknown = simnet.NodeID(99)
-	if err := g.Coordinator.BeginWith("t1", []simnet.NodeID{2, unknown, 3}); err != nil {
+	if err := g.Coordinator.BeginWith("t1", []simnet.NodeID{2, unknown, 3}, nil); err != nil {
 		t.Fatalf("Begin = %v, want nil: a refused request is counted, not returned", err)
 	}
 	if len(reqs) != 1 || reqs[0] != 2 {
 		t.Errorf("commit requests went to %v, want only [2]: the fan-out stops at the refusal", reqs)
 	}
-	if got := g.Coordinator.SendErrors(); got != 1 {
-		t.Errorf("SendErrors = %d, want 1", got)
+	if len(aborts) != 2 || aborts[0] != 2 || aborts[1] != 3 {
+		t.Errorf("aborts went to %v, want [2 3]: the refusal is a no vote", aborts)
 	}
-	if ct := g.Coordinator.txns["t1"]; ct.state != StateWait || ct.timer != nil {
-		t.Errorf("coordinator in %s with timer %v, want w and no vote timer", ct.state, ct.timer)
+	if got := g.Coordinator.SendErrors(); got != 2 {
+		t.Errorf("SendErrors = %d, want 2 (the request and the abort to %d)", got, unknown)
+	}
+	if d, ok := g.Coordinator.txns["t1"]; ok || g.Coordinator.Decision("t1") != DecisionAbort {
+		t.Errorf("coordinator kept %+v and decided %s, want only the abort", d, g.Coordinator.Decision("t1"))
+	}
+	g.Net.Scheduler().Run(0)
+	if d := g.Cohorts[2].Decision("t1"); d != DecisionAbort {
+		t.Errorf("cohort 2, which got the request, decided %s, want abort", d)
 	}
 	if err := g.Coordinator.Begin("t1"); err == nil {
 		t.Error("second Begin of t1 succeeded, want already begun")

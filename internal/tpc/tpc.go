@@ -168,10 +168,15 @@ const (
 // transaction. Participants rides on every commit request and on nothing
 // else: it tells each cohort which sites (itself included) this
 // transaction's termination protocol runs over. A cohort rejects a commit
-// request without it as malformed.
+// request without it as malformed. Body is opaque to the protocol: the
+// layer above's work for the receiving cohort on a commit request
+// (BeginWith's bodies, Cohort.Vote's input), that cohort's reply on a
+// yes-vote (Vote's output, Coordinator.OnVoteYes's input), and absent on
+// every other kind.
 type txnMsg struct {
 	Txn          string
 	Participants []rt.NodeID `json:",omitempty"`
+	Body         []byte      `json:",omitempty"`
 }
 
 // stateResp answers a termination-protocol state request.

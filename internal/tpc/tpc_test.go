@@ -27,7 +27,7 @@ func TestAllYesCommits(t *testing.T) {
 
 func TestAnyNoAborts(t *testing.T) {
 	g := mustGroup(t, 2, 3, Config{})
-	g.Cohorts[3].Vote = func(string) bool { return false }
+	g.Cohorts[3].Vote = func(string, []byte) (bool, []byte) { return false, nil }
 	if err := g.Run("t1"); err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestThreePCNeverBlocksWhereTwoPCBlocks(t *testing.T) {
 
 func TestMultipleConcurrentTransactions(t *testing.T) {
 	g := mustGroup(t, 10, 3, Config{})
-	g.Cohorts[2].Vote = func(txn string) bool { return txn != "tB" }
+	g.Cohorts[2].Vote = func(txn string, _ []byte) (bool, []byte) { return txn != "tB", nil }
 	for _, txn := range []string{"tA", "tB", "tC"} {
 		if err := g.Coordinator.Begin(txn); err != nil {
 			t.Fatal(err)
@@ -437,4 +437,50 @@ func TestOutcomeString(t *testing.T) {
 		t.Fatal("mixed outcome must not be atomic")
 	}
 	_ = fmt.Sprintf("%+v", o)
+}
+
+// TestBodiesRideOnRequestAndYesVote: each participant's Vote reads the body
+// its own commit request carried, its reply reaches OnVoteYes on the
+// yes-vote before the vote counts, and a reply OnVoteYes refuses is a no.
+func TestBodiesRideOnRequestAndYesVote(t *testing.T) {
+	for _, refuse := range []bool{false, true} {
+		g, err := NewGroup(1, 2, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[simnet.NodeID]string{}
+		for id, h := range g.Cohorts {
+			h.Vote = func(_ string, body []byte) (bool, []byte) {
+				got[id] = string(body)
+				return true, append([]byte("re:"), body...)
+			}
+		}
+		replies := map[simnet.NodeID]string{}
+		g.Coordinator.OnVoteYes = func(txn string, from simnet.NodeID, body []byte) bool {
+			if d := g.Coordinator.Decision(txn); d != DecisionNone {
+				t.Errorf("OnVoteYes ran on a transaction decided %s", d)
+			}
+			replies[from] = string(body)
+			return !refuse
+		}
+		if err := g.Coordinator.BeginWith("t", []simnet.NodeID{2, 3}, [][]byte{[]byte("a"), []byte("b")}); err != nil {
+			t.Fatal(err)
+		}
+		g.Net.Scheduler().Run(0)
+		if got[2] != "a" || got[3] != "b" {
+			t.Errorf("refuse=%v: cohorts read bodies %v, want 2:a 3:b", refuse, got)
+		}
+		want, n := DecisionCommit, 2
+		if refuse {
+			want, n = DecisionAbort, 1
+		}
+		if d := g.Coordinator.Decision("t"); d != want || len(replies) != n {
+			t.Errorf("refuse=%v: decided %s after replies %v, want %s after %d", refuse, d, replies, want, n)
+		}
+		for from, r := range replies {
+			if r != "re:"+got[from] {
+				t.Errorf("refuse=%v: cohort %d's reply arrived as %q", refuse, from, r)
+			}
+		}
+	}
 }

@@ -22,8 +22,8 @@ func TestRegisterWireRoundTrip(t *testing.T) {
 	}
 
 	payloads := map[string]any{
-		KindCommitReq: txnMsg{Txn: "t1", Participants: []rt.NodeID{2, 3}},
-		KindVoteYes:   txnMsg{Txn: "t2"},
+		KindCommitReq: txnMsg{Txn: "t1", Participants: []rt.NodeID{2, 3}, Body: []byte{0, 1, 'k', 1, 'v'}},
+		KindVoteYes:   txnMsg{Txn: "t2", Body: []byte{1, 'k', 0}},
 		KindVoteNo:    txnMsg{Txn: "t3"},
 		KindPrepare:   txnMsg{Txn: "t4"},
 		KindAck:       txnMsg{Txn: "t5"},
@@ -135,5 +135,15 @@ func TestRegisterWireDuplicate(t *testing.T) {
 	}
 	if err := RegisterWire(codec); err == nil {
 		t.Error("second RegisterWire succeeded; want duplicate-kind error")
+	}
+}
+
+// TestBodilessKindsKeepTheirBytes pins that the opaque body costs a
+// message that carries none nothing: its encoding is the bare transaction
+// name.
+func TestBodilessKindsKeepTheirBytes(t *testing.T) {
+	data, err := encodeTxnMsg(txnMsg{Txn: "t"})
+	if err != nil || string(data) != `{"Txn":"t"}` {
+		t.Errorf("bodiless txnMsg encodes to %s (%v), want {\"Txn\":\"t\"}", data, err)
 	}
 }

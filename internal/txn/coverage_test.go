@@ -93,8 +93,8 @@ func TestTotalOfIgnoresGarbage(t *testing.T) {
 }
 
 func TestWorkTimeoutWhenSiteSilent(t *testing.T) {
-	// A partitioned site never answers its work message: the master's
-	// work timeout forces the protocol to run and abort.
+	// A partitioned site never gets its commit request, so it never votes:
+	// the coordinator's vote timeout aborts the transaction.
 	c, err := NewCluster(15, 3, tpc.Config{})
 	mustOK(t, err)
 	s2, s3 := c.SiteIDs[0], c.SiteIDs[1]
@@ -104,7 +104,7 @@ func TestWorkTimeoutWhenSiteSilent(t *testing.T) {
 		{Site: s3, Key: "y", Value: "2", IsWrite: true},
 	})
 	if res.Decision != tpc.DecisionAbort {
-		t.Fatalf("decision = %s, want abort (work timeout)", res.Decision)
+		t.Fatalf("decision = %s, want abort (vote timeout)", res.Decision)
 	}
 	if c.Sites[s2].Store.Read("x") != "" {
 		t.Fatal("partial write leaked")

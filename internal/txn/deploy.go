@@ -23,13 +23,14 @@ func NewMasterOn(net rt.Transport, masterID rt.NodeID, siteIDs []rt.NodeID, cfg 
 		net: net, id: masterID, sites: map[rt.NodeID]bool{},
 		coord:   tpc.NewCoordinator(net, masterID, siteIDs, cfg),
 		pending: map[string]*pending{},
-		decided: &pending{started: true, result: &Result{Decision: tpc.DecisionCommit}},
+		decided: &pending{result: &Result{Decision: tpc.DecisionCommit}},
 	}
 	for _, id := range siteIDs {
 		m.sites[id] = true
 	}
 	m.coord.OnDecide = m.onDecide
-	if err := wire(net, masterID, m.RecoverCoordinator, m.handle); err != nil {
+	m.coord.OnVoteYes = m.onVoteYes
+	if err := wire(net, masterID, m.RecoverCoordinator, func(msg rt.Message) { m.coord.HandleMessage(msg) }); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -42,17 +43,15 @@ func NewMasterOn(net rt.Transport, masterID rt.NodeID, siteIDs []rt.NodeID, cfg 
 // must already be registered on the transport. The database is
 // hash-partitioned into nshards shards (own lock manager and WAL session
 // each) over that one store; nshards < 1 is an error. The site-list
-// parameter is unused — a cohort learns each transaction's peers from its
-// commit request — and stays only because bench/tcluster.go passes it.
+// parameter is unused — a cohort learns each transaction's peers and its
+// work from its commit request — and stays only because bench/tcluster.go
+// passes it.
 func NewShardedSiteOn(net rt.Transport, id, masterID rt.NodeID, _ []rt.NodeID, cfg tpc.Config, nshards int) (*Site, error) {
-	site := &Site{net: net, id: id, nshards: nshards, masterID: masterID}
+	site := &Site{net: net, id: id, nshards: nshards}
 	site.cohort = tpc.NewCohort(net, id, masterID, cfg)
-	// A commit request goes only where work went, so yes means "my work
-	// went fine AND I hold the branch open": with no open branch the
-	// startwork was lost (or refused), and the transaction must abort.
-	site.cohort.Vote = func(txn string) bool { return !site.failed[txn] && site.Store.Prepared(txn) }
+	site.cohort.Vote = site.vote
 	site.cohort.OnDecide = site.applyDecision
-	if err := wire(net, id, site.Recover, site.handle); err != nil {
+	if err := wire(net, id, site.Recover, func(msg rt.Message) { site.cohort.HandleMessage(msg) }); err != nil {
 		return nil, err
 	}
 	return site, nil

@@ -243,24 +243,29 @@ func masterKilledInW1(t *testing.T, cfg tpc.Config, shards int) {
 	}
 }
 
-// A site killed after doing a transaction's work and before voting on it
-// comes back without the branch. Its coordinator is alive and still asks;
-// the answer must be no — a yes commits the transaction everywhere else
-// with this site's writes missing.
+// A site killed after doing a transaction's work and before its yes-vote
+// left comes back without the branch: the vote waited for the fsync of w,
+// so the restart finds w on disk and aborts the branch, and the coordinator,
+// one vote short, times out into abort. A yes from the restarted site would
+// commit the transaction everywhere else with this site's writes missing.
 func lostWork(t *testing.T, cfg tpc.Config, shards int) {
 	net := usedNet(t, func(map[simnet.NodeID]*stable.Store) {})
 	c, err := construct(net, cfg, shards)
 	mustOK(t, err)
 	net.OnSend = func(_ uint64, m simnet.Message) simnet.SendFault {
-		return simnet.SendFault{CrashSender: m.Kind == kindWorkDone && m.From == siteA}
+		return simnet.SendFault{CrashSender: m.Kind == tpc.KindVoteYes && m.From == siteA}
 	}
 	ops := []Op{{Site: siteA, Key: "x", Value: "1", IsWrite: true}, {Site: siteB, Key: "y", Value: "2", IsWrite: true}}
 	var res *Result
 	mustOK(t, c.Master.Submit("T", ops, func(r *Result) { res = r }))
-	net.Scheduler().RunUntil(5) // the work is done and siteA is dead
+	for net.Up(siteA) { // the work is done and siteA dies at its vote
+		if !net.Scheduler().Step() {
+			t.Fatal("quiesced before siteA voted")
+		}
+	}
 	net.OnSend = nil
 	reconstruct(t, c, siteA, cfg, shards)
-	c.Run()
+	net.Scheduler().RunUntil(net.Now() + 2000) // bounded: a blocked 2PC cohort re-arms its timer forever
 	if res == nil || res.Decision != tpc.DecisionAbort {
 		t.Fatalf("transaction whose work siteA lost: %+v, want abort", res)
 	}
@@ -270,16 +275,16 @@ func lostWork(t *testing.T, cfg tpc.Config, shards int) {
 }
 
 // The frames a coordinator writes into a connection whose peer just died
-// are gone. When one is a startwork, the work timeout starts the protocol
-// anyway, and the site that never saw the work must not answer yes: a
-// commit request goes only where work went, so no open branch means the
-// work was lost. The transaction aborts everywhere and leaves no lock.
+// are gone. When one is a commit request, its site never sees the work and
+// never votes; the coordinator's vote timer aborts the transaction, and the
+// site that did vote yes rolls back. The transaction aborts everywhere and
+// leaves no lock.
 func lostStartwork(t *testing.T, cfg tpc.Config, shards int) {
 	net := usedNet(t, func(map[simnet.NodeID]*stable.Store) {})
 	c, err := construct(net, cfg, shards)
 	mustOK(t, err)
 	net.OnSend = func(_ uint64, m simnet.Message) simnet.SendFault {
-		return simnet.SendFault{Drop: m.Kind == kindWork && m.To == siteB}
+		return simnet.SendFault{Drop: m.Kind == tpc.KindCommitReq && m.To == siteB}
 	}
 	ops := []Op{{Site: siteA, Key: "x", Value: "1", IsWrite: true}, {Site: siteB, Key: "y", Value: "2", IsWrite: true}}
 	if res := submitAndRun(t, c, "T", ops); res.Decision != tpc.DecisionAbort {
@@ -317,24 +322,24 @@ func (r *refusing) Send(from, to rt.NodeID, kind string, payload any) error {
 	return r.Network.Send(from, to, kind, payload)
 }
 
-// A startwork the transport refuses is failed work, not a failed Submit:
-// the site it never reached votes no, so the branch already open at the
-// other site aborts — through the protocol, before the work timer (8δ)
-// could fire — and its locks go with it. A site the master does not manage
-// is refused before anything is sent, and the name is not burnt.
+// A commit request the transport refuses is a no vote, not a failed
+// Submit: the coordinator aborts inside Submit's own call, before any
+// message is delivered, and the branch the other site opens when its
+// request arrives is rolled back by the abort that follows it. A site the
+// master does not manage is refused before anything is sent, and the name
+// is not burnt.
 func refusedStartwork(t *testing.T, cfg tpc.Config, shards int) {
 	net := usedNet(t, func(map[simnet.NodeID]*stable.Store) {})
 	c, err := construct(net, cfg, shards)
 	mustOK(t, err)
-	tr := &refusing{Network: net, refuse: func(to simnet.NodeID, kind string) bool { return kind == kindWork && to == siteB }}
+	tr := &refusing{Network: net, refuse: func(to simnet.NodeID, kind string) bool { return kind == tpc.KindCommitReq && to == siteB }}
 	c.Master, err = NewMasterOn(tr, master, c.SiteIDs, cfg)
 	mustOK(t, err)
 	ops := []Op{{Site: siteA, Key: "x", Value: "1", IsWrite: true}, {Site: siteB, Key: "y", Value: "2", IsWrite: true}}
 	var res *Result
 	mustOK(t, c.Master.Submit("T", ops, func(r *Result) { res = r }))
-	net.Scheduler().RunUntil(8*net.Delta() - 1)
 	if res == nil || res.Decision != tpc.DecisionAbort {
-		t.Fatalf("transaction one of whose startworks was refused: %+v, want abort before the work timeout", res)
+		t.Fatalf("transaction one of whose commit requests was refused: %+v, want abort within Submit", res)
 	}
 	c.Run()
 	for id, site := range c.Sites {
@@ -358,31 +363,34 @@ func refusedStartwork(t *testing.T, cfg tpc.Config, shards int) {
 	}
 }
 
-// A master that crashes between two startworks fails Submit; when it comes
-// back it runs the protocol for the submission it still holds, the site the
-// work never reached votes no, and the other site's branch is released.
+// A master that crashes between two commit requests has sent siteA its
+// work and siteB nothing. The refused request is a no vote, so the
+// submitter hears abort — truthfully: a coordinator that never forced p1
+// cannot have let anyone commit. siteA voted yes and holds its branch
+// until the protocol settles it: 3PC's termination protocol aborts it
+// while the master is still down, 2PC's recovery reads the forced w1 and
+// announces the abort. Either way the keys are free once the master is
+// back.
 func crashedMidSubmit(t *testing.T, cfg tpc.Config, shards int) {
 	net := usedNet(t, func(map[simnet.NodeID]*stable.Store) {})
 	c, err := construct(net, cfg, shards)
 	mustOK(t, err)
 	net.OnSend = func(_ uint64, m simnet.Message) simnet.SendFault {
-		return simnet.SendFault{CrashSender: m.Kind == kindWork && m.To == siteB}
+		return simnet.SendFault{CrashSender: m.Kind == tpc.KindCommitReq && m.To == siteB}
 	}
 	ops := []Op{{Site: siteA, Key: "x", Value: "1", IsWrite: true}, {Site: siteB, Key: "y", Value: "2", IsWrite: true}}
 	var res *Result
-	if err := c.Master.Submit("T", ops, func(r *Result) { res = r }); !errors.Is(err, simnet.ErrNodeDown) {
-		t.Fatalf("Submit on a master that crashed mid-submission: %v, want ErrNodeDown", err)
+	mustOK(t, c.Master.Submit("T", ops, func(r *Result) { res = r }))
+	if net.Up(master) || res == nil || res.Decision != tpc.DecisionAbort {
+		t.Fatalf("staging: master up=%v, submitter heard %+v; want a dead master and an abort", net.Up(master), res)
 	}
 	net.OnSend = nil
-	c.Run()
-	if !c.Sites[siteA].Store.Prepared("T") || res != nil {
-		t.Fatalf("staging: siteA holds no branch, or T was decided (%+v) with its master down", res)
+	net.Scheduler().RunUntil(net.Now() + 2000) // bounded: a blocked 2PC cohort re-arms its timer forever
+	if open := c.Sites[siteA].Store.Prepared("T"); open != (cfg.Protocol == tpc.TwoPhase) {
+		t.Fatalf("with the master down, siteA holds T's branch: %v; want it held only under 2PC", open)
 	}
 	mustOK(t, net.Recover(master))
-	c.Run()
-	if res == nil || res.Decision != tpc.DecisionAbort {
-		t.Fatalf("after the master's recovery: %+v, want abort", res)
-	}
+	net.Scheduler().RunUntil(net.Now() + 2000)
 	abortedAndUnlocked(t, c, ops)
 }
 
@@ -715,6 +723,50 @@ func TestInDoubtOutcomeSurvivesPeerQueue(t *testing.T) {
 			return
 		} else if d != tpc.DecisionNone || time.Now().After(end) {
 			t.Fatalf("cohort has %s for the in-doubt transaction (%d frames shed)", d, coord.Stats(siteA).Dropped)
+		}
+	}
+}
+
+// TestCoordinatorCrashOrphansNoBranch: a 3PC master killed right after its
+// commit requests leave, with no cohort restarted, orphans no branch. The
+// requests carried the work, so every site that opened a branch voted yes
+// on it and runs the termination protocol when the master falls silent:
+// within the termination bound — the request's delivery and fsync, the
+// phase timeout, the backup's gathering and its decision's delivery — no
+// site holds an open branch. Once the master is back, a transaction on the
+// same keys commits.
+func TestCoordinatorCrashOrphansNoBranch(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		net := usedNet(t, func(map[simnet.NodeID]*stable.Store) {})
+		c, err := construct(net, tpc.Config{}, shards)
+		mustOK(t, err)
+		ops := []Op{{Site: siteA, Key: "x", Value: "1", IsWrite: true}, {Site: siteB, Key: "y", Value: "2", IsWrite: true}}
+		reqs := 0
+		net.OnSend = func(_ uint64, m simnet.Message) simnet.SendFault {
+			if m.Kind == tpc.KindCommitReq {
+				reqs++
+			}
+			return simnet.SendFault{}
+		}
+		mustOK(t, c.Master.Submit("T", ops, nil))
+		if reqs != len(c.SiteIDs) {
+			t.Fatalf("staging: %d commit requests left within Submit, want %d", reqs, len(c.SiteIDs))
+		}
+		mustOK(t, net.Crash(master))
+		δ := net.Delta()
+		bound := net.Now() + δ + 4*δ + 2*δ + 2 + δ
+		net.Scheduler().RunUntil(bound)
+		for id, site := range c.Sites {
+			if n := site.Store.OpenTxns(); n != 0 {
+				t.Errorf("shards=%d: site %d holds %d open branches at t=%d with the master down", shards, id, n, bound)
+			}
+			if d := site.Decision("T"); d != tpc.DecisionAbort {
+				t.Errorf("shards=%d: site %d decided %s, want abort", shards, id, d)
+			}
+		}
+		mustOK(t, net.Recover(master))
+		if res := submitAndRun(t, c, "after", ops); res.Decision != tpc.DecisionCommit {
+			t.Errorf("shards=%d: transaction on the crashed one's keys: %s, want commit", shards, res.Decision)
 		}
 	}
 }
