@@ -19,10 +19,11 @@ race:
 # docs staleness gate. Every layer runs by default; speccatlint -only <layer>
 # reruns any single layer in isolation. A .sw file has one checker, strict
 # elaboration: TestCorpusElaborates and commcheck's Verify of comm.sw run it
-# under go test. The greps keep the two inert names
-# declared only for bench/ — tpc.Config.ScopedParticipants and
-# (*stable.Store).SetGroupCommit — from growing a reader or a caller
-# before they are deleted. The served binary must not link the mutant
+# under go test. The greps keep the names declared only for bench/ —
+# the inert tpc.Config.ScopedParticipants and
+# (*stable.Store).SetGroupCommit, and (*tcp.Net).LocalTime and UpNodes,
+# which left rt.Transport — from growing a reader or a caller before they
+# are deleted. The served binary must not link the mutant
 # runner, which shells out to the go tool. The engines have one sync
 # primitive: every forced announcement in internal/tpc goes through
 # endpoint.forceThen, which is Store.SyncThen, so the grep for a .Sync( call
@@ -44,6 +45,7 @@ lint:
 	! $(GO) list -deps ./cmd/tpcserve | grep -x 'speccat/internal/mutant'
 	! grep -rn 'ScopedParticipants' --include='*.go' . | grep -v '^./bench/' | grep -v 'internal/tpc/tpc.go'
 	! grep -rn 'SetGroupCommit' --include='*.go' . | grep -v '^./bench/' | grep -v 'internal/stable/stable.go'
+	! grep -rnE 'LocalTime|UpNodes' --include='*.go' . | grep -v '^./bench/' | grep -v 'internal/rt/tcp/tcp.go'
 	! grep -rn --include='*.go' --exclude='*_test.go' '\.Sync(' internal/tpc
 	! grep -rn --include='*.go' --exclude='*_test.go' 'time\.After(' cmd/tpcserve internal/rt
 	! grep -rnE --include='*.go' --exclude='*_test.go' 'net\.Buffers|Writev' cmd/tpcserve internal/rt
@@ -169,13 +171,22 @@ lint:
 # conformance's crash sweep placed at a protocol event of each seed's
 # fault-free run (one probe per seed) instead of at a fixed tick, and its
 # reading of a commit request's operations out of the body.
-ANALYSIS_LOC_BUDGET = 5856
-STACK_LOC_BUDGET = 3932
-HARNESS_LOC_BUDGET = 2791
-SERVING_LOC_BUDGET = 2061
+# One runtime boundary and one deterministic runtime lowered five:
+# ANALYSIS 5856 -> 5852, durcheck's Broadcast send arm; STACK 3932 ->
+# 3926, both kvstore Stable accessors; HARNESS 2791 -> 2749, E16's
+# replayNet and its stubs (the replay runs on an unstepped simnet) less
+# the record/replay split the negative control feeds; SERVING 2061 ->
+# 2023, rt.Transport's Broadcast and Deliver, rt.Quiescer and Broadcast
+# on live and tcp; REST 3521 -> 3516, simnet's Broadcast and
+# RunToQuiescence less checkpoint's two Send loops and the gathering
+# check identifying a state-vector round by the sites it asks.
+ANALYSIS_LOC_BUDGET = 5852
+STACK_LOC_BUDGET = 3926
+HARNESS_LOC_BUDGET = 2749
+SERVING_LOC_BUDGET = 2023
 TOOLS_LOC_BUDGET = 1422
 PROOF_LOC_BUDGET = 5787
-REST_LOC_BUDGET = 3521
+REST_LOC_BUDGET = 3516
 loc_count = find $(1) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
 loc:
 	@a=$$($(call loc_count,internal/analysis)); \

@@ -14,7 +14,7 @@
 // reaches a stable.Store mutation (Put/Delete/Append/TruncateLog), a
 // wal.Log mutator (Begin/LoggedUpdate/Commit/Abort) or wal.Resolve — either
 // directly, via one level of call summaries, or via an asserted
-// //dur:writes annotation. Sends are Send / Broadcast on simnet.Network or
+// //dur:writes annotation. Sends are Send on simnet.Network or
 // rt.Transport, and same-package wrappers forwarding a kind parameter to one.
 //
 // Annotation grammar:

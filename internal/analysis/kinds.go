@@ -83,10 +83,6 @@ func SendKindArg(obj types.Object) (int, bool) {
 		IsMethodOn(obj, "internal/rt", "Transport", "Send") {
 		return 2, true
 	}
-	if IsMethodOn(obj, "internal/simnet", "Network", "Broadcast") ||
-		IsMethodOn(obj, "internal/rt", "Transport", "Broadcast") {
-		return 1, true
-	}
 	return 0, false
 }
 

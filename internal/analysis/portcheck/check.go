@@ -12,7 +12,7 @@ import (
 // checkBoundary enforces rt-boundary on one engine package: no simulator
 // imports (suppressible per import line for harness files that own the
 // simulator wiring), and no type assertion from an rt interface back to
-// a concrete simulator type (assert rt.Quiescer instead).
+// a concrete simulator type (stay on the rt interface instead).
 func (x *extractor) checkBoundary(pkg *analysis.Package) {
 	for _, f := range pkg.Files {
 		for _, imp := range f.Imports {
@@ -31,7 +31,7 @@ func (x *extractor) checkBoundary(pkg *analysis.Package) {
 				for _, e := range v.List {
 					if x.simulatorType(pkg, e) {
 						x.Reportf(pkg, e.Pos(), RuleBoundary,
-							"type switch reaches around the rt boundary to the concrete simulator type %s; assert an rt interface (e.g. rt.Quiescer) instead", typeDisplay(pkg, e))
+							"type switch reaches around the rt boundary to the concrete simulator type %s; stay on the rt interface instead", typeDisplay(pkg, e))
 					}
 				}
 				return true
@@ -40,7 +40,7 @@ func (x *extractor) checkBoundary(pkg *analysis.Package) {
 			}
 			if target != nil && x.simulatorType(pkg, target) {
 				x.Reportf(pkg, target.Pos(), RuleBoundary,
-					"type assertion reaches around the rt boundary to the concrete simulator type %s; assert an rt interface (e.g. rt.Quiescer) instead", typeDisplay(pkg, target))
+					"type assertion reaches around the rt boundary to the concrete simulator type %s; stay on the rt interface instead", typeDisplay(pkg, target))
 			}
 			return true
 		})

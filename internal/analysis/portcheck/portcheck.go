@@ -34,8 +34,8 @@
 //	              internal/simnet (suppressible per import line for
 //	              simulator-harness files), or type-asserts an rt
 //	              interface value back to a concrete simulator type
-//	              (never suppressible in spirit: assert rt.Quiescer
-//	              instead)
+//	              (never suppressible in spirit: stay on the rt
+//	              interface instead)
 //	rt-confine    confined handler state escapes its event loop: a
 //	              reachable function spawns a goroutine referencing the
 //	              receiver or protocol state, stores a closure capturing

@@ -68,6 +68,6 @@ func (n *Node) snapshot() map[string]int {
 // network to drive it synchronously.
 func (n *Node) drain() {
 	if sn, ok := n.net.(*simnet.Network); ok { // want `rt-boundary: type assertion reaches around the rt boundary to the concrete simulator type simnet\.Network`
-		sn.RunToQuiescence()
+		sn.Scheduler().Run(0)
 	}
 }

@@ -96,7 +96,9 @@ func (n *Node) round() {
 	n.seq++
 	seq := n.seq
 	n.acked[seq] = map[rt.NodeID]bool{}
-	_ = n.net.Broadcast(n.id, kindTake, takeMsg{Seq: seq})
+	for _, peer := range n.net.Nodes() {
+		_ = n.net.Send(n.id, peer, kindTake, takeMsg{Seq: seq})
+	}
 	if n.period > 0 {
 		n.net.After(n.id, n.period, n.round)
 	}
@@ -150,7 +152,9 @@ func (n *Node) HandleMessage(m rt.Message) (bool, error) {
 			}
 		}
 		delete(n.acked, am.Seq)
-		_ = n.net.Broadcast(n.id, kindCommit, commitMsg{Seq: am.Seq})
+		for _, peer := range n.net.Nodes() {
+			_ = n.net.Send(n.id, peer, kindCommit, commitMsg{Seq: am.Seq})
+		}
 		return true, nil
 	case kindCommit:
 		cm, ok := m.Payload.(commitMsg)

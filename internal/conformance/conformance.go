@@ -492,8 +492,10 @@ func declareFailed(r *run, c *tally) {
 	}
 }
 
-// gathering is one backup's state-vector round: the lowest up participant's
-// state requests at one instant, closed by terminationDecide 2δ+2 later.
+// gathering is one backup's state-vector round: one site's state requests
+// at one instant that reach every other participant up, closed by
+// terminationDecide 2δ+2 later. A lone request to the lowest participant
+// up is an ask, not a gathering, even when only the two are up.
 type gathering struct {
 	backup     rt.NodeID
 	at, closes sim.Time
@@ -501,8 +503,14 @@ type gathering struct {
 
 func (r *run) gatherings(name string) []gathering {
 	var out []gathering
-	for _, s := range r.about(name, func(s send) bool { return isStateReq(s) && s.From == r.lowestUp(name, s.At) }) {
-		if g := (gathering{s.From, s.At, s.At + 2*delta() + 2}); !slices.Contains(out, g) {
+	reqs := r.about(name, isStateReq)
+	for _, s := range reqs {
+		asked := func(p rt.NodeID) bool {
+			return slices.ContainsFunc(reqs, func(q send) bool { return q.From == s.From && q.At == s.At && q.To == p })
+		}
+		covers := !slices.ContainsFunc(r.parts[name], func(p rt.NodeID) bool { return p != s.From && r.up(p, s.At) && !asked(p) })
+		ask := s.To == r.lowestUp(name, s.At) && !slices.ContainsFunc(r.parts[name], func(p rt.NodeID) bool { return p != s.To && asked(p) })
+		if g := (gathering{s.From, s.At, s.At + 2*delta() + 2}); covers && !ask && !slices.Contains(out, g) {
 			out = append(out, g)
 		}
 	}

@@ -412,8 +412,32 @@ func TestBackupElectedAfterCoordinatorCrash(t *testing.T) {
 // TestBackupIsLowestUpParticipant: every state vector is gathered by the
 // lowest participant up at the time, and every other participant's state
 // request goes to it; when that backup is down, the next lowest takes over
-// — staged by successorRun.
+// — staged by successorRun. A synthetic fan-out by a higher site is
+// flagged, and a lone ask of the lowest is no gathering.
 func TestBackupIsLowestUpParticipant(t *testing.T) {
+	fanOut := func(downAt sim.Time, from rt.NodeID, to ...rt.NodeID) *run {
+		r := &run{res: &explore.RunResult{}, sends: map[string][]send{}, parts: map[string][]rt.NodeID{"t": {2, 3, 4}}, txns: []string{"t"},
+			life: map[rt.NodeID][]flip{2: {{downAt, false}}}}
+		for i, x := range to {
+			r.sends["t"] = append(r.sends["t"], send{explore.SendInfo{Seq: uint64(i), From: from, To: x, Kind: tpc.KindStateReq, At: 100}, 0, nil})
+		}
+		return r
+	}
+	for i, c := range []struct {
+		r             *run
+		gathered, bad int
+	}{
+		{fanOut(200, 3, 2, 4), 1, 1}, // a higher site gathers
+		{fanOut(200, 2, 3, 4), 1, 0}, // the lowest gathers
+		{fanOut(200, 4, 2), 0, 0},    // an ask of the lowest
+		{fanOut(50, 3, 2, 4), 1, 0},  // 2 is down: 3 is the lowest up
+		{fanOut(50, 4, 3), 0, 0},     // only 3 and 4 are up: an ask
+	} {
+		if bad, gathered, _ := misplacedBackups(c.r, "t"); len(bad) != c.bad || gathered != c.gathered {
+			t.Errorf("case %d: %d gatherings, flagged %q; want %d gatherings, %d flagged", i, gathered, bad, c.gathered, c.bad)
+		}
+	}
+
 	runs := append(sweepRuns(t, explore.Proto3PC, 60), goldenRun(t, goldenUnsafe), successorRun(t))
 	gathered, successors := 0, 0
 	for _, r := range runs {
@@ -423,26 +447,38 @@ func TestBackupIsLowestUpParticipant(t *testing.T) {
 					t.Errorf("seed %d txn %s: site %d asked %d at t=%d, the lowest participant up was %d", r.spec.Seed, name, q.From, q.To, q.At, b)
 				}
 			}
-			for _, g := range r.gatherings(name) {
-				gathered++
-				var up []rt.NodeID
-				for _, p := range r.parts[name] {
-					if r.up(p, g.at) {
-						up = append(up, p)
-					}
-				}
-				if len(up) == 0 || g.backup != slices.Min(up) {
-					t.Errorf("seed %d txn %s: backup %d gathered at t=%d, participants up %v", r.spec.Seed, name, g.backup, g.at, up)
-				}
-				if g.backup != r.parts[name][0] {
-					successors++
-				}
+			bad, g, s := misplacedBackups(r, name)
+			for _, b := range bad {
+				t.Errorf("seed %d txn %s: %s", r.spec.Seed, name, b)
 			}
+			gathered, successors = gathered+g, successors+s
 		}
 	}
 	if gathered == 0 || successors == 0 {
 		t.Errorf("gatherings = %d, by a successor backup = %d", gathered, successors)
 	}
+}
+
+// misplacedBackups returns one line per gathering of txn name that a site
+// other than the lowest participant up made, the number of gatherings and
+// how many of them a successor backup made.
+func misplacedBackups(r *run, name string) (bad []string, gathered, successors int) {
+	for _, g := range r.gatherings(name) {
+		gathered++
+		var up []rt.NodeID
+		for _, p := range r.parts[name] {
+			if r.up(p, g.at) {
+				up = append(up, p)
+			}
+		}
+		if len(up) == 0 || g.backup != slices.Min(up) {
+			bad = append(bad, fmt.Sprintf("backup %d gathered at t=%d, participants up %v", g.backup, g.at, up))
+		}
+		if g.backup != r.parts[name][0] {
+			successors++
+		}
+	}
+	return bad, gathered, successors
 }
 
 // TestGatheredStateVectorRules: a backup's state vector holding both a

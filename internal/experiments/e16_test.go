@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 
 	"speccat/internal/tpc"
@@ -34,6 +35,40 @@ func TestE16LiveConformance(t *testing.T) {
 		}
 		if !r.DurableAgree {
 			t.Errorf("E16 %s: durable decision records diverge from live run", r.Protocol)
+		}
+	}
+}
+
+// TestReplayDetectsADroppedDelivery is the replay's negative control: the
+// recorded trace replays in agreement, and the same trace without one
+// cohort's commit delivery does not — that cohort is left undecided.
+// (Not every delivery counts: the replay compares final decisions and
+// stores, so dropping, say, a redundant second no-vote goes unnoticed.)
+func TestReplayDetectsADroppedDelivery(t *testing.T) {
+	for _, p := range []tpc.Protocol{tpc.ThreePhase, tpc.TwoPhase} {
+		rec, err := record(p, liveCluster)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		if row, err := rec.replay(rec.trace); err != nil || !row.Agree() {
+			t.Fatalf("%s: unmodified trace: %+v, %v", p, row, err)
+		}
+		dropped := 0
+		for i, e := range rec.trace {
+			if e.Msg.Kind != tpc.KindCommit {
+				continue
+			}
+			dropped++
+			row, err := rec.replay(append(slices.Clone(rec.trace[:i]), rec.trace[i+1:]...))
+			if err != nil {
+				t.Fatalf("%s: replay without delivery %d: %v", p, i, err)
+			}
+			if row.ReplayAgree {
+				t.Errorf("%s: replay without the commit to %d (delivery %d): %+v", p, e.Msg.To, i, row)
+			}
+		}
+		if dropped != 3 {
+			t.Errorf("%s: %d commit deliveries traced, want one per cohort", p, dropped)
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // own tcp transport on a loopback address, every message crosses a TCP
 // connection through the frame codec, and a shared tracer records the
 // global delivery order. The trace is then replayed through the
-// deterministic replay transport driving the same engine code, and the
+// deterministic simulator driving the same engine code, and the
 // decisions and the byte-level durable stores of the two runs must
 // agree. What this adds over E16: the wire layer (encode → TCP → decode)
 // is now inside the conformance boundary, so a codec that loses

@@ -197,8 +197,5 @@ func (s *Store) Snapshot() recovery.State {
 	return out
 }
 
-// Stable exposes the underlying stable store.
-func (s *Store) Stable() *stable.Store { return s.st }
-
 // OpenTxns returns the number of open local branches.
 func (s *Store) OpenTxns() int { return len(s.open) }

@@ -208,9 +208,6 @@ func (s *Shards) Snapshot() recovery.State {
 	return out
 }
 
-// Stable exposes the shared underlying stable store.
-func (s *Shards) Stable() *stable.Store { return s.st }
-
 // OpenTxns returns the number of open transactions across all shards.
 func (s *Shards) OpenTxns() int { return len(s.touched) }
 

@@ -13,8 +13,8 @@
 //
 //   - Per-node serialization: each node's handler and timer callbacks
 //     run on that node's single event-loop goroutine (see SetRecover).
-//   - Asynchronous sends: Send/Broadcast enqueue onto the destination
-//     mailbox and return; they never run the destination handler on the
+//   - Asynchronous sends: Send enqueues onto the destination mailbox
+//     and returns; it never runs the destination handler on the
 //     caller's stack.
 //   - Node-local stores: stable stores are handed to the owning node's
 //     engines; stable.Store is additionally mutex-guarded internally.
@@ -263,16 +263,6 @@ func (t *Net) Up(id rt.NodeID) bool {
 // Send enqueues a message onto the destination node's event loop.
 func (t *Net) Send(from, to rt.NodeID, kind string, payload any) error {
 	return t.Deliver(rt.Message{From: from, To: to, Kind: kind, Payload: payload, SentAt: t.Now()})
-}
-
-// Broadcast sends to every registered node including the sender.
-func (t *Net) Broadcast(from rt.NodeID, kind string, payload any) error {
-	for _, id := range t.Nodes() {
-		if err := t.Send(from, id, kind, payload); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Deliver enqueues msg onto the destination node's event loop. The

@@ -233,7 +233,7 @@ func TestZeroDelayAfterIsAHandOff(t *testing.T) {
 	}
 }
 
-func TestLiveBroadcastReachesAll(t *testing.T) {
+func TestLiveSendReachesAll(t *testing.T) {
 	net := New(Options{Tick: 100 * time.Microsecond, Delta: 5})
 	defer net.Close()
 
@@ -243,8 +243,10 @@ func TestLiveBroadcastReachesAll(t *testing.T) {
 		e := &echoNode{net: net, id: id, notify: wg.Done}
 		net.AddNode(id, e.handle)
 	}
-	if err := net.Broadcast(1, "hello", nil); err != nil {
-		t.Fatalf("broadcast: %v", err)
+	for _, id := range net.Nodes() {
+		if err := net.Send(1, id, "hello", nil); err != nil {
+			t.Fatalf("send to %d: %v", id, err)
+		}
 	}
 	wg.Wait()
 

@@ -2,7 +2,8 @@
 // narrow set of interfaces — Timer, Transport, Rand — through which every
 // engine (tpc, txn, kvstore, recovery, checkpoint) touches time,
 // randomness and the network. The deterministic simulator (internal/sim +
-// internal/simnet) implements these interfaces for verification runs; a real-goroutine
+// internal/simnet) implements these interfaces for verification runs and
+// for replaying the delivery traces of real runs; a real-goroutine
 // adapter (internal/rt/live) implements them over channels and the wall
 // clock for serving-path runs. The engines themselves import only this
 // package, so the identical handler code runs on both runtimes and the
@@ -22,8 +23,8 @@
 //     other. The simulator satisfies this globally (one thread); the
 //     live adapter satisfies it per node (one goroutine per node); its
 //     engines recover in their constructors, before SetHandler.
-//   - Sends are asynchronous: Send/Broadcast never invoke the
-//     destination handler on the caller's stack across nodes.
+//   - Sends are asynchronous: Send never invokes the destination
+//     handler on the caller's stack across nodes.
 //   - Stores are node-local: Store(id) is only touched from id's event
 //     loop (or before the loop starts / after it stops).
 package rt
@@ -86,13 +87,6 @@ type Transport interface {
 	// crashed node is an error; sending to a crashed node silently
 	// discards at delivery time (the crash model of the paper).
 	Send(from, to NodeID, kind string, payload any) error
-	// Broadcast sends to every registered node including the sender.
-	Broadcast(from NodeID, kind string, payload any) error
-	// Deliver hands a message directly to the destination node's event
-	// loop, bypassing the fabric's delay and fault machinery. Replay
-	// harnesses use it to force a recorded interleaving; protocol code
-	// has no business calling it.
-	Deliver(msg Message) error
 
 	// After schedules fn on node id's event loop d ticks from now; it
 	// fires only if the node is still up (a crash cancels the site's
@@ -134,16 +128,4 @@ type PayloadRegistry interface {
 	// twice is an error: conflicting codecs are a deployment bug, not a
 	// last-writer-wins.
 	Register(kind string, enc func(payload any) ([]byte, error), dec func(data []byte) (any, error)) error
-}
-
-// Quiescer is the optional synchronous-drive face of a Transport: the
-// deterministic simulator can run its event queue to quiescence on the
-// caller's stack. Live runtimes make progress on the wall clock instead
-// and do not implement it. Harness code that wants "run until settled"
-// asserts this interface — an rt interface, never a simulator concrete
-// type, which is exactly the distinction portcheck's rt-boundary rule
-// enforces.
-type Quiescer interface {
-	// RunToQuiescence executes pending work until none remains.
-	RunToQuiescence()
 }

@@ -258,7 +258,7 @@ type inertTimer struct{}
 func (inertTimer) Cancel() {}
 
 // Deliver hands a message directly to the local node's event loop,
-// bypassing the wire (the inbound path and replay harnesses use it).
+// bypassing the wire; only the benchmark's traced transport calls it.
 func (t *Net) Deliver(msg rt.Message) error {
 	if msg.To != t.opts.Local {
 		return fmt.Errorf("%w: deliver to %d (local is %d)", ErrNotLocal, msg.To, t.opts.Local)
@@ -301,16 +301,6 @@ func (t *Net) Send(from, to rt.NodeID, kind string, payload any) error {
 	}
 	t.mu.Unlock()
 	t.peerFor(to, addr).enqueue(frame, t.opts.SendQueue)
-	return nil
-}
-
-// Broadcast sends to every cluster node including the sender.
-func (t *Net) Broadcast(from rt.NodeID, kind string, payload any) error {
-	for _, id := range t.order {
-		if err := t.Send(from, id, kind, payload); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

@@ -146,10 +146,6 @@ func (n *Network) Scheduler() *sim.Scheduler { return n.sched }
 // Now returns the current simulated time (rt.Transport).
 func (n *Network) Now() sim.Time { return n.sched.Now() }
 
-// RunToQuiescence executes pending events until none remain
-// (rt.Quiescer): the simulator's synchronous drive.
-func (n *Network) RunToQuiescence() { n.sched.Run(0) }
-
 // AddNode registers a node with a fresh stable store.
 func (n *Network) AddNode(id NodeID, h Handler) *stable.Store {
 	nd := &node{id: id, up: true, handler: h, store: stable.NewStore()}
@@ -272,27 +268,14 @@ func (n *Network) deliver(msg Message) {
 }
 
 // Deliver hands a message directly to the destination node's handler,
-// bypassing delay, FIFO and fault machinery (rt.Transport). Replay
-// harnesses use it to force a recorded interleaving onto the
-// deterministic engines; delivery to an unknown node is an error, to a
-// crashed node a silent drop (the crash model).
+// bypassing delay, FIFO and fault machinery. E16/E17's replay forces a
+// recorded interleaving with it on a never-stepped scheduler; delivery
+// to an unknown node is an error, to a crashed node a silent drop.
 func (n *Network) Deliver(msg Message) error {
 	if _, ok := n.nodes[msg.To]; !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, msg.To)
 	}
 	n.deliver(msg)
-	return nil
-}
-
-// Broadcast sends to every registered node including the sender itself
-// (self-delivery is immediate protocol convention: it goes through the
-// same delay machinery for uniformity).
-func (n *Network) Broadcast(from NodeID, kind string, payload any) error {
-	for _, id := range n.order {
-		if err := n.Send(from, id, kind, payload); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

@@ -88,19 +88,6 @@ func TestNonFIFOCanReorder(t *testing.T) {
 	}
 }
 
-func TestBroadcastReachesAll(t *testing.T) {
-	n, cols := newNet(1, 4)
-	if err := n.Broadcast(1, "hello", nil); err != nil {
-		t.Fatal(err)
-	}
-	n.Scheduler().Run(0)
-	for id, c := range cols {
-		if len(c.got) != 1 {
-			t.Fatalf("node %d got %d messages", id, len(c.got))
-		}
-	}
-}
-
 func TestCrashStopsDelivery(t *testing.T) {
 	n, cols := newNet(1, 2)
 	if err := n.Send(1, 2, "a", nil); err != nil {
